@@ -15,7 +15,6 @@ use crate::regional::analyze_region;
 
 /// One concrete recommendation in a [`SecurityPlan`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Recommendation {
     /// Findings of the topology analysis step.
     Analysis {
@@ -51,7 +50,6 @@ pub enum Recommendation {
 
 /// A generated step-wise plan for one target.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SecurityPlan {
     /// The AS the plan protects.
     pub target: AsIndex,

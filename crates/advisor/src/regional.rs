@@ -6,7 +6,7 @@
 //! measured as the number of *regional* ASes polluted, for attacks
 //! launched both from inside and from outside the region.
 
-use bgpsim_hijack::{Defense, Simulator};
+use bgpsim_hijack::{Defense, Simulator, SweepMonitor};
 use bgpsim_topology::metrics::DepthMap;
 use bgpsim_topology::{AsIndex, Topology};
 use rand::rngs::StdRng;
@@ -68,7 +68,6 @@ pub fn analyze_region(topo: &Topology, members: &[AsIndex]) -> RegionalAnalysis 
 
 /// Outcome of a regional containment measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RegionalPollution {
     /// Mean number of regional ASes compromised per successful attack
     /// launched from *inside* the region.
@@ -117,7 +116,13 @@ pub fn regional_containment(
     outside.truncate(outside_sample);
 
     let mean_within = |attackers: &[AsIndex]| -> f64 {
-        let counts = sim.sweep_attackers_within(target, attackers, defense, Some(members));
+        let counts = sim.sweep_attackers_monitored(
+            target,
+            attackers,
+            defense,
+            Some(members),
+            &SweepMonitor::none(),
+        );
         let successful: Vec<u32> = counts.into_iter().filter(|&c| c > 0).collect();
         if successful.is_empty() {
             0.0

@@ -590,7 +590,6 @@ pub fn telemetry_json(snapshot: &TelemetrySnapshot) -> Json {
                 ("truncated_runs", Json::from(engine.truncated_runs)),
             ]),
         ),
-        ("stable_dispatches", Json::from(snapshot.stable_dispatches)),
         (
             "scratch_dispatches",
             Json::from(snapshot.scratch_dispatches),

@@ -81,7 +81,6 @@ pub fn evaluate_strategies_monitored(
 /// One row of the paper's "top 5 still-potent attacks" tables: ASN,
 /// pollution achieved, degree and depth of the attacker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PotentAttackerRow {
     /// The attacker.
     pub attacker: AsIndex,

@@ -15,7 +15,6 @@ use rand::SeedableRng;
 
 /// A rule choosing which ASes deploy route-origin validation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DeploymentStrategy {
     /// Nobody filters (the baseline).
     None,

@@ -18,7 +18,6 @@ use rand::SeedableRng;
 /// polluted and therefore receives (and would report) the bogus
 /// announcement.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProbeSet {
     name: String,
     probes: Vec<AsIndex>,

@@ -6,7 +6,6 @@ use bgpsim_topology::AsIndex;
 
 /// An attack that no probe of a configuration observed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MissedAttack {
     /// The attacking AS.
     pub attacker: AsIndex,
@@ -20,7 +19,6 @@ pub struct MissedAttack {
 /// 0, 1, 2, … probes, the mean attack size per bin, and the full list of
 /// missed attacks.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DetectionReport {
     name: String,
     num_probes: usize,

@@ -4,7 +4,6 @@ use bgpsim_topology::{AddressSpace, AsIndex};
 
 /// The kind of prefix hijack being simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum AttackKind {
     /// The attacker originates the target's exact prefix; the two
     /// announcements compete under normal route selection (the paper's
@@ -27,7 +26,6 @@ pub enum AttackKind {
 
 /// One attacker / target pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Attack {
     /// The AS originating the bogus announcement.
     pub attacker: AsIndex,

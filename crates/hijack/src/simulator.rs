@@ -1,39 +1,38 @@
-//! The hijack simulator: single attacks and parallel sweeps.
+//! The hijack simulator: one route, one executor.
 //!
-//! Sweeps are *incremental*: all attacks against one target share the
-//! target's honest convergence. [`Simulator::sweep_attackers_within`] and
-//! [`Simulator::run_batch`] build one [`Baseline`] (converged state plus
-//! recorded message schedule) per target, share it read-only across rayon
-//! workers, and re-converge each attacker with [`propagate_delta`] in a
-//! per-thread [`DeltaWorkspace`] — bit-identical outcomes (the
-//! `delta_equivalence` suite in the routing crate pins this) at a fraction
-//! of the cost, since only the attacker's contamination cone is simulated.
-//! Strict Gao-Rexford configurations dispatch to the closed-form stable
-//! solver instead, which is faster still.
+//! Every attack is answered the same way: [`Simulator::route`] picks the
+//! engine, and one private executor runs it. [`Simulator::evaluate`] reads
+//! a full [`AttackOutcome`] off the result; the sweep entry points count
+//! pollution off it directly, one row per attacker, in parallel.
 //!
-//! Dispatch is *adaptive*: against an undefended network an exact-prefix
+//! Routing is *adaptive*. Against an undefended network an exact-prefix
 //! hijack perturbs nearly every AS (the paper's §IV observation that
-//! attackers pollute up to ~96% of the network), so the contamination cone
-//! is the whole graph and schedule replay costs slightly more than just
-//! racing both origins. Undefended sweeps therefore go to the closed-form
-//! race solver ([`bgpsim_routing::solve_race`]) first — one tier-1
-//! fixed-point instead of full message-passing convergence — with the
-//! from-scratch generation engine only as the fallback for the rare
-//! multistable topology where the fixed point does not settle. Baseline
-//! reuse kicks in when the defense (origin validation and/or defensive
-//! stub filtering) can quench the attacker's routes and keep the cone
-//! local — the §V regime, where re-convergence collapses to microseconds
-//! per attacker. The `sweep_delta` and `sweep_race` Criterion benches
-//! measure these regimes; [`EngineChoice`] overrides the adaptive dispatch
-//! for debugging and ablation.
+//! attackers pollute up to ~96% of the network), so incremental
+//! re-convergence has nothing to skip: such attacks go to the closed-form
+//! race solver ([`bgpsim_routing::solve_race`]) — one tier-1 fixed point
+//! instead of full message-passing convergence — with the from-scratch
+//! generation engine only as the fallback for the rare multistable
+//! topology where the fixed point does not settle. When the defense
+//! (origin validation and/or defensive stub filtering) can quench the
+//! attacker's routes, all attacks against one target share the target's
+//! honest convergence: [`Simulator::baseline_for`] builds one [`Baseline`]
+//! (converged state plus recorded message schedule), shared read-only
+//! across rayon workers, and [`propagate_delta`] re-converges only the
+//! attacker's contamination cone — the §V regime, where an attack costs
+//! microseconds. Outcomes are bit-identical on every route (the routing
+//! crate's `race_equivalence` and `delta_equivalence` suites pin this
+//! under both the paper policy and strict Gao-Rexford). The `sweep_delta`
+//! and `sweep_race` Criterion benches measure the regimes;
+//! [`EngineChoice`] overrides the adaptive route for debugging and
+//! ablation.
 
-use std::collections::HashMap;
+use std::ops::DerefMut;
 use std::time::Instant;
 
 use bgpsim_routing::{
-    propagate_announcements, propagate_delta, solve_observed, solve_race_observed, Announcement,
-    Baseline, DeltaWorkspace, FilterContext, NullObserver, Observer, PolicyConfig, Propagation,
-    RaceWorkspace, SimNet, Workspace, DEFAULT_MAX_ROUNDS,
+    propagate_announcements, propagate_delta, solve_race_observed, Announcement, Baseline,
+    DeltaResult, DeltaWorkspace, NullObserver, Observer, PolicyConfig, Propagation, RaceWorkspace,
+    SimNet, Workspace, DEFAULT_MAX_ROUNDS,
 };
 use bgpsim_topology::{AsIndex, Topology};
 use rayon::prelude::*;
@@ -44,7 +43,7 @@ use crate::pool::WorkspacePool;
 use crate::telemetry::{run_instrumented, Dispatch, MaybeSink, ProgressState, SweepMonitor};
 use crate::vulnerability::SweepResult;
 
-/// Engine selection for [`Simulator`] dispatch.
+/// Engine selection for [`Simulator::route`].
 ///
 /// [`EngineChoice::Auto`] (the default) picks the fastest engine whose
 /// preconditions hold per attack; the other variants force every attack
@@ -53,21 +52,16 @@ use crate::vulnerability::SweepResult;
 /// equivalence suites pin this); only `generations` bookkeeping differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineChoice {
-    /// Adaptive dispatch: stable solver under strict Gao-Rexford, race
-    /// solver (generation fallback) when undefended, baseline-replay
-    /// delta when a localizing defense is deployed.
+    /// Adaptive: race solver (generation fallback) when undefended,
+    /// baseline-replay delta when a localizing defense is deployed.
     #[default]
     Auto,
     /// Always the step-wise generation engine, from scratch.
     Generation,
-    /// Always baseline replay (one baseline per attacked target; the
-    /// sub-prefix baseline is empty since the bogus prefix has no honest
-    /// competition).
+    /// Always baseline replay, one baseline per attacked target.
+    /// Sub-prefix hijacks have no honest competition and hence no
+    /// baseline to replay; they run from scratch.
     Delta,
-    /// Always the closed-form stable solver. Requires strict Gao-Rexford
-    /// policy and cannot express forged-origin attacks; invalid
-    /// combinations panic.
-    Stable,
     /// Always the closed-form race solver, generation engine on
     /// non-convergence.
     Race,
@@ -85,11 +79,10 @@ impl EngineChoice {
             "auto" => Ok(EngineChoice::Auto),
             "generation" => Ok(EngineChoice::Generation),
             "delta" => Ok(EngineChoice::Delta),
-            "stable" => Ok(EngineChoice::Stable),
             "race" => Ok(EngineChoice::Race),
             other => Err(format!(
                 "unknown engine {other:?}: valid engines are \"auto\", \"generation\", \
-                 \"delta\", \"stable\", \"race\""
+                 \"delta\", \"race\""
             )),
         }
     }
@@ -101,7 +94,6 @@ impl EngineChoice {
             EngineChoice::Auto => "auto",
             EngineChoice::Generation => "generation",
             EngineChoice::Delta => "delta",
-            EngineChoice::Stable => "stable",
             EngineChoice::Race => "race",
         }
     }
@@ -115,11 +107,38 @@ impl std::str::FromStr for EngineChoice {
     }
 }
 
+/// Per-thread engine scratch space: one workspace per engine, each sized
+/// on first use and reused without clearing (epoch stamps) thereafter.
+/// Check one out with [`Simulator::scratch`], or own one for the lifetime
+/// of a long-running caller.
+#[derive(Debug, Default)]
+pub struct Scratch {
+    ws: Workspace,
+    dws: DeltaWorkspace,
+    rws: RaceWorkspace,
+}
+
+impl Scratch {
+    /// The generation-engine workspace, as [`Simulator::run_observed`]
+    /// takes it.
+    pub fn workspace(&mut self) -> &mut Workspace {
+        &mut self.ws
+    }
+}
+
+/// One engine pass, before pollution is read off it.
+enum Solved<'r, 't> {
+    /// A full per-AS selection map (race solver or generation engine).
+    Network(Propagation),
+    /// A contamination cone over the shared baseline (delta replay).
+    Cone(DeltaResult<'r, 't>),
+}
+
 /// Simulates origin and sub-prefix hijacks on one topology.
 ///
 /// Owns the precomputed [`SimNet`] so repeated attacks share its tables;
 /// the parallel sweep methods distribute attacks across rayon workers with
-/// one reusable [`Workspace`] per thread.
+/// one pooled [`Scratch`] per thread.
 ///
 /// # Examples
 ///
@@ -146,44 +165,29 @@ pub struct Simulator<'t> {
     /// Fixed-point round cap handed to the race solver; rounds exhausted
     /// means generation-engine fallback.
     race_rounds: u32,
-    /// Parked per-thread workspaces, reused across parallel calls: the
-    /// vendored rayon re-runs `map_init`'s init closure per worker per
-    /// call, so without pooling every sweep chunk would reallocate
-    /// O(ASes + slots) per worker (see `pool.rs`).
-    ws_pool: WorkspacePool<Workspace>,
-    dws_pool: WorkspacePool<DeltaWorkspace>,
-    rws_pool: WorkspacePool<RaceWorkspace>,
+    /// Parked scratch spaces, reused across calls: the vendored rayon
+    /// re-runs `map_init`'s init closure per worker per call, so without
+    /// pooling every sweep chunk would reallocate O(ASes + slots) per
+    /// worker (see `pool.rs`).
+    pool: WorkspacePool<Scratch>,
 }
 
 impl<'t> Simulator<'t> {
     /// Builds a simulator over `topo` with the given policy and adaptive
-    /// engine dispatch.
+    /// engine routing.
     pub fn new(topo: &'t Topology, policy: PolicyConfig) -> Simulator<'t> {
         Simulator {
             net: SimNet::new(topo),
             policy,
             engine: EngineChoice::Auto,
             race_rounds: DEFAULT_MAX_ROUNDS,
-            ws_pool: WorkspacePool::default(),
-            dws_pool: WorkspacePool::default(),
-            rws_pool: WorkspacePool::default(),
+            pool: WorkspacePool::default(),
         }
     }
 
-    /// Forces every attack onto one engine instead of adaptive dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`EngineChoice::Stable`] under the paper policy: the
-    /// stable solver's single pass cannot honor the tier-1 shortest-path
-    /// override.
+    /// Forces every attack onto one engine instead of adaptive routing.
     #[must_use]
     pub fn with_engine(mut self, engine: EngineChoice) -> Simulator<'t> {
-        assert!(
-            engine != EngineChoice::Stable || !self.policy.tier1_shortest_path,
-            "engine \"stable\" supports strict Gao-Rexford policy only; \
-             the configured policy enables tier1_shortest_path (use \"race\" or \"auto\")"
-        );
         self.engine = engine;
         self
     }
@@ -218,15 +222,82 @@ impl<'t> Simulator<'t> {
         &self.policy
     }
 
-    /// Simulates one attack with a pooled workspace.
-    pub fn run(&self, attack: Attack, defense: &Defense) -> AttackOutcome {
-        let mut ws = self.ws_pool.checkout();
-        self.run_observed(attack, defense, &mut ws, &mut NullObserver)
+    /// Checks a [`Scratch`] out of the simulator's pool. It returns to the
+    /// pool on drop with its warmed allocations intact, so per-request and
+    /// per-rayon-worker callers allocate nothing in steady state.
+    pub fn scratch(&self) -> impl DerefMut<Target = Scratch> + '_ {
+        self.pool.checkout()
     }
 
-    /// Simulates one attack with a caller-provided workspace and observer
-    /// (pass a [`bgpsim_routing::TraceRecorder`] to capture every message
-    /// for visualization).
+    /// Which engine answers an attack of `kind` under `defense` — the one
+    /// place the engine override, the attack kind and the defense are
+    /// weighed against each other.
+    ///
+    /// [`Dispatch::Delta`] means "replay against the target's shared
+    /// honest baseline ([`Simulator::baseline_for`])", so it is also the
+    /// cacheability predicate serving layers need: build or fetch that
+    /// baseline exactly when the route says so. Replay pays off once a
+    /// defense keeps contamination cones local; without any filtering
+    /// every AS adopts or at least hears the bogus route, the cone is the
+    /// whole network, and replay measured ~3× slower than racing the two
+    /// origins closed-form. Sub-prefix hijacks never replay: the bogus
+    /// more-specific prefix has no honest competition to start from.
+    ///
+    /// [`Dispatch::Race`] falls back to the generation engine when the
+    /// tier-1 fixed point does not settle; [`Simulator::evaluate`] reports
+    /// which one ran. The policy is not consulted: every route is pinned
+    /// bit-identical under both the paper policy and strict Gao-Rexford.
+    pub fn route(&self, kind: AttackKind, defense: &Defense) -> Dispatch {
+        let replayable = kind != AttackKind::SubPrefixHijack;
+        match self.engine {
+            EngineChoice::Generation => Dispatch::Scratch,
+            EngineChoice::Race => Dispatch::Race,
+            EngineChoice::Delta if replayable => Dispatch::Delta,
+            EngineChoice::Auto if replayable && defense.localizes() => Dispatch::Delta,
+            EngineChoice::Auto if replayable => Dispatch::Race,
+            EngineChoice::Delta | EngineChoice::Auto => Dispatch::Scratch,
+        }
+    }
+
+    /// Builds `target`'s honest convergence under `defense`: the shared
+    /// state every [`Dispatch::Delta`] attack on `target` replays. The
+    /// build runs in a pooled workspace and is counted (once, with its
+    /// heap footprint) on the monitor's telemetry.
+    pub fn baseline_for(
+        &self,
+        target: AsIndex,
+        defense: &Defense,
+        monitor: &SweepMonitor<'_>,
+    ) -> Baseline {
+        let baseline = Baseline::build(
+            &self.net,
+            &[Announcement::honest(target)],
+            &defense.context_for(target),
+            &self.policy,
+            &mut self.pool.checkout().ws,
+        );
+        if let Some(t) = monitor.telemetry {
+            t.record_baseline();
+            t.record_baseline_bytes(baseline.heap_bytes() as u64);
+        }
+        baseline
+    }
+
+    /// Simulates one attack on the generation engine with a pooled
+    /// workspace — the oracle every other route is compared against.
+    pub fn run(&self, attack: Attack, defense: &Defense) -> AttackOutcome {
+        self.run_observed(
+            attack,
+            defense,
+            &mut self.pool.checkout().ws,
+            &mut NullObserver,
+        )
+    }
+
+    /// Simulates one attack on the generation engine with a
+    /// caller-provided workspace and observer (pass a
+    /// [`bgpsim_routing::TraceRecorder`] to capture every message for
+    /// visualization).
     pub fn run_observed<O: Observer>(
         &self,
         attack: Attack,
@@ -234,31 +305,74 @@ impl<'t> Simulator<'t> {
         ws: &mut Workspace,
         obs: &mut O,
     ) -> AttackOutcome {
-        let ctx = defense.context_for(attack.target);
-        let announcements: Vec<Announcement> = match attack.kind {
-            // Exact-prefix: both origins compete for the same prefix.
-            AttackKind::OriginHijack => vec![
-                Announcement::honest(attack.target),
-                Announcement::honest(attack.attacker),
-            ],
-            // Sub-prefix: longest-prefix match sidesteps competition — only
-            // the bogus more-specific announcement propagates.
-            AttackKind::SubPrefixHijack => vec![Announcement::honest(attack.attacker)],
-            // Forged origin: the bogus path claims the target's ASN, so
-            // route-origin validation cannot distinguish it.
-            AttackKind::ForgedOriginHijack => vec![
-                Announcement::honest(attack.target),
-                Announcement::forged(attack.attacker, attack.target),
-            ],
-        };
-        let p = propagate_announcements(&self.net, &announcements, &ctx, &self.policy, ws, obs);
-        let polluted = polluted_set(&p, attack);
-        AttackOutcome {
+        let (p, _) = self.propagate_full(attack, defense, None, ws, &SweepMonitor::none(), obs);
+        network_outcome(attack, &p)
+    }
+
+    /// Simulates one attack on the engine [`Simulator::route`] picks,
+    /// returning the outcome and the engine that actually ran
+    /// ([`Dispatch::Scratch`] when the race solver fell back).
+    ///
+    /// `baseline` is read on the [`Dispatch::Delta`] route only: pass the
+    /// target's [`Simulator::baseline_for`] there (built once per target
+    /// and defense, or fetched from a cache); with `None` the baseline is
+    /// rebuilt for this one attack, which costs far more than the replay
+    /// it enables.
+    ///
+    /// Polluted sets are bit-identical to [`Simulator::run`] on every
+    /// route; `generations` bookkeeping depends on the engine (waves,
+    /// replay waves, or fixed-point rounds). The monitor is honoured as in
+    /// a sweep of one: telemetry counts the dispatch and wall time, and a
+    /// set cancellation flag yields an empty outcome.
+    pub fn evaluate<O: Observer>(
+        &self,
+        attack: Attack,
+        defense: &Defense,
+        baseline: Option<&Baseline>,
+        scratch: &mut Scratch,
+        monitor: &SweepMonitor<'_>,
+        obs: &mut O,
+    ) -> (AttackOutcome, Dispatch) {
+        let route = self.route(attack.kind, defense);
+        let built = self.own_baseline(route, attack.target, defense, baseline, monitor);
+        let baseline = baseline.or(built.as_ref());
+        let skipped = AttackOutcome {
             attack,
-            polluted,
-            generations: p.stats().generations,
-            truncated: p.stats().truncated,
-        }
+            polluted: Vec::new(),
+            generations: 0,
+            truncated: false,
+        };
+        let progress = ProgressState::new(*monitor, 1);
+        run_instrumented(monitor, &progress, (skipped, route), || {
+            let (solved, dispatch) =
+                self.solve(attack, defense, route, baseline, scratch, monitor, obs);
+            let outcome = match solved {
+                Solved::Network(p) => network_outcome(attack, &p),
+                Solved::Cone(delta) => {
+                    let polluted = match attack.kind {
+                        AttackKind::OriginHijack => {
+                            // Sort to restore the index-order contract.
+                            let mut polluted: Vec<AsIndex> =
+                                cone_captured(&delta, attack.attacker).collect();
+                            polluted.sort_unstable();
+                            polluted
+                        }
+                        // Forged paths claim the target's origin, so
+                        // pollution is a property of the learned-from
+                        // chain (the memoized walk needs the full
+                        // selection map).
+                        _ => polluted_set(&delta.to_propagation(), attack),
+                    };
+                    AttackOutcome {
+                        attack,
+                        polluted,
+                        generations: delta.stats().generations,
+                        truncated: delta.stats().truncated,
+                    }
+                }
+            };
+            (outcome, dispatch)
+        })
     }
 
     /// Attacks `target` from every AS in `attackers` (skipping the target
@@ -274,228 +388,27 @@ impl<'t> Simulator<'t> {
         attackers: &[AsIndex],
         defense: &Defense,
     ) -> Vec<u32> {
-        self.sweep_attackers_within(target, attackers, defense, None)
+        self.sweep_attackers_monitored(target, attackers, defense, None, &SweepMonitor::none())
     }
 
-    /// Like [`Simulator::sweep_attackers`], but counting only polluted ASes
-    /// inside `region` when given (§VII's regional containment metric).
+    /// [`Simulator::sweep_attackers`], counting only polluted ASes inside
+    /// `region` when given (§VII's regional containment metric), with
+    /// instrumentation: the monitor's telemetry collector receives engine
+    /// counters, dispatch counts, cone sizes and per-attack wall times;
+    /// its progress callback fires after every attacker; setting its
+    /// cancellation flag makes the remaining attackers report zero
+    /// pollution (the sweep still returns one row per attacker, in order).
     ///
-    /// With a defense deployed, the honest propagation of `target` runs
-    /// once; each attacker re-converges incrementally from that shared
-    /// baseline, so counting is O(contamination cone) per attacker, not
-    /// O(network). Undefended sweeps race both origins through the
-    /// closed-form race solver (the cone is the whole network there, see
-    /// the module docs), falling back to a from-scratch generation run
-    /// only when its tier-1 fixed point does not settle; strict
-    /// Gao-Rexford policy uses the closed-form stable solver instead.
-    pub fn sweep_attackers_within(
-        &self,
-        target: AsIndex,
-        attackers: &[AsIndex],
-        defense: &Defense,
-        region: Option<&[AsIndex]>,
-    ) -> Vec<u32> {
-        self.sweep_attackers_monitored(target, attackers, defense, region, &SweepMonitor::none())
-    }
-
-    /// [`Simulator::sweep_attackers_within`] with instrumentation: the
-    /// monitor's telemetry collector receives engine counters, dispatch
-    /// counts, cone sizes and per-attack wall times; its progress callback
-    /// fires after every attacker; setting its cancellation flag makes the
-    /// remaining attackers report zero pollution (the sweep still returns
-    /// one row per attacker, in order). An inert [`SweepMonitor::none`]
-    /// makes this identical to the unmonitored sweep.
+    /// On the [`Dispatch::Delta`] route the honest propagation of `target`
+    /// runs once; each attacker re-converges incrementally from that
+    /// shared baseline, so counting is O(contamination cone) per attacker,
+    /// not O(network).
     pub fn sweep_attackers_monitored(
         &self,
         target: AsIndex,
         attackers: &[AsIndex],
         defense: &Defense,
         region: Option<&[AsIndex]>,
-        monitor: &SweepMonitor<'_>,
-    ) -> Vec<u32> {
-        let mask: Option<Vec<bool>> = region.map(|members| {
-            let mut m = vec![false; self.net.num_ases()];
-            for &ix in members {
-                m[ix.usize()] = true;
-            }
-            m
-        });
-        let in_mask = |ix: AsIndex| mask.as_deref().is_none_or(|m| m[ix.usize()]);
-        let ctx = defense.context_for(target);
-        let progress = ProgressState::new(*monitor, attackers.len());
-        // One plan per sweep — the sweep is homogeneous (same target, same
-        // defense, exact-prefix origin hijacks throughout).
-        enum Plan {
-            Stable,
-            Race,
-            Scratch,
-            Delta,
-        }
-        let plan = match self.engine {
-            EngineChoice::Stable => Plan::Stable,
-            EngineChoice::Generation => Plan::Scratch,
-            EngineChoice::Delta => Plan::Delta,
-            EngineChoice::Race => Plan::Race,
-            // Strict Gao-Rexford: the stable solution is unique and the
-            // closed-form solver computes it directly.
-            EngineChoice::Auto if !self.policy.tier1_shortest_path => Plan::Stable,
-            // Undefended: every AS hears the attacker and the cone is the
-            // whole graph, so race the two origins closed-form; the
-            // generation engine steps in only when the tier-1 fixed point
-            // does not settle.
-            EngineChoice::Auto if !defense_localizes(defense) => Plan::Race,
-            EngineChoice::Auto => Plan::Delta,
-        };
-        if matches!(plan, Plan::Stable) {
-            return attackers
-                .par_iter()
-                .map(|&attacker| {
-                    if attacker == target {
-                        progress.tick();
-                        return 0;
-                    }
-                    run_instrumented(monitor, &progress, 0, || {
-                        if let Some(t) = monitor.telemetry {
-                            t.record_dispatch(Dispatch::Stable);
-                        }
-                        let mut obs = MaybeSink::from_monitor(monitor);
-                        let p = solve_observed(
-                            &self.net,
-                            &[target, attacker],
-                            &ctx,
-                            &self.policy,
-                            &mut obs,
-                        );
-                        p.captured_by(attacker).filter(|&ix| in_mask(ix)).count() as u32
-                    })
-                })
-                .collect();
-        }
-        if matches!(plan, Plan::Race) {
-            return attackers
-                .par_iter()
-                .map_init(
-                    || (self.rws_pool.checkout(), self.ws_pool.checkout()),
-                    |(rws, ws), &attacker| {
-                        if attacker == target {
-                            progress.tick();
-                            return 0;
-                        }
-                        run_instrumented(monitor, &progress, 0, || {
-                            let announcements =
-                                [Announcement::honest(target), Announcement::honest(attacker)];
-                            let mut obs = MaybeSink::from_monitor(monitor);
-                            let started = monitor.telemetry.map(|_| Instant::now());
-                            let raced = solve_race_observed(
-                                &self.net,
-                                &announcements,
-                                &ctx,
-                                &self.policy,
-                                self.race_rounds,
-                                rws,
-                                &mut obs,
-                            );
-                            if let (Some(t), Some(started)) = (monitor.telemetry, started) {
-                                t.record_race_wall(started.elapsed());
-                            }
-                            let p = match raced {
-                                Some(p) => {
-                                    if let Some(t) = monitor.telemetry {
-                                        t.record_dispatch(Dispatch::Race);
-                                    }
-                                    p
-                                }
-                                None => {
-                                    if let Some(t) = monitor.telemetry {
-                                        t.record_dispatch(Dispatch::Scratch);
-                                    }
-                                    propagate_announcements(
-                                        &self.net,
-                                        &announcements,
-                                        &ctx,
-                                        &self.policy,
-                                        ws,
-                                        &mut obs,
-                                    )
-                                }
-                            };
-                            p.captured_by(attacker).filter(|&ix| in_mask(ix)).count() as u32
-                        })
-                    },
-                )
-                .collect();
-        }
-        if matches!(plan, Plan::Scratch) {
-            return attackers
-                .par_iter()
-                .map_init(
-                    || self.ws_pool.checkout(),
-                    |ws, &attacker| {
-                        if attacker == target {
-                            progress.tick();
-                            return 0;
-                        }
-                        run_instrumented(monitor, &progress, 0, || {
-                            if let Some(t) = monitor.telemetry {
-                                t.record_dispatch(Dispatch::Scratch);
-                            }
-                            let mut obs = MaybeSink::from_monitor(monitor);
-                            let p = propagate_announcements(
-                                &self.net,
-                                &[Announcement::honest(target), Announcement::honest(attacker)],
-                                &ctx,
-                                &self.policy,
-                                ws,
-                                &mut obs,
-                            );
-                            p.captured_by(attacker).filter(|&ix| in_mask(ix)).count() as u32
-                        })
-                    },
-                )
-                .collect();
-        }
-        if let Some(t) = monitor.telemetry {
-            t.record_baseline();
-        }
-        let baseline = {
-            let mut ws = self.ws_pool.checkout();
-            Baseline::build(
-                &self.net,
-                &[Announcement::honest(target)],
-                &ctx,
-                &self.policy,
-                &mut ws,
-            )
-        };
-        if let Some(t) = monitor.telemetry {
-            t.record_baseline_bytes(baseline.heap_bytes() as u64);
-        }
-        self.sweep_delta_replay(target, attackers, &ctx, mask.as_deref(), &baseline, monitor)
-    }
-
-    /// [`Simulator::sweep_attackers_monitored`] against a caller-provided
-    /// baseline of `target`'s honest propagation, always dispatching every
-    /// attacker to baseline replay (the delta engine).
-    ///
-    /// This is the serving-layer entry point: a long-running service keeps
-    /// one [`Baseline`] per (target, defense) pair in a shared cache and
-    /// re-runs sweeps against it, skipping the baseline construction that
-    /// dominates cold-sweep cost. No `baselines_built` telemetry is
-    /// recorded here — whoever built the baseline counts it.
-    ///
-    /// The baseline must have been produced by [`Baseline::build`] on this
-    /// simulator's network with `[Announcement::honest(target)]` under
-    /// `defense.context_for(target)` and this simulator's policy — the
-    /// same contract [`bgpsim_routing::propagate_delta`] documents. Rows
-    /// are bit-identical to every other engine path (the routing crate's
-    /// `delta_equivalence` suite pins the underlying engine).
-    pub fn sweep_attackers_baseline_monitored(
-        &self,
-        target: AsIndex,
-        attackers: &[AsIndex],
-        defense: &Defense,
-        region: Option<&[AsIndex]>,
-        baseline: &Baseline,
         monitor: &SweepMonitor<'_>,
     ) -> Vec<u32> {
         let mask = region.map(|members| {
@@ -505,20 +418,7 @@ impl<'t> Simulator<'t> {
             }
             m
         });
-        let ctx = defense.context_for(target);
-        self.sweep_delta_replay(target, attackers, &ctx, mask.as_deref(), baseline, monitor)
-    }
-
-    /// Whether sweeps under `defense` route every attacker through a
-    /// shared honest baseline of the target (adaptive dispatch picks the
-    /// delta engine for localizing defenses, and a forced delta engine
-    /// always replays). This is the cacheability predicate serving layers
-    /// need: when it holds, build the baseline once and replay against it;
-    /// when it does not, no baseline is ever constructed and sweeps run
-    /// engine-per-attack from scratch.
-    pub fn uses_shared_baseline(&self, defense: &Defense) -> bool {
-        self.engine == EngineChoice::Delta
-            || (self.engine == EngineChoice::Auto && defense.localizes())
+        self.sweep(target, attackers, defense, mask.as_deref(), None, monitor)
     }
 
     /// Runs one contiguous chunk of a larger sweep, for callers that
@@ -531,10 +431,12 @@ impl<'t> Simulator<'t> {
     /// pool: every attacker row is independent — the sweep loop shares
     /// only the read-only baseline.
     ///
-    /// When [`Simulator::uses_shared_baseline`] holds for `defense` the
-    /// caller **must** pass the target's baseline (built once, or fetched
-    /// from a cache); passing `None` would rebuild it on every chunk and
-    /// turn an O(baseline + pool) sweep into O(chunks × baseline).
+    /// When the sweep routes to [`Dispatch::Delta`] the caller **must**
+    /// pass the target's [`Simulator::baseline_for`] (built once, or
+    /// fetched from a cache); passing `None` would rebuild it on every
+    /// chunk and turn an O(baseline + pool) sweep into O(chunks ×
+    /// baseline). Whoever built the baseline counted it; no build is
+    /// recorded here.
     pub fn sweep_chunk_monitored(
         &self,
         target: AsIndex,
@@ -543,74 +445,7 @@ impl<'t> Simulator<'t> {
         baseline: Option<&Baseline>,
         monitor: &SweepMonitor<'_>,
     ) -> Vec<u32> {
-        match baseline {
-            Some(baseline) => self.sweep_attackers_baseline_monitored(
-                target, chunk, defense, None, baseline, monitor,
-            ),
-            None => self.sweep_attackers_monitored(target, chunk, defense, None, monitor),
-        }
-    }
-
-    /// The shared delta-replay sweep loop: one parallel pass over
-    /// `attackers`, each re-converging from `baseline` in a per-thread
-    /// workspace. `mask` (when given) restricts pollution counting to the
-    /// marked ASes.
-    fn sweep_delta_replay(
-        &self,
-        target: AsIndex,
-        attackers: &[AsIndex],
-        ctx: &FilterContext<'_>,
-        mask: Option<&[bool]>,
-        baseline: &Baseline,
-        monitor: &SweepMonitor<'_>,
-    ) -> Vec<u32> {
-        let in_mask = |ix: AsIndex| mask.is_none_or(|m| m[ix.usize()]);
-        let progress = ProgressState::new(*monitor, attackers.len());
-        attackers
-            .par_iter()
-            .map_init(
-                || self.dws_pool.checkout(),
-                |dws, &attacker| {
-                    if attacker == target {
-                        progress.tick();
-                        return 0;
-                    }
-                    run_instrumented(monitor, &progress, 0, || {
-                        if let Some(t) = monitor.telemetry {
-                            t.record_dispatch(Dispatch::Delta);
-                        }
-                        let mut obs = MaybeSink::from_monitor(monitor);
-                        let delta = propagate_delta(
-                            &self.net,
-                            baseline,
-                            &[Announcement::honest(attacker)],
-                            ctx,
-                            &self.policy,
-                            dws,
-                            &mut obs,
-                        );
-                        // The baseline routes only to the target, so every AS
-                        // now routing to the attacker is in the cone: counting
-                        // over `touched` is exhaustive.
-                        let mut cone = 0u64;
-                        let mut count = 0u32;
-                        for ix in delta.touched() {
-                            cone += 1;
-                            if ix != attacker
-                                && in_mask(ix)
-                                && delta.choice(ix).is_some_and(|c| c.origin == attacker)
-                            {
-                                count += 1;
-                            }
-                        }
-                        if let Some(t) = monitor.telemetry {
-                            t.record_cone(cone);
-                        }
-                        count
-                    })
-                },
-            )
-            .collect()
+        self.sweep(target, chunk, defense, None, baseline, monitor)
     }
 
     /// Sweeps `target` from every AS in `attackers` *except the target
@@ -622,17 +457,6 @@ impl<'t> Simulator<'t> {
     /// as a "failed attack" — an off-by-one on every table. Excluding the
     /// target at sweep level keeps curve semantics ("attacks that polluted
     /// nobody") honest.
-    pub fn sweep_result(
-        &self,
-        target: AsIndex,
-        attackers: &[AsIndex],
-        defense: &Defense,
-    ) -> SweepResult {
-        self.sweep_result_monitored(target, attackers, defense, &SweepMonitor::none())
-    }
-
-    /// [`Simulator::sweep_result`] with instrumentation (see
-    /// [`Simulator::sweep_attackers_monitored`]).
     pub fn sweep_result_monitored(
         &self,
         target: AsIndex,
@@ -645,419 +469,187 @@ impl<'t> Simulator<'t> {
         SweepResult::new(pool, counts)
     }
 
-    /// Runs a batch of arbitrary attacks in parallel, returning full
-    /// outcomes (polluted lists included) in input order.
-    ///
-    /// Dispatch matches [`Simulator::sweep_attackers_within`]: under
-    /// strict Gao-Rexford policy, honest-origin attacks (origin and
-    /// sub-prefix hijacks) go to the closed-form stable solver, whose
-    /// outcomes report `generations: 0` (the solver runs no waves).
-    /// Remaining exact-prefix attacks sharing a target re-converge
-    /// incrementally from one shared baseline of that target — baselines
-    /// are built in parallel across rayon workers — whenever a localizing
-    /// defense is deployed and the target draws at least two such attacks.
-    /// Without a localizing defense, exact-prefix attacks go to the
-    /// closed-form race solver (generation-engine fallback on
-    /// non-convergence, reporting `generations` as fixed-point rounds);
-    /// everything else runs from scratch. Polluted sets are bit-identical
-    /// across all four paths; only `generations` depends on which engine
-    /// ran.
-    pub fn run_batch(&self, attacks: &[Attack], defense: &Defense) -> Vec<AttackOutcome> {
-        self.run_batch_monitored(attacks, defense, &SweepMonitor::none())
-    }
-
-    /// [`Simulator::run_batch`] with instrumentation (see
-    /// [`Simulator::sweep_attackers_monitored`]); attacks skipped after a
-    /// cancel report empty polluted sets.
-    pub fn run_batch_monitored(
+    /// The sweep loop: one parallel pass of exact-prefix origin hijacks on
+    /// `target`, one pooled [`Scratch`] per worker, counting pollution
+    /// (inside `mask`, when given) straight off each engine pass.
+    fn sweep(
         &self,
-        attacks: &[Attack],
+        target: AsIndex,
+        attackers: &[AsIndex],
         defense: &Defense,
+        mask: Option<&[bool]>,
+        baseline: Option<&Baseline>,
         monitor: &SweepMonitor<'_>,
-    ) -> Vec<AttackOutcome> {
-        // The stable solver cannot express a forged-origin path (the bogus
-        // announcement claims the target's ASN with a nonzero seed
-        // length), so only honest-origin kinds qualify.
-        if self.engine == EngineChoice::Stable {
-            assert!(
-                attacks
-                    .iter()
-                    .all(|a| a.kind != AttackKind::ForgedOriginHijack),
-                "engine \"stable\" cannot express forged-origin attacks; \
-                 use \"auto\", \"race\" or \"generation\""
-            );
-        }
-        let stable_eligible = |kind: AttackKind| match self.engine {
-            EngineChoice::Stable => true,
-            EngineChoice::Auto => {
-                !self.policy.tier1_shortest_path && kind != AttackKind::ForgedOriginHijack
-            }
-            _ => false,
-        };
-        // Race solver: exact-prefix kinds under adaptive dispatch when no
-        // defense localizes (the regime where the cone is the whole graph);
-        // every kind under the forced override (a sub-prefix "race" is a
-        // one-origin solve).
-        let race_eligible = |kind: AttackKind| match self.engine {
-            EngineChoice::Race => true,
-            EngineChoice::Auto => {
-                !defense_localizes(defense) && kind != AttackKind::SubPrefixHijack
-            }
-            _ => false,
-        };
-        // A baseline pays for itself once a target is attacked twice by
-        // exact-prefix attacks the faster paths will not take — and only
-        // if the defense keeps contamination cones local. The forced delta
-        // override builds one per attacked target unconditionally.
-        let delta_forced = self.engine == EngineChoice::Delta;
-        let mut delta_eligible: HashMap<AsIndex, u32> = HashMap::new();
-        if delta_forced || (self.engine == EngineChoice::Auto && defense_localizes(defense)) {
-            for attack in attacks {
-                if attack.kind != AttackKind::SubPrefixHijack && !stable_eligible(attack.kind) {
-                    *delta_eligible.entry(attack.target).or_default() += 1;
-                }
-            }
-        }
-        let min_attacks = if delta_forced { 1 } else { 2 };
-        let targets: Vec<AsIndex> = delta_eligible
-            .iter()
-            .filter(|&(_, &count)| count >= min_attacks)
-            .map(|(&target, _)| target)
-            .collect();
-        let baselines: HashMap<AsIndex, Baseline> = targets
+    ) -> Vec<u32> {
+        // The sweep is homogeneous, so one route serves every attacker.
+        let route = self.route(AttackKind::OriginHijack, defense);
+        let built = self.own_baseline(route, target, defense, baseline, monitor);
+        let baseline = baseline.or(built.as_ref());
+        let in_mask = |ix: &AsIndex| mask.is_none_or(|m| m[ix.usize()]);
+        let progress = ProgressState::new(*monitor, attackers.len());
+        attackers
             .par_iter()
             .map_init(
-                || self.ws_pool.checkout(),
-                |ws, &target| {
-                    if let Some(t) = monitor.telemetry {
-                        t.record_baseline();
+                || self.pool.checkout(),
+                |scratch, &attacker| {
+                    if attacker == target {
+                        progress.tick();
+                        return 0;
                     }
-                    let ctx = defense.context_for(target);
-                    let baseline = Baseline::build(
-                        &self.net,
-                        &[Announcement::honest(target)],
-                        &ctx,
-                        &self.policy,
-                        ws,
-                    );
-                    if let Some(t) = monitor.telemetry {
-                        t.record_baseline_bytes(baseline.heap_bytes() as u64);
-                    }
-                    (target, baseline)
-                },
-            )
-            .collect();
-        // Sub-prefix hijacks have no honest competition, so the forced
-        // delta override replays them against one shared empty baseline
-        // (the `delta_equivalence` suite pins that oracle).
-        let empty_baseline = (delta_forced
-            && attacks
-                .iter()
-                .any(|a| a.kind == AttackKind::SubPrefixHijack))
-        .then(|| Baseline::empty(&self.net, &self.policy));
-        let progress = ProgressState::new(*monitor, attacks.len());
-        attacks
-            .par_iter()
-            .map_init(
-                || {
-                    (
-                        self.ws_pool.checkout(),
-                        self.dws_pool.checkout(),
-                        self.rws_pool.checkout(),
-                    )
-                },
-                |(ws, dws, rws), &attack| {
-                    let skipped = AttackOutcome {
-                        attack,
-                        polluted: Vec::new(),
-                        generations: 0,
-                        truncated: false,
-                    };
-                    run_instrumented(monitor, &progress, skipped, || {
+                    run_instrumented(monitor, &progress, 0, || {
+                        let attack = Attack::origin(attacker, target);
                         let mut obs = MaybeSink::from_monitor(monitor);
-                        if stable_eligible(attack.kind) {
-                            if let Some(t) = monitor.telemetry {
-                                t.record_dispatch(Dispatch::Stable);
+                        let (solved, _) = self
+                            .solve(attack, defense, route, baseline, scratch, monitor, &mut obs);
+                        let count = match solved {
+                            Solved::Network(p) => p.captured_by(attacker).filter(in_mask).count(),
+                            Solved::Cone(delta) => {
+                                cone_captured(&delta, attacker).filter(in_mask).count()
                             }
-                            return self.run_stable(attack, defense, &mut obs);
-                        }
-                        let baseline = if attack.kind == AttackKind::SubPrefixHijack {
-                            empty_baseline.as_ref()
-                        } else {
-                            baselines.get(&attack.target)
                         };
-                        if let Some(baseline) = baseline {
-                            if let Some(t) = monitor.telemetry {
-                                t.record_dispatch(Dispatch::Delta);
-                            }
-                            return self
-                                .run_delta(attack, baseline, defense, dws, monitor, &mut obs);
-                        }
-                        if race_eligible(attack.kind) {
-                            return self.run_race(attack, defense, rws, ws, monitor, &mut obs).0;
-                        }
-                        if let Some(t) = monitor.telemetry {
-                            t.record_dispatch(Dispatch::Scratch);
-                        }
-                        self.run_observed(attack, defense, ws, &mut obs)
+                        count as u32
                     })
                 },
             )
             .collect()
     }
 
-    /// Simulates one attack through the engine-per-attack side of
-    /// adaptive dispatch — the same plan [`Simulator::run_batch_monitored`]
-    /// applies to attacks that take no shared baseline: the closed-form
-    /// stable solver under strict Gao-Rexford (honest-origin kinds), the
-    /// closed-form race solver with generation-engine fallback for
-    /// exact-prefix kinds when no defense localizes, and a from-scratch
-    /// generation run otherwise. Forged-origin attacks never take the
-    /// stable path (the solver cannot express a forged announcement), even
-    /// under the forced `stable` engine override — they fall through to
-    /// scratch instead of panicking, since serving layers feed this method
-    /// straight from request input.
-    ///
-    /// This is the serving-layer companion to
-    /// [`Simulator::run_with_baseline`]: a caller with a warm baseline
-    /// cache replays cacheable attacks there and routes everything else
-    /// here. Polluted sets are bit-identical to [`Simulator::run`] (the
-    /// routing crate's equivalence suites pin the engines); the returned
-    /// [`Dispatch`] names the engine that ran, and `generations`
-    /// bookkeeping depends on it.
-    pub fn run_unshared_monitored<O: Observer>(
+    /// The baseline a [`Dispatch::Delta`] route replays when the caller
+    /// supplied none.
+    fn own_baseline(
         &self,
-        attack: Attack,
+        route: Dispatch,
+        target: AsIndex,
         defense: &Defense,
-        ws: &mut Workspace,
-        rws: &mut RaceWorkspace,
+        supplied: Option<&Baseline>,
         monitor: &SweepMonitor<'_>,
-        obs: &mut O,
-    ) -> (AttackOutcome, Dispatch) {
-        let stable = match self.engine {
-            EngineChoice::Stable => attack.kind != AttackKind::ForgedOriginHijack,
-            EngineChoice::Auto => {
-                !self.policy.tier1_shortest_path && attack.kind != AttackKind::ForgedOriginHijack
-            }
-            _ => false,
-        };
-        if stable {
-            if let Some(t) = monitor.telemetry {
-                t.record_dispatch(Dispatch::Stable);
-            }
-            return (self.run_stable(attack, defense, obs), Dispatch::Stable);
-        }
-        let race = match self.engine {
-            EngineChoice::Race => true,
-            EngineChoice::Auto => {
-                !defense_localizes(defense) && attack.kind != AttackKind::SubPrefixHijack
-            }
-            _ => false,
-        };
-        if race {
-            return self.run_race(attack, defense, rws, ws, monitor, obs);
-        }
-        if let Some(t) = monitor.telemetry {
-            t.record_dispatch(Dispatch::Scratch);
-        }
-        (
-            self.run_observed(attack, defense, ws, obs),
-            Dispatch::Scratch,
-        )
+    ) -> Option<Baseline> {
+        (route == Dispatch::Delta && supplied.is_none())
+            .then(|| self.baseline_for(target, defense, monitor))
     }
 
-    /// One attack through the closed-form stable solver (strict
-    /// Gao-Rexford, honest-origin kinds only). The solver runs no waves,
-    /// so the outcome reports `generations: 0` and never truncates.
-    fn run_stable<O: Observer>(
-        &self,
+    /// The executor: one engine pass for one attack on `route`, counted on
+    /// the monitor's telemetry. Returns the pass and the engine that
+    /// actually ran.
+    #[allow(clippy::too_many_arguments)]
+    fn solve<'r, O: Observer>(
+        &'r self,
         attack: Attack,
         defense: &Defense,
-        obs: &mut O,
-    ) -> AttackOutcome {
-        let ctx = defense.context_for(attack.target);
-        let origins: &[AsIndex] = match attack.kind {
-            AttackKind::OriginHijack => &[attack.target, attack.attacker],
-            AttackKind::SubPrefixHijack => &[attack.attacker],
-            AttackKind::ForgedOriginHijack => {
-                unreachable!("forged-origin paths are not expressible in the stable solver")
-            }
-        };
-        let p = solve_observed(&self.net, origins, &ctx, &self.policy, obs);
-        AttackOutcome {
-            attack,
-            polluted: polluted_set(&p, attack),
-            generations: 0,
-            truncated: false,
-        }
-    }
-
-    /// One attack through the closed-form race solver, deferring to the
-    /// generation engine when the tier-1 fixed point does not settle
-    /// within the configured round cap. `generations` reports fixed-point
-    /// rounds on the solver path, engine waves on the fallback path. The
-    /// returned [`Dispatch`] names the engine that actually ran.
-    fn run_race<O: Observer>(
-        &self,
-        attack: Attack,
-        defense: &Defense,
-        rws: &mut RaceWorkspace,
-        ws: &mut Workspace,
+        route: Dispatch,
+        baseline: Option<&'r Baseline>,
+        scratch: &'r mut Scratch,
         monitor: &SweepMonitor<'_>,
         obs: &mut O,
-    ) -> (AttackOutcome, Dispatch) {
-        let ctx = defense.context_for(attack.target);
-        let announcements: Vec<Announcement> = match attack.kind {
-            AttackKind::OriginHijack => vec![
-                Announcement::honest(attack.target),
-                Announcement::honest(attack.attacker),
-            ],
-            AttackKind::SubPrefixHijack => vec![Announcement::honest(attack.attacker)],
-            AttackKind::ForgedOriginHijack => vec![
-                Announcement::honest(attack.target),
-                Announcement::forged(attack.attacker, attack.target),
-            ],
-        };
-        let started = monitor.telemetry.map(|_| Instant::now());
-        let raced = solve_race_observed(
-            &self.net,
-            &announcements,
-            &ctx,
-            &self.policy,
-            self.race_rounds,
-            rws,
-            obs,
-        );
-        if let (Some(t), Some(started)) = (monitor.telemetry, started) {
-            t.record_race_wall(started.elapsed());
+    ) -> (Solved<'r, 't>, Dispatch) {
+        if route != Dispatch::Delta {
+            let rws = (route == Dispatch::Race).then_some(&mut scratch.rws);
+            let (p, dispatch) =
+                self.propagate_full(attack, defense, rws, &mut scratch.ws, monitor, obs);
+            return (Solved::Network(p), dispatch);
         }
-        match raced {
-            Some(p) => {
-                if let Some(t) = monitor.telemetry {
-                    t.record_dispatch(Dispatch::Race);
-                }
-                let outcome = AttackOutcome {
-                    attack,
-                    polluted: polluted_set(&p, attack),
-                    generations: p.stats().generations,
-                    truncated: false,
-                };
-                (outcome, Dispatch::Race)
-            }
-            None => {
-                if let Some(t) = monitor.telemetry {
-                    t.record_dispatch(Dispatch::Scratch);
-                }
-                (
-                    self.run_observed(attack, defense, ws, obs),
-                    Dispatch::Scratch,
-                )
-            }
-        }
-    }
-
-    /// Simulates one attack by baseline replay against a caller-provided
-    /// [`Baseline`] of the target's honest propagation, reusing the
-    /// caller's workspace — the serving-layer fast path: with a warm
-    /// baseline the per-attack cost is O(contamination cone), not
-    /// O(network).
-    ///
-    /// The outcome is bit-identical to [`Simulator::run`] (pinned by the
-    /// routing crate's `delta_equivalence` suite) provided the baseline
-    /// contract holds: built on this simulator's network and policy from
-    /// `[Announcement::honest(attack.target)]` under
-    /// `defense.context_for(attack.target)` — or [`Baseline::empty`] for
-    /// sub-prefix attacks, whose bogus more-specific prefix has no honest
-    /// competition. `generations` reports replay waves, which differ from
-    /// the from-scratch count.
-    pub fn run_with_baseline(
-        &self,
-        attack: Attack,
-        baseline: &Baseline,
-        defense: &Defense,
-        dws: &mut DeltaWorkspace,
-        monitor: &SweepMonitor<'_>,
-    ) -> AttackOutcome {
-        if let Some(t) = monitor.telemetry {
-            t.record_dispatch(Dispatch::Delta);
-        }
-        let mut obs = MaybeSink::from_monitor(monitor);
-        self.run_delta(attack, baseline, defense, dws, monitor, &mut obs)
-    }
-
-    /// One incremental attack against a prebuilt baseline of the target's
-    /// honest propagation (sub-prefix attacks replay against an empty
-    /// baseline, which the forced delta override supplies).
-    fn run_delta<O: Observer>(
-        &self,
-        attack: Attack,
-        baseline: &Baseline,
-        defense: &Defense,
-        dws: &mut DeltaWorkspace,
-        monitor: &SweepMonitor<'_>,
-        obs: &mut O,
-    ) -> AttackOutcome {
-        let ctx = defense.context_for(attack.target);
+        let baseline = baseline.expect("the delta route always carries a baseline");
         let injection = match attack.kind {
-            AttackKind::OriginHijack | AttackKind::SubPrefixHijack => {
-                Announcement::honest(attack.attacker)
-            }
             AttackKind::ForgedOriginHijack => Announcement::forged(attack.attacker, attack.target),
+            _ => Announcement::honest(attack.attacker),
         };
         let delta = propagate_delta(
             &self.net,
             baseline,
             &[injection],
-            &ctx,
+            &defense.context_for(attack.target),
             &self.policy,
-            dws,
+            &mut scratch.dws,
             obs,
         );
         if let Some(t) = monitor.telemetry {
+            t.record_dispatch(Dispatch::Delta);
             t.record_cone(delta.touched().count() as u64);
         }
-        let polluted = match attack.kind {
-            AttackKind::OriginHijack => {
-                // Origin capture implies a changed selection, so the cone
-                // is exhaustive; sort to restore the index-order contract.
-                let mut polluted: Vec<AsIndex> = delta
-                    .touched()
-                    .filter(|&ix| {
-                        ix != attack.attacker
-                            && delta
-                                .choice(ix)
-                                .is_some_and(|c| c.origin == attack.attacker)
-                    })
-                    .collect();
-                polluted.sort_unstable();
-                polluted
-            }
-            // Forged paths claim the target's origin, so pollution is a
-            // property of the learned-from chain (the memoized walk needs
-            // the full selection map); sub-prefix capture includes the
-            // target itself, which the origin filter above would drop.
-            _ => polluted_set(&delta.to_propagation(), attack),
+        (Solved::Cone(delta), Dispatch::Delta)
+    }
+
+    /// One attack with every announcement propagated from scratch: through
+    /// the closed-form race solver when `rws` is given, deferring to the
+    /// generation engine when its tier-1 fixed point does not settle
+    /// within the configured round cap, and straight through the
+    /// generation engine otherwise.
+    fn propagate_full<O: Observer>(
+        &self,
+        attack: Attack,
+        defense: &Defense,
+        rws: Option<&mut RaceWorkspace>,
+        ws: &mut Workspace,
+        monitor: &SweepMonitor<'_>,
+        obs: &mut O,
+    ) -> (Propagation, Dispatch) {
+        let ctx = defense.context_for(attack.target);
+        let announcements: &[Announcement] = match attack.kind {
+            // Exact-prefix: both origins compete for the same prefix.
+            AttackKind::OriginHijack => &[
+                Announcement::honest(attack.target),
+                Announcement::honest(attack.attacker),
+            ],
+            // Sub-prefix: longest-prefix match sidesteps competition — only
+            // the bogus more-specific announcement propagates.
+            AttackKind::SubPrefixHijack => &[Announcement::honest(attack.attacker)],
+            // Forged origin: the bogus path claims the target's ASN, so
+            // route-origin validation cannot distinguish it.
+            AttackKind::ForgedOriginHijack => &[
+                Announcement::honest(attack.target),
+                Announcement::forged(attack.attacker, attack.target),
+            ],
         };
-        AttackOutcome {
-            attack,
-            polluted,
-            generations: delta.stats().generations,
-            truncated: delta.stats().truncated,
+        if let Some(rws) = rws {
+            let started = monitor.telemetry.map(|_| Instant::now());
+            let raced = solve_race_observed(
+                &self.net,
+                announcements,
+                &ctx,
+                &self.policy,
+                self.race_rounds,
+                rws,
+                obs,
+            );
+            if let (Some(t), Some(started)) = (monitor.telemetry, started) {
+                t.record_race_wall(started.elapsed());
+            }
+            if let Some(p) = raced {
+                if let Some(t) = monitor.telemetry {
+                    t.record_dispatch(Dispatch::Race);
+                }
+                return (p, Dispatch::Race);
+            }
         }
+        if let Some(t) = monitor.telemetry {
+            t.record_dispatch(Dispatch::Scratch);
+        }
+        let p = propagate_announcements(&self.net, announcements, &ctx, &self.policy, ws, obs);
+        (p, Dispatch::Scratch)
     }
 }
 
-/// Whether a defense can keep contamination cones local (see
-/// [`Defense::localizes`]). Without any filtering every AS adopts or at
-/// least hears the bogus route, the cone is the whole network, and
-/// incremental re-convergence cannot beat racing the origins directly
-/// (replay measured ~3× slower than even the from-scratch race on the
-/// 2k-AS lab topology) — such attacks go to the closed-form race solver
-/// first, with a from-scratch generation run only as its non-convergence
-/// fallback. With validators or stub filtering deployed, cones collapse
-/// and the delta engine wins by 1–2 orders of magnitude.
-fn defense_localizes(defense: &Defense) -> bool {
-    defense.localizes()
+/// The outcome read off a full selection map.
+fn network_outcome(attack: Attack, p: &Propagation) -> AttackOutcome {
+    AttackOutcome {
+        attack,
+        polluted: polluted_set(p, attack),
+        generations: p.stats().generations,
+        truncated: p.stats().truncated,
+    }
+}
+
+/// The ASes a replayed origin hijack captured, in cone (not index) order.
+/// The baseline routes only to the target, so every AS now routing to the
+/// attacker changed its selection and is in the cone: reading `touched` is
+/// exhaustive.
+fn cone_captured<'d>(
+    delta: &'d DeltaResult<'_, '_>,
+    attacker: AsIndex,
+) -> impl Iterator<Item = AsIndex> + 'd {
+    delta
+        .touched()
+        .filter(move |&ix| ix != attacker && delta.choice(ix).is_some_and(|c| c.origin == attacker))
 }
 
 /// Computes the polluted set for an outcome: for honest hijacks, every AS
@@ -1112,6 +704,7 @@ mod tests {
     use super::*;
     use crate::telemetry::SweepTelemetry;
     use bgpsim_topology::{topology_from_triples, AsId, LinkKind::*, Topology};
+    use std::sync::atomic::AtomicBool;
 
     fn ix(topo: &Topology, n: u32) -> AsIndex {
         topo.index_of(AsId::new(n)).unwrap()
@@ -1196,6 +789,50 @@ mod tests {
         assert!(forged.pollution_count() <= plain.pollution_count());
     }
 
+    /// The whole dispatch rule, one row per (engine, kind, defense). The
+    /// policy column is deliberately inert: strict Gao-Rexford routes
+    /// exactly like the paper policy.
+    #[test]
+    fn route_table() {
+        use AttackKind::{
+            ForgedOriginHijack as Forged, OriginHijack as Origin, SubPrefixHijack as Sub,
+        };
+        use Dispatch::{Delta, Race, Scratch};
+        use EngineChoice::{Auto, Generation};
+        let t = topo();
+        let open = Defense::none();
+        let localizing = [
+            Defense::stub_defense_only(),
+            Defense::validators(&t, vec![ix(&t, 1)]),
+        ];
+        assert!(!open.localizes());
+        // (engine, kind, route when undefended, route under a localizing defense)
+        let table = [
+            (Auto, Origin, Race, Delta),
+            (Auto, Forged, Race, Delta),
+            (Auto, Sub, Scratch, Scratch),
+            (Generation, Origin, Scratch, Scratch),
+            (Generation, Forged, Scratch, Scratch),
+            (Generation, Sub, Scratch, Scratch),
+            (EngineChoice::Delta, Origin, Delta, Delta),
+            (EngineChoice::Delta, Forged, Delta, Delta),
+            (EngineChoice::Delta, Sub, Scratch, Scratch),
+            (EngineChoice::Race, Origin, Race, Race),
+            (EngineChoice::Race, Forged, Race, Race),
+            (EngineChoice::Race, Sub, Race, Race),
+        ];
+        for policy in [PolicyConfig::paper(), PolicyConfig::strict_gao_rexford()] {
+            for (engine, kind, undefended, defended) in table {
+                let sim = Simulator::new(&t, policy).with_engine(engine);
+                assert_eq!(sim.route(kind, &open), undefended, "{engine:?} {kind:?}");
+                for defense in &localizing {
+                    assert!(defense.localizes());
+                    assert_eq!(sim.route(kind, defense), defended, "{engine:?} {kind:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn sweep_matches_individual_runs() {
         let t = topo();
@@ -1225,13 +862,23 @@ mod tests {
         let target = ix(&t, 9);
         let attackers = vec![ix(&t, 8)];
         let region = vec![ix(&t, 6)];
-        let within =
-            sim.sweep_attackers_within(target, &attackers, &Defense::none(), Some(&region));
-        assert_eq!(within, vec![1]); // only AS6 counted
-        let total = sim.sweep_attackers(target, &attackers, &Defense::none());
-        assert!(total[0] >= within[0]);
+        for defense in [Defense::none(), Defense::validators(&t, vec![ix(&t, 5)])] {
+            let within = sim.sweep_attackers_monitored(
+                target,
+                &attackers,
+                &defense,
+                Some(&region),
+                &SweepMonitor::none(),
+            );
+            assert_eq!(within, vec![1]); // only AS6 counted
+            let total = sim.sweep_attackers(target, &attackers, &defense);
+            assert!(total[0] > within[0]);
+        }
     }
 
+    /// Chunks replaying a caller-supplied baseline concatenate to the
+    /// self-building whole sweep, and count no baseline build of their
+    /// own.
     #[test]
     fn chunked_sweep_concatenation_matches_whole_sweep() {
         let t = topo();
@@ -1240,18 +887,10 @@ mod tests {
         let attackers: Vec<AsIndex> = t.indices().filter(|&a| a != target).collect();
         let all: Vec<AsIndex> = t.indices().collect();
         let defense = Defense::validators(&t, all).with_stub_defense();
-        assert!(sim.uses_shared_baseline(&defense));
-        assert!(!sim.uses_shared_baseline(&Defense::none()));
         let whole = sim.sweep_attackers(target, &attackers, &defense);
-        // Defended path: one shared baseline, chunks replay against it.
-        let baseline = Baseline::build(
-            sim.net(),
-            &[Announcement::honest(target)],
-            &defense.context_for(target),
-            sim.policy(),
-            &mut Workspace::new(),
-        );
-        let monitor = SweepMonitor::none();
+        let baseline = sim.baseline_for(target, &defense, &SweepMonitor::none());
+        let telemetry = SweepTelemetry::new();
+        let monitor = SweepMonitor::none().with_telemetry(&telemetry);
         for chunk_size in [1, 2, attackers.len()] {
             let mut rows = Vec::new();
             for chunk in attackers.chunks(chunk_size) {
@@ -1265,7 +904,15 @@ mod tests {
             }
             assert_eq!(rows, whole, "chunk_size {chunk_size} diverged");
         }
-        // Undefended path: no baseline exists, chunks run from scratch.
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.baselines_built, 0, "caller owns the build count");
+        assert_eq!(snapshot.delta_dispatches, 3 * attackers.len() as u64);
+        // A self-building sweep counts its one build, bytes included.
+        sim.sweep_attackers_monitored(target, &attackers, &defense, None, &monitor);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.baselines_built, 1);
+        assert_eq!(snapshot.baseline_bytes, baseline.heap_bytes() as u64);
+        // Undefended: no baseline exists, chunks race from scratch.
         let whole_open = sim.sweep_attackers(target, &attackers, &Defense::none());
         let mut rows = Vec::new();
         for chunk in attackers.chunks(2) {
@@ -1280,7 +927,8 @@ mod tests {
         let sim = Simulator::new(&t, PolicyConfig::paper());
         let target = ix(&t, 9);
         let attackers: Vec<AsIndex> = t.indices().collect();
-        let sweep = sim.sweep_result(target, &attackers, &Defense::none());
+        let sweep =
+            sim.sweep_result_monitored(target, &attackers, &Defense::none(), &SweepMonitor::none());
         assert_eq!(sweep.len(), attackers.len() - 1);
         assert!(!sweep.attackers().contains(&target));
         // The raw sweep keeps the target's forced-zero row, which the
@@ -1304,265 +952,142 @@ mod tests {
         }
     }
 
-    /// The three `run_batch` dispatch paths (stable solver, baseline
-    /// replay, from-scratch race) must agree with individual generation-
-    /// engine runs on everything except `generations`.
-    fn assert_batch_matches_individual(policy: PolicyConfig) {
+    /// Every route — adaptive and forced, with a caller-supplied baseline
+    /// and a self-built one, race solver and its generation fallback —
+    /// must agree with the generation-engine oracle [`Simulator::run`] on
+    /// everything except `generations`.
+    fn assert_evaluate_matches_run(policy: PolicyConfig) {
         let t = topo();
-        let sim = Simulator::new(&t, policy);
-        let defense = Defense::validators(&t, vec![ix(&t, 1), ix(&t, 2)]);
         let mut attacks = Vec::new();
         for &(a, tgt) in &[(8, 9), (6, 9), (5, 8), (1, 9)] {
             attacks.push(Attack::origin(ix(&t, a), ix(&t, tgt)));
             attacks.push(Attack::forged_origin(ix(&t, a), ix(&t, tgt)));
             attacks.push(Attack::sub_prefix(ix(&t, a), ix(&t, tgt)));
         }
-        let batch = sim.run_batch(&attacks, &defense);
-        assert_eq!(batch.len(), attacks.len());
-        for (outcome, &attack) in batch.iter().zip(&attacks) {
-            let single = sim.run(attack, &defense);
-            assert_eq!(outcome.attack, attack);
-            assert_eq!(outcome.polluted, single.polluted, "mismatch for {attack:?}");
-            assert_eq!(outcome.truncated, single.truncated);
-        }
-    }
-
-    #[test]
-    fn run_batch_stable_dispatch_matches_generation_engine() {
-        // Strict Gao-Rexford: origin and sub-prefix attacks take the
-        // closed-form solver, forged-origin attacks on the repeated
-        // target take the shared (parallel-built) baseline.
-        assert_batch_matches_individual(PolicyConfig::strict_gao_rexford());
-    }
-
-    #[test]
-    fn run_batch_delta_dispatch_matches_generation_engine() {
-        // Paper policy: no solver; repeated-target exact-prefix attacks
-        // take the baseline, the rest run from scratch.
-        assert_batch_matches_individual(PolicyConfig::paper());
-    }
-
-    #[test]
-    fn engine_choice_parses_cli_names() {
-        assert_eq!(EngineChoice::parse("auto").unwrap(), EngineChoice::Auto);
-        assert_eq!(
-            "generation".parse::<EngineChoice>().unwrap(),
-            EngineChoice::Generation
-        );
-        assert_eq!(EngineChoice::parse("delta").unwrap(), EngineChoice::Delta);
-        assert_eq!(EngineChoice::parse("stable").unwrap(), EngineChoice::Stable);
-        assert_eq!(EngineChoice::parse("race").unwrap(), EngineChoice::Race);
-        let err = EngineChoice::parse("fast").unwrap_err();
-        assert!(err.contains("valid engines"), "{err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "strict Gao-Rexford")]
-    fn stable_engine_rejects_paper_policy() {
-        let t = topo();
-        let _ = Simulator::new(&t, PolicyConfig::paper()).with_engine(EngineChoice::Stable);
-    }
-
-    #[test]
-    #[should_panic(expected = "forged-origin")]
-    fn stable_engine_rejects_forged_attacks() {
-        let t = topo();
-        let sim = Simulator::new(&t, PolicyConfig::strict_gao_rexford())
-            .with_engine(EngineChoice::Stable);
-        sim.run_batch(
-            &[Attack::forged_origin(ix(&t, 8), ix(&t, 9))],
-            &Defense::none(),
-        );
-    }
-
-    /// Every forced engine must reproduce adaptive dispatch's sweep rows
-    /// exactly, defended and undefended alike.
-    #[test]
-    fn sweep_engine_overrides_match_auto() {
-        let t = topo();
-        let target = ix(&t, 9);
-        let attackers: Vec<AsIndex> = t.indices().collect();
+        let none = SweepMonitor::none();
+        let mut scratch = Scratch::default();
         for defense in [
             Defense::none(),
             Defense::validators(&t, vec![ix(&t, 1), ix(&t, 2)]),
         ] {
-            let auto = Simulator::new(&t, PolicyConfig::paper());
-            let expected = auto.sweep_attackers(target, &attackers, &defense);
             for engine in [
+                EngineChoice::Auto,
                 EngineChoice::Generation,
                 EngineChoice::Delta,
                 EngineChoice::Race,
             ] {
-                let sim = Simulator::new(&t, PolicyConfig::paper()).with_engine(engine);
-                assert_eq!(
-                    sim.sweep_attackers(target, &attackers, &defense),
-                    expected,
-                    "{engine:?} diverges from auto"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stable_override_matches_generation_under_strict_policy() {
-        let t = topo();
-        let target = ix(&t, 9);
-        let attackers: Vec<AsIndex> = t.indices().collect();
-        let generation = Simulator::new(&t, PolicyConfig::strict_gao_rexford())
-            .with_engine(EngineChoice::Generation);
-        let stable = Simulator::new(&t, PolicyConfig::strict_gao_rexford())
-            .with_engine(EngineChoice::Stable);
-        assert_eq!(
-            generation.sweep_attackers(target, &attackers, &Defense::none()),
-            stable.sweep_attackers(target, &attackers, &Defense::none()),
-        );
-    }
-
-    /// Forced engines must also agree on full batch outcomes — this is
-    /// what the CLI's `--engine` ablation leans on. Exercises the forced
-    /// delta override's empty sub-prefix baseline and the race override
-    /// under a localizing defense (adaptive dispatch would pick delta).
-    #[test]
-    fn run_batch_engine_overrides_match_generation() {
-        let t = topo();
-        let mut attacks = Vec::new();
-        for &(a, tgt) in &[(8, 9), (6, 9), (5, 8), (1, 9)] {
-            attacks.push(Attack::origin(ix(&t, a), ix(&t, tgt)));
-            attacks.push(Attack::forged_origin(ix(&t, a), ix(&t, tgt)));
-            attacks.push(Attack::sub_prefix(ix(&t, a), ix(&t, tgt)));
-        }
-        for defense in [
-            Defense::none(),
-            Defense::validators(&t, vec![ix(&t, 1), ix(&t, 2)]),
-        ] {
-            let reference = Simulator::new(&t, PolicyConfig::paper())
-                .with_engine(EngineChoice::Generation)
-                .run_batch(&attacks, &defense);
-            for engine in [EngineChoice::Auto, EngineChoice::Delta, EngineChoice::Race] {
-                let sim = Simulator::new(&t, PolicyConfig::paper()).with_engine(engine);
-                let batch = sim.run_batch(&attacks, &defense);
-                for (outcome, expected) in batch.iter().zip(&reference) {
-                    assert_eq!(outcome.attack, expected.attack);
-                    assert_eq!(
-                        outcome.polluted, expected.polluted,
-                        "{engine:?} diverges on {:?}",
-                        expected.attack
-                    );
-                    assert_eq!(outcome.truncated, expected.truncated);
+                for race_rounds in [DEFAULT_MAX_ROUNDS, 0] {
+                    let sim = Simulator::new(&t, policy)
+                        .with_engine(engine)
+                        .with_race_rounds(race_rounds);
+                    for &attack in &attacks {
+                        let oracle = sim.run(attack, &defense);
+                        let route = sim.route(attack.kind, &defense);
+                        let ran = match route {
+                            Dispatch::Race if race_rounds == 0 => Dispatch::Scratch,
+                            route => route,
+                        };
+                        let shared = (route == Dispatch::Delta)
+                            .then(|| sim.baseline_for(attack.target, &defense, &none));
+                        for baseline in [None, shared.as_ref()] {
+                            let (got, dispatch) = sim.evaluate(
+                                attack,
+                                &defense,
+                                baseline,
+                                &mut scratch,
+                                &none,
+                                &mut NullObserver,
+                            );
+                            let case = format!("{engine:?} rounds={race_rounds} {attack:?}");
+                            assert_eq!(dispatch, ran, "{case}");
+                            assert_eq!(got.attack, attack, "{case}");
+                            assert_eq!(got.polluted, oracle.polluted, "{case}");
+                            assert_eq!(got.truncated, oracle.truncated, "{case}");
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// The serving-layer entry points (caller-provided baseline) must be
-    /// bit-identical to the self-building paths, and must not count a
-    /// baseline build of their own.
     #[test]
-    fn baseline_entry_points_match_and_skip_baseline_telemetry() {
+    fn evaluate_matches_generation_engine_under_paper_policy() {
+        assert_evaluate_matches_run(PolicyConfig::paper());
+    }
+
+    #[test]
+    fn evaluate_matches_generation_engine_under_strict_policy() {
+        assert_evaluate_matches_run(PolicyConfig::strict_gao_rexford());
+    }
+
+    #[test]
+    fn cancelled_evaluate_reports_an_empty_outcome() {
         let t = topo();
         let sim = Simulator::new(&t, PolicyConfig::paper());
+        let telemetry = SweepTelemetry::new();
+        let cancel = AtomicBool::new(true);
+        let monitor = SweepMonitor::none()
+            .with_telemetry(&telemetry)
+            .with_cancel(&cancel);
+        let attack = Attack::origin(ix(&t, 8), ix(&t, 9));
+        let (outcome, dispatch) = sim.evaluate(
+            attack,
+            &Defense::none(),
+            None,
+            &mut Scratch::default(),
+            &monitor,
+            &mut NullObserver,
+        );
+        assert_eq!(outcome.attack, attack);
+        assert!(outcome.polluted.is_empty());
+        assert_eq!(dispatch, Dispatch::Race, "the route, though nothing ran");
+        let snapshot = telemetry.snapshot();
+        assert_eq!((snapshot.skipped, snapshot.attacks), (1, 0));
+    }
+
+    #[test]
+    fn engine_choice_parses_cli_names() {
+        for engine in [
+            EngineChoice::Auto,
+            EngineChoice::Generation,
+            EngineChoice::Delta,
+            EngineChoice::Race,
+        ] {
+            assert_eq!(engine.name().parse::<EngineChoice>().unwrap(), engine);
+        }
+        for unknown in ["fast", "stable"] {
+            let err = EngineChoice::parse(unknown).unwrap_err();
+            assert!(err.contains("valid engines"), "{err}");
+        }
+    }
+
+    /// Every forced engine must reproduce adaptive dispatch's sweep rows
+    /// exactly, defended and undefended alike, under both policies.
+    #[test]
+    fn sweep_engine_overrides_match_auto() {
+        let t = topo();
         let target = ix(&t, 9);
         let attackers: Vec<AsIndex> = t.indices().collect();
-        let defense = Defense::validators(&t, vec![ix(&t, 1), ix(&t, 2)]);
-        let ctx = defense.context_for(target);
-        let baseline = Baseline::build(
-            sim.net(),
-            &[Announcement::honest(target)],
-            &ctx,
-            sim.policy(),
-            &mut Workspace::new(),
-        );
-        let telemetry = SweepTelemetry::new();
-        let monitor = SweepMonitor::none().with_telemetry(&telemetry);
-        let rows = sim.sweep_attackers_baseline_monitored(
-            target, &attackers, &defense, None, &baseline, &monitor,
-        );
-        assert_eq!(rows, sim.sweep_attackers(target, &attackers, &defense));
-        let snapshot = telemetry.snapshot();
-        assert_eq!(snapshot.baselines_built, 0, "caller owns the build count");
-        assert_eq!(snapshot.delta_dispatches, attackers.len() as u64 - 1);
-        // Single attacks against the same baseline agree with sim.run.
-        let mut dws = DeltaWorkspace::new();
-        for &attacker in &attackers {
-            if attacker == target {
-                continue;
-            }
-            for attack in [
-                Attack::origin(attacker, target),
-                Attack::forged_origin(attacker, target),
+        for policy in [PolicyConfig::paper(), PolicyConfig::strict_gao_rexford()] {
+            for defense in [
+                Defense::none(),
+                Defense::validators(&t, vec![ix(&t, 1), ix(&t, 2)]),
             ] {
-                let warm = sim.run_with_baseline(attack, &baseline, &defense, &mut dws, &monitor);
-                let cold = sim.run(attack, &defense);
-                assert_eq!(warm.polluted, cold.polluted, "mismatch for {attack:?}");
+                let auto = Simulator::new(&t, policy);
+                let expected = auto.sweep_attackers(target, &attackers, &defense);
+                for engine in [
+                    EngineChoice::Generation,
+                    EngineChoice::Delta,
+                    EngineChoice::Race,
+                ] {
+                    let sim = Simulator::new(&t, policy).with_engine(engine);
+                    assert_eq!(
+                        sim.sweep_attackers(target, &attackers, &defense),
+                        expected,
+                        "{engine:?} diverges from auto"
+                    );
+                }
             }
         }
-    }
-
-    #[test]
-    fn defense_localizes_matches_method() {
-        let t = topo();
-        assert!(!Defense::none().localizes());
-        assert!(Defense::stub_defense_only().localizes());
-        assert!(Defense::validators(&t, vec![ix(&t, 1)]).localizes());
-    }
-
-    #[test]
-    fn unshared_dispatch_matches_scratch_oracle() {
-        let t = topo();
-        let sim = Simulator::new(&t, PolicyConfig::paper());
-        let all: Vec<AsIndex> = t.indices().collect();
-        let cases = [
-            // Undefended exact-prefix kinds (honest and forged origin)
-            // both take the race solver.
-            (Attack::origin(ix(&t, 8), ix(&t, 9)), Defense::none()),
-            (Attack::forged_origin(ix(&t, 8), ix(&t, 9)), Defense::none()),
-            // Sub-prefix: one-origin propagation, runs from scratch.
-            (Attack::sub_prefix(ix(&t, 8), ix(&t, 9)), Defense::none()),
-            // Localizing defense: the shared-baseline path would apply, but
-            // the unshared method must still answer correctly from scratch.
-            (
-                Attack::origin(ix(&t, 8), ix(&t, 9)),
-                Defense::validators(&t, all),
-            ),
-        ];
-        let telemetry = SweepTelemetry::new();
-        let monitor = SweepMonitor::none().with_telemetry(&telemetry);
-        for (attack, defense) in cases {
-            let oracle = sim.run(attack, &defense);
-            let (got, dispatch) = sim.run_unshared_monitored(
-                attack,
-                &defense,
-                &mut Workspace::new(),
-                &mut RaceWorkspace::new(),
-                &monitor,
-                &mut NullObserver,
-            );
-            assert_eq!(got.polluted, oracle.polluted, "kind {:?}", attack.kind);
-            if !defense.localizes() {
-                let expected = if attack.kind == AttackKind::SubPrefixHijack {
-                    Dispatch::Scratch
-                } else {
-                    Dispatch::Race
-                };
-                assert_eq!(dispatch, expected, "kind {:?}", attack.kind);
-            }
-        }
-        let snap = telemetry.snapshot();
-        assert!(snap.race_dispatches >= 2);
-        assert!(snap.scratch_dispatches >= 2);
-    }
-
-    #[test]
-    fn run_batch_preserves_order() {
-        let t = topo();
-        let sim = Simulator::new(&t, PolicyConfig::paper());
-        let attacks = vec![
-            Attack::origin(ix(&t, 8), ix(&t, 9)),
-            Attack::origin(ix(&t, 9), ix(&t, 8)),
-        ];
-        let outcomes = sim.run_batch(&attacks, &Defense::none());
-        assert_eq!(outcomes.len(), 2);
-        assert_eq!(outcomes[0].attack, attacks[0]);
-        assert_eq!(outcomes[1].attack, attacks[1]);
     }
 }

@@ -6,9 +6,9 @@
 //! relaxed atomic counters shared read-only across rayon workers: engine
 //! counters flow in once per re-convergence via the routing crate's
 //! [`Observer::on_converged`] hook (never per message), dispatch counters
-//! record which engine each attack used (closed-form stable or race
-//! solver, from-scratch generation race, or baseline-replay delta), and
-//! per-attack wall times land in a log₂ histogram. [`SweepMonitor`] bundles an optional
+//! record which engine each attack used (closed-form race solver,
+//! from-scratch generation race, or baseline-replay delta), and per-attack
+//! wall times land in a log₂ histogram. [`SweepMonitor`] bundles an optional
 //! telemetry sink with an optional progress callback and an optional
 //! cancellation flag; [`SweepMonitor::none`] is inert and costs a handful
 //! of predictable branches per *attack*, which is noise next to even the
@@ -22,12 +22,12 @@ use bgpsim_routing::{ConvergenceStats, EngineTelemetry, Observer};
 /// Number of log₂ buckets in the per-attack wall-time histogram.
 pub const WALL_HIST_BUCKETS: usize = 32;
 
-/// Which engine a sweep dispatched one attack to.
+/// Which engine one attack is routed to (see
+/// [`Simulator::route`](crate::Simulator::route)), or ran on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dispatch {
-    /// Closed-form stable solver (strict Gao-Rexford policy).
-    Stable,
-    /// Closed-form race solver (paper policy, tier-1 fixed point).
+    /// Closed-form race solver (tier-1 fixed point), generation engine on
+    /// non-convergence.
     Race,
     /// From-scratch two-origin race through the generation engine (race
     /// solver unavailable or non-convergent; cone is the whole graph).
@@ -56,7 +56,6 @@ pub struct SweepTelemetry {
     max_generations: AtomicU64,
     truncated_runs: AtomicU64,
     // Sweep-level dispatch accounting.
-    stable_dispatches: AtomicU64,
     race_dispatches: AtomicU64,
     scratch_dispatches: AtomicU64,
     delta_dispatches: AtomicU64,
@@ -106,7 +105,6 @@ impl SweepTelemetry {
     /// Counts one attack dispatched to `kind`.
     pub fn record_dispatch(&self, kind: Dispatch) {
         let counter = match kind {
-            Dispatch::Stable => &self.stable_dispatches,
             Dispatch::Race => &self.race_dispatches,
             Dispatch::Scratch => &self.scratch_dispatches,
             Dispatch::Delta => &self.delta_dispatches,
@@ -173,7 +171,6 @@ impl SweepTelemetry {
                 max_generations: get(&self.max_generations).try_into().unwrap_or(u32::MAX),
                 truncated_runs: get(&self.truncated_runs),
             },
-            stable_dispatches: get(&self.stable_dispatches),
             race_dispatches: get(&self.race_dispatches),
             scratch_dispatches: get(&self.scratch_dispatches),
             delta_dispatches: get(&self.delta_dispatches),
@@ -202,14 +199,11 @@ pub fn wall_bucket(us: u64) -> usize {
 /// Plain-integer view of a [`SweepTelemetry`] at one instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
-    /// Summed engine counters over every observed re-convergence. The
-    /// stable solver contributes `accepted` (settled ASes) only; baseline
-    /// constructions are counted in `baselines_built` but their engine
-    /// counters are not observed.
+    /// Summed engine counters over every observed re-convergence.
+    /// Baseline constructions are counted in `baselines_built` but their
+    /// engine counters are not observed.
     pub engine: EngineTelemetry,
-    /// Attacks dispatched to the closed-form stable solver.
-    pub stable_dispatches: u64,
-    /// Attacks dispatched to the closed-form race solver (paper policy).
+    /// Attacks dispatched to the closed-form race solver.
     pub race_dispatches: u64,
     /// Attacks dispatched to the from-scratch generation-engine race
     /// (including race-solver fallbacks after non-convergence).
@@ -223,7 +217,7 @@ pub struct TelemetrySnapshot {
     pub baseline_bytes: u64,
     /// Heap bytes of the largest single baseline built.
     pub baseline_bytes_peak: u64,
-    /// Attacks executed (sum of the four dispatch counters).
+    /// Attacks executed (sum of the three dispatch counters).
     pub attacks: u64,
     /// Attacks skipped because the sweep was cancelled.
     pub skipped: u64,
@@ -469,7 +463,7 @@ mod tests {
     #[test]
     fn telemetry_counts_and_snapshots() {
         let t = SweepTelemetry::new();
-        t.record_dispatch(Dispatch::Stable);
+        t.record_dispatch(Dispatch::Scratch);
         t.record_dispatch(Dispatch::Race);
         t.record_dispatch(Dispatch::Delta);
         t.record_dispatch(Dispatch::Delta);
@@ -494,10 +488,9 @@ mod tests {
         t.record_attack_wall(Duration::from_micros(3));
         t.record_attack_wall(Duration::from_micros(3));
         let s = t.snapshot();
-        assert_eq!(s.stable_dispatches, 1);
         assert_eq!(s.race_dispatches, 1);
         assert_eq!(s.delta_dispatches, 2);
-        assert_eq!(s.scratch_dispatches, 0);
+        assert_eq!(s.scratch_dispatches, 1);
         assert_eq!(s.attacks, 4);
         assert_eq!(s.race_wall_us, 12);
         assert_eq!(s.baselines_built, 1);

@@ -8,9 +8,10 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 
 use bgpsim_hijack::{
-    Attack, Defense, EngineChoice, Simulator, SweepMonitor, SweepProgress, SweepTelemetry,
+    Attack, Defense, Dispatch, EngineChoice, Scratch, Simulator, SweepMonitor, SweepProgress,
+    SweepTelemetry,
 };
-use bgpsim_routing::PolicyConfig;
+use bgpsim_routing::{NullObserver, PolicyConfig};
 use bgpsim_topology::gen::{generate, InternetParams};
 use bgpsim_topology::{topology_from_triples, AsId, AsIndex, LinkKind::*, Topology};
 
@@ -52,7 +53,6 @@ fn telemetry_pins_exact_counts_on_fixed_topology() {
         snap.scratch_dispatches, 0,
         "this topology never needs the generation fallback"
     );
-    assert_eq!(snap.stable_dispatches, 0);
     assert_eq!(snap.delta_dispatches, 0);
     assert_eq!(snap.baselines_built, 0);
     assert_eq!(snap.skipped, 0);
@@ -202,7 +202,7 @@ proptest! {
         let defense = Defense::validators(topo, validators);
         let sim = Simulator::new(topo, PolicyConfig::paper());
 
-        let plain = sim.sweep_attackers_within(target, &attackers, &defense, None);
+        let plain = sim.sweep_attackers(target, &attackers, &defense);
         let telemetry = SweepTelemetry::new();
         let monitor = SweepMonitor::none().with_telemetry(&telemetry);
         let monitored =
@@ -213,13 +213,17 @@ proptest! {
         let expected = attackers.iter().filter(|&&a| a != target).count() as u64;
         prop_assert_eq!(snap.attacks, expected);
         prop_assert_eq!(snap.skipped, 0);
-        prop_assert!(snap.engine.runs >= snap.stable_dispatches + snap.delta_dispatches);
+        prop_assert!(snap.engine.runs >= snap.delta_dispatches);
     }
 
-    /// Same invariant for arbitrary attack batches under both policies:
-    /// telemetry-on and telemetry-off yield identical outcomes.
+    /// Same invariant for arbitrary attacks under both policies, through
+    /// `evaluate` on whatever route each attack takes: telemetry-on and
+    /// telemetry-off yield identical outcomes, both match the
+    /// generation-engine oracle, a zero round cap turns every race into
+    /// its scratch fallback without changing an answer, and a cancelled
+    /// monitor yields empty outcomes.
     #[test]
-    fn monitored_batch_matches_unmonitored(
+    fn monitored_evaluate_matches_unmonitored(
         seed in 0u64..200,
         ti in 0usize..150,
         strict in 0u8..2,
@@ -234,8 +238,8 @@ proptest! {
             PolicyConfig::paper()
         };
         let sim = Simulator::new(topo, policy);
+        let fallback = Simulator::new(topo, policy).with_race_rounds(0);
         let validators: Vec<AsIndex> = topo.indices().step_by(11).collect();
-        let defense = Defense::validators(topo, validators);
         let attacks: Vec<Attack> = topo
             .indices()
             .step_by(13)
@@ -248,17 +252,50 @@ proptest! {
             })
             .collect();
 
-        let plain = sim.run_batch(&attacks, &defense);
+        let none = SweepMonitor::none();
         let telemetry = SweepTelemetry::new();
         let monitor = SweepMonitor::none().with_telemetry(&telemetry);
-        let monitored = sim.run_batch_monitored(&attacks, &defense, &monitor);
+        let cancel = AtomicBool::new(true);
+        let cancelled = SweepMonitor::none().with_telemetry(&telemetry).with_cancel(&cancel);
+        let mut scratch = Scratch::default();
+        let mut evaluated = 0u64;
+        for defense in [Defense::none(), Defense::validators(topo, validators)] {
+            // Every attack shares the target, hence the baseline.
+            let baseline = sim.baseline_for(target, &defense, &none);
+            for &attack in &attacks {
+                let oracle = sim.run(attack, &defense);
+                let route = sim.route(attack.kind, &defense);
+                let (plain, dispatch) = sim.evaluate(
+                    attack, &defense, Some(&baseline), &mut scratch, &none, &mut NullObserver,
+                );
+                let (monitored, _) = sim.evaluate(
+                    attack, &defense, Some(&baseline), &mut scratch, &monitor, &mut NullObserver,
+                );
+                evaluated += 1;
+                prop_assert_eq!(&plain.polluted, &oracle.polluted);
+                prop_assert_eq!(plain.truncated, oracle.truncated);
+                prop_assert_eq!(&plain.polluted, &monitored.polluted);
+                prop_assert_eq!(plain.generations, monitored.generations);
+                prop_assert_eq!(plain.truncated, monitored.truncated);
+                // The race solver may legitimately fall back on its own.
+                let fell_back = (route, dispatch) == (Dispatch::Race, Dispatch::Scratch);
+                prop_assert!(dispatch == route || fell_back);
 
-        prop_assert_eq!(plain.len(), monitored.len());
-        for (p, m) in plain.iter().zip(&monitored) {
-            prop_assert_eq!(&p.polluted, &m.polluted);
-            prop_assert_eq!(p.generations, m.generations);
-            prop_assert_eq!(p.truncated, m.truncated);
+                let (capped, dispatch) = fallback.evaluate(
+                    attack, &defense, Some(&baseline), &mut scratch, &none, &mut NullObserver,
+                );
+                prop_assert_eq!(&capped.polluted, &oracle.polluted);
+                prop_assert_eq!(dispatch == Dispatch::Scratch, route != Dispatch::Delta);
+
+                let (skipped, _) = sim.evaluate(
+                    attack, &defense, Some(&baseline), &mut scratch, &cancelled, &mut NullObserver,
+                );
+                prop_assert!(skipped.polluted.is_empty());
+            }
         }
-        prop_assert_eq!(telemetry.snapshot().attacks, attacks.len() as u64);
+        let snap = telemetry.snapshot();
+        prop_assert_eq!(snap.attacks, evaluated);
+        prop_assert_eq!(snap.skipped, evaluated);
+        prop_assert_eq!(snap.baselines_built, 0);
     }
 }

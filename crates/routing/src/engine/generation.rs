@@ -604,7 +604,6 @@ pub(crate) fn key_for(tier1_len_first: bool, class: PrefClass, len: u16, slot: u
 /// the claimed origin on the path, so the real origin itself always rejects
 /// the forgery, exactly as in real BGP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Announcement {
     /// The AS injecting the announcement.
     pub announcer: AsIndex,

@@ -17,7 +17,6 @@ use bgpsim_topology::{AsIndex, Topology};
 
 /// A compact bit set over dense AS indices.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AsSet {
     words: Vec<u64>,
     len: usize,

@@ -13,7 +13,6 @@ use crate::route::ConvergenceStats;
 
 /// What happened to one delivered announcement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Decision {
     /// Accepted and became the receiver's best route.
     NewBest,
@@ -41,7 +40,6 @@ impl Decision {
 
 /// One delivered announcement, as seen by an [`Observer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MessageEvent {
     /// Generation in which the message was delivered (1-based).
     pub generation: u32,

@@ -19,7 +19,6 @@ use bgpsim_topology::Relationship;
 /// `Origin` is the AS's own announcement — always preferred and exported to
 /// every neighbor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(u8)]
 pub enum PrefClass {
     /// Learned from a transit provider.
@@ -95,7 +94,6 @@ pub fn may_export(class: PrefClass, to: Relationship) -> bool {
 
 /// Engine-wide policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PolicyConfig {
     /// Tier-1 routers compare by path length first, ignoring `LOCAL_PREF`
     /// (the paper's §III refinement). Default `true`.

@@ -6,7 +6,6 @@ use crate::policy::PrefClass;
 
 /// The route an AS selected after convergence, in compact form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Choice {
     /// The origin AS of the selected route.
     pub origin: AsIndex,
@@ -28,7 +27,6 @@ pub struct Propagation {
 
 /// Counters describing how a propagation converged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConvergenceStats {
     /// Generations executed before the message queues drained.
     pub generations: u32,

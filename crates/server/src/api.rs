@@ -22,9 +22,7 @@ use bgpsim_core::stream::{StreamConfig, StreamPlan, StreamStore};
 use bgpsim_hijack::{
     Attack, AttackKind, AttackOutcome, Defense, Dispatch, SweepMonitor, SweepTelemetry,
 };
-use bgpsim_routing::{
-    Announcement, Baseline, ConvergenceStats, DeltaWorkspace, Observer, RaceWorkspace, Workspace,
-};
+use bgpsim_routing::{Baseline, ConvergenceStats, Observer};
 use bgpsim_topology::{AsId, AsIndex, Topology};
 use rayon::prelude::*;
 
@@ -32,7 +30,7 @@ use crate::cache::{defense_fingerprint, BaselineKey};
 use crate::http::{Request, Response};
 use crate::jobs::{JobSpec, JobState, StreamSpec, SweepSpec, ETA_UNKNOWN};
 use crate::metrics::{render_prometheus, Endpoint};
-use crate::{ServerState, WorkerCtx};
+use crate::ServerState;
 
 /// Attacker ASNs advertised in `/v1/healthz` for load generators.
 const SAMPLE_ATTACKERS: usize = 64;
@@ -96,11 +94,7 @@ fn json_response(status: u16, json: &Json) -> Response {
 
 /// Routes one framed request to its handler; the endpoint tag feeds the
 /// per-endpoint metrics.
-pub(crate) fn dispatch(
-    state: &ServerState<'_>,
-    request: &Request,
-    ctx: &mut WorkerCtx,
-) -> (Endpoint, Response) {
+pub(crate) fn dispatch(state: &ServerState<'_>, request: &Request) -> (Endpoint, Response) {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     let method = request.method.as_str();
     let (endpoint, result) = match segments.as_slice() {
@@ -114,7 +108,7 @@ pub(crate) fn dispatch(
         ),
         ["v1", "attacks"] => (
             Endpoint::Attacks,
-            expect_method(method, "POST").and_then(|()| handle_attack(state, request, ctx)),
+            expect_method(method, "POST").and_then(|()| handle_attack(state, request)),
         ),
         // One path segment: ':' is not a separator, so the whole
         // `attacks:batch` token arrives intact.
@@ -392,11 +386,16 @@ fn outcome_json(topo: &Topology, outcome: &AttackOutcome) -> Json {
     ])
 }
 
-fn handle_attack(
-    state: &ServerState<'_>,
-    request: &Request,
-    ctx: &mut WorkerCtx,
-) -> Result<Response, ApiError> {
+/// The `meta.engine` wire name of the engine that ran.
+fn engine_name(dispatch: Dispatch) -> &'static str {
+    match dispatch {
+        Dispatch::Race => "race",
+        Dispatch::Delta => "delta",
+        Dispatch::Scratch => "generation",
+    }
+}
+
+fn handle_attack(state: &ServerState<'_>, request: &Request) -> Result<Response, ApiError> {
     let body = parse_body(request)?;
     let topo = state.sim.topology();
     let attacker = resolve(topo, require_asn(&body, "attacker")?)?;
@@ -411,53 +410,47 @@ fn handle_attack(
         target,
         kind,
     };
-    // The baseline cache pays off exactly when replay is the dispatch
-    // choice: exact-prefix kinds under a localizing defense (or a forced
-    // delta engine). Everything else runs from scratch.
-    let use_baseline =
-        kind != AttackKind::SubPrefixHijack && state.sim.uses_shared_baseline(&parsed.defense);
     let monitor = SweepMonitor::none().with_telemetry(&state.telemetry);
+    let mut sink = TelemetrySink(&state.telemetry);
     let started = Instant::now();
-    let (outcome, engine_name, cache_name) = if use_baseline {
-        let key = BaselineKey {
-            target: target.raw(),
-            defense_fp: parsed.fingerprint,
+    // The baseline cache pays off exactly when the route replays.
+    // Everything else runs from scratch on the generation engine.
+    let (outcome, dispatch, cache_name) =
+        if state.sim.route(kind, &parsed.defense) == Dispatch::Delta {
+            let key = BaselineKey {
+                target: target.raw(),
+                defense_fp: parsed.fingerprint,
+            };
+            let (baseline, cache_outcome) = state.cache.get_or_build(key, || {
+                state.sim.baseline_for(target, &parsed.defense, &monitor)
+            });
+            let (outcome, dispatch) = state.sim.evaluate(
+                attack,
+                &parsed.defense,
+                Some(&baseline),
+                &mut state.sim.scratch(),
+                &monitor,
+                &mut sink,
+            );
+            (outcome, dispatch, cache_outcome.name())
+        } else {
+            state.telemetry.record_dispatch(Dispatch::Scratch);
+            let outcome = state.sim.run_observed(
+                attack,
+                &parsed.defense,
+                state.sim.scratch().workspace(),
+                &mut sink,
+            );
+            state.telemetry.record_attack_wall(started.elapsed());
+            (outcome, Dispatch::Scratch, "bypass")
         };
-        let (baseline, cache_outcome) = state.cache.get_or_build(key, || {
-            state.telemetry.record_baseline();
-            Baseline::build(
-                state.sim.net(),
-                &[Announcement::honest(target)],
-                &parsed.defense.context_for(target),
-                state.sim.policy(),
-                &mut ctx.ws,
-            )
-        });
-        let replay_started = Instant::now();
-        let outcome =
-            state
-                .sim
-                .run_with_baseline(attack, &baseline, &parsed.defense, &mut ctx.dws, &monitor);
-        state.telemetry.record_attack_wall(replay_started.elapsed());
-        (outcome, "delta", cache_outcome.name())
-    } else {
-        state.telemetry.record_dispatch(Dispatch::Scratch);
-        let outcome = state.sim.run_observed(
-            attack,
-            &parsed.defense,
-            &mut ctx.ws,
-            &mut TelemetrySink(&state.telemetry),
-        );
-        state.telemetry.record_attack_wall(started.elapsed());
-        (outcome, "generation", "bypass")
-    };
     let wall_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
     let response = Json::obj([
         ("result", outcome_json(topo, &outcome)),
         (
             "meta",
             Json::obj([
-                ("engine", Json::str(engine_name)),
+                ("engine", Json::str(engine_name(dispatch))),
                 ("cache", Json::str(cache_name)),
                 ("wall_us", json_u64(wall_us)),
             ]),
@@ -484,13 +477,12 @@ struct BatchEntry {
 /// `error`/`status` object and every other entry still evaluates. Valid
 /// entries are grouped by (target, defense) so each group fetches its
 /// shared baseline exactly once, then all entries run across the rayon
-/// pool with per-worker workspaces. Entries outside a baseline group get
-/// sweep-grade adaptive dispatch ([`Simulator::run_unshared_monitored`])
-/// — notably the closed-form race solver for undefended exact-prefix
-/// attacks — so a batch answers at bulk-path speed, not N single-request
-/// scratch runs.
+/// pool with pooled per-worker scratch space. Every entry takes the
+/// engine [`Simulator::route`] picks — notably the closed-form race
+/// solver for undefended exact-prefix attacks — so a batch answers at
+/// bulk-path speed, not N single-request scratch runs.
 ///
-/// [`Simulator::run_unshared_monitored`]: bgpsim_hijack::Simulator::run_unshared_monitored
+/// [`Simulator::route`]: bgpsim_hijack::Simulator::route
 fn handle_attack_batch(state: &ServerState<'_>, request: &Request) -> Result<Response, ApiError> {
     let body = parse_body(request)?;
     let topo = state.sim.topology();
@@ -550,9 +542,7 @@ fn handle_attack_batch(state: &ServerState<'_>, request: &Request) -> Result<Res
     let mut groups: Vec<(BaselineKey, AsIndex, &ParsedDefense)> = Vec::new();
     for entry in entries.iter().flatten() {
         let parsed = entry.defense.as_ref().unwrap_or(&default_defense);
-        if entry.attack.kind == AttackKind::SubPrefixHijack
-            || !state.sim.uses_shared_baseline(&parsed.defense)
-        {
+        if state.sim.route(entry.attack.kind, &parsed.defense) != Dispatch::Delta {
             continue;
         }
         let key = BaselineKey {
@@ -563,18 +553,12 @@ fn handle_attack_batch(state: &ServerState<'_>, request: &Request) -> Result<Res
             groups.push((key, entry.attack.target, parsed));
         }
     }
+    let monitor = SweepMonitor::none().with_telemetry(&state.telemetry);
     let baselines: HashMap<BaselineKey, (std::sync::Arc<Baseline>, &'static str)> = groups
         .par_iter()
         .map(|&(key, target, parsed)| {
             let (baseline, outcome) = state.cache.get_or_build(key, || {
-                state.telemetry.record_baseline();
-                Baseline::build(
-                    state.sim.net(),
-                    &[Announcement::honest(target)],
-                    &parsed.defense.context_for(target),
-                    state.sim.policy(),
-                    &mut Workspace::new(),
-                )
+                state.sim.baseline_for(target, &parsed.defense, &monitor)
             });
             (key, (baseline, outcome.name()))
         })
@@ -586,66 +570,40 @@ fn handle_attack_batch(state: &ServerState<'_>, request: &Request) -> Result<Res
     let results: Vec<Json> = entries
         .par_iter()
         .map_init(
-            || {
-                (
-                    Workspace::new(),
-                    DeltaWorkspace::new(),
-                    RaceWorkspace::new(),
-                )
-            },
-            |(ws, dws, rws), entry| match entry {
+            || state.sim.scratch(),
+            |scratch, entry| match entry {
                 Err(e) => Json::obj([
                     ("error", Json::str(e.message.clone())),
                     ("status", Json::Num(f64::from(e.status))),
                 ]),
                 Ok(entry) => {
                     let parsed = entry.defense.as_ref().unwrap_or(&default_defense);
-                    let use_baseline = entry.attack.kind != AttackKind::SubPrefixHijack
-                        && state.sim.uses_shared_baseline(&parsed.defense);
-                    let monitor = SweepMonitor::none().with_telemetry(&state.telemetry);
-                    let item_started = Instant::now();
-                    let (outcome, engine_name, cache_name) = if use_baseline {
+                    // The groups above hold a baseline for exactly the
+                    // entries routed to replay.
+                    let replays =
+                        state.sim.route(entry.attack.kind, &parsed.defense) == Dispatch::Delta;
+                    let cached = replays.then(|| {
                         let key = BaselineKey {
                             target: entry.attack.target.raw(),
                             defense_fp: parsed.fingerprint,
                         };
-                        let (baseline, cache_name) = &baselines[&key];
-                        let outcome = state.sim.run_with_baseline(
-                            entry.attack,
-                            baseline,
-                            &parsed.defense,
-                            dws,
-                            &monitor,
-                        );
-                        (outcome, "delta", *cache_name)
-                    } else {
-                        // Grouped attacks get sweep-grade adaptive
-                        // dispatch: undefended exact-prefix items race
-                        // both origins closed-form instead of paying a
-                        // full from-scratch propagation each.
-                        let (outcome, dispatch) = state.sim.run_unshared_monitored(
-                            entry.attack,
-                            &parsed.defense,
-                            ws,
-                            rws,
-                            &monitor,
-                            &mut TelemetrySink(&state.telemetry),
-                        );
-                        let engine_name = match dispatch {
-                            Dispatch::Stable => "stable",
-                            Dispatch::Race => "race",
-                            Dispatch::Delta => "delta",
-                            Dispatch::Scratch => "generation",
-                        };
-                        (outcome, engine_name, "bypass")
-                    };
-                    state.telemetry.record_attack_wall(item_started.elapsed());
+                        &baselines[&key]
+                    });
+                    let (outcome, dispatch) = state.sim.evaluate(
+                        entry.attack,
+                        &parsed.defense,
+                        cached.map(|(baseline, _)| &**baseline),
+                        scratch,
+                        &monitor,
+                        &mut TelemetrySink(&state.telemetry),
+                    );
+                    let cache_name = cached.map_or("bypass", |&(_, name)| name);
                     Json::obj([
                         ("result", outcome_json(topo, &outcome)),
                         (
                             "meta",
                             Json::obj([
-                                ("engine", Json::str(engine_name)),
+                                ("engine", Json::str(engine_name(dispatch))),
                                 ("cache", Json::str(cache_name)),
                             ]),
                         ),
@@ -718,14 +676,14 @@ fn handle_sweep_submit(state: &ServerState<'_>, request: &Request) -> Result<Res
             ))
         }
     };
-    // Same pool semantics as Simulator::sweep_result: the target never
+    // Same pool semantics as Simulator::sweep_result_monitored: the target never
     // attacks itself, so its row is excluded rather than forced to zero.
     let pool: Vec<AsIndex> = pool.into_iter().filter(|&a| a != target).collect();
     if pool.is_empty() {
         return Err(ApiError::new(422, "attacker pool is empty"));
     }
     let pool_asns: Vec<u32> = pool.iter().map(|&ix| topo.id_of(ix).value()).collect();
-    let cacheable = state.sim.uses_shared_baseline(&parsed.defense);
+    let cacheable = state.sim.route(AttackKind::OriginHijack, &parsed.defense) == Dispatch::Delta;
     let spec = SweepSpec {
         target,
         target_asn: topo.id_of(target).value(),

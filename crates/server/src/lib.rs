@@ -18,7 +18,7 @@
 //!  accept loop (nonblocking, polls shutdown flag)
 //!      │  bounded sync_channel (503 when full)
 //!      ▼
-//!  HTTP workers (std::thread::scope; keep-alive; per-worker Workspace)
+//!  HTTP workers (std::thread::scope; keep-alive; pooled Scratch)
 //!      │ POST /v1/sweeps        │ POST /v1/attacks, /v1/attacks:batch
 //!      ▼                        ▼
 //!  JobRegistry ══► executor pool ──►  BaselineCache (LRU, single-flight)
@@ -70,7 +70,6 @@ use bgpsim_fanout::{
     Coordinator, FanoutConfig, FanoutError, Handshake, SweepObserver, SweepRequest,
 };
 use bgpsim_hijack::{Simulator, SweepMonitor, SweepProgress, SweepTelemetry};
-use bgpsim_routing::{Announcement, Baseline, DeltaWorkspace, Workspace};
 
 use cache::{BaselineCache, BaselineKey};
 use http::{HttpConn, ReadOutcome, Response};
@@ -157,21 +156,6 @@ pub(crate) struct ServerState<'t> {
     pub(crate) telemetry: SweepTelemetry,
     pub(crate) shutdown: &'t AtomicBool,
     pub(crate) fanout: Option<Coordinator>,
-}
-
-/// Per-worker reusable simulation scratch space.
-pub(crate) struct WorkerCtx {
-    pub(crate) ws: Workspace,
-    pub(crate) dws: DeltaWorkspace,
-}
-
-impl WorkerCtx {
-    fn new() -> WorkerCtx {
-        WorkerCtx {
-            ws: Workspace::new(),
-            dws: DeltaWorkspace::new(),
-        }
-    }
 }
 
 /// Runs the server until `shutdown` becomes true (a `POST /v1/shutdown`
@@ -308,7 +292,6 @@ fn reject_overloaded(stream: std::net::TcpStream) {
 }
 
 fn http_worker(state: &ServerState<'_>, rx: &Mutex<Receiver<std::net::TcpStream>>) {
-    let mut ctx = WorkerCtx::new();
     loop {
         // Hold the receiver lock only while popping, not while handling.
         let stream = {
@@ -318,7 +301,7 @@ fn http_worker(state: &ServerState<'_>, rx: &Mutex<Receiver<std::net::TcpStream>
         match stream {
             Ok(stream) => {
                 state.metrics.queue_changed(-1);
-                handle_connection(state, stream, &mut ctx);
+                handle_connection(state, stream);
             }
             Err(RecvTimeoutError::Timeout) => {
                 // Shutdown latency bound: check the flag between pops even
@@ -332,7 +315,7 @@ fn http_worker(state: &ServerState<'_>, rx: &Mutex<Receiver<std::net::TcpStream>
     }
 }
 
-fn handle_connection(state: &ServerState<'_>, stream: std::net::TcpStream, ctx: &mut WorkerCtx) {
+fn handle_connection(state: &ServerState<'_>, stream: std::net::TcpStream) {
     let mut conn = HttpConn::new(stream, state.config.read_timeout);
     loop {
         match conn.read_request(state.config.max_body_bytes) {
@@ -346,7 +329,7 @@ fn handle_connection(state: &ServerState<'_>, stream: std::net::TcpStream, ctx: 
             ReadOutcome::Request(request) => {
                 let _guard = state.metrics.begin_request();
                 let started = Instant::now();
-                let (endpoint, response) = api::dispatch(state, &request, ctx);
+                let (endpoint, response) = api::dispatch(state, &request);
                 state
                     .metrics
                     .observe(endpoint, response.status, started.elapsed());
@@ -459,18 +442,7 @@ fn run_sweep_chunk(
             defense_fp: spec.defense_fp,
         };
         let (baseline, outcome) = state.cache.get_or_build(key, || {
-            state.telemetry.record_baseline();
-            let baseline = Baseline::build(
-                state.sim.net(),
-                &[Announcement::honest(spec.target)],
-                &spec.defense.context_for(spec.target),
-                state.sim.policy(),
-                &mut Workspace::new(),
-            );
-            state
-                .telemetry
-                .record_baseline_bytes(baseline.heap_bytes() as u64);
-            baseline
+            state.sim.baseline_for(spec.target, &spec.defense, &monitor)
         });
         let rows = state.sim.sweep_chunk_monitored(
             spec.target,

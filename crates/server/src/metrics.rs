@@ -496,7 +496,6 @@ pub fn render_prometheus(
         "Attacks dispatched, by engine.",
     );
     for (engine, value) in [
-        ("stable", telemetry.stable_dispatches),
         ("race", telemetry.race_dispatches),
         ("scratch", telemetry.scratch_dispatches),
         ("delta", telemetry.delta_dispatches),

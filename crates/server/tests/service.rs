@@ -189,6 +189,9 @@ fn attack_matches_direct_simulator_and_warm_cache_is_faster() {
     assert_eq!(status, 200, "cold attack failed: {cold:?}");
     assert_eq!(str_of(get(get(&cold, "meta"), "cache")), "miss");
     let cold_wall = num(get(get(&cold, "meta"), "wall_us"));
+    // The cold build is accounted like a sweep's: counted, bytes included.
+    assert_eq!(metric(addr, "bgpsim_sim_baselines_built_total"), 1);
+    assert!(metric(addr, "bgpsim_sim_baseline_bytes_total") > 0);
 
     // Warm repeats hit the cache and skip the honest re-convergence.
     let mut warm_walls = Vec::new();

@@ -11,7 +11,7 @@
 //! * [`DetectorMode::Incremental`] — the live path. One [`Baseline`] of
 //!   the target's honest convergence is cached per tracked target and
 //!   each evaluation replays only the attacker's contamination cone
-//!   ([`Simulator::run_with_baseline`]). Origin validation can only
+//!   ([`Simulator::evaluate`]). Origin validation can only
 //!   reject routes whose origin differs from the authorized one, and the
 //!   honest announcement's origin *is* the authorized one — so validator
 //!   churn never changes a target's honest convergence and cached
@@ -20,9 +20,9 @@
 //!   Propagation is likewise a pure function of (attack, defense), so
 //!   each active hijack's score is memoized and replayed only when an
 //!   event could have changed it — every other event is O(1) for that
-//!   hijack. When the current defense cannot localize cones (so no
-//!   baseline is worth holding), evaluation falls through to the
-//!   simulator's engine-per-attack dispatch.
+//!   hijack. When [`Simulator::route`] picks no replay (the current
+//!   defense cannot localize cones, so no baseline is worth holding),
+//!   no baseline is built and the routed engine runs from scratch.
 //! * [`DetectorMode::Batch`] — the oracle. Every evaluation is a full
 //!   from-scratch generation-engine run. Slow and trivially correct.
 //!
@@ -34,10 +34,8 @@
 use std::collections::{BTreeMap, HashMap};
 
 use bgpsim_detection::ProbeSet;
-use bgpsim_hijack::{Attack, AttackOutcome, Defense, Simulator, SweepMonitor};
-use bgpsim_routing::{
-    Announcement, Baseline, DeltaWorkspace, NullObserver, RaceWorkspace, Workspace,
-};
+use bgpsim_hijack::{Attack, AttackOutcome, Defense, Dispatch, Scratch, Simulator, SweepMonitor};
+use bgpsim_routing::{Baseline, NullObserver};
 use bgpsim_topology::AsIndex;
 
 use crate::event::{EventKind, StreamEvent, StreamPlan};
@@ -160,9 +158,7 @@ pub struct StreamDetector<'a, 't> {
     /// (BTreeMap so evaluation order is deterministic).
     active: BTreeMap<AsIndex, usize>,
     hijacks: Vec<HijackRecord>,
-    ws: Workspace,
-    dws: DeltaWorkspace,
-    rws: RaceWorkspace,
+    scratch: Scratch,
 }
 
 impl<'a, 't> StreamDetector<'a, 't> {
@@ -190,9 +186,7 @@ impl<'a, 't> StreamDetector<'a, 't> {
             scores: HashMap::new(),
             active: BTreeMap::new(),
             hijacks: Vec::new(),
-            ws: Workspace::new(),
-            dws: DeltaWorkspace::new(),
-            rws: RaceWorkspace::new(),
+            scratch: Scratch::default(),
         };
         detector.rebuild_defense();
         detector
@@ -328,41 +322,23 @@ impl<'a, 't> StreamDetector<'a, 't> {
             // The oracle: one full from-scratch generation-engine run.
             DetectorMode::Batch => self.sim.run(attack, &self.defense),
             DetectorMode::Incremental => {
-                if self.sim.uses_shared_baseline(&self.defense) {
-                    if !self.baselines.contains_key(&attack.target) {
-                        let baseline = Baseline::build(
-                            self.sim.net(),
-                            &[Announcement::honest(attack.target)],
-                            &self.defense.context_for(attack.target),
-                            self.sim.policy(),
-                            &mut self.ws,
-                        );
-                        self.baselines.insert(attack.target, baseline);
-                    }
-                    let baseline = &self.baselines[&attack.target];
-                    self.sim.run_with_baseline(
-                        attack,
-                        baseline,
-                        &self.defense,
-                        &mut self.dws,
-                        &SweepMonitor::none(),
-                    )
-                } else {
-                    // No localizing defense: the cone is the whole graph
-                    // and a baseline buys nothing. Engine-per-attack
-                    // dispatch (closed-form solvers with generation
-                    // fallback) is the fast correct path.
-                    self.sim
-                        .run_unshared_monitored(
-                            attack,
-                            &self.defense,
-                            &mut self.ws,
-                            &mut self.rws,
-                            &SweepMonitor::none(),
-                            &mut NullObserver,
-                        )
-                        .0
-                }
+                let monitor = SweepMonitor::none();
+                let replays = self.sim.route(attack.kind, &self.defense) == Dispatch::Delta;
+                let baseline = replays.then(|| {
+                    &*self.baselines.entry(attack.target).or_insert_with(|| {
+                        self.sim
+                            .baseline_for(attack.target, &self.defense, &monitor)
+                    })
+                });
+                let (outcome, _) = self.sim.evaluate(
+                    attack,
+                    &self.defense,
+                    baseline,
+                    &mut self.scratch,
+                    &monitor,
+                    &mut NullObserver,
+                );
+                outcome
             }
         }
     }

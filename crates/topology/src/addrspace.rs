@@ -20,7 +20,6 @@ use crate::{AsIndex, Topology};
 /// assert_eq!(space.total(), 8);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AddressSpace {
     weights: Vec<u64>,
     total: u64,

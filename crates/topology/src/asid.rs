@@ -32,8 +32,6 @@ use std::str::FromStr;
 ///
 /// [`Topology::index_of`]: crate::Topology::index_of
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct AsId(u32);
 
 impl AsId {
@@ -128,8 +126,6 @@ impl FromStr for AsId {
 ///
 /// [`Topology`]: crate::Topology
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct AsIndex(u32);
 
 impl AsIndex {

@@ -9,7 +9,6 @@ use crate::{AsIndex, Topology};
 
 /// Coarse tier of an AS in the provider hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TierClass {
     /// Member of the provider-free top clique.
     Tier1,

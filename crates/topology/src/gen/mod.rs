@@ -43,7 +43,6 @@ use crate::region::RegionId;
 /// [`tiny`](InternetParams::tiny)) and tweak fields as needed; all counts
 /// scale with `num_ases`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct InternetParams {
     /// Total number of autonomous systems.
     pub num_ases: usize,
@@ -84,7 +83,6 @@ pub struct InternetParams {
 
 /// Parameters of the island region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IslandParams {
     /// Number of ASes in the island (the paper's NZ region has 187).
     pub size: usize,

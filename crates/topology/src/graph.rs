@@ -7,7 +7,6 @@ use crate::{AsId, AsIndex, LinkKind, Relationship, TopologyBuilder};
 /// One entry of an AS's neighbor list: the neighbor's dense index plus the
 /// relationship *of that neighbor from the owning AS's perspective*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Neighbor {
     /// Dense index of the neighboring AS.
     pub index: AsIndex,

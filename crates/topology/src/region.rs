@@ -12,8 +12,6 @@ use crate::{AsIndex, Topology};
 /// Identifier of a region. Values are small and dense, assigned by the
 /// generator or by the user.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[cfg_attr(feature = "serde", serde(transparent))]
 pub struct RegionId(pub u16);
 
 impl core::fmt::Display for RegionId {

@@ -22,7 +22,6 @@ use core::fmt;
 /// assert_eq!(Relationship::Peer.reversed(), Relationship::Peer);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Relationship {
     /// The neighbor buys transit from this AS.
     Customer,
@@ -84,7 +83,6 @@ impl fmt::Display for Relationship {
 ///
 /// [`TopologyBuilder`]: crate::TopologyBuilder
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum LinkKind {
     /// `a` is the provider, `b` is the customer.
     ProviderToCustomer,

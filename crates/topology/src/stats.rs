@@ -13,7 +13,6 @@ use crate::Topology;
 
 /// Summary statistics of a topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TopologyStats {
     /// Total autonomous systems.
     pub num_ases: usize,

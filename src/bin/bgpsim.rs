@@ -65,8 +65,7 @@ RUN OPTIONS:
                       figs 2–4 take ~10 min each on one core in under
                       50 MB of RAM (see the README scale-tier table)
     --engine NAME     force the routing engine: auto | generation | delta |
-                      stable | race [auto]; `stable` needs a strict
-                      Gao-Rexford policy and is rejected for the presets
+                      race [auto]
     --seed N          override the master seed
     --stride N        override the attacker stride
     --jobs N          worker threads (0 = all cores) [0]
@@ -317,16 +316,7 @@ fn parse_run(args: &[String]) -> Result<RunOptions, String> {
     }
     // Validate the scale up front so a typo fails before topology
     // generation, with the same message ExperimentConfig gives.
-    let config = ExperimentConfig::preset(&opts.scale)?;
-    // Invalid engine/policy combinations must die here as a usage error,
-    // not as a panic deep inside the first sweep.
-    if opts.engine == EngineChoice::Stable && config.policy.tier1_shortest_path {
-        return Err(format!(
-            "--engine stable solves the strict Gao-Rexford policy only, but scale preset \
-             {:?} runs the paper policy (tier-1 shortest path); use --engine race instead",
-            opts.scale
-        ));
-    }
+    ExperimentConfig::preset(&opts.scale)?;
     if opts.figures.is_empty() {
         return Err("nothing to run: name figures (e.g. `bgpsim run fig2`) or pass --all".into());
     }
@@ -391,15 +381,7 @@ fn parse_stream(args: &[String]) -> Result<Option<StreamOptions>, String> {
             other => return Err(format!("unknown option {other:?}")),
         }
     }
-    let config = ExperimentConfig::preset(&opts.scale)?;
-    // Same up-front engine/policy validation as `run` and `serve`.
-    if opts.engine == EngineChoice::Stable && config.policy.tier1_shortest_path {
-        return Err(format!(
-            "--engine stable solves the strict Gao-Rexford policy only, but scale preset \
-             {:?} runs the paper policy (tier-1 shortest path); use --engine race instead",
-            opts.scale
-        ));
-    }
+    ExperimentConfig::preset(&opts.scale)?;
     Ok(Some(opts))
 }
 
@@ -457,14 +439,6 @@ fn parse_serve(args: &[String]) -> Result<Option<ServerConfig>, String> {
         }
     }
     let mut experiment = ExperimentConfig::preset(&scale)?;
-    // Same up-front engine/policy validation as `run`: a bad combination
-    // must be a usage error, not a panic after topology generation.
-    if engine == EngineChoice::Stable && experiment.policy.tier1_shortest_path {
-        return Err(format!(
-            "--engine stable solves the strict Gao-Rexford policy only, but scale preset \
-             {scale:?} runs the paper policy (tier-1 shortest path); use --engine race instead"
-        ));
-    }
     experiment.engine = engine;
     if let Some(seed) = seed {
         experiment.seed = seed;

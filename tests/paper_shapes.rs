@@ -298,7 +298,6 @@ fn fig2_dispatch_is_race_solver_only() {
         "no generation-engine fallback on the quick lab"
     );
     assert_eq!(snap.delta_dispatches, 0);
-    assert_eq!(snap.stable_dispatches, 0);
     assert_eq!(snap.baselines_built, 0);
 }
 
@@ -318,4 +317,87 @@ fn engine_override_reproduces_fig2_csv() {
         experiments::fig2(&scratch).to_csv(),
         "engine choice is a pure performance knob"
     );
+}
+
+/// The race solver and the generation engine must produce the same sweep
+/// rows. On the standard lab they do not, for roughly one attack in two
+/// hundred (DESIGN.md §12, "Known divergence"): this test finds the first
+/// `(target, attacker)` whose rows differ and fails naming the first AS
+/// the two engines route to different origins, with the route each chose.
+/// Drop the `ignore` once the divergence is fixed.
+#[test]
+#[ignore = "known divergence, DESIGN §12"]
+fn race_rows_match_generation_on_the_standard_lab() {
+    use bgpsim::hijack::{Defense, EngineChoice, Simulator};
+    use bgpsim::routing::{
+        propagate_announcements, solve_race, Announcement, NullObserver, Propagation,
+        RaceWorkspace, Workspace, DEFAULT_MAX_ROUNDS,
+    };
+    use bgpsim::topology::AsIndex;
+
+    let lab = Lab::new(ExperimentConfig::standard());
+    let topo = lab.topology();
+    let policy = lab.config().policy;
+    let race = Simulator::new(topo, policy).with_engine(EngineChoice::Race);
+    let generation = Simulator::new(topo, policy).with_engine(EngineChoice::Generation);
+    let attackers = lab.strided_attackers();
+    let undefended = Defense::none();
+    let cast = lab.cast();
+    for target in [
+        cast.tier1,
+        cast.resistant_stub,
+        cast.single_homed_stub,
+        cast.depth2_stub,
+        cast.vulnerable_stub,
+    ] {
+        let raced = race.sweep_attackers(target, &attackers, &undefended);
+        let stepped = generation.sweep_attackers(target, &attackers, &undefended);
+        let Some(row) = raced.iter().zip(&stepped).position(|(r, g)| r != g) else {
+            continue;
+        };
+        let attacker = attackers[row];
+        let announcements = [Announcement::honest(target), Announcement::honest(attacker)];
+        let filters = undefended.context_for(target);
+        let r = solve_race(
+            race.net(),
+            &announcements,
+            &filters,
+            &policy,
+            DEFAULT_MAX_ROUNDS,
+            &mut RaceWorkspace::new(),
+        )
+        .expect("a non-convergent race would have fallen back to the generation engine");
+        let g = propagate_announcements(
+            race.net(),
+            &announcements,
+            &filters,
+            &policy,
+            &mut Workspace::new(),
+            &mut NullObserver,
+        );
+        let origin = |p: &Propagation, ix: AsIndex| p.choice(ix).map(|c| c.origin);
+        let ix = topo
+            .indices()
+            .find(|&ix| origin(&r, ix) != origin(&g, ix))
+            .expect("differing counts imply a differing origin");
+        let route = |p: &Propagation| {
+            let path = p.path_to_origin(ix).map(|path| {
+                path.iter()
+                    .map(|&hop| topo.id_of(hop).value())
+                    .collect::<Vec<_>>()
+            });
+            format!("{:?} via AS path {path:?}", p.choice(ix))
+        };
+        panic!(
+            "target AS{} attacked by AS{}: race counts {} polluted, generation {}; \
+             first AS routed to different origins is AS{}: race chose {}, generation chose {}",
+            topo.id_of(target).value(),
+            topo.id_of(attacker).value(),
+            raced[row],
+            stepped[row],
+            topo.id_of(ix).value(),
+            route(&r),
+            route(&g),
+        );
+    }
 }
