@@ -8,14 +8,19 @@
 //! iteration — in a real sweep that cost is amortized over every other AS
 //! as an attacker, so measured speedups are lower bounds.
 //!
-//! Two regimes, deliberately both measured:
+//! Three regimes, deliberately all measured:
 //!
-//! * `defended` — the paper's §V deployment (origin validation at the
-//!   top-100 ASes by degree plus defensive stub filtering). Filtering
+//! * `defended` — a strong §V deployment (origin validation at the
+//!   top-100 ASes by degree plus defensive stub filtering) against
+//!   attackers strided over every AS, most of them stubs. Filtering
 //!   quenches most attacker routes near the source, contamination cones
 //!   collapse to a handful of ASes, and schedule replay is 1–2 orders of
-//!   magnitude faster than re-racing both origins. This is the headline
-//!   comparison and the regime `Simulator` dispatches to the delta engine.
+//!   magnitude faster than re-racing both origins.
+//! * `large_cone` — the weak end of the figs. 5–6 progression: tier-1-only
+//!   origin validation against transit attackers. `Simulator` still
+//!   dispatches to the delta engine, but cones run to half the network
+//!   and replay costs about as much as the full race; this is where most
+//!   of a fig. 5/6 run is spent, and where leaf deferral pays.
 //! * `undefended` — no filtering at all. An exact-prefix hijack then
 //!   perturbs nearly every AS (§IV: up to ~96% pollution), the cone is the
 //!   whole graph, and replaying the honest schedule *on top of* the race
@@ -43,7 +48,10 @@ use bgpsim_topology::AsIndex;
 struct Lab {
     net: GeneratedInternet,
     target: AsIndex,
+    /// 64 attackers strided over every AS.
     attackers: Vec<AsIndex>,
+    /// 64 attackers strided over the transit ASes.
+    transit_attackers: Vec<AsIndex>,
 }
 
 fn lab() -> Lab {
@@ -58,28 +66,34 @@ fn lab() -> Lab {
         .filter(|&ix| ix != target)
         .take(64)
         .collect();
+    let transit = topo.transit_ases();
+    let transit_attackers: Vec<AsIndex> = transit
+        .iter()
+        .step_by(transit.len() / 64)
+        .copied()
+        .take(64)
+        .collect();
     Lab {
         net,
         target,
         attackers,
+        transit_attackers,
     }
 }
 
 fn full_sweep(
     sim_net: &SimNet<'_>,
-    lab: &Lab,
+    target: AsIndex,
+    attackers: &[AsIndex],
     ctx: &FilterContext<'_>,
     policy: &PolicyConfig,
     ws: &mut Workspace,
 ) -> usize {
     let mut total = 0usize;
-    for &attacker in &lab.attackers {
+    for &attacker in attackers {
         let p = propagate_announcements(
             sim_net,
-            &[
-                Announcement::honest(lab.target),
-                Announcement::honest(attacker),
-            ],
+            &[Announcement::honest(target), Announcement::honest(attacker)],
             ctx,
             policy,
             ws,
@@ -92,7 +106,8 @@ fn full_sweep(
 
 fn delta_sweep(
     sim_net: &SimNet<'_>,
-    lab: &Lab,
+    target: AsIndex,
+    attackers: &[AsIndex],
     ctx: &FilterContext<'_>,
     policy: &PolicyConfig,
     ws: &mut Workspace,
@@ -100,15 +115,9 @@ fn delta_sweep(
 ) -> usize {
     // Baseline built inside the measured region: one honest convergence
     // plus its schedule, amortized over the 64 attackers.
-    let baseline = Baseline::build(
-        sim_net,
-        &[Announcement::honest(lab.target)],
-        ctx,
-        policy,
-        ws,
-    );
+    let baseline = Baseline::build(sim_net, &[Announcement::honest(target)], ctx, policy, ws);
     let mut total = 0usize;
-    for &attacker in &lab.attackers {
+    for &attacker in attackers {
         let delta = propagate_delta(
             sim_net,
             &baseline,
@@ -135,45 +144,53 @@ fn bench_sweep(c: &mut Criterion) {
     let mut ws = Workspace::new();
     let mut dws = DeltaWorkspace::new();
 
+    // Both engines over one (attacker pool, filter context) regime.
+    let mut regime =
+        |name: &str, samples: usize, attackers: &[AsIndex], ctx: &FilterContext<'_>| {
+            let mut g = c.benchmark_group(format!("sweep_delta/{name}"));
+            g.sample_size(samples);
+            g.bench_function("full_64_attackers", |b| {
+                b.iter(|| {
+                    black_box(full_sweep(
+                        &sim_net, lab.target, attackers, ctx, &policy, &mut ws,
+                    ))
+                })
+            });
+            g.bench_function("delta_64_attackers", |b| {
+                b.iter(|| {
+                    black_box(delta_sweep(
+                        &sim_net, lab.target, attackers, ctx, &policy, &mut ws, &mut dws,
+                    ))
+                })
+            });
+            g.finish();
+        };
+
     // §V defended regime: ROV at the top-100 ASes by degree + stub defense.
     let defense = DeploymentStrategy::TopKByDegree(100)
         .defense(&lab.net.topology)
         .with_stub_defense();
-    let dctx = defense.context_for(lab.target);
-    {
-        let mut g = c.benchmark_group("sweep_delta/defended");
-        g.sample_size(20);
-        g.bench_function("full_64_attackers", |b| {
-            b.iter(|| black_box(full_sweep(&sim_net, &lab, &dctx, &policy, &mut ws)))
-        });
-        g.bench_function("delta_64_attackers", |b| {
-            b.iter(|| {
-                black_box(delta_sweep(
-                    &sim_net, &lab, &dctx, &policy, &mut ws, &mut dws,
-                ))
-            })
-        });
-        g.finish();
-    }
+    regime(
+        "defended",
+        20,
+        &lab.attackers,
+        &defense.context_for(lab.target),
+    );
+
+    // Weak-deployment regime: tier-1-only ROV against transit attackers,
+    // cones in the hundreds to a thousand of the 2k ASes.
+    let tier1 = DeploymentStrategy::Tier1.defense(&lab.net.topology);
+    regime(
+        "large_cone",
+        20,
+        &lab.transit_attackers,
+        &tier1.context_for(lab.target),
+    );
 
     // Undefended regime: the cone is the whole network, delta loses — kept
     // as an honest negative result (Simulator races from scratch here).
     let ctx = FilterContext::none();
-    {
-        let mut g = c.benchmark_group("sweep_delta/undefended");
-        g.sample_size(10);
-        g.bench_function("full_64_attackers", |b| {
-            b.iter(|| black_box(full_sweep(&sim_net, &lab, &ctx, &policy, &mut ws)))
-        });
-        g.bench_function("delta_64_attackers", |b| {
-            b.iter(|| {
-                black_box(delta_sweep(
-                    &sim_net, &lab, &ctx, &policy, &mut ws, &mut dws,
-                ))
-            })
-        });
-        g.finish();
-    }
+    regime("undefended", 10, &lab.attackers, &ctx);
 
     // Strict Gao-Rexford comparator: the closed-form stable solver, the
     // engine `Simulator` dispatches to under that policy.

@@ -1,6 +1,6 @@
 //! Evaluating deployment strategies against attack sweeps (§V).
 
-use bgpsim_hijack::{Simulator, SweepMonitor, SweepResult};
+use bgpsim_hijack::{AttackKind, Defense, Dispatch, Simulator, SweepMonitor, SweepResult};
 use bgpsim_topology::metrics::DepthMap;
 use bgpsim_topology::{AsIndex, Topology};
 
@@ -54,6 +54,11 @@ pub fn evaluate_strategies(
 
 /// [`evaluate_strategies`] with sweep instrumentation (telemetry counters,
 /// per-attack progress, cancellation) forwarded to every strategy's sweep.
+///
+/// The target's honest baseline is built once, for the first strategy
+/// whose sweep replays one, and shared by the rest: origin validation
+/// rejects only origins other than the authorized one, so the validator
+/// set never shapes the target's honest convergence.
 pub fn evaluate_strategies_monitored(
     sim: &Simulator<'_>,
     target: AsIndex,
@@ -61,18 +66,26 @@ pub fn evaluate_strategies_monitored(
     strategies: &[DeploymentStrategy],
     monitor: &SweepMonitor<'_>,
 ) -> Vec<StrategyOutcome> {
+    let pool: Vec<AsIndex> = attackers.iter().copied().filter(|&a| a != target).collect();
+    let mut baseline = None;
     strategies
         .iter()
         .map(|strategy| {
             let mut members = strategy.select(sim.topology());
             members.retain(|&ix| ix != target);
             let deployed = members.len();
-            let defense = bgpsim_hijack::Defense::validators(sim.topology(), members);
-            let sweep = sim.sweep_result_monitored(target, attackers, &defense, monitor);
+            let defense = Defense::validators(sim.topology(), members);
+            if baseline.is_none()
+                && sim.route(AttackKind::OriginHijack, &defense) == Dispatch::Delta
+            {
+                baseline = Some(sim.baseline_for(target, &defense, monitor));
+            }
+            let counts =
+                sim.sweep_chunk_monitored(target, &pool, &defense, baseline.as_ref(), monitor);
             StrategyOutcome {
                 strategy: strategy.clone(),
                 deployed,
-                sweep,
+                sweep: SweepResult::new(pool.clone(), counts),
             }
         })
         .collect()
@@ -115,7 +128,6 @@ pub fn top_potent_attackers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpsim_hijack::Defense;
     use bgpsim_routing::PolicyConfig;
     use bgpsim_topology::gen::{generate, InternetParams};
 
@@ -145,6 +157,38 @@ mod tests {
         // Deployment sizes recorded.
         assert_eq!(outcomes[0].deployed, 0);
         assert!(outcomes[1].deployed >= 3);
+    }
+
+    /// One honest baseline serves the whole progression, and sharing it
+    /// changes no row: each strategy's sweep equals one that built its own
+    /// baseline under its own validators.
+    #[test]
+    fn one_baseline_serves_every_strategy() {
+        use bgpsim_hijack::SweepTelemetry;
+
+        let net = generate(&InternetParams::tiny(), 11);
+        let topo = &net.topology;
+        let sim = Simulator::new(topo, PolicyConfig::paper());
+        let target = topo.stub_ases()[0];
+        let attackers: Vec<AsIndex> = topo.indices().step_by(3).collect();
+        let strategies = DeploymentStrategy::paper_progression(5);
+        let telemetry = SweepTelemetry::new();
+        let monitor = SweepMonitor::none().with_telemetry(&telemetry);
+        let outcomes =
+            evaluate_strategies_monitored(&sim, target, &attackers, &strategies, &monitor);
+        assert_eq!(telemetry.snapshot().baselines_built, 1);
+        for (strategy, outcome) in strategies.iter().zip(&outcomes) {
+            let mut members = strategy.select(topo);
+            members.retain(|&ix| ix != target);
+            let own = sim.sweep_result_monitored(
+                target,
+                &attackers,
+                &Defense::validators(topo, members),
+                &SweepMonitor::none(),
+            );
+            assert_eq!(outcome.sweep.attackers(), own.attackers(), "{strategy}");
+            assert_eq!(outcome.sweep.counts(), own.counts(), "{strategy}");
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //! (converged state plus recorded message schedule), shared read-only
 //! across rayon workers, and [`propagate_delta`] re-converges only the
 //! attacker's contamination cone — the §V regime, where an attack costs
-//! microseconds. Outcomes are bit-identical on every route (the routing
+//! microseconds under a strong deployment and a millisecond or two under
+//! a weak one. Outcomes are bit-identical on every route (the routing
 //! crate's `race_equivalence` and `delta_equivalence` suites pin this
 //! under both the paper policy and strict Gao-Rexford). The `sweep_delta`
 //! and `sweep_race` Criterion benches measure the regimes;
@@ -260,9 +261,12 @@ impl<'t> Simulator<'t> {
     }
 
     /// Builds `target`'s honest convergence under `defense`: the shared
-    /// state every [`Dispatch::Delta`] attack on `target` replays. The
-    /// build runs in a pooled workspace and is counted (once, with its
-    /// heap footprint) on the monitor's telemetry.
+    /// state every [`Dispatch::Delta`] attack on `target` replays. Of the
+    /// defense only [`Defense::has_stub_defense`] shapes it — validators
+    /// never reject the authorized origin — so one baseline serves every
+    /// validator deployment with the same stub-defense setting
+    /// ([`Baseline::build`]). The build runs in a pooled workspace and is
+    /// counted (once, with its heap footprint) on the monitor's telemetry.
     pub fn baseline_for(
         &self,
         target: AsIndex,
@@ -315,9 +319,9 @@ impl<'t> Simulator<'t> {
     ///
     /// `baseline` is read on the [`Dispatch::Delta`] route only: pass the
     /// target's [`Simulator::baseline_for`] there (built once per target
-    /// and defense, or fetched from a cache); with `None` the baseline is
-    /// rebuilt for this one attack, which costs far more than the replay
-    /// it enables.
+    /// and stub-defense setting, or fetched from a cache); with `None` the
+    /// baseline is rebuilt for this one attack, which costs far more than
+    /// the replay it enables.
     ///
     /// Polluted sets are bit-identical to [`Simulator::run`] on every
     /// route; `generations` bookkeeping depends on the engine (waves,

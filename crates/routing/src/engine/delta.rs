@@ -44,9 +44,41 @@
 //! land in a different one than the simultaneous race. Replaying the
 //! schedule keeps the timing — and therefore the outcome — identical.
 //!
-//! [`ConvergenceStats`] are *not* part of the guarantee: a delta run
-//! counts only the messages it actually processed (deliveries into the
-//! cone), which is the point of the exercise.
+//! # Leaf deferral
+//!
+//! A *leaf* ([`SimNet::is_leaf`]: no customers, no siblings, not a tier-1
+//! — 85 % of the standard lab) learns only peer- and provider-class
+//! routes, which [`may_export`] sends to nobody, so unless it announces
+//! the prefix itself its Adj-RIB-In can influence no other AS. The replay
+//! therefore never steps such a leaf: when a deviating message would
+//! recruit one it is only noted, nothing is delivered to it, and after the
+//! loop ends `settle_leaves` gives it its selection in closed form —
+//! the best admissible export among its neighbours' *final* selections
+//! (overlay for cone members, snapshot otherwise). That is exact, not
+//! approximate: at convergence every AS's last export phase carried its
+//! final selection, so each slot of the leaf's table holds precisely what
+//! that neighbour's final selection exports (or nothing), filtered by
+//! tests that depend only on the two ASes and the origin; and the engine
+//! keeps `best == rescan(table)` under a total order of keys, so the
+//! arrival order the replay skipped cannot matter. No timing argument is
+//! involved, which is why the multistable topologies above are covered
+//! too. A leaf that announces — an injection's announcer, or a baseline
+//! origin such as a stub target — is not deferred: the former is replayed
+//! like any cone member, the latter keeps its seeded route whatever it
+//! hears and is skipped.
+//!
+//! The closed form presumes a converged race. If the baseline was
+//! truncated by [`PolicyConfig::max_generations`] deferral is off, and if
+//! the replay itself truncates the attack is replayed a second time with
+//! every leaf stepped, so truncated outcomes stay bit-identical to the
+//! generation engine's as well.
+//!
+//! [`ConvergenceStats`] and per-message [`Observer`] events are *not* part
+//! of the guarantee: a delta run steps, counts and reports only the
+//! messages it actually processed — deliveries into the cone, deferred
+//! leaves excluded — which is the point of the exercise. (A run replayed
+//! twice after truncating reports the stepped events of both passes and
+//! the stats of the second.) [`Observer::on_converged`] fires once.
 //!
 //! # Sharing
 //!
@@ -62,13 +94,13 @@
 use bgpsim_topology::AsIndex;
 
 use crate::engine::generation::{
-    self, deliver, export_from, rescan, seed_announcement, AdjEntry, Announcement, Best, Msg,
-    PathNode, Queues, RaceLog, RibSnapshot, RibState, Workspace, NONE, NO_ROUTE,
+    self, deliver, export_from, key_for, rescan, seed_announcement, AdjEntry, Announcement, Best,
+    Msg, PathNode, Queues, RaceLog, RibSnapshot, RibState, Workspace, NONE, NO_ROUTE,
 };
 use crate::filter::FilterContext;
 use crate::net::{checked_u32, SimNet};
 use crate::observer::{Decision, MessageEvent, NullObserver, Observer};
-use crate::policy::{PolicyConfig, PrefClass};
+use crate::policy::{may_export, PolicyConfig, PrefClass};
 use crate::route::{Choice, ConvergenceStats, Propagation};
 
 /// Generation budget of the packed log words: 13 bits. Schedules that run
@@ -180,8 +212,9 @@ impl ExportEntry {
 /// A frozen converged propagation — state snapshot plus full message
 /// schedule — reusable across many [`propagate_delta`] calls.
 ///
-/// Build one per (target, filter context) pair and share it read-only
-/// across threads; every per-attacker delta run borrows it immutably.
+/// Build one per target and share it read-only across threads; every
+/// per-attacker delta run borrows it immutably (see [`Baseline::build`]
+/// for what a baseline does and does not depend on).
 #[derive(Debug, Clone)]
 pub struct Baseline {
     snap: RibSnapshot,
@@ -233,12 +266,16 @@ impl Baseline {
     /// caller's reusable `ws`), freezing the converged state and the full
     /// message schedule.
     ///
-    /// The returned baseline is only valid for delta runs on the same
-    /// `net` with the same `filters` and `policy` — the frozen state and
-    /// log embed this run's filter decisions and preference keys.
-    /// `policy` is checked at delta time; `filters` cannot be (the context
-    /// borrows its validator set), so the caller must pass the identical
-    /// context to [`propagate_delta`].
+    /// A baseline depends on (`net`, `policy`, `announcements`,
+    /// `filters.authorized_origin`, `filters.stub_defense`) — the frozen
+    /// state and log embed this run's preference keys and stub-filter
+    /// decisions — and delta runs must agree on all of them (`policy` is
+    /// asserted at delta time, the rest is the caller's responsibility).
+    /// It does **not** depend on `filters.validators` as long as every
+    /// announcement claims the authorized origin: origin validation
+    /// rejects only other origins, so no validator ever drops a message of
+    /// this run. One honest baseline per target therefore serves every
+    /// deployment of validators a sweep or a stream walks through.
     ///
     /// # Panics
     ///
@@ -439,8 +476,12 @@ pub struct DeltaWorkspace {
     /// frozen baseline paths without copying them.
     arena: Vec<PathNode>,
     /// ASes recruited into the cone (selection recorded) this run, in
-    /// recruitment order.
+    /// recruitment order; settled leaves follow the replayed members.
     touched: Vec<u32>,
+    /// Leaves a deviating message reached this run, awaiting
+    /// [`settle_leaves`] (deduplicated by `deferred_stamp`).
+    deferred: Vec<u32>,
+    deferred_stamp: Vec<u32>,
     /// Per-AS cursor into the baseline's receiver-grouped `log` /
     /// sender-side `out_dat` CSR — only meaningful for cone members
     /// (written on recruitment), so no stamps.
@@ -472,6 +513,7 @@ impl DeltaWorkspace {
             self.last_export.resize(n, (NONE, 0, 0));
             self.last_export_stamp.resize(n, 0);
             self.dirty_tag.resize(n, 0);
+            self.deferred_stamp.resize(n, 0);
             self.in_cur.resize(n, 0);
             self.out_cur.resize(n, 0);
             self.live_lo.resize(n, 0);
@@ -495,12 +537,14 @@ impl DeltaWorkspace {
             self.best_stamp.fill(0);
             self.last_export_stamp.fill(0);
             self.dirty_tag.fill(0);
+            self.deferred_stamp.fill(0);
             self.live_tag.fill(0);
             self.tomb_stamp.fill(0);
             self.epoch = 1;
         }
         self.arena.clear();
         self.touched.clear();
+        self.deferred.clear();
         self.queues.dirty.clear();
         self.queues.cur.clear();
         self.queues.next.clear();
@@ -516,12 +560,31 @@ struct DeltaState<'a> {
     /// Length of the baseline arena: the boundary between frozen and
     /// extension path nodes.
     arena_base: u32,
+    /// Whether leaves are set aside for [`settle_leaves`] instead of being
+    /// recruited (see the module docs, "Leaf deferral").
+    defer: bool,
 }
 
 impl DeltaState<'_> {
     #[inline]
     fn in_cone(&self, ix: u32) -> bool {
         self.ws.best_stamp[ix as usize] == self.ws.epoch
+    }
+
+    /// The message stream of out-of-cone `to` deviates from the schedule
+    /// this generation: queue it for recruitment — or, for a leaf under
+    /// deferral, only note it for [`settle_leaves`] and report `true` so the
+    /// caller drops the message instead of delivering it.
+    fn deviates(&mut self, net: &SimNet<'_>, to: u32, recruits: &mut Vec<u32>) -> bool {
+        if !(self.defer && net.is_leaf(AsIndex::new(to))) {
+            recruits.push(to);
+            return false;
+        }
+        if self.ws.deferred_stamp[to as usize] != self.ws.epoch {
+            self.ws.deferred_stamp[to as usize] = self.ws.epoch;
+            self.ws.deferred.push(to);
+        }
+        true
     }
 
     /// Whether a live message's payload matches a logged delivery,
@@ -737,8 +800,10 @@ fn recruit(
 /// contamination cone against the baseline's recorded schedule. See the
 /// module docs for the bit-identity argument.
 ///
-/// `filters` and `policy` must be the ones the baseline was built with
-/// (`policy` is asserted; `filters` is the caller's responsibility).
+/// `policy` must be the baseline's (asserted), and `filters` must agree
+/// with the context it was built under on the authorized origin and on
+/// stub defense; the validator set is free to differ (see
+/// [`Baseline::build`]).
 ///
 /// # Panics
 ///
@@ -765,6 +830,36 @@ pub fn propagate_delta<'r, 't, O: Observer>(
         (net.num_ases(), net.num_slots()),
         "baseline was built for a different network"
     );
+    // Leaf deferral's closed form holds for a converged race only: a
+    // truncated one is replayed again with every leaf stepped.
+    let defer = !baseline.stats.truncated;
+    let mut stats = replay_once(net, baseline, injections, filters, policy, dws, obs, defer);
+    if defer && stats.truncated {
+        stats = replay_once(net, baseline, injections, filters, policy, dws, obs, false);
+    }
+    obs.on_converged(&stats);
+    DeltaResult {
+        net,
+        baseline,
+        dws: &*dws,
+        stats,
+    }
+}
+
+/// One pass of [`propagate_delta`] over a freshly begun workspace: seed the
+/// injections, replay the race, and — with `defer` — settle the leaves the
+/// replay set aside.
+#[allow(clippy::too_many_arguments)]
+fn replay_once<O: Observer>(
+    net: &SimNet<'_>,
+    baseline: &Baseline,
+    injections: &[Announcement],
+    filters: &FilterContext<'_>,
+    policy: &PolicyConfig,
+    dws: &mut DeltaWorkspace,
+    obs: &mut O,
+    defer: bool,
+) -> ConvergenceStats {
     dws.begin(baseline);
     let mut stats = ConvergenceStats::default();
     let mut q = std::mem::take(&mut dws.queues);
@@ -774,6 +869,7 @@ pub fn propagate_delta<'r, 't, O: Observer>(
             snap: &baseline.snap,
             ws: &mut *dws,
             arena_base: baseline.snap.arena.len() as u32,
+            defer,
         };
         for a in injections {
             let o = a.announcer;
@@ -789,16 +885,79 @@ pub fn propagate_delta<'r, 't, O: Observer>(
         replay(
             net, baseline, filters, policy, &mut state, &mut q, &mut sc, &mut stats, obs,
         );
+        if !stats.truncated {
+            settle_leaves(net, filters, &mut state);
+        }
     }
     dws.queues = q;
     dws.scratch = sc;
-    obs.on_converged(&stats);
-    DeltaResult {
-        net,
-        baseline,
-        dws: &*dws,
-        stats,
+    stats
+}
+
+/// Settles every deferred leaf in closed form. A leaf's Adj-RIB-In feeds
+/// no other AS, and at convergence each of its slots holds exactly its
+/// neighbour's last export, so its selection is the best admissible export
+/// among its neighbours' *final* selections — whatever order the messages
+/// arrived in. The tests applied per neighbour are the ones [`deliver`]
+/// applies per message. The loop check reduces to the origin comparison: a
+/// leaf that announces nothing exports nothing, so it sits on an AS path
+/// only as the claimed origin of a forgery.
+fn settle_leaves(net: &SimNet<'_>, filters: &FilterContext<'_>, state: &mut DeltaState<'_>) {
+    for di in 0..state.ws.deferred.len() {
+        let x = state.ws.deferred[di];
+        if matches!(state.snap.best(x), Some(b) if b.slot == NONE && b.origin != NONE) {
+            // A baseline origin keeps its seeded route whatever it hears.
+            continue;
+        }
+        let xi = AsIndex::new(x);
+        let mut best: Option<Best> = None;
+        for (slot, nb) in net.slots_of(xi).zip(net.topology().neighbors(xi)) {
+            let Some(theirs) = state.best(nb.index.raw()) else {
+                continue;
+            };
+            let origin = theirs.origin;
+            if origin == NONE
+                || origin == x
+                || !may_export(PrefClass::from_u8(theirs.class), nb.rel.reversed())
+                || filters.rejects_origin(xi, AsIndex::new(origin))
+                || rejects_stub(net, filters, nb.index, origin)
+            {
+                continue;
+            }
+            let class = PrefClass::from_sender_rel(nb.rel).expect("a leaf has no sibling links");
+            let len = theirs.len + 1;
+            let key = key_for(false, class, len, slot);
+            if best.is_none_or(|b| key > b.key) {
+                best = Some(Best {
+                    origin,
+                    slot,
+                    len,
+                    class: class.as_u8(),
+                    node: theirs.node,
+                    key,
+                });
+            }
+        }
+        // The winner's path is its sender's with the sender prepended, as
+        // the message would have carried it.
+        if let Some(b) = &mut best {
+            b.node = state.push_node(PathNode {
+                asn: net.slot_entry(xi, b.slot).index.raw(),
+                parent: b.node,
+            });
+        }
+        state.set_best(x, best.unwrap_or(NO_ROUTE));
     }
+}
+
+/// [`deliver`]'s defensive stub filter for a route with `origin` arriving
+/// from `from` over a non-sibling link.
+fn rejects_stub(net: &SimNet<'_>, filters: &FilterContext<'_>, from: AsIndex, origin: u32) -> bool {
+    filters.stub_defense
+        && filters.authorized_origin.is_some_and(|auth| {
+            (net.is_stub(from) && auth != from)
+                || (net.is_stub(AsIndex::new(origin)) && auth.raw() != origin)
+        })
 }
 
 /// The replay loop: the race's export/delivery waves, with out-of-cone
@@ -855,9 +1014,11 @@ fn replay<O: Observer>(
         // reproduced exactly (the schedule stands) or is invalidated
         // (tombstoned; its receiver's stream deviates, so the receiver is
         // recruited). Live messages with no scheduled counterpart recruit
-        // their receivers likewise. Members recruited *this* generation
-        // are not senders here: their generation-`g` exports were
-        // computed from identical state, so their schedule stands.
+        // their receivers likewise. Under deferral a leaf receiver is noted
+        // for `settle_leaves` instead and its message dropped. Members
+        // recruited *this* generation are not senders here: their
+        // generation-`g` exports were computed from identical state, so
+        // their schedule stands.
         let senders = state.ws.touched.len();
         for ti in 0..senders {
             let s = state.ws.touched[ti];
@@ -889,7 +1050,7 @@ fn replay<O: Observer>(
                     state.ws.tomb_stamp[idx] = state.ws.epoch;
                     let to = net.owner_of_slot(e.slot).raw();
                     if !state.in_cone(to) {
-                        sc.recruits.push(to);
+                        state.deviates(net, to, &mut sc.recruits);
                     }
                 }
             }
@@ -897,7 +1058,8 @@ fn replay<O: Observer>(
         }
         for (li, &(_, m)) in sc.live.iter().enumerate() {
             if !sc.consumed[li] && !state.in_cone(m.to) {
-                sc.recruits.push(m.to);
+                // A deferred leaf's message is dropped, not delivered.
+                sc.consumed[li] = state.deviates(net, m.to, &mut sc.recruits);
             }
         }
         sc.recruits.sort_unstable();
@@ -1028,9 +1190,10 @@ impl DeltaResult<'_, '_> {
         }
     }
 
-    /// The cone: ASes whose state this run simulated live (a superset of
-    /// the ASes whose final selection differs from the baseline). Every
-    /// AS not yielded kept its baseline selection exactly.
+    /// The cone: ASes whose state this run simulated live or settled as
+    /// deferred leaves (a superset of the ASes whose final selection
+    /// differs from the baseline). Every AS not yielded kept its baseline
+    /// selection exactly.
     pub fn touched(&self) -> impl Iterator<Item = AsIndex> + '_ {
         self.dws.touched.iter().map(|&ix| AsIndex::new(ix))
     }
@@ -1147,11 +1310,25 @@ mod tests {
             &mut Workspace::new(),
             &mut NullObserver,
         );
-        assert_eq!(delta.to_propagation().choices(), full.choices());
-        // From an empty baseline every routed AS joins the cone.
-        assert_eq!(delta.touched().count(), full.reached_count());
-        // And the stats ARE comparable here: nothing was elided.
-        assert_eq!(delta.stats(), full.stats());
+        let p = delta.to_propagation();
+        assert_eq!(p.choices(), full.choices());
+        assert_eq!(
+            p.captured_by(a).collect::<Vec<_>>(),
+            full.captured_by(a).collect::<Vec<_>>()
+        );
+        // From an empty baseline every routed AS is in the cone, the
+        // deferred leaf (the diamond's AS 4) included.
+        let touched: Vec<AsIndex> = delta.touched().collect();
+        for ix in topo.indices().filter(|&ix| full.choice(ix).is_some()) {
+            assert!(
+                touched.contains(&ix),
+                "routed AS {ix} missing from the cone"
+            );
+        }
+        // The stats are not compared: the leaf is settled in closed form,
+        // so the messages a full run delivers to it are never stepped or
+        // counted here.
+        assert!(!delta.stats().truncated);
     }
 
     #[test]

@@ -34,6 +34,9 @@ pub struct SimNet<'t> {
     group: Vec<u32>,
     /// Stub mask (no customers), used by defensive stub filtering.
     stub: Vec<bool>,
+    /// Leaf mask: no customers, no siblings, not a tier-1 (see
+    /// [`SimNet::is_leaf`]).
+    leaf: Vec<bool>,
     /// Per-slot packed edge for the race solver's relax loop: the
     /// receiver's dense index in the low 32 bits (leaf marker in
     /// [`RACE_LEAF_BIT`]), the mirror slot ([`SimNet::reverse_slot`]) in
@@ -120,10 +123,10 @@ impl<'t> SimNet<'t> {
         let mut race_cuts = Vec::with_capacity(n);
         let mut slot_owner = Vec::with_capacity(total);
         // Leaf = no customers, no siblings, not a tier-1: exports
-        // peer-/provider-learned routes to nobody. Consumed below to brand
-        // adjacency entries and build the leaf-only sweep tables; the race
-        // solver reads only those.
-        let mut race_leaf = Vec::with_capacity(n);
+        // peer-/provider-learned routes to nobody. Brands adjacency entries
+        // and builds the leaf-only sweep tables for the race solver; the
+        // delta engine reads the mask itself.
+        let mut leaf = Vec::with_capacity(n);
         for ix in topo.indices() {
             let base = offsets[ix.usize()];
             for (j, nb) in topo.neighbors(ix).iter().enumerate() {
@@ -137,12 +140,12 @@ impl<'t> SimNet<'t> {
             // Tier-1s are excluded even at matching degree shape: the race
             // solver treats them as fixed-point variables (candidacy
             // tallies, sentinel stamps), never as skippable sinks.
-            race_leaf.push(b[0] == 0 && b[2] == topo.degree(ix) && !tier1[ix.usize()]);
+            leaf.push(b[0] == 0 && b[2] == topo.degree(ix) && !tier1[ix.usize()]);
         }
         // Brand leaf receivers directly in the adjacency word so the race
         // solver's hot loop skips them without a second lookup.
         for packed in &mut race_adj {
-            if race_leaf[*packed as u32 as usize] {
+            if leaf[*packed as u32 as usize] {
                 *packed |= RACE_LEAF_BIT;
             }
         }
@@ -161,10 +164,7 @@ impl<'t> SimNet<'t> {
                 }
             }
             let nbrs = topo.neighbors(ix);
-            let mid = start
-                + (0..b[0])
-                    .filter(|&j| race_leaf[nbrs[j].index.usize()])
-                    .count() as u32;
+            let mid = start + (0..b[0]).filter(|&j| leaf[nbrs[j].index.usize()]).count() as u32;
             leaf_cuts.push([start, mid, leaf_adj.len() as u32]);
         }
         SimNet {
@@ -175,6 +175,7 @@ impl<'t> SimNet<'t> {
             tier1_list,
             group,
             stub,
+            leaf,
             race_adj,
             race_cuts,
             leaf_adj,
@@ -284,6 +285,15 @@ impl<'t> SimNet<'t> {
         self.stub[ix.usize()]
     }
 
+    /// Whether `ix` is a leaf: no customers, no siblings, not a tier-1.
+    /// A leaf holds only peer- and provider-class routes, which the
+    /// valley-free export rule sends to nobody, so unless it originates
+    /// the prefix itself nothing it learns can influence another AS.
+    #[inline]
+    pub fn is_leaf(&self, ix: AsIndex) -> bool {
+        self.leaf[ix.usize()]
+    }
+
     /// Relationship of the *sender* as seen by the receiver, for the
     /// receiver-side slot `e`.
     #[inline]
@@ -330,6 +340,21 @@ mod tests {
         assert_eq!(net.group(ix(2)), net.group(ix(3)));
         assert!(!net.is_stub(ix(1)));
         assert!(net.is_stub(ix(3)));
+        // AS3 is a stub but has a sibling, AS1 is a tier-1: neither is a
+        // leaf.
+        assert!(topo.indices().all(|x| !net.is_leaf(x)));
+        let topo = topology_from_triples(&[
+            (1, 2, ProviderToCustomer),
+            (1, 3, ProviderToCustomer),
+            (2, 3, PeerToPeer),
+        ]);
+        let net = SimNet::new(&topo);
+        let ix = |n| topo.index_of(AsId::new(n)).unwrap();
+        assert!(!net.is_leaf(ix(1)));
+        assert!(
+            net.is_leaf(ix(2)) && net.is_leaf(ix(3)),
+            "peer links keep a leaf a leaf"
+        );
     }
 
     #[test]

@@ -12,12 +12,20 @@
 //!
 //! * origin hijacks (honest competition for the same prefix),
 //! * sub-prefix hijacks (no competition: empty baseline),
-//! * forged-origin hijacks (the attacker prepends the victim's ASN),
+//! * forged-origin hijacks (the attacker prepends the victim's ASN, or
+//!   that of an uninvolved AS),
 //!
 //! each under no filters, origin validation at random validators, and
-//! validators + defensive stub filtering — for both the paper policy and
-//! strict Gao-Rexford. Workspaces (full and delta) are shared across all
-//! scenarios of a case, so state leakage between runs would also fail.
+//! validators + defensive stub filtering — for the paper policy, strict
+//! Gao-Rexford, and the paper policy under a generation cap so small that
+//! the race truncates. Leaves (no customers, no siblings, not a tier-1),
+//! which the delta engine settles in closed form instead of stepping, are
+//! grown on purpose: multi-homed, peering with each other and with the
+//! core, and eligible as target, attacker, validator and forged origin.
+//! A baseline is also replayed under validator sets it was not built
+//! with, pinning that it depends on the target and stub defense only.
+//! Workspaces (full and delta) are shared across all scenarios of a case,
+//! so state leakage between runs would also fail.
 
 use proptest::prelude::*;
 
@@ -27,40 +35,76 @@ use bgpsim_routing::{
 };
 use bgpsim_topology::{AsId, AsIndex, LinkKind, Topology, TopologyBuilder};
 
-/// A random topology recipe, identical in shape to the one in
-/// `equivalence.rs`: provider links oriented small→large index keep the
-/// provider hierarchy acyclic, as Gao-Rexford stability requires.
+/// Most leaves a recipe grows; AS selectors range over the core plus this
+/// many, and wrap onto the ASes that exist.
+const MAX_LEAVES: u32 = 8;
+
+/// A random topology recipe: the core has the shape used in
+/// `equivalence.rs` (provider links oriented small→large index keep the
+/// provider hierarchy acyclic, as Gao-Rexford stability requires), and
+/// leaf `i` is appended at index `n + i`.
 #[derive(Debug, Clone)]
 struct Recipe {
     n: u32,
     p2c: Vec<(u32, u32)>,
     p2p: Vec<(u32, u32)>,
     s2s: Vec<(u32, u32)>,
+    /// Per leaf: two core providers (multi-homed unless they coincide) and
+    /// a peer selector — below `n` that core AS, otherwise another leaf.
+    leaves: Vec<(u32, u32, u32)>,
     target: u32,
     attacker: u32,
+    /// The origin a second forged injection claims.
+    claim: u32,
     validators: Vec<u32>,
+    /// A second validator set, replayed over baselines built without it.
+    revalidators: Vec<u32>,
+    /// A generation cap low enough to truncate the race.
+    max_generations: u32,
+}
+
+impl Recipe {
+    /// Resolves an AS selector onto the ASes the recipe builds.
+    fn pick(&self, selector: u32) -> AsIndex {
+        AsIndex::new(selector % (self.n + self.leaves.len() as u32))
+    }
 }
 
 fn arb_recipe() -> impl Strategy<Value = Recipe> {
     (4u32..24).prop_flat_map(|n| {
         let pair = (0..n, 0..n);
+        let any = 0..n + MAX_LEAVES;
         (
-            proptest::collection::vec(pair.clone(), 3..40),
-            proptest::collection::vec(pair.clone(), 0..12),
-            proptest::collection::vec(pair, 0..4),
-            0..n,
-            0..n,
-            proptest::collection::vec(0..n, 0..6),
+            (
+                proptest::collection::vec(pair.clone(), 3..40),
+                proptest::collection::vec(pair.clone(), 0..12),
+                proptest::collection::vec(pair, 0..4),
+                proptest::collection::vec((0..n, 0..n, any.clone()), 0..MAX_LEAVES as usize + 1),
+            ),
+            (any.clone(), any.clone(), any.clone()),
+            proptest::collection::vec(any.clone(), 0..6),
+            proptest::collection::vec(any, 0..6),
+            1u32..5,
         )
             .prop_map(
-                move |(p2c, p2p, s2s, target, attacker, validators)| Recipe {
+                move |(
+                    (p2c, p2p, s2s, leaves),
+                    (target, attacker, claim),
+                    validators,
+                    revalidators,
+                    max_generations,
+                )| Recipe {
                     n,
                     p2c,
                     p2p,
                     s2s,
+                    leaves,
                     target,
                     attacker,
+                    claim,
                     validators,
+                    revalidators,
+                    max_generations,
                 },
             )
     })
@@ -68,7 +112,8 @@ fn arb_recipe() -> impl Strategy<Value = Recipe> {
 
 fn build(recipe: &Recipe) -> Topology {
     let mut b = TopologyBuilder::new();
-    for i in 0..recipe.n {
+    let leaves = recipe.leaves.len() as u32;
+    for i in 0..recipe.n + leaves {
         b.add_as(AsId::new(i + 1));
     }
     for &(x, y) in &recipe.p2c {
@@ -92,6 +137,28 @@ fn build(recipe: &Recipe) -> Topology {
                 AsId::new(x + 1),
                 AsId::new(y + 1),
                 LinkKind::SiblingToSibling,
+            );
+        }
+    }
+    for (i, &(p1, p2, peer)) in recipe.leaves.iter().enumerate() {
+        let leaf = recipe.n + i as u32;
+        for p in [p1, p2] {
+            let _ = b.add_link(
+                AsId::new(p + 1),
+                AsId::new(leaf + 1),
+                LinkKind::ProviderToCustomer,
+            );
+        }
+        let peer = if peer < recipe.n {
+            peer
+        } else {
+            recipe.n + (peer - recipe.n) % leaves
+        };
+        if peer != leaf {
+            let _ = b.add_link(
+                AsId::new(leaf + 1),
+                AsId::new(peer + 1),
+                LinkKind::PeerToPeer,
             );
         }
     }
@@ -190,81 +257,121 @@ fn assert_delta_matches(
     Ok(())
 }
 
+/// The filter context protecting `target`.
+fn context<'a>(
+    target: AsIndex,
+    validators: Option<&'a AsSet>,
+    stub_defense: bool,
+) -> FilterContext<'a> {
+    FilterContext {
+        authorized_origin: Some(target),
+        validators,
+        stub_defense,
+    }
+}
+
 /// Runs the full scenario matrix for one recipe; shared by the property
 /// test and any future pinned regressions.
 fn assert_delta_equivalence(recipe: &Recipe) -> Result<(), TestCaseError> {
     let topo = build(recipe);
     let net = SimNet::new(&topo);
-    let target = AsIndex::new(recipe.target);
-    let attacker = AsIndex::new(recipe.attacker);
+    let target = recipe.pick(recipe.target);
+    let attacker = recipe.pick(recipe.attacker);
+    let claim = recipe.pick(recipe.claim);
     if target == attacker {
         return Ok(());
     }
-    let validators = AsSet::from_members(&topo, recipe.validators.iter().map(|&v| AsIndex::new(v)));
+    let set = |members: &[u32]| AsSet::from_members(&topo, members.iter().map(|&v| recipe.pick(v)));
+    let validators = set(&recipe.validators);
+    let revalidators = set(&recipe.revalidators);
     let contexts = [
         ("none", FilterContext::none()),
+        ("validators", context(target, Some(&validators), false)),
+        ("validators+stub", context(target, Some(&validators), true)),
+    ];
+    let policies = [
+        ("paper", PolicyConfig::paper()),
+        ("strict", PolicyConfig::strict_gao_rexford()),
         (
-            "validators",
-            FilterContext::origin_validation(target, &validators),
-        ),
-        (
-            "validators+stub",
-            FilterContext {
-                authorized_origin: Some(target),
-                validators: Some(&validators),
-                stub_defense: true,
+            "truncating",
+            PolicyConfig {
+                max_generations: recipe.max_generations,
+                ..PolicyConfig::paper()
             },
         ),
     ];
     // One workspace pair across ALL scenarios: reuse must not leak state.
     let mut ws = Workspace::new();
     let mut dws = DeltaWorkspace::new();
-    for policy in [PolicyConfig::paper(), PolicyConfig::strict_gao_rexford()] {
+    let honest = [Announcement::honest(target)];
+    // The origin hijack competes for the target's prefix; the forgeries
+    // claim the target's ASN, or a bystander's (which then rejects its own
+    // ASN on the path, leaf or not).
+    let mut injections = vec![
+        ("origin", Announcement::honest(attacker)),
+        ("forged", Announcement::forged(attacker, target)),
+    ];
+    if claim != attacker && claim != target {
+        injections.push(("forged-bystander", Announcement::forged(attacker, claim)));
+    }
+    for (policy_name, policy) in &policies {
         for (ctx_name, ctx) in &contexts {
-            let honest = [Announcement::honest(target)];
-            let baseline = Baseline::build(&net, &honest, ctx, &policy, &mut ws);
+            let baseline = Baseline::build(&net, &honest, ctx, policy, &mut ws);
             // The packed layout accounts its own storage: a recorded
             // schedule can only add to the empty footprint for the same
             // network.
-            prop_assert!(baseline.heap_bytes() >= Baseline::empty(&net, &policy).heap_bytes());
-            // Origin hijack: attacker competes for the target's prefix.
-            assert_delta_matches(
-                &net,
-                &baseline,
-                &honest,
-                Announcement::honest(attacker),
-                ctx,
-                &policy,
-                &mut ws,
-                &mut dws,
-                &format!("origin/{ctx_name}"),
-            )?;
-            // Forged-origin hijack: attacker claims the target's ASN.
-            assert_delta_matches(
-                &net,
-                &baseline,
-                &honest,
-                Announcement::forged(attacker, target),
-                ctx,
-                &policy,
-                &mut ws,
-                &mut dws,
-                &format!("forged/{ctx_name}"),
-            )?;
+            prop_assert!(baseline.heap_bytes() >= Baseline::empty(&net, policy).heap_bytes());
+            for &(kind, injection) in &injections {
+                assert_delta_matches(
+                    &net,
+                    &baseline,
+                    &honest,
+                    injection,
+                    ctx,
+                    policy,
+                    &mut ws,
+                    &mut dws,
+                    &format!("{kind}/{ctx_name}/{policy_name}"),
+                )?;
+            }
             // Sub-prefix hijack: the bogus more-specific prefix has no
             // honest competition — empty baseline, from-scratch oracle.
-            let empty = Baseline::empty(&net, &policy);
+            let empty = Baseline::empty(&net, policy);
             assert_delta_matches(
                 &net,
                 &empty,
                 &[],
                 Announcement::honest(attacker),
                 ctx,
-                &policy,
+                policy,
                 &mut ws,
                 &mut dws,
-                &format!("subprefix/{ctx_name}"),
+                &format!("subprefix/{ctx_name}/{policy_name}"),
             )?;
+        }
+        // A baseline does not depend on the validator set it was built
+        // under: origin validation never rejects the authorized origin.
+        for stub_defense in [false, true] {
+            let replayed = context(target, Some(&revalidators), stub_defense);
+            for (built_name, built_with) in [("none", None), ("others", Some(&validators))] {
+                let built = context(target, built_with, stub_defense);
+                let baseline = Baseline::build(&net, &honest, &built, policy, &mut ws);
+                for &(kind, injection) in &injections[..2] {
+                    assert_delta_matches(
+                        &net,
+                        &baseline,
+                        &honest,
+                        injection,
+                        &replayed,
+                        policy,
+                        &mut ws,
+                        &mut dws,
+                        &format!(
+                            "{kind}/revalidated from {built_name}, stub {stub_defense}/{policy_name}"
+                        ),
+                    )?;
+                }
+            }
         }
     }
     Ok(())
@@ -318,9 +425,13 @@ fn pinned_regression_sibling_laundered_multistability() {
         ],
         p2p: vec![(9, 2), (9, 0)],
         s2s: vec![(12, 4), (1, 10)],
+        leaves: vec![],
         target: 11,
         attacker: 0,
+        claim: 0,
         validators: vec![],
+        revalidators: vec![],
+        max_generations: 3,
     };
     assert_delta_equivalence(&recipe).unwrap();
 }

@@ -14,7 +14,8 @@ use std::time::Duration;
 
 use bgpsim_core::manifest::Json;
 use bgpsim_core::{ExperimentConfig, Lab};
-use bgpsim_hijack::{Attack, Defense};
+use bgpsim_fanout::client::Client;
+use bgpsim_hijack::{Attack, Defense, EngineChoice};
 use bgpsim_server::{spawn, ServerConfig, ServerHandle};
 use bgpsim_topology::gen::InternetParams;
 
@@ -328,24 +329,34 @@ fn full_queue_answers_429() {
     let addr = server.addr();
     let (_, healthz) = json(addr, "GET", "/v1/healthz", "");
     let target = num(get(get(&healthz, "cast"), "vulnerable_stub")) as u32;
-    // Undefended full-pool sweeps take the slow scratch path, so the
-    // single executor falls behind a burst of submissions and the
-    // one-deep queue must overflow. Submissions take ~µs, sweeps ~ms:
-    // absorbing all ten would need the executor to outrun the client.
+    // A full-pool sweep takes a millisecond or more and a submission on
+    // a kept-alive connection some tens of microseconds, so the one-deep
+    // queue overflows as soon as two submissions land while one sweep
+    // runs. When that happens is the scheduler's business: keep
+    // submitting until it does. (One connection per submission would pace
+    // the client to the accept loop's 10 ms idle poll — slower than the
+    // sweeps — and never overflow.)
     let body = format!("{{\"target\":{target},\"attackers\":\"all\"}}");
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
     let mut accepted = Vec::new();
-    let mut rejected = 0;
-    for _ in 0..10 {
-        let (status, response) = json(addr, "POST", "/v1/sweeps", &body);
+    let mut rejected = false;
+    for _ in 0..500 {
+        let (status, response) = client.request("POST", "/v1/sweeps", &body).expect("submit");
         match status {
-            202 => accepted.push(str_of(get(&response, "id")).to_string()),
-            429 => rejected += 1,
-            other => panic!("unexpected status {other}: {response:?}"),
+            202 => {
+                let response = Json::parse(&response).expect("submission JSON");
+                accepted.push(str_of(get(&response, "id")).to_string());
+            }
+            429 => {
+                rejected = true;
+                break;
+            }
+            other => panic!("unexpected status {other}: {response}"),
         }
     }
     assert!(
-        rejected > 0,
-        "ten instant submissions never overflowed the one-deep queue"
+        rejected,
+        "500 back-to-back submissions never overflowed the one-deep queue"
     );
     for id in &accepted {
         wait_done(addr, id);
@@ -529,11 +540,13 @@ fn batch_attacks_match_singles_with_per_item_errors() {
 
 #[test]
 fn concurrent_sweeps_make_joint_progress_under_fair_share() {
-    // A 1000-AS lab (vs the usual 300) makes each scratch attack slow
-    // enough that three full-pool sweeps visibly outlast the short job's
-    // poll loop on any machine.
+    // A 1000-AS lab (vs the usual 300) on the generation engine makes
+    // each attack slow enough that three full-pool sweeps outlast the
+    // short job's poll loop a hundredfold; raced closed-form they finish
+    // within a poll interval or two.
     let experiment = ExperimentConfig {
         params: InternetParams::sized(1000),
+        engine: EngineChoice::Generation,
         ..ExperimentConfig::quick()
     };
     let mut config = ServerConfig::new(experiment, "custom");
