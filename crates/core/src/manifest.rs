@@ -1,13 +1,12 @@
-//! Machine-readable run manifests and benchmark records.
+//! Machine-readable run manifests.
 //!
 //! Every `bgpsim` CLI run writes a `run_manifest.json` — the full
 //! configuration, per-figure wall time and telemetry counters, and the
 //! crate version — so any figure in `out/` can be traced back to the
-//! exact run that produced it, and a `BENCH_sweep.json` record so the
-//! performance trajectory across PRs stays visible.
+//! exact run that produced it.
 //!
-//! The vendored `serde` is a marker-trait stub (offline builds have no
-//! derive machinery), so this module carries its own minimal JSON value
+//! The workspace has no `serde` (offline builds have no derive
+//! machinery), so this module carries its own minimal JSON value
 //! type: [`Json`] covers exactly what manifests and the `bgpsim-server`
 //! wire format need, with RFC 8259 string escaping and deterministic
 //! (insertion-order) object keys. [`Json::parse`] is the matching
@@ -16,7 +15,6 @@
 //! `manifest_roundtrip` proptest pins this).
 
 use std::fmt::Write as _;
-use std::path::Path;
 
 use bgpsim_hijack::TelemetrySnapshot;
 
@@ -753,38 +751,6 @@ impl RunManifest {
     }
 }
 
-/// Appends `record` to a JSON-array file (creating `[record]` when the
-/// file is missing, empty, or not a well-formed array — a malformed file
-/// is started over rather than corrupted further).
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn append_json_record(path: &Path, record: &Json) -> std::io::Result<()> {
-    let rendered = record.render_compact();
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let trimmed = existing.trim();
-    let body = if let Some(prefix) = trimmed
-        .strip_suffix(']')
-        .filter(|_| trimmed.starts_with('['))
-    {
-        let prefix = prefix.trim_end();
-        if prefix == "[" {
-            format!("[\n  {rendered}\n]\n")
-        } else {
-            format!("{},\n  {rendered}\n]\n", prefix.trim_end_matches(','))
-        }
-    } else {
-        format!("[\n  {rendered}\n]\n")
-    };
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    std::fs::write(path, body)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -986,26 +952,5 @@ mod tests {
             assert_eq!(rendered, "null");
             assert_eq!(Json::parse(&rendered).unwrap(), Json::Null);
         }
-    }
-
-    #[test]
-    fn bench_append_grows_an_array() {
-        let dir = std::env::temp_dir().join("bgpsim-manifest-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("BENCH_sweep.json");
-        let rec1 = Json::obj([("run", Json::from(1u64))]);
-        let rec2 = Json::obj([("run", Json::from(2u64))]);
-        append_json_record(&path, &rec1).unwrap();
-        append_json_record(&path, &rec2).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(body, "[\n  {\"run\":1},\n  {\"run\":2}\n]\n");
-        // A malformed file is restarted, not corrupted further.
-        std::fs::write(&path, "not json").unwrap();
-        append_json_record(&path, &rec1).unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            "[\n  {\"run\":1}\n]\n"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,10 +22,10 @@
 //! microseconds under a strong deployment and a millisecond or two under
 //! a weak one. Outcomes are bit-identical on every route (the routing
 //! crate's `race_equivalence` and `delta_equivalence` suites pin this
-//! under both the paper policy and strict Gao-Rexford). The `sweep_delta`
-//! and `sweep_race` Criterion benches measure the regimes;
-//! [`EngineChoice`] overrides the adaptive route for debugging and
-//! ablation.
+//! under both the paper policy and strict Gao-Rexford). The benchmark
+//! harness (`benchmark/`) measures the regimes: `campaign_paper` is the
+//! race route, `campaign_defended` the delta route. [`EngineChoice`]
+//! overrides the adaptive route for debugging and ablation.
 
 use std::ops::DerefMut;
 use std::time::Instant;

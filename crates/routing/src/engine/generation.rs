@@ -15,7 +15,7 @@
 //! Adj-RIB-In change the AS re-selects and, if its best changed,
 //! re-exports in the next generation. These replacement/withdrawal rules
 //! are what make the converged state the *stable* routing solution rather
-//! than an artifact of message ordering — see `engine::stable` for the
+//! than an artifact of message ordering — see `engine::race` for the
 //! closed-form cross-check.
 //!
 //! * Preference: customer > peer > provider `LOCAL_PREF`, then shorter AS

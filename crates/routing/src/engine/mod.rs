@@ -1,29 +1,26 @@
 //! Propagation engines.
 //!
-//! Two independent implementations of the same routing semantics:
+//! One reference implementation of the routing semantics and two
+//! accelerators that must reproduce it bit for bit:
 //!
 //! * [`generation`] — the paper's step-wise message-passing simulator, with
 //!   full observability (per-generation message events) and support for the
-//!   tier-1 shortest-path rule.
-//! * [`stable`] — a closed-form label-setting solver for strict
-//!   Gao-Rexford policy, used as a fast path and as an independent oracle
-//!   in property tests.
-//!
-//! Plus two accelerators built on them: [`delta`] re-converges a frozen,
-//! already-converged state after injecting additional announcements,
-//! running only the perturbed frontier through the *same* message-passing
-//! mechanics (shared via the `RibState` seam inside [`generation`]); and
-//! [`race`] extends the closed-form approach to the paper policy
-//! (tier-1 shortest-path) by wrapping the label-setting pass in a small
-//! fixed-point over the tier-1 clique's selections, falling back to
-//! [`generation`] when that fixed point does not settle.
+//!   tier-1 shortest-path rule. It is the oracle every equivalence suite
+//!   compares against.
+//! * [`delta`] re-converges a frozen, already-converged state after
+//!   injecting additional announcements, running only the perturbed
+//!   frontier through the *same* message-passing mechanics (shared via the
+//!   `RibState` seam inside [`generation`]).
+//! * [`race`] computes the converged state in closed form: a label-setting
+//!   pass over `(class, length)` priorities, wrapped in a small fixed-point
+//!   over the tier-1 clique's selections for the paper policy (tier-1
+//!   shortest-path), falling back to [`generation`] when that fixed point
+//!   does not settle.
 
 pub mod delta;
 pub mod generation;
 pub mod race;
-pub mod stable;
 
 pub use delta::{propagate_delta, Baseline, DeltaResult, DeltaWorkspace};
 pub use generation::{propagate, propagate_announcements, Announcement, Workspace};
 pub use race::{solve_race, solve_race_observed, RaceWorkspace, DEFAULT_MAX_ROUNDS};
-pub use stable::solve;

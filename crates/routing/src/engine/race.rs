@@ -1,13 +1,14 @@
 //! Closed-form two-origin race solver for the paper policy.
 //!
-//! `engine::stable` computes the stable solution in one label-setting pass,
-//! but only under strict Gao-Rexford preference: the tier-1 shortest-path
-//! override ([`PolicyConfig::tier1_shortest_path`]) breaks the monotonicity
-//! that pass relies on — a tier-1 AS may prefer a short *provider-class*
-//! route over a longer customer route, so `(class, len)` priorities no
-//! longer settle in decreasing order everywhere. The break is confined to
-//! the handful of tier-1 nodes, though, which suggests a fixed-point
-//! decomposition:
+//! Under strict Gao-Rexford preference route preference strictly degrades
+//! along every export edge, so one label-setting (Dijkstra-style) pass over
+//! `(class, len)` priorities computes the stable solution. The tier-1
+//! shortest-path override ([`PolicyConfig::tier1_shortest_path`]) breaks the
+//! monotonicity that pass relies on — a tier-1 AS may prefer a short
+//! *provider-class* route over a longer customer route, so `(class, len)`
+//! priorities no longer settle in decreasing order everywhere. The break is
+//! confined to the handful of tier-1 nodes, though, which suggests a
+//! fixed-point decomposition:
 //!
 //! 1. **Freeze** every tier-1 AS's current selection (initially: none).
 //! 2. **One conditioned label-setting pass** over all other ASes. With
@@ -34,17 +35,17 @@
 //! by returning `None`; callers (see `bgpsim_hijack::Simulator`) then fall
 //! back to the generation engine, which is always correct.
 //!
-//! Unlike `engine::stable`, the pass needs per-ASN loop checks: frozen
-//! tier-1 routes carry paths from the previous round (whose ASNs are not
-//! settled in this pass), and forged-origin seeds carry the victim's ASN,
-//! so "receiver already settled" no longer implies "receiver not on the
-//! path". Paths live in a per-pass arena exactly like the generation
+//! Unlike a plain label-setting pass, this one needs per-ASN loop checks:
+//! frozen tier-1 routes carry paths from the previous round (whose ASNs are
+//! not settled in this pass), and forged-origin seeds carry the victim's
+//! ASN, so "receiver already settled" no longer implies "receiver not on
+//! the path". Paths live in a per-pass arena exactly like the generation
 //! engine's.
 //!
 //! Under strict Gao-Rexford the tier-1 variable set is empty, the first
-//! pass is unconditioned, and the solver converges in one round — it is
-//! then `engine::stable` plus loop checks (which never fire, since every
-//! path ASN is already settled when its export arrives).
+//! pass is unconditioned, and the solver converges in one round — the loop
+//! checks then never fire, since every path ASN is already settled when its
+//! export arrives.
 
 use bgpsim_topology::{AsIndex, Relationship};
 
@@ -967,24 +968,28 @@ mod tests {
     fn strict_gao_rexford_converges_in_one_round() {
         let t = topo();
         let net = SimNet::new(&t);
+        let announcements = [
+            Announcement::honest(ix(&t, 9)),
+            Announcement::honest(ix(&t, 8)),
+        ];
+        let policy = PolicyConfig::strict_gao_rexford();
         let p = solve_race(
             &net,
-            &[
-                Announcement::honest(ix(&t, 9)),
-                Announcement::honest(ix(&t, 8)),
-            ],
+            &announcements,
             &FilterContext::none(),
-            &PolicyConfig::strict_gao_rexford(),
+            &policy,
             DEFAULT_MAX_ROUNDS,
             &mut RaceWorkspace::new(),
         )
         .expect("no tier-1 variables: one pass settles everything");
         assert_eq!(p.stats().generations, 1, "one fixed-point round");
-        let expected = crate::engine::stable::solve(
+        let expected = propagate_announcements(
             &net,
-            &[ix(&t, 9), ix(&t, 8)],
+            &announcements,
             &FilterContext::none(),
-            &PolicyConfig::strict_gao_rexford(),
+            &policy,
+            &mut Workspace::new(),
+            &mut NullObserver,
         );
         assert_eq!(p.choices(), expected.choices());
     }

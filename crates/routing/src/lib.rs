@@ -13,10 +13,11 @@
 //! * Route-origin-validation filters and defensive stub filters
 //!   ([`FilterContext`]), the paper's §V prevention mechanisms.
 //!
-//! A second, closed-form engine ([`engine::stable`]) computes the stable
-//! solution directly under strict Gao-Rexford policy, and
-//! [`engine::race`] extends it to the paper policy via a tier-1
-//! fixed-point; property tests pin all engines to each other.
+//! Two accelerators reproduce that engine's outcome bit for bit:
+//! [`engine::race`] computes the converged state in closed form (a
+//! label-setting pass inside a tier-1 fixed point) and [`engine::delta`]
+//! re-converges only what an extra announcement perturbs; property tests
+//! pin both to the generation engine.
 //!
 //! # Quick start
 //!
@@ -55,7 +56,6 @@ mod route;
 pub use engine::delta::{propagate_delta, Baseline, DeltaResult, DeltaWorkspace};
 pub use engine::generation::{propagate, propagate_announcements, Announcement, Workspace};
 pub use engine::race::{solve_race, solve_race_observed, RaceWorkspace, DEFAULT_MAX_ROUNDS};
-pub use engine::stable::{solve, solve_observed};
 pub use filter::{AsSet, FilterContext};
 pub use net::SimNet;
 pub use observer::{

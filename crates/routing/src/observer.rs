@@ -72,8 +72,8 @@ pub trait Observer {
 
     /// The propagation converged (or hit its generation cap). Called once
     /// per engine run with the final counters — by the generation engine,
-    /// the delta engine, and [`crate::engine::stable::solve_observed`]
-    /// alike, so a collector sees every run regardless of dispatch.
+    /// the delta engine and [`crate::solve_race_observed`] alike, so a
+    /// collector sees every run regardless of dispatch.
     fn on_converged(&mut self, stats: &ConvergenceStats) {
         let _ = stats;
     }
@@ -115,8 +115,8 @@ pub struct EngineTelemetry {
     pub runs: u64,
     /// Total announcements delivered across all runs.
     pub messages: u64,
-    /// Announcements that changed some AS's best route. The stable solver
-    /// reports its settled-AS count here (it delivers no messages).
+    /// Announcements that changed some AS's best route. The race solver
+    /// reports its routed-AS count here (it delivers no messages).
     pub accepted: u64,
     /// Announcements rejected by the AS-path loop check.
     pub loop_rejected: u64,

@@ -1,18 +1,18 @@
-//! Property tests pinning the two engines to each other and to the
-//! valley-free invariants.
+//! Property tests pinning the generation engine (`engine::generation`) to
+//! the invariants of the routing model: valley-free selections,
+//! deterministic replay, validator immunity and path-length consistency.
 //!
-//! The message-passing engine (`engine::generation`) and the label-setting
-//! solver (`engine::stable`) implement the same semantics by entirely
-//! different algorithms; under strict Gao-Rexford policy they must agree
-//! exactly, AS by AS. Random DAG-structured topologies (guaranteed by
-//! drawing provider links from higher to lower fresh indices) exercise
-//! multi-homing, peering, siblings, dual origins and filters.
+//! Random DAG-structured topologies (guaranteed by drawing provider links
+//! from higher to lower fresh indices) exercise multi-homing, peering,
+//! siblings, dual origins and filters. Agreement between engines is pinned
+//! by `race_equivalence.rs` and `delta_equivalence.rs`, which compare the
+//! closed-form and incremental engines against this one over the same
+//! recipe shape.
 
 use proptest::prelude::*;
 
 use bgpsim_routing::{
-    propagate, solve, AsSet, FilterContext, NullObserver, PolicyConfig, PrefClass, SimNet,
-    Workspace,
+    propagate, AsSet, FilterContext, NullObserver, PolicyConfig, PrefClass, SimNet, Workspace,
 };
 use bgpsim_topology::{AsId, AsIndex, LinkKind, Topology, TopologyBuilder};
 
@@ -90,77 +90,8 @@ fn build(recipe: &Recipe) -> Topology {
     b.build().expect("non-empty")
 }
 
-/// Runs the full engine-agreement check (all three filter contexts) for
-/// one recipe; shared by the property test and the pinned regressions.
-fn assert_engines_agree(recipe: &Recipe) -> Result<(), TestCaseError> {
-    let topo = build(recipe);
-    let net = SimNet::new(&topo);
-    let policy = PolicyConfig::strict_gao_rexford();
-    let a = AsIndex::new(recipe.origin_a);
-    let b = AsIndex::new(recipe.origin_b);
-    let mut origins = vec![a];
-    if b != a {
-        origins.push(b);
-    }
-    let validators = AsSet::from_members(&topo, recipe.validators.iter().map(|&v| AsIndex::new(v)));
-    let contexts = [
-        FilterContext::none(),
-        FilterContext::origin_validation(a, &validators),
-        FilterContext {
-            authorized_origin: Some(a),
-            validators: Some(&validators),
-            stub_defense: true,
-        },
-    ];
-    let mut ws = Workspace::new();
-    for ctx in &contexts {
-        let dynamic = propagate(&net, &origins, ctx, &policy, &mut ws, &mut NullObserver);
-        prop_assert!(
-            !dynamic.stats().truncated,
-            "no convergence on a GR topology"
-        );
-        let closed = solve(&net, &origins, ctx, &policy);
-        for ix in topo.indices() {
-            prop_assert_eq!(
-                dynamic.choice(ix),
-                closed.choice(ix),
-                "divergence at {} (ctx stub_defense={})",
-                topo.id_of(ix),
-                ctx.stub_defense
-            );
-        }
-    }
-    Ok(())
-}
-
-/// The checked-in regression from `equivalence.proptest-regressions`,
-/// pinned explicitly: a sibling chain 11–13–16–1 closed into a cycle by
-/// the provider edge 1→11, with the origin below the chain at 14. The
-/// shrunk value is kept verbatim so the case survives RNG changes.
-#[test]
-fn pinned_regression_sibling_chain_cycle() {
-    let recipe = Recipe {
-        n: 19,
-        p2c: vec![(11, 14), (1, 11), (0, 0)],
-        p2p: vec![],
-        s2s: vec![(11, 13), (13, 16), (1, 16)],
-        origin_a: 2,
-        origin_b: 14,
-        validators: vec![],
-    };
-    assert_engines_agree(&recipe).unwrap();
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// The message-passing engine and the stable solver agree exactly
-    /// under strict Gao-Rexford policy — single origin, dual origin, with
-    /// and without filters.
-    #[test]
-    fn engines_agree_under_strict_gao_rexford(recipe in arb_recipe()) {
-        assert_engines_agree(&recipe)?;
-    }
 
     /// Every selected route is valley-free: once a path goes over a peer
     /// link or down a provider→customer link, it never goes up or across

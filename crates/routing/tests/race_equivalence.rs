@@ -18,7 +18,9 @@
 //! leakage between runs would also fail. The sibling-laundered
 //! multistability seed from the delta suite is pinned here too — it is the
 //! known stress case for the tier-1 fixed point (the paper policy admits
-//! two stable states there, and only the raced one is correct).
+//! two stable states there, and only the raced one is correct) — as is the
+//! sibling-chain cycle that once separated the generation engine from a
+//! plain label-setting solver under strict Gao-Rexford.
 
 use proptest::prelude::*;
 
@@ -143,6 +145,11 @@ fn assert_race_matches(
             raced.stats().generations,
             1,
             "[{}] strict Gao-Rexford must settle in one fixed-point round",
+            label
+        );
+        prop_assert!(
+            !full.stats().truncated,
+            "[{}] the generation engine must converge on a Gao-Rexford topology",
             label
         );
     }
@@ -277,6 +284,27 @@ fn pinned_regression_sibling_laundered_multistability() {
         validators: vec![],
     };
     assert_race_equivalence(&recipe).unwrap();
+}
+
+/// Pinned regression carried over from the retired stable-solver suite
+/// (`equivalence.rs::engines_agree_under_strict_gao_rexford`): a sibling
+/// chain 11–13–16–1 closed into a cycle by the provider edge 1→11, with
+/// one origin below the chain at 14 and the other (2) isolated. The shrunk
+/// value is kept verbatim so the case survives RNG changes; every solve of
+/// the matrix must converge, the strict Gao-Rexford half in one round.
+#[test]
+fn pinned_regression_sibling_chain_cycle() {
+    let recipe = Recipe {
+        n: 19,
+        p2c: vec![(11, 14), (1, 11), (0, 0)],
+        p2p: vec![],
+        s2s: vec![(11, 13), (13, 16), (1, 16)],
+        target: 2,
+        attacker: 14,
+        validators: vec![],
+    };
+    let (solves, converged) = assert_race_equivalence(&recipe).unwrap();
+    assert_eq!((solves, converged), (18, 18));
 }
 
 proptest! {

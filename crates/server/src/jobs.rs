@@ -233,20 +233,36 @@ struct Partial {
     stream: Option<StreamOutput>,
 }
 
-/// Orders cache outcomes coldest-last so a job's overall `meta.cache`
-/// reports the most expensive thing that happened to it: one missed chunk
-/// makes the whole sweep a `"miss"` even though later chunks hit.
+/// Every name a job's `meta.cache` can carry, with its rank. Ranks order
+/// outcomes coldest-last so a job reports the most expensive thing that
+/// happened to it: one missed chunk makes the whole sweep a `"miss"` even
+/// though later chunks hit. `"fanout"` marks a sweep dealt to remote
+/// workers: no local cache story at all, but still worth surfacing over
+/// the `"bypass"` default (a fanout job runs as one whole-pool chunk, so it
+/// never competes with real cache outcomes).
+///
+/// [`JobRegistry::finish_chunk`] admits a name only through [`cache_rank`]
+/// and restore resolves the persisted string through [`cache_name`], so a
+/// name a job can finish with is by construction one restore accepts.
+const CACHE_NAMES: [(&str, u8); 5] = [
+    ("bypass", 0),
+    ("hit", 1),
+    ("fanout", 1),
+    ("coalesced", 2),
+    ("miss", 3),
+];
+
+/// The [`CACHE_NAMES`] entry for `name`, if it is one.
+fn cache_name(name: &str) -> Option<(&'static str, u8)> {
+    CACHE_NAMES
+        .iter()
+        .copied()
+        .find(|&(known, _)| known == name)
+}
+
+/// Rank of a cache outcome (unknown names rank with `"bypass"`).
 fn cache_rank(name: &str) -> u8 {
-    match name {
-        "miss" => 3,
-        "coalesced" => 2,
-        // "fanout" marks a sweep dealt to remote workers: no local cache
-        // story at all, but still worth surfacing over the "bypass"
-        // default (a fanout job runs as one whole-pool chunk, so it
-        // never competes with real cache outcomes).
-        "hit" | "fanout" => 1,
-        _ => 0, // bypass
-    }
+    cache_name(name).map_or(0, |(_, rank)| rank)
 }
 
 /// One submitted job.
@@ -349,9 +365,32 @@ impl Job {
     }
 
     /// When the first chunk of this job was dispatched (`None` while
-    /// queued). The executor derives job-level elapsed/ETA from this.
+    /// queued).
     pub fn started_at(&self) -> Option<Instant> {
         *lock_recover(&self.started)
+    }
+
+    /// The job's progress tick: `tick(n)` records `n` more finished work
+    /// units and refreshes `elapsed_ms` and `eta_ms` (elapsed × remaining /
+    /// done). Job-level, not chunk-level — several chunks of one job may
+    /// tick concurrently from different executors. The start instant and
+    /// the total are read once here, so a tick takes no lock.
+    pub fn progress_ticker(&self) -> impl Fn(usize) + '_ {
+        let started_at = self.started_at();
+        let total = self.total.load(Ordering::Relaxed);
+        move |n| {
+            let done = self.completed.fetch_add(n, Ordering::Relaxed) + n;
+            if let Some(started) = started_at {
+                let elapsed_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
+                self.elapsed_ms.store(elapsed_ms, Ordering::Relaxed);
+                let eta_ms = if done == 0 || done > total {
+                    ETA_UNKNOWN
+                } else {
+                    elapsed_ms.saturating_mul((total - done) as u64) / done as u64
+                };
+                self.eta_ms.store(eta_ms, Ordering::Relaxed);
+            }
+        }
     }
 }
 
@@ -1002,13 +1041,7 @@ fn output_from_doc(doc: &Json, expect_counts: Option<usize>) -> Option<JobOutput
         return None;
     }
     let cache = match doc_get(output, "cache")? {
-        Json::Str(s) => match s.as_str() {
-            "hit" => "hit",
-            "miss" => "miss",
-            "coalesced" => "coalesced",
-            "bypass" => "bypass",
-            _ => return None,
-        },
+        Json::Str(s) => cache_name(s)?.0,
         _ => return None,
     };
     let wall_ms = doc_u64(output, "wall_ms")?;
@@ -1544,33 +1577,37 @@ mod tests {
 
     #[test]
     fn terminal_jobs_survive_restart() {
-        let dir = scratch_dir("restart");
-        let counts;
-        {
-            let (registry, report) = JobRegistry::with_state_dir(4, Some(dir.clone()));
-            assert_eq!(report, RestoreReport::default());
-            registry.submit(spec()).unwrap();
-            let chunk = registry.next_chunk().unwrap();
-            registry.finish_chunk(&chunk, &[7, 9], "miss");
-            counts = vec![7, 9];
-            assert_eq!(registry.scheduler_stats().jobs_persisted, 1);
-        }
-        let (registry, report) = JobRegistry::with_state_dir(4, Some(dir.clone()));
-        assert_eq!(report.restored, 1);
-        assert_eq!(report.quarantined, 0);
-        let job = registry.get(1).expect("restored job answers by id");
-        assert!(job.restored);
-        job.with_state(|s| match s {
-            JobState::Done(output) => {
-                assert_eq!(output.counts, counts);
-                assert_eq!(output.cache, "miss");
+        // Every outcome a sweep can finish with, "fanout" (a coordinator
+        // with --state-dir) included, must restore rather than quarantine.
+        for (cache, _) in CACHE_NAMES {
+            let dir = scratch_dir("restart");
+            let counts;
+            {
+                let (registry, report) = JobRegistry::with_state_dir(4, Some(dir.clone()));
+                assert_eq!(report, RestoreReport::default());
+                registry.submit(spec()).unwrap();
+                let chunk = registry.next_chunk().unwrap();
+                registry.finish_chunk(&chunk, &[7, 9], cache);
+                counts = vec![7, 9];
+                assert_eq!(registry.scheduler_stats().jobs_persisted, 1);
             }
-            other => panic!("expected done, got {}", other.name()),
-        });
-        // Ids keep growing past the restored ones.
-        let fresh = registry.submit(spec()).unwrap();
-        assert_eq!(fresh.id, 2);
-        let _ = std::fs::remove_dir_all(&dir);
+            let (registry, report) = JobRegistry::with_state_dir(4, Some(dir.clone()));
+            assert_eq!(report.restored, 1, "{cache}");
+            assert_eq!(report.quarantined, 0, "{cache}");
+            let job = registry.get(1).expect("restored job answers by id");
+            assert!(job.restored);
+            job.with_state(|s| match s {
+                JobState::Done(output) => {
+                    assert_eq!(output.counts, counts);
+                    assert_eq!(output.cache, cache);
+                }
+                other => panic!("expected done, got {}", other.name()),
+            });
+            // Ids keep growing past the restored ones.
+            let fresh = registry.submit(spec()).unwrap();
+            assert_eq!(fresh.id, 2);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ use bgpsim_hijack::{Simulator, SweepMonitor, SweepProgress, SweepTelemetry};
 
 use cache::{BaselineCache, BaselineKey};
 use http::{HttpConn, ReadOutcome, Response};
-use jobs::{Chunk, Job, JobRegistry, JobSpec, StreamOutput, StreamSpec, ETA_UNKNOWN};
+use jobs::{Chunk, Job, JobRegistry, JobSpec, StreamOutput, StreamSpec};
 use metrics::ServerMetrics;
 
 /// How long the accept loop sleeps between polls when no connection is
@@ -414,24 +414,8 @@ fn run_sweep_chunk(
             }
         }
     }
-    let started_at = job.started_at();
-    let total = job.total.load(Ordering::Relaxed);
-    let progress = |_p: SweepProgress| {
-        // Job-level progress, not chunk-level: several chunks of this job
-        // may tick concurrently from different executors.
-        let done = job.completed.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(started) = started_at {
-            let elapsed = started.elapsed();
-            let elapsed_ms = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
-            job.elapsed_ms.store(elapsed_ms, Ordering::Relaxed);
-            let eta_ms = if done == 0 || done > total {
-                ETA_UNKNOWN
-            } else {
-                elapsed_ms.saturating_mul((total - done) as u64) / done as u64
-            };
-            job.eta_ms.store(eta_ms, Ordering::Relaxed);
-        }
-    };
+    let tick = job.progress_ticker();
+    let progress = |_p: SweepProgress| tick(1);
     let monitor = SweepMonitor::none()
         .with_telemetry(&state.telemetry)
         .with_progress(&progress)
@@ -466,13 +450,12 @@ fn run_sweep_chunk(
 
 /// Ticks a [`Job`]'s progress and shard atomics from coordinator
 /// callbacks, and routes the job's cancel flag into the fan-out run.
-struct JobShardObserver<'j> {
+struct JobShardObserver<'j, F> {
     job: &'j Job,
-    started_at: Option<Instant>,
-    total: usize,
+    tick: F,
 }
 
-impl SweepObserver for JobShardObserver<'_> {
+impl<F: Fn(usize) + Sync> SweepObserver for JobShardObserver<'_, F> {
     fn on_plan(&self, shards: usize) {
         self.job
             .shards_total
@@ -483,17 +466,7 @@ impl SweepObserver for JobShardObserver<'_> {
         self.job.shards_done.fetch_add(1, Ordering::Relaxed);
         // Progress advances a whole shard at a time: coarser ticks than
         // the local per-attack closure, same completed/ETA contract.
-        let done = self.job.completed.fetch_add(attackers, Ordering::Relaxed) + attackers;
-        if let Some(started) = self.started_at {
-            let elapsed_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-            self.job.elapsed_ms.store(elapsed_ms, Ordering::Relaxed);
-            let eta_ms = if done == 0 || done > self.total {
-                ETA_UNKNOWN
-            } else {
-                elapsed_ms.saturating_mul((self.total - done) as u64) / done as u64
-            };
-            self.job.eta_ms.store(eta_ms, Ordering::Relaxed);
-        }
+        (self.tick)(attackers);
     }
 
     fn on_retry(&self) {
@@ -519,8 +492,7 @@ fn run_fanout_chunk(
 ) -> Result<Vec<u32>, FanoutError> {
     let observer = JobShardObserver {
         job,
-        started_at: job.started_at(),
-        total: job.total.load(Ordering::Relaxed),
+        tick: job.progress_ticker(),
     };
     let request = SweepRequest {
         target_asn: spec.target_asn,
@@ -551,8 +523,7 @@ fn run_stream_chunk(state: &ServerState<'_>, job: &Job, spec: &StreamSpec) -> St
     ];
     let mut detector =
         StreamDetector::new(&state.sim, &sets, &spec.plan, DetectorMode::Incremental);
-    let started_at = job.started_at();
-    let total = job.total.load(Ordering::Relaxed);
+    let tick = job.progress_ticker();
     let mut processed = 0u64;
     for event in &spec.plan.events {
         if job.cancel.load(Ordering::Relaxed) {
@@ -564,17 +535,7 @@ fn run_stream_chunk(state: &ServerState<'_>, job: &Job, spec: &StreamSpec) -> St
         }
         processed += 1;
         state.metrics.stream_event();
-        let done = job.completed.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(started) = started_at {
-            let elapsed_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-            job.elapsed_ms.store(elapsed_ms, Ordering::Relaxed);
-            let eta_ms = if done == 0 || done > total {
-                ETA_UNKNOWN
-            } else {
-                elapsed_ms.saturating_mul((total - done) as u64) / done as u64
-            };
-            job.eta_ms.store(eta_ms, Ordering::Relaxed);
-        }
+        tick(1);
     }
     let records = detector.finish();
     let latencies: Vec<u64> = records.iter().filter_map(|h| h.latency()).collect();

@@ -396,31 +396,6 @@ impl Topology {
         }
         b
     }
-
-    /// Converts the topology into a [`petgraph`] undirected graph whose node
-    /// weights are ASNs and edge weights are [`LinkKind`]s (from the
-    /// lower-index endpoint's perspective).
-    ///
-    /// Useful for interop with generic graph algorithms; the simulation hot
-    /// paths in this workspace use the CSR representation directly.
-    pub fn to_petgraph(&self) -> petgraph::graph::UnGraph<AsId, LinkKind> {
-        let mut g = petgraph::graph::UnGraph::with_capacity(self.num_ases(), self.num_links());
-        let nodes: Vec<_> = self.ids().map(|id| g.add_node(id)).collect();
-        for ix in self.indices() {
-            for nb in self.neighbors(ix) {
-                let kind = match nb.rel {
-                    Relationship::Customer => LinkKind::ProviderToCustomer,
-                    Relationship::Peer if nb.index.raw() > ix.raw() => LinkKind::PeerToPeer,
-                    Relationship::Sibling if nb.index.raw() > ix.raw() => {
-                        LinkKind::SiblingToSibling
-                    }
-                    _ => continue,
-                };
-                g.add_edge(nodes[ix.usize()], nodes[nb.index.usize()], kind);
-            }
-        }
-        g
-    }
 }
 
 #[cfg(test)]
@@ -544,16 +519,6 @@ mod tests {
             assert_eq!(t.id_of(ix), t2.id_of(ix));
             assert_eq!(t.neighbors(ix), t2.neighbors(ix));
         }
-    }
-
-    #[test]
-    fn petgraph_conversion_counts_match() {
-        let t = diamond();
-        let g = t.to_petgraph();
-        assert_eq!(g.node_count(), t.num_ases());
-        assert_eq!(g.edge_count(), t.num_links());
-        // Connectivity check via petgraph as an independent oracle.
-        assert_eq!(petgraph::algo::connected_components(&g), 1);
     }
 
     #[test]

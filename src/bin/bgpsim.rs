@@ -3,7 +3,7 @@
 //! Runs any subset of the paper's figures at a chosen scale and writes
 //! the artifacts plus a machine-readable `run_manifest.json` (full
 //! configuration, per-figure wall time and telemetry counters, crate
-//! version) and a `BENCH_sweep.json` append-only performance record.
+//! version).
 //!
 //! ```text
 //! bgpsim run --all --scale quick --out out
@@ -15,7 +15,7 @@
 use std::io::IsTerminal;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 use bgpsim::detection::ProbeSet;
 use bgpsim::experiments;
@@ -24,8 +24,7 @@ use bgpsim::fanout::{
 };
 use bgpsim::hijack::{EngineChoice, SweepMonitor, SweepProgress, SweepTelemetry};
 use bgpsim::manifest::{
-    append_json_record, FanoutManifest, FanoutWorkerRecord, FigureRecord, Json, RunManifest,
-    SCHEMA_VERSION,
+    FanoutManifest, FanoutWorkerRecord, FigureRecord, Json, RunManifest, SCHEMA_VERSION,
 };
 use bgpsim::stream::{run_stream, DetectorMode, StreamConfig, StreamOutcome, StreamPlan};
 use bgpsim::viz::ProgressLine;
@@ -73,7 +72,8 @@ RUN OPTIONS:
     --no-progress     suppress the stderr progress line
 
 Artifacts land in DIR together with run_manifest.json (see DESIGN.md
-for the schema) and an appended BENCH_sweep.json record.
+for the schema). Per-figure wall times are in the manifest; no separate
+bench-record file is written to DIR any more (benchmark/run.sh measures).
 
 Run `bgpsim stream --help` for the stream options, `bgpsim serve --help`
 for the service options, and `bgpsim fanout --help` for fleet sweeps.";
@@ -84,8 +84,8 @@ bgpsim stream — ARTEMIS-style live update stream with incremental detection
 Generates a seeded interleave of benign churn (defense flips, target
 re-announcements) and ground-truth hijack injections, then detects
 incrementally: one cached baseline per tracked target, delta-cone replay
-per event. Writes stream_manifest.json (summary + windowed series
-aggregates) and appends a throughput record to BENCH_sweep.json.
+per event. Writes stream_manifest.json (summary, throughput and windowed
+series aggregates); no separate bench-record file is written any more.
 
 USAGE:
     bgpsim stream [OPTIONS]
@@ -177,9 +177,9 @@ OPTIONS:
     --jobs N          local worker threads for the fallback path [0]
     --out DIR         output directory [out]
 
-Writes fig2.svg + fig2.csv, a run_manifest.json with a `fanout` section
-(per-worker dispatch counters, retries, hedges), and appends a
-`cli-fanout` record to BENCH_sweep.json. See DESIGN.md §17.";
+Writes fig2.svg + fig2.csv and a run_manifest.json with a `fanout`
+section (per-worker dispatch counters, retries, hedges); no separate
+bench-record file is written any more. See DESIGN.md §17.";
 
 struct RunOptions {
     figures: Vec<String>,
@@ -663,17 +663,10 @@ fn fanout(opts: &FanoutOptions) -> ExitCode {
         eprintln!("error: cannot write {}: {e}", manifest_path.display());
         return ExitCode::FAILURE;
     }
-    let bench_path = opts.out.join("BENCH_sweep.json");
-    if let Err(e) = append_json_record(&bench_path, &fanout_bench_record(opts, &manifest, wall_ms))
-    {
-        eprintln!("error: cannot append to {}: {e}", bench_path.display());
-        return ExitCode::FAILURE;
-    }
     eprintln!(
-        "fanout run complete in {:.1}s: {} + {}",
+        "fanout run complete in {:.1}s: {}",
         total_wall_ms / 1e3,
-        manifest_path.display(),
-        bench_path.display()
+        manifest_path.display()
     );
     ExitCode::SUCCESS
 }
@@ -699,37 +692,6 @@ fn fanout_manifest(stats: &FanoutStats) -> FanoutManifest {
         shards_retried: stats.shards_retried,
         shards_hedged: stats.shards_hedged,
     }
-}
-
-/// One fan-out entry for `BENCH_sweep.json`: the sharded fig2 wall time,
-/// scale-qualified so the CI regression guard never compares presets.
-fn fanout_bench_record(opts: &FanoutOptions, manifest: &RunManifest, fig2_wall_ms: f64) -> Json {
-    let unix_time = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let fanout = manifest.fanout.as_ref().expect("fanout manifest present");
-    Json::obj([
-        ("unix_time", Json::from(unix_time)),
-        ("source", Json::str("cli-fanout")),
-        ("version", Json::str(&manifest.version)),
-        ("scale", Json::str(&manifest.scale)),
-        ("seed", Json::from(manifest.seed)),
-        ("num_ases", Json::from(manifest.num_ases)),
-        ("workers", Json::from(fanout.workers.len())),
-        ("shards_total", Json::from(fanout.shards_total)),
-        ("shards_retried", Json::from(fanout.shards_retried)),
-        ("shards_hedged", Json::from(fanout.shards_hedged)),
-        ("wall_ms", Json::Num(fig2_wall_ms)),
-        ("total_wall_ms", Json::Num(manifest.total_wall_ms)),
-        (
-            "bench_ms",
-            Json::obj([(
-                format!("fanout/{}_fig2_wall_ms", opts.scale),
-                Json::Num(fig2_wall_ms),
-            )]),
-        ),
-    ])
 }
 
 fn stream(opts: &StreamOptions) -> ExitCode {
@@ -816,17 +778,10 @@ fn stream(opts: &StreamOptions) -> ExitCode {
         eprintln!("error: cannot write {}: {e}", manifest_path.display());
         return ExitCode::FAILURE;
     }
-    let bench_path = opts.out.join("BENCH_sweep.json");
-    let record = stream_bench_record(opts, &lab, &outcome, wall_ms, events_per_sec);
-    if let Err(e) = append_json_record(&bench_path, &record) {
-        eprintln!("error: cannot append to {}: {e}", bench_path.display());
-        return ExitCode::FAILURE;
-    }
     eprintln!(
-        "stream complete in {:.1}s: {} + {}",
+        "stream complete in {:.1}s: {}",
         started.elapsed().as_secs_f64(),
-        manifest_path.display(),
-        bench_path.display()
+        manifest_path.display()
     );
     ExitCode::SUCCESS
 }
@@ -915,45 +870,6 @@ fn stream_manifest(
             ]),
         ),
         ("series", Json::Arr(series)),
-    ])
-}
-
-/// One stream entry for `BENCH_sweep.json`. The `bench_ms` key is
-/// milliseconds per 1000 events (lower is better) and is scale-qualified
-/// so the CI regression guard never compares across presets.
-fn stream_bench_record(
-    opts: &StreamOptions,
-    lab: &Lab,
-    outcome: &StreamOutcome,
-    wall_ms: f64,
-    events_per_sec: f64,
-) -> Json {
-    let summary = outcome.summary();
-    let unix_time = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let ms_per_1k = wall_ms * 1e3 / summary.events as f64;
-    Json::obj([
-        ("unix_time", Json::from(unix_time)),
-        ("source", Json::str("cli-stream")),
-        ("version", Json::str(env!("CARGO_PKG_VERSION"))),
-        ("scale", Json::str(&opts.scale)),
-        ("seed", Json::from(lab.config().seed)),
-        ("engine", Json::str(lab.config().engine.name())),
-        ("num_ases", Json::from(lab.topology().num_ases())),
-        ("events", Json::from(summary.events)),
-        ("injected", Json::from(summary.injected)),
-        ("detected", Json::from(summary.detected)),
-        ("wall_ms", Json::Num(wall_ms)),
-        ("events_per_sec", Json::Num(events_per_sec)),
-        (
-            "bench_ms",
-            Json::obj([(
-                format!("stream/{}_per_1k_events", opts.scale),
-                Json::Num(ms_per_1k),
-            )]),
-        ),
     ])
 }
 
@@ -1049,16 +965,10 @@ fn run(opts: &RunOptions) -> ExitCode {
         eprintln!("error: cannot write {}: {e}", manifest_path.display());
         return ExitCode::FAILURE;
     }
-    let bench_path = opts.out.join("BENCH_sweep.json");
-    if let Err(e) = append_json_record(&bench_path, &bench_record(&manifest)) {
-        eprintln!("error: cannot append to {}: {e}", bench_path.display());
-        return ExitCode::FAILURE;
-    }
     eprintln!(
-        "run complete in {:.1}s: {} + {}",
+        "run complete in {:.1}s: {}",
         total_wall_ms / 1e3,
-        manifest_path.display(),
-        bench_path.display()
+        manifest_path.display()
     );
     ExitCode::SUCCESS
 }
@@ -1109,33 +1019,4 @@ fn run_one(
         }
         other => unreachable!("figure id {other:?} validated in parse_run"),
     })
-}
-
-/// One `BENCH_sweep.json` entry: enough to chart wall time across runs.
-fn bench_record(manifest: &RunManifest) -> Json {
-    let unix_time = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    Json::obj([
-        ("unix_time", Json::from(unix_time)),
-        ("version", Json::str(&manifest.version)),
-        ("scale", Json::str(&manifest.scale)),
-        ("seed", Json::from(manifest.seed)),
-        ("attacker_stride", Json::from(manifest.attacker_stride)),
-        ("engine", Json::str(&manifest.engine)),
-        ("jobs", Json::from(manifest.jobs)),
-        ("num_ases", Json::from(manifest.num_ases)),
-        ("total_wall_ms", Json::Num(manifest.total_wall_ms)),
-        (
-            "figures",
-            Json::Obj(
-                manifest
-                    .figures
-                    .iter()
-                    .map(|f| (f.id.clone(), Json::Num(f.wall_ms)))
-                    .collect(),
-            ),
-        ),
-    ])
 }
