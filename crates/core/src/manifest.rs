@@ -605,6 +605,7 @@ pub fn telemetry_json(snapshot: &TelemetrySnapshot) -> Json {
         ("skipped", Json::from(snapshot.skipped)),
         ("cone_sum", Json::from(snapshot.cone_sum)),
         ("cone_max", Json::from(snapshot.cone_max)),
+        ("replays_abandoned", Json::from(snapshot.replays_abandoned)),
         ("wall_hist_us_log2", Json::Arr(hist)),
     ])
 }
@@ -823,11 +824,13 @@ mod tests {
         snapshot.wall_hist[2] = 7;
         snapshot.baseline_bytes = 2048;
         snapshot.baseline_bytes_peak = 1024;
+        snapshot.replays_abandoned = 3;
         let s = telemetry_json(&snapshot).render_compact();
         assert!(s.contains("\"wall_hist_us_log2\":[0,0,7]"), "{s}");
         assert!(s.contains("\"engine\":{"));
         assert!(s.contains("\"baseline_bytes\":2048"), "{s}");
         assert!(s.contains("\"baseline_bytes_peak\":1024"), "{s}");
+        assert!(s.contains("\"replays_abandoned\":3"), "{s}");
     }
 
     #[test]

@@ -17,10 +17,14 @@
 //! attacker's routes, all attacks against one target share the target's
 //! honest convergence: [`Simulator::baseline_for`] builds one [`Baseline`]
 //! (converged state plus recorded message schedule), shared read-only
-//! across rayon workers, and [`propagate_delta`] re-converges only the
-//! attacker's contamination cone — the §V regime, where an attack costs
-//! microseconds under a strong deployment and a millisecond or two under
-//! a weak one. Outcomes are bit-identical on every route (the routing
+//! across rayon workers, and [`propagate_delta_budgeted`] re-converges
+//! only the attacker's contamination cone — the §V regime, where an
+//! attack costs microseconds under a strong deployment. Under a weak one
+//! some cones run to thousands of ASes and a replay would cost more than
+//! racing from scratch, so the replay carries a cone budget: past it the
+//! executor abandons the replay and finishes the attack on the race
+//! solver, inside the same route. Outcomes are bit-identical on every
+//! route (the routing
 //! crate's `race_equivalence` and `delta_equivalence` suites pin this
 //! under both the paper policy and strict Gao-Rexford). The benchmark
 //! harness (`benchmark/`) measures the regimes: `campaign_paper` is the
@@ -31,9 +35,9 @@ use std::ops::DerefMut;
 use std::time::Instant;
 
 use bgpsim_routing::{
-    propagate_announcements, propagate_delta, solve_race_observed, Announcement, Baseline,
+    propagate_announcements, propagate_delta_budgeted, solve_race_observed, Announcement, Baseline,
     DeltaResult, DeltaWorkspace, NullObserver, Observer, PolicyConfig, Propagation, RaceWorkspace,
-    SimNet, Workspace, DEFAULT_MAX_ROUNDS,
+    SimNet, Workspace, DEFAULT_CONE_BUDGET_DIVISOR, DEFAULT_MAX_ROUNDS,
 };
 use bgpsim_topology::{AsIndex, Topology};
 use rayon::prelude::*;
@@ -53,15 +57,17 @@ use crate::vulnerability::SweepResult;
 /// equivalence suites pin this); only `generations` bookkeeping differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineChoice {
-    /// Adaptive: race solver (generation fallback) when undefended,
-    /// baseline-replay delta when a localizing defense is deployed.
+    /// Adaptive: race solver (generation fallback) when undefended;
+    /// baseline-replay delta when a localizing defense is deployed, given
+    /// up for the race solver when a cone outgrows its budget.
     #[default]
     Auto,
     /// Always the step-wise generation engine, from scratch.
     Generation,
-    /// Always baseline replay, one baseline per attacked target.
-    /// Sub-prefix hijacks have no honest competition and hence no
-    /// baseline to replay; they run from scratch.
+    /// Always baseline replay — never abandoned, whatever the cone — one
+    /// baseline per attacked target. Sub-prefix hijacks have no honest
+    /// competition and hence no baseline to replay; they run from
+    /// scratch.
     Delta,
     /// Always the closed-form race solver, generation engine on
     /// non-convergence.
@@ -109,9 +115,11 @@ impl std::str::FromStr for EngineChoice {
 }
 
 /// Per-thread engine scratch space: one workspace per engine, each sized
-/// on first use and reused without clearing (epoch stamps) thereafter.
-/// Check one out with [`Simulator::scratch`], or own one for the lifetime
-/// of a long-running caller.
+/// on first use and reused without clearing (epoch stamps) thereafter —
+/// so a worker on the delta route, whose over-budget replays finish on
+/// the race solver (and, rarely, the generation engine), ends up sizing
+/// all three. Check one out with [`Simulator::scratch`], or own one for
+/// the lifetime of a long-running caller.
 #[derive(Debug, Default)]
 pub struct Scratch {
     ws: Workspace,
@@ -245,8 +253,11 @@ impl<'t> Simulator<'t> {
     /// more-specific prefix has no honest competition to start from.
     ///
     /// [`Dispatch::Race`] falls back to the generation engine when the
-    /// tier-1 fixed point does not settle; [`Simulator::evaluate`] reports
-    /// which one ran. The policy is not consulted: every route is pinned
+    /// tier-1 fixed point does not settle, and an adaptive
+    /// [`Dispatch::Delta`] replay whose cone outgrows its budget is
+    /// finished by the race solver; neither changes the route (the
+    /// baseline is still needed to find out), and [`Simulator::evaluate`]
+    /// reports which engine ran. The policy is not consulted: every route is pinned
     /// bit-identical under both the paper policy and strict Gao-Rexford.
     pub fn route(&self, kind: AttackKind, defense: &Defense) -> Dispatch {
         let replayable = kind != AttackKind::SubPrefixHijack;
@@ -314,8 +325,11 @@ impl<'t> Simulator<'t> {
     }
 
     /// Simulates one attack on the engine [`Simulator::route`] picks,
-    /// returning the outcome and the engine that actually ran
-    /// ([`Dispatch::Scratch`] when the race solver fell back).
+    /// returning the outcome and the engine that actually ran:
+    /// [`Dispatch::Scratch`] when the race solver fell back, and — on the
+    /// adaptive [`Dispatch::Delta`] route — [`Dispatch::Race`] (or, through
+    /// the same fallback, `Scratch`) when the replay's cone outgrew its
+    /// budget and the attack was finished from scratch.
     ///
     /// `baseline` is read on the [`Dispatch::Delta`] route only: pass the
     /// target's [`Simulator::baseline_for`] there (built once per target
@@ -535,6 +549,15 @@ impl<'t> Simulator<'t> {
     /// The executor: one engine pass for one attack on `route`, counted on
     /// the monitor's telemetry. Returns the pass and the engine that
     /// actually ran.
+    ///
+    /// On the adaptive [`Dispatch::Delta`] route the replay runs under a
+    /// cone budget (`num_ases /` [`DEFAULT_CONE_BUDGET_DIVISOR`]): one whose
+    /// cone outgrows it is abandoned and the attack finished from scratch
+    /// by the race solver — exactly as the race solver itself falls back
+    /// to the generation engine — so an attack costs about the cheaper of
+    /// a replay and a race whatever the deployment. A forced
+    /// [`EngineChoice::Delta`] means "always replay" and carries no
+    /// budget. An abandoned replay counts as nothing but its abandonment.
     #[allow(clippy::too_many_arguments)]
     fn solve<'r, O: Observer>(
         &'r self,
@@ -546,31 +569,41 @@ impl<'t> Simulator<'t> {
         monitor: &SweepMonitor<'_>,
         obs: &mut O,
     ) -> (Solved<'r, 't>, Dispatch) {
-        if route != Dispatch::Delta {
-            let rws = (route == Dispatch::Race).then_some(&mut scratch.rws);
-            let (p, dispatch) =
-                self.propagate_full(attack, defense, rws, &mut scratch.ws, monitor, obs);
-            return (Solved::Network(p), dispatch);
+        if route == Dispatch::Delta {
+            let baseline = baseline.expect("the delta route always carries a baseline");
+            let injection = match attack.kind {
+                AttackKind::ForgedOriginHijack => {
+                    Announcement::forged(attack.attacker, attack.target)
+                }
+                _ => Announcement::honest(attack.attacker),
+            };
+            let budget = (self.engine == EngineChoice::Auto)
+                .then(|| self.net.num_ases() / DEFAULT_CONE_BUDGET_DIVISOR);
+            let replayed = propagate_delta_budgeted(
+                &self.net,
+                baseline,
+                &[injection],
+                &defense.context_for(attack.target),
+                &self.policy,
+                &mut scratch.dws,
+                budget,
+                obs,
+            );
+            if let Some(delta) = replayed {
+                if let Some(t) = monitor.telemetry {
+                    t.record_dispatch(Dispatch::Delta);
+                    t.record_cone(delta.touched().count() as u64);
+                }
+                return (Solved::Cone(delta), Dispatch::Delta);
+            }
+            if let Some(t) = monitor.telemetry {
+                t.record_abandoned();
+            }
         }
-        let baseline = baseline.expect("the delta route always carries a baseline");
-        let injection = match attack.kind {
-            AttackKind::ForgedOriginHijack => Announcement::forged(attack.attacker, attack.target),
-            _ => Announcement::honest(attack.attacker),
-        };
-        let delta = propagate_delta(
-            &self.net,
-            baseline,
-            &[injection],
-            &defense.context_for(attack.target),
-            &self.policy,
-            &mut scratch.dws,
-            obs,
-        );
-        if let Some(t) = monitor.telemetry {
-            t.record_dispatch(Dispatch::Delta);
-            t.record_cone(delta.touched().count() as u64);
-        }
-        (Solved::Cone(delta), Dispatch::Delta)
+        let rws = (route != Dispatch::Scratch).then_some(&mut scratch.rws);
+        let (p, dispatch) =
+            self.propagate_full(attack, defense, rws, &mut scratch.ws, monitor, obs);
+        (Solved::Network(p), dispatch)
     }
 
     /// One attack with every announcement propagated from scratch: through
@@ -882,23 +915,27 @@ mod tests {
 
     /// Chunks replaying a caller-supplied baseline concatenate to the
     /// self-building whole sweep, and count no baseline build of their
-    /// own.
+    /// own. The chunks run on a forced-replay simulator: five ASes leave
+    /// the adaptive route a cone budget of zero, under which no replay
+    /// would complete and the property would go unexercised.
     #[test]
     fn chunked_sweep_concatenation_matches_whole_sweep() {
         let t = topo();
         let sim = Simulator::new(&t, PolicyConfig::paper());
+        let replay = Simulator::new(&t, PolicyConfig::paper()).with_engine(EngineChoice::Delta);
         let target = ix(&t, 9);
         let attackers: Vec<AsIndex> = t.indices().filter(|&a| a != target).collect();
         let all: Vec<AsIndex> = t.indices().collect();
         let defense = Defense::validators(&t, all).with_stub_defense();
         let whole = sim.sweep_attackers(target, &attackers, &defense);
-        let baseline = sim.baseline_for(target, &defense, &SweepMonitor::none());
+        assert_eq!(replay.sweep_attackers(target, &attackers, &defense), whole);
+        let baseline = replay.baseline_for(target, &defense, &SweepMonitor::none());
         let telemetry = SweepTelemetry::new();
         let monitor = SweepMonitor::none().with_telemetry(&telemetry);
         for chunk_size in [1, 2, attackers.len()] {
             let mut rows = Vec::new();
             for chunk in attackers.chunks(chunk_size) {
-                rows.extend(sim.sweep_chunk_monitored(
+                rows.extend(replay.sweep_chunk_monitored(
                     target,
                     chunk,
                     &defense,
@@ -911,8 +948,25 @@ mod tests {
         let snapshot = telemetry.snapshot();
         assert_eq!(snapshot.baselines_built, 0, "caller owns the build count");
         assert_eq!(snapshot.delta_dispatches, 3 * attackers.len() as u64);
+        assert_eq!(snapshot.replays_abandoned, 0, "a forced replay completes");
+        // The adaptive route takes the same chunks through the same
+        // baseline; with a budget of zero the race solver finishes each.
+        let adaptive = SweepTelemetry::new();
+        let rows = sim.sweep_chunk_monitored(
+            target,
+            &attackers,
+            &defense,
+            Some(&baseline),
+            &SweepMonitor::none().with_telemetry(&adaptive),
+        );
+        assert_eq!(rows, whole);
+        let snapshot = adaptive.snapshot();
+        assert_eq!(
+            (snapshot.delta_dispatches, snapshot.replays_abandoned),
+            (0, attackers.len() as u64)
+        );
         // A self-building sweep counts its one build, bytes included.
-        sim.sweep_attackers_monitored(target, &attackers, &defense, None, &monitor);
+        replay.sweep_attackers_monitored(target, &attackers, &defense, None, &monitor);
         let snapshot = telemetry.snapshot();
         assert_eq!(snapshot.baselines_built, 1);
         assert_eq!(snapshot.baseline_bytes, baseline.heap_bytes() as u64);
@@ -987,9 +1041,16 @@ mod tests {
                     for &attack in &attacks {
                         let oracle = sim.run(attack, &defense);
                         let route = sim.route(attack.kind, &defense);
-                        let ran = match route {
-                            Dispatch::Race if race_rounds == 0 => Dispatch::Scratch,
-                            route => route,
+                        // Six ASes leave the adaptive route a cone budget
+                        // of zero: every replay it starts is abandoned and
+                        // finished by the race solver. A forced replay
+                        // carries no budget.
+                        let raced = route == Dispatch::Race
+                            || (route, engine) == (Dispatch::Delta, EngineChoice::Auto);
+                        let ran = match (raced, race_rounds) {
+                            (true, 0) => Dispatch::Scratch,
+                            (true, _) => Dispatch::Race,
+                            (false, _) => route,
                         };
                         let shared = (route == Dispatch::Delta)
                             .then(|| sim.baseline_for(attack.target, &defense, &none));

@@ -23,7 +23,12 @@ use bgpsim_routing::{ConvergenceStats, EngineTelemetry, Observer};
 pub const WALL_HIST_BUCKETS: usize = 32;
 
 /// Which engine one attack is routed to (see
-/// [`Simulator::route`](crate::Simulator::route)), or ran on.
+/// [`Simulator::route`](crate::Simulator::route)), or ran on. The two can
+/// differ downwards only: a [`Dispatch::Race`] route may run as
+/// [`Dispatch::Scratch`] (fixed point did not settle), and an adaptive
+/// [`Dispatch::Delta`] route may run as [`Dispatch::Race`] (replay
+/// abandoned over its cone budget) or, through that, as
+/// [`Dispatch::Scratch`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dispatch {
     /// Closed-form race solver (tier-1 fixed point), generation engine on
@@ -32,7 +37,9 @@ pub enum Dispatch {
     /// From-scratch two-origin race through the generation engine (race
     /// solver unavailable or non-convergent; cone is the whole graph).
     Scratch,
-    /// Baseline replay with contamination-cone elision (defended).
+    /// Baseline replay with contamination-cone elision (defended). As a
+    /// route under adaptive dispatch: replay within a cone budget, race
+    /// solver beyond it.
     Delta,
 }
 
@@ -66,9 +73,11 @@ pub struct SweepTelemetry {
     skipped: AtomicU64,
     // Wall time spent inside race-solver attempts (converged or not).
     race_wall_us: AtomicU64,
-    // Contamination-cone sizes (delta dispatches only).
+    // Contamination-cone sizes (delta dispatches, i.e. completed replays).
     cone_sum: AtomicU64,
     cone_max: AtomicU64,
+    // Replays given up over budget and finished from scratch.
+    replays_abandoned: AtomicU64,
     // Per-attack wall time, log₂-bucketed in microseconds.
     wall_hist: [AtomicU64; WALL_HIST_BUCKETS],
 }
@@ -147,6 +156,12 @@ impl SweepTelemetry {
         self.cone_max.fetch_max(size, Ordering::Relaxed);
     }
 
+    /// Counts one replay abandoned because its cone outgrew the budget.
+    /// The attack itself is counted by whichever engine finishes it.
+    pub fn record_abandoned(&self) {
+        self.replays_abandoned.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one attack's wall time into the log₂ histogram.
     pub fn record_attack_wall(&self, wall: Duration) {
         let us = u64::try_from(wall.as_micros()).unwrap_or(u64::MAX);
@@ -182,6 +197,7 @@ impl SweepTelemetry {
             race_wall_us: get(&self.race_wall_us),
             cone_sum: get(&self.cone_sum),
             cone_max: get(&self.cone_max),
+            replays_abandoned: get(&self.replays_abandoned),
             wall_hist: std::array::from_fn(|i| get(&self.wall_hist[i])),
         }
     }
@@ -224,10 +240,15 @@ pub struct TelemetrySnapshot {
     /// Total wall time (µs) spent inside race-solver attempts, converged
     /// and non-convergent alike.
     pub race_wall_us: u64,
-    /// Sum of contamination-cone sizes over delta dispatches.
+    /// Sum of contamination-cone sizes over delta dispatches (completed
+    /// replays; an abandoned one records no cone).
     pub cone_sum: u64,
     /// Largest contamination cone seen in a delta dispatch.
     pub cone_max: u64,
+    /// Replays abandoned because their cone outgrew the budget; each such
+    /// attack is counted under the engine that finished it (`race`, or
+    /// `scratch` after a race fallback), never under `delta`.
+    pub replays_abandoned: u64,
     /// Per-attack wall times: bucket 0 is `< 1 µs`, bucket `i ≥ 1` counts
     /// attacks taking `[2^(i-1), 2^i)` µs.
     pub wall_hist: [u64; WALL_HIST_BUCKETS],
@@ -474,6 +495,7 @@ mod tests {
         t.record_baseline_bytes(400);
         t.record_cone(10);
         t.record_cone(4);
+        t.record_abandoned();
         t.record_skipped();
         t.record_run(&ConvergenceStats {
             generations: 5,
@@ -499,6 +521,7 @@ mod tests {
         assert_eq!(s.skipped, 1);
         assert_eq!(s.cone_sum, 14);
         assert_eq!(s.cone_max, 10);
+        assert_eq!(s.replays_abandoned, 1);
         assert!((s.mean_cone() - 7.0).abs() < 1e-12);
         assert_eq!(s.engine.runs, 1);
         assert_eq!(s.engine.messages, 100);

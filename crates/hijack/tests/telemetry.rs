@@ -8,8 +8,8 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 
 use bgpsim_hijack::{
-    Attack, Defense, Dispatch, EngineChoice, Scratch, Simulator, SweepMonitor, SweepProgress,
-    SweepTelemetry,
+    Attack, AttackKind, Defense, Dispatch, EngineChoice, Scratch, Simulator, SweepMonitor,
+    SweepProgress, SweepTelemetry,
 };
 use bgpsim_routing::{NullObserver, PolicyConfig};
 use bgpsim_topology::gen::{generate, InternetParams};
@@ -219,9 +219,10 @@ proptest! {
     /// Same invariant for arbitrary attacks under both policies, through
     /// `evaluate` on whatever route each attack takes: telemetry-on and
     /// telemetry-off yield identical outcomes, both match the
-    /// generation-engine oracle, a zero round cap turns every race into
-    /// its scratch fallback without changing an answer, and a cancelled
-    /// monitor yields empty outcomes.
+    /// generation-engine oracle, a zero round cap turns every race —
+    /// routed or finishing an abandoned replay — into its scratch fallback
+    /// without changing an answer, and a cancelled monitor yields empty
+    /// outcomes.
     #[test]
     fn monitored_evaluate_matches_unmonitored(
         seed in 0u64..200,
@@ -277,15 +278,26 @@ proptest! {
                 prop_assert_eq!(&plain.polluted, &monitored.polluted);
                 prop_assert_eq!(plain.generations, monitored.generations);
                 prop_assert_eq!(plain.truncated, monitored.truncated);
-                // The race solver may legitimately fall back on its own.
-                let fell_back = (route, dispatch) == (Dispatch::Race, Dispatch::Scratch);
+                // The executor may legitimately fall back on its own: an
+                // over-budget replay to the race solver, a race that does
+                // not settle to the generation engine.
+                let fell_back = matches!(
+                    (route, dispatch),
+                    (Dispatch::Delta, Dispatch::Race | Dispatch::Scratch)
+                        | (Dispatch::Race, Dispatch::Scratch)
+                );
                 prop_assert!(dispatch == route || fell_back);
 
                 let (capped, dispatch) = fallback.evaluate(
                     attack, &defense, Some(&baseline), &mut scratch, &none, &mut NullObserver,
                 );
                 prop_assert_eq!(&capped.polluted, &oracle.polluted);
-                prop_assert_eq!(dispatch == Dispatch::Scratch, route != Dispatch::Delta);
+                // With no race rounds nothing finishes on the race solver:
+                // a replay completes, everything else ends from scratch.
+                prop_assert!(
+                    dispatch == Dispatch::Scratch
+                        || (route, dispatch) == (Dispatch::Delta, Dispatch::Delta)
+                );
 
                 let (skipped, _) = sim.evaluate(
                     attack, &defense, Some(&baseline), &mut scratch, &cancelled, &mut NullObserver,
@@ -298,4 +310,109 @@ proptest! {
         prop_assert_eq!(snap.skipped, evaluated);
         prop_assert_eq!(snap.baselines_built, 0);
     }
+}
+
+/// Budgeted replay (DESIGN.md §10). Under a deployment too weak to keep
+/// cones local, some replays outgrow the `n / 16` cone budget: the
+/// adaptive route abandons them and finishes on the race solver. Rows and
+/// polluted sets must equal the generation engine's for origin and
+/// forged-origin hijacks, with and without stub defense; an abandoned
+/// replay is counted as `replays_abandoned` and under the engine that
+/// finished it, never as a delta dispatch; and a forced
+/// `EngineChoice::Delta` or a truncated baseline never abandons.
+#[test]
+fn over_budget_replays_are_abandoned_and_match_generation() {
+    let net = generate(&InternetParams::sized(400), 7);
+    let topo = &net.topology;
+    let policy = PolicyConfig::paper();
+    let auto = Simulator::new(topo, policy);
+    let forced = Simulator::new(topo, policy).with_engine(EngineChoice::Delta);
+    let generation = Simulator::new(topo, policy).with_engine(EngineChoice::Generation);
+    let target = *topo
+        .stub_ases()
+        .last()
+        .expect("generated internets have stubs");
+    let mut attackers = topo.transit_ases();
+    attackers.extend(topo.stub_ases().into_iter().step_by(16));
+    attackers.retain(|&a| a != target);
+    let attacks = attackers.len() as u64;
+    // One validating tier-1: localizing, so the route replays, but far
+    // too weak to contain a well-placed attacker.
+    let weak = Defense::validators(topo, [topo.tier1s()[0]]);
+
+    let counted = |sim: &Simulator<'_>, defense: &Defense| {
+        let telemetry = SweepTelemetry::new();
+        let monitor = SweepMonitor::none().with_telemetry(&telemetry);
+        let rows = sim.sweep_attackers_monitored(target, &attackers, defense, None, &monitor);
+        (rows, telemetry.snapshot())
+    };
+    for defense in [weak.clone(), weak.clone().with_stub_defense()] {
+        assert_eq!(
+            auto.route(AttackKind::OriginHijack, &defense),
+            Dispatch::Delta
+        );
+        let oracle = generation.sweep_attackers(target, &attackers, &defense);
+        let (rows, snap) = counted(&auto, &defense);
+        assert_eq!(rows, oracle, "stub defense {}", defense.has_stub_defense());
+        assert!(snap.replays_abandoned > 0, "no cone outgrew the budget");
+        assert!(snap.delta_dispatches > 0, "no replay completed");
+        assert_eq!(snap.delta_dispatches + snap.replays_abandoned, attacks);
+        assert_eq!(
+            snap.race_dispatches + snap.scratch_dispatches,
+            snap.replays_abandoned,
+            "an abandoned replay is counted by the engine that finished it"
+        );
+        assert_eq!(snap.attacks, attacks);
+        assert!(
+            snap.cone_max as usize <= topo.num_ases() / 16,
+            "cone telemetry describes completed replays only"
+        );
+
+        let (rows, snap) = counted(&forced, &defense);
+        assert_eq!(rows, oracle);
+        assert_eq!(
+            (snap.replays_abandoned, snap.delta_dispatches),
+            (0, attacks)
+        );
+
+        // Full outcomes, forged origins included: whichever engine
+        // finishes, the polluted set is the generation engine's.
+        let baseline = auto.baseline_for(target, &defense, &SweepMonitor::none());
+        let mut scratch = Scratch::default();
+        let mut finished_by_race = 0;
+        for &attacker in &attackers {
+            for attack in [
+                Attack::origin(attacker, target),
+                Attack::forged_origin(attacker, target),
+            ] {
+                let (got, dispatch) = auto.evaluate(
+                    attack,
+                    &defense,
+                    Some(&baseline),
+                    &mut scratch,
+                    &SweepMonitor::none(),
+                    &mut NullObserver,
+                );
+                assert_eq!(got.polluted, generation.run(attack, &defense).polluted);
+                finished_by_race += u32::from(dispatch == Dispatch::Race);
+            }
+        }
+        assert!(finished_by_race > 0);
+    }
+
+    // A baseline cut short by `max_generations` is always replayed to the
+    // end: the race solver does not model truncation.
+    let capped = PolicyConfig {
+        max_generations: 2,
+        ..policy
+    };
+    let auto = Simulator::new(topo, capped);
+    let generation = Simulator::new(topo, capped).with_engine(EngineChoice::Generation);
+    let (rows, snap) = counted(&auto, &weak);
+    assert_eq!(rows, generation.sweep_attackers(target, &attackers, &weak));
+    assert!(snap.engine.truncated_runs > 0);
+    assert_eq!(
+        (snap.replays_abandoned, snap.delta_dispatches),
+        (0, attacks)
+    );
 }

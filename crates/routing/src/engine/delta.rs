@@ -55,12 +55,16 @@
 //! loop ends `settle_leaves` gives it its selection in closed form —
 //! the best admissible export among its neighbours' *final* selections
 //! (overlay for cone members, snapshot otherwise). That is exact, not
-//! approximate: at convergence every AS's last export phase carried its
-//! final selection, so each slot of the leaf's table holds precisely what
-//! that neighbour's final selection exports (or nothing), filtered by
-//! tests that depend only on the two ASes and the origin; and the engine
-//! keeps `best == rescan(table)` under a total order of keys, so the
-//! arrival order the replay skipped cannot matter. No timing argument is
+//! approximate: the engine's last-export memo is keyed on route identity
+//! (triple *and* path node, see `engine::generation`), which guarantees
+//! that at convergence every AS's last export phase carried its final
+//! selection — `tests/semantics.rs`
+//! (`path_change_under_an_unchanged_triple_is_reannounced`) pins it — so
+//! each slot of the leaf's table holds precisely what that neighbour's
+//! final selection exports (or nothing), filtered by tests that depend
+//! only on the two ASes and the origin; and the engine keeps
+//! `best == rescan(table)` under a total order of keys, so the arrival
+//! order the replay skipped cannot matter. No timing argument is
 //! involved, which is why the multistable topologies above are covered
 //! too. A leaf that announces — an injection's announcer, or a baseline
 //! origin such as a stub target — is not deferred: the former is replayed
@@ -80,6 +84,22 @@
 //! twice after truncating reports the stepped events of both passes and
 //! the stats of the second.) [`Observer::on_converged`] fires once.
 //!
+//! # Budgeted replay
+//!
+//! Replay cost grows with the cone — every recruit reconstructs an AS's
+//! race state from its recorded history, then steps its messages — while a
+//! from-scratch race solve costs the same whatever the attack. Under a
+//! weak deployment a sizeable minority of attackers contaminate thousands
+//! of ASes and the replay loses to the solve two- to fourfold.
+//! [`propagate_delta_budgeted`] therefore takes a cone budget and gives up
+//! (`None`) the moment the cone would outgrow it, checked once per
+//! generation *before* that generation's recruits are reconstructed; the
+//! caller finishes the attack on the race solver. An abandoned replay
+//! reports nothing but the per-message events it had already stepped —
+//! "work stepped", like the twice-replayed truncation case above — and
+//! [`Observer::on_converged`] does not fire. A replay that completes is
+//! the unbudgeted replay bit for bit.
+//!
 //! # Sharing
 //!
 //! A [`Baseline`] is immutable and `Sync`: one baseline per sweep target
@@ -95,13 +115,25 @@ use bgpsim_topology::AsIndex;
 
 use crate::engine::generation::{
     self, deliver, export_from, key_for, rescan, seed_announcement, AdjEntry, Announcement, Best,
-    Msg, PathNode, Queues, RaceLog, RibSnapshot, RibState, Workspace, NONE, NO_ROUTE,
+    Msg, PathNode, Queues, RaceLog, RibSnapshot, RibState, RouteId, Workspace, NONE, NO_ROUTE,
+    NO_ROUTE_ID,
 };
 use crate::filter::FilterContext;
 use crate::net::{checked_u32, SimNet};
 use crate::observer::{Decision, MessageEvent, NullObserver, Observer};
 use crate::policy::{may_export, PolicyConfig, PrefClass};
 use crate::route::{Choice, ConvergenceStats, Propagation};
+
+/// Default cone budget of a budgeted replay, as a fraction of the network:
+/// [`propagate_delta_budgeted`]'s caller passes `num_ases /` this, so a
+/// replay is abandoned once its cone passes one sixteenth of the ASes.
+///
+/// Measured, not derived (EXPERIMENTS.md, "Cone budget sweep"): the total
+/// over a figs. 5–6 progression is flat within 3 % from `n/16` to `n/64`
+/// on both the 10k and the 42.7k lab, and too small is the wrong side to
+/// err on — a tight budget sends mid-size cones, which a replay still
+/// wins, to the race solver.
+pub const DEFAULT_CONE_BUDGET_DIVISOR: usize = 16;
 
 /// Generation budget of the packed log words: 13 bits. Schedules that run
 /// deeper cannot be packed; every shipped `PolicyConfig::max_generations`
@@ -175,22 +207,25 @@ impl PackedReplay {
     }
 }
 
-/// One recorded export phase, packed into 8 bytes: the exported best
-/// triple plus the generation the phase ran in.
+/// One recorded export phase, packed into 12 bytes: the identity of the
+/// exported route plus the generation the phase ran in.
 #[derive(Debug, Clone, Copy, Default)]
 struct ExportEntry {
     /// Exported origin ([`NONE`] for a no-route export).
     origin: u32,
     /// `gen (13) | len << 13 (16) | class << 29 (2)`.
     meta: u32,
+    /// AS-path arena node of the exported best.
+    node: u32,
 }
 
 impl ExportEntry {
-    fn pack(gen: u32, triple: (u32, u16, u8)) -> ExportEntry {
-        debug_assert!(gen <= MAX_PACKED_GEN && triple.2 < 4);
+    fn pack(gen: u32, (origin, len, class, node): RouteId) -> ExportEntry {
+        debug_assert!(gen <= MAX_PACKED_GEN && class < 4);
         ExportEntry {
-            origin: triple.0,
-            meta: gen | (u32::from(triple.1) << 13) | (u32::from(triple.2) << 29),
+            origin,
+            meta: gen | (u32::from(len) << 13) | (u32::from(class) << 29),
+            node,
         }
     }
 
@@ -200,11 +235,12 @@ impl ExportEntry {
     }
 
     #[inline]
-    fn triple(self) -> (u32, u16, u8) {
+    fn route(self) -> RouteId {
         (
             self.origin,
             (self.meta >> 13) as u16,
             ((self.meta >> 29) & 0x3) as u8,
+            self.node,
         )
     }
 }
@@ -347,7 +383,7 @@ impl Baseline {
         let mut exp_dat = vec![ExportEntry::default(); exports.len()];
         for e in exports {
             let c = &mut cur[e.asn as usize];
-            exp_dat[*c as usize] = ExportEntry::pack(e.gen, e.triple);
+            exp_dat[*c as usize] = ExportEntry::pack(e.gen, e.route);
             *c += 1;
         }
         Baseline {
@@ -468,7 +504,7 @@ pub struct DeltaWorkspace {
     sent_stamp: Vec<u32>,
     best: Vec<Best>,
     best_stamp: Vec<u32>,
-    last_export: Vec<(u32, u16, u8)>,
+    last_export: Vec<RouteId>,
     last_export_stamp: Vec<u32>,
     dirty_tag: Vec<u64>,
     /// Extension of the baseline's AS-path arena; node index
@@ -510,7 +546,7 @@ impl DeltaWorkspace {
         if self.best.len() < n {
             self.best.resize(n, NO_ROUTE);
             self.best_stamp.resize(n, 0);
-            self.last_export.resize(n, (NONE, 0, 0));
+            self.last_export.resize(n, NO_ROUTE_ID);
             self.last_export_stamp.resize(n, 0);
             self.dirty_tag.resize(n, 0);
             self.deferred_stamp.resize(n, 0);
@@ -669,7 +705,7 @@ impl RibState for DeltaState<'_> {
     }
 
     #[inline]
-    fn last_export(&self, ix: u32) -> Option<(u32, u16, u8)> {
+    fn last_export(&self, ix: u32) -> Option<RouteId> {
         if self.ws.last_export_stamp[ix as usize] == self.ws.epoch {
             Some(self.ws.last_export[ix as usize])
         } else {
@@ -678,8 +714,8 @@ impl RibState for DeltaState<'_> {
     }
 
     #[inline]
-    fn set_last_export(&mut self, ix: u32, snap: (u32, u16, u8)) {
-        self.ws.last_export[ix as usize] = snap;
+    fn set_last_export(&mut self, ix: u32, id: RouteId) {
+        self.ws.last_export[ix as usize] = id;
         self.ws.last_export_stamp[ix as usize] = self.ws.epoch;
     }
 
@@ -774,9 +810,13 @@ fn recruit(
     state.ws.out_cur[x as usize] = oc;
     // Origins keep their seeded self-route (constant through the race);
     // everyone else selects by re-scanning the reconstructed table. The
-    // `(NONE, 0, 0)` last-export sentinel is safe: it only ever coincides
-    // with a no-route export phase, which emits nothing an AS that never
-    // exported could need to emit (all its sent flags are false).
+    // memo is the route identity the last recorded export phase carried:
+    // its node indexes the frozen arena, exactly like the nodes of the
+    // reconstructed table, so "same path as last exported" compares as it
+    // did in the recorded race. The `NO_ROUTE_ID` sentinel is safe: it
+    // only ever coincides with a no-route export phase, which emits
+    // nothing an AS that never exported could need to emit (all its sent
+    // flags are false).
     let b = match baseline.snap.best(x) {
         Some(b) if b.slot == NONE && b.origin != NONE => b,
         _ => {
@@ -785,13 +825,13 @@ fn recruit(
         }
     };
     state.set_best(x, b);
-    let mut le = (NONE, 0u16, 0u8);
+    let mut le = NO_ROUTE_ID;
     for ei in baseline.exp_off[x as usize]..baseline.exp_off[x as usize + 1] {
         let e = baseline.exp_dat[ei as usize];
         if e.gen() > g {
             break;
         }
-        le = e.triple();
+        le = e.route();
     }
     state.set_last_export(x, le);
 }
@@ -804,6 +844,12 @@ fn recruit(
 /// with the context it was built under on the authorized origin and on
 /// stub defense; the validator set is free to differ (see
 /// [`Baseline::build`]).
+///
+/// This is the unbudgeted replay: it always runs to the end, whatever the
+/// cone grows to. [`propagate_delta_budgeted`] is the form that gives up.
+/// Two names for one algorithm only because the frozen benchmark harness
+/// calls this signature; the two fold back into one, and this wrapper
+/// goes, when the harness can move (ROADMAP item 1 (v)).
 ///
 /// # Panics
 ///
@@ -820,6 +866,48 @@ pub fn propagate_delta<'r, 't, O: Observer>(
     dws: &'r mut DeltaWorkspace,
     obs: &mut O,
 ) -> DeltaResult<'r, 't> {
+    propagate_delta_budgeted(net, baseline, injections, filters, policy, dws, None, obs)
+        .expect("a replay without a budget is never abandoned")
+}
+
+/// [`propagate_delta`] under a cone budget: the replay is abandoned —
+/// `None`, the mirror of [`solve_race`](crate::solve_race)'s
+/// `max_rounds → None` — as soon as its cone would outgrow `budget` ASes.
+/// A replay pays per cone member (state reconstruction on recruitment,
+/// then every message stepped), so past a few percent of the network a
+/// from-scratch race solve is cheaper; the caller finishes an abandoned
+/// attack there (`bgpsim_hijack::Simulator` passes `num_ases /`
+/// [`DEFAULT_CONE_BUDGET_DIVISOR`]).
+///
+/// The cone is counted as replayed members plus deferred leaves plus the
+/// ASes about to be recruited, once per generation and *before* they are
+/// recruited: cones jump from hundreds to thousands inside one generation,
+/// and reconstruction is the expensive part. A replay that returns `Some`
+/// is the unbudgeted replay bit for bit — the budget only ever decides
+/// whether to stop. An abandoned one reports nothing but the per-message
+/// observer events it had already stepped: no [`Observer::on_converged`],
+/// no result. The workspace is reusable afterwards like after any run.
+///
+/// With `budget == None` nothing is ever abandoned. Neither is a replay
+/// over a baseline truncated by [`PolicyConfig::max_generations`], nor the
+/// second pass of a replay that truncated itself (module docs, "Leaf
+/// deferral"): the solver that would finish them does not model
+/// truncation.
+///
+/// # Panics
+///
+/// As [`propagate_delta`].
+#[allow(clippy::too_many_arguments)]
+pub fn propagate_delta_budgeted<'r, 't, O: Observer>(
+    net: &'r SimNet<'t>,
+    baseline: &'r Baseline,
+    injections: &[Announcement],
+    filters: &FilterContext<'_>,
+    policy: &PolicyConfig,
+    dws: &'r mut DeltaWorkspace,
+    budget: Option<usize>,
+    obs: &mut O,
+) -> Option<DeltaResult<'r, 't>> {
     assert!(!injections.is_empty(), "at least one injection required");
     assert_eq!(
         *policy, baseline.policy,
@@ -831,24 +919,31 @@ pub fn propagate_delta<'r, 't, O: Observer>(
         "baseline was built for a different network"
     );
     // Leaf deferral's closed form holds for a converged race only: a
-    // truncated one is replayed again with every leaf stepped.
+    // truncated one is replayed again with every leaf stepped. The budget
+    // follows the same rule.
     let defer = !baseline.stats.truncated;
-    let mut stats = replay_once(net, baseline, injections, filters, policy, dws, obs, defer);
+    let budget = budget.filter(|_| defer);
+    let mut stats = replay_once(
+        net, baseline, injections, filters, policy, dws, obs, defer, budget,
+    )?;
     if defer && stats.truncated {
-        stats = replay_once(net, baseline, injections, filters, policy, dws, obs, false);
+        stats = replay_once(
+            net, baseline, injections, filters, policy, dws, obs, false, None,
+        )
+        .expect("a replay without a budget is never abandoned");
     }
     obs.on_converged(&stats);
-    DeltaResult {
+    Some(DeltaResult {
         net,
         baseline,
         dws: &*dws,
         stats,
-    }
+    })
 }
 
 /// One pass of [`propagate_delta`] over a freshly begun workspace: seed the
 /// injections, replay the race, and — with `defer` — settle the leaves the
-/// replay set aside.
+/// replay set aside. `None` when the cone outgrew `budget`.
 #[allow(clippy::too_many_arguments)]
 fn replay_once<O: Observer>(
     net: &SimNet<'_>,
@@ -859,12 +954,13 @@ fn replay_once<O: Observer>(
     dws: &mut DeltaWorkspace,
     obs: &mut O,
     defer: bool,
-) -> ConvergenceStats {
+    budget: Option<usize>,
+) -> Option<ConvergenceStats> {
     dws.begin(baseline);
     let mut stats = ConvergenceStats::default();
     let mut q = std::mem::take(&mut dws.queues);
     let mut sc = std::mem::take(&mut dws.scratch);
-    {
+    let completed = {
         let mut state = DeltaState {
             snap: &baseline.snap,
             ws: &mut *dws,
@@ -882,16 +978,17 @@ fn replay_once<O: Observer>(
             }
             seed_announcement(net, &mut state, &mut q, a);
         }
-        replay(
-            net, baseline, filters, policy, &mut state, &mut q, &mut sc, &mut stats, obs,
+        let completed = replay(
+            net, baseline, filters, policy, &mut state, &mut q, &mut sc, &mut stats, obs, budget,
         );
-        if !stats.truncated {
+        if completed && !stats.truncated {
             settle_leaves(net, filters, &mut state);
         }
-    }
+        completed
+    };
     dws.queues = q;
     dws.scratch = sc;
-    stats
+    completed.then_some(stats)
 }
 
 /// Settles every deferred leaf in closed form. A leaf's Adj-RIB-In feeds
@@ -965,6 +1062,8 @@ fn rejects_stub(net: &SimNet<'_>, filters: &FilterContext<'_>, from: AsIndex, or
 /// touches only cone members — their scheduled entries are reached
 /// through per-AS cursors into the baseline's CSR indices, so the cost is
 /// O(cone activity), independent of the size of the rest of the log.
+/// Returns `false` when the cone outgrew `budget` and the replay was
+/// abandoned mid-race (the state is then meaningless).
 #[allow(clippy::too_many_arguments)]
 fn replay<O: Observer>(
     net: &SimNet<'_>,
@@ -976,7 +1075,8 @@ fn replay<O: Observer>(
     sc: &mut ReplayScratch,
     stats: &mut ConvergenceStats,
     obs: &mut O,
-) {
+    budget: Option<usize>,
+) -> bool {
     let mut generation = 0u32;
     loop {
         // ---- Export phase: live exports from dirty cone members. ----
@@ -1064,6 +1164,12 @@ fn replay<O: Observer>(
         }
         sc.recruits.sort_unstable();
         sc.recruits.dedup();
+        // The budget check sits before the recruits are paid for:
+        // reconstruction is the expensive part of a growing cone.
+        let cone = state.ws.touched.len() + state.ws.deferred.len() + sc.recruits.len();
+        if budget.is_some_and(|budget| cone > budget) {
+            return false;
+        }
         for ri in 0..sc.recruits.len() {
             let x = sc.recruits[ri];
             if !state.in_cone(x) {
@@ -1110,6 +1216,7 @@ fn replay<O: Observer>(
             }
         }
     }
+    true
 }
 
 /// Delivers one message into the cone: the same mechanics and accounting
@@ -1360,6 +1467,90 @@ mod tests {
         }
     }
 
+    /// A budget the cone outgrows abandons the replay — `None`, and no
+    /// `on_converged` — one it fits completes over the workspace the
+    /// abandoned runs left behind, and a truncated baseline is replayed to
+    /// the end regardless. (`delta_equivalence` pins that a completed
+    /// budgeted replay is the unbudgeted one bit for bit.)
+    #[test]
+    fn budgeted_replay_abandons_only_over_budget() {
+        #[derive(Default)]
+        struct Converged(u32);
+        impl Observer for Converged {
+            fn on_converged(&mut self, _: &ConvergenceStats) {
+                self.0 += 1;
+            }
+        }
+        let topo = diamond();
+        let net = SimNet::new(&topo);
+        let t = topo.index_of(AsId::new(4)).unwrap();
+        let inject = [Announcement::honest(topo.index_of(AsId::new(5)).unwrap())];
+        let ctx = FilterContext::none();
+        let policy = PolicyConfig::paper();
+        let mut ws = Workspace::new();
+        let baseline = Baseline::build(&net, &[Announcement::honest(t)], &ctx, &policy, &mut ws);
+        let mut dws = DeltaWorkspace::new();
+        let cone = propagate_delta(
+            &net,
+            &baseline,
+            &inject,
+            &ctx,
+            &policy,
+            &mut dws,
+            &mut NullObserver,
+        )
+        .touched()
+        .count();
+        assert!(cone > 1);
+
+        let mut obs = Converged::default();
+        for budget in 0..cone - 1 {
+            let abandoned = propagate_delta_budgeted(
+                &net,
+                &baseline,
+                &inject,
+                &ctx,
+                &policy,
+                &mut dws,
+                Some(budget),
+                &mut obs,
+            );
+            assert!(abandoned.is_none(), "budget {budget} of a {cone}-AS cone");
+        }
+        assert_eq!(obs.0, 0, "an abandoned replay never converged");
+        let within = propagate_delta_budgeted(
+            &net,
+            &baseline,
+            &inject,
+            &ctx,
+            &policy,
+            &mut dws,
+            Some(net.num_ases()),
+            &mut obs,
+        )
+        .expect("the whole network always fits");
+        assert_eq!(obs.0, 1);
+        assert_eq!(within.touched().count(), cone);
+
+        let capped = PolicyConfig {
+            max_generations: 1,
+            ..policy
+        };
+        let cut = Baseline::build(&net, &[Announcement::honest(t)], &ctx, &capped, &mut ws);
+        assert!(cut.stats.truncated);
+        assert!(propagate_delta_budgeted(
+            &net,
+            &cut,
+            &inject,
+            &ctx,
+            &capped,
+            &mut dws,
+            Some(0),
+            &mut NullObserver,
+        )
+        .is_some());
+    }
+
     /// Satellite: epoch wrap-around for the overlay workspace, mirroring
     /// the `Workspace` wrap test — stamps must clear at the wrap and runs
     /// across it must match a fresh overlay workspace.
@@ -1434,25 +1625,30 @@ mod tests {
     /// Satellite: pins `heap_bytes()` on a fixed 5-AS topology — the
     /// packed element sizes, the closed-form footprint of an empty
     /// baseline, and that a built baseline accounts every vector at its
-    /// packed element size.
+    /// packed element size. Every expectation is spelled in `size_of`
+    /// terms, so a layout change moves the two packed-size pins and
+    /// nothing else.
     #[test]
     fn heap_bytes_pinned_on_five_as_topology() {
         use std::mem::size_of;
         assert_eq!(size_of::<PackedReplay>(), 16);
-        assert_eq!(size_of::<ExportEntry>(), 8);
+        assert_eq!(size_of::<ExportEntry>(), 12);
+        let (word, half) = (size_of::<u64>(), size_of::<u32>());
         let topo = diamond();
         let net = SimNet::new(&topo);
-        assert_eq!((net.num_ases(), net.num_slots()), (5, 12));
+        let (n, slots) = (net.num_ases(), net.num_slots());
+        assert_eq!((n, slots), (5, 12));
         let policy = PolicyConfig::paper();
         let empty = Baseline::empty(&net, &policy);
-        // Packed snapshot: 12 bytes/slot (adj word + node) + one 64-slot
-        // sent bitmask word + 24 bytes/AS (best word, best link, last
-        // export), then three (n + 1)-entry CSR offset arrays. No frozen
+        // Packed snapshot: per slot an adj word and its path node, one
+        // sent bit per slot in 64-bit words, per AS three words (best
+        // word, best link, last-export triple) and the last-export path
+        // node; then three (n + 1)-entry CSR offset arrays. No frozen
         // per-AS result rides along — choices reconstruct from the
         // snapshot.
-        let snap_bytes = 12 * 12 + 8 + 5 * 24;
-        let expected = snap_bytes + 3 * 6 * 4;
-        assert_eq!(empty.heap_bytes(), expected);
+        let snap_bytes = slots * (word + half) + slots.div_ceil(64) * word + n * (3 * word + half);
+        assert_eq!(empty.snap.heap_bytes(), snap_bytes);
+        assert_eq!(empty.heap_bytes(), snap_bytes + 3 * (n + 1) * half);
         let t = topo.index_of(AsId::new(4)).unwrap();
         let mut ws = Workspace::new();
         let built = Baseline::build(
@@ -1462,11 +1658,14 @@ mod tests {
             &policy,
             &mut ws,
         );
-        assert!(!built.log.is_empty());
-        let schedule = built.log.capacity() * 16
-            + built.out_dat.capacity() * 4
-            + built.exp_dat.capacity() * 8
-            + (built.in_off.capacity() + built.out_off.capacity() + built.exp_off.capacity()) * 4;
+        assert!(!built.log.is_empty() && !built.exp_dat.is_empty());
+        let schedule = built.log.capacity() * size_of::<PackedReplay>()
+            + built.exp_dat.capacity() * size_of::<ExportEntry>()
+            + (built.out_dat.capacity()
+                + built.in_off.capacity()
+                + built.out_off.capacity()
+                + built.exp_off.capacity())
+                * half;
         assert_eq!(built.heap_bytes(), built.snap.heap_bytes() + schedule);
     }
 

@@ -12,11 +12,22 @@
 //! *removes* the previous entry (it is unusable, per RFC 4271 decision
 //! processing); and when an AS's new best route is no longer exportable to
 //! a neighbor it previously announced to, it sends a withdrawal. After any
-//! Adj-RIB-In change the AS re-selects and, if its best changed,
-//! re-exports in the next generation. These replacement/withdrawal rules
-//! are what make the converged state the *stable* routing solution rather
-//! than an artifact of message ordering — see `engine::race` for the
-//! closed-form cross-check.
+//! Adj-RIB-In change the AS re-selects and, if its best *route* changed —
+//! origin, length, class **or AS path** — re-exports in the next
+//! generation, as real BGP sends an UPDATE on any path change. The
+//! last-export memo is therefore keyed on route identity (`RouteId`:
+//! the selection triple plus the best's path node), which guarantees the
+//! property the rest of the crate builds on: at convergence every AS's
+//! last export phase carried its final selection, so every neighbour
+//! holds exactly what that selection exports and no loop check ran
+//! against a path nobody uses any more. That makes the converged state a
+//! stable routing solution — `engine::race` is the closed-form
+//! cross-check — and makes `engine::delta`'s closed-form leaf settling
+//! exact; `tests/semantics.rs`
+//! (`path_change_under_an_unchanged_triple_is_reannounced`) pins it. (A
+//! memo keyed on the triple alone suppressed the re-announcement of a
+//! same-triple path change and left one lab attack in 200 on a state that
+//! is not a solution: DESIGN §12.)
 //!
 //! * Preference: customer > peer > provider `LOCAL_PREF`, then shorter AS
 //!   path, then lowest neighbor slot (a deterministic stand-in for the
@@ -82,6 +93,23 @@ pub(crate) const NO_ROUTE: Best = Best {
     key: 0,
 };
 
+/// Identity of a selected route as its neighbours see it: `(origin, len,
+/// class)` plus the best's AS-path arena node. Every delivered message
+/// carries a node of its own, so equal triples with different nodes are
+/// different AS paths — and an AS that moves between them must
+/// re-announce.
+pub(crate) type RouteId = (u32, u16, u8, u32);
+
+/// [`NO_ROUTE`]'s identity, also the memo of an AS that never exported.
+pub(crate) const NO_ROUTE_ID: RouteId = (NONE, 0, 0, NONE);
+
+impl Best {
+    #[inline]
+    pub(crate) fn route_id(&self) -> RouteId {
+        (self.origin, self.len, self.class, self.node)
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Msg {
     pub(crate) to: u32,
@@ -123,10 +151,10 @@ pub(crate) trait RibState {
     fn sent(&self, slot: u32) -> bool;
     /// Sets/clears the outstanding-announcement flag on sender-side `slot`.
     fn set_sent(&mut self, slot: u32, on: bool);
-    /// The last exported `(origin, len, class)` of AS `ix`, if any.
-    fn last_export(&self, ix: u32) -> Option<(u32, u16, u8)>;
-    /// Records the last exported triple of AS `ix`.
-    fn set_last_export(&mut self, ix: u32, snap: (u32, u16, u8));
+    /// The identity of the route AS `ix` last exported, if any.
+    fn last_export(&self, ix: u32) -> Option<RouteId>;
+    /// Records the identity of the route AS `ix` last exported.
+    fn set_last_export(&mut self, ix: u32, id: RouteId);
     /// Resolves an AS-path arena node.
     fn node(&self, node: u32) -> PathNode;
     /// Appends an AS-path arena node, returning its index.
@@ -184,8 +212,8 @@ pub struct Workspace {
     sent_epoch: Vec<u32>,
     best: Vec<Best>,
     best_epoch: Vec<u32>,
-    /// Last exported (origin, len, class) per AS, to suppress no-op exports.
-    last_export: Vec<(u32, u16, u8)>,
+    /// Identity of the last exported route per AS, to suppress no-op exports.
+    last_export: Vec<RouteId>,
     last_export_epoch: Vec<u32>,
     /// `(epoch << 32) | wave` tag deduplicating the dirty queue per wave.
     dirty_tag: Vec<u64>,
@@ -205,7 +233,7 @@ impl Workspace {
         if self.best.len() < n {
             self.best.resize(n, NO_ROUTE);
             self.best_epoch.resize(n, 0);
-            self.last_export.resize(n, (NONE, 0, 0));
+            self.last_export.resize(n, NO_ROUTE_ID);
             self.last_export_epoch.resize(n, 0);
             self.dirty_tag.resize(n, 0);
         }
@@ -293,10 +321,19 @@ impl Workspace {
             last_export_word: (0..n)
                 .map(|i| {
                     if self.last_export_epoch[i] == self.epoch {
-                        let (o, l, c) = self.last_export[i];
+                        let (o, l, c, _) = self.last_export[i];
                         pack_triple(o, l, c) | EXPORT_PRESENT
                     } else {
                         0
+                    }
+                })
+                .collect(),
+            last_export_node: (0..n)
+                .map(|i| {
+                    if self.last_export_epoch[i] == self.epoch {
+                        self.last_export[i].3
+                    } else {
+                        NONE
                     }
                 })
                 .collect(),
@@ -346,13 +383,13 @@ impl RibState for Workspace {
     }
 
     #[inline]
-    fn last_export(&self, ix: u32) -> Option<(u32, u16, u8)> {
+    fn last_export(&self, ix: u32) -> Option<RouteId> {
         (self.last_export_epoch[ix as usize] == self.epoch).then(|| self.last_export[ix as usize])
     }
 
     #[inline]
-    fn set_last_export(&mut self, ix: u32, snap: (u32, u16, u8)) {
-        self.last_export[ix as usize] = snap;
+    fn set_last_export(&mut self, ix: u32, id: RouteId) {
+        self.last_export[ix as usize] = id;
         self.last_export_epoch[ix as usize] = self.epoch;
     }
 
@@ -393,13 +430,13 @@ pub(crate) struct LogDelivery {
 }
 
 /// One recorded export phase of a race run: AS `asn` exported (or
-/// withdrew) with best-route triple `triple`, producing the messages
-/// delivered in generation `gen`.
+/// withdrew) the route `route`, producing the messages delivered in
+/// generation `gen`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LogExport {
     pub(crate) gen: u32,
     pub(crate) asn: u32,
-    pub(crate) triple: (u32, u16, u8),
+    pub(crate) route: RouteId,
 }
 
 /// The full message schedule of one propagation, recorded during
@@ -474,6 +511,9 @@ pub(crate) struct RibSnapshot {
     best_link: Vec<u64>,
     /// Per-AS packed last-export triple with [`EXPORT_PRESENT`].
     last_export_word: Vec<u64>,
+    /// Per-AS path node of the last exported route (valid only where
+    /// `last_export_word` is present).
+    last_export_node: Vec<u32>,
     pub(crate) arena: Vec<PathNode>,
 }
 
@@ -488,6 +528,7 @@ impl RibSnapshot {
             best_word: vec![0; net.num_ases()],
             best_link: vec![0; net.num_ases()],
             last_export_word: vec![0; net.num_ases()],
+            last_export_node: vec![NONE; net.num_ases()],
             arena: Vec::new(),
         }
     }
@@ -534,9 +575,16 @@ impl RibSnapshot {
     }
 
     #[inline]
-    pub(crate) fn last_export(&self, ix: u32) -> Option<(u32, u16, u8)> {
+    pub(crate) fn last_export(&self, ix: u32) -> Option<RouteId> {
         let w = self.last_export_word[ix as usize];
-        (w & EXPORT_PRESENT != 0).then_some((w as u32, (w >> 32) as u16, (w >> 48) as u8))
+        (w & EXPORT_PRESENT != 0).then(|| {
+            (
+                w as u32,
+                (w >> 32) as u16,
+                (w >> 48) as u8,
+                self.last_export_node[ix as usize],
+            )
+        })
     }
 
     /// Number of AS rows (diagnostics and size checks).
@@ -557,6 +605,7 @@ impl RibSnapshot {
             + self.best_word.capacity() * 8
             + self.best_link.capacity() * 8
             + self.last_export_word.capacity() * 8
+            + self.last_export_node.capacity() * 4
             + self.arena.capacity() * std::mem::size_of::<PathNode>()
     }
 }
@@ -803,22 +852,23 @@ pub(crate) fn propagate_recorded<O: Observer>(
 
 /// Runs the export phase of one dirty AS: suppression check, last-export
 /// memo, per-neighbor announce/withdraw. Messages go to `sink` as
-/// `(sender_side_slot, msg)`. Returns the exported best-route triple, or
-/// `None` if the phase was suppressed (best unchanged since last export).
-/// Shared verbatim by [`run_waves`] and the delta replay loop.
+/// `(sender_side_slot, msg)`. Returns the identity of the exported route,
+/// or `None` if the phase was suppressed (best route — path included —
+/// unchanged since the last export). Shared verbatim by [`run_waves`] and
+/// the delta replay loop.
 pub(crate) fn export_from<S: RibState>(
     net: &SimNet<'_>,
     state: &mut S,
     x: u32,
     sink: &mut impl FnMut(u32, Msg),
-) -> Option<(u32, u16, u8)> {
+) -> Option<RouteId> {
     let xi = AsIndex::new(x);
     let b = state.best(x).expect("dirty AS has a recorded selection");
-    let snapshot = (b.origin, b.len, b.class);
-    if state.last_export(x) == Some(snapshot) {
+    let exported = b.route_id();
+    if state.last_export(x) == Some(exported) {
         return None;
     }
-    state.set_last_export(x, snapshot);
+    state.set_last_export(x, exported);
     let has_route = b.origin != NONE;
     let class = PrefClass::from_u8(b.class);
     // The path node for external exports appends this AS's sibling
@@ -862,7 +912,7 @@ pub(crate) fn export_from<S: RibState>(
             );
         }
     }
-    Some(snapshot)
+    Some(exported)
 }
 
 /// Runs export/delivery waves until the message queues drain (or the
@@ -888,13 +938,13 @@ pub(crate) fn run_waves<S: RibState, O: Observer>(
         // ---- Export phase: every AS whose best changed re-announces. ----
         for di in 0..q.dirty.len() {
             let x = q.dirty[di];
-            let triple = export_from(net, state, x, &mut |_, m| q.next.push(m));
-            if let (Some(triple), Some(l)) = (triple, log.as_deref_mut()) {
+            let route = export_from(net, state, x, &mut |_, m| q.next.push(m));
+            if let (Some(route), Some(l)) = (route, log.as_deref_mut()) {
                 // Messages pushed here are delivered in generation + 1.
                 l.exports.push(LogExport {
                     gen: generation + 1,
                     asn: x,
-                    triple,
+                    route,
                 });
             }
         }
@@ -1042,6 +1092,7 @@ pub(crate) fn deliver<S: RibState>(
         node: msg.node,
         key: ckey,
     };
+    let mut rerouted = false;
     let decision = if !had {
         state.set_best(r.raw(), cand);
         Decision::NewBest
@@ -1056,6 +1107,12 @@ pub(crate) fn deliver<S: RibState>(
             };
             let changed =
                 (old.origin, old.len, old.class) != (new_best.origin, new_best.len, new_best.class);
+            // The best may have moved to another AS path under the same
+            // triple. Neighbours must hear of it (their loop checks run
+            // against the path), so the AS is marked for re-export — but
+            // the decision stays `Stored`: `NewBest` counts adoptions, and
+            // an AS re-routing within one origin has adopted nothing new.
+            rerouted = old.node != new_best.node;
             state.set_best(r.raw(), new_best);
             if changed {
                 Decision::NewBest
@@ -1069,7 +1126,7 @@ pub(crate) fn deliver<S: RibState>(
             Decision::Stored
         }
     };
-    if decision == Decision::NewBest && state.try_mark_dirty(r.raw(), generation) {
+    if (decision == Decision::NewBest || rerouted) && state.try_mark_dirty(r.raw(), generation) {
         q.dirty.push(r.raw());
     }
     decision

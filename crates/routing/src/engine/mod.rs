@@ -21,6 +21,9 @@ pub mod delta;
 pub mod generation;
 pub mod race;
 
-pub use delta::{propagate_delta, Baseline, DeltaResult, DeltaWorkspace};
+pub use delta::{
+    propagate_delta, propagate_delta_budgeted, Baseline, DeltaResult, DeltaWorkspace,
+    DEFAULT_CONE_BUDGET_DIVISOR,
+};
 pub use generation::{propagate, propagate_announcements, Announcement, Workspace};
 pub use race::{solve_race, solve_race_observed, RaceWorkspace, DEFAULT_MAX_ROUNDS};

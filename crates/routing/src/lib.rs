@@ -53,7 +53,10 @@ mod observer;
 pub mod policy;
 mod route;
 
-pub use engine::delta::{propagate_delta, Baseline, DeltaResult, DeltaWorkspace};
+pub use engine::delta::{
+    propagate_delta, propagate_delta_budgeted, Baseline, DeltaResult, DeltaWorkspace,
+    DEFAULT_CONE_BUDGET_DIVISOR,
+};
 pub use engine::generation::{propagate, propagate_announcements, Announcement, Workspace};
 pub use engine::race::{solve_race, solve_race_observed, RaceWorkspace, DEFAULT_MAX_ROUNDS};
 pub use filter::{AsSet, FilterContext};

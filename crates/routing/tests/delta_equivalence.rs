@@ -30,8 +30,8 @@
 use proptest::prelude::*;
 
 use bgpsim_routing::{
-    propagate_announcements, propagate_delta, Announcement, AsSet, Baseline, DeltaWorkspace,
-    FilterContext, NullObserver, PolicyConfig, SimNet, Workspace,
+    propagate_announcements, propagate_delta, propagate_delta_budgeted, Announcement, AsSet,
+    Baseline, DeltaWorkspace, FilterContext, NullObserver, PolicyConfig, SimNet, Workspace,
 };
 use bgpsim_topology::{AsId, AsIndex, LinkKind, Topology, TopologyBuilder};
 
@@ -224,6 +224,7 @@ fn assert_delta_matches(
     // baseline choice (`choice()` falls through, so if full disagreed the
     // loop above already failed — this pins the fall-through itself).
     let touched: Vec<AsIndex> = delta.touched().collect();
+    let stats = delta.stats();
     for i in 0..net.num_ases() {
         let ix = AsIndex::new(i as u32);
         if !touched.contains(&ix) {
@@ -254,6 +255,68 @@ fn assert_delta_matches(
         "[{}] repeated replay diverges",
         label
     );
+    // Budgeted replay: the budget only ever decides whether to stop. A
+    // replay that completes under one is the unbudgeted replay bit for bit
+    // (the whole network as budget always completes; over a truncated
+    // baseline every budget does), and a workspace an abandoned replay
+    // left mid-race serves the next run like a fresh one.
+    let truncated_baseline = baseline.propagation(net).stats().truncated;
+    let cone = touched.len();
+    for budget in [0, cone / 2, net.num_ases()] {
+        let budgeted = propagate_delta_budgeted(
+            net,
+            baseline,
+            &[injection],
+            ctx,
+            policy,
+            dws,
+            Some(budget),
+            &mut NullObserver,
+        );
+        prop_assert!(
+            budgeted.is_some() || (budget < net.num_ases() && !truncated_baseline),
+            "[{}] budget {} abandoned a replay it must finish",
+            label,
+            budget
+        );
+        let Some(budgeted) = budgeted else {
+            let next = propagate_delta(
+                net,
+                baseline,
+                &[injection],
+                ctx,
+                policy,
+                dws,
+                &mut NullObserver,
+            );
+            prop_assert_eq!(next.stats(), stats, "[{}] after budget {}", label, budget);
+            let next = next.to_propagation();
+            prop_assert_eq!(
+                next.choices(),
+                materialized.choices(),
+                "[{}] replay after an abandoned one (budget {}) diverges",
+                label,
+                budget
+            );
+            continue;
+        };
+        prop_assert_eq!(budgeted.stats(), stats, "[{}] budget {}", label, budget);
+        prop_assert_eq!(
+            &budgeted.touched().collect::<Vec<_>>(),
+            &touched,
+            "[{}] budget {}: cone diverges",
+            label,
+            budget
+        );
+        let budgeted = budgeted.to_propagation();
+        prop_assert_eq!(
+            budgeted.choices(),
+            materialized.choices(),
+            "[{}] budget {}: completed replay diverges",
+            label,
+            budget
+        );
+    }
     Ok(())
 }
 

@@ -18,9 +18,11 @@
 //! leakage between runs would also fail. The sibling-laundered
 //! multistability seed from the delta suite is pinned here too — it is the
 //! known stress case for the tier-1 fixed point (the paper policy admits
-//! two stable states there, and only the raced one is correct) — as is the
+//! two stable states there, and only the raced one is correct) — as are the
 //! sibling-chain cycle that once separated the generation engine from a
-//! plain label-setting solver under strict Gao-Rexford.
+//! plain label-setting solver under strict Gao-Rexford, and the
+//! same-triple path change that once separated it from this solver on one
+//! lab attack in 200.
 
 use proptest::prelude::*;
 
@@ -301,6 +303,45 @@ fn pinned_regression_sibling_chain_cycle() {
         s2s: vec![(11, 13), (13, 16), (1, 16)],
         target: 2,
         attacker: 14,
+        validators: vec![],
+    };
+    let (solves, converged) = assert_race_equivalence(&recipe).unwrap();
+    assert_eq!((solves, converged), (18, 18));
+}
+
+/// Pinned regression: the lab divergence of DESIGN.md §12 (standard lab,
+/// AS1 ← AS577), shrunk by hand to twelve ASes — `semantics.rs`
+/// (`path_change_under_an_unchanged_triple_is_reannounced`) walks the
+/// mechanism generation by generation. Sibling chain 11–9–10 with one
+/// provider each (2, 3, 1) under root 0, target 8 below the root, attacker
+/// 7 at the bottom of a customer chain below 3, which also buys from 1.
+/// AS 9's best moves between two sibling paths under an unchanged
+/// `(origin, len, class)`; unless it re-announces, AS 10 ends on a
+/// six-hop route to the attacker where the race solver — and any stable
+/// solution — has it on a five-hop route to the target. There is no seed
+/// line for it: the recipe was built, not generated.
+#[test]
+fn pinned_regression_same_triple_path_change() {
+    let recipe = Recipe {
+        n: 12,
+        p2c: vec![
+            (0, 8),
+            (0, 1),
+            (0, 2),
+            (0, 3),
+            (1, 3),
+            (1, 10),
+            (2, 11),
+            (3, 9),
+            (3, 4),
+            (4, 5),
+            (5, 6),
+            (6, 7),
+        ],
+        p2p: vec![],
+        s2s: vec![(9, 10), (9, 11)],
+        target: 8,
+        attacker: 7,
         validators: vec![],
     };
     let (solves, converged) = assert_race_equivalence(&recipe).unwrap();

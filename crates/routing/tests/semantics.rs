@@ -521,3 +521,87 @@ fn duplicate_origins_panic() {
         &mut NullObserver,
     );
 }
+
+/// The lab witness of DESIGN.md §12 (standard lab, AS1 ← AS577, siblings
+/// 9871–5012–6324), shrunk to twelve ASes. Sibling chain 32–30–31 with one
+/// provider each (12, 13, 11) under a common root 10 that also serves the
+/// target 1. The attacker 2 sits at the bottom of a four-hop customer
+/// chain below 13, and 13 in turn buys from 11 — so the attacker's
+/// customer route displaces 13's provider route to the target at
+/// generation 4 and 11's one generation later.
+///
+/// * Generation 5: 30's provider route is replaced by the attacker's
+///   longer one; its rescan lands on sibling 31's `(1, len 4, Provider)`
+///   (lower slot than 32's equal entry) and it exports `30 31 11 10 1`.
+/// * Generation 6: 31 loop-rejects that export — dropping 30's slot — and
+///   loses its own route to the target as 11 turns to the attacker; it
+///   exports the attacker route.
+/// * Generation 7: that export replaces the entry 30's best sat on. The
+///   rescan picks sibling 32's `(1, len 4, Provider)`: the **same triple**
+///   under a **different path**. 30 must re-announce — real BGP sends an
+///   UPDATE on any path change — or 31, whose table no longer holds
+///   anything from 30, stays on a six-hop route to the attacker although
+///   its sibling holds a loop-free route to the target.
+///
+/// A last-export memo keyed on the triple alone suppressed exactly that
+/// re-announcement, and the engine converged on a state that is not a
+/// stable routing solution (race ≠ generation on 1 lab attack in 200).
+#[test]
+fn path_change_under_an_unchanged_triple_is_reannounced() {
+    let topo = topology_from_triples(&[
+        (10, 1, ProviderToCustomer),
+        (10, 11, ProviderToCustomer),
+        (10, 12, ProviderToCustomer),
+        (10, 13, ProviderToCustomer),
+        (11, 13, ProviderToCustomer),
+        // 31 before 32: first mention fixes the index, hence 30's slot
+        // order among its siblings.
+        (11, 31, ProviderToCustomer),
+        (12, 32, ProviderToCustomer),
+        (13, 30, ProviderToCustomer),
+        (13, 21, ProviderToCustomer),
+        (21, 22, ProviderToCustomer),
+        (22, 23, ProviderToCustomer),
+        (23, 2, ProviderToCustomer),
+        (30, 31, SiblingToSibling),
+        (30, 32, SiblingToSibling),
+    ]);
+    let net = SimNet::new(&topo);
+    let (target, attacker) = (ix(&topo, 1), ix(&topo, 2));
+    let (mid, low, high) = (ix(&topo, 30), ix(&topo, 31), ix(&topo, 32));
+    for policy in [PolicyConfig::paper(), PolicyConfig::strict_gao_rexford()] {
+        let mut trace = TraceRecorder::new();
+        let p = propagate(
+            &net,
+            &[target, attacker],
+            &FilterContext::none(),
+            &policy,
+            &mut Workspace::new(),
+            &mut trace,
+        );
+        // The same-triple move: 31's attacker route replaces the entry
+        // 30's best sat on, 30 lands on 32's equal triple — `Stored`, no
+        // adoption counted...
+        let moved = trace
+            .events()
+            .iter()
+            .find(|e| (e.from, e.to, e.origin) == (low, mid, attacker))
+            .expect("31 exports the attacker route to 30");
+        assert_eq!(moved.decision, Decision::Stored);
+        // ...and yet 30 re-announces in the next generation, to both
+        // siblings.
+        let reannounced: Vec<AsIndex> = trace
+            .generation(moved.generation + 1)
+            .filter(|e| e.from == mid)
+            .map(|e| e.to)
+            .collect();
+        assert_eq!(reannounced, [low, high]);
+        // End state: the whole chain routes to the target, 31 through its
+        // siblings.
+        let path = |x| p.path_to_origin(x).expect("routed");
+        let asns = |x| -> Vec<u32> { path(x).iter().map(|&h| topo.id_of(h).value()).collect() };
+        assert_eq!(asns(mid), [30, 32, 12, 10, 1]);
+        assert_eq!(asns(low), [31, 30, 32, 12, 10, 1]);
+        assert_eq!(asns(high), [32, 12, 10, 1]);
+    }
+}

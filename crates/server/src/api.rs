@@ -411,39 +411,29 @@ fn handle_attack(state: &ServerState<'_>, request: &Request) -> Result<Response,
         kind,
     };
     let monitor = SweepMonitor::none().with_telemetry(&state.telemetry);
-    let mut sink = TelemetrySink(&state.telemetry);
     let started = Instant::now();
-    // The baseline cache pays off exactly when the route replays.
-    // Everything else runs from scratch on the generation engine.
-    let (outcome, dispatch, cache_name) =
-        if state.sim.route(kind, &parsed.defense) == Dispatch::Delta {
-            let key = BaselineKey {
-                target: target.raw(),
-                defense_fp: parsed.fingerprint,
-            };
-            let (baseline, cache_outcome) = state.cache.get_or_build(key, || {
-                state.sim.baseline_for(target, &parsed.defense, &monitor)
-            });
-            let (outcome, dispatch) = state.sim.evaluate(
-                attack,
-                &parsed.defense,
-                Some(&baseline),
-                &mut state.sim.scratch(),
-                &monitor,
-                &mut sink,
-            );
-            (outcome, dispatch, cache_outcome.name())
-        } else {
-            state.telemetry.record_dispatch(Dispatch::Scratch);
-            let outcome = state.sim.run_observed(
-                attack,
-                &parsed.defense,
-                state.sim.scratch().workspace(),
-                &mut sink,
-            );
-            state.telemetry.record_attack_wall(started.elapsed());
-            (outcome, Dispatch::Scratch, "bypass")
+    // The baseline cache pays off exactly when the route replays; every
+    // other request bypasses it and runs on whatever engine the route
+    // picks (the race solver for undefended exact-prefix and forged-origin
+    // singles, the generation engine for sub-prefix ones).
+    let cached = (state.sim.route(kind, &parsed.defense) == Dispatch::Delta).then(|| {
+        let key = BaselineKey {
+            target: target.raw(),
+            defense_fp: parsed.fingerprint,
         };
+        state.cache.get_or_build(key, || {
+            state.sim.baseline_for(target, &parsed.defense, &monitor)
+        })
+    });
+    let (outcome, dispatch) = state.sim.evaluate(
+        attack,
+        &parsed.defense,
+        cached.as_ref().map(|(baseline, _)| &**baseline),
+        &mut state.sim.scratch(),
+        &monitor,
+        &mut TelemetrySink(&state.telemetry),
+    );
+    let cache_name = cached.map_or("bypass", |(_, cache_outcome)| cache_outcome.name());
     let wall_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
     let response = Json::obj([
         ("result", outcome_json(topo, &outcome)),

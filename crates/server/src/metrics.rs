@@ -543,6 +543,11 @@ pub fn render_prometheus(
             "Summed contamination-cone sizes over delta dispatches.",
             telemetry.cone_sum,
         ),
+        (
+            "bgpsim_sim_replays_abandoned_total",
+            "Replays abandoned over their cone budget and finished from scratch.",
+            telemetry.replays_abandoned,
+        ),
     ] {
         header(&mut out, name, "counter", help);
         line(&mut out, name, "", value);
@@ -772,6 +777,7 @@ mod tests {
         metrics.connection_accepted();
         let telemetry = SweepTelemetry::new();
         telemetry.record_attack_wall(Duration::from_micros(5));
+        telemetry.record_abandoned();
         let text = render_prometheus(
             &metrics,
             &CacheStats {
@@ -810,6 +816,7 @@ mod tests {
             "bgpsim_http_request_duration_us_bucket{endpoint=\"attacks\",le=\"+Inf\"} 1"
         ));
         assert!(text.contains("bgpsim_sim_attack_duration_us_count 1"));
+        assert!(text.contains("bgpsim_sim_replays_abandoned_total 1"));
         assert!(text.contains("bgpsim_jobs_chunks_total 4"));
         assert!(text.contains("bgpsim_jobs_restored_total 1"));
         // Cumulative le buckets are monotone.

@@ -223,11 +223,44 @@ fn attack_matches_direct_simulator_and_warm_cache_is_faster() {
     );
     assert_eq!(status, 200);
     assert_eq!(str_of(get(get(&big, "meta"), "cache")), "hit");
+    // `meta.engine` names what ran, not the route: the stub's replay stays
+    // inside its cone budget, the aggressive attacker's outgrows it and is
+    // finished by the race solver — against the same cached baseline.
+    assert_eq!(str_of(get(get(&cold, "meta"), "engine")), "delta");
+    assert_eq!(str_of(get(get(&big, "meta"), "engine")), "race");
+    assert_eq!(metric(addr, "bgpsim_sim_replays_abandoned_total"), 1);
 
     let lab = Lab::new(tiny_experiment());
     let sim = lab.simulator();
     let topo = lab.topology();
     let t = topo.index_of(bgpsim_topology::AsId::new(target)).unwrap();
+    // Singles whose route does not replay bypass the cache and run on the
+    // route's engine like any other attack: the race solver for undefended
+    // exact-prefix and forged-origin hijacks, the generation engine for a
+    // sub-prefix one.
+    let a = topo
+        .index_of(bgpsim_topology::AsId::new(aggressive))
+        .unwrap();
+    for (kind, attack, engine) in [
+        ("origin", Attack::origin(a, t), "race"),
+        ("forged_origin", Attack::forged_origin(a, t), "race"),
+        ("sub_prefix", Attack::sub_prefix(a, t), "generation"),
+    ] {
+        let (status, open) = json(
+            addr,
+            "POST",
+            "/v1/attacks",
+            &format!("{{\"attacker\":{aggressive},\"target\":{target},\"kind\":\"{kind}\"}}"),
+        );
+        assert_eq!(status, 200, "{kind}: {open:?}");
+        assert_eq!(str_of(get(get(&open, "meta"), "engine")), engine, "{kind}");
+        assert_eq!(str_of(get(get(&open, "meta"), "cache")), "bypass");
+        assert_eq!(
+            num(get(get(&open, "result"), "pollution_count")) as usize,
+            sim.run(attack, &Defense::none()).pollution_count(),
+            "{kind}"
+        );
+    }
     let defense = Defense::none().with_stub_defense();
     for (attacker, response) in [(cheap_attacker, &cold), (aggressive, &big)] {
         let a = topo.index_of(bgpsim_topology::AsId::new(attacker)).unwrap();

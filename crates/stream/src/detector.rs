@@ -11,7 +11,8 @@
 //! * [`DetectorMode::Incremental`] — the live path. One [`Baseline`] of
 //!   the target's honest convergence is cached per tracked target and
 //!   each evaluation replays only the attacker's contamination cone
-//!   ([`Simulator::evaluate`]). Origin validation can only
+//!   ([`Simulator::evaluate`]; a cone that outgrows its budget is raced
+//!   from scratch instead, inside the same call). Origin validation can only
 //!   reject routes whose origin differs from the authorized one, and the
 //!   honest announcement's origin *is* the authorized one — so validator
 //!   churn never changes a target's honest convergence and cached
