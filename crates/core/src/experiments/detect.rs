@@ -2,9 +2,7 @@
 
 use std::path::Path;
 
-use bgpsim_detection::{
-    random_transit_attacks, run_detection_experiment, DetectionReport, ProbeSet,
-};
+use bgpsim_detection::{random_transit_attacks, run_detection_experiment, DetectionReport};
 use bgpsim_hijack::Defense;
 
 use crate::lab::Lab;
@@ -17,8 +15,6 @@ pub struct DetectionResult {
     pub reports: Vec<DetectionReport>,
     /// Number of random attacks simulated.
     pub attacks: usize,
-    /// Degree threshold used for the case-3 cohort at this scale.
-    pub degree_threshold: usize,
 }
 
 impl DetectionResult {
@@ -158,13 +154,7 @@ impl DetectionResult {
 pub fn fig7(lab: &Lab) -> DetectionResult {
     let sim = lab.simulator();
     let topo = lab.topology();
-    // Case 3's cohort threshold scales like the §V degree cohorts.
-    let degree_threshold = ((500.0 * lab.config().scale().sqrt()).round() as usize).max(4);
-    let sets = vec![
-        ProbeSet::tier1(topo),
-        ProbeSet::bgpmon_like(topo, 24, lab.config().seed ^ 0xb69),
-        ProbeSet::degree_at_least(topo, degree_threshold),
-    ];
+    let sets = lab.probe_cohort();
     let attacks = random_transit_attacks(
         topo,
         lab.config().detection_attacks,
@@ -174,7 +164,6 @@ pub fn fig7(lab: &Lab) -> DetectionResult {
     DetectionResult {
         reports,
         attacks: attacks.len(),
-        degree_threshold,
     }
 }
 

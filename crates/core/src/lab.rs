@@ -1,6 +1,7 @@
 //! The experiment laboratory: one generated Internet plus the cast of
 //! representative ASes every figure needs.
 
+use bgpsim_detection::ProbeSet;
 use bgpsim_hijack::Simulator;
 use bgpsim_topology::classify::{classify, effective_depth, Classification, ClassifyConfig};
 use bgpsim_topology::gen::{generate, GeneratedInternet};
@@ -192,6 +193,27 @@ impl Lab {
             .into_iter()
             .step_by(self.config.attacker_stride.max(1))
             .collect()
+    }
+
+    /// The §VI probe cohort in the paper's case order: every tier-1, a
+    /// BGPmon-like 24-peer mix, and every AS above a degree threshold
+    /// that scales like the §V deployment cohorts. Fig. 7, `bgpsim
+    /// stream` and the server's stream jobs watch the internet through
+    /// these same monitors.
+    pub fn probe_cohort(&self) -> Vec<ProbeSet> {
+        let topo = &self.net.topology;
+        let degree_threshold = ((500.0 * self.config.scale().sqrt()).round() as usize).max(4);
+        vec![
+            ProbeSet::tier1(topo),
+            ProbeSet::bgpmon_like(topo, 24, self.config.seed ^ 0xb69),
+            ProbeSet::degree_at_least(topo, degree_threshold),
+        ]
+    }
+
+    /// Seed of the default update-stream tape, so a bare `POST /v1/stream`
+    /// replays the tape a bare `bgpsim stream` runs.
+    pub fn stream_seed(&self) -> u64 {
+        self.config.seed ^ 0x57e4
     }
 
     /// Human-readable description of an AS for tables: ASN, degree, depth.

@@ -12,11 +12,15 @@
 //! (insertion-order) object keys. [`Json::parse`] is the matching
 //! recursive-descent reader, so the type is bidirectional:
 //! `parse(render(j)) == j` for every value whose numbers are finite (the
-//! `manifest_roundtrip` proptest pins this).
+//! `manifest_roundtrip` proptest pins this). A parsed document is *read*
+//! through the strict accessors ([`Json::get`], [`Json::as_u64`], …): the
+//! one place the workspace decides what an object lookup is and when a
+//! number is an integer.
 
 use std::fmt::Write as _;
 
 use bgpsim_hijack::TelemetrySnapshot;
+use bgpsim_stream::StreamSummary;
 
 /// Manifest schema version; bump on any breaking layout change and
 /// document the migration in DESIGN.md.
@@ -61,6 +65,10 @@ impl std::error::Error for JsonParseError {}
 /// Bounds recursion on untrusted request bodies; manifests nest 4 deep.
 const MAX_PARSE_DEPTH: u32 = 128;
 
+/// 2^53: the largest integer [`Json::as_u64`] reads and the cutoff below
+/// which [`write_number`] renders integrals without a fraction.
+const MAX_SAFE_INTEGER: f64 = 9.007_199_254_740_992e15;
+
 impl Json {
     /// An object from ordered pairs.
     pub fn obj<K: Into<String>, I: IntoIterator<Item = (K, Json)>>(pairs: I) -> Json {
@@ -70,6 +78,69 @@ impl Json {
     /// A string value.
     pub fn str<S: Into<String>>(s: S) -> Json {
         Json::Str(s.into())
+    }
+
+    /// An array of integers — ASNs, pollution counts (the writer
+    /// counterpart of [`Json::as_u32_array`]).
+    pub fn u32s(values: &[u32]) -> Json {
+        Json::Arr(values.iter().map(|&v| Json::from(v)).collect())
+    }
+
+    /// The value under `key` when this is an object that has one (the
+    /// first, should a hostile document repeat the key).
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// This value as an integer: a number that is integral, non-negative
+    /// and at most 2^53 (the largest range in which every integer is an
+    /// exact double). Anything else — a fraction, a negative, a string
+    /// that looks like a number — is `None`, never a nearby integer.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Num(n) if n.fract() == 0.0 && (0.0..=MAX_SAFE_INTEGER).contains(n) => {
+                Some(*n as u64)
+            }
+            _ => None,
+        }
+    }
+
+    /// [`Json::as_u64`], additionally in `u32` range (an ASN, a count).
+    pub fn as_u32(&self) -> Option<u32> {
+        self.as_u64().and_then(|n| u32::try_from(n).ok())
+    }
+
+    /// This value's text, when it is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// This value, when it is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// This value's items, when it is an array.
+    pub fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// This value as a list of `u32`s: an array whose every item passes
+    /// [`Json::as_u32`]. One bad item rejects the whole list.
+    pub fn as_u32_array(&self) -> Option<Vec<u32>> {
+        self.as_array()?.iter().map(Json::as_u32).collect()
     }
 
     /// Parses an RFC 8259 JSON document (the inverse of [`Json::render`]
@@ -463,7 +534,7 @@ fn push_indent(out: &mut String, indent: usize) {
 fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null"); // JSON has no NaN/Inf
-    } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
+    } else if n.fract() == 0.0 && n.abs() < MAX_SAFE_INTEGER {
         let _ = write!(out, "{}", n as i64);
     } else {
         let _ = write!(out, "{n}");
@@ -610,80 +681,47 @@ pub fn telemetry_json(snapshot: &TelemetrySnapshot) -> Json {
     ])
 }
 
-/// Per-worker dispatch accounting inside a [`FanoutManifest`].
-#[derive(Debug, Clone)]
-pub struct FanoutWorkerRecord {
-    /// Worker address (`host:port`).
-    pub addr: String,
-    /// Whether the worker was still considered alive at the end of the
-    /// run (false = removed after consecutive dispatch failures).
-    pub alive: bool,
-    /// Shards dealt to this worker (including hedges and retries).
-    pub shards_dispatched: u64,
-    /// Shards this worker answered successfully.
-    pub shards_completed: u64,
-    /// Failed dispatches.
-    pub failures: u64,
-    /// Total microseconds of successful shard round-trips.
-    pub wall_us_sum: u64,
+/// Renders a [`StreamSummary`] as the five-key object that job records,
+/// `GET /v1/results/:id` and `stream_manifest.json` all carry. Latencies
+/// render as `null` when nothing was detected: "no hijack was ever
+/// detected" must stay distinguishable from "detected instantly".
+#[must_use]
+pub fn stream_summary_json(summary: &StreamSummary) -> Json {
+    Json::obj([
+        ("events", Json::from(summary.events)),
+        ("injected", Json::from(summary.injected)),
+        ("detected", Json::from(summary.detected)),
+        (
+            "mean_latency_events",
+            summary.mean_latency.map_or(Json::Null, Json::Num),
+        ),
+        (
+            "max_latency_events",
+            summary.max_latency.map_or(Json::Null, Json::from),
+        ),
+    ])
 }
 
-/// The `fanout` section of a [`RunManifest`]: how a sharded sweep was
-/// dealt across a worker fleet. Absent (`None`) for single-node runs.
-#[derive(Debug, Clone)]
-pub struct FanoutManifest {
-    /// Registered workers with their dispatch counters.
-    pub workers: Vec<FanoutWorkerRecord>,
-    /// Workers rejected at registration: `(addr, reason)`.
-    pub rejected: Vec<(String, String)>,
-    /// Shards planned across the run.
-    pub shards_total: u64,
-    /// Shards completed (first result per shard only).
-    pub shards_done: u64,
-    /// Shards re-queued after a failed dispatch.
-    pub shards_retried: u64,
-    /// Hedged duplicate dispatches issued against stragglers.
-    pub shards_hedged: u64,
-}
-
-impl FanoutManifest {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "workers",
-                Json::Arr(
-                    self.workers
-                        .iter()
-                        .map(|w| {
-                            Json::obj([
-                                ("addr", Json::str(&w.addr)),
-                                ("alive", Json::Bool(w.alive)),
-                                ("shards_dispatched", Json::from(w.shards_dispatched)),
-                                ("shards_completed", Json::from(w.shards_completed)),
-                                ("failures", Json::from(w.failures)),
-                                ("wall_us_sum", Json::from(w.wall_us_sum)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "rejected",
-                Json::Arr(
-                    self.rejected
-                        .iter()
-                        .map(|(addr, reason)| {
-                            Json::obj([("addr", Json::str(addr)), ("reason", Json::str(reason))])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("shards_total", Json::from(self.shards_total)),
-            ("shards_done", Json::from(self.shards_done)),
-            ("shards_retried", Json::from(self.shards_retried)),
-            ("shards_hedged", Json::from(self.shards_hedged)),
-        ])
-    }
+/// Reads back what [`stream_summary_json`] wrote (`--state-dir` restore);
+/// `None` when a key is missing or mistyped. A `null` latency reads as
+/// `None`, never as zero.
+#[must_use]
+pub fn stream_summary_from_json(json: &Json) -> Option<StreamSummary> {
+    let count = |key: &str| usize::try_from(json.get(key)?.as_u64()?).ok();
+    Some(StreamSummary {
+        events: count("events")?,
+        injected: count("injected")?,
+        detected: count("detected")?,
+        mean_latency: match json.get("mean_latency_events")? {
+            Json::Null => None,
+            Json::Num(n) => Some(*n),
+            _ => return None,
+        },
+        max_latency: match json.get("max_latency_events")? {
+            Json::Null => None,
+            value => Some(value.as_u64()?),
+        },
+    })
 }
 
 /// The full record of one `bgpsim` run (see DESIGN.md for the schema).
@@ -710,8 +748,9 @@ pub struct RunManifest {
     /// End-to-end wall time, milliseconds.
     pub total_wall_ms: f64,
     /// Fan-out accounting when the run was sharded across a worker
-    /// fleet (`bgpsim fanout`); `None` for single-node runs.
-    pub fanout: Option<FanoutManifest>,
+    /// fleet (`bgpsim fanout`), as the coordinator's `FanoutStats::to_json`
+    /// rendered it; `None` for single-node runs.
+    pub fanout: Option<Json>,
 }
 
 impl RunManifest {
@@ -740,7 +779,7 @@ impl RunManifest {
             ),
         ];
         if let Some(fanout) = &self.fanout {
-            pairs.push(("fanout".to_string(), fanout.to_json()));
+            pairs.push(("fanout".to_string(), fanout.clone()));
         }
         Json::Obj(pairs)
     }
@@ -927,21 +966,10 @@ mod tests {
                 telemetry: Some(snapshot),
             }],
             total_wall_ms: 20.25,
-            fanout: Some(FanoutManifest {
-                workers: vec![FanoutWorkerRecord {
-                    addr: "127.0.0.1:8091".into(),
-                    alive: true,
-                    shards_dispatched: 4,
-                    shards_completed: 4,
-                    failures: 0,
-                    wall_us_sum: 12_345,
-                }],
-                rejected: vec![("127.0.0.1:9".into(), "unreachable".into())],
-                shards_total: 4,
-                shards_done: 4,
-                shards_retried: 0,
-                shards_hedged: 1,
-            }),
+            fanout: Some(Json::obj([
+                ("rejected", Json::Arr(vec![Json::str("127.0.0.1:9")])),
+                ("shards_total", Json::from(4u64)),
+            ])),
         };
         let v = manifest.to_json();
         assert_eq!(Json::parse(&v.render()).unwrap(), v);

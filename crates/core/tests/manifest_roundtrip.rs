@@ -2,9 +2,14 @@
 //! `parse(render(j)) == j` for every value whose numbers are finite,
 //! through both the pretty and the compact renderer, including string
 //! escape edge cases (control characters, `\u` escapes, surrogate
-//! pairs) and the documented non-finite-number lossy corner.
+//! pairs) and the documented non-finite-number lossy corner — and the
+//! contracts of what reads a parsed document: the strict accessors
+//! (an integer is integral, non-negative, in range and at most 2^53, or
+//! it is not an integer) and the `StreamSummary` codec (reader ∘ writer
+//! is the identity; no detections round-trip as `null`, never 0).
 
-use bgpsim_core::manifest::Json;
+use bgpsim_core::manifest::{stream_summary_from_json, stream_summary_json, Json};
+use bgpsim_core::stream::StreamSummary;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 
@@ -103,4 +108,130 @@ proptest! {
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(parsed, Json::str(s));
     }
+
+    #[test]
+    fn stream_summary_reader_inverts_its_writer(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::from_seed(seed);
+        let injected = rng.below(40) as usize;
+        let detected = rng.below(injected as u64 + 1) as usize;
+        let latencies: Vec<u64> = (0..detected).map(|_| rng.below(500)).collect();
+        let summary = StreamSummary {
+            events: injected + rng.below(100_000) as usize,
+            injected,
+            detected,
+            mean_latency: (detected > 0)
+                .then(|| latencies.iter().sum::<u64>() as f64 / detected as f64),
+            max_latency: latencies.iter().max().copied(),
+        };
+        let wire = stream_summary_json(&summary);
+        prop_assert_eq!(stream_summary_from_json(&wire), Some(summary));
+        // Through text too: what a job record on disk goes through.
+        let reparsed = Json::parse(&wire.render_compact())
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(stream_summary_from_json(&reparsed), Some(summary));
+    }
+
+    #[test]
+    fn integers_read_back_exactly_or_not_at_all(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::from_seed(seed);
+        let n = arb_number(&mut rng);
+        let exact = n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&n);
+        match Json::Num(n).as_u64() {
+            Some(read) => {
+                prop_assert!(exact, "{n} read as {read}");
+                prop_assert_eq!(read as f64, n);
+            }
+            None => prop_assert!(!exact, "{n} refused"),
+        }
+        let small = rng.next_u64() as u32;
+        prop_assert_eq!(Json::from(small).as_u32(), Some(small));
+        prop_assert_eq!(Json::from(small).as_u64(), Some(u64::from(small)));
+    }
+}
+
+#[test]
+fn a_summary_without_detections_round_trips_as_null_not_zero() {
+    let quiet = StreamSummary {
+        events: 50,
+        injected: 2,
+        detected: 0,
+        mean_latency: None,
+        max_latency: None,
+    };
+    let wire = stream_summary_json(&quiet);
+    assert_eq!(
+        wire.render_compact(),
+        "{\"events\":50,\"injected\":2,\"detected\":0,\
+         \"mean_latency_events\":null,\"max_latency_events\":null}"
+    );
+    assert_eq!(stream_summary_from_json(&wire), Some(quiet));
+    // "Detected instantly" is a different summary and stays one.
+    let instant = StreamSummary {
+        detected: 2,
+        mean_latency: Some(0.0),
+        max_latency: Some(0),
+        ..quiet
+    };
+    let wire = stream_summary_json(&instant);
+    assert!(wire
+        .render_compact()
+        .ends_with("\"mean_latency_events\":0,\"max_latency_events\":0}"));
+    assert_eq!(stream_summary_from_json(&wire), Some(instant));
+    // A missing or mistyped member is a corrupt record, not a default.
+    for corrupt in [
+        "{\"events\":50,\"injected\":2,\"detected\":0,\"mean_latency_events\":null}",
+        "{\"events\":50,\"injected\":2,\"detected\":0,\
+          \"mean_latency_events\":null,\"max_latency_events\":2.5}",
+        "{\"events\":-1,\"injected\":2,\"detected\":0,\
+          \"mean_latency_events\":null,\"max_latency_events\":null}",
+        "{\"events\":50,\"injected\":2,\"detected\":0,\
+          \"mean_latency_events\":\"1\",\"max_latency_events\":null}",
+    ] {
+        let doc = Json::parse(corrupt).unwrap();
+        assert_eq!(stream_summary_from_json(&doc), None, "{corrupt}");
+    }
+}
+
+/// The reader strictness table: what each accessor makes of each value.
+#[test]
+fn readers_refuse_what_is_not_exactly_what_they_read() {
+    let doc = Json::parse(
+        "{\"neg\":-1,\"frac\":2.5,\"big\":9007199254740994,\"text\":\"7\",\
+          \"wide\":4294967296,\"max32\":4294967295,\"max\":9007199254740992,\
+          \"zero\":0,\"yes\":true,\"list\":[1,2,3],\"mixed\":[1,-2],\"nil\":null,\
+          \"twice\":1,\"twice\":2}",
+    )
+    .unwrap();
+    let at = |key: &str| doc.get(key).unwrap_or_else(|| panic!("no {key}"));
+    // (key, as_u64, as_u32)
+    for (key, wide, narrow) in [
+        ("neg", None, None),
+        ("frac", None, None),
+        ("big", None, None), // 2^53 + 2: exactly a double, past the safe range
+        ("text", None, None),
+        ("nil", None, None),
+        ("yes", None, None),
+        ("list", None, None),
+        ("wide", Some(1 << 32), None), // u32::MAX + 1
+        ("max32", Some(u64::from(u32::MAX)), Some(u32::MAX)),
+        ("max", Some(1 << 53), None),
+        ("zero", Some(0), Some(0)),
+    ] {
+        assert_eq!(at(key).as_u64(), wide, "{key}");
+        assert_eq!(at(key).as_u32(), narrow, "{key}");
+    }
+    assert_eq!(at("text").as_str(), Some("7"));
+    assert_eq!(at("zero").as_str(), None);
+    assert_eq!(at("yes").as_bool(), Some(true));
+    assert_eq!(at("zero").as_bool(), None);
+    assert_eq!(at("list").as_array().map(<[Json]>::len), Some(3));
+    assert_eq!(at("list").as_u32_array(), Some(vec![1, 2, 3]));
+    assert_eq!(Json::u32s(&[1, 2, 3]), *at("list"));
+    // One bad item rejects the whole list.
+    assert_eq!(at("mixed").as_u32_array(), None);
+    assert_eq!(at("zero").as_u32_array(), None);
+    // Lookups: a missing key, a non-object, and a repeated key (the first wins).
+    assert_eq!(doc.get("absent"), None);
+    assert_eq!(at("list").get("neg"), None);
+    assert_eq!(at("twice").as_u64(), Some(1));
 }

@@ -149,53 +149,54 @@ pub fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String)> {
     Ok((status, String::from_utf8_lossy(&body).to_string()))
 }
 
-/// Looks up `key` in a JSON object.
+/// [`Json::get`] as a free function. Read by `benchmark/` (frozen); new
+/// code calls the method.
 pub fn get<'a>(json: &'a Json, key: &str) -> Option<&'a Json> {
-    match json {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// Looks up a numeric `key` in a JSON object.
-pub fn get_u64(json: &Json, key: &str) -> Option<u64> {
-    match get(json, key) {
-        Some(Json::Num(n)) => Some(*n as u64),
-        _ => None,
-    }
-}
-
-/// Looks up a string `key` in a JSON object.
-pub fn get_str<'a>(json: &'a Json, key: &str) -> Option<&'a str> {
-    match get(json, key) {
-        Some(Json::Str(s)) => Some(s.as_str()),
-        _ => None,
-    }
+    json.get(key)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    /// One-shot server: accepts a single connection, answers every
-    /// request on it with `body`, records what it saw.
-    fn serve_once(body: &'static str) -> (String, std::thread::JoinHandle<String>) {
+    /// One-connection stub server: answers the i-th request on it with
+    /// `bodies[i]` (consuming the request body first, so requests frame
+    /// cleanly) and returns everything it saw once the script runs out.
+    pub(crate) fn serve_script(bodies: Vec<String>) -> (String, std::thread::JoinHandle<String>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let handle = std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             let mut seen = Vec::new();
+            let mut consumed = 0;
             let mut chunk = [0u8; 4096];
-            while !seen.windows(4).any(|w| w == b"\r\n\r\n") {
-                let n = stream.read(&mut chunk).unwrap();
-                seen.extend_from_slice(&chunk[..n]);
+            for body in bodies {
+                let head_end = loop {
+                    if let Some(pos) = seen[consumed..].windows(4).position(|w| w == b"\r\n\r\n") {
+                        break consumed + pos + 4;
+                    }
+                    let n = stream.read(&mut chunk).unwrap();
+                    assert!(n > 0, "client hung up mid-script");
+                    seen.extend_from_slice(&chunk[..n]);
+                };
+                let head = String::from_utf8_lossy(&seen[consumed..head_end]).to_string();
+                let length: usize = head
+                    .lines()
+                    .find_map(|line| line.strip_prefix("Content-Length: ")?.trim().parse().ok())
+                    .unwrap_or(0);
+                while seen.len() < head_end + length {
+                    let n = stream.read(&mut chunk).unwrap();
+                    assert!(n > 0, "client hung up mid-body");
+                    seen.extend_from_slice(&chunk[..n]);
+                }
+                consumed = head_end + length;
+                let response = format!(
+                    "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                );
+                stream.write_all(response.as_bytes()).unwrap();
             }
-            let response = format!(
-                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            );
-            stream.write_all(response.as_bytes()).unwrap();
             String::from_utf8_lossy(&seen).to_string()
         });
         (addr, handle)
@@ -203,7 +204,7 @@ mod tests {
 
     #[test]
     fn round_trips_a_request() {
-        let (addr, handle) = serve_once("{\"ok\":true}");
+        let (addr, handle) = serve_script(vec!["{\"ok\":true}".to_string()]);
         let mut client = Client::connect(&addr).unwrap();
         let (status, body) = client
             .request_with_headers("GET", "/v1/healthz", &[("Idempotency-Key", "k-1")], "")
@@ -213,13 +214,5 @@ mod tests {
         let seen = handle.join().unwrap();
         assert!(seen.starts_with("GET /v1/healthz HTTP/1.1\r\n"), "{seen}");
         assert!(seen.contains("Idempotency-Key: k-1\r\n"), "{seen}");
-    }
-
-    #[test]
-    fn json_helpers_read_nested_objects() {
-        let json = Json::parse("{\"cast\":{\"tier1\":7},\"state\":\"done\"}").unwrap();
-        assert_eq!(get_u64(get(&json, "cast").unwrap(), "tier1"), Some(7));
-        assert_eq!(get_str(&json, "state"), Some("done"));
-        assert_eq!(get_u64(&json, "missing"), None);
     }
 }

@@ -1,4 +1,4 @@
-//! The fan-out coordinator: shard dispatch, retries, hedging, merging.
+//! The fan-out coordinator: shard dispatch, retries, merging.
 //!
 //! A [`Coordinator`] owns a registered fleet of `bgpsim-server` workers
 //! (each vetted at registration by a [`Handshake`] against its
@@ -19,9 +19,9 @@
 //! 3. **Worker death** — three consecutive failures mark a worker dead
 //!    for the rest of the coordinator's life; its queued work drains to
 //!    the survivors.
-//! 4. **Hedged re-dispatch** — an idle worker duplicates the slowest
-//!    outstanding shard after [`FanoutConfig::hedge_after`];
-//!    first-result-wins is safe because shard evaluation is pure.
+//!
+//! A straggler is bounded by [`FanoutConfig::shard_timeout`]: the shard
+//! fails and is re-queued like any other failed dispatch.
 //!
 //! When every worker is dead or none registered, callers observe
 //! [`FanoutError::NoWorkers`] and are expected to degrade to local
@@ -35,7 +35,7 @@ use std::time::{Duration, Instant, SystemTime};
 use bgpsim_core::manifest::Json;
 use bgpsim_hijack::{wall_bucket, WALL_HIST_BUCKETS};
 
-use crate::client::{get, get_str, get_u64, Client};
+use crate::client::Client;
 use crate::shard::ShardPlan;
 
 /// Shards at or below this size go out as one synchronous
@@ -82,14 +82,11 @@ pub struct FanoutConfig {
     /// Shards dealt per live worker. More than 1 lets a fast worker
     /// steal the tail instead of idling while the slowest finishes.
     pub shards_per_worker: usize,
-    /// Total dispatch attempts (including hedges) a shard may burn
-    /// before the whole sweep fails.
+    /// Total dispatch attempts a shard may burn before the whole sweep
+    /// fails.
     pub max_attempts: u32,
     /// Wall-clock budget for one dispatched shard, submit to results.
     pub shard_timeout: Duration,
-    /// Idle workers duplicate the slowest outstanding shard after this
-    /// long (first result wins).
-    pub hedge_after: Duration,
     /// Poll cadence for async sweep jobs.
     pub poll_interval: Duration,
 }
@@ -102,7 +99,6 @@ impl FanoutConfig {
             shards_per_worker: 2,
             max_attempts: 4,
             shard_timeout: Duration::from_secs(600),
-            hedge_after: Duration::from_secs(10),
             poll_interval: Duration::from_millis(25),
         }
     }
@@ -138,15 +134,12 @@ pub trait SweepObserver: Sync {
     fn on_plan(&self, shards: usize) {
         let _ = shards;
     }
-    /// A shard covering `attackers` pool members completed (first
-    /// result only — a hedge loser does not re-report).
+    /// A shard covering `attackers` pool members completed.
     fn on_shard_done(&self, attackers: usize) {
         let _ = attackers;
     }
     /// A failed shard went back on the queue.
     fn on_retry(&self) {}
-    /// An idle worker duplicated the slowest outstanding shard.
-    fn on_hedge(&self) {}
     /// Polled between dispatches and while waiting on shard jobs;
     /// returning true abandons the sweep.
     fn cancelled(&self) -> bool {
@@ -172,6 +165,65 @@ pub struct SweepRequest {
     pub validator_asns: Vec<u32>,
     /// Whether the stub-defense heuristic is on.
     pub stub_defense: bool,
+}
+
+impl SweepRequest {
+    /// The `POST /v1/sweeps` body that asks a worker this question: the
+    /// target, the pool as an explicit attacker list, and the defense.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("target", Json::from(self.target_asn)),
+            ("attackers", Json::u32s(&self.pool_asns)),
+            (
+                "defense",
+                defense_to_json(&self.validator_asns, self.stub_defense),
+            ),
+        ])
+    }
+}
+
+/// The wire `defense` object: `{"validators":[ASN…],"stub_defense":bool}`,
+/// as request bodies carry it and `GET /v1/results/:id` echoes it.
+pub fn defense_to_json(validator_asns: &[u32], stub_defense: bool) -> Json {
+    Json::obj([
+        ("validators", Json::u32s(validator_asns)),
+        ("stub_defense", Json::Bool(stub_defense)),
+    ])
+}
+
+/// Reads a request's `defense` value into canonical form: validator ASNs
+/// sorted and deduplicated, plus the stub-defense flag. An absent or
+/// `null` defense, like an absent or `null` member, means "none".
+///
+/// # Errors
+///
+/// Names the member that is not what the wire schema says it is.
+pub fn defense_from_json(defense: Option<&Json>) -> Result<(Vec<u32>, bool), &'static str> {
+    let spec = match defense {
+        None | Some(Json::Null) => return Ok((Vec::new(), false)),
+        Some(spec @ Json::Obj(_)) => spec,
+        Some(_) => return Err("field \"defense\" must be an object"),
+    };
+    let mut validator_asns = match spec.get("validators") {
+        None | Some(Json::Null) => Vec::new(),
+        Some(Json::Arr(items)) => items
+            .iter()
+            .map(|item| {
+                item.as_u32()
+                    .ok_or("\"defense.validators\" entries must be ASNs")
+            })
+            .collect::<Result<_, _>>()?,
+        Some(_) => return Err("\"defense.validators\" must be an array of ASNs"),
+    };
+    validator_asns.sort_unstable();
+    validator_asns.dedup();
+    let stub_defense = match spec.get("stub_defense") {
+        None | Some(Json::Null) => false,
+        Some(flag) => flag
+            .as_bool()
+            .ok_or("\"defense.stub_defense\" must be a bool")?,
+    };
+    Ok((validator_asns, stub_defense))
 }
 
 /// Per-worker registration record and cumulative counters.
@@ -209,7 +261,7 @@ pub struct WorkerStats {
     pub addr: String,
     /// False once the worker hit [`DEAD_AFTER`] consecutive failures.
     pub alive: bool,
-    /// Shards dealt to this worker (including hedges and retries).
+    /// Shards dealt to this worker (including retries).
     pub shards_dispatched: u64,
     /// Shards this worker answered successfully.
     pub shards_completed: u64,
@@ -231,12 +283,40 @@ pub struct FanoutStats {
     pub rejected: Vec<(String, String)>,
     /// Shards planned across all sweeps so far.
     pub shards_total: u64,
-    /// Shards completed (first result only).
+    /// Shards completed.
     pub shards_done: u64,
     /// Shards re-queued after a failed dispatch.
     pub shards_retried: u64,
-    /// Hedged duplicate dispatches issued.
+    /// Always 0: the coordinator no longer hedges. Read by `benchmark/`
+    /// (frozen); goes with its next revision.
     pub shards_hedged: u64,
+}
+
+impl FanoutStats {
+    /// The `fanout` section of `run_manifest.json`: per-worker dispatch
+    /// counters, rejected workers with the reason, and the shard totals.
+    pub fn to_json(&self) -> Json {
+        let workers = self.workers.iter().map(|w| {
+            Json::obj([
+                ("addr", Json::str(&w.addr)),
+                ("alive", Json::Bool(w.alive)),
+                ("shards_dispatched", Json::from(w.shards_dispatched)),
+                ("shards_completed", Json::from(w.shards_completed)),
+                ("failures", Json::from(w.failures)),
+                ("wall_us_sum", Json::from(w.wall_us_sum)),
+            ])
+        });
+        let rejected = self.rejected.iter().map(|(addr, reason)| {
+            Json::obj([("addr", Json::str(addr)), ("reason", Json::str(reason))])
+        });
+        Json::obj([
+            ("workers", Json::Arr(workers.collect())),
+            ("rejected", Json::Arr(rejected.collect())),
+            ("shards_total", Json::from(self.shards_total)),
+            ("shards_done", Json::from(self.shards_done)),
+            ("shards_retried", Json::from(self.shards_retried)),
+        ])
+    }
 }
 
 /// A registered fleet plus the dispatch machinery. Cheap to share
@@ -253,7 +333,6 @@ pub struct Coordinator {
     shards_total: AtomicU64,
     shards_done: AtomicU64,
     shards_retried: AtomicU64,
-    shards_hedged: AtomicU64,
 }
 
 /// `host:port` from a worker URL; tolerates an `http://` prefix and a
@@ -307,7 +386,6 @@ impl Coordinator {
             shards_total: AtomicU64::new(0),
             shards_done: AtomicU64::new(0),
             shards_retried: AtomicU64::new(0),
-            shards_hedged: AtomicU64::new(0),
         }
     }
 
@@ -353,7 +431,7 @@ impl Coordinator {
             shards_total: self.shards_total.load(Ordering::Relaxed),
             shards_done: self.shards_done.load(Ordering::Relaxed),
             shards_retried: self.shards_retried.load(Ordering::Relaxed),
-            shards_hedged: self.shards_hedged.load(Ordering::Relaxed),
+            shards_hedged: 0,
         }
     }
 
@@ -386,7 +464,9 @@ impl Coordinator {
         let ctx = RunCtx {
             req,
             plan,
-            states: (0..plan.num_shards).map(|_| ShardState::new()).collect(),
+            states: (0..plan.num_shards)
+                .map(|_| ShardState::default())
+                .collect(),
             queue: Mutex::new((0..plan.num_shards).collect()),
             done_count: AtomicUsize::new(0),
             abort: AtomicBool::new(false),
@@ -419,9 +499,8 @@ impl Coordinator {
         ctx.plan.merge(&rows).map_err(FanoutError::Failed)
     }
 
-    /// One worker's dispatch loop: drain the shared queue, then hedge
-    /// stragglers, until the sweep completes, aborts, or this worker
-    /// dies.
+    /// One worker's dispatch loop: drain the shared queue until the sweep
+    /// completes, aborts, or this worker dies.
     fn worker_loop(&self, worker: &Worker, ctx: &RunCtx<'_>) {
         let mut client: Option<Client> = None;
         loop {
@@ -436,14 +515,12 @@ impl Coordinator {
             if ctx.done_count.load(Ordering::Relaxed) == ctx.plan.num_shards {
                 return;
             }
-            let Some((shard, is_hedge)) = self.next_shard(ctx) else {
+            // An empty queue with shards still out means another worker
+            // may yet fail one back onto it.
+            let Some(shard) = lock(&ctx.queue).pop_front() else {
                 std::thread::sleep(Duration::from_millis(10));
                 continue;
             };
-            if is_hedge {
-                self.shards_hedged.fetch_add(1, Ordering::Relaxed);
-                ctx.observer.on_hedge();
-            }
             let st = &ctx.states[shard];
             let attempt = st.attempts.fetch_add(1, Ordering::Relaxed) + 1;
             if attempt > self.config.max_attempts {
@@ -455,40 +532,28 @@ impl Coordinator {
                 ctx.abort.store(true, Ordering::Relaxed);
                 return;
             }
-            if st.inflight.fetch_add(1, Ordering::Relaxed) == 0 {
-                // First dispatch in flight starts the straggler clock;
-                // a hedge rides the original's.
-                *lock(&st.started) = Some(Instant::now());
-            }
             worker.shards_dispatched.fetch_add(1, Ordering::Relaxed);
             let begun = Instant::now();
-            let outcome = self.dispatch_shard(&mut client, worker, ctx, shard);
-            st.inflight.fetch_sub(1, Ordering::Relaxed);
-            match outcome {
+            match self.dispatch_shard(&mut client, worker, ctx, shard) {
                 Ok(rows) => {
                     worker.consecutive_failures.store(0, Ordering::Relaxed);
                     worker.shards_completed.fetch_add(1, Ordering::Relaxed);
                     let us = u64::try_from(begun.elapsed().as_micros()).unwrap_or(u64::MAX);
                     worker.wall_us_sum.fetch_add(us, Ordering::Relaxed);
                     worker.wall_hist[wall_bucket(us)].fetch_add(1, Ordering::Relaxed);
-                    // First result wins; a slower duplicate is dropped.
-                    if !st.done.swap(true, Ordering::Relaxed) {
-                        *lock(&st.result) = Some(rows);
-                        ctx.done_count.fetch_add(1, Ordering::Relaxed);
-                        self.shards_done.fetch_add(1, Ordering::Relaxed);
-                        ctx.observer.on_shard_done(ctx.plan.shard_len(shard));
-                    }
+                    *lock(&st.result) = Some(rows);
+                    ctx.done_count.fetch_add(1, Ordering::Relaxed);
+                    self.shards_done.fetch_add(1, Ordering::Relaxed);
+                    ctx.observer.on_shard_done(ctx.plan.shard_len(shard));
                 }
                 Err(ShardError::Abandoned) => {}
                 Err(ShardError::Failed(message)) => {
                     worker.failures.fetch_add(1, Ordering::Relaxed);
                     let fails = worker.consecutive_failures.fetch_add(1, Ordering::Relaxed) + 1;
                     *lock(&ctx.last_error) = format!("worker {}: {message}", worker.addr);
-                    if !st.done.load(Ordering::Relaxed) {
-                        lock(&ctx.queue).push_back(shard);
-                        self.shards_retried.fetch_add(1, Ordering::Relaxed);
-                        ctx.observer.on_retry();
-                    }
+                    lock(&ctx.queue).push_back(shard);
+                    self.shards_retried.fetch_add(1, Ordering::Relaxed);
+                    ctx.observer.on_retry();
                     // A failed connection is suspect; reopen next time.
                     client = None;
                     if fails >= DEAD_AFTER {
@@ -502,43 +567,8 @@ impl Coordinator {
         }
     }
 
-    /// Next shard for an idle worker: queued work first, then the
-    /// slowest outstanding shard past the hedge threshold.
-    fn next_shard(&self, ctx: &RunCtx<'_>) -> Option<(usize, bool)> {
-        {
-            let mut queue = lock(&ctx.queue);
-            while let Some(shard) = queue.pop_front() {
-                if !ctx.states[shard].done.load(Ordering::Relaxed) {
-                    return Some((shard, false));
-                }
-            }
-        }
-        let now = Instant::now();
-        let mut slowest: Option<(usize, Duration)> = None;
-        for (shard, st) in ctx.states.iter().enumerate() {
-            if st.done.load(Ordering::Relaxed)
-                || st.hedged.load(Ordering::Relaxed)
-                || st.inflight.load(Ordering::Relaxed) == 0
-            {
-                continue;
-            }
-            let Some(started) = *lock(&st.started) else {
-                continue;
-            };
-            let waited = now.saturating_duration_since(started);
-            if waited < self.config.hedge_after {
-                continue;
-            }
-            if slowest.is_none_or(|(_, best)| waited > best) {
-                slowest = Some((shard, waited));
-            }
-        }
-        let (shard, _) = slowest?;
-        // The swap arbitrates between two idle workers eyeing the same
-        // straggler: exactly one hedge per shard.
-        (!ctx.states[shard].hedged.swap(true, Ordering::Relaxed)).then_some((shard, true))
-    }
-
+    /// Sends shard `shard` — itself a [`SweepRequest`], over the shard's
+    /// members of the pool — in whichever form suits its size.
     fn dispatch_shard(
         &self,
         client_slot: &mut Option<Client>,
@@ -546,7 +576,12 @@ impl Coordinator {
         ctx: &RunCtx<'_>,
         shard: usize,
     ) -> Result<Vec<u32>, ShardError> {
-        let members = ctx.plan.members(&ctx.req.pool_asns, shard);
+        let req = SweepRequest {
+            target_asn: ctx.req.target_asn,
+            pool_asns: ctx.plan.members(&ctx.req.pool_asns, shard),
+            validator_asns: ctx.req.validator_asns.clone(),
+            stub_defense: ctx.req.stub_defense,
+        };
         if client_slot.is_none() {
             *client_slot = Some(
                 Client::connect_with_timeout(&worker.addr, DISPATCH_READ_TIMEOUT)
@@ -554,72 +589,12 @@ impl Coordinator {
             );
         }
         let client = client_slot.as_mut().expect("client just ensured");
-        if members.len() <= BATCH_DISPATCH_MAX {
-            self.dispatch_batch(client, ctx, &members)
+        if req.pool_asns.len() <= BATCH_DISPATCH_MAX {
+            dispatch_batch(client, &req)
         } else {
-            self.dispatch_sweep(client, ctx, shard, &members)
+            let key = format!("{}-shard{shard}", ctx.key_base);
+            self.dispatch_sweep(client, ctx, &key, &req)
         }
-    }
-
-    /// Small shard: one synchronous batch request, counts read straight
-    /// out of `results[i].result.pollution_count`.
-    fn dispatch_batch(
-        &self,
-        client: &mut Client,
-        ctx: &RunCtx<'_>,
-        members: &[u32],
-    ) -> Result<Vec<u32>, ShardError> {
-        let mut attacks = String::new();
-        for (i, &attacker) in members.iter().enumerate() {
-            if i > 0 {
-                attacks.push(',');
-            }
-            attacks.push_str(&format!(
-                "{{\"attacker\":{attacker},\"target\":{}}}",
-                ctx.req.target_asn
-            ));
-        }
-        let body = format!(
-            "{{\"defense\":{},\"attacks\":[{attacks}]}}",
-            defense_body(ctx.req)
-        );
-        let (status, response) = client
-            .request("POST", "/v1/attacks:batch", &body)
-            .map_err(|e| ShardError::Failed(format!("attacks:batch: {e}")))?;
-        if status != 200 {
-            return Err(ShardError::Failed(format!(
-                "attacks:batch returned {status}: {}",
-                excerpt(&response)
-            )));
-        }
-        let json = Json::parse(&response)
-            .map_err(|e| ShardError::Failed(format!("attacks:batch response: {e}")))?;
-        let Some(Json::Arr(entries)) = get(&json, "results") else {
-            return Err(ShardError::Failed(
-                "attacks:batch response lacks \"results\"".to_string(),
-            ));
-        };
-        if entries.len() != members.len() {
-            return Err(ShardError::Failed(format!(
-                "attacks:batch answered {} of {} attacks",
-                entries.len(),
-                members.len()
-            )));
-        }
-        entries
-            .iter()
-            .map(|entry| {
-                if let Some(message) = get_str(entry, "error") {
-                    return Err(ShardError::Failed(format!("batch item failed: {message}")));
-                }
-                get(entry, "result")
-                    .and_then(|result| get_u64(result, "pollution_count"))
-                    .map(|n| n as u32)
-                    .ok_or_else(|| {
-                        ShardError::Failed("batch item lacks result.pollution_count".to_string())
-                    })
-            })
-            .collect()
     }
 
     /// Large shard: async sweep job with an idempotency key (stable
@@ -629,40 +604,28 @@ impl Coordinator {
         &self,
         client: &mut Client,
         ctx: &RunCtx<'_>,
-        shard: usize,
-        members: &[u32],
+        key: &str,
+        req: &SweepRequest,
     ) -> Result<Vec<u32>, ShardError> {
-        let attackers: Vec<String> = members.iter().map(u32::to_string).collect();
-        let key = format!("{}-shard{shard}", ctx.key_base);
-        let body = format!(
-            "{{\"target\":{},\"attackers\":[{}],\"defense\":{},\"idempotency_key\":\"{key}\"}}",
-            ctx.req.target_asn,
-            attackers.join(","),
-            defense_body(ctx.req)
-        );
-        let (status, response) = client
-            .request("POST", "/v1/sweeps", &body)
-            .map_err(|e| ShardError::Failed(format!("sweep submit: {e}")))?;
-        // 202 fresh, 200 deduped onto an earlier attempt's job.
-        if status != 202 && status != 200 {
-            return Err(ShardError::Failed(format!(
-                "sweep submit returned {status}: {}",
-                excerpt(&response)
-            )));
-        }
-        let submitted = Json::parse(&response)
-            .map_err(|e| ShardError::Failed(format!("sweep submit response: {e}")))?;
-        let id = get_str(&submitted, "id")
-            .ok_or_else(|| ShardError::Failed("sweep submit response lacks \"id\"".to_string()))?
-            .to_string();
+        let submitted = exchange(
+            client.request_with_headers(
+                "POST",
+                "/v1/sweeps",
+                &[("Idempotency-Key", key)],
+                &req.to_json().render_compact(),
+            ),
+            "sweep submit",
+            // 202 fresh, 200 deduped onto an earlier attempt's job.
+            &[202, 200],
+        )?;
+        let id = submitted
+            .get("id")
+            .and_then(Json::as_str)
+            .ok_or_else(|| ShardError::Failed("sweep submit response lacks \"id\"".to_string()))?;
         let deadline = Instant::now() + self.config.shard_timeout;
         loop {
-            if ctx.states[shard].done.load(Ordering::Relaxed)
-                || ctx.abort.load(Ordering::Relaxed)
-                || ctx.observer.cancelled()
-            {
-                // The result is no longer wanted (a hedge twin won, or
-                // the sweep is over): stop billing the worker for it.
+            if ctx.abort.load(Ordering::Relaxed) || ctx.observer.cancelled() {
+                // The sweep is over: stop billing the worker for it.
                 let _ = client.request("DELETE", &format!("/v1/jobs/{id}"), "");
                 return Err(ShardError::Abandoned);
             }
@@ -673,18 +636,13 @@ impl Coordinator {
                     self.config.shard_timeout
                 )));
             }
-            let (status, response) = client
-                .request("GET", &format!("/v1/jobs/{id}"), "")
-                .map_err(|e| ShardError::Failed(format!("poll {id}: {e}")))?;
-            if status != 200 {
-                return Err(ShardError::Failed(format!(
-                    "poll {id} returned {status}: {}",
-                    excerpt(&response)
-                )));
-            }
-            let job = Json::parse(&response)
-                .map_err(|e| ShardError::Failed(format!("poll {id} response: {e}")))?;
-            match get_str(&job, "state") {
+            let what = format!("poll {id}");
+            let job = exchange(
+                client.request("GET", &format!("/v1/jobs/{id}"), ""),
+                &what,
+                &[200],
+            )?;
+            match job.get("state").and_then(Json::as_str) {
                 Some("done") => break,
                 Some("queued") | Some("running") => std::thread::sleep(self.config.poll_interval),
                 Some(other) => {
@@ -692,44 +650,113 @@ impl Coordinator {
                 }
                 None => {
                     return Err(ShardError::Failed(format!(
-                        "poll {id} response lacks \"state\""
+                        "{what} response lacks \"state\""
                     )))
                 }
             }
         }
-        let (status, response) = client
-            .request("GET", &format!("/v1/results/{id}"), "")
-            .map_err(|e| ShardError::Failed(format!("results {id}: {e}")))?;
-        if status != 200 {
+        let what = format!("results {id}");
+        let results = exchange(
+            client.request("GET", &format!("/v1/results/{id}"), ""),
+            &what,
+            &[200],
+        )?;
+        let counts = results
+            .get("result")
+            .and_then(|r| r.get("counts"))
+            .and_then(Json::as_array)
+            .ok_or_else(|| ShardError::Failed(format!("{what} lack result.counts")))?;
+        if counts.len() != req.pool_asns.len() {
             return Err(ShardError::Failed(format!(
-                "results {id} returned {status}: {}",
-                excerpt(&response)
-            )));
-        }
-        let results = Json::parse(&response)
-            .map_err(|e| ShardError::Failed(format!("results {id} response: {e}")))?;
-        let Some(Json::Arr(counts)) = get(&results, "result").and_then(|r| get(r, "counts")) else {
-            return Err(ShardError::Failed(format!(
-                "results {id} lack result.counts"
-            )));
-        };
-        if counts.len() != members.len() {
-            return Err(ShardError::Failed(format!(
-                "results {id} carry {} counts for {} attackers",
+                "{what} carry {} counts for {} attackers",
                 counts.len(),
-                members.len()
+                req.pool_asns.len()
             )));
         }
-        counts
-            .iter()
-            .map(|value| match value {
-                Json::Num(n) => Ok(*n as u32),
-                _ => Err(ShardError::Failed(format!(
-                    "results {id} counts are not numeric"
-                ))),
-            })
-            .collect()
+        let field = format!("{what}: a result.counts entry");
+        counts.iter().map(|value| count(value, &field)).collect()
     }
+}
+
+/// Small shard: one synchronous batch request, counts read straight out
+/// of `results[i].result.pollution_count`.
+fn dispatch_batch(client: &mut Client, req: &SweepRequest) -> Result<Vec<u32>, ShardError> {
+    let attacks = req.pool_asns.iter().map(|&attacker| {
+        Json::obj([
+            ("attacker", Json::from(attacker)),
+            ("target", Json::from(req.target_asn)),
+        ])
+    });
+    let body = Json::obj([
+        (
+            "defense",
+            defense_to_json(&req.validator_asns, req.stub_defense),
+        ),
+        ("attacks", Json::Arr(attacks.collect())),
+    ]);
+    let response = exchange(
+        client.request("POST", "/v1/attacks:batch", &body.render_compact()),
+        "attacks:batch",
+        &[200],
+    )?;
+    let entries = response
+        .get("results")
+        .and_then(Json::as_array)
+        .ok_or_else(|| {
+            ShardError::Failed("attacks:batch response lacks \"results\"".to_string())
+        })?;
+    if entries.len() != req.pool_asns.len() {
+        return Err(ShardError::Failed(format!(
+            "attacks:batch answered {} of {} attacks",
+            entries.len(),
+            req.pool_asns.len()
+        )));
+    }
+    entries
+        .iter()
+        .map(|entry| {
+            if let Some(message) = entry.get("error").and_then(Json::as_str) {
+                return Err(ShardError::Failed(format!("batch item failed: {message}")));
+            }
+            let value = entry
+                .get("result")
+                .and_then(|result| result.get("pollution_count"))
+                .ok_or_else(|| {
+                    ShardError::Failed("batch item lacks result.pollution_count".to_string())
+                })?;
+            count(value, "batch item: result.pollution_count")
+        })
+        .collect()
+}
+
+/// A pollution count a worker sent, read strictly: anything but an
+/// integer in `u32` range fails the shard, naming `field` — a lying or
+/// broken worker must never merge as a nearby number.
+fn count(value: &Json, field: &str) -> Result<u32, ShardError> {
+    value.as_u32().ok_or_else(|| {
+        ShardError::Failed(format!(
+            "{field} is {}, not a count",
+            value.render_compact()
+        ))
+    })
+}
+
+/// One request's outcome as a parsed document: the transport error, an
+/// unexpected status or an unparseable body each fail the shard, named
+/// after `what` was being asked.
+fn exchange(
+    response: std::io::Result<(u16, String)>,
+    what: &str,
+    expect: &[u16],
+) -> Result<Json, ShardError> {
+    let (status, body) = response.map_err(|e| ShardError::Failed(format!("{what}: {e}")))?;
+    if !expect.contains(&status) {
+        return Err(ShardError::Failed(format!(
+            "{what} returned {status}: {}",
+            excerpt(&body)
+        )));
+    }
+    Json::parse(&body).map_err(|e| ShardError::Failed(format!("{what} response: {e}")))
 }
 
 /// Live state of one sweep run, shared across worker threads.
@@ -746,43 +773,18 @@ struct RunCtx<'a> {
     key_base: String,
 }
 
+#[derive(Default)]
 struct ShardState {
-    done: AtomicBool,
     result: Mutex<Option<Vec<u32>>>,
     attempts: AtomicU32,
-    inflight: AtomicU32,
-    started: Mutex<Option<Instant>>,
-    hedged: AtomicBool,
 }
 
-impl ShardState {
-    fn new() -> ShardState {
-        ShardState {
-            done: AtomicBool::new(false),
-            result: Mutex::new(None),
-            attempts: AtomicU32::new(0),
-            inflight: AtomicU32::new(0),
-            started: Mutex::new(None),
-            hedged: AtomicBool::new(false),
-        }
-    }
-}
-
+#[derive(Debug)]
 enum ShardError {
-    /// The shard's result became unnecessary mid-dispatch (hedge twin
-    /// won, sweep aborted); not a worker failure.
+    /// The shard's result became unnecessary mid-dispatch (the sweep
+    /// aborted or was cancelled); not a worker failure.
     Abandoned,
     Failed(String),
-}
-
-/// The wire `defense` object for a request.
-fn defense_body(req: &SweepRequest) -> String {
-    let validators: Vec<String> = req.validator_asns.iter().map(u32::to_string).collect();
-    format!(
-        "{{\"validators\":[{}],\"stub_defense\":{}}}",
-        validators.join(","),
-        req.stub_defense
-    )
 }
 
 /// First line-ish of an error body, for diagnostics without dumping a
@@ -810,25 +812,32 @@ fn probe(addr: &str, expect: &Handshake) -> Result<(), String> {
         return Err(format!("healthz returned {status}"));
     }
     let json = Json::parse(&body).map_err(|e| format!("healthz unparseable: {e}"))?;
-    if get_str(&json, "status") != Some("ok") {
+    let text = |key: &str| json.get(key).and_then(Json::as_str);
+    if text("status") != Some("ok") {
         return Err(format!(
             "worker is {}",
-            get_str(&json, "status").unwrap_or("in an unknown state")
+            text("status").unwrap_or("in an unknown state")
         ));
     }
     let check_num = |key: &str, want: u64| -> Result<(), String> {
-        match get_u64(&json, key) {
-            Some(got) if got == want => Ok(()),
-            Some(got) => Err(format!("{key} mismatch: worker has {got}, expected {want}")),
+        match json.get(key) {
             None => Err(format!(
                 "worker does not advertise {key} (upgrade the worker)"
             )),
+            Some(value) => match value.as_u64() {
+                Some(got) if got == want => Ok(()),
+                Some(got) => Err(format!("{key} mismatch: worker has {got}, expected {want}")),
+                None => Err(format!(
+                    "worker advertises {key} as {}, not an integer",
+                    value.render_compact()
+                )),
+            },
         }
     };
     check_num("schema_version", expect.schema_version)?;
     check_num("seed", expect.seed)?;
     check_num("num_ases", expect.num_ases)?;
-    match get_str(&json, "scale") {
+    match text("scale") {
         Some(got) if got == expect.scale => Ok(()),
         Some(got) => Err(format!(
             "scale mismatch: worker runs {got:?}, expected {:?}",
@@ -841,6 +850,7 @@ fn probe(addr: &str, expect: &Handshake) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::tests::serve_script;
 
     #[test]
     fn worker_urls_normalize() {
@@ -874,19 +884,22 @@ mod tests {
         );
     }
 
-    #[test]
-    fn empty_pool_short_circuits() {
-        let coordinator = Coordinator {
+    fn coordinator_for(workers: Vec<Worker>) -> Coordinator {
+        Coordinator {
             config: FanoutConfig::new(Vec::new()),
-            workers: vec![Worker::new("unused:0".to_string())],
+            workers,
             rejected: Vec::new(),
             nonce: 0,
             sweep_seq: AtomicU64::new(0),
             shards_total: AtomicU64::new(0),
             shards_done: AtomicU64::new(0),
             shards_retried: AtomicU64::new(0),
-            shards_hedged: AtomicU64::new(0),
-        };
+        }
+    }
+
+    #[test]
+    fn empty_pool_short_circuits() {
+        let coordinator = coordinator_for(vec![Worker::new("unused:0".to_string())]);
         let req = SweepRequest {
             target_asn: 1,
             pool_asns: Vec::new(),
@@ -894,5 +907,190 @@ mod tests {
             stub_defense: false,
         };
         assert_eq!(coordinator.run_sweep(&req, &NoopObserver), Ok(Vec::new()));
+    }
+
+    fn two_attackers() -> SweepRequest {
+        SweepRequest {
+            target_asn: 1,
+            pool_asns: vec![2, 3],
+            validator_asns: vec![7],
+            stub_defense: true,
+        }
+    }
+
+    /// A worker's numbers are read strictly: a count that is negative,
+    /// fractional, out of range or not a number fails the shard (to be
+    /// re-queued like any failed dispatch) with a message naming the
+    /// field. The parent coerced them: -3 merged as 0, 1e12 as u32::MAX,
+    /// 2.7 as 2.
+    #[test]
+    fn a_lying_batch_worker_fails_the_shard() {
+        let honest = "{\"result\":{\"pollution_count\":4}}";
+        let (addr, stub) = serve_script(vec![format!(
+            "{{\"results\":[{honest},{{\"result\":{{\"pollution_count\":5}}}}]}}"
+        )]);
+        let mut client = Client::connect(&addr).unwrap();
+        assert_eq!(
+            dispatch_batch(&mut client, &two_attackers()).unwrap(),
+            vec![4, 5]
+        );
+        let seen = stub.join().unwrap();
+        assert!(seen.starts_with("POST /v1/attacks:batch "), "{seen}");
+        assert!(
+            seen.ends_with(
+                "{\"defense\":{\"validators\":[7],\"stub_defense\":true},\"attacks\":[\
+                 {\"attacker\":2,\"target\":1},{\"attacker\":3,\"target\":1}]}"
+            ),
+            "{seen}"
+        );
+        for lie in ["-3", "1e12", "2.7", "\"7\"", "null", "4294967296"] {
+            let body =
+                format!("{{\"results\":[{honest},{{\"result\":{{\"pollution_count\":{lie}}}}}]}}");
+            let (addr, stub) = serve_script(vec![body]);
+            let mut client = Client::connect(&addr).unwrap();
+            match dispatch_batch(&mut client, &two_attackers()) {
+                Err(ShardError::Failed(message)) => {
+                    assert!(
+                        message.contains("result.pollution_count"),
+                        "{lie}: {message}"
+                    );
+                }
+                other => panic!("{lie} must fail the shard, got {other:?}"),
+            }
+            stub.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_lying_sweep_worker_fails_the_shard() {
+        let coordinator = coordinator_for(Vec::new());
+        let req = two_attackers();
+        let ctx = RunCtx {
+            req: &req,
+            plan: ShardPlan::new(2, 1),
+            states: vec![ShardState::default()],
+            queue: Mutex::new(VecDeque::new()),
+            done_count: AtomicUsize::new(0),
+            abort: AtomicBool::new(false),
+            cancelled: AtomicBool::new(false),
+            last_error: Mutex::new(String::new()),
+            observer: &NoopObserver,
+            key_base: "fo0-0".to_string(),
+        };
+        let script = |counts: &str| {
+            serve_script(vec![
+                "{\"id\":\"job-1\"}".to_string(),
+                "{\"state\":\"done\"}".to_string(),
+                format!("{{\"result\":{{\"counts\":{counts}}}}}"),
+            ])
+        };
+        let (addr, stub) = script("[4,5]");
+        let mut client = Client::connect(&addr).unwrap();
+        let rows = coordinator.dispatch_sweep(&mut client, &ctx, "fo0-0-shard0", &req);
+        assert_eq!(rows.unwrap(), vec![4, 5]);
+        let seen = stub.join().unwrap();
+        assert!(seen.contains("Idempotency-Key: fo0-0-shard0\r\n"), "{seen}");
+        assert!(
+            seen.contains(
+                "{\"target\":1,\"attackers\":[2,3],\
+                 \"defense\":{\"validators\":[7],\"stub_defense\":true}}"
+            ),
+            "{seen}"
+        );
+        for lie in ["[4,-3]", "[4,1e12]", "[4,2.7]", "[4,\"7\"]"] {
+            let (addr, stub) = script(lie);
+            let mut client = Client::connect(&addr).unwrap();
+            match coordinator.dispatch_sweep(&mut client, &ctx, "fo0-0-shard0", &req) {
+                Err(ShardError::Failed(message)) => {
+                    assert!(message.contains("result.counts"), "{lie}: {message}");
+                }
+                other => panic!("{lie} must fail the shard, got {other:?}"),
+            }
+            stub.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn a_fractional_handshake_is_rejected() {
+        let expect = Handshake {
+            schema_version: 1,
+            scale: "quick".to_string(),
+            seed: 2014,
+            num_ases: 100,
+        };
+        let healthz = |seed: &str| {
+            format!(
+                "{{\"status\":\"ok\",\"schema_version\":1,\"scale\":\"quick\",\
+                 \"seed\":{seed},\"num_ases\":100}}"
+            )
+        };
+        let (addr, stub) = serve_script(vec![healthz("2014")]);
+        assert_eq!(probe(&addr, &expect), Ok(()));
+        stub.join().unwrap();
+        // The parent read 2014.5 as 2014 and registered the worker.
+        for lie in ["2014.5", "-2014", "\"2014\""] {
+            let (addr, stub) = serve_script(vec![healthz(lie)]);
+            let reason = probe(&addr, &expect).unwrap_err();
+            assert!(reason.contains("seed"), "{lie}: {reason}");
+            stub.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn defense_reader_inverts_its_writer_and_canonicalizes() {
+        // Identity on canonical (sorted, deduplicated) input...
+        for (validators, stub) in [
+            (vec![], false),
+            (vec![], true),
+            (vec![1, 7, 4_000_000_000], false),
+            (vec![3], true),
+        ] {
+            let wire = defense_to_json(&validators, stub);
+            assert_eq!(defense_from_json(Some(&wire)), Ok((validators, stub)));
+        }
+        // ...and everything else lands on the canonical form.
+        let wire = defense_to_json(&[9, 2, 9, 5, 2], true);
+        assert_eq!(defense_from_json(Some(&wire)), Ok((vec![2, 5, 9], true)));
+        assert_eq!(defense_from_json(None), Ok((vec![], false)));
+        assert_eq!(defense_from_json(Some(&Json::Null)), Ok((vec![], false)));
+        let sparse = Json::parse("{\"validators\":null}").unwrap();
+        assert_eq!(defense_from_json(Some(&sparse)), Ok((vec![], false)));
+        for (bad, field) in [
+            ("7", "\"defense\""),
+            ("{\"validators\":7}", "defense.validators"),
+            ("{\"validators\":[1,-2]}", "defense.validators"),
+            ("{\"validators\":[1.5]}", "defense.validators"),
+            ("{\"stub_defense\":1}", "defense.stub_defense"),
+        ] {
+            let err = defense_from_json(Some(&Json::parse(bad).unwrap())).unwrap_err();
+            assert!(err.contains(field), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn stats_render_as_the_manifest_section() {
+        let stats = FanoutStats {
+            workers: vec![WorkerStats {
+                addr: "127.0.0.1:8091".to_string(),
+                alive: true,
+                shards_dispatched: 5,
+                shards_completed: 4,
+                failures: 1,
+                wall_us_sum: 12_345,
+                wall_hist: vec![0; WALL_HIST_BUCKETS],
+            }],
+            rejected: vec![("127.0.0.1:9".to_string(), "unreachable".to_string())],
+            shards_total: 4,
+            shards_done: 4,
+            shards_retried: 1,
+            shards_hedged: 0,
+        };
+        assert_eq!(
+            stats.to_json().render_compact(),
+            "{\"workers\":[{\"addr\":\"127.0.0.1:8091\",\"alive\":true,\"shards_dispatched\":5,\
+             \"shards_completed\":4,\"failures\":1,\"wall_us_sum\":12345}],\
+             \"rejected\":[{\"addr\":\"127.0.0.1:9\",\"reason\":\"unreachable\"}],\
+             \"shards_total\":4,\"shards_done\":4,\"shards_retried\":1}"
+        );
     }
 }

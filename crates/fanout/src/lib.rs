@@ -15,7 +15,9 @@
 //!   from `examples/loadgen.rs`) every coordinator connection uses.
 //! - [`coordinator`] — worker registration with a compatibility
 //!   [`Handshake`], shard dispatch over `/v1/attacks:batch` and
-//!   `/v1/sweeps`, bounded retries, straggler hedging, and the merge.
+//!   `/v1/sweeps`, bounded retries, and the merge. The wire documents a
+//!   sweep travels as ([`SweepRequest::to_json`], the `defense` object's
+//!   writer and reader) live beside it.
 //!
 //! Consumed by `bgpsim serve --fanout-workers …` (the server deals its
 //! sweep jobs to the fleet) and `bgpsim fanout` (one-shot CLI sweep).
@@ -29,7 +31,7 @@ pub mod shard;
 
 pub use client::Client;
 pub use coordinator::{
-    Coordinator, FanoutConfig, FanoutError, FanoutStats, Handshake, NoopObserver, SweepObserver,
-    SweepRequest, WorkerStats,
+    defense_from_json, defense_to_json, Coordinator, FanoutConfig, FanoutError, FanoutStats,
+    Handshake, NoopObserver, SweepObserver, SweepRequest, WorkerStats,
 };
 pub use shard::ShardPlan;

@@ -1,8 +1,8 @@
 //! The fan-out contract: stride-sharding an attacker pool and merging
 //! the per-shard sweep rows positionally is **bit-identical** to sweeping
 //! the whole pool on one node — across random topologies, shard counts,
-//! and both routing policies. This is what lets the coordinator hedge
-//! and retry shards freely: shard evaluation is pure, so any correct
+//! and both routing policies. This is what lets the coordinator retry
+//! shards freely, on any worker: shard evaluation is pure, so any correct
 //! execution of the plan produces the same bytes.
 
 use proptest::prelude::*;

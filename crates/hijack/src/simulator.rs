@@ -51,8 +51,9 @@ use crate::vulnerability::SweepResult;
 /// Engine selection for [`Simulator::route`].
 ///
 /// [`EngineChoice::Auto`] (the default) picks the fastest engine whose
-/// preconditions hold per attack; the other variants force every attack
-/// onto one engine for debugging and ablation, at whatever cost. All
+/// preconditions hold per attack; `Generation` and `Race` force every
+/// attack onto one engine for debugging and ablation, at whatever cost,
+/// and `Delta` routes like `Auto` but never gives a replay up. All
 /// engines produce bit-identical polluted sets (the routing crate's
 /// equivalence suites pin this); only `generations` bookkeeping differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -64,10 +65,11 @@ pub enum EngineChoice {
     Auto,
     /// Always the step-wise generation engine, from scratch.
     Generation,
-    /// Always baseline replay — never abandoned, whatever the cone — one
-    /// baseline per attacked target. Sub-prefix hijacks have no honest
-    /// competition and hence no baseline to replay; they run from
-    /// scratch.
+    /// Routes like [`EngineChoice::Auto`], but a baseline replay is never
+    /// abandoned, whatever the cone: the unbudgeted reference the
+    /// budgeted replay is tested against. Attacks that `Auto` does not
+    /// replay (no localizing defense, or a sub-prefix hijack) run where
+    /// `Auto` runs them.
     Delta,
     /// Always the closed-form race solver, generation engine on
     /// non-convergence.
@@ -264,10 +266,11 @@ impl<'t> Simulator<'t> {
         match self.engine {
             EngineChoice::Generation => Dispatch::Scratch,
             EngineChoice::Race => Dispatch::Race,
-            EngineChoice::Delta if replayable => Dispatch::Delta,
-            EngineChoice::Auto if replayable && defense.localizes() => Dispatch::Delta,
-            EngineChoice::Auto if replayable => Dispatch::Race,
-            EngineChoice::Delta | EngineChoice::Auto => Dispatch::Scratch,
+            EngineChoice::Auto | EngineChoice::Delta if replayable && defense.localizes() => {
+                Dispatch::Delta
+            }
+            EngineChoice::Auto | EngineChoice::Delta if replayable => Dispatch::Race,
+            EngineChoice::Auto | EngineChoice::Delta => Dispatch::Scratch,
         }
     }
 
@@ -555,9 +558,10 @@ impl<'t> Simulator<'t> {
     /// cone outgrows it is abandoned and the attack finished from scratch
     /// by the race solver — exactly as the race solver itself falls back
     /// to the generation engine — so an attack costs about the cheaper of
-    /// a replay and a race whatever the deployment. A forced
-    /// [`EngineChoice::Delta`] means "always replay" and carries no
-    /// budget. An abandoned replay counts as nothing but its abandonment.
+    /// a replay and a race whatever the deployment.
+    /// [`EngineChoice::Delta`] means "never abandon a replay" and carries
+    /// no budget. An abandoned replay counts as nothing but its
+    /// abandonment.
     #[allow(clippy::too_many_arguments)]
     fn solve<'r, O: Observer>(
         &'r self,
@@ -851,8 +855,8 @@ mod tests {
             (Generation, Origin, Scratch, Scratch),
             (Generation, Forged, Scratch, Scratch),
             (Generation, Sub, Scratch, Scratch),
-            (EngineChoice::Delta, Origin, Delta, Delta),
-            (EngineChoice::Delta, Forged, Delta, Delta),
+            (EngineChoice::Delta, Origin, Race, Delta),
+            (EngineChoice::Delta, Forged, Race, Delta),
             (EngineChoice::Delta, Sub, Scratch, Scratch),
             (EngineChoice::Race, Origin, Race, Race),
             (EngineChoice::Race, Forged, Race, Race),

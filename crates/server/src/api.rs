@@ -12,25 +12,24 @@
 //! pure function of (topology, attack, defense) — engine choice and
 //! cache state only ever show up under `meta`.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use bgpsim_core::manifest::{Json, SCHEMA_VERSION};
+use bgpsim_core::manifest::{stream_summary_json, Json, SCHEMA_VERSION};
 use bgpsim_core::stream::{StreamConfig, StreamPlan, StreamStore};
+use bgpsim_fanout::{defense_from_json, defense_to_json, SweepRequest};
 use bgpsim_hijack::{
     Attack, AttackKind, AttackOutcome, Defense, Dispatch, SweepMonitor, SweepTelemetry,
 };
-use bgpsim_routing::{Baseline, ConvergenceStats, Observer};
+use bgpsim_routing::{ConvergenceStats, Observer};
 use bgpsim_topology::{AsId, AsIndex, Topology};
 use rayon::prelude::*;
 
-use crate::cache::{defense_fingerprint, BaselineKey};
 use crate::http::{Request, Response};
-use crate::jobs::{JobSpec, JobState, StreamSpec, SweepSpec, ETA_UNKNOWN};
+use crate::jobs::{Job, JobSpec, JobState, StreamSpec, SweepSpec, ETA_UNKNOWN};
 use crate::metrics::{render_prometheus, Endpoint};
-use crate::ServerState;
+use crate::{CachedBaseline, ServerState};
 
 /// Attacker ASNs advertised in `/v1/healthz` for load generators.
 const SAMPLE_ATTACKERS: usize = 64;
@@ -189,30 +188,11 @@ fn parse_body(request: &Request) -> Result<Json, ApiError> {
     Json::parse(text).map_err(|e| ApiError::new(400, e.to_string()))
 }
 
-fn get<'a>(json: &'a Json, key: &str) -> Option<&'a Json> {
-    match json {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn as_u32(json: &Json) -> Option<u32> {
-    match json {
-        Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= f64::from(u32::MAX) => {
-            Some(*n as u32)
-        }
-        _ => None,
-    }
-}
-
 fn require_asn(json: &Json, key: &str) -> Result<u32, ApiError> {
-    get(json, key)
-        .ok_or_else(|| ApiError::new(422, format!("missing required field {key:?}")))
-        .and_then(|v| {
-            as_u32(v).ok_or_else(|| {
-                ApiError::new(422, format!("field {key:?} must be a non-negative ASN"))
-            })
-        })
+    json.get(key)
+        .ok_or_else(|| ApiError::new(422, format!("missing required field {key:?}")))?
+        .as_u32()
+        .ok_or_else(|| ApiError::new(422, format!("field {key:?} must be a non-negative ASN")))
 }
 
 fn resolve(topo: &Topology, asn: u32) -> Result<AsIndex, ApiError> {
@@ -221,7 +201,7 @@ fn resolve(topo: &Topology, asn: u32) -> Result<AsIndex, ApiError> {
 }
 
 fn parse_kind(json: &Json) -> Result<AttackKind, ApiError> {
-    match get(json, "kind") {
+    match json.get("kind") {
         None => Ok(AttackKind::OriginHijack),
         Some(Json::Str(s)) => match s.as_str() {
             "origin" => Ok(AttackKind::OriginHijack),
@@ -247,57 +227,16 @@ fn kind_name(kind: AttackKind) -> &'static str {
     }
 }
 
-/// Parsed defense: the owned deployment plus its canonical (sorted,
-/// deduplicated) ASN form and cache fingerprint.
+/// A request's `defense`: the deployment resolved against the topology,
+/// and the canonical (sorted, deduplicated) validator ASNs it came from.
 struct ParsedDefense {
     defense: Defense,
     validator_asns: Vec<u32>,
-    stub_defense: bool,
-    fingerprint: u64,
 }
 
 fn parse_defense(topo: &Topology, json: &Json) -> Result<ParsedDefense, ApiError> {
-    let spec = match get(json, "defense") {
-        None | Some(Json::Null) => {
-            return Ok(ParsedDefense {
-                defense: Defense::none(),
-                validator_asns: Vec::new(),
-                stub_defense: false,
-                fingerprint: defense_fingerprint(&[], false),
-            })
-        }
-        Some(spec @ Json::Obj(_)) => spec,
-        Some(_) => return Err(ApiError::new(422, "field \"defense\" must be an object")),
-    };
-    let mut validator_asns: Vec<u32> = match get(spec, "validators") {
-        None | Some(Json::Null) => Vec::new(),
-        Some(Json::Arr(items)) => items
-            .iter()
-            .map(|item| {
-                as_u32(item).ok_or_else(|| {
-                    ApiError::new(422, "\"defense.validators\" entries must be ASNs")
-                })
-            })
-            .collect::<Result<_, _>>()?,
-        Some(_) => {
-            return Err(ApiError::new(
-                422,
-                "\"defense.validators\" must be an array of ASNs",
-            ))
-        }
-    };
-    validator_asns.sort_unstable();
-    validator_asns.dedup();
-    let stub_defense = match get(spec, "stub_defense") {
-        None | Some(Json::Null) => false,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => {
-            return Err(ApiError::new(
-                422,
-                "\"defense.stub_defense\" must be a bool",
-            ))
-        }
-    };
+    let (validator_asns, stub_defense) =
+        defense_from_json(json.get("defense")).map_err(|message| ApiError::new(422, message))?;
     let validators: Vec<AsIndex> = validator_asns
         .iter()
         .map(|&asn| resolve(topo, asn))
@@ -310,28 +249,10 @@ fn parse_defense(topo: &Topology, json: &Json) -> Result<ParsedDefense, ApiError
     if stub_defense {
         defense = defense.with_stub_defense();
     }
-    let fingerprint = defense_fingerprint(&validator_asns, stub_defense);
     Ok(ParsedDefense {
         defense,
         validator_asns,
-        stub_defense,
-        fingerprint,
     })
-}
-
-fn defense_json(parsed_validators: &[u32], stub_defense: bool) -> Json {
-    Json::obj([
-        (
-            "validators",
-            Json::Arr(
-                parsed_validators
-                    .iter()
-                    .map(|&v| Json::Num(f64::from(v)))
-                    .collect(),
-            ),
-        ),
-        ("stub_defense", Json::Bool(stub_defense)),
-    ])
 }
 
 fn asn_array(topo: &Topology, indices: impl IntoIterator<Item = AsIndex>) -> Json {
@@ -341,10 +262,6 @@ fn asn_array(topo: &Topology, indices: impl IntoIterator<Item = AsIndex>) -> Jso
             .map(|ix| Json::Num(f64::from(topo.id_of(ix).value())))
             .collect(),
     )
-}
-
-fn asn_values(asns: &[u32]) -> Json {
-    Json::Arr(asns.iter().map(|&asn| Json::Num(f64::from(asn))).collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -395,88 +312,125 @@ fn engine_name(dispatch: Dispatch) -> &'static str {
     }
 }
 
-fn handle_attack(state: &ServerState<'_>, request: &Request) -> Result<Response, ApiError> {
-    let body = parse_body(request)?;
-    let topo = state.sim.topology();
-    let attacker = resolve(topo, require_asn(&body, "attacker")?)?;
-    let target = resolve(topo, require_asn(&body, "target")?)?;
+/// One attack document — a `/v1/attacks` body or an `attacks:batch`
+/// entry: the attack, and its own defense when the document has a
+/// `defense` key (a batch entry without one takes the batch default).
+fn parse_attack(topo: &Topology, json: &Json) -> Result<(Attack, Option<Defense>), ApiError> {
+    let attacker = resolve(topo, require_asn(json, "attacker")?)?;
+    let target = resolve(topo, require_asn(json, "target")?)?;
     if attacker == target {
         return Err(ApiError::new(422, "attacker and target must differ"));
     }
-    let kind = parse_kind(&body)?;
-    let parsed = parse_defense(topo, &body)?;
+    let kind = parse_kind(json)?;
+    let defense = match json.get("defense") {
+        None => None,
+        Some(_) => Some(parse_defense(topo, json)?.defense),
+    };
     let attack = Attack {
         attacker,
         target,
         kind,
     };
+    Ok((attack, defense))
+}
+
+/// One answered attack: the engine-invariant `result` document, the
+/// engine that ran, and how the baseline cache served it (`"bypass"`
+/// when the route does not replay).
+struct Answer {
+    result: Json,
+    engine: &'static str,
+    cache: &'static str,
+}
+
+impl Answer {
+    /// The `{"result", "meta"}` document; a single request's `meta` also
+    /// says how long the answer took.
+    fn into_json(self, wall_us: Option<u64>) -> Json {
+        let mut meta = vec![
+            ("engine".to_string(), Json::str(self.engine)),
+            ("cache".to_string(), Json::str(self.cache)),
+        ];
+        if let Some(wall_us) = wall_us {
+            meta.push(("wall_us".to_string(), json_u64(wall_us)));
+        }
+        Json::obj([("result", self.result), ("meta", Json::Obj(meta))])
+    }
+}
+
+/// Answers `attacks`, in order — how `/v1/attacks` (a batch of one) and
+/// `/v1/attacks:batch` both get their answers. The attacks that replay
+/// fetch their baselines first, one lookup per distinct baseline
+/// ([`ServerState::baselines`]; the second value returned is how many),
+/// then every attack runs across the rayon pool with pooled per-worker
+/// scratch space on the engine [`Simulator::route`] picks — notably the
+/// closed-form race solver for undefended exact-prefix attacks.
+///
+/// [`Simulator::route`]: bgpsim_hijack::Simulator::route
+fn answer_attacks(state: &ServerState<'_>, attacks: &[(Attack, &Defense)]) -> (Vec<Answer>, usize) {
+    let topo = state.sim.topology();
     let monitor = SweepMonitor::none().with_telemetry(&state.telemetry);
+    let asks = attacks
+        .iter()
+        .map(|&(attack, defense)| (attack.kind, attack.target, defense));
+    let (cached, lookups) = state.baselines(asks, &monitor);
+    let work: Vec<(Attack, &Defense, Option<CachedBaseline>)> = attacks
+        .iter()
+        .zip(cached)
+        .map(|(&(attack, defense), cached)| (attack, defense, cached))
+        .collect();
+    let answers = work
+        .par_iter()
+        .map_init(
+            || state.sim.scratch(),
+            |scratch, (attack, defense, cached)| {
+                let (outcome, dispatch) = state.sim.evaluate(
+                    *attack,
+                    defense,
+                    cached.as_ref().map(|(baseline, _)| &**baseline),
+                    scratch,
+                    &monitor,
+                    &mut TelemetrySink(&state.telemetry),
+                );
+                Answer {
+                    result: outcome_json(topo, &outcome),
+                    engine: engine_name(dispatch),
+                    cache: cached
+                        .as_ref()
+                        .map_or("bypass", |(_, outcome)| outcome.name()),
+                }
+            },
+        )
+        .collect();
+    (answers, lookups)
+}
+
+fn handle_attack(state: &ServerState<'_>, request: &Request) -> Result<Response, ApiError> {
+    let body = parse_body(request)?;
+    let (attack, defense) = parse_attack(state.sim.topology(), &body)?;
+    let defense = defense.unwrap_or_else(Defense::none);
     let started = Instant::now();
-    // The baseline cache pays off exactly when the route replays; every
-    // other request bypasses it and runs on whatever engine the route
-    // picks (the race solver for undefended exact-prefix and forged-origin
-    // singles, the generation engine for sub-prefix ones).
-    let cached = (state.sim.route(kind, &parsed.defense) == Dispatch::Delta).then(|| {
-        let key = BaselineKey {
-            target: target.raw(),
-            defense_fp: parsed.fingerprint,
-        };
-        state.cache.get_or_build(key, || {
-            state.sim.baseline_for(target, &parsed.defense, &monitor)
-        })
-    });
-    let (outcome, dispatch) = state.sim.evaluate(
-        attack,
-        &parsed.defense,
-        cached.as_ref().map(|(baseline, _)| &**baseline),
-        &mut state.sim.scratch(),
-        &monitor,
-        &mut TelemetrySink(&state.telemetry),
-    );
-    let cache_name = cached.map_or("bypass", |(_, cache_outcome)| cache_outcome.name());
+    let (mut answers, _) = answer_attacks(state, &[(attack, &defense)]);
     let wall_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    let response = Json::obj([
-        ("result", outcome_json(topo, &outcome)),
-        (
-            "meta",
-            Json::obj([
-                ("engine", Json::str(engine_name(dispatch))),
-                ("cache", Json::str(cache_name)),
-                ("wall_us", json_u64(wall_us)),
-            ]),
-        ),
-    ]);
-    Ok(json_response(200, &response))
+    let answer = answers.pop().expect("one answer per attack");
+    Ok(json_response(200, &answer.into_json(Some(wall_us))))
 }
 
 // ---------------------------------------------------------------------------
 // POST /v1/attacks:batch
-
-/// One parsed batch entry: the attack plus its own defense (when the
-/// entry carried a `defense` key) or `None` for the batch default.
-struct BatchEntry {
-    attack: Attack,
-    defense: Option<ParsedDefense>,
-}
 
 /// Evaluates N attack specs in one request.
 ///
 /// Envelope problems (missing/empty/oversized `attacks` array, an
 /// unparseable batch-level `defense`) fail the whole request; a bad
 /// *entry* only fails that entry — its slot in `results` carries an
-/// `error`/`status` object and every other entry still evaluates. Valid
-/// entries are grouped by (target, defense) so each group fetches its
-/// shared baseline exactly once, then all entries run across the rayon
-/// pool with pooled per-worker scratch space. Every entry takes the
-/// engine [`Simulator::route`] picks — notably the closed-form race
-/// solver for undefended exact-prefix attacks — so a batch answers at
-/// bulk-path speed, not N single-request scratch runs.
-///
-/// [`Simulator::route`]: bgpsim_hijack::Simulator::route
+/// `error`/`status` object and every other entry still evaluates, through
+/// [`answer_attacks`], so a batch answers at bulk-path speed, not N
+/// single-request runs.
 fn handle_attack_batch(state: &ServerState<'_>, request: &Request) -> Result<Response, ApiError> {
     let body = parse_body(request)?;
     let topo = state.sim.topology();
-    let items = match get(&body, "attacks") {
+    let items = match body.get("attacks") {
         Some(Json::Arr(items)) => items,
         Some(_) => return Err(ApiError::new(422, "field \"attacks\" must be an array")),
         None => return Err(ApiError::new(422, "missing required field \"attacks\"")),
@@ -495,9 +449,9 @@ fn handle_attack_batch(state: &ServerState<'_>, request: &Request) -> Result<Res
     }
     // The batch-level default defense is part of the envelope: if it does
     // not parse, no entry has well-defined semantics.
-    let default_defense = parse_defense(topo, &body)?;
+    let default_defense = parse_defense(topo, &body)?.defense;
     let started = Instant::now();
-    let entries: Vec<Result<BatchEntry, ApiError>> = items
+    let entries: Vec<Result<(Attack, Option<Defense>), ApiError>> = items
         .iter()
         .map(|item| {
             if !matches!(item, Json::Obj(_)) {
@@ -506,118 +460,41 @@ fn handle_attack_batch(state: &ServerState<'_>, request: &Request) -> Result<Res
                     "each \"attacks\" entry must be an object",
                 ));
             }
-            let attacker = resolve(topo, require_asn(item, "attacker")?)?;
-            let target = resolve(topo, require_asn(item, "target")?)?;
-            if attacker == target {
-                return Err(ApiError::new(422, "attacker and target must differ"));
-            }
-            let kind = parse_kind(item)?;
-            let defense = match get(item, "defense") {
-                None => None,
-                Some(_) => Some(parse_defense(topo, item)?),
-            };
-            Ok(BatchEntry {
-                attack: Attack {
-                    attacker,
-                    target,
-                    kind,
-                },
-                defense,
-            })
+            parse_attack(topo, item)
         })
         .collect();
-    // One baseline fetch per distinct (target, defense) group. Groups
-    // build in parallel; the cache's single-flight layer coalesces any
-    // group already being built by another request.
-    let mut groups: Vec<(BaselineKey, AsIndex, &ParsedDefense)> = Vec::new();
-    for entry in entries.iter().flatten() {
-        let parsed = entry.defense.as_ref().unwrap_or(&default_defense);
-        if state.sim.route(entry.attack.kind, &parsed.defense) != Dispatch::Delta {
-            continue;
-        }
-        let key = BaselineKey {
-            target: entry.attack.target.raw(),
-            defense_fp: parsed.fingerprint,
-        };
-        if !groups.iter().any(|(k, _, _)| *k == key) {
-            groups.push((key, entry.attack.target, parsed));
-        }
-    }
-    let monitor = SweepMonitor::none().with_telemetry(&state.telemetry);
-    let baselines: HashMap<BaselineKey, (std::sync::Arc<Baseline>, &'static str)> = groups
-        .par_iter()
-        .map(|&(key, target, parsed)| {
-            let (baseline, outcome) = state.cache.get_or_build(key, || {
-                state.sim.baseline_for(target, &parsed.defense, &monitor)
-            });
-            (key, (baseline, outcome.name()))
-        })
+    let valid: Vec<(Attack, &Defense)> = entries
+        .iter()
+        .flatten()
+        .map(|(attack, own)| (*attack, own.as_ref().unwrap_or(&default_defense)))
         .collect();
-    // Evaluate every valid entry across the pool; error entries render in
-    // place so `results[i]` always answers `attacks[i]`.
-    let mut ok = 0usize;
-    let mut failed = 0usize;
+    let (answers, baseline_groups) = answer_attacks(state, &valid);
+    // Error entries render in place so `results[i]` always answers
+    // `attacks[i]`.
+    let mut answers = answers.into_iter();
     let results: Vec<Json> = entries
-        .par_iter()
-        .map_init(
-            || state.sim.scratch(),
-            |scratch, entry| match entry {
-                Err(e) => Json::obj([
-                    ("error", Json::str(e.message.clone())),
-                    ("status", Json::Num(f64::from(e.status))),
-                ]),
-                Ok(entry) => {
-                    let parsed = entry.defense.as_ref().unwrap_or(&default_defense);
-                    // The groups above hold a baseline for exactly the
-                    // entries routed to replay.
-                    let replays =
-                        state.sim.route(entry.attack.kind, &parsed.defense) == Dispatch::Delta;
-                    let cached = replays.then(|| {
-                        let key = BaselineKey {
-                            target: entry.attack.target.raw(),
-                            defense_fp: parsed.fingerprint,
-                        };
-                        &baselines[&key]
-                    });
-                    let (outcome, dispatch) = state.sim.evaluate(
-                        entry.attack,
-                        &parsed.defense,
-                        cached.map(|(baseline, _)| &**baseline),
-                        scratch,
-                        &monitor,
-                        &mut TelemetrySink(&state.telemetry),
-                    );
-                    let cache_name = cached.map_or("bypass", |&(_, name)| name);
-                    Json::obj([
-                        ("result", outcome_json(topo, &outcome)),
-                        (
-                            "meta",
-                            Json::obj([
-                                ("engine", Json::str(engine_name(dispatch))),
-                                ("cache", Json::str(cache_name)),
-                            ]),
-                        ),
-                    ])
-                }
-            },
-        )
+        .iter()
+        .map(|entry| match entry {
+            Err(e) => Json::obj([
+                ("error", Json::str(e.message.clone())),
+                ("status", Json::Num(f64::from(e.status))),
+            ]),
+            Ok(_) => answers
+                .next()
+                .expect("one answer per valid entry")
+                .into_json(None),
+        })
         .collect();
-    for entry in &entries {
-        match entry {
-            Ok(_) => ok += 1,
-            Err(_) => failed += 1,
-        }
-    }
     let wall_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
     let response = Json::obj([
         ("results", Json::Arr(results)),
         (
             "meta",
             Json::obj([
-                ("items", Json::Num((ok + failed) as f64)),
-                ("ok", Json::Num(ok as f64)),
-                ("failed", Json::Num(failed as f64)),
-                ("baseline_groups", Json::Num(groups.len() as f64)),
+                ("items", Json::Num(entries.len() as f64)),
+                ("ok", Json::Num(valid.len() as f64)),
+                ("failed", Json::Num((entries.len() - valid.len()) as f64)),
+                ("baseline_groups", Json::Num(baseline_groups as f64)),
                 ("wall_us", json_u64(wall_us)),
             ]),
         ),
@@ -633,7 +510,7 @@ fn handle_sweep_submit(state: &ServerState<'_>, request: &Request) -> Result<Res
     let topo = state.sim.topology();
     let target = resolve(topo, require_asn(&body, "target")?)?;
     let parsed = parse_defense(topo, &body)?;
-    let (pool, pool_kind): (Vec<AsIndex>, &'static str) = match get(&body, "attackers") {
+    let (pool, pool_kind): (Vec<AsIndex>, &'static str) = match body.get("attackers") {
         None => (state.lab.strided_transit_attackers(), "transit"),
         Some(Json::Str(s)) => match s.as_str() {
             "all" => (state.lab.strided_attackers(), "all"),
@@ -652,7 +529,7 @@ fn handle_sweep_submit(state: &ServerState<'_>, request: &Request) -> Result<Res
             let pool = items
                 .iter()
                 .map(|item| {
-                    as_u32(item)
+                    item.as_u32()
                         .ok_or_else(|| ApiError::new(422, "\"attackers\" entries must be ASNs"))
                         .and_then(|asn| resolve(topo, asn))
                 })
@@ -672,28 +549,19 @@ fn handle_sweep_submit(state: &ServerState<'_>, request: &Request) -> Result<Res
     if pool.is_empty() {
         return Err(ApiError::new(422, "attacker pool is empty"));
     }
-    let pool_asns: Vec<u32> = pool.iter().map(|&ix| topo.id_of(ix).value()).collect();
-    let cacheable = state.sim.route(AttackKind::OriginHijack, &parsed.defense) == Dispatch::Delta;
     let spec = SweepSpec {
         target,
-        target_asn: topo.id_of(target).value(),
+        request: SweepRequest {
+            target_asn: topo.id_of(target).value(),
+            pool_asns: pool.iter().map(|&ix| topo.id_of(ix).value()).collect(),
+            validator_asns: parsed.validator_asns,
+            stub_defense: parsed.defense.has_stub_defense(),
+        },
         pool,
-        pool_asns,
         defense: parsed.defense,
-        validator_asns: parsed.validator_asns,
-        stub_defense: parsed.stub_defense,
-        defense_fp: parsed.fingerprint,
-        cacheable,
         pool_kind,
     };
-    let key = idempotency_key(request, &body)?;
-    let (job, fresh) = state
-        .jobs
-        .submit_keyed(JobSpec::Sweep(spec), key)
-        .map_err(|message| {
-            let status = if message.contains("full") { 429 } else { 503 };
-            ApiError::new(status, message)
-        })?;
+    let (job, fresh) = submit(state, request, &body, JobSpec::Sweep(spec))?;
     let id = job.wire_id();
     let response = Json::obj([
         ("id", Json::str(id.clone())),
@@ -707,13 +575,29 @@ fn handle_sweep_submit(state: &ServerState<'_>, request: &Request) -> Result<Res
     Ok(json_response(if fresh { 202 } else { 200 }, &response))
 }
 
+/// Enqueues `spec` under the request's idempotency key: 429 when the
+/// queue is full, 503 when the server is draining. The flag is false when
+/// a duplicate key answered with the original job.
+fn submit(
+    state: &ServerState<'_>,
+    request: &Request,
+    body: &Json,
+    spec: JobSpec,
+) -> Result<(Arc<Job>, bool), ApiError> {
+    let key = idempotency_key(request, body)?;
+    state.jobs.submit_keyed(spec, key).map_err(|message| {
+        let status = if message.contains("full") { 429 } else { 503 };
+        ApiError::new(status, message)
+    })
+}
+
 /// Client idempotency key for a submission: the `Idempotency-Key`
 /// header wins, then a `"idempotency_key"` body field; absent both, the
 /// submission is unkeyed (every POST schedules).
 fn idempotency_key(request: &Request, body: &Json) -> Result<Option<String>, ApiError> {
     let raw = match request.header("idempotency-key") {
         Some(value) => Some(value.to_string()),
-        None => match get(body, "idempotency_key") {
+        None => match body.get("idempotency_key") {
             None | Some(Json::Null) => None,
             Some(Json::Str(s)) => Some(s.clone()),
             Some(_) => {
@@ -742,6 +626,15 @@ fn idempotency_key(request: &Request, body: &Json) -> Result<Option<String>, Api
     }
 }
 
+/// The job a `job-<n>` path segment names, as `find` (a lookup, or a
+/// cancellation) answers for its id; 404 when there is none.
+fn job_named(
+    wire_id: &str,
+    find: impl FnOnce(u64) -> Option<Arc<Job>>,
+) -> Result<Arc<Job>, ApiError> {
+    find(parse_job_id(wire_id)?).ok_or_else(|| ApiError::new(404, format!("no job {wire_id:?}")))
+}
+
 fn parse_job_id(wire: &str) -> Result<u64, ApiError> {
     wire.strip_prefix("job-")
         .and_then(|n| n.parse::<u64>().ok())
@@ -753,7 +646,7 @@ fn parse_job_id(wire: &str) -> Result<u64, ApiError> {
         })
 }
 
-fn job_json(job: &crate::jobs::Job) -> Json {
+fn job_json(job: &Job) -> Json {
     let eta = job.eta_ms.load(Ordering::Relaxed);
     let terminal = job.with_state(JobState::is_terminal);
     let mut pairs = vec![
@@ -766,12 +659,12 @@ fn job_json(job: &crate::jobs::Job) -> Json {
     match &job.spec {
         JobSpec::Sweep(spec) => {
             pairs.push(("kind".to_string(), Json::str("sweep")));
-            pairs.push(("target".to_string(), Json::Num(f64::from(spec.target_asn))));
+            pairs.push(("target".to_string(), Json::from(spec.request.target_asn)));
             pairs.push(("pool".to_string(), Json::str(spec.pool_kind)));
         }
         JobSpec::Stream(spec) => {
             pairs.push(("kind".to_string(), Json::str("stream")));
-            pairs.push(("targets".to_string(), asn_values(&spec.target_asns)));
+            pairs.push(("targets".to_string(), Json::u32s(&spec.target_asns)));
         }
     }
     pairs.extend([
@@ -814,10 +707,6 @@ fn job_json(job: &crate::jobs::Job) -> Json {
                     "retried",
                     json_u64(job.shards_retried.load(Ordering::Relaxed)),
                 ),
-                (
-                    "hedged",
-                    json_u64(job.shards_hedged.load(Ordering::Relaxed)),
-                ),
             ]),
         ));
     }
@@ -850,29 +739,17 @@ fn handle_jobs_list(state: &ServerState<'_>) -> Result<Response, ApiError> {
 }
 
 fn handle_job_get(state: &ServerState<'_>, wire_id: &str) -> Result<Response, ApiError> {
-    let id = parse_job_id(wire_id)?;
-    let job = state
-        .jobs
-        .get(id)
-        .ok_or_else(|| ApiError::new(404, format!("no job {wire_id:?}")))?;
+    let job = job_named(wire_id, |id| state.jobs.get(id))?;
     Ok(json_response(200, &job_json(&job)))
 }
 
 fn handle_job_cancel(state: &ServerState<'_>, wire_id: &str) -> Result<Response, ApiError> {
-    let id = parse_job_id(wire_id)?;
-    let job = state
-        .jobs
-        .cancel(id)
-        .ok_or_else(|| ApiError::new(404, format!("no job {wire_id:?}")))?;
+    let job = job_named(wire_id, |id| state.jobs.cancel(id))?;
     Ok(json_response(200, &job_json(&job)))
 }
 
 fn handle_results(state: &ServerState<'_>, wire_id: &str) -> Result<Response, ApiError> {
-    let id = parse_job_id(wire_id)?;
-    let job = state
-        .jobs
-        .get(id)
-        .ok_or_else(|| ApiError::new(404, format!("no job {wire_id:?}")))?;
+    let job = job_named(wire_id, |id| state.jobs.get(id))?;
     job.with_state(|job_state| match job_state {
         JobState::Done(output) => {
             // A finished stream renders its summary; the per-event tape is
@@ -887,26 +764,8 @@ fn handle_results(state: &ServerState<'_>, wire_id: &str) -> Result<Response, Ap
                 let response = Json::obj([
                     ("id", Json::str(job.wire_id())),
                     ("kind", Json::str("stream")),
-                    ("targets", asn_values(&spec.target_asns)),
-                    (
-                        "result",
-                        Json::obj([
-                            ("events", json_u64(stream.events)),
-                            ("injected", json_u64(stream.injected)),
-                            ("detected", json_u64(stream.detected)),
-                            (
-                                // Null, not zero: "no hijack was ever
-                                // detected" must stay distinguishable from
-                                // "detected instantly".
-                                "mean_latency_events",
-                                stream.mean_latency_events.map_or(Json::Null, Json::Num),
-                            ),
-                            (
-                                "max_latency_events",
-                                stream.max_latency_events.map_or(Json::Null, json_u64),
-                            ),
-                        ]),
-                    ),
+                    ("targets", Json::u32s(&spec.target_asns)),
+                    ("result", stream_summary_json(stream)),
                     (
                         "meta",
                         Json::obj([("wall_ms", Json::Num(output.wall_ms as f64))]),
@@ -915,6 +774,7 @@ fn handle_results(state: &ServerState<'_>, wire_id: &str) -> Result<Response, Ap
                 return Ok(json_response(200, &response));
             }
             let spec = job.spec.as_sweep().expect("non-stream jobs are sweeps");
+            let request = &spec.request;
             let counts = &output.counts;
             let attacks = counts.len();
             let failed = counts.iter().filter(|&&c| c == 0).count();
@@ -932,20 +792,17 @@ fn handle_results(state: &ServerState<'_>, wire_id: &str) -> Result<Response, Ap
             };
             let response = Json::obj([
                 ("id", Json::str(job.wire_id())),
-                ("target", Json::Num(f64::from(spec.target_asn))),
+                ("target", Json::from(request.target_asn)),
                 (
                     "defense",
-                    defense_json(&spec.validator_asns, spec.stub_defense),
+                    defense_to_json(&request.validator_asns, request.stub_defense),
                 ),
                 ("pool", Json::str(spec.pool_kind)),
                 (
                     "result",
                     Json::obj([
-                        ("attackers", asn_values(&spec.pool_asns)),
-                        (
-                            "counts",
-                            Json::Arr(counts.iter().map(|&c| Json::Num(f64::from(c))).collect()),
-                        ),
+                        ("attackers", Json::u32s(&request.pool_asns)),
+                        ("counts", Json::u32s(counts)),
                         (
                             "stats",
                             Json::obj([
@@ -1026,42 +883,35 @@ fn handle_stream_submit(state: &ServerState<'_>, request: &Request) -> Result<Re
         ));
     }
     let defaults = StreamConfig::default();
-    let events = match get(&body, "events") {
-        None | Some(Json::Null) => defaults.events,
-        Some(Json::Num(n)) if n.fract() == 0.0 && *n >= 1.0 && *n <= MAX_STREAM_EVENTS as f64 => {
-            *n as usize
-        }
-        Some(_) => {
-            return Err(ApiError::new(
-                422,
-                format!("field \"events\" must be an integer in 1..={MAX_STREAM_EVENTS}"),
-            ))
-        }
-    };
-    let seed = match get(&body, "seed") {
-        // The default mirrors the CLI `stream` subcommand, so a bare POST
-        // replays the exact tape a bare `bgpsim stream` runs.
-        None | Some(Json::Null) => state.lab.config().seed ^ 0x57e4,
-        Some(Json::Num(n)) if n.fract() == 0.0 && *n >= 0.0 && *n <= JSON_SAFE_MAX as f64 => {
-            *n as u64
-        }
-        Some(_) => {
-            return Err(ApiError::new(
-                422,
-                "field \"seed\" must be a non-negative integer",
-            ))
-        }
-    };
-    let num_targets = match get(&body, "targets") {
-        None | Some(Json::Null) => defaults.num_targets.min(transit),
-        Some(Json::Num(n)) if n.fract() == 0.0 && *n >= 1.0 && *n <= transit as f64 => *n as usize,
-        Some(_) => {
-            return Err(ApiError::new(
-                422,
-                format!("field \"targets\" must be a tracked-target count in 1..={transit}"),
-            ))
-        }
-    };
+    // An integer field of the body: absent or `null` takes the default.
+    let field =
+        |key: &str, default: u64, range: std::ops::RangeInclusive<u64>, what: String| match body
+            .get(key)
+        {
+            None | Some(Json::Null) => Ok(default),
+            Some(value) => value
+                .as_u64()
+                .filter(|n| range.contains(n))
+                .ok_or_else(|| ApiError::new(422, format!("field {key:?} must be {what}"))),
+        };
+    let events = field(
+        "events",
+        defaults.events as u64,
+        1..=MAX_STREAM_EVENTS as u64,
+        format!("an integer in 1..={MAX_STREAM_EVENTS}"),
+    )? as usize;
+    let seed = field(
+        "seed",
+        state.lab.stream_seed(),
+        0..=JSON_SAFE_MAX,
+        "a non-negative integer".to_string(),
+    )?;
+    let num_targets = field(
+        "targets",
+        defaults.num_targets.min(transit) as u64,
+        1..=transit as u64,
+        format!("a tracked-target count in 1..={transit}"),
+    )? as usize;
     let config = StreamConfig {
         events,
         seed,
@@ -1082,14 +932,7 @@ fn handle_stream_submit(state: &ServerState<'_>, request: &Request) -> Result<Re
         injected,
         store: Arc::new(Mutex::new(StreamStore::sized_for(events))),
     };
-    let key = idempotency_key(request, &body)?;
-    let (job, fresh) = state
-        .jobs
-        .submit_keyed(JobSpec::Stream(spec), key)
-        .map_err(|message| {
-            let status = if message.contains("full") { 429 } else { 503 };
-            ApiError::new(status, message)
-        })?;
+    let (job, fresh) = submit(state, request, &body, JobSpec::Stream(spec))?;
     let id = job.wire_id();
     let mut pairs = vec![
         ("id".to_string(), Json::str(id.clone())),
@@ -1107,7 +950,7 @@ fn handle_stream_submit(state: &ServerState<'_>, request: &Request) -> Result<Re
     // a different kind; only a real stream spec carries stream fields.
     if let Some(spec) = job.spec.as_stream() {
         pairs.push(("injected".to_string(), Json::Num(spec.injected as f64)));
-        pairs.push(("targets".to_string(), asn_values(&spec.target_asns)));
+        pairs.push(("targets".to_string(), Json::u32s(&spec.target_asns)));
         pairs.push((
             "range".to_string(),
             Json::str(format!("/v1/stream/{id}/range")),
@@ -1134,11 +977,7 @@ fn handle_stream_range(
     wire_id: &str,
     request: &Request,
 ) -> Result<Response, ApiError> {
-    let id = parse_job_id(wire_id)?;
-    let job = state
-        .jobs
-        .get(id)
-        .ok_or_else(|| ApiError::new(404, format!("no job {wire_id:?}")))?;
+    let job = job_named(wire_id, |id| state.jobs.get(id))?;
     let spec = job.spec.as_stream().ok_or_else(|| {
         ApiError::new(
             409,
@@ -1344,15 +1183,6 @@ mod tests {
         assert!(parse_job_id("7").is_err());
         assert!(parse_job_id("job-").is_err());
         assert!(parse_job_id("job-x").is_err());
-    }
-
-    #[test]
-    fn u32_extraction_rejects_non_integers() {
-        assert_eq!(as_u32(&Json::Num(7.0)), Some(7));
-        assert_eq!(as_u32(&Json::Num(7.5)), None);
-        assert_eq!(as_u32(&Json::Num(-1.0)), None);
-        assert_eq!(as_u32(&Json::str("7")), None);
-        assert_eq!(as_u32(&Json::Num(f64::from(u32::MAX))), Some(u32::MAX));
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Building a [`Baseline`] (the target's honest convergence plus its
 //! recorded message schedule) dominates the cost of the first query
-//! against any (target, defense) pair; replaying an attacker against a
-//! built baseline costs microseconds. A long-running service therefore
-//! keeps baselines in a bounded cache shared by every worker thread.
+//! against any (target, stub-defense setting) pair; replaying an attacker
+//! against a built baseline costs microseconds. A long-running service
+//! therefore keeps baselines in a bounded cache shared by every worker
+//! thread.
 //!
 //! Two properties matter under concurrency:
 //!
@@ -26,34 +27,20 @@ use bgpsim_routing::Baseline;
 
 use crate::jobs::lock_recover;
 
-/// Cache key: the attacked target plus a fingerprint of the defense
-/// deployment. The topology is fixed for a server's lifetime, so it is
-/// not part of the key.
+/// Cache key: exactly what a baseline depends on
+/// ([`bgpsim_hijack::Simulator::baseline_for`]) — the attacked target and
+/// whether providers filter their stub customers. Validators are not in
+/// it: they never reject the authorized origin, so the target's honest
+/// convergence is the same under every validator deployment, and asking
+/// about one target under a progression of deployments (the paper's §V)
+/// builds one baseline, not one per deployment. The topology is fixed for
+/// a server's lifetime, so it is not part of the key either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BaselineKey {
     /// Raw index of the target AS.
     pub target: u32,
-    /// [`defense_fingerprint`] of the deployment.
-    pub defense_fp: u64,
-}
-
-/// FNV-1a over the canonical defense form: sorted validator indices plus
-/// the stub-defense flag. Two requests spelling the same deployment in
-/// different orders (or with duplicates) hash identically, so they share
-/// one cache entry.
-pub fn defense_fingerprint(sorted_validators: &[u32], stub_defense: bool) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for &v in sorted_validators {
-        for byte in v.to_le_bytes() {
-            eat(byte);
-        }
-    }
-    eat(u8::from(stub_defense));
-    hash
+    /// [`bgpsim_hijack::Defense::has_stub_defense`] of the deployment.
+    pub stub_defense: bool,
 }
 
 /// How a [`BaselineCache::get_or_build`] call was satisfied.
@@ -366,33 +353,12 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_is_order_insensitive_by_contract() {
-        // Callers sort before fingerprinting; equal sorted inputs match.
-        assert_eq!(
-            defense_fingerprint(&[1, 2, 3], false),
-            defense_fingerprint(&[1, 2, 3], false)
-        );
-        assert_ne!(
-            defense_fingerprint(&[1, 2, 3], false),
-            defense_fingerprint(&[1, 2, 3], true)
-        );
-        assert_ne!(
-            defense_fingerprint(&[1, 2], false),
-            defense_fingerprint(&[1, 3], false)
-        );
-        assert_ne!(
-            defense_fingerprint(&[], false),
-            defense_fingerprint(&[], true)
-        );
-    }
-
-    #[test]
     fn hit_after_miss_shares_the_arc() {
         let topo = test_topology();
         let cache = BaselineCache::new(4);
         let key = BaselineKey {
             target: 0,
-            defense_fp: 7,
+            stub_defense: true,
         };
         let (first, outcome) = cache.get_or_build(key, || build_baseline(&topo, 0));
         assert_eq!(outcome, CacheOutcome::Miss);
@@ -409,7 +375,7 @@ mod tests {
         let cache = BaselineCache::new(2);
         let key = |t| BaselineKey {
             target: t,
-            defense_fp: 0,
+            stub_defense: false,
         };
         cache.get_or_build(key(0), || build_baseline(&topo, 0));
         cache.get_or_build(key(1), || build_baseline(&topo, 1));
@@ -436,7 +402,7 @@ mod tests {
         let cache = BaselineCache::new(16).with_byte_budget(Some(one));
         let key = |t| BaselineKey {
             target: t,
-            defense_fp: 0,
+            stub_defense: false,
         };
         cache.get_or_build(key(0), || build_baseline(&topo, 0));
         let stats = cache.stats();
@@ -457,7 +423,7 @@ mod tests {
         let cache = BaselineCache::new(2);
         let key = |t| BaselineKey {
             target: t,
-            defense_fp: 0,
+            stub_defense: false,
         };
         let (a, _) = cache.get_or_build(key(0), || build_baseline(&topo, 0));
         let (b, _) = cache.get_or_build(key(1), || build_baseline(&topo, 1));
@@ -479,7 +445,7 @@ mod tests {
         let cache = BaselineCache::new(4);
         let key = BaselineKey {
             target: 0,
-            defense_fp: 0,
+            stub_defense: false,
         };
         let builds = AtomicU64::new(0);
         std::thread::scope(|scope| {
@@ -507,7 +473,7 @@ mod tests {
         let cache = BaselineCache::new(4);
         let key = BaselineKey {
             target: 0,
-            defense_fp: 0,
+            stub_defense: false,
         };
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.get_or_build(key, || panic!("build failed"));

@@ -45,8 +45,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use bgpsim_core::manifest::{Json, SCHEMA_VERSION};
-use bgpsim_core::stream::{StreamConfig, StreamPlan, StreamStore};
+use bgpsim_core::manifest::{stream_summary_from_json, stream_summary_json, Json, SCHEMA_VERSION};
+use bgpsim_core::stream::{StreamConfig, StreamPlan, StreamStore, StreamSummary};
+use bgpsim_fanout::SweepRequest;
 use bgpsim_hijack::Defense;
 use bgpsim_topology::AsIndex;
 
@@ -64,24 +65,15 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct SweepSpec {
     /// Attacked target.
     pub target: AsIndex,
-    /// Target's ASN (echoed in job and result documents).
-    pub target_asn: u32,
     /// Attacker pool, already strided and with the target filtered out.
     pub pool: Vec<AsIndex>,
-    /// The pool's ASNs, index-aligned with `pool`.
-    pub pool_asns: Vec<u32>,
     /// Resolved defense deployment.
     pub defense: Defense,
-    /// Sorted, deduplicated validator ASNs (echoed in the result).
-    pub validator_asns: Vec<u32>,
-    /// Whether provider-side stub filtering is on.
-    pub stub_defense: bool,
-    /// Defense fingerprint for the baseline cache.
-    pub defense_fp: u64,
-    /// Whether the executor should route this sweep through the baseline
-    /// cache (localizing defense under adaptive dispatch, or a forced
-    /// delta engine).
-    pub cacheable: bool,
+    /// The same sweep in wire terms — target ASN, the pool's ASNs
+    /// index-aligned with `pool`, sorted and deduplicated validator ASNs,
+    /// the stub-defense flag: what job and result documents echo, and
+    /// what a fan-out coordinator deals to its fleet as is.
+    pub request: SweepRequest,
     /// Wire name of the attacker pool (`"all"`, `"transit"`,
     /// `"explicit"`), echoed in documents.
     pub pool_kind: &'static str,
@@ -152,22 +144,6 @@ impl JobSpec {
     }
 }
 
-/// A finished stream job's summary (sweep jobs carry `None`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamOutput {
-    /// Events processed (fewer than the plan's when cancelled mid-tape).
-    pub events: u64,
-    /// Hijacks injected over the processed events.
-    pub injected: u64,
-    /// Hijacks some probe eventually saw.
-    pub detected: u64,
-    /// Mean detection latency in events; `None` with no detections —
-    /// absence, not zero.
-    pub mean_latency_events: Option<f64>,
-    /// Worst detection latency in events; `None` with no detections.
-    pub max_latency_events: Option<u64>,
-}
-
 /// A finished job's payload.
 #[derive(Debug, Clone)]
 pub struct JobOutput {
@@ -179,8 +155,9 @@ pub struct JobOutput {
     pub cache: &'static str,
     /// Wall time from first chunk dispatched to last chunk finished.
     pub wall_ms: u64,
-    /// Stream summary, for stream jobs only.
-    pub stream: Option<StreamOutput>,
+    /// Stream summary, for stream jobs only: over the events processed,
+    /// fewer than the plan's when cancelled mid-tape.
+    pub stream: Option<StreamSummary>,
 }
 
 /// Lifecycle of a job.
@@ -230,7 +207,7 @@ struct Partial {
     counts: Vec<u32>,
     cache: &'static str,
     failure: Option<String>,
-    stream: Option<StreamOutput>,
+    stream: Option<StreamSummary>,
 }
 
 /// Every name a job's `meta.cache` can carry, with its rank. Ranks order
@@ -299,16 +276,14 @@ pub struct Job {
     /// Guards the one-shot terminal-state write to the state directory.
     persisted: AtomicBool,
     /// Fan-out shard progress, all zero unless the sweep executor dealt
-    /// this job to remote workers: shards planned, completed, re-queued
-    /// after a failure, and hedged. Surfaced as the `shards` object on
+    /// this job to remote workers: shards planned, completed and re-queued
+    /// after a failure. Surfaced as the `shards` object on
     /// `GET /v1/jobs/:id`.
     pub shards_total: AtomicU64,
     /// Shards completed (see [`Job::shards_total`]).
     pub shards_done: AtomicU64,
     /// Shards re-queued after a failed dispatch.
     pub shards_retried: AtomicU64,
-    /// Hedged duplicate dispatches issued.
-    pub shards_hedged: AtomicU64,
 }
 
 impl Job {
@@ -341,7 +316,6 @@ impl Job {
             shards_total: AtomicU64::new(0),
             shards_done: AtomicU64::new(0),
             shards_retried: AtomicU64::new(0),
-            shards_hedged: AtomicU64::new(0),
         }
     }
 
@@ -731,10 +705,10 @@ impl JobRegistry {
     /// stream job has exactly one chunk). A cancelled stream still lands
     /// here with its partial summary — `chunk_done` keeps the terminal
     /// state `cancelled`, which discards it, matching sweep semantics.
-    pub fn finish_stream_chunk(&self, chunk: &Chunk, output: StreamOutput) {
+    pub fn finish_stream_chunk(&self, chunk: &Chunk, summary: StreamSummary) {
         {
             let mut partial = lock_recover(&chunk.job.partial);
-            partial.stream = Some(output);
+            partial.stream = Some(summary);
         }
         self.chunk_done(&chunk.job, None);
     }
@@ -886,15 +860,14 @@ impl JobRegistry {
 }
 
 /// Serializes a terminal job to its on-disk record. Sweep records keep
-/// the pre-stream field layout (no `kind`) so documents written by older
-/// builds restore unchanged; stream records carry `"kind":"stream"`.
+/// the pre-stream field layout (no `kind`, the defense flat beside the
+/// pool) so documents written by older builds restore unchanged — the
+/// golden records under `tests/fixtures/` pin both directions; stream
+/// records carry `"kind":"stream"`.
 fn job_to_doc(job: &Job) -> Json {
     let mut pairs = vec![
-        (
-            "schema_version".to_string(),
-            Json::Num(SCHEMA_VERSION as f64),
-        ),
-        ("id".to_string(), Json::Num(job.id as f64)),
+        ("schema_version".to_string(), Json::from(SCHEMA_VERSION)),
+        ("id".to_string(), Json::from(job.id)),
         (
             "state".to_string(),
             Json::str(job.with_state(JobState::name)),
@@ -902,95 +875,49 @@ fn job_to_doc(job: &Job) -> Json {
     ];
     match &job.spec {
         JobSpec::Sweep(spec) => {
-            pairs.push(("target".to_string(), Json::Num(f64::from(spec.target_asn))));
-            pairs.push(("pool".to_string(), Json::str(spec.pool_kind)));
-            pairs.push((
-                "attackers".to_string(),
-                Json::Arr(
-                    spec.pool_asns
-                        .iter()
-                        .map(|&asn| Json::Num(f64::from(asn)))
-                        .collect(),
+            let request = &spec.request;
+            pairs.extend([
+                ("target".to_string(), Json::from(request.target_asn)),
+                ("pool".to_string(), Json::str(spec.pool_kind)),
+                ("attackers".to_string(), Json::u32s(&request.pool_asns)),
+                (
+                    "validators".to_string(),
+                    Json::u32s(&request.validator_asns),
                 ),
-            ));
-            pairs.push((
-                "validators".to_string(),
-                Json::Arr(
-                    spec.validator_asns
-                        .iter()
-                        .map(|&asn| Json::Num(f64::from(asn)))
-                        .collect(),
-                ),
-            ));
-            pairs.push(("stub_defense".to_string(), Json::Bool(spec.stub_defense)));
+                ("stub_defense".to_string(), Json::Bool(request.stub_defense)),
+            ]);
         }
-        JobSpec::Stream(spec) => {
-            pairs.push(("kind".to_string(), Json::str("stream")));
-            pairs.push(("events".to_string(), Json::Num(spec.config.events as f64)));
-            pairs.push((
-                "stream_seed".to_string(),
-                Json::Num(spec.config.seed as f64),
-            ));
-            pairs.push((
-                "targets".to_string(),
-                Json::Arr(
-                    spec.target_asns
-                        .iter()
-                        .map(|&asn| Json::Num(f64::from(asn)))
-                        .collect(),
-                ),
-            ));
-            pairs.push(("injected".to_string(), Json::Num(spec.injected as f64)));
-        }
+        JobSpec::Stream(spec) => pairs.extend([
+            ("kind".to_string(), Json::str("stream")),
+            ("events".to_string(), Json::from(spec.config.events)),
+            ("stream_seed".to_string(), Json::from(spec.config.seed)),
+            ("targets".to_string(), Json::u32s(&spec.target_asns)),
+            ("injected".to_string(), Json::from(spec.injected)),
+        ]),
     }
-    pairs.push((
-        "total".to_string(),
-        Json::Num(job.total.load(Ordering::Relaxed) as f64),
-    ));
-    pairs.push((
-        "completed".to_string(),
-        Json::Num(job.completed.load(Ordering::Relaxed) as f64),
-    ));
-    pairs.push((
-        "elapsed_ms".to_string(),
-        Json::Num(job.elapsed_ms.load(Ordering::Relaxed) as f64),
-    ));
+    pairs.extend([
+        (
+            "total".to_string(),
+            Json::from(job.total.load(Ordering::Relaxed)),
+        ),
+        (
+            "completed".to_string(),
+            Json::from(job.completed.load(Ordering::Relaxed)),
+        ),
+        (
+            "elapsed_ms".to_string(),
+            Json::from(job.elapsed_ms.load(Ordering::Relaxed)),
+        ),
+    ]);
     job.with_state(|state| match state {
         JobState::Done(output) => {
             let mut out = vec![
-                (
-                    "counts".to_string(),
-                    Json::Arr(
-                        output
-                            .counts
-                            .iter()
-                            .map(|&c| Json::Num(f64::from(c)))
-                            .collect(),
-                    ),
-                ),
+                ("counts".to_string(), Json::u32s(&output.counts)),
                 ("cache".to_string(), Json::str(output.cache)),
-                ("wall_ms".to_string(), Json::Num(output.wall_ms as f64)),
+                ("wall_ms".to_string(), Json::from(output.wall_ms)),
             ];
             if let Some(stream) = &output.stream {
-                out.push((
-                    "stream".to_string(),
-                    Json::obj([
-                        ("events", Json::Num(stream.events as f64)),
-                        ("injected", Json::Num(stream.injected as f64)),
-                        ("detected", Json::Num(stream.detected as f64)),
-                        (
-                            // Null, not zero, when nothing was detected.
-                            "mean_latency_events",
-                            stream.mean_latency_events.map_or(Json::Null, Json::Num),
-                        ),
-                        (
-                            "max_latency_events",
-                            stream
-                                .max_latency_events
-                                .map_or(Json::Null, |v| Json::Num(v as f64)),
-                        ),
-                    ]),
-                ));
+                out.push(("stream".to_string(), stream_summary_json(stream)));
             }
             pairs.push(("output".to_string(), Json::Obj(out)));
         }
@@ -1002,94 +929,44 @@ fn job_to_doc(job: &Job) -> Json {
     Json::Obj(pairs)
 }
 
-fn doc_get<'a>(doc: &'a Json, key: &str) -> Option<&'a Json> {
-    match doc {
-        Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-fn doc_u64(doc: &Json, key: &str) -> Option<u64> {
-    match doc_get(doc, key)? {
-        Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
-fn doc_u32s(doc: &Json, key: &str) -> Option<Vec<u32>> {
-    match doc_get(doc, key)? {
-        Json::Arr(items) => items
-            .iter()
-            .map(|item| match item {
-                Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= f64::from(u32::MAX) => {
-                    Some(*n as u32)
-                }
-                _ => None,
-            })
-            .collect(),
-        _ => None,
-    }
-}
-
 /// Parses the `"done"` output object shared by both record kinds.
 /// `expect_counts` is the sweep pool width (`None` for stream records,
 /// whose counts must be empty).
 fn output_from_doc(doc: &Json, expect_counts: Option<usize>) -> Option<JobOutput> {
-    let output = doc_get(doc, "output")?;
-    let counts = doc_u32s(output, "counts")?;
+    let output = doc.get("output")?;
+    let counts = output.get("counts")?.as_u32_array()?;
     if counts.len() != expect_counts.unwrap_or(0) {
         return None;
     }
-    let cache = match doc_get(output, "cache")? {
-        Json::Str(s) => cache_name(s)?.0,
-        _ => return None,
-    };
-    let wall_ms = doc_u64(output, "wall_ms")?;
-    let stream = match doc_get(output, "stream") {
-        None => None,
-        Some(stream) => Some(StreamOutput {
-            events: doc_u64(stream, "events")?,
-            injected: doc_u64(stream, "injected")?,
-            detected: doc_u64(stream, "detected")?,
-            // Null means "no detections", distinct from a zero latency.
-            mean_latency_events: match doc_get(stream, "mean_latency_events")? {
-                Json::Null => None,
-                Json::Num(n) => Some(*n),
-                _ => return None,
-            },
-            max_latency_events: match doc_get(stream, "max_latency_events")? {
-                Json::Null => None,
-                Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 => Some(*n as u64),
-                _ => return None,
-            },
-        }),
-    };
     Some(JobOutput {
         counts,
-        cache,
-        wall_ms,
-        stream,
+        cache: cache_name(output.get("cache")?.as_str()?)?.0,
+        wall_ms: output.get("wall_ms")?.as_u64()?,
+        stream: match output.get("stream") {
+            None => None,
+            Some(stream) => Some(stream_summary_from_json(stream)?),
+        },
     })
 }
 
 /// Deserializes one state-directory record; `None` means the file is
 /// corrupt (and should be quarantined).
 fn job_from_doc(doc: &Json) -> Option<Arc<Job>> {
-    let id = doc_u64(doc, "id")?;
-    let is_stream = matches!(doc_get(doc, "kind"), Some(Json::Str(s)) if s == "stream");
-    let total = doc_u64(doc, "total")? as usize;
-    let completed = doc_u64(doc, "completed").unwrap_or(0) as usize;
-    let elapsed_ms = doc_u64(doc, "elapsed_ms").unwrap_or(0);
+    let count = |key: &str| doc.get(key).and_then(Json::as_u64);
+    let id = count("id")?;
+    let is_stream = doc.get("kind").and_then(Json::as_str) == Some("stream");
+    let total = usize::try_from(count("total")?).ok()?;
+    let completed = count("completed").unwrap_or(0) as usize;
+    let elapsed_ms = count("elapsed_ms").unwrap_or(0);
     let spec = if is_stream {
-        let target_asns = doc_u32s(doc, "targets")?;
-        let injected = doc_u64(doc, "injected").unwrap_or(0) as usize;
+        let target_asns = doc.get("targets")?.as_u32_array()?;
         JobSpec::Stream(StreamSpec {
             // Runtime fields are placeholders: restored jobs are terminal
             // and never scheduled, and per-event samples are not persisted
             // (range queries on a restored stream answer 410).
             config: StreamConfig {
                 events: total,
-                seed: doc_u64(doc, "stream_seed").unwrap_or(0),
+                seed: count("stream_seed").unwrap_or(0),
                 num_targets: target_asns.len().max(1),
                 ..StreamConfig::default()
             },
@@ -1100,89 +977,62 @@ fn job_from_doc(doc: &Json) -> Option<Arc<Job>> {
                 events: Vec::new(),
             },
             target_asns,
-            injected,
+            injected: count("injected").unwrap_or(0) as usize,
             store: Arc::new(Mutex::new(StreamStore::new(1, 1))),
         })
     } else {
-        let target_asn = u32::try_from(doc_u64(doc, "target")?).ok()?;
-        let pool_asns = doc_u32s(doc, "attackers")?;
-        let validator_asns = doc_u32s(doc, "validators")?;
-        let stub_defense = matches!(doc_get(doc, "stub_defense"), Some(Json::Bool(true)));
-        let pool_kind = match doc_get(doc, "pool")? {
-            Json::Str(s) => match s.as_str() {
-                "all" => "all",
-                "transit" => "transit",
-                "explicit" => "explicit",
-                _ => return None,
-            },
+        let pool_kind = match doc.get("pool")?.as_str()? {
+            "all" => "all",
+            "transit" => "transit",
+            "explicit" => "explicit",
             _ => return None,
         };
         JobSpec::Sweep(SweepSpec {
             // Runtime fields are placeholders: restored jobs are terminal
-            // and never scheduled, so only the echoed document fields
-            // (ASNs, pool kind, defense description) matter.
+            // and never scheduled, so only the echoed wire terms (ASNs,
+            // pool kind, defense description) matter.
             target: AsIndex::new(0),
-            target_asn,
             pool: Vec::new(),
-            pool_asns,
             defense: Defense::none(),
-            validator_asns,
-            stub_defense,
-            defense_fp: 0,
-            cacheable: false,
+            request: SweepRequest {
+                target_asn: doc.get("target")?.as_u32()?,
+                pool_asns: doc.get("attackers")?.as_u32_array()?,
+                validator_asns: doc.get("validators")?.as_u32_array()?,
+                stub_defense: doc.get("stub_defense").and_then(Json::as_bool) == Some(true),
+            },
             pool_kind,
         })
     };
-    let state = match doc_get(doc, "state")? {
-        Json::Str(s) => match s.as_str() {
-            "done" => {
-                let expect_counts = spec.as_sweep().map(|s| s.pool_asns.len());
-                let output = output_from_doc(doc, expect_counts)?;
-                if is_stream && output.stream.is_none() {
-                    return None;
-                }
-                JobState::Done(output)
+    let state = match doc.get("state")?.as_str()? {
+        "done" => {
+            let expect_counts = spec.as_sweep().map(|s| s.request.pool_asns.len());
+            let output = output_from_doc(doc, expect_counts)?;
+            if is_stream && output.stream.is_none() {
+                return None;
             }
-            "cancelled" => JobState::Cancelled,
-            "failed" => {
-                let message = match doc_get(doc, "error") {
-                    Some(Json::Str(s)) => s.clone(),
-                    _ => "unknown failure (restored)".to_string(),
-                };
-                JobState::Failed(message)
-            }
-            // A non-terminal state on disk is a corrupt record: the
-            // registry only ever persists terminal jobs.
-            _ => return None,
-        },
+            JobState::Done(output)
+        }
+        "cancelled" => JobState::Cancelled,
+        "failed" => JobState::Failed(
+            doc.get("error")
+                .and_then(Json::as_str)
+                .unwrap_or("unknown failure (restored)")
+                .to_string(),
+        ),
+        // A non-terminal state on disk is a corrupt record: the registry
+        // only ever persists terminal jobs.
         _ => return None,
     };
-    let work_units = spec.work_units();
     Some(Arc::new(Job {
-        id,
-        spec,
         state: Mutex::new(state),
-        cancel: AtomicBool::new(false),
         completed: AtomicUsize::new(completed),
         total: AtomicUsize::new(total),
         elapsed_ms: AtomicU64::new(elapsed_ms),
-        eta_ms: AtomicU64::new(ETA_UNKNOWN),
         restored: true,
-        next_attacker: AtomicUsize::new(work_units),
-        chunks_in_flight: AtomicUsize::new(0),
-        started: Mutex::new(None),
-        partial: Mutex::new(Partial {
-            counts: Vec::new(),
-            cache: "bypass",
-            failure: None,
-            stream: None,
-        }),
-        // Already on disk: never rewrite.
+        // Fully dealt, and already on disk: never scheduled or rewritten.
+        next_attacker: AtomicUsize::new(spec.work_units()),
         persisted: AtomicBool::new(true),
-        shards_total: AtomicU64::new(0),
-        shards_done: AtomicU64::new(0),
-        shards_retried: AtomicU64::new(0),
-        shards_hedged: AtomicU64::new(0),
+        ..Job::new(id, spec)
     }))
 }
 
@@ -1245,14 +1095,14 @@ mod tests {
     fn spec_with_pool(n: u32) -> JobSpec {
         JobSpec::Sweep(SweepSpec {
             target: AsIndex::new(0),
-            target_asn: 1,
             pool: (1..=n).map(AsIndex::new).collect(),
-            pool_asns: (2..=n + 1).collect(),
             defense: Defense::none(),
-            validator_asns: Vec::new(),
-            stub_defense: false,
-            defense_fp: 0,
-            cacheable: false,
+            request: SweepRequest {
+                target_asn: 1,
+                pool_asns: (2..=n + 1).collect(),
+                validator_asns: Vec::new(),
+                stub_defense: false,
+            },
             pool_kind: "explicit",
         })
     }
@@ -1445,12 +1295,12 @@ mod tests {
         chunk.job.completed.store(37, Ordering::Relaxed);
         registry.finish_stream_chunk(
             &chunk,
-            StreamOutput {
+            StreamSummary {
                 events: 50,
                 injected: 3,
                 detected: 2,
-                mean_latency_events: Some(1.5),
-                max_latency_events: Some(3),
+                mean_latency: Some(1.5),
+                max_latency: Some(3),
             },
         );
         job.with_state(|s| match s {
@@ -1473,12 +1323,12 @@ mod tests {
         // cancellation wins, matching sweep semantics.
         registry.finish_stream_chunk(
             &chunk,
-            StreamOutput {
+            StreamSummary {
                 events: 12,
                 injected: 1,
                 detected: 0,
-                mean_latency_events: None,
-                max_latency_events: None,
+                mean_latency: None,
+                max_latency: None,
             },
         );
         assert_eq!(job.with_state(JobState::name), "cancelled");
@@ -1497,14 +1347,14 @@ mod tests {
             let chunk = registry.next_chunk().unwrap();
             registry.finish_stream_chunk(
                 &chunk,
-                StreamOutput {
+                StreamSummary {
                     events: 50,
                     injected: 3,
                     detected: 0,
                     // No detections: the record must round-trip the
                     // nulls, not resurrect them as zeros.
-                    mean_latency_events: None,
-                    max_latency_events: None,
+                    mean_latency: None,
+                    max_latency: None,
                 },
             );
         }
@@ -1520,8 +1370,8 @@ mod tests {
             JobState::Done(output) => {
                 let stream = output.stream.as_ref().expect("stream summary");
                 assert_eq!(stream.injected, 3);
-                assert_eq!(stream.mean_latency_events, None);
-                assert_eq!(stream.max_latency_events, None);
+                assert_eq!(stream.mean_latency, None);
+                assert_eq!(stream.max_latency, None);
             }
             other => panic!("expected done, got {}", other.name()),
         });
@@ -1649,5 +1499,42 @@ mod tests {
             other => panic!("expected failed, got {}", other.name()),
         });
         let _ = std::fs::remove_dir_all(&dir);
+    }
+    /// Every terminal shape a record can have — sweeps done over explicit,
+    /// `"transit"` and `"all"` pools with and without a defense and under
+    /// each cache outcome (`"fanout"` included), streams done with, without
+    /// (`null` latencies) and with instant (zero) detections, cancelled and
+    /// failed jobs of both kinds — as the parent of the PR that introduced
+    /// this test wrote it: each restores, and re-serializes byte for byte.
+    /// (`tests/service.rs` asks a server booted on the same directory for
+    /// each record's `/v1/results`.)
+    #[test]
+    fn golden_records_restore_and_reserialize_byte_for_byte() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&dir).expect("fixtures directory") {
+            let path = entry.unwrap().path();
+            if path.extension().is_none_or(|ext| ext != "json") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let job =
+                job_from_doc(&doc).unwrap_or_else(|| panic!("{} quarantined", path.display()));
+            assert!(job.restored && job.with_state(JobState::is_terminal));
+            assert_eq!(
+                job_to_doc(&job).render_compact() + "\n",
+                text,
+                "{}",
+                path.display()
+            );
+            seen += 1;
+        }
+        assert_eq!(
+            seen,
+            13,
+            "a golden record went missing from {}",
+            dir.display()
+        );
     }
 }

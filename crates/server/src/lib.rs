@@ -38,8 +38,9 @@
 //! the lab outlives every worker.
 //!
 //! The load-bearing middle layer is the [`cache::BaselineCache`]: repeat
-//! queries against a warm (target, defense) baseline skip the honest
-//! convergence entirely and replay in microseconds. See `DESIGN.md` §13.
+//! queries against a warm (target, stub-defense setting) baseline — under
+//! any validator deployment — skip the honest convergence entirely and
+//! replay in microseconds. See `DESIGN.md` §13.
 //!
 //! [`POST /v1/attacks`]: crate::api
 
@@ -52,6 +53,7 @@ pub mod http;
 pub mod jobs;
 pub mod metrics;
 
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,18 +64,20 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use bgpsim_core::detection::ProbeSet;
 use bgpsim_core::manifest::SCHEMA_VERSION;
-use bgpsim_core::stream::{DetectorMode, StreamDetector};
+use bgpsim_core::stream::{DetectorMode, StreamDetector, StreamSummary};
 use bgpsim_core::{ExperimentConfig, Lab};
-use bgpsim_fanout::{
-    Coordinator, FanoutConfig, FanoutError, Handshake, SweepObserver, SweepRequest,
+use bgpsim_fanout::{Coordinator, FanoutConfig, FanoutError, Handshake, SweepObserver};
+use bgpsim_hijack::{
+    AttackKind, Defense, Dispatch, Simulator, SweepMonitor, SweepProgress, SweepTelemetry,
 };
-use bgpsim_hijack::{Simulator, SweepMonitor, SweepProgress, SweepTelemetry};
+use bgpsim_routing::Baseline;
+use bgpsim_topology::AsIndex;
+use rayon::prelude::*;
 
-use cache::{BaselineCache, BaselineKey};
+use cache::{BaselineCache, BaselineKey, CacheOutcome};
 use http::{HttpConn, ReadOutcome, Response};
-use jobs::{Chunk, Job, JobRegistry, JobSpec, StreamOutput, StreamSpec};
+use jobs::{Chunk, Job, JobRegistry, JobSpec, StreamSpec};
 use metrics::ServerMetrics;
 
 /// How long the accept loop sleeps between polls when no connection is
@@ -156,6 +160,59 @@ pub(crate) struct ServerState<'t> {
     pub(crate) telemetry: SweepTelemetry,
     pub(crate) shutdown: &'t AtomicBool,
     pub(crate) fanout: Option<Coordinator>,
+}
+
+/// A baseline as the cache handed it out, with how the lookup went.
+pub(crate) type CachedBaseline = (Arc<Baseline>, CacheOutcome);
+
+impl ServerState<'_> {
+    /// The baseline each of `asks` — attacks of a kind on a target under a
+    /// defense — replays, fetched through the cache. This is the one place
+    /// the server decides *whether* a request needs a baseline (its route
+    /// is [`Dispatch::Delta`]) and *which*: the key is `(target,
+    /// stub_defense)`, all of a defense that [`Simulator::baseline_for`]
+    /// reads, so every validator deployment shares the entry.
+    ///
+    /// Asks with equal keys share one lookup, distinct keys are fetched in
+    /// parallel, and the cache's single-flight layer coalesces a build
+    /// another request already started. Returns one slot per ask, in order
+    /// (`None`: that route does not replay), and the number of lookups.
+    pub(crate) fn baselines<'d>(
+        &self,
+        asks: impl IntoIterator<Item = (AttackKind, AsIndex, &'d Defense)>,
+        monitor: &SweepMonitor<'_>,
+    ) -> (Vec<Option<CachedBaseline>>, usize) {
+        // Distinct keys, each with the first target and defense that named it.
+        let mut groups: Vec<(BaselineKey, AsIndex, &Defense)> = Vec::new();
+        let mut group_of: HashMap<BaselineKey, usize> = HashMap::new();
+        let slots: Vec<Option<usize>> = asks
+            .into_iter()
+            .map(|(kind, target, defense)| {
+                (self.sim.route(kind, defense) == Dispatch::Delta).then(|| {
+                    let key = BaselineKey {
+                        target: target.raw(),
+                        stub_defense: defense.has_stub_defense(),
+                    };
+                    *group_of.entry(key).or_insert_with(|| {
+                        groups.push((key, target, defense));
+                        groups.len() - 1
+                    })
+                })
+            })
+            .collect();
+        let fetched: Vec<CachedBaseline> = groups
+            .par_iter()
+            .map(|&(key, target, defense)| {
+                self.cache
+                    .get_or_build(key, || self.sim.baseline_for(target, defense, monitor))
+            })
+            .collect();
+        let slots = slots
+            .into_iter()
+            .map(|slot| slot.map(|group| fetched[group].clone()))
+            .collect();
+        (slots, fetched.len())
+    }
 }
 
 /// Runs the server until `shutdown` becomes true (a `POST /v1/shutdown`
@@ -359,7 +416,7 @@ fn sweep_executor(state: &ServerState<'_>) {
             Ok(ChunkResult::Sweep { rows, cache }) => {
                 state.jobs.finish_chunk(&chunk, &rows, cache);
             }
-            Ok(ChunkResult::Stream(output)) => state.jobs.finish_stream_chunk(&chunk, output),
+            Ok(ChunkResult::Stream(summary)) => state.jobs.finish_stream_chunk(&chunk, summary),
             Err(panic) => {
                 let detail = panic
                     .downcast_ref::<&str>()
@@ -377,7 +434,7 @@ fn sweep_executor(state: &ServerState<'_>) {
 /// What one chunk of executor work produced.
 enum ChunkResult {
     Sweep { rows: Vec<u32>, cache: &'static str },
-    Stream(StreamOutput),
+    Stream(StreamSummary),
 }
 
 /// Runs one chunk: a slice of a sweep's attacker pool, or a stream job's
@@ -393,9 +450,9 @@ fn run_chunk(state: &ServerState<'_>, chunk: &Chunk) -> ChunkResult {
 }
 
 /// Runs one chunk of a job's sweep, updating the job's progress atomics
-/// per attack. Cacheable jobs fetch the shared baseline per chunk — after
-/// the first chunk that is always a cache hit, and the job's reported
-/// outcome keeps the coldest chunk's answer.
+/// per attack. Sweeps that replay fetch the shared baseline per chunk —
+/// after the first chunk that is always a cache hit, and the job's
+/// reported outcome keeps the coldest chunk's answer.
 fn run_sweep_chunk(
     state: &ServerState<'_>,
     job: &Job,
@@ -420,32 +477,16 @@ fn run_sweep_chunk(
         .with_telemetry(&state.telemetry)
         .with_progress(&progress)
         .with_cancel(&job.cancel);
-    if spec.cacheable {
-        let key = BaselineKey {
-            target: spec.target.raw(),
-            defense_fp: spec.defense_fp,
-        };
-        let (baseline, outcome) = state.cache.get_or_build(key, || {
-            state.sim.baseline_for(spec.target, &spec.defense, &monitor)
-        });
-        let rows = state.sim.sweep_chunk_monitored(
-            spec.target,
-            chunk.attackers(),
-            &spec.defense,
-            Some(&baseline),
-            &monitor,
-        );
-        (rows, outcome.name())
-    } else {
-        let rows = state.sim.sweep_chunk_monitored(
-            spec.target,
-            chunk.attackers(),
-            &spec.defense,
-            None,
-            &monitor,
-        );
-        (rows, "bypass")
-    }
+    let ask = (AttackKind::OriginHijack, spec.target, &spec.defense);
+    let cached = state.baselines([ask], &monitor).0.pop().flatten();
+    let rows = state.sim.sweep_chunk_monitored(
+        spec.target,
+        chunk.attackers(),
+        &spec.defense,
+        cached.as_ref().map(|(baseline, _)| &**baseline),
+        &monitor,
+    );
+    (rows, cached.map_or("bypass", |(_, outcome)| outcome.name()))
 }
 
 /// Ticks a [`Job`]'s progress and shard atomics from coordinator
@@ -473,10 +514,6 @@ impl<F: Fn(usize) + Sync> SweepObserver for JobShardObserver<'_, F> {
         self.job.shards_retried.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn on_hedge(&self) {
-        self.job.shards_hedged.fetch_add(1, Ordering::Relaxed);
-    }
-
     fn cancelled(&self) -> bool {
         self.job.cancel.load(Ordering::Relaxed)
     }
@@ -494,13 +531,7 @@ fn run_fanout_chunk(
         job,
         tick: job.progress_ticker(),
     };
-    let request = SweepRequest {
-        target_asn: spec.target_asn,
-        pool_asns: spec.pool_asns.clone(),
-        validator_asns: spec.validator_asns.clone(),
-        stub_defense: spec.stub_defense,
-    };
-    coordinator.run_sweep(&request, &observer)
+    coordinator.run_sweep(&spec.request, &observer)
 }
 
 /// Runs a stream job's whole event tape through the incremental detector,
@@ -510,21 +541,12 @@ fn run_fanout_chunk(
 /// between events. Cancellation is polled per event; a cancelled run
 /// still reports the summary of the prefix it processed (the registry
 /// discards it, matching sweep semantics).
-fn run_stream_chunk(state: &ServerState<'_>, job: &Job, spec: &StreamSpec) -> StreamOutput {
-    let topo = state.sim.topology();
-    // Same probe cohort as the CLI `bgpsim stream` runner (fig7 parity):
-    // the live feed and the batch detection experiment watch the internet
-    // through the same monitors.
-    let degree_threshold = ((500.0 * state.lab.config().scale().sqrt()).round() as usize).max(4);
-    let sets = vec![
-        ProbeSet::tier1(topo),
-        ProbeSet::bgpmon_like(topo, 24, state.lab.config().seed ^ 0xb69),
-        ProbeSet::degree_at_least(topo, degree_threshold),
-    ];
+fn run_stream_chunk(state: &ServerState<'_>, job: &Job, spec: &StreamSpec) -> StreamSummary {
+    let sets = state.lab.probe_cohort();
     let mut detector =
         StreamDetector::new(&state.sim, &sets, &spec.plan, DetectorMode::Incremental);
     let tick = job.progress_ticker();
-    let mut processed = 0u64;
+    let mut processed = 0;
     for event in &spec.plan.events {
         if job.cancel.load(Ordering::Relaxed) {
             break;
@@ -537,23 +559,11 @@ fn run_stream_chunk(state: &ServerState<'_>, job: &Job, spec: &StreamSpec) -> St
         state.metrics.stream_event();
         tick(1);
     }
-    let records = detector.finish();
-    let latencies: Vec<u64> = records.iter().filter_map(|h| h.latency()).collect();
-    let output = StreamOutput {
-        events: processed,
-        injected: records.len() as u64,
-        detected: latencies.len() as u64,
-        mean_latency_events: if latencies.is_empty() {
-            None
-        } else {
-            Some(latencies.iter().sum::<u64>() as f64 / latencies.len() as f64)
-        },
-        max_latency_events: latencies.iter().max().copied(),
-    };
+    let summary = StreamSummary::of(processed, &detector.finish());
     state
         .metrics
-        .stream_finished(output.injected, output.detected);
-    output
+        .stream_finished(summary.injected as u64, summary.detected as u64);
+    summary
 }
 
 /// Handle to a server running on a background thread (tests and the

@@ -45,105 +45,45 @@ fn tiny_server() -> ServerHandle {
     spawn(config).expect("server boots")
 }
 
-/// Blocking single-request HTTP client; opens a fresh connection each
-/// time so tests cannot accidentally depend on keep-alive state.
-fn http(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\
-         Content-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body.as_bytes()).unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let raw = String::from_utf8(raw).expect("utf-8 response");
-    let (head, response_body) = raw.split_once("\r\n\r\n").expect("header/body split");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    (status, response_body.to_string())
+/// One keep-alive connection to the server under test. Drop it before
+/// `server.stop()`: a drain waits out idle connections' read timeout.
+fn connect(server: &ServerHandle) -> Client {
+    Client::connect(&server.addr().to_string()).expect("connect")
 }
 
-fn json(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, Json) {
-    let (status, text) = http(addr, method, path, body);
+fn text(client: &mut Client, method: &str, path: &str, body: &str) -> (u16, String) {
+    client
+        .request(method, path, body)
+        .unwrap_or_else(|e| panic!("{method} {path}: {e}"))
+}
+
+fn json(client: &mut Client, method: &str, path: &str, body: &str) -> (u16, Json) {
+    let (status, text) = text(client, method, path, body);
     let parsed = Json::parse(&text).unwrap_or_else(|e| panic!("bad JSON from {path}: {e}"));
     (status, parsed)
 }
 
-/// Like [`json`] but with one extra request header (`"Name: value"`).
-fn json_with_header(
-    addr: std::net::SocketAddr,
-    method: &str,
-    path: &str,
-    header: &str,
-    body: &str,
-) -> (u16, Json) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n{header}\r\n\
-         Content-Length: {}\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body.as_bytes()).unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let raw = String::from_utf8(raw).expect("utf-8 response");
-    let (head, response_body) = raw.split_once("\r\n\r\n").expect("header/body split");
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    let parsed = Json::parse(response_body).unwrap_or_else(|e| panic!("bad JSON from {path}: {e}"));
-    (status, parsed)
+/// The value at a dotted path of keys, panicking with the path when one
+/// is missing.
+fn at<'a>(json: &'a Json, path: &str) -> &'a Json {
+    path.split('.').fold(json, |value, key| {
+        value
+            .get(key)
+            .unwrap_or_else(|| panic!("no {key:?} (of {path:?}) in {json:?}"))
+    })
 }
 
-fn get<'a>(json: &'a Json, key: &str) -> &'a Json {
-    match json {
-        Json::Obj(pairs) => pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("missing key {key:?}")),
-        other => panic!("expected object with {key:?}, got {other:?}"),
-    }
-}
-
-fn num(json: &Json) -> f64 {
-    match json {
-        Json::Num(n) => *n,
-        other => panic!("expected number, got {other:?}"),
-    }
-}
-
-fn str_of(json: &Json) -> &str {
-    match json {
-        Json::Str(s) => s,
-        other => panic!("expected string, got {other:?}"),
-    }
-}
-
-fn u32s(json: &Json) -> Vec<u32> {
-    match json {
-        Json::Arr(items) => items.iter().map(|v| num(v) as u32).collect(),
-        other => panic!("expected array, got {other:?}"),
-    }
+/// The cast member's ASN, from a `/v1/healthz` document.
+fn cast(healthz: &Json, role: &str) -> u32 {
+    at(healthz, "cast")
+        .get(role)
+        .and_then(Json::as_u32)
+        .unwrap()
 }
 
 /// Reads one counter value out of the Prometheus exposition.
-fn metric(addr: std::net::SocketAddr, name_and_labels: &str) -> u64 {
-    let (status, text) = http(addr, "GET", "/v1/metrics", "");
+fn metric(client: &mut Client, name_and_labels: &str) -> u64 {
+    let (status, text) = text(client, "GET", "/v1/metrics", "");
     assert_eq!(status, 200);
     text.lines()
         .find(|line| line.starts_with(name_and_labels))
@@ -152,11 +92,11 @@ fn metric(addr: std::net::SocketAddr, name_and_labels: &str) -> u64 {
         .unwrap_or_else(|| panic!("metric {name_and_labels:?} not found"))
 }
 
-fn wait_done(addr: std::net::SocketAddr, job: &str) -> Json {
+fn wait_done(client: &mut Client, job: &str) -> Json {
     for _ in 0..600 {
-        let (status, body) = json(addr, "GET", &format!("/v1/jobs/{job}"), "");
+        let (status, body) = json(client, "GET", &format!("/v1/jobs/{job}"), "");
         assert_eq!(status, 200);
-        let state = str_of(get(&body, "state")).to_string();
+        let state = at(&body, "state").as_str().unwrap().to_string();
         if state == "done" {
             return body;
         }
@@ -172,41 +112,41 @@ fn wait_done(addr: std::net::SocketAddr, job: &str) -> Json {
 #[test]
 fn attack_matches_direct_simulator_and_warm_cache_is_faster() {
     let server = tiny_server();
-    let addr = server.addr();
-    let (status, healthz) = json(addr, "GET", "/v1/healthz", "");
+    let mut client = connect(&server);
+    let (status, healthz) = json(&mut client, "GET", "/v1/healthz", "");
     assert_eq!(status, 200);
-    assert_eq!(str_of(get(&healthz, "status")), "ok");
-    let target = num(get(get(&healthz, "cast"), "vulnerable_stub")) as u32;
-    let aggressive = num(get(get(&healthz, "cast"), "aggressive_attacker")) as u32;
+    assert_eq!(at(&healthz, "status").as_str().unwrap(), "ok");
+    let target = cast(&healthz, "vulnerable_stub");
+    let aggressive = cast(&healthz, "aggressive_attacker");
     // A stub attacker under stub defense is filtered at its providers, so
     // its delta replay is near-free and the cold/warm gap isolates the
     // baseline build the cache exists to amortize.
-    let cheap_attacker = num(get(get(&healthz, "cast"), "resistant_stub")) as u32;
+    let cheap_attacker = cast(&healthz, "resistant_stub");
     let cheap_body = format!(
         "{{\"attacker\":{cheap_attacker},\"target\":{target},\"defense\":{{\"stub_defense\":true}}}}"
     );
 
-    let (status, cold) = json(addr, "POST", "/v1/attacks", &cheap_body);
+    let (status, cold) = json(&mut client, "POST", "/v1/attacks", &cheap_body);
     assert_eq!(status, 200, "cold attack failed: {cold:?}");
-    assert_eq!(str_of(get(get(&cold, "meta"), "cache")), "miss");
-    let cold_wall = num(get(get(&cold, "meta"), "wall_us"));
+    assert_eq!(at(&cold, "meta.cache").as_str().unwrap(), "miss");
+    let cold_wall = at(&cold, "meta.wall_us").as_u64().unwrap();
     // The cold build is accounted like a sweep's: counted, bytes included.
-    assert_eq!(metric(addr, "bgpsim_sim_baselines_built_total"), 1);
-    assert!(metric(addr, "bgpsim_sim_baseline_bytes_total") > 0);
+    assert_eq!(metric(&mut client, "bgpsim_sim_baselines_built_total"), 1);
+    assert!(metric(&mut client, "bgpsim_sim_baseline_bytes_total") > 0);
 
     // Warm repeats hit the cache and skip the honest re-convergence.
     let mut warm_walls = Vec::new();
     for _ in 0..9 {
-        let (status, warm) = json(addr, "POST", "/v1/attacks", &cheap_body);
+        let (status, warm) = json(&mut client, "POST", "/v1/attacks", &cheap_body);
         assert_eq!(status, 200);
-        assert_eq!(str_of(get(get(&warm, "meta"), "cache")), "hit");
-        assert_eq!(get(&warm, "result"), get(&cold, "result"));
-        warm_walls.push(num(get(get(&warm, "meta"), "wall_us")));
+        assert_eq!(at(&warm, "meta.cache").as_str().unwrap(), "hit");
+        assert_eq!(at(&warm, "result"), at(&cold, "result"));
+        warm_walls.push(at(&warm, "meta.wall_us").as_u64().unwrap());
     }
-    warm_walls.sort_by(f64::total_cmp);
+    warm_walls.sort_unstable();
     let warm_p50 = warm_walls[warm_walls.len() / 2];
     assert!(
-        cold_wall >= 2.0 * warm_p50,
+        cold_wall >= 2 * warm_p50,
         "warm cache not faster: cold {cold_wall} µs vs warm p50 {warm_p50} µs"
     );
 
@@ -214,7 +154,7 @@ fn attack_matches_direct_simulator_and_warm_cache_is_faster() {
     // baseline, and the service's answer must be value-identical to the
     // library's for both attacks.
     let (status, big) = json(
-        addr,
+        &mut client,
         "POST",
         "/v1/attacks",
         &format!(
@@ -222,13 +162,13 @@ fn attack_matches_direct_simulator_and_warm_cache_is_faster() {
     ),
     );
     assert_eq!(status, 200);
-    assert_eq!(str_of(get(get(&big, "meta"), "cache")), "hit");
+    assert_eq!(at(&big, "meta.cache").as_str().unwrap(), "hit");
     // `meta.engine` names what ran, not the route: the stub's replay stays
     // inside its cone budget, the aggressive attacker's outgrows it and is
     // finished by the race solver — against the same cached baseline.
-    assert_eq!(str_of(get(get(&cold, "meta"), "engine")), "delta");
-    assert_eq!(str_of(get(get(&big, "meta"), "engine")), "race");
-    assert_eq!(metric(addr, "bgpsim_sim_replays_abandoned_total"), 1);
+    assert_eq!(at(&cold, "meta.engine").as_str().unwrap(), "delta");
+    assert_eq!(at(&big, "meta.engine").as_str().unwrap(), "race");
+    assert_eq!(metric(&mut client, "bgpsim_sim_replays_abandoned_total"), 1);
 
     let lab = Lab::new(tiny_experiment());
     let sim = lab.simulator();
@@ -247,16 +187,16 @@ fn attack_matches_direct_simulator_and_warm_cache_is_faster() {
         ("sub_prefix", Attack::sub_prefix(a, t), "generation"),
     ] {
         let (status, open) = json(
-            addr,
+            &mut client,
             "POST",
             "/v1/attacks",
             &format!("{{\"attacker\":{aggressive},\"target\":{target},\"kind\":\"{kind}\"}}"),
         );
         assert_eq!(status, 200, "{kind}: {open:?}");
-        assert_eq!(str_of(get(get(&open, "meta"), "engine")), engine, "{kind}");
-        assert_eq!(str_of(get(get(&open, "meta"), "cache")), "bypass");
+        assert_eq!(at(&open, "meta.engine").as_str().unwrap(), engine, "{kind}");
+        assert_eq!(at(&open, "meta.cache").as_str().unwrap(), "bypass");
         assert_eq!(
-            num(get(get(&open, "result"), "pollution_count")) as usize,
+            at(&open, "result.pollution_count").as_u64().unwrap() as usize,
             sim.run(attack, &Defense::none()).pollution_count(),
             "{kind}"
         );
@@ -265,9 +205,9 @@ fn attack_matches_direct_simulator_and_warm_cache_is_faster() {
     for (attacker, response) in [(cheap_attacker, &cold), (aggressive, &big)] {
         let a = topo.index_of(bgpsim_topology::AsId::new(attacker)).unwrap();
         let direct = sim.run(Attack::origin(a, t), &defense);
-        let result = get(response, "result");
+        let result = at(response, "result");
         assert_eq!(
-            num(get(result, "pollution_count")) as usize,
+            at(result, "pollution_count").as_u64().unwrap() as usize,
             direct.pollution_count()
         );
         // `polluted` is index-sorted and the service renders it in the
@@ -277,56 +217,63 @@ fn attack_matches_direct_simulator_and_warm_cache_is_faster() {
             .iter()
             .map(|&ix| topo.id_of(ix).value())
             .collect();
-        assert_eq!(u32s(get(result, "polluted")), direct_polluted);
+        assert_eq!(
+            at(result, "polluted").as_u32_array().unwrap(),
+            direct_polluted
+        );
     }
 
     assert_eq!(
         metric(
-            addr,
+            &mut client,
             "bgpsim_baseline_cache_lookups_total{outcome=\"miss\"}"
         ),
         1
     );
     assert_eq!(
-        metric(addr, "bgpsim_baseline_cache_lookups_total{outcome=\"hit\"}"),
+        metric(
+            &mut client,
+            "bgpsim_baseline_cache_lookups_total{outcome=\"hit\"}"
+        ),
         10
     );
+    drop(client);
     server.stop().expect("clean shutdown");
 }
 
 #[test]
 fn concurrent_identical_sweeps_build_one_baseline_and_match_direct() {
     let server = tiny_server();
-    let addr = server.addr();
-    let (_, healthz) = json(addr, "GET", "/v1/healthz", "");
-    let target = num(get(get(&healthz, "cast"), "vulnerable_stub")) as u32;
+    let mut client = connect(&server);
+    let (_, healthz) = json(&mut client, "GET", "/v1/healthz", "");
+    let target = cast(&healthz, "vulnerable_stub");
     let body = format!(
         "{{\"target\":{target},\"defense\":{{\"stub_defense\":true}},\"attackers\":\"transit\"}}"
     );
 
     // Submit two identical sweeps back-to-back before either runs.
-    let (status, first) = json(addr, "POST", "/v1/sweeps", &body);
+    let (status, first) = json(&mut client, "POST", "/v1/sweeps", &body);
     assert_eq!(status, 202, "submit failed: {first:?}");
-    let (status, second) = json(addr, "POST", "/v1/sweeps", &body);
+    let (status, second) = json(&mut client, "POST", "/v1/sweeps", &body);
     assert_eq!(status, 202, "submit failed: {second:?}");
-    let first_id = str_of(get(&first, "id")).to_string();
-    let second_id = str_of(get(&second, "id")).to_string();
-    wait_done(addr, &first_id);
-    wait_done(addr, &second_id);
+    let first_id = at(&first, "id").as_str().unwrap().to_string();
+    let second_id = at(&second, "id").as_str().unwrap().to_string();
+    wait_done(&mut client, &first_id);
+    wait_done(&mut client, &second_id);
 
     // Exactly one baseline build; the second sweep reused it.
-    assert_eq!(metric(addr, "bgpsim_sim_baselines_built_total"), 1);
+    assert_eq!(metric(&mut client, "bgpsim_sim_baselines_built_total"), 1);
     assert_eq!(
         metric(
-            addr,
+            &mut client,
             "bgpsim_baseline_cache_lookups_total{outcome=\"miss\"}"
         ),
         1
     );
 
-    let (status, results) = json(addr, "GET", &format!("/v1/results/{first_id}"), "");
+    let (status, results) = json(&mut client, "GET", &format!("/v1/results/{first_id}"), "");
     assert_eq!(status, 200);
-    let (status, results2) = json(addr, "GET", &format!("/v1/results/{second_id}"), "");
+    let (status, results2) = json(&mut client, "GET", &format!("/v1/results/{second_id}"), "");
     assert_eq!(status, 200);
 
     // Identical question, identical answer — and both identical to a
@@ -344,12 +291,16 @@ fn concurrent_identical_sweeps_build_one_baseline_and_match_direct() {
     let direct_attackers: Vec<u32> = pool.iter().map(|&ix| topo.id_of(ix).value()).collect();
 
     for response in [&results, &results2] {
-        let result = get(response, "result");
-        assert_eq!(u32s(get(result, "attackers")), direct_attackers);
-        assert_eq!(u32s(get(result, "counts")), direct);
+        let result = at(response, "result");
+        assert_eq!(
+            at(result, "attackers").as_u32_array().unwrap(),
+            direct_attackers
+        );
+        assert_eq!(at(result, "counts").as_u32_array().unwrap(), direct);
     }
-    assert_eq!(str_of(get(get(&results, "meta"), "cache")), "miss");
-    assert_eq!(str_of(get(get(&results2, "meta"), "cache")), "hit");
+    assert_eq!(at(&results, "meta.cache").as_str().unwrap(), "miss");
+    assert_eq!(at(&results2, "meta.cache").as_str().unwrap(), "hit");
+    drop(client);
     server.stop().expect("clean shutdown");
 }
 
@@ -359,9 +310,9 @@ fn full_queue_answers_429() {
     config.addr = "127.0.0.1:0".to_string();
     config.max_queued_jobs = 1;
     let server = spawn(config).expect("server boots");
-    let addr = server.addr();
-    let (_, healthz) = json(addr, "GET", "/v1/healthz", "");
-    let target = num(get(get(&healthz, "cast"), "vulnerable_stub")) as u32;
+    let mut client = connect(&server);
+    let (_, healthz) = json(&mut client, "GET", "/v1/healthz", "");
+    let target = cast(&healthz, "vulnerable_stub");
     // A full-pool sweep takes a millisecond or more and a submission on
     // a kept-alive connection some tens of microseconds, so the one-deep
     // queue overflows as soon as two submissions land while one sweep
@@ -370,7 +321,6 @@ fn full_queue_answers_429() {
     // the client to the accept loop's 10 ms idle poll — slower than the
     // sweeps — and never overflow.)
     let body = format!("{{\"target\":{target},\"attackers\":\"all\"}}");
-    let mut client = Client::connect(&addr.to_string()).expect("connect");
     let mut accepted = Vec::new();
     let mut rejected = false;
     for _ in 0..500 {
@@ -378,7 +328,7 @@ fn full_queue_answers_429() {
         match status {
             202 => {
                 let response = Json::parse(&response).expect("submission JSON");
-                accepted.push(str_of(get(&response, "id")).to_string());
+                accepted.push(at(&response, "id").as_str().unwrap().to_string());
             }
             429 => {
                 rejected = true;
@@ -392,32 +342,33 @@ fn full_queue_answers_429() {
         "500 back-to-back submissions never overflowed the one-deep queue"
     );
     for id in &accepted {
-        wait_done(addr, id);
+        wait_done(&mut client, id);
     }
+    drop(client);
     server.stop().expect("clean shutdown");
 }
 
 #[test]
 fn cancelled_job_reaches_a_terminal_state() {
     let server = tiny_server();
-    let addr = server.addr();
-    let (_, healthz) = json(addr, "GET", "/v1/healthz", "");
-    let target = num(get(get(&healthz, "cast"), "vulnerable_stub")) as u32;
+    let mut client = connect(&server);
+    let (_, healthz) = json(&mut client, "GET", "/v1/healthz", "");
+    let target = cast(&healthz, "vulnerable_stub");
     let body = format!("{{\"target\":{target}}}");
     // Two submissions: the second is queued behind the first, so the
     // DELETE usually lands before it starts (but a fast executor may
     // legitimately finish it — both outcomes are valid).
-    let (_, first) = json(addr, "POST", "/v1/sweeps", &body);
-    let (_, second) = json(addr, "POST", "/v1/sweeps", &body);
-    let first_id = str_of(get(&first, "id")).to_string();
-    let second_id = str_of(get(&second, "id")).to_string();
-    let (status, cancelled) = json(addr, "DELETE", &format!("/v1/jobs/{second_id}"), "");
+    let (_, first) = json(&mut client, "POST", "/v1/sweeps", &body);
+    let (_, second) = json(&mut client, "POST", "/v1/sweeps", &body);
+    let first_id = at(&first, "id").as_str().unwrap().to_string();
+    let second_id = at(&second, "id").as_str().unwrap().to_string();
+    let (status, cancelled) = json(&mut client, "DELETE", &format!("/v1/jobs/{second_id}"), "");
     assert_eq!(status, 200, "cancel failed: {cancelled:?}");
-    wait_done(addr, &first_id);
+    wait_done(&mut client, &first_id);
     let mut state = String::new();
     for _ in 0..600 {
-        let (_, job) = json(addr, "GET", &format!("/v1/jobs/{second_id}"), "");
-        state = str_of(get(&job, "state")).to_string();
+        let (_, job) = json(&mut client, "GET", &format!("/v1/jobs/{second_id}"), "");
+        state = at(&job, "state").as_str().unwrap().to_string();
         if state == "cancelled" || state == "done" {
             break;
         }
@@ -429,9 +380,10 @@ fn cancelled_job_reaches_a_terminal_state() {
     );
     if state == "cancelled" {
         // No results for a cancelled job — the conflict names the state.
-        let (status, body) = json(addr, "GET", &format!("/v1/results/{second_id}"), "");
+        let (status, body) = json(&mut client, "GET", &format!("/v1/results/{second_id}"), "");
         assert_eq!(status, 409, "expected conflict, got: {body:?}");
     }
+    drop(client);
     server.stop().expect("clean shutdown");
 }
 
@@ -441,38 +393,38 @@ fn error_paths() {
     config.addr = "127.0.0.1:0".to_string();
     config.max_body_bytes = 512;
     let server = spawn(config).expect("server boots");
-    let addr = server.addr();
-    let (_, healthz) = json(addr, "GET", "/v1/healthz", "");
-    let target = num(get(get(&healthz, "cast"), "vulnerable_stub")) as u32;
+    let mut client = connect(&server);
+    let (_, healthz) = json(&mut client, "GET", "/v1/healthz", "");
+    let target = cast(&healthz, "vulnerable_stub");
 
-    let (status, _) = http(addr, "GET", "/v1/nope", "");
+    let (status, _) = text(&mut client, "GET", "/v1/nope", "");
     assert_eq!(status, 404);
-    let (status, _) = http(addr, "GET", "/v1/attacks", "");
+    let (status, _) = text(&mut client, "GET", "/v1/attacks", "");
     assert_eq!(status, 405);
-    let (status, _) = http(addr, "POST", "/v1/attacks", "{not json");
+    let (status, _) = text(&mut client, "POST", "/v1/attacks", "{not json");
     assert_eq!(status, 400);
-    let (status, _) = http(
-        addr,
+    let (status, _) = text(
+        &mut client,
         "POST",
         "/v1/attacks",
         "{\"attacker\":999999,\"target\":1}",
     );
     assert_eq!(status, 422);
-    let (status, _) = http(
-        addr,
+    let (status, _) = text(
+        &mut client,
         "POST",
         "/v1/attacks",
         &format!("{{\"attacker\":{target},\"target\":{target}}}"),
     );
     assert_eq!(status, 422);
-    let (status, _) = http(addr, "GET", "/v1/jobs/job-999", "");
+    let (status, _) = text(&mut client, "GET", "/v1/jobs/job-999", "");
     assert_eq!(status, 404);
-    let (status, _) = http(addr, "GET", "/v1/jobs/banana", "");
+    let (status, _) = text(&mut client, "GET", "/v1/jobs/banana", "");
     assert_eq!(status, 404);
     // Declare an over-cap body without sending it: the server rejects on
     // the Content-Length alone, and not sending the payload avoids the
     // TCP reset a close-with-unread-data would trigger.
-    let mut stream = TcpStream::connect(addr).unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
@@ -484,23 +436,24 @@ fn error_paths() {
     let raw = String::from_utf8_lossy(&raw);
     assert!(raw.starts_with("HTTP/1.1 413"), "expected 413, got: {raw}");
     // Framing errors are counted for /v1/metrics.
-    assert!(metric(addr, "bgpsim_http_malformed_requests_total") >= 1);
+    assert!(metric(&mut client, "bgpsim_http_malformed_requests_total") >= 1);
+    drop(client);
     server.stop().expect("clean shutdown");
 }
 
 #[test]
 fn batch_attacks_match_singles_with_per_item_errors() {
     let server = tiny_server();
-    let addr = server.addr();
-    let (_, healthz) = json(addr, "GET", "/v1/healthz", "");
-    let target = num(get(get(&healthz, "cast"), "vulnerable_stub")) as u32;
-    let stub = num(get(get(&healthz, "cast"), "resistant_stub")) as u32;
-    let aggressive = num(get(get(&healthz, "cast"), "aggressive_attacker")) as u32;
+    let mut client = connect(&server);
+    let (_, healthz) = json(&mut client, "GET", "/v1/healthz", "");
+    let target = cast(&healthz, "vulnerable_stub");
+    let stub = cast(&healthz, "resistant_stub");
+    let aggressive = cast(&healthz, "aggressive_attacker");
 
     // The same two questions, asked one at a time...
-    let single = |attacker: u32, defense: &str| {
+    let mut single = |attacker: u32, defense: &str| {
         let (status, response) = json(
-            addr,
+            &mut client,
             "POST",
             "/v1/attacks",
             &format!("{{\"attacker\":{attacker},\"target\":{target},\"defense\":{defense}}}"),
@@ -520,9 +473,9 @@ fn batch_attacks_match_singles_with_per_item_errors() {
          {{\"attacker\":999999,\"target\":{target}}},\
          {{\"attacker\":{target},\"target\":{target}}}]}}"
     );
-    let (status, batch) = json(addr, "POST", "/v1/attacks:batch", &batch_body);
+    let (status, batch) = json(&mut client, "POST", "/v1/attacks:batch", &batch_body);
     assert_eq!(status, 200, "batch failed: {batch:?}");
-    let results = match get(&batch, "results") {
+    let results = match at(&batch, "results") {
         Json::Arr(items) => items.clone(),
         other => panic!("results must be an array, got {other:?}"),
     };
@@ -530,44 +483,45 @@ fn batch_attacks_match_singles_with_per_item_errors() {
 
     // Valid slots carry byte-identical `result` objects to the single
     // endpoint's answers for the same questions.
-    assert_eq!(get(&results[0], "result"), get(&single_defended, "result"));
+    assert_eq!(at(&results[0], "result"), at(&single_defended, "result"));
     assert_eq!(
-        str_of(get(get(&results[0], "meta"), "engine")),
-        str_of(get(get(&single_defended, "meta"), "engine"))
+        at(&results[0], "meta.engine"),
+        at(&single_defended, "meta.engine")
     );
-    assert_eq!(
-        get(&results[1], "result"),
-        get(&single_undefended, "result")
-    );
+    assert_eq!(at(&results[1], "result"), at(&single_undefended, "result"));
     // Broken slots answer in place without sinking the batch.
-    assert_eq!(num(get(&results[2], "status")) as u16, 422);
-    assert!(str_of(get(&results[2], "error")).contains("unknown ASN"));
-    assert_eq!(num(get(&results[3], "status")) as u16, 422);
+    assert_eq!(at(&results[2], "status").as_u64(), Some(422));
+    assert!(at(&results[2], "error")
+        .as_str()
+        .unwrap()
+        .contains("unknown ASN"));
+    assert_eq!(at(&results[3], "status").as_u64(), Some(422));
 
-    let meta = get(&batch, "meta");
-    assert_eq!(num(get(meta, "items")) as usize, 4);
-    assert_eq!(num(get(meta, "ok")) as usize, 2);
-    assert_eq!(num(get(meta, "failed")) as usize, 2);
+    let meta = at(&batch, "meta");
+    assert_eq!(at(meta, "items").as_u64(), Some(4));
+    assert_eq!(at(meta, "ok").as_u64(), Some(2));
+    assert_eq!(at(meta, "failed").as_u64(), Some(2));
     // Entry 0 is the only baseline-eligible entry (entry 1 is
     // undefended on the Auto engine → scratch path).
-    assert_eq!(num(get(meta, "baseline_groups")) as usize, 1);
+    assert_eq!(at(meta, "baseline_groups").as_u64(), Some(1));
 
     // Envelope-level problems fail the whole request.
-    let (status, _) = http(addr, "POST", "/v1/attacks:batch", "{\"attacks\":[]}");
+    let (status, _) = text(&mut client, "POST", "/v1/attacks:batch", "{\"attacks\":[]}");
     assert_eq!(status, 422);
-    let (status, _) = http(addr, "POST", "/v1/attacks:batch", "{\"attacks\":7}");
+    let (status, _) = text(&mut client, "POST", "/v1/attacks:batch", "{\"attacks\":7}");
     assert_eq!(status, 422);
-    let (status, _) = http(addr, "POST", "/v1/attacks:batch", "{}");
+    let (status, _) = text(&mut client, "POST", "/v1/attacks:batch", "{}");
     assert_eq!(status, 422);
 
     // The endpoint has its own metrics label.
     assert_eq!(
         metric(
-            addr,
+            &mut client,
             "bgpsim_http_requests_total{endpoint=\"attacks_batch\",code=\"2xx\"}"
         ),
         1
     );
+    drop(client);
     server.stop().expect("clean shutdown");
 }
 
@@ -589,10 +543,10 @@ fn concurrent_sweeps_make_joint_progress_under_fair_share() {
     // before touching the short one.
     config.sweep_workers = 1;
     let server = spawn(config).expect("server boots");
-    let addr = server.addr();
-    let (_, healthz) = json(addr, "GET", "/v1/healthz", "");
-    let target = num(get(get(&healthz, "cast"), "vulnerable_stub")) as u32;
-    let attackers = u32s(get(&healthz, "sample_attackers"));
+    let mut client = connect(&server);
+    let (_, healthz) = json(&mut client, "GET", "/v1/healthz", "");
+    let target = cast(&healthz, "vulnerable_stub");
+    let attackers = at(&healthz, "sample_attackers").as_u32_array().unwrap();
     let short_pool: Vec<String> = attackers.iter().take(3).map(u32::to_string).collect();
 
     // Three paper-shaped long jobs (every AS attacks, scratch path)
@@ -604,17 +558,17 @@ fn concurrent_sweeps_make_joint_progress_under_fair_share() {
     let mut long_ids = Vec::new();
     let mut long_total = 0u64;
     for _ in 0..3 {
-        let (status, long) = json(addr, "POST", "/v1/sweeps", &long_body);
+        let (status, long) = json(&mut client, "POST", "/v1/sweeps", &long_body);
         assert_eq!(status, 202, "long submit failed: {long:?}");
-        long_ids.push(str_of(get(&long, "id")).to_string());
-        long_total = num(get(&long, "total")) as u64;
+        long_ids.push(at(&long, "id").as_str().unwrap().to_string());
+        long_total = at(&long, "total").as_u64().unwrap();
     }
     assert!(
         long_total > 128,
         "long job too small ({long_total} attackers) to span multiple chunks"
     );
     let (status, short) = json(
-        addr,
+        &mut client,
         "POST",
         "/v1/sweeps",
         &format!(
@@ -623,15 +577,15 @@ fn concurrent_sweeps_make_joint_progress_under_fair_share() {
         ),
     );
     assert_eq!(status, 202, "short submit failed: {short:?}");
-    let short_id = str_of(get(&short, "id")).to_string();
+    let short_id = at(&short, "id").as_str().unwrap().to_string();
 
     // The short job finishes while the long backlog is still going.
-    wait_done(addr, &short_id);
+    wait_done(&mut client, &short_id);
     let unfinished = long_ids
         .iter()
         .filter(|id| {
-            let (_, job) = json(addr, "GET", &format!("/v1/jobs/{id}"), "");
-            str_of(get(&job, "state")) != "done"
+            let (_, job) = json(&mut client, "GET", &format!("/v1/jobs/{id}"), "");
+            at(&job, "state").as_str().unwrap() != "done"
         })
         .count();
     assert!(
@@ -640,28 +594,38 @@ fn concurrent_sweeps_make_joint_progress_under_fair_share() {
          fair-share never interleaved them"
     );
     for id in &long_ids {
-        wait_done(addr, id);
+        wait_done(&mut client, id);
     }
 
     // Every job answered correctly despite the interleaving.
-    let (status, short_results) = json(addr, "GET", &format!("/v1/results/{short_id}"), "");
+    let (status, short_results) = json(&mut client, "GET", &format!("/v1/results/{short_id}"), "");
     assert_eq!(status, 200);
-    assert_eq!(u32s(get(get(&short_results, "result"), "counts")).len(), 3);
+    assert_eq!(
+        at(&short_results, "result.counts")
+            .as_u32_array()
+            .unwrap()
+            .len(),
+        3
+    );
     for id in &long_ids {
-        let (status, long_results) = json(addr, "GET", &format!("/v1/results/{id}"), "");
+        let (status, long_results) = json(&mut client, "GET", &format!("/v1/results/{id}"), "");
         assert_eq!(status, 200);
         assert_eq!(
-            u32s(get(get(&long_results, "result"), "counts")).len() as u64,
+            at(&long_results, "result.counts")
+                .as_u32_array()
+                .unwrap()
+                .len() as u64,
             long_total
         );
     }
     // The scheduler telemetry shows the chunked dealing: the long job
     // alone spans multiple 64-attacker chunks.
     assert!(
-        metric(addr, "bgpsim_jobs_chunks_total") >= 4,
+        metric(&mut client, "bgpsim_jobs_chunks_total") >= 4,
         "expected several chunks, scheduler reported {}",
-        metric(addr, "bgpsim_jobs_chunks_total")
+        metric(&mut client, "bgpsim_jobs_chunks_total")
     );
+    drop(client);
     server.stop().expect("clean shutdown");
 }
 
@@ -672,13 +636,13 @@ fn results_survive_a_restart_byte_identically() {
     config.addr = "127.0.0.1:0".to_string();
     config.state_dir = Some(state_dir.clone());
     let server = spawn(config.clone()).expect("server boots");
-    let addr = server.addr();
-    let (_, healthz) = json(addr, "GET", "/v1/healthz", "");
-    let target = num(get(get(&healthz, "cast"), "vulnerable_stub")) as u32;
-    let attackers = u32s(get(&healthz, "sample_attackers"));
+    let mut client = connect(&server);
+    let (_, healthz) = json(&mut client, "GET", "/v1/healthz", "");
+    let target = cast(&healthz, "vulnerable_stub");
+    let attackers = at(&healthz, "sample_attackers").as_u32_array().unwrap();
     let pool: Vec<String> = attackers.iter().take(4).map(u32::to_string).collect();
     let (status, submitted) = json(
-        addr,
+        &mut client,
         "POST",
         "/v1/sweeps",
         &format!(
@@ -688,26 +652,28 @@ fn results_survive_a_restart_byte_identically() {
         ),
     );
     assert_eq!(status, 202, "submit failed: {submitted:?}");
-    let id = str_of(get(&submitted, "id")).to_string();
-    wait_done(addr, &id);
-    let (status, before) = http(addr, "GET", &format!("/v1/results/{id}"), "");
+    let id = at(&submitted, "id").as_str().unwrap().to_string();
+    wait_done(&mut client, &id);
+    let (status, before) = text(&mut client, "GET", &format!("/v1/results/{id}"), "");
     assert_eq!(status, 200);
+    drop(client);
     server.stop().expect("clean shutdown");
 
     // Same state dir, fresh process state: the terminal record reloads
     // and the results body is byte-identical.
     let server = spawn(config).expect("restarted server boots");
-    let addr = server.addr();
-    let (status, after) = http(addr, "GET", &format!("/v1/results/{id}"), "");
+    let mut client = connect(&server);
+    let (status, after) = text(&mut client, "GET", &format!("/v1/results/{id}"), "");
     assert_eq!(status, 200, "results lost across restart: {after}");
     assert_eq!(before, after, "results changed across restart");
-    let (_, job) = json(addr, "GET", &format!("/v1/jobs/{id}"), "");
-    assert_eq!(str_of(get(&job, "state")), "done");
+    let (_, job) = json(&mut client, "GET", &format!("/v1/jobs/{id}"), "");
+    assert_eq!(at(&job, "state").as_str().unwrap(), "done");
     // Terminal jobs never report a stale ETA.
-    assert_eq!(get(&job, "eta_ms"), &Json::Null);
-    assert_eq!(metric(addr, "bgpsim_jobs_restored_total"), 1);
+    assert_eq!(at(&job, "eta_ms"), &Json::Null);
+    assert_eq!(metric(&mut client, "bgpsim_jobs_restored_total"), 1);
     // A restored record is retained, not rescheduled: nothing ran here.
-    assert_eq!(metric(addr, "bgpsim_jobs_chunks_total"), 0);
+    assert_eq!(metric(&mut client, "bgpsim_jobs_chunks_total"), 0);
+    drop(client);
     server.stop().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&state_dir);
 }
@@ -720,18 +686,22 @@ fn corrupt_state_files_quarantine_instead_of_failing_boot() {
     config.addr = "127.0.0.1:0".to_string();
     config.state_dir = Some(state_dir.clone());
     let server = spawn(config).expect("server boots despite corrupt state");
-    let addr = server.addr();
-    let (status, healthz) = json(addr, "GET", "/v1/healthz", "");
+    let mut client = connect(&server);
+    let (status, healthz) = json(&mut client, "GET", "/v1/healthz", "");
     assert_eq!(status, 200);
-    assert_eq!(str_of(get(&healthz, "status")), "ok");
+    assert_eq!(at(&healthz, "status").as_str().unwrap(), "ok");
     // The unreadable file moved aside rather than being deleted or
     // crashing the boot; nothing was restored from it.
     assert!(!state_dir.join("job-7.json").exists());
     assert!(state_dir.join("quarantine").join("job-7.json").exists());
-    assert_eq!(metric(addr, "bgpsim_state_files_quarantined_total"), 1);
-    assert_eq!(metric(addr, "bgpsim_jobs_restored_total"), 0);
-    let (status, _) = http(addr, "GET", "/v1/results/job-7", "");
+    assert_eq!(
+        metric(&mut client, "bgpsim_state_files_quarantined_total"),
+        1
+    );
+    assert_eq!(metric(&mut client, "bgpsim_jobs_restored_total"), 0);
+    let (status, _) = text(&mut client, "GET", "/v1/results/job-7", "");
     assert_eq!(status, 404);
+    drop(client);
     server.stop().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&state_dir);
 }
@@ -739,31 +709,36 @@ fn corrupt_state_files_quarantine_instead_of_failing_boot() {
 #[test]
 fn stream_round_trip_ranges_and_summary() {
     let server = tiny_server();
-    let addr = server.addr();
-    let (status, submitted) = json(addr, "POST", "/v1/stream", "{\"events\":400,\"targets\":2}");
+    let mut client = connect(&server);
+    let (status, submitted) = json(
+        &mut client,
+        "POST",
+        "/v1/stream",
+        "{\"events\":400,\"targets\":2}",
+    );
     assert_eq!(status, 202, "stream submit failed: {submitted:?}");
-    assert_eq!(str_of(get(&submitted, "kind")), "stream");
-    assert_eq!(num(get(&submitted, "total")), 400.0);
-    let injected = num(get(&submitted, "injected"));
-    assert!(injected > 0.0, "seeded tape should inject hijacks");
-    assert_eq!(u32s(get(&submitted, "targets")).len(), 2);
-    let id = str_of(get(&submitted, "id")).to_string();
+    assert_eq!(at(&submitted, "kind").as_str().unwrap(), "stream");
+    assert_eq!(at(&submitted, "total").as_u64(), Some(400));
+    let injected = at(&submitted, "injected").as_u64().unwrap();
+    assert!(injected > 0, "seeded tape should inject hijacks");
+    assert_eq!(at(&submitted, "targets").as_u32_array().unwrap().len(), 2);
+    let id = at(&submitted, "id").as_str().unwrap().to_string();
     assert_eq!(
-        str_of(get(&submitted, "range")),
+        at(&submitted, "range").as_str().unwrap(),
         format!("/v1/stream/{id}/range")
     );
-    let job = wait_done(addr, &id);
-    assert_eq!(str_of(get(&job, "kind")), "stream");
-    assert_eq!(num(get(&job, "completed")), 400.0);
+    let job = wait_done(&mut client, &id);
+    assert_eq!(at(&job, "kind").as_str().unwrap(), "stream");
+    assert_eq!(at(&job, "completed").as_u64(), Some(400));
 
     // Raw range over the whole tape: pollution samples one per event, in
     // seq order, with no ring eviction at this size.
-    let (status, range) = json(addr, "GET", &format!("/v1/stream/{id}/range"), "");
+    let (status, range) = json(&mut client, "GET", &format!("/v1/stream/{id}/range"), "");
     assert_eq!(status, 200, "range failed: {range:?}");
-    assert_eq!(str_of(get(&range, "series")), "pollution");
-    assert_eq!(num(get(&range, "appended")), 400.0);
-    assert_eq!(num(get(&range, "evicted")), 0.0);
-    let samples = match get(&range, "samples") {
+    assert_eq!(at(&range, "series").as_str().unwrap(), "pollution");
+    assert_eq!(at(&range, "appended").as_u64(), Some(400));
+    assert_eq!(at(&range, "evicted").as_u64(), Some(0));
+    let samples = match at(&range, "samples") {
         Json::Arr(items) => items,
         other => panic!("expected samples array, got {other:?}"),
     };
@@ -771,7 +746,7 @@ fn stream_round_trip_ranges_and_summary() {
     let seqs: Vec<u64> = samples
         .iter()
         .map(|s| match s {
-            Json::Arr(pair) => num(&pair[0]) as u64,
+            Json::Arr(pair) => pair[0].as_u64().unwrap(),
             other => panic!("expected [seq, value] pair, got {other:?}"),
         })
         .collect();
@@ -779,25 +754,25 @@ fn stream_round_trip_ranges_and_summary() {
 
     // Windowed aggregation: 8 full 50-event windows, each with stats.
     let (status, agg) = json(
-        addr,
+        &mut client,
         "GET",
         &format!("/v1/stream/{id}/range?agg=window&window=50&from=0&to=399"),
         "",
     );
     assert_eq!(status, 200);
-    let windows = match get(&agg, "windows") {
+    let windows = match at(&agg, "windows") {
         Json::Arr(items) => items,
         other => panic!("expected windows array, got {other:?}"),
     };
     assert_eq!(windows.len(), 8);
     for w in windows {
-        assert_eq!(num(get(w, "count")), 50.0);
-        assert!(!matches!(get(w, "mean"), Json::Null));
+        assert_eq!(at(w, "count").as_u64(), Some(50));
+        assert!(!matches!(at(w, "mean"), Json::Null));
     }
 
     // A series no event ever touched answers 404, not empty data.
-    let (status, _) = http(
-        addr,
+    let (status, _) = text(
+        &mut client,
         "GET",
         &format!("/v1/stream/{id}/range?series=no-such-series"),
         "",
@@ -805,47 +780,53 @@ fn stream_round_trip_ranges_and_summary() {
     assert_eq!(status, 404);
 
     // The summary matches the submit-time ground truth.
-    let (status, results) = json(addr, "GET", &format!("/v1/results/{id}"), "");
+    let (status, results) = json(&mut client, "GET", &format!("/v1/results/{id}"), "");
     assert_eq!(status, 200, "results failed: {results:?}");
-    assert_eq!(str_of(get(&results, "kind")), "stream");
-    let result = get(&results, "result");
-    assert_eq!(num(get(result, "events")), 400.0);
-    assert_eq!(num(get(result, "injected")), injected);
-    let detected = num(get(result, "detected"));
+    assert_eq!(at(&results, "kind").as_str().unwrap(), "stream");
+    let result = at(&results, "result");
+    assert_eq!(at(result, "events").as_u64(), Some(400));
+    assert_eq!(at(result, "injected").as_u64().unwrap(), injected);
+    let detected = at(result, "detected").as_u64().unwrap();
     assert!(detected <= injected);
-    if detected > 0.0 {
-        assert!(num(get(result, "mean_latency_events")) >= 0.0);
+    if detected > 0 {
+        assert!(matches!(at(result, "mean_latency_events"), Json::Num(mean) if *mean >= 0.0));
     } else {
-        assert_eq!(get(result, "mean_latency_events"), &Json::Null);
+        assert_eq!(at(result, "mean_latency_events"), &Json::Null);
     }
 
     // Per-stream counters landed on /v1/metrics.
-    assert_eq!(metric(addr, "bgpsim_stream_events_total"), 400);
-    assert_eq!(metric(addr, "bgpsim_stream_runs_total"), 1);
+    assert_eq!(metric(&mut client, "bgpsim_stream_events_total"), 400);
+    assert_eq!(metric(&mut client, "bgpsim_stream_runs_total"), 1);
     assert_eq!(
-        metric(addr, "bgpsim_stream_hijacks_injected_total"),
-        injected as u64
+        metric(&mut client, "bgpsim_stream_hijacks_injected_total"),
+        injected
     );
     assert_eq!(
-        metric(addr, "bgpsim_stream_hijacks_detected_total"),
-        detected as u64
+        metric(&mut client, "bgpsim_stream_hijacks_detected_total"),
+        detected
     );
 
     // /range on a sweep job is a category error, not a 404.
     let target = {
-        let (_, healthz) = json(addr, "GET", "/v1/healthz", "");
-        num(get(get(&healthz, "cast"), "vulnerable_stub")) as u32
+        let (_, healthz) = json(&mut client, "GET", "/v1/healthz", "");
+        cast(&healthz, "vulnerable_stub")
     };
     let (status, sweep) = json(
-        addr,
+        &mut client,
         "POST",
         "/v1/sweeps",
         &format!("{{\"target\":{target}}}"),
     );
     assert_eq!(status, 202);
-    let sweep_id = str_of(get(&sweep, "id")).to_string();
-    let (status, _) = http(addr, "GET", &format!("/v1/stream/{sweep_id}/range"), "");
+    let sweep_id = at(&sweep, "id").as_str().unwrap().to_string();
+    let (status, _) = text(
+        &mut client,
+        "GET",
+        &format!("/v1/stream/{sweep_id}/range"),
+        "",
+    );
     assert_eq!(status, 409);
+    drop(client);
     server.stop().expect("clean shutdown");
 }
 
@@ -856,25 +837,27 @@ fn restored_streams_keep_their_summary_but_not_their_tape() {
     config.addr = "127.0.0.1:0".to_string();
     config.state_dir = Some(state_dir.clone());
     let server = spawn(config.clone()).expect("server boots");
-    let addr = server.addr();
-    let (status, submitted) = json(addr, "POST", "/v1/stream", "{\"events\":150}");
+    let mut client = connect(&server);
+    let (status, submitted) = json(&mut client, "POST", "/v1/stream", "{\"events\":150}");
     assert_eq!(status, 202, "stream submit failed: {submitted:?}");
-    let id = str_of(get(&submitted, "id")).to_string();
-    wait_done(addr, &id);
-    let (status, before) = http(addr, "GET", &format!("/v1/results/{id}"), "");
+    let id = at(&submitted, "id").as_str().unwrap().to_string();
+    wait_done(&mut client, &id);
+    let (status, before) = text(&mut client, "GET", &format!("/v1/results/{id}"), "");
     assert_eq!(status, 200);
+    drop(client);
     server.stop().expect("clean shutdown");
 
     let server = spawn(config).expect("restarted server boots");
-    let addr = server.addr();
+    let mut client = connect(&server);
     // The summary survives byte-identical...
-    let (status, after) = http(addr, "GET", &format!("/v1/results/{id}"), "");
+    let (status, after) = text(&mut client, "GET", &format!("/v1/results/{id}"), "");
     assert_eq!(status, 200, "stream summary lost across restart: {after}");
     assert_eq!(before, after, "stream summary changed across restart");
     // ...but per-event samples are summary-only by design: permanently
     // gone, which is 410, not 404.
-    let (status, _) = http(addr, "GET", &format!("/v1/stream/{id}/range"), "");
+    let (status, _) = text(&mut client, "GET", &format!("/v1/stream/{id}/range"), "");
     assert_eq!(status, 410);
+    drop(client);
     server.stop().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&state_dir);
 }
@@ -883,9 +866,10 @@ fn restored_streams_keep_their_summary_but_not_their_tape() {
 fn http_shutdown_drains_the_server() {
     let server = tiny_server();
     let addr = server.addr();
-    let (status, body) = json(addr, "POST", "/v1/shutdown", "");
+    let mut client = connect(&server);
+    let (status, body) = json(&mut client, "POST", "/v1/shutdown", "");
     assert_eq!(status, 200);
-    assert_eq!(str_of(get(&body, "status")), "shutting down");
+    assert_eq!(at(&body, "status").as_str().unwrap(), "shutting down");
     // The accept loop notices the flag and the whole scope drains;
     // stop() then joins an already-exiting thread.
     server.stop().expect("clean drain after HTTP shutdown");
@@ -905,65 +889,76 @@ fn http_shutdown_drains_the_server() {
 #[test]
 fn idempotent_submissions_replay_the_original_job() {
     let server = tiny_server();
-    let addr = server.addr();
-    let (_, healthz) = json(addr, "GET", "/v1/healthz", "");
-    let target = num(get(get(&healthz, "cast"), "vulnerable_stub")) as u32;
+    let mut client = connect(&server);
+    let (_, healthz) = json(&mut client, "GET", "/v1/healthz", "");
+    let target = cast(&healthz, "vulnerable_stub");
 
     // Body-field variant on /v1/sweeps: the duplicate answers 200 with
     // the original job id and schedules nothing new.
     let body = format!(
         "{{\"target\":{target},\"attackers\":\"transit\",\"idempotency_key\":\"sweep-a\"}}"
     );
-    let (status, first) = json(addr, "POST", "/v1/sweeps", &body);
+    let (status, first) = json(&mut client, "POST", "/v1/sweeps", &body);
     assert_eq!(status, 202, "first keyed submit: {first:?}");
-    let (status, dup) = json(addr, "POST", "/v1/sweeps", &body);
+    let (status, dup) = json(&mut client, "POST", "/v1/sweeps", &body);
     assert_eq!(status, 200, "duplicate keyed submit: {dup:?}");
-    assert_eq!(str_of(get(&first, "id")), str_of(get(&dup, "id")));
+    assert_eq!(
+        at(&first, "id").as_str().unwrap(),
+        at(&dup, "id").as_str().unwrap()
+    );
 
     // A different key is a different job.
     let other = body.replace("sweep-a", "sweep-b");
-    let (status, second) = json(addr, "POST", "/v1/sweeps", &other);
+    let (status, second) = json(&mut client, "POST", "/v1/sweeps", &other);
     assert_eq!(status, 202, "distinct key must schedule: {second:?}");
-    assert_ne!(str_of(get(&first, "id")), str_of(get(&second, "id")));
+    assert_ne!(
+        at(&first, "id").as_str().unwrap(),
+        at(&second, "id").as_str().unwrap()
+    );
 
     // Header variant wins over an unkeyed body.
     let plain = format!("{{\"target\":{target},\"attackers\":\"transit\"}}");
-    let (status, h1) = json_with_header(
-        addr,
-        "POST",
-        "/v1/sweeps",
-        "Idempotency-Key: sweep-hdr",
-        &plain,
-    );
+    let mut keyed = || {
+        let (status, text) = client
+            .request_with_headers(
+                "POST",
+                "/v1/sweeps",
+                &[("Idempotency-Key", "sweep-hdr")],
+                &plain,
+            )
+            .expect("header-keyed submit");
+        (status, Json::parse(&text).expect("submission JSON"))
+    };
+    let (status, h1) = keyed();
     assert_eq!(status, 202, "header-keyed submit: {h1:?}");
-    let (status, h2) = json_with_header(
-        addr,
-        "POST",
-        "/v1/sweeps",
-        "Idempotency-Key: sweep-hdr",
-        &plain,
-    );
+    let (status, h2) = keyed();
     assert_eq!(status, 200, "header-keyed duplicate: {h2:?}");
-    assert_eq!(str_of(get(&h1, "id")), str_of(get(&h2, "id")));
+    assert_eq!(
+        at(&h1, "id").as_str().unwrap(),
+        at(&h2, "id").as_str().unwrap()
+    );
 
     // /v1/stream honours the same contract.
     let stream_body = "{\"events\":50,\"targets\":1,\"idempotency_key\":\"tape-a\"}";
-    let (status, s1) = json(addr, "POST", "/v1/stream", stream_body);
+    let (status, s1) = json(&mut client, "POST", "/v1/stream", stream_body);
     assert_eq!(status, 202, "keyed stream submit: {s1:?}");
-    let (status, s2) = json(addr, "POST", "/v1/stream", stream_body);
+    let (status, s2) = json(&mut client, "POST", "/v1/stream", stream_body);
     assert_eq!(status, 200, "duplicate stream submit: {s2:?}");
-    assert_eq!(str_of(get(&s1, "id")), str_of(get(&s2, "id")));
+    assert_eq!(
+        at(&s1, "id").as_str().unwrap(),
+        at(&s2, "id").as_str().unwrap()
+    );
 
     // Malformed keys are rejected up front, not silently unkeyed.
     let (status, err) = json(
-        addr,
+        &mut client,
         "POST",
         "/v1/sweeps",
         &format!("{{\"target\":{target},\"attackers\":\"transit\",\"idempotency_key\":\"  \"}}"),
     );
     assert_eq!(status, 422, "blank key must be rejected: {err:?}");
     let (status, err) = json(
-        addr,
+        &mut client,
         "POST",
         "/v1/sweeps",
         &format!("{{\"target\":{target},\"attackers\":\"transit\",\"idempotency_key\":7}}"),
@@ -971,81 +966,208 @@ fn idempotent_submissions_replay_the_original_job() {
     assert_eq!(status, 422, "non-string key must be rejected: {err:?}");
 
     for id in [
-        str_of(get(&first, "id")).to_string(),
-        str_of(get(&second, "id")).to_string(),
-        str_of(get(&h1, "id")).to_string(),
-        str_of(get(&s1, "id")).to_string(),
+        at(&first, "id").as_str().unwrap().to_string(),
+        at(&second, "id").as_str().unwrap().to_string(),
+        at(&h1, "id").as_str().unwrap().to_string(),
+        at(&s1, "id").as_str().unwrap().to_string(),
     ] {
-        wait_done(addr, &id);
+        wait_done(&mut client, &id);
     }
+    drop(client);
     server.stop().expect("clean shutdown");
 }
 
 #[test]
 fn jobs_list_enumerates_newest_first() {
     let server = tiny_server();
-    let addr = server.addr();
-    let (_, healthz) = json(addr, "GET", "/v1/healthz", "");
-    let target = num(get(get(&healthz, "cast"), "vulnerable_stub")) as u32;
+    let mut client = connect(&server);
+    let (_, healthz) = json(&mut client, "GET", "/v1/healthz", "");
+    let target = cast(&healthz, "vulnerable_stub");
 
     // Empty registry lists cleanly.
-    let (status, empty) = json(addr, "GET", "/v1/jobs", "");
+    let (status, empty) = json(&mut client, "GET", "/v1/jobs", "");
     assert_eq!(status, 200);
-    assert_eq!(num(get(&empty, "total")), 0.0);
-    assert!(matches!(get(&empty, "truncated"), Json::Bool(false)));
+    assert_eq!(at(&empty, "total").as_u64(), Some(0));
+    assert!(matches!(at(&empty, "truncated"), Json::Bool(false)));
 
     let mut ids = Vec::new();
     for key in ["list-a", "list-b", "list-c"] {
         let body = format!(
             "{{\"target\":{target},\"attackers\":\"transit\",\"idempotency_key\":\"{key}\"}}"
         );
-        let (status, submitted) = json(addr, "POST", "/v1/sweeps", &body);
+        let (status, submitted) = json(&mut client, "POST", "/v1/sweeps", &body);
         assert_eq!(status, 202, "{submitted:?}");
-        ids.push(str_of(get(&submitted, "id")).to_string());
+        ids.push(at(&submitted, "id").as_str().unwrap().to_string());
     }
     for id in &ids {
-        wait_done(addr, id);
+        wait_done(&mut client, id);
     }
 
-    let (status, listing) = json(addr, "GET", "/v1/jobs", "");
+    let (status, listing) = json(&mut client, "GET", "/v1/jobs", "");
     assert_eq!(status, 200);
-    assert_eq!(num(get(&listing, "total")), 3.0);
-    assert!(matches!(get(&listing, "truncated"), Json::Bool(false)));
-    let jobs = match get(&listing, "jobs") {
+    assert_eq!(at(&listing, "total").as_u64(), Some(3));
+    assert!(matches!(at(&listing, "truncated"), Json::Bool(false)));
+    let jobs = match at(&listing, "jobs") {
         Json::Arr(items) => items,
         other => panic!("expected jobs array, got {other:?}"),
     };
     assert_eq!(jobs.len(), 3);
     // Newest first: the listing reverses submission order, and each
     // entry carries the same shape as GET /v1/jobs/{id}.
-    let listed: Vec<&str> = jobs.iter().map(|j| str_of(get(j, "id"))).collect();
+    let listed: Vec<&str> = jobs.iter().map(|j| at(j, "id").as_str().unwrap()).collect();
     let newest_first: Vec<&str> = ids.iter().rev().map(String::as_str).collect();
     assert_eq!(listed, newest_first);
     for job in jobs {
-        assert_eq!(str_of(get(job, "kind")), "sweep");
-        assert_eq!(str_of(get(job, "state")), "done");
+        assert_eq!(at(job, "kind").as_str().unwrap(), "sweep");
+        assert_eq!(at(job, "state").as_str().unwrap(), "done");
     }
+    drop(client);
     server.stop().expect("clean shutdown");
 }
 
 #[test]
 fn healthz_reports_fleet_identity_and_capacity() {
     let server = tiny_server();
-    let addr = server.addr();
-    let (status, healthz) = json(addr, "GET", "/v1/healthz", "");
+    let mut client = connect(&server);
+    let (status, healthz) = json(&mut client, "GET", "/v1/healthz", "");
     assert_eq!(status, 200);
 
     // Fleet handshake identity: a fan-out coordinator matches on
     // (schema_version, scale, seed, num_ases), all of which must be
     // advertised here.
-    assert_eq!(num(get(&healthz, "seed")), tiny_experiment().seed as f64);
-    assert_eq!(str_of(get(&healthz, "scale")), "custom");
-    assert!(num(get(&healthz, "num_ases")) > 0.0);
+    assert_eq!(at(&healthz, "seed").as_u64(), Some(tiny_experiment().seed));
+    assert_eq!(at(&healthz, "scale").as_str().unwrap(), "custom");
+    assert!(at(&healthz, "num_ases").as_u64().unwrap() > 0);
 
     // Capacity introspection: executor width, cache byte budget (null
     // when unbounded), and whether terminal jobs survive a restart.
-    assert!(num(get(&healthz, "sweep_workers")) >= 1.0);
-    assert!(matches!(get(&healthz, "cache_bytes"), Json::Null));
-    assert!(matches!(get(&healthz, "state_dir"), Json::Bool(false)));
+    assert!(at(&healthz, "sweep_workers").as_u64().unwrap() >= 1);
+    assert!(matches!(at(&healthz, "cache_bytes"), Json::Null));
+    assert!(matches!(at(&healthz, "state_dir"), Json::Bool(false)));
+    drop(client);
     server.stop().expect("clean shutdown");
+}
+
+/// §V walks one target through a progression of validator deployments, so
+/// "same target, next deployment" is the question this service exists to
+/// answer. A baseline depends on the target and the stub-defense setting
+/// only — validators never reject the authorized origin — so ten
+/// deployments build two baselines, and every answer still equals the
+/// generation-engine oracle under that request's own deployment.
+#[test]
+fn one_target_under_many_deployments_builds_one_baseline_per_stub_setting() {
+    let server = tiny_server();
+    let mut client = connect(&server);
+    let lab = Lab::new(tiny_experiment());
+    let (sim, topo) = (lab.simulator(), lab.topology());
+    let target = lab.cast().vulnerable_stub;
+    let target_asn = topo.id_of(target).value();
+    let attackers: Vec<_> = topo.indices().step_by(7).filter(|&a| a != target).collect();
+    assert!(attackers.len() >= 40);
+
+    let (mut answers, mut replayed, mut raced) = (0, 0, 0);
+    for stub_defense in [false, true] {
+        // Nested cohorts, as in figs. 5-6: each deployment adds validators.
+        for cohort in [1, 5, 10, 20, 40] {
+            let validators = bgpsim_topology::select::top_k_by_degree(topo, cohort);
+            let mut defense = Defense::validators(topo, validators.clone());
+            if stub_defense {
+                defense = defense.with_stub_defense();
+            }
+            let validator_asns: Vec<String> = validators
+                .iter()
+                .map(|&v| topo.id_of(v).value().to_string())
+                .collect();
+            for &attacker in &attackers {
+                let body = format!(
+                    "{{\"attacker\":{},\"target\":{target_asn},\"defense\":\
+                     {{\"validators\":[{}],\"stub_defense\":{stub_defense}}}}}",
+                    topo.id_of(attacker).value(),
+                    validator_asns.join(",")
+                );
+                let (status, answer) = json(&mut client, "POST", "/v1/attacks", &body);
+                assert_eq!(status, 200, "{answer:?}");
+                let oracle: Vec<u32> = sim
+                    .run(Attack::origin(attacker, target), &defense)
+                    .polluted
+                    .iter()
+                    .map(|&ix| topo.id_of(ix).value())
+                    .collect();
+                assert_eq!(
+                    at(&answer, "result.polluted").as_u32_array().unwrap(),
+                    oracle,
+                    "cohort {cohort}, stub defense {stub_defense}, attacker {attacker}"
+                );
+                // Only the first question per stub setting finds the cache
+                // cold; every later deployment is served by that baseline.
+                let expect = if answers % (5 * attackers.len()) == 0 {
+                    "miss"
+                } else {
+                    "hit"
+                };
+                assert_eq!(at(&answer, "meta.cache").as_str(), Some(expect));
+                match at(&answer, "meta.engine").as_str() {
+                    Some("delta") => replayed += 1,
+                    Some("race") => raced += 1,
+                    other => panic!("unexpected engine {other:?}"),
+                }
+                answers += 1;
+            }
+        }
+    }
+    assert_eq!(answers, 10 * attackers.len());
+    assert!(
+        replayed > 0 && raced > 0,
+        "both sides of the cone budget should be exercised: {replayed} replayed, {raced} raced"
+    );
+    assert_eq!(metric(&mut client, "bgpsim_sim_baselines_built_total"), 2);
+    assert_eq!(
+        metric(
+            &mut client,
+            "bgpsim_baseline_cache_lookups_total{outcome=\"miss\"}"
+        ),
+        2
+    );
+    assert_eq!(
+        metric(
+            &mut client,
+            "bgpsim_baseline_cache_lookups_total{outcome=\"hit\"}"
+        ),
+        answers as u64 - 2
+    );
+    drop(client);
+    server.stop().expect("clean shutdown");
+}
+
+/// The golden records under `tests/fixtures/` (one per terminal shape,
+/// written by the parent of the PR that added them; the registry's unit
+/// tests pin that each re-serializes byte for byte): a server booted on
+/// them answers `GET /v1/results/:id` exactly as that parent did.
+#[test]
+fn golden_records_answer_results_as_the_build_that_wrote_them() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let state_dir = scratch_dir("golden");
+    for id in 1..=13 {
+        let name = format!("job-{id}.json");
+        std::fs::copy(fixtures.join(&name), state_dir.join(&name)).expect("copy fixture");
+    }
+    let mut config = ServerConfig::new(tiny_experiment(), "custom");
+    config.addr = "127.0.0.1:0".to_string();
+    config.state_dir = Some(state_dir.clone());
+    let server = spawn(config).expect("server boots on the golden records");
+    let mut client = connect(&server);
+    assert_eq!(metric(&mut client, "bgpsim_jobs_restored_total"), 13);
+    assert_eq!(
+        metric(&mut client, "bgpsim_state_files_quarantined_total"),
+        0
+    );
+    for id in 1..=13 {
+        let expected = std::fs::read_to_string(fixtures.join(format!("job-{id}.results")))
+            .expect("recorded response");
+        let (status, body) = text(&mut client, "GET", &format!("/v1/results/job-{id}"), "");
+        assert_eq!(format!("{status}\n{body}"), expected, "job-{id}");
+    }
+    drop(client);
+    server.stop().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&state_dir);
 }

@@ -106,13 +106,14 @@ pub struct StreamSummary {
     pub max_latency: Option<u64>,
 }
 
-impl StreamOutcome {
-    /// Aggregates the hijack records into a [`StreamSummary`].
-    pub fn summary(&self) -> StreamSummary {
-        let latencies: Vec<u64> = self.hijacks.iter().filter_map(|h| h.latency()).collect();
+impl StreamSummary {
+    /// Folds the per-injection records of a run that processed `events`
+    /// events — the whole tape, or the prefix a cancelled run reached.
+    pub fn of(events: usize, hijacks: &[HijackRecord]) -> StreamSummary {
+        let latencies: Vec<u64> = hijacks.iter().filter_map(HijackRecord::latency).collect();
         StreamSummary {
-            events: self.events,
-            injected: self.hijacks.len(),
+            events,
+            injected: hijacks.len(),
             detected: latencies.len(),
             mean_latency: if latencies.is_empty() {
                 None
@@ -121,6 +122,13 @@ impl StreamOutcome {
             },
             max_latency: latencies.iter().max().copied(),
         }
+    }
+}
+
+impl StreamOutcome {
+    /// Aggregates the hijack records into a [`StreamSummary`].
+    pub fn summary(&self) -> StreamSummary {
+        StreamSummary::of(self.events, &self.hijacks)
     }
 }
 

@@ -21,7 +21,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use bgpsim::fanout::client::{get, get_str, get_u64, Client};
+use bgpsim::fanout::client::Client;
 use bgpsim::hijack::{wall_bucket, WALL_HIST_BUCKETS};
 use bgpsim::manifest::Json;
 
@@ -149,22 +149,15 @@ fn main() -> std::process::ExitCode {
             return std::process::ExitCode::FAILURE;
         }
     };
-    let target = get(&healthz, "cast")
-        .and_then(|cast| get_u64(cast, "vulnerable_stub"))
+    let target = healthz
+        .get("cast")
+        .and_then(|cast| cast.get("vulnerable_stub"))
+        .and_then(Json::as_u32)
         .expect("healthz advertises cast.vulnerable_stub");
-    let attackers: Vec<u64> = match get(&healthz, "sample_attackers") {
-        Some(Json::Arr(items)) => items
-            .iter()
-            .filter_map(|v| {
-                if let Json::Num(n) = v {
-                    Some(*n as u64)
-                } else {
-                    None
-                }
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
+    let attackers = healthz
+        .get("sample_attackers")
+        .and_then(Json::as_u32_array)
+        .unwrap_or_default();
     assert!(!attackers.is_empty(), "healthz advertises sample_attackers");
     let per_request = opts.batch.max(1);
     eprintln!(
@@ -281,7 +274,7 @@ fn main() -> std::process::ExitCode {
                     let id = match client.request("POST", "/v1/sweeps", &body) {
                         Ok((202, response)) => match Json::parse(&response)
                             .ok()
-                            .and_then(|json| get_str(&json, "id").map(str::to_string))
+                            .and_then(|json| Some(json.get("id")?.as_str()?.to_string()))
                         {
                             Some(id) => id,
                             None => return,
@@ -292,7 +285,7 @@ fn main() -> std::process::ExitCode {
                         let state = match client.request("GET", &format!("/v1/jobs/{id}"), "") {
                             Ok((200, response)) => Json::parse(&response)
                                 .ok()
-                                .and_then(|json| get_str(&json, "state").map(str::to_string)),
+                                .and_then(|json| Some(json.get("state")?.as_str()?.to_string())),
                             _ => return,
                         };
                         match state.as_deref() {

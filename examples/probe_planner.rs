@@ -7,7 +7,6 @@
 
 use bgpsim_core::detection::{
     greedy_probe_selection, random_transit_attacks, run_detection_experiment, CoverageMatrix,
-    ProbeSet,
 };
 use bgpsim_core::hijack::Defense;
 use bgpsim_core::topology::select;
@@ -19,7 +18,8 @@ fn main() {
     let sim = lab.simulator();
     let attacks = random_transit_attacks(topo, lab.config().detection_attacks.min(1_000), 99);
 
-    let existing = ProbeSet::bgpmon_like(topo, 24, lab.config().seed ^ 0xb69);
+    // Case 2 of the §VI cohort: the BGPmon-like 24-peer configuration.
+    let existing = lab.probe_cohort().swap_remove(1);
 
     // Candidates: the 200 highest-degree ASes (realistic peering targets).
     let candidates = select::top_k_by_degree(topo, 200);

@@ -17,15 +17,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use bgpsim::detection::ProbeSet;
 use bgpsim::experiments;
-use bgpsim::fanout::{
-    Coordinator, FanoutConfig, FanoutStats, Handshake, NoopObserver, SweepRequest,
-};
+use bgpsim::fanout::{Coordinator, FanoutConfig, Handshake, NoopObserver, SweepRequest};
 use bgpsim::hijack::{EngineChoice, SweepMonitor, SweepProgress, SweepTelemetry};
-use bgpsim::manifest::{
-    FanoutManifest, FanoutWorkerRecord, FigureRecord, Json, RunManifest, SCHEMA_VERSION,
-};
+use bgpsim::manifest::{stream_summary_json, FigureRecord, Json, RunManifest, SCHEMA_VERSION};
 use bgpsim::stream::{run_stream, DetectorMode, StreamConfig, StreamOutcome, StreamPlan};
 use bgpsim::viz::ProgressLine;
 use bgpsim::{ExperimentConfig, Lab};
@@ -63,8 +58,10 @@ RUN OPTIONS:
                       42,697 ASes, the study's measured topology size —
                       figs 2–4 take ~10 min each on one core in under
                       50 MB of RAM (see the README scale-tier table)
-    --engine NAME     force the routing engine: auto | generation | delta |
-                      race [auto]
+    --engine NAME     routing engine: auto | generation | delta | race [auto]
+                      generation and race force every attack onto one
+                      engine; delta routes like auto but never abandons a
+                      baseline replay for the race solver
     --seed N          override the master seed
     --stride N        override the attacker stride
     --jobs N          worker threads (0 = all cores) [0]
@@ -158,7 +155,7 @@ deals them to the workers over /v1/attacks:batch and /v1/sweeps, and
 merges the per-shard rows positionally. The merged figure is
 byte-identical to a single-node `bgpsim run fig2` at the same scale and
 seed — CI pins that, including with a worker killed mid-sweep (failed
-shards are retried on survivors; stragglers are hedged).
+shards are retried on survivors).
 
 Workers must be bgpsim-server instances booted at the SAME scale and
 seed (e.g. `bgpsim serve --scale quick --addr 127.0.0.1:8091`); the
@@ -172,155 +169,328 @@ OPTIONS:
     --workers URL[,URL...]  worker addresses (repeatable, comma-separated)
     --scale NAME      scale preset: quick | standard | paper [quick]
     --seed N          override the master seed
-    --shards N        shards per worker (more = finer retry/hedge
+    --shards N        shards per worker (more = finer retry
                       granularity) [2]
     --jobs N          local worker threads for the fallback path [0]
     --out DIR         output directory [out]
 
 Writes fig2.svg + fig2.csv and a run_manifest.json with a `fanout`
-section (per-worker dispatch counters, retries, hedges); no separate
+section (per-worker dispatch counters, retries); no separate
 bench-record file is written any more. See DESIGN.md §17.";
 
-struct RunOptions {
-    figures: Vec<String>,
-    scale: String,
-    engine: EngineChoice,
-    seed: Option<u64>,
-    stride: Option<usize>,
-    jobs: usize,
-    out: PathBuf,
-    progress: bool,
+/// The subcommands that take options.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Command {
+    Run,
+    Stream,
+    Serve,
+    Fanout,
 }
+
+impl Command {
+    fn named(name: &str) -> Option<Command> {
+        match name {
+            "run" => Some(Command::Run),
+            "stream" => Some(Command::Stream),
+            "serve" => Some(Command::Serve),
+            "fanout" => Some(Command::Fanout),
+            _ => None,
+        }
+    }
+
+    /// The text `--help` prints, and a usage error prints after its message.
+    fn usage(self) -> &'static str {
+        match self {
+            Command::Run => USAGE,
+            Command::Stream => STREAM_USAGE,
+            Command::Serve => SERVE_USAGE,
+            Command::Fanout => FANOUT_USAGE,
+        }
+    }
+
+    /// The options this subcommand takes on top of [`COMMON`].
+    fn table(self) -> &'static [OptionSpec] {
+        match self {
+            Command::Run => RUN,
+            Command::Stream => STREAM,
+            Command::Serve => SERVE,
+            Command::Fanout => FANOUT,
+        }
+    }
+
+    fn default_scale(self) -> &'static str {
+        match self {
+            Command::Run | Command::Serve => "standard",
+            Command::Stream | Command::Fanout => "quick",
+        }
+    }
+}
+
+/// Every option of every subcommand; each reads the ones its table sets.
+struct Options {
+    scale: String,
+    seed: Option<u64>,
+    jobs: usize,
+    engine: EngineChoice,
+    out: PathBuf,
+    /// `run`: figure ids in the order named (`--all`: every one, in
+    /// canonical order), `--stride`, and whether to draw the progress line.
+    figures: Vec<String>,
+    stride: Option<usize>,
+    progress: bool,
+    /// `stream`: tape length, tracked targets, `--oracle`.
+    events: usize,
+    targets: usize,
+    oracle: bool,
+    /// `serve`: the service settings, on [`ServerConfig::new`]'s defaults
+    /// until a flag says otherwise. Its `experiment` and `scale_name` are
+    /// placeholders until `serve` fills them in from the options above.
+    server: ServerConfig,
+    /// `fanout`: the fleet, and `--shards`.
+    workers: Vec<String>,
+    shards_per_worker: Option<usize>,
+}
+
+/// One command-line option: its flag, and how it lands in [`Options`].
+struct OptionSpec {
+    flag: &'static str,
+    take: Take,
+}
+
+enum Take {
+    /// The flag stands alone.
+    Switch(fn(&mut Options)),
+    /// The flag is followed by a value.
+    Value(fn(&mut Options, &str) -> Result<(), String>),
+}
+
+const fn switch(flag: &'static str, set: fn(&mut Options)) -> OptionSpec {
+    OptionSpec {
+        flag,
+        take: Take::Switch(set),
+    }
+}
+
+const fn value(
+    flag: &'static str,
+    set: fn(&mut Options, &str) -> Result<(), String>,
+) -> OptionSpec {
+    OptionSpec {
+        flag,
+        take: Take::Value(set),
+    }
+}
+
+/// The options every subcommand takes.
+const COMMON: &[OptionSpec] = &[
+    value("--scale", |o, v| {
+        o.scale = v.to_string();
+        Ok(())
+    }),
+    value("--seed", |o, v| {
+        o.seed = Some(parse_num(v, "--seed")?);
+        Ok(())
+    }),
+    value("--jobs", |o, v| {
+        o.jobs = parse_num(v, "--jobs")?;
+        Ok(())
+    }),
+];
+
+const ENGINE: OptionSpec = value("--engine", |o, v| {
+    o.engine = EngineChoice::parse(v)?;
+    Ok(())
+});
+
+const OUT: OptionSpec = value("--out", |o, v| {
+    o.out = PathBuf::from(v);
+    Ok(())
+});
+
+const RUN: &[OptionSpec] = &[
+    ENGINE,
+    OUT,
+    switch("--all", |o| {
+        o.figures = FIGURES.iter().map(|(id, _)| id.to_string()).collect();
+    }),
+    value("--stride", |o, v| {
+        o.stride = Some(parse_positive(v, "--stride")?);
+        Ok(())
+    }),
+    switch("--no-progress", |o| o.progress = false),
+];
+
+const STREAM: &[OptionSpec] = &[
+    ENGINE,
+    OUT,
+    value("--events", |o, v| {
+        o.events = parse_positive(v, "--events")?;
+        Ok(())
+    }),
+    value("--targets", |o, v| {
+        o.targets = parse_positive(v, "--targets")?;
+        Ok(())
+    }),
+    switch("--oracle", |o| o.oracle = true),
+];
+
+const SERVE: &[OptionSpec] = &[
+    ENGINE,
+    value("--addr", |o, v| {
+        o.server.addr = v.to_string();
+        Ok(())
+    }),
+    value("--http-workers", |o, v| {
+        o.server.http_workers = parse_positive(v, "--http-workers")?;
+        Ok(())
+    }),
+    value("--sweep-workers", |o, v| {
+        o.server.sweep_workers = parse_positive(v, "--sweep-workers")?;
+        Ok(())
+    }),
+    value("--cache", |o, v| {
+        o.server.cache_capacity = parse_num(v, "--cache")?;
+        Ok(())
+    }),
+    value("--cache-bytes", |o, v| {
+        let budget: u64 = parse_num(v, "--cache-bytes")?;
+        o.server.cache_byte_budget = (budget > 0).then_some(budget);
+        Ok(())
+    }),
+    value("--queue", |o, v| {
+        o.server.max_queued_jobs = parse_num(v, "--queue")?;
+        Ok(())
+    }),
+    value("--state-dir", |o, v| {
+        o.server.state_dir = Some(PathBuf::from(v));
+        Ok(())
+    }),
+    value("--fanout-workers", |o, v| {
+        o.server.fanout_workers.extend(parse_worker_list(v)?);
+        Ok(())
+    }),
+];
+
+const FANOUT: &[OptionSpec] = &[
+    OUT,
+    value("--workers", |o, v| {
+        o.workers.extend(parse_worker_list(v)?);
+        Ok(())
+    }),
+    value("--shards", |o, v| {
+        o.shards_per_worker = Some(parse_positive(v, "--shards")?);
+        Ok(())
+    }),
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        None | Some("--help") | Some("-h") | Some("help") => {
-            println!("{USAGE}");
-            ExitCode::SUCCESS
-        }
-        Some("--version") | Some("-V") => {
+        None | Some("--help" | "-h" | "help") => println!("{USAGE}"),
+        Some("--version" | "-V") => {
             // The schema version travels with the binary so operators can
             // match a run_manifest.json / API response to the tool that
             // understands it without booting a lab.
             println!(
-                "bgpsim {} (manifest schema v{})",
-                env!("CARGO_PKG_VERSION"),
-                bgpsim::manifest::SCHEMA_VERSION
+                "bgpsim {} (manifest schema v{SCHEMA_VERSION})",
+                env!("CARGO_PKG_VERSION")
             );
-            ExitCode::SUCCESS
         }
         Some("list") => {
             for (id, what) in FIGURES {
                 println!("{id:<6} {what}");
             }
-            ExitCode::SUCCESS
         }
-        Some("run") => match parse_run(&args[1..]) {
-            Ok(opts) => run(&opts),
-            Err(msg) => usage_error(&msg),
-        },
-        Some("stream") => match parse_stream(&args[1..]) {
-            Ok(Some(opts)) => stream(&opts),
-            Ok(None) => {
-                println!("{STREAM_USAGE}");
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{STREAM_USAGE}");
-                ExitCode::from(2)
-            }
-        },
-        Some("serve") => match parse_serve(&args[1..]) {
-            Ok(Some(config)) => serve(config),
-            Ok(None) => {
-                println!("{SERVE_USAGE}");
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{SERVE_USAGE}");
-                ExitCode::from(2)
-            }
-        },
-        Some("fanout") => match parse_fanout(&args[1..]) {
-            Ok(Some(opts)) => fanout(&opts),
-            Ok(None) => {
-                println!("{FANOUT_USAGE}");
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{FANOUT_USAGE}");
-                ExitCode::from(2)
-            }
-        },
-        Some(other) => usage_error(&format!("unknown subcommand {other:?}")),
+        Some(name) => {
+            let Some(command) = Command::named(name) else {
+                eprintln!("error: unknown subcommand {name:?}\n\n{USAGE}");
+                return ExitCode::from(2);
+            };
+            return match parse(command, &args[1..]) {
+                Ok(Some(opts)) => match command {
+                    Command::Run => run(&opts),
+                    Command::Stream => stream(&opts),
+                    Command::Serve => serve(opts),
+                    Command::Fanout => fanout(&opts),
+                },
+                Ok(None) => {
+                    println!("{}", command.usage());
+                    ExitCode::SUCCESS
+                }
+                Err(msg) => {
+                    eprintln!("error: {msg}\n\n{}", command.usage());
+                    ExitCode::from(2)
+                }
+            };
+        }
     }
+    ExitCode::SUCCESS
 }
 
-fn usage_error(msg: &str) -> ExitCode {
-    eprintln!("error: {msg}\n\n{USAGE}");
-    ExitCode::from(2)
-}
-
-fn parse_run(args: &[String]) -> Result<RunOptions, String> {
-    let mut opts = RunOptions {
-        figures: Vec::new(),
-        scale: "standard".to_string(),
-        engine: EngineChoice::Auto,
+/// Parses `command`'s arguments against [`COMMON`] and its own table;
+/// `Ok(None)` means `--help` was asked for.
+fn parse(command: Command, args: &[String]) -> Result<Option<Options>, String> {
+    let mut opts = Options {
+        scale: command.default_scale().to_string(),
         seed: None,
-        stride: None,
         jobs: 0,
+        engine: EngineChoice::Auto,
         out: PathBuf::from("out"),
+        figures: Vec::new(),
+        stride: None,
         progress: std::io::stderr().is_terminal(),
+        events: StreamConfig::default().events,
+        targets: StreamConfig::default().num_targets,
+        oracle: false,
+        server: ServerConfig::new(ExperimentConfig::standard(), ""),
+        workers: Vec::new(),
+        shards_per_worker: None,
     };
-    let mut all = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--all" => all = true,
-            "--scale" => opts.scale = value("--scale")?,
-            "--engine" => opts.engine = EngineChoice::parse(&value("--engine")?)?,
-            "--seed" => {
-                opts.seed = Some(parse_num(&value("--seed")?, "--seed")?);
-            }
-            "--stride" => {
-                let n: usize = parse_num(&value("--stride")?, "--stride")?;
-                if n == 0 {
-                    return Err("--stride must be at least 1".to_string());
+        if arg == "--help" || arg == "-h" {
+            return Ok(None);
+        }
+        let spec = COMMON
+            .iter()
+            .chain(command.table())
+            .find(|spec| spec.flag == arg);
+        match spec {
+            Some(spec) => match spec.take {
+                Take::Switch(set) => set(&mut opts),
+                Take::Value(set) => {
+                    let value = it
+                        .next()
+                        .ok_or_else(|| format!("{} needs a value", spec.flag))?;
+                    set(&mut opts, value)?;
                 }
-                opts.stride = Some(n);
-            }
-            "--jobs" => opts.jobs = parse_num(&value("--jobs")?, "--jobs")?,
-            "--out" => opts.out = PathBuf::from(value("--out")?),
-            "--no-progress" => opts.progress = false,
-            flag if flag.starts_with('-') => return Err(format!("unknown option {flag:?}")),
-            id => {
-                if !FIGURES.iter().any(|(known, _)| *known == id) {
+            },
+            // `run` names its figures positionally.
+            None if command == Command::Run && !arg.starts_with('-') => {
+                if !FIGURES.iter().any(|(known, _)| known == arg) {
                     return Err(format!(
-                        "unknown figure {id:?}: run `bgpsim list` for valid ids"
+                        "unknown figure {arg:?}: run `bgpsim list` for valid ids"
                     ));
                 }
-                if !opts.figures.iter().any(|f| f == id) {
-                    opts.figures.push(id.to_string());
+                if !opts.figures.contains(arg) {
+                    opts.figures.push(arg.clone());
                 }
             }
+            None => return Err(format!("unknown option {arg:?}")),
         }
-    }
-    if all {
-        opts.figures = FIGURES.iter().map(|(id, _)| id.to_string()).collect();
     }
     // Validate the scale up front so a typo fails before topology
     // generation, with the same message ExperimentConfig gives.
     ExperimentConfig::preset(&opts.scale)?;
-    if opts.figures.is_empty() {
-        return Err("nothing to run: name figures (e.g. `bgpsim run fig2`) or pass --all".into());
+    match command {
+        Command::Run if opts.figures.is_empty() => {
+            Err("nothing to run: name figures (e.g. `bgpsim run fig2`) or pass --all".into())
+        }
+        Command::Fanout if opts.workers.is_empty() => {
+            Err("--workers must name at least one bgpsim-server URL".into())
+        }
+        _ => Ok(Some(opts)),
     }
-    Ok(opts)
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
@@ -328,134 +498,12 @@ fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
         .map_err(|_| format!("{flag} expects a number, got {s:?}"))
 }
 
-struct StreamOptions {
-    scale: String,
-    engine: EngineChoice,
-    seed: Option<u64>,
-    events: usize,
-    targets: usize,
-    oracle: bool,
-    jobs: usize,
-    out: PathBuf,
-}
-
-/// Parses `stream` options; `Ok(None)` means `--help` was asked for.
-fn parse_stream(args: &[String]) -> Result<Option<StreamOptions>, String> {
-    let mut opts = StreamOptions {
-        scale: "quick".to_string(),
-        engine: EngineChoice::Auto,
-        seed: None,
-        events: StreamConfig::default().events,
-        targets: StreamConfig::default().num_targets,
-        oracle: false,
-        jobs: 0,
-        out: PathBuf::from("out"),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Ok(None),
-            "--scale" => opts.scale = value("--scale")?,
-            "--engine" => opts.engine = EngineChoice::parse(&value("--engine")?)?,
-            "--seed" => opts.seed = Some(parse_num(&value("--seed")?, "--seed")?),
-            "--events" => {
-                opts.events = parse_num(&value("--events")?, "--events")?;
-                if opts.events == 0 {
-                    return Err("--events must be at least 1".to_string());
-                }
-            }
-            "--targets" => {
-                opts.targets = parse_num(&value("--targets")?, "--targets")?;
-                if opts.targets == 0 {
-                    return Err("--targets must be at least 1".to_string());
-                }
-            }
-            "--oracle" => opts.oracle = true,
-            "--jobs" => opts.jobs = parse_num(&value("--jobs")?, "--jobs")?,
-            "--out" => opts.out = PathBuf::from(value("--out")?),
-            other => return Err(format!("unknown option {other:?}")),
-        }
+/// [`parse_num`] for counts that must not be zero.
+fn parse_positive(s: &str, flag: &str) -> Result<usize, String> {
+    match parse_num(s, flag)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
     }
-    ExperimentConfig::preset(&opts.scale)?;
-    Ok(Some(opts))
-}
-
-/// Parses `serve` options into a ready [`ServerConfig`]; `Ok(None)`
-/// means `--help` was asked for.
-fn parse_serve(args: &[String]) -> Result<Option<ServerConfig>, String> {
-    let mut scale = "standard".to_string();
-    let mut engine = EngineChoice::Auto;
-    let mut seed: Option<u64> = None;
-    let mut jobs: usize = 0;
-    let mut addr = "127.0.0.1:8080".to_string();
-    let mut http_workers: usize = 4;
-    let mut sweep_workers: usize = 2;
-    let mut cache_capacity: usize = 32;
-    let mut cache_byte_budget: u64 = 0;
-    let mut max_queued_jobs: usize = 16;
-    let mut state_dir: Option<PathBuf> = None;
-    let mut fanout_workers: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Ok(None),
-            "--addr" => addr = value("--addr")?,
-            "--scale" => scale = value("--scale")?,
-            "--engine" => engine = EngineChoice::parse(&value("--engine")?)?,
-            "--seed" => seed = Some(parse_num(&value("--seed")?, "--seed")?),
-            "--jobs" => jobs = parse_num(&value("--jobs")?, "--jobs")?,
-            "--http-workers" => {
-                http_workers = parse_num(&value("--http-workers")?, "--http-workers")?;
-                if http_workers == 0 {
-                    return Err("--http-workers must be at least 1".to_string());
-                }
-            }
-            "--sweep-workers" => {
-                sweep_workers = parse_num(&value("--sweep-workers")?, "--sweep-workers")?;
-                if sweep_workers == 0 {
-                    return Err("--sweep-workers must be at least 1".to_string());
-                }
-            }
-            "--cache" => cache_capacity = parse_num(&value("--cache")?, "--cache")?,
-            "--cache-bytes" => {
-                cache_byte_budget = parse_num(&value("--cache-bytes")?, "--cache-bytes")?;
-            }
-            "--queue" => max_queued_jobs = parse_num(&value("--queue")?, "--queue")?,
-            "--state-dir" => state_dir = Some(PathBuf::from(value("--state-dir")?)),
-            "--fanout-workers" => {
-                fanout_workers.extend(parse_worker_list(&value("--fanout-workers")?)?);
-            }
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-    let mut experiment = ExperimentConfig::preset(&scale)?;
-    experiment.engine = engine;
-    if let Some(seed) = seed {
-        experiment.seed = seed;
-    }
-    if jobs > 0 {
-        std::env::set_var("RAYON_NUM_THREADS", jobs.to_string());
-    }
-    let mut config = ServerConfig::new(experiment, scale);
-    config.addr = addr;
-    config.http_workers = http_workers;
-    config.sweep_workers = sweep_workers;
-    config.cache_capacity = cache_capacity;
-    config.cache_byte_budget = (cache_byte_budget > 0).then_some(cache_byte_budget);
-    config.max_queued_jobs = max_queued_jobs;
-    config.state_dir = state_dir;
-    config.fanout_workers = fanout_workers;
-    Ok(Some(config))
 }
 
 /// Splits a comma-separated worker list, rejecting empty entries.
@@ -472,19 +520,100 @@ fn parse_worker_list(raw: &str) -> Result<Vec<String>, String> {
     Ok(workers)
 }
 
-fn serve(config: ServerConfig) -> ExitCode {
+/// The lab configuration the options describe, announced on stderr —
+/// generating it is the slow first step of every subcommand — with
+/// `--jobs` applied to the rayon pool.
+fn experiment(opts: &Options) -> ExperimentConfig {
+    if opts.jobs > 0 {
+        // The vendored rayon reads this on every parallel region, exactly
+        // like upstream's global-pool override.
+        std::env::set_var("RAYON_NUM_THREADS", opts.jobs.to_string());
+    }
+    let mut config = ExperimentConfig::preset(&opts.scale).expect("validated in parse");
+    config.engine = opts.engine;
+    if let Some(seed) = opts.seed {
+        config.seed = seed;
+    }
+    if let Some(stride) = opts.stride {
+        config.attacker_stride = stride;
+    }
     eprintln!(
         "generating {}-AS internet (scale {}, seed {})...",
-        config.experiment.params.num_ases, config.scale_name, config.experiment.seed
+        config.params.num_ases, opts.scale, config.seed
     );
+    config
+}
+
+/// What `run`, `stream` and `fanout` start with: the output directory,
+/// and the lab with the instant its generation began.
+fn boot(opts: &Options) -> Result<(Lab, Instant), ExitCode> {
+    if let Err(e) = std::fs::create_dir_all(&opts.out) {
+        eprintln!("error: cannot create {}: {e}", opts.out.display());
+        return Err(ExitCode::FAILURE);
+    }
+    let config = experiment(opts);
+    let started = Instant::now();
+    let lab = Lab::new(config);
+    eprintln!("topology ready in {:.1}s", started.elapsed().as_secs_f64());
+    Ok((lab, started))
+}
+
+/// What they end with: the manifest on disk and one line saying so.
+fn write_manifest(opts: &Options, name: &str, manifest: String, what: &str, secs: f64) -> ExitCode {
+    let path = opts.out.join(name);
+    if let Err(e) = std::fs::write(&path, manifest) {
+        eprintln!("error: cannot write {}: {e}", path.display());
+        return ExitCode::FAILURE;
+    }
+    eprintln!("{what} complete in {secs:.1}s: {}", path.display());
+    ExitCode::SUCCESS
+}
+
+/// `run_manifest.json` for the figures a `run` or `fanout` produced.
+fn write_run_manifest(
+    opts: &Options,
+    lab: &Lab,
+    started: Instant,
+    figures: Vec<FigureRecord>,
+    fanout: Option<Json>,
+    what: &str,
+) -> ExitCode {
+    let total_wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let manifest = RunManifest {
+        version: env!("CARGO_PKG_VERSION").to_string(),
+        scale: opts.scale.clone(),
+        seed: lab.config().seed,
+        attacker_stride: lab.config().attacker_stride,
+        engine: lab.config().engine.name().to_string(),
+        // `--jobs 0` resolves to the worker count sweeps actually ran on,
+        // so the manifest records real parallelism, not the literal zero.
+        jobs: rayon::current_num_threads(),
+        num_ases: lab.topology().num_ases(),
+        figures,
+        total_wall_ms,
+        fanout,
+    };
+    write_manifest(
+        opts,
+        "run_manifest.json",
+        manifest.render(),
+        what,
+        total_wall_ms / 1e3,
+    )
+}
+
+fn serve(opts: Options) -> ExitCode {
+    let experiment = experiment(&opts);
+    let mut config = opts.server;
+    config.experiment = experiment;
+    config.scale_name = opts.scale;
     let started = Instant::now();
     let shutdown = std::sync::atomic::AtomicBool::new(false);
-    let boot = Instant::now();
     let result = bgpsim_server::serve(&config, &shutdown, |bound| {
         eprintln!(
             "topology ready in {:.1}s; listening on http://{bound}/v1 \
              (healthz, metrics, attacks, sweeps; POST /v1/shutdown to stop)",
-            boot.elapsed().as_secs_f64()
+            started.elapsed().as_secs_f64()
         );
     });
     match result {
@@ -502,80 +631,13 @@ fn serve(config: ServerConfig) -> ExitCode {
     }
 }
 
-struct FanoutOptions {
-    workers: Vec<String>,
-    scale: String,
-    seed: Option<u64>,
-    shards_per_worker: usize,
-    jobs: usize,
-    out: PathBuf,
-}
-
-/// Parses `fanout` options; `Ok(None)` means `--help` was asked for.
-fn parse_fanout(args: &[String]) -> Result<Option<FanoutOptions>, String> {
-    let mut opts = FanoutOptions {
-        workers: Vec::new(),
-        scale: "quick".to_string(),
-        seed: None,
-        shards_per_worker: 2,
-        jobs: 0,
-        out: PathBuf::from("out"),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--help" | "-h" => return Ok(None),
-            "--workers" => opts
-                .workers
-                .extend(parse_worker_list(&value("--workers")?)?),
-            "--scale" => opts.scale = value("--scale")?,
-            "--seed" => opts.seed = Some(parse_num(&value("--seed")?, "--seed")?),
-            "--shards" => {
-                opts.shards_per_worker = parse_num(&value("--shards")?, "--shards")?;
-                if opts.shards_per_worker == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-            }
-            "--jobs" => opts.jobs = parse_num(&value("--jobs")?, "--jobs")?,
-            "--out" => opts.out = PathBuf::from(value("--out")?),
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-    if opts.workers.is_empty() {
-        return Err("--workers must name at least one bgpsim-server URL".to_string());
-    }
-    ExperimentConfig::preset(&opts.scale)?;
-    Ok(Some(opts))
-}
-
 /// The `fanout` subcommand: fig2 with the attacker pool dealt to a
 /// worker fleet, byte-identical to the single-node figure.
-fn fanout(opts: &FanoutOptions) -> ExitCode {
-    if opts.jobs > 0 {
-        std::env::set_var("RAYON_NUM_THREADS", opts.jobs.to_string());
-    }
-    let effective_jobs = rayon::current_num_threads();
-    let mut config = ExperimentConfig::preset(&opts.scale).expect("validated in parse_fanout");
-    if let Some(seed) = opts.seed {
-        config.seed = seed;
-    }
-    if let Err(e) = std::fs::create_dir_all(&opts.out) {
-        eprintln!("error: cannot create {}: {e}", opts.out.display());
-        return ExitCode::FAILURE;
-    }
-    let started = Instant::now();
-    eprintln!(
-        "generating {}-AS internet (scale {}, seed {})...",
-        config.params.num_ases, opts.scale, config.seed
-    );
-    let lab = Lab::new(config);
-    eprintln!("topology ready in {:.1}s", started.elapsed().as_secs_f64());
-
+fn fanout(opts: &Options) -> ExitCode {
+    let (lab, started) = match boot(opts) {
+        Ok(booted) => booted,
+        Err(code) => return code,
+    };
     let expect = Handshake {
         schema_version: SCHEMA_VERSION,
         scale: opts.scale.clone(),
@@ -583,7 +645,9 @@ fn fanout(opts: &FanoutOptions) -> ExitCode {
         num_ases: lab.topology().num_ases() as u64,
     };
     let mut fanout_config = FanoutConfig::new(opts.workers.clone());
-    fanout_config.shards_per_worker = opts.shards_per_worker;
+    if let Some(shards) = opts.shards_per_worker {
+        fanout_config.shards_per_worker = shards;
+    }
     let coordinator = Coordinator::connect(fanout_config, &expect);
     for (addr, reason) in coordinator.rejected() {
         eprintln!("worker {addr} rejected: {reason}");
@@ -639,95 +703,33 @@ fn fanout(opts: &FanoutOptions) -> ExitCode {
         }
     };
     eprintln!("[fig2] {wall_ms:.0} ms, wrote {}", artifacts.join(", "));
-
-    let total_wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let manifest = RunManifest {
-        version: env!("CARGO_PKG_VERSION").to_string(),
-        scale: opts.scale.clone(),
-        seed: lab.config().seed,
-        attacker_stride: lab.config().attacker_stride,
-        engine: lab.config().engine.name().to_string(),
-        jobs: effective_jobs,
-        num_ases: lab.topology().num_ases(),
-        figures: vec![FigureRecord {
-            id: "fig2".to_string(),
-            wall_ms,
-            artifacts,
-            telemetry: None,
-        }],
-        total_wall_ms,
-        fanout: Some(fanout_manifest(&coordinator.stats())),
+    let figure = FigureRecord {
+        id: "fig2".to_string(),
+        wall_ms,
+        artifacts,
+        telemetry: None,
     };
-    let manifest_path = opts.out.join("run_manifest.json");
-    if let Err(e) = std::fs::write(&manifest_path, manifest.render()) {
-        eprintln!("error: cannot write {}: {e}", manifest_path.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "fanout run complete in {:.1}s: {}",
-        total_wall_ms / 1e3,
-        manifest_path.display()
-    );
-    ExitCode::SUCCESS
+    write_run_manifest(
+        opts,
+        &lab,
+        started,
+        vec![figure],
+        Some(coordinator.stats().to_json()),
+        "fanout run",
+    )
 }
 
-/// Converts a coordinator snapshot into the manifest `fanout` section.
-fn fanout_manifest(stats: &FanoutStats) -> FanoutManifest {
-    FanoutManifest {
-        workers: stats
-            .workers
-            .iter()
-            .map(|w| FanoutWorkerRecord {
-                addr: w.addr.clone(),
-                alive: w.alive,
-                shards_dispatched: w.shards_dispatched,
-                shards_completed: w.shards_completed,
-                failures: w.failures,
-                wall_us_sum: w.wall_us_sum,
-            })
-            .collect(),
-        rejected: stats.rejected.clone(),
-        shards_total: stats.shards_total,
-        shards_done: stats.shards_done,
-        shards_retried: stats.shards_retried,
-        shards_hedged: stats.shards_hedged,
-    }
-}
-
-fn stream(opts: &StreamOptions) -> ExitCode {
-    if opts.jobs > 0 {
-        std::env::set_var("RAYON_NUM_THREADS", opts.jobs.to_string());
-    }
-    let mut config = ExperimentConfig::preset(&opts.scale).expect("validated in parse_stream");
-    config.engine = opts.engine;
-    if let Some(seed) = opts.seed {
-        config.seed = seed;
-    }
-    if let Err(e) = std::fs::create_dir_all(&opts.out) {
-        eprintln!("error: cannot create {}: {e}", opts.out.display());
-        return ExitCode::FAILURE;
-    }
-    let started = Instant::now();
-    eprintln!(
-        "generating {}-AS internet (scale {}, seed {})...",
-        config.params.num_ases, opts.scale, config.seed
-    );
-    let lab = Lab::new(config);
-    eprintln!("topology ready in {:.1}s", started.elapsed().as_secs_f64());
-
+fn stream(opts: &Options) -> ExitCode {
+    let (lab, started) = match boot(opts) {
+        Ok(booted) => booted,
+        Err(code) => return code,
+    };
     let topo = lab.topology();
     let sim = lab.simulator();
-    // Same probe cohort as fig7 so the live stream and the batch
-    // detection experiment watch the internet through the same monitors.
-    let degree_threshold = ((500.0 * lab.config().scale().sqrt()).round() as usize).max(4);
-    let sets = vec![
-        ProbeSet::tier1(topo),
-        ProbeSet::bgpmon_like(topo, 24, lab.config().seed ^ 0xb69),
-        ProbeSet::degree_at_least(topo, degree_threshold),
-    ];
+    let sets = lab.probe_cohort();
     let stream_config = StreamConfig {
         events: opts.events,
-        seed: lab.config().seed ^ 0x57e4,
+        seed: lab.stream_seed(),
         num_targets: opts.targets,
         ..StreamConfig::default()
     };
@@ -773,21 +775,17 @@ fn stream(opts: &StreamOptions) -> ExitCode {
         wall_ms,
         events_per_sec,
     );
-    let manifest_path = opts.out.join("stream_manifest.json");
-    if let Err(e) = std::fs::write(&manifest_path, manifest.render()) {
-        eprintln!("error: cannot write {}: {e}", manifest_path.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "stream complete in {:.1}s: {}",
+    write_manifest(
+        opts,
+        "stream_manifest.json",
+        manifest.render(),
+        "stream",
         started.elapsed().as_secs_f64(),
-        manifest_path.display()
-    );
-    ExitCode::SUCCESS
+    )
 }
 
-/// `Some(x)` renders as a number, `None` as `null` — absent latencies and
-/// empty aggregation windows must not masquerade as zero.
+/// `Some(x)` renders as a number, `None` as `null` — an empty aggregation
+/// window must not masquerade as zero.
 fn opt_num(value: Option<f64>) -> Json {
     value.map_or(Json::Null, Json::Num)
 }
@@ -795,14 +793,19 @@ fn opt_num(value: Option<f64>) -> Json {
 /// The `stream_manifest.json` document: configuration, summary, and a
 /// windowed aggregate per series (min/max/mean, `null` on empty windows).
 fn stream_manifest(
-    opts: &StreamOptions,
+    opts: &Options,
     lab: &Lab,
     config: &StreamConfig,
     outcome: &StreamOutcome,
     wall_ms: f64,
     events_per_sec: f64,
 ) -> Json {
-    let summary = outcome.summary();
+    // The summary every stream document carries, plus this run's timing.
+    let Json::Obj(mut summary) = stream_summary_json(&outcome.summary()) else {
+        unreachable!("a stream summary renders as an object");
+    };
+    summary.push(("wall_ms".to_string(), Json::Num(wall_ms)));
+    summary.push(("events_per_sec".to_string(), Json::Num(events_per_sec)));
     let window = (config.events as u64 / 8).max(1);
     let last_seq = config.events as u64 - 1;
     let series: Vec<Json> = outcome
@@ -854,55 +857,16 @@ fn stream_manifest(
                 ("inject_weight", Json::from(config.inject_weight)),
             ]),
         ),
-        (
-            "summary",
-            Json::obj([
-                ("events", Json::from(summary.events)),
-                ("injected", Json::from(summary.injected)),
-                ("detected", Json::from(summary.detected)),
-                ("mean_latency_events", opt_num(summary.mean_latency)),
-                (
-                    "max_latency_events",
-                    opt_num(summary.max_latency.map(|l| l as f64)),
-                ),
-                ("wall_ms", Json::Num(wall_ms)),
-                ("events_per_sec", Json::Num(events_per_sec)),
-            ]),
-        ),
+        ("summary", Json::Obj(summary)),
         ("series", Json::Arr(series)),
     ])
 }
 
-fn run(opts: &RunOptions) -> ExitCode {
-    if opts.jobs > 0 {
-        // The vendored rayon reads this on every parallel region, exactly
-        // like upstream's global-pool override.
-        std::env::set_var("RAYON_NUM_THREADS", opts.jobs.to_string());
-    }
-    // Resolve `--jobs 0` to the worker count sweeps actually run on, so
-    // the manifest records real parallelism instead of the literal zero.
-    let effective_jobs = rayon::current_num_threads();
-    let mut config = ExperimentConfig::preset(&opts.scale).expect("validated in parse_run");
-    config.engine = opts.engine;
-    if let Some(seed) = opts.seed {
-        config.seed = seed;
-    }
-    if let Some(stride) = opts.stride {
-        config.attacker_stride = stride;
-    }
-    if let Err(e) = std::fs::create_dir_all(&opts.out) {
-        eprintln!("error: cannot create {}: {e}", opts.out.display());
-        return ExitCode::FAILURE;
-    }
-
-    let started = Instant::now();
-    eprintln!(
-        "generating {}-AS internet (scale {}, seed {})...",
-        config.params.num_ases, opts.scale, config.seed
-    );
-    let lab = Lab::new(config);
-    eprintln!("topology ready in {:.1}s", started.elapsed().as_secs_f64());
-
+fn run(opts: &Options) -> ExitCode {
+    let (lab, started) = match boot(opts) {
+        Ok(booted) => booted,
+        Err(code) => return code,
+    };
     let mut records = Vec::new();
     for id in &opts.figures {
         let telemetry = SweepTelemetry::new();
@@ -946,31 +910,7 @@ fn run(opts: &RunOptions) -> ExitCode {
             }
         }
     }
-
-    let total_wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let manifest = RunManifest {
-        version: env!("CARGO_PKG_VERSION").to_string(),
-        scale: opts.scale.clone(),
-        seed: lab.config().seed,
-        attacker_stride: lab.config().attacker_stride,
-        engine: lab.config().engine.name().to_string(),
-        jobs: effective_jobs,
-        num_ases: lab.topology().num_ases(),
-        figures: records,
-        total_wall_ms,
-        fanout: None,
-    };
-    let manifest_path = opts.out.join("run_manifest.json");
-    if let Err(e) = std::fs::write(&manifest_path, manifest.render()) {
-        eprintln!("error: cannot write {}: {e}", manifest_path.display());
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "run complete in {:.1}s: {}",
-        total_wall_ms / 1e3,
-        manifest_path.display()
-    );
-    ExitCode::SUCCESS
+    write_run_manifest(opts, &lab, started, records, None, "run")
 }
 
 /// Dispatches one figure id to its runner; returns (summary, artifacts).
@@ -1017,6 +957,6 @@ fn run_one(
             let r = experiments::tab_model(lab);
             (r.summary(), r.write_artifacts(dir)?)
         }
-        other => unreachable!("figure id {other:?} validated in parse_run"),
+        other => unreachable!("figure id {other:?} validated in parse"),
     })
 }

@@ -6,12 +6,10 @@
 //! the full `serve --fanout-workers` path where a coordinator *server*
 //! deals its sweep jobs to the fleet.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::time::Duration;
 
 use bgpsim::fanout::{
-    Coordinator, FanoutConfig, FanoutError, Handshake, NoopObserver, SweepRequest,
+    Client, Coordinator, FanoutConfig, FanoutError, Handshake, NoopObserver, SweepRequest,
 };
 use bgpsim::manifest::{Json, SCHEMA_VERSION};
 use bgpsim::{ExperimentConfig, Lab};
@@ -151,60 +149,58 @@ fn incompatible_and_unreachable_workers_leave_no_fleet() {
 // its sweep jobs to the fleet.
 // ---------------------------------------------------------------------
 
-fn http(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\
-         Content-Length: {}\r\n\r\n",
-        body.len()
+/// One request on `client`, parsed. Drop the client before stopping the
+/// server it talks to: a drain waits out idle connections' read timeout.
+fn json(client: &mut Client, method: &str, path: &str, body: &str) -> (u16, Json) {
+    let (status, text) = client
+        .request(method, path, body)
+        .unwrap_or_else(|e| panic!("{method} {path}: {e}"));
+    let parsed = Json::parse(&text).unwrap_or_else(|e| panic!("bad JSON from {path}: {e}"));
+    (status, parsed)
+}
+
+/// Submits `case` as a `POST /v1/sweeps` with an explicit attacker list
+/// and polls the job to `done`; returns its id and final job document.
+fn sweep_to_done(client: &mut Client, case: &SweepCase) -> (String, Json) {
+    let attackers: Vec<String> = case.request.pool_asns.iter().map(u32::to_string).collect();
+    let body = format!(
+        "{{\"target\":{},\"attackers\":[{}]}}",
+        case.request.target_asn,
+        attackers.join(",")
     );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body.as_bytes()).unwrap();
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let raw = String::from_utf8(raw).expect("utf-8 response");
-    let (_, response_body) = raw.split_once("\r\n\r\n").expect("header/body split");
-    let status: u16 = raw
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    (status, response_body.to_string())
-}
-
-fn get<'a>(json: &'a Json, key: &str) -> &'a Json {
-    match json {
-        Json::Obj(pairs) => pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("missing key {key:?}")),
-        other => panic!("expected object with {key:?}, got {other:?}"),
+    let (status, submitted) = json(client, "POST", "/v1/sweeps", &body);
+    assert_eq!(status, 202, "{submitted:?}");
+    let id = submitted
+        .get("id")
+        .and_then(Json::as_str)
+        .expect("job id")
+        .to_string();
+    loop {
+        let (status, job) = json(client, "GET", &format!("/v1/jobs/{id}"), "");
+        assert_eq!(status, 200);
+        match job.get("state").and_then(Json::as_str) {
+            Some("done") => return (id, job),
+            Some("queued" | "running") => std::thread::sleep(Duration::from_millis(20)),
+            other => panic!("job reached {other:?}: {job:?}"),
+        }
     }
 }
 
-fn num(json: &Json) -> f64 {
-    match json {
-        Json::Num(n) => *n,
-        other => panic!("expected number, got {other:?}"),
-    }
-}
-
-fn str_of(json: &Json) -> &str {
-    match json {
-        Json::Str(s) => s,
-        other => panic!("expected string, got {other:?}"),
-    }
-}
-
-fn u32s(json: &Json) -> Vec<u32> {
-    match json {
-        Json::Arr(items) => items.iter().map(|v| num(v) as u32).collect(),
-        other => panic!("expected array, got {other:?}"),
-    }
+/// The `result.counts` of a finished sweep, and its `meta.cache`.
+fn sweep_results(client: &mut Client, id: &str) -> (Vec<u32>, String) {
+    let (status, results) = json(client, "GET", &format!("/v1/results/{id}"), "");
+    assert_eq!(status, 200);
+    let counts = results
+        .get("result")
+        .and_then(|result| result.get("counts"))
+        .and_then(Json::as_u32_array)
+        .expect("result.counts");
+    let cache = results
+        .get("meta")
+        .and_then(|meta| meta.get("cache"))
+        .and_then(Json::as_str)
+        .expect("meta.cache");
+    (counts, cache.to_string())
 }
 
 #[test]
@@ -221,53 +217,34 @@ fn serve_with_fanout_workers_deals_jobs_to_the_fleet() {
     config.addr = "127.0.0.1:0".to_string();
     config.fanout_workers = vec![w1.addr().to_string(), w2.addr().to_string()];
     let coordinator = spawn(config).expect("coordinator server boots");
-    let addr = coordinator.addr();
 
-    let attackers: Vec<String> = case.request.pool_asns.iter().map(u32::to_string).collect();
-    let body = format!(
-        "{{\"target\":{},\"attackers\":[{}]}}",
-        case.request.target_asn,
-        attackers.join(",")
-    );
-    let (status, text) = http(addr, "POST", "/v1/sweeps", &body);
-    assert_eq!(status, 202, "{text}");
-    let submitted = Json::parse(&text).expect("sweep response");
-    let id = str_of(get(&submitted, "id")).to_string();
-
-    let job = loop {
-        let (status, text) = http(addr, "GET", &format!("/v1/jobs/{id}"), "");
-        assert_eq!(status, 200);
-        let job = Json::parse(&text).expect("job json");
-        match str_of(get(&job, "state")) {
-            "done" => break job,
-            "queued" | "running" => std::thread::sleep(Duration::from_millis(20)),
-            other => panic!("job reached {other}: {text}"),
-        }
-    };
+    let mut client = Client::connect(&coordinator.addr().to_string()).expect("connect");
+    let (id, job) = sweep_to_done(&mut client, &case);
     // The job must have been dealt as shards, not run locally.
-    let shards = get(&job, "shards");
-    assert!(num(get(shards, "total")) >= 2.0, "{job:?}");
-    assert_eq!(num(get(shards, "done")), num(get(shards, "total")));
+    let shards = job.get("shards").expect("a fanned-out job reports shards");
+    let count = |key: &str| shards.get(key).and_then(Json::as_u64).expect("shard count");
+    assert!(count("total") >= 2, "{job:?}");
+    assert_eq!(count("done"), count("total"));
+    assert!(shards.get("retried").is_some() && shards.get("hedged").is_none());
 
-    let (status, text) = http(addr, "GET", &format!("/v1/results/{id}"), "");
-    assert_eq!(status, 200);
-    let results = Json::parse(&text).expect("results json");
-    let counts = u32s(get(get(&results, "result"), "counts"));
+    let (counts, cache) = sweep_results(&mut client, &id);
     assert_eq!(
         counts, expected,
         "served fan-out sweep must be bit-identical"
     );
-    assert_eq!(str_of(get(get(&results, "meta"), "cache")), "fanout");
+    assert_eq!(cache, "fanout");
 
     // The coordinator's metrics expose the fan-out section.
-    let (status, text) = http(addr, "GET", "/v1/metrics", "");
+    let (status, text) = client.request("GET", "/v1/metrics", "").expect("metrics");
     assert_eq!(status, 200);
     assert!(
         text.contains("bgpsim_fanout_workers{state=\"alive\"} 2"),
         "fanout metrics missing"
     );
     assert!(text.contains("bgpsim_fanout_shards_total{outcome=\"done\"}"));
+    assert!(!text.contains("hedged"));
 
+    drop(client);
     coordinator.stop().expect("coordinator stops");
     w1.stop().expect("worker stops");
     w2.stop().expect("worker stops");
@@ -287,31 +264,13 @@ fn serve_with_unreachable_fleet_degrades_to_local_execution() {
     // sweeps from the local rayon pool.
     config.fanout_workers = vec!["127.0.0.1:9".to_string()];
     let server = spawn(config).expect("server boots despite dead fleet");
-    let addr = server.addr();
 
-    let attackers: Vec<String> = case.request.pool_asns.iter().map(u32::to_string).collect();
-    let body = format!(
-        "{{\"target\":{},\"attackers\":[{}]}}",
-        case.request.target_asn,
-        attackers.join(",")
-    );
-    let (status, text) = http(addr, "POST", "/v1/sweeps", &body);
-    assert_eq!(status, 202, "{text}");
-    let id = str_of(get(&Json::parse(&text).unwrap(), "id")).to_string();
-    loop {
-        let (_, text) = http(addr, "GET", &format!("/v1/jobs/{id}"), "");
-        let job = Json::parse(&text).expect("job json");
-        match str_of(get(&job, "state")) {
-            "done" => break,
-            "queued" | "running" => std::thread::sleep(Duration::from_millis(20)),
-            other => panic!("job reached {other}: {text}"),
-        }
-    }
-    let (status, text) = http(addr, "GET", &format!("/v1/results/{id}"), "");
-    assert_eq!(status, 200);
-    let results = Json::parse(&text).expect("results json");
-    let counts = u32s(get(get(&results, "result"), "counts"));
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let (id, job) = sweep_to_done(&mut client, &case);
+    assert!(job.get("shards").is_none(), "nothing was dealt: {job:?}");
+    let (counts, _) = sweep_results(&mut client, &id);
     assert_eq!(counts, expected, "local fallback must be bit-identical");
 
+    drop(client);
     server.stop().expect("server stops");
 }
