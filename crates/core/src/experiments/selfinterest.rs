@@ -6,7 +6,7 @@ use std::path::Path;
 use bgpsim_advisor::{
     analyze_region, multihome_up, regional_containment, rehome_up, RegionalPollution, SecurityPlan,
 };
-use bgpsim_hijack::{Defense, Simulator};
+use bgpsim_hijack::Defense;
 use bgpsim_topology::AsIndex;
 
 use crate::lab::Lab;
@@ -153,7 +153,7 @@ pub fn sec7(lab: &Lab) -> SelfInterestResult {
             if depth_after.is_none() {
                 depth_after = d;
             }
-            let sim2 = Simulator::new(new_topo, lab.config().policy);
+            let sim2 = lab.simulator_over(new_topo);
             let members2: Vec<AsIndex> = members
                 .iter()
                 .map(|&m| new_topo.index_of(topo.id_of(m)).expect("same AS set"))

@@ -173,7 +173,14 @@ impl Lab {
     /// experiment; build one per experiment run), dispatching through the
     /// configured [`EngineChoice`](bgpsim_hijack::EngineChoice).
     pub fn simulator(&self) -> Simulator<'_> {
-        Simulator::new(&self.net.topology, self.config.policy).with_engine(self.config.engine)
+        self.simulator_over(&self.net.topology)
+    }
+
+    /// A simulator under this lab's policy and engine over another
+    /// topology — a what-if variant of the lab's own, such as §VII's
+    /// re-homed target.
+    pub fn simulator_over<'t>(&self, topo: &'t Topology) -> Simulator<'t> {
+        Simulator::new(topo, self.config.policy).with_engine(self.config.engine)
     }
 
     /// All ASes, strided per the configuration — the fig. 2 attacker pool.
@@ -247,6 +254,28 @@ mod tests {
         assert!(cast.vulnerable_depth >= 4, "deep stub should be deep");
         assert!(topo.is_transit(cast.aggressive_attacker));
         assert_eq!(lab.depths().depth(cast.tier1), Some(0));
+    }
+
+    /// `--engine` and the policy reach every simulator an experiment
+    /// builds, the ones over what-if topologies included.
+    #[test]
+    fn simulators_keep_the_configured_engine_and_policy() {
+        use bgpsim_hijack::EngineChoice;
+        use bgpsim_routing::PolicyConfig;
+        let mut config = ExperimentConfig::quick();
+        config.engine = EngineChoice::Generation;
+        config.policy = PolicyConfig::strict_gao_rexford();
+        let lab = Lab::new(config);
+        let what_if = bgpsim_topology::topology_from_triples(&[(
+            1,
+            2,
+            bgpsim_topology::LinkKind::ProviderToCustomer,
+        )]);
+        for sim in [lab.simulator(), lab.simulator_over(&what_if)] {
+            assert_eq!(sim.engine(), EngineChoice::Generation);
+            assert_eq!(*sim.policy(), PolicyConfig::strict_gao_rexford());
+        }
+        assert_eq!(lab.simulator_over(&what_if).topology().num_ases(), 2);
     }
 
     #[test]

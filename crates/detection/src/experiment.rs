@@ -1,11 +1,9 @@
 //! The §VI detection experiment: random attacks vs. probe configurations.
 
 use bgpsim_hijack::{Attack, Defense, Simulator};
-use bgpsim_routing::{NullObserver, Workspace};
 use bgpsim_topology::{AsIndex, Topology};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rayon::prelude::*;
 
 use crate::probes::ProbeSet;
 use crate::report::{DetectionReport, MissedAttack};
@@ -39,10 +37,8 @@ pub fn random_transit_attacks(topo: &Topology, count: usize, seed: u64) -> Vec<A
 /// same outcomes (detectors are passive: they do not perturb routing, so
 /// one propagation serves all configurations).
 ///
-/// A probe co-located at the attacker (or at the target) is never counted
-/// as a detecting vantage point: the attacker trivially "sees" its own
-/// bogus route, which would inflate detection rates whenever a random
-/// attack lands on a probe AS.
+/// Probes count by [`ProbeSet::triggered_by`]'s vantage-point rule: one
+/// co-located at the attacker (or at the target) is never a detection.
 ///
 /// Returns one report per probe set, in input order.
 pub fn run_detection_experiment(
@@ -52,24 +48,13 @@ pub fn run_detection_experiment(
     defense: &Defense,
 ) -> Vec<DetectionReport> {
     // Per attack: pollution count plus, per probe set, how many probes saw it.
-    let rows: Vec<(u32, Vec<u32>)> = attacks
-        .par_iter()
-        .map_init(Workspace::new, |ws, &attack| {
-            let outcome = sim.run_observed(attack, defense, ws, &mut NullObserver);
-            let triggered: Vec<u32> = probe_sets
-                .iter()
-                .map(|set| {
-                    set.probes()
-                        .iter()
-                        .filter(|&&p| {
-                            p != attack.attacker && p != attack.target && outcome.is_polluted(p)
-                        })
-                        .count() as u32
-                })
-                .collect();
-            (outcome.pollution_count() as u32, triggered)
-        })
-        .collect();
+    let rows: Vec<(u32, Vec<u32>)> = sim.map_outcomes(attacks, defense, |outcome| {
+        let triggered = probe_sets
+            .iter()
+            .map(|set| set.triggered_by(outcome) as u32)
+            .collect();
+        (outcome.pollution_count() as u32, triggered)
+    });
 
     probe_sets
         .iter()
@@ -127,12 +112,10 @@ pub fn probes_triggered_by(
     set: &ProbeSet,
     defense: &Defense,
 ) -> Vec<AsIndex> {
-    let outcome = sim.run(attack, defense);
-    set.probes()
-        .iter()
-        .copied()
-        .filter(|&p| p != attack.attacker && p != attack.target && outcome.is_polluted(p))
-        .collect()
+    sim.map_outcomes(&[attack], defense, |outcome| {
+        set.triggered(outcome).collect()
+    })
+    .remove(0)
 }
 
 #[cfg(test)]
@@ -243,6 +226,55 @@ mod tests {
         }
         assert_eq!(reports[0].total_attacks(), attacks.len());
         assert_eq!(reports[1].total_attacks(), attacks.len());
+    }
+
+    /// The experiment runs on the routed executor; under a defense that
+    /// localizes cones every report must still be the one the
+    /// generation-engine oracle gives, attack by attack.
+    #[test]
+    fn detection_under_a_localizing_defense_matches_the_oracle() {
+        for seed in [2, 13, 29] {
+            let net = generate(&InternetParams::tiny(), seed);
+            let topo = &net.topology;
+            let sim = Simulator::new(topo, PolicyConfig::paper());
+            let sets = [ProbeSet::tier1(topo), ProbeSet::random(topo, 12, seed)];
+            let attacks = random_transit_attacks(topo, 40, seed);
+            let validators = Defense::validators(
+                topo,
+                ProbeSet::random(topo, 30, !seed).probes().iter().copied(),
+            );
+            for defense in [validators.clone(), validators.with_stub_defense()] {
+                assert!(defense.localizes());
+                let oracle: Vec<_> = attacks.iter().map(|&a| sim.run(a, &defense)).collect();
+                let reports = run_detection_experiment(&sim, &sets, &attacks, &defense);
+                for (set, report) in sets.iter().zip(&reports) {
+                    let mut histogram = vec![0usize; set.len() + 1];
+                    let mut sums = vec![0u64; set.len() + 1];
+                    let mut missed = Vec::new();
+                    for outcome in &oracle {
+                        let k = set.triggered_by(outcome);
+                        histogram[k] += 1;
+                        sums[k] += outcome.pollution_count() as u64;
+                        if k == 0 {
+                            missed.push(MissedAttack {
+                                attacker: outcome.attack.attacker,
+                                target: outcome.attack.target,
+                                pollution: outcome.pollution_count() as u32,
+                            });
+                        }
+                    }
+                    missed.sort_by_key(|m| (std::cmp::Reverse(m.pollution), m.attacker.raw()));
+                    let means: Vec<Option<f64>> = histogram
+                        .iter()
+                        .zip(&sums)
+                        .map(|(&n, &sum)| (n > 0).then(|| sum as f64 / n as f64))
+                        .collect();
+                    assert_eq!(report.histogram(), histogram, "seed {seed}");
+                    assert_eq!(report.mean_pollution_by_triggered(), means, "seed {seed}");
+                    assert_eq!(report.missed_attacks(), missed, "seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! maximum-coverage objective, with a guaranteed `1 − 1/e` factor.
 
 use bgpsim_hijack::{Attack, Defense, Simulator};
-use bgpsim_routing::{NullObserver, Workspace};
 use bgpsim_topology::AsIndex;
-use rayon::prelude::*;
 
 use crate::probes::ProbeSet;
 
@@ -33,18 +31,14 @@ impl CoverageMatrix {
         candidates: &[AsIndex],
         defense: &Defense,
     ) -> CoverageMatrix {
-        let rows: Vec<Vec<u32>> = attacks
-            .par_iter()
-            .map_init(Workspace::new, |ws, &attack| {
-                let outcome = sim.run_observed(attack, defense, ws, &mut NullObserver);
-                candidates
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &c)| outcome.is_polluted(c))
-                    .map(|(ci, _)| ci as u32)
-                    .collect()
-            })
-            .collect();
+        let rows: Vec<Vec<u32>> = sim.map_outcomes(attacks, defense, |outcome| {
+            candidates
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| outcome.is_polluted(c))
+                .map(|(ci, _)| ci as u32)
+                .collect()
+        });
         let mut seen = vec![Vec::new(); candidates.len()];
         for (ai, row) in rows.iter().enumerate() {
             for &ci in row {

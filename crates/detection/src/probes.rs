@@ -6,6 +6,7 @@
 //! tier-1 ASes, the 24 ASes peered with CSU's BGPmon, and the 62 ASes with
 //! degree ≥ 500.
 
+use bgpsim_hijack::AttackOutcome;
 use bgpsim_topology::{select, AsIndex, Topology};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -120,6 +121,28 @@ impl ProbeSet {
     /// The vantage points, in index order.
     pub fn probes(&self) -> &[AsIndex] {
         &self.probes
+    }
+
+    /// The probes that see the attack behind `outcome`, in index order. A
+    /// probe co-located at the attacker or at the target never counts: the
+    /// attacker trivially "sees" its own bogus route, which would inflate
+    /// detection rates whenever a random attack lands on a probe AS.
+    pub(crate) fn triggered<'a>(
+        &'a self,
+        outcome: &'a AttackOutcome,
+    ) -> impl Iterator<Item = AsIndex> + 'a {
+        let attack = outcome.attack;
+        self.probes
+            .iter()
+            .copied()
+            .filter(move |&p| p != attack.attacker && p != attack.target && outcome.is_polluted(p))
+    }
+
+    /// How many probes see the attack behind `outcome` — the count every
+    /// detector in the workspace scores by; a probe at the attacker or at
+    /// the target is never one of them.
+    pub fn triggered_by(&self, outcome: &AttackOutcome) -> usize {
+        self.triggered(outcome).count()
     }
 
     /// Number of vantage points.

@@ -39,11 +39,6 @@ impl Client {
         })
     }
 
-    /// The `host:port` this client talks to.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     /// Sends one request and reads one response; reconnects once if the
     /// server closed the keep-alive connection under us.
     pub fn request(
@@ -104,7 +99,7 @@ fn open(addr: &str, read_timeout: Duration) -> std::io::Result<TcpStream> {
 }
 
 /// Reads one HTTP response (status + Content-Length-delimited body).
-pub fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String)> {
+fn read_response(stream: &mut TcpStream) -> std::io::Result<(u16, String)> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
     let head_end = loop {

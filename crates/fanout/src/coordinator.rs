@@ -397,11 +397,6 @@ impl Coordinator {
             .count()
     }
 
-    /// Addresses of all accepted workers (alive or since-dead).
-    pub fn worker_addrs(&self) -> Vec<String> {
-        self.workers.iter().map(|w| w.addr.clone()).collect()
-    }
-
     /// Workers rejected at registration, with reasons.
     pub fn rejected(&self) -> &[(String, String)] {
         &self.rejected

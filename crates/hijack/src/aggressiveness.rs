@@ -7,9 +7,6 @@
 //! depth.
 
 use bgpsim_topology::AsIndex;
-use rayon::prelude::*;
-
-use bgpsim_routing::Workspace;
 
 use crate::{Attack, Defense, Simulator};
 
@@ -39,26 +36,18 @@ pub fn aggressiveness(
     targets: &[AsIndex],
     defense: &Defense,
 ) -> f64 {
-    let counts: Vec<u32> = targets
-        .par_iter()
-        .map_init(Workspace::new, |ws, &target| {
-            if target == attacker {
-                return None;
-            }
-            let outcome = sim.run_observed(
-                Attack::origin(attacker, target),
-                defense,
-                ws,
-                &mut bgpsim_routing::NullObserver,
-            );
-            Some(outcome.pollution_count() as u32)
-        })
-        .flatten()
+    let attacks: Vec<Attack> = targets
+        .iter()
+        .filter(|&&target| target != attacker)
+        .map(|&target| Attack::origin(attacker, target))
         .collect();
-    if counts.is_empty() {
+    if attacks.is_empty() {
         return 0.0;
     }
-    counts.iter().map(|&c| c as u64).sum::<u64>() as f64 / counts.len() as f64
+    let counts = sim.map_outcomes(&attacks, defense, |outcome| {
+        outcome.pollution_count() as u64
+    });
+    counts.iter().sum::<u64>() as f64 / counts.len() as f64
 }
 
 /// Ranks `attackers` by aggressiveness over the same target sample,

@@ -1,5 +1,8 @@
 //! Attack specifications and single-attack outcomes.
 
+use std::ops::Range;
+
+use bgpsim_routing::Announcement;
 use bgpsim_topology::{AddressSpace, AsIndex};
 
 /// The kind of prefix hijack being simulated.
@@ -76,6 +79,31 @@ impl Attack {
             attacker,
             target,
             kind: AttackKind::ForgedOriginHijack,
+        }
+    }
+
+    /// The attacker's bogus announcement — what a replay injects into the
+    /// target's honest baseline. A forged origin claims the target's ASN,
+    /// so route-origin validation cannot distinguish it.
+    pub(crate) fn injection(&self) -> Announcement {
+        match self.kind {
+            AttackKind::OriginHijack | AttackKind::SubPrefixHijack => {
+                Announcement::honest(self.attacker)
+            }
+            AttackKind::ForgedOriginHijack => Announcement::forged(self.attacker, self.target),
+        }
+    }
+
+    /// What a from-scratch engine propagates, as `&all[live]`: the target's
+    /// honest announcement, then [`Attack::injection`] competing with it
+    /// for the same prefix. A sub-prefix hijack has no competition —
+    /// longest-prefix match sidesteps it — so only the bogus more-specific
+    /// announcement is live.
+    pub(crate) fn announcements(&self) -> ([Announcement; 2], Range<usize>) {
+        let all = [Announcement::honest(self.target), self.injection()];
+        match self.kind {
+            AttackKind::SubPrefixHijack => (all, 1..2),
+            AttackKind::OriginHijack | AttackKind::ForgedOriginHijack => (all, 0..2),
         }
     }
 }

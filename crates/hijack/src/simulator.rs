@@ -58,9 +58,10 @@ use crate::vulnerability::SweepResult;
 /// equivalence suites pin this); only `generations` bookkeeping differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineChoice {
-    /// Adaptive: race solver (generation fallback) when undefended;
-    /// baseline-replay delta when a localizing defense is deployed, given
-    /// up for the race solver when a cone outgrows its budget.
+    /// Adaptive: race solver (generation fallback) when undefended or
+    /// for a sub-prefix hijack; baseline-replay delta when a localizing
+    /// defense is deployed, given up for the race solver when a cone
+    /// outgrows its budget.
     #[default]
     Auto,
     /// Always the step-wise generation engine, from scratch.
@@ -129,14 +130,6 @@ pub struct Scratch {
     rws: RaceWorkspace,
 }
 
-impl Scratch {
-    /// The generation-engine workspace, as [`Simulator::run_observed`]
-    /// takes it.
-    pub fn workspace(&mut self) -> &mut Workspace {
-        &mut self.ws
-    }
-}
-
 /// One engine pass, before pollution is read off it.
 enum Solved<'r, 't> {
     /// A full per-AS selection map (race solver or generation engine).
@@ -151,11 +144,17 @@ enum Solved<'r, 't> {
 /// the parallel sweep methods distribute attacks across rayon workers with
 /// one pooled [`Scratch`] per thread.
 ///
+/// Every caller reaches the engines through the routed executor:
+/// [`Simulator::evaluate`] for one attack, the `sweep_*` methods for many
+/// attackers on one target, [`Simulator::map_outcomes`] for unrelated
+/// attacks. [`Simulator::run`] and [`Simulator::run_observed`] bypass the
+/// route for the generation engine and exist to be compared against.
+///
 /// # Examples
 ///
 /// ```
-/// use bgpsim_hijack::{Attack, Defense, Simulator};
-/// use bgpsim_routing::PolicyConfig;
+/// use bgpsim_hijack::{Attack, Defense, Simulator, SweepMonitor};
+/// use bgpsim_routing::{NullObserver, PolicyConfig};
 /// use bgpsim_topology::{topology_from_triples, AsId, LinkKind::*};
 ///
 /// let topo = topology_from_triples(&[
@@ -165,8 +164,16 @@ enum Solved<'r, 't> {
 /// let sim = Simulator::new(&topo, PolicyConfig::paper());
 /// let t = topo.index_of(AsId::new(9)).unwrap();
 /// let a = topo.index_of(AsId::new(8)).unwrap();
-/// let outcome = sim.run(Attack::origin(a, t), &Defense::none());
-/// assert!(outcome.pollution_count() <= topo.num_ases());
+/// let attack = Attack::origin(a, t);
+/// let (outcome, _engine) = sim.evaluate(
+///     attack,
+///     &Defense::none(),
+///     None,
+///     &mut sim.scratch(),
+///     &SweepMonitor::none(),
+///     &mut NullObserver,
+/// );
+/// assert_eq!(outcome.polluted, sim.run(attack, &Defense::none()).polluted);
 /// ```
 #[derive(Debug)]
 pub struct Simulator<'t> {
@@ -252,7 +259,9 @@ impl<'t> Simulator<'t> {
     /// every AS adopts or at least hears the bogus route, the cone is the
     /// whole network, and replay measured ~3× slower than racing the two
     /// origins closed-form. Sub-prefix hijacks never replay: the bogus
-    /// more-specific prefix has no honest competition to start from.
+    /// more-specific prefix has no honest competition to start from, so
+    /// its one origin is raced. [`Dispatch::Scratch`] is a route only
+    /// under [`EngineChoice::Generation`].
     ///
     /// [`Dispatch::Race`] falls back to the generation engine when the
     /// tier-1 fixed point does not settle, and an adaptive
@@ -265,12 +274,10 @@ impl<'t> Simulator<'t> {
         let replayable = kind != AttackKind::SubPrefixHijack;
         match self.engine {
             EngineChoice::Generation => Dispatch::Scratch,
-            EngineChoice::Race => Dispatch::Race,
             EngineChoice::Auto | EngineChoice::Delta if replayable && defense.localizes() => {
                 Dispatch::Delta
             }
-            EngineChoice::Auto | EngineChoice::Delta if replayable => Dispatch::Race,
-            EngineChoice::Auto | EngineChoice::Delta => Dispatch::Scratch,
+            EngineChoice::Auto | EngineChoice::Delta | EngineChoice::Race => Dispatch::Race,
         }
     }
 
@@ -302,7 +309,10 @@ impl<'t> Simulator<'t> {
     }
 
     /// Simulates one attack on the generation engine with a pooled
-    /// workspace — the oracle every other route is compared against.
+    /// workspace — the oracle every other route is compared against, and
+    /// nothing else: tests, the stream detector's batch mode and the
+    /// benchmark harness call it; production code asks
+    /// [`Simulator::evaluate`].
     pub fn run(&self, attack: Attack, defense: &Defense) -> AttackOutcome {
         self.run_observed(
             attack,
@@ -313,9 +323,11 @@ impl<'t> Simulator<'t> {
     }
 
     /// Simulates one attack on the generation engine with a
-    /// caller-provided workspace and observer (pass a
+    /// caller-provided workspace and observer: [`Simulator::run`] for the
+    /// callers that want the message-passing engine's own trace (pass a
     /// [`bgpsim_routing::TraceRecorder`] to capture every message for
-    /// visualization).
+    /// visualization). Anything that only needs the outcome asks
+    /// [`Simulator::evaluate`].
     pub fn run_observed<O: Observer>(
         &self,
         attack: Attack,
@@ -336,9 +348,10 @@ impl<'t> Simulator<'t> {
     ///
     /// `baseline` is read on the [`Dispatch::Delta`] route only: pass the
     /// target's [`Simulator::baseline_for`] there (built once per target
-    /// and stub-defense setting, or fetched from a cache); with `None` the
-    /// baseline is rebuilt for this one attack, which costs far more than
-    /// the replay it enables.
+    /// and stub-defense setting, or fetched from a cache). `None` means no
+    /// shared baseline, so no replay — building one for a single attack
+    /// costs far more than the replay it enables — and the attack is
+    /// raced from scratch instead.
     ///
     /// Polluted sets are bit-identical to [`Simulator::run`] on every
     /// route; `generations` bookkeeping depends on the engine (waves,
@@ -354,9 +367,10 @@ impl<'t> Simulator<'t> {
         monitor: &SweepMonitor<'_>,
         obs: &mut O,
     ) -> (AttackOutcome, Dispatch) {
-        let route = self.route(attack.kind, defense);
-        let built = self.own_baseline(route, attack.target, defense, baseline, monitor);
-        let baseline = baseline.or(built.as_ref());
+        let route = match self.route(attack.kind, defense) {
+            Dispatch::Delta if baseline.is_none() => Dispatch::Race,
+            route => route,
+        };
         let skipped = AttackOutcome {
             attack,
             polluted: Vec::new(),
@@ -394,6 +408,36 @@ impl<'t> Simulator<'t> {
             };
             (outcome, dispatch)
         })
+    }
+
+    /// Evaluates unrelated attacks — any kind, any target, so no baseline
+    /// is shared and none is replayed — on all rayon workers, one pooled
+    /// [`Scratch`] each, and returns what `read` makes of every outcome,
+    /// in input order. The §VI detection experiment, the probe planner and
+    /// the aggressiveness metric are this loop; each outcome is dropped as
+    /// soon as it is read.
+    pub fn map_outcomes<T, F>(&self, attacks: &[Attack], defense: &Defense, read: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(&AttackOutcome) -> T + Sync,
+    {
+        attacks
+            .par_iter()
+            .map_init(
+                || self.pool.checkout(),
+                |scratch, &attack| {
+                    let (outcome, _) = self.evaluate(
+                        attack,
+                        defense,
+                        None,
+                        scratch,
+                        &SweepMonitor::none(),
+                        &mut NullObserver,
+                    );
+                    read(&outcome)
+                },
+            )
+            .collect()
     }
 
     /// Attacks `target` from every AS in `attackers` (skipping the target
@@ -504,7 +548,10 @@ impl<'t> Simulator<'t> {
     ) -> Vec<u32> {
         // The sweep is homogeneous, so one route serves every attacker.
         let route = self.route(AttackKind::OriginHijack, defense);
-        let built = self.own_baseline(route, target, defense, baseline, monitor);
+        // Built once here, when the caller supplied none, and shared by
+        // the whole pool.
+        let built = (route == Dispatch::Delta && baseline.is_none())
+            .then(|| self.baseline_for(target, defense, monitor));
         let baseline = baseline.or(built.as_ref());
         let in_mask = |ix: &AsIndex| mask.is_none_or(|m| m[ix.usize()]);
         let progress = ProgressState::new(*monitor, attackers.len());
@@ -535,20 +582,6 @@ impl<'t> Simulator<'t> {
             .collect()
     }
 
-    /// The baseline a [`Dispatch::Delta`] route replays when the caller
-    /// supplied none.
-    fn own_baseline(
-        &self,
-        route: Dispatch,
-        target: AsIndex,
-        defense: &Defense,
-        supplied: Option<&Baseline>,
-        monitor: &SweepMonitor<'_>,
-    ) -> Option<Baseline> {
-        (route == Dispatch::Delta && supplied.is_none())
-            .then(|| self.baseline_for(target, defense, monitor))
-    }
-
     /// The executor: one engine pass for one attack on `route`, counted on
     /// the monitor's telemetry. Returns the pass and the engine that
     /// actually ran.
@@ -575,18 +608,12 @@ impl<'t> Simulator<'t> {
     ) -> (Solved<'r, 't>, Dispatch) {
         if route == Dispatch::Delta {
             let baseline = baseline.expect("the delta route always carries a baseline");
-            let injection = match attack.kind {
-                AttackKind::ForgedOriginHijack => {
-                    Announcement::forged(attack.attacker, attack.target)
-                }
-                _ => Announcement::honest(attack.attacker),
-            };
             let budget = (self.engine == EngineChoice::Auto)
                 .then(|| self.net.num_ases() / DEFAULT_CONE_BUDGET_DIVISOR);
             let replayed = propagate_delta_budgeted(
                 &self.net,
                 baseline,
-                &[injection],
+                &[attack.injection()],
                 &defense.context_for(attack.target),
                 &self.policy,
                 &mut scratch.dws,
@@ -625,22 +652,8 @@ impl<'t> Simulator<'t> {
         obs: &mut O,
     ) -> (Propagation, Dispatch) {
         let ctx = defense.context_for(attack.target);
-        let announcements: &[Announcement] = match attack.kind {
-            // Exact-prefix: both origins compete for the same prefix.
-            AttackKind::OriginHijack => &[
-                Announcement::honest(attack.target),
-                Announcement::honest(attack.attacker),
-            ],
-            // Sub-prefix: longest-prefix match sidesteps competition — only
-            // the bogus more-specific announcement propagates.
-            AttackKind::SubPrefixHijack => &[Announcement::honest(attack.attacker)],
-            // Forged origin: the bogus path claims the target's ASN, so
-            // route-origin validation cannot distinguish it.
-            AttackKind::ForgedOriginHijack => &[
-                Announcement::honest(attack.target),
-                Announcement::forged(attack.attacker, attack.target),
-            ],
-        };
+        let (all, live) = attack.announcements();
+        let announcements = &all[live];
         if let Some(rws) = rws {
             let started = monitor.telemetry.map(|_| Instant::now());
             let raced = solve_race_observed(
@@ -851,13 +864,13 @@ mod tests {
         let table = [
             (Auto, Origin, Race, Delta),
             (Auto, Forged, Race, Delta),
-            (Auto, Sub, Scratch, Scratch),
+            (Auto, Sub, Race, Race),
             (Generation, Origin, Scratch, Scratch),
             (Generation, Forged, Scratch, Scratch),
             (Generation, Sub, Scratch, Scratch),
             (EngineChoice::Delta, Origin, Race, Delta),
             (EngineChoice::Delta, Forged, Race, Delta),
-            (EngineChoice::Delta, Sub, Scratch, Scratch),
+            (EngineChoice::Delta, Sub, Race, Race),
             (EngineChoice::Race, Origin, Race, Race),
             (EngineChoice::Race, Forged, Race, Race),
             (EngineChoice::Race, Sub, Race, Race),
@@ -1014,10 +1027,11 @@ mod tests {
         }
     }
 
-    /// Every route — adaptive and forced, with a caller-supplied baseline
-    /// and a self-built one, race solver and its generation fallback —
-    /// must agree with the generation-engine oracle [`Simulator::run`] on
-    /// everything except `generations`.
+    /// Every route — adaptive and forced, with the target's shared
+    /// baseline and with none (no baseline, no replay: the race leg), race
+    /// solver and its generation fallback — must agree with the
+    /// generation-engine oracle [`Simulator::run`] on everything except
+    /// `generations`.
     fn assert_evaluate_matches_run(policy: PolicyConfig) {
         let t = topo();
         let mut attacks = Vec::new();
@@ -1045,20 +1059,22 @@ mod tests {
                     for &attack in &attacks {
                         let oracle = sim.run(attack, &defense);
                         let route = sim.route(attack.kind, &defense);
-                        // Six ASes leave the adaptive route a cone budget
-                        // of zero: every replay it starts is abandoned and
-                        // finished by the race solver. A forced replay
-                        // carries no budget.
-                        let raced = route == Dispatch::Race
-                            || (route, engine) == (Dispatch::Delta, EngineChoice::Auto);
-                        let ran = match (raced, race_rounds) {
-                            (true, 0) => Dispatch::Scratch,
-                            (true, _) => Dispatch::Race,
-                            (false, _) => route,
-                        };
                         let shared = (route == Dispatch::Delta)
                             .then(|| sim.baseline_for(attack.target, &defense, &none));
                         for baseline in [None, shared.as_ref()] {
+                            // No baseline, no replay. With one, six ASes
+                            // leave the adaptive route a cone budget of
+                            // zero: every replay it starts is abandoned
+                            // and finished by the race solver. A forced
+                            // replay carries no budget.
+                            let raced = route == Dispatch::Race
+                                || (route == Dispatch::Delta
+                                    && (baseline.is_none() || engine == EngineChoice::Auto));
+                            let ran = match (raced, race_rounds) {
+                                (true, 0) => Dispatch::Scratch,
+                                (true, _) => Dispatch::Race,
+                                (false, _) => route,
+                            };
                             let (got, dispatch) = sim.evaluate(
                                 attack,
                                 &defense,
@@ -1087,6 +1103,35 @@ mod tests {
     #[test]
     fn evaluate_matches_generation_engine_under_strict_policy() {
         assert_evaluate_matches_run(PolicyConfig::strict_gao_rexford());
+    }
+
+    /// No shared baseline, so no replay: a defended attack handed no
+    /// baseline is raced, not given a throwaway baseline of its own.
+    #[test]
+    fn evaluate_without_a_baseline_builds_none() {
+        let t = topo();
+        let sim = Simulator::new(&t, PolicyConfig::paper());
+        let defense = Defense::validators(&t, vec![ix(&t, 1), ix(&t, 2)]);
+        let attack = Attack::origin(ix(&t, 8), ix(&t, 9));
+        assert_eq!(sim.route(attack.kind, &defense), Dispatch::Delta);
+        let telemetry = SweepTelemetry::new();
+        let (outcome, dispatch) = sim.evaluate(
+            attack,
+            &defense,
+            None,
+            &mut Scratch::default(),
+            &SweepMonitor::none().with_telemetry(&telemetry),
+            &mut NullObserver,
+        );
+        assert_eq!(dispatch, Dispatch::Race);
+        assert_eq!(outcome.polluted, sim.run(attack, &defense).polluted);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.baselines_built, 0);
+        assert_eq!(
+            (snapshot.race_dispatches, snapshot.delta_dispatches),
+            (1, 0)
+        );
+        assert_eq!(snapshot.replays_abandoned, 0, "no replay was started");
     }
 
     #[test]

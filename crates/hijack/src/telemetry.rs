@@ -34,8 +34,9 @@ pub enum Dispatch {
     /// Closed-form race solver (tier-1 fixed point), generation engine on
     /// non-convergence.
     Race,
-    /// From-scratch two-origin race through the generation engine (race
-    /// solver unavailable or non-convergent; cone is the whole graph).
+    /// From scratch through the generation engine: a route only under
+    /// [`EngineChoice::Generation`](crate::EngineChoice::Generation),
+    /// otherwise what ran when the race solver did not converge.
     Scratch,
     /// Baseline replay with contamination-cone elision (defended). As a
     /// route under adaptive dispatch: replay within a cone budget, race

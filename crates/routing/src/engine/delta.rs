@@ -1017,7 +1017,7 @@ fn settle_leaves(net: &SimNet<'_>, filters: &FilterContext<'_>, state: &mut Delt
                 || origin == x
                 || !may_export(PrefClass::from_u8(theirs.class), nb.rel.reversed())
                 || filters.rejects_origin(xi, AsIndex::new(origin))
-                || rejects_stub(net, filters, nb.index, origin)
+                || filters.rejects_stub(net, nb.rel, nb.index, AsIndex::new(origin))
             {
                 continue;
             }
@@ -1045,16 +1045,6 @@ fn settle_leaves(net: &SimNet<'_>, filters: &FilterContext<'_>, state: &mut Delt
         }
         state.set_best(x, best.unwrap_or(NO_ROUTE));
     }
-}
-
-/// [`deliver`]'s defensive stub filter for a route with `origin` arriving
-/// from `from` over a non-sibling link.
-fn rejects_stub(net: &SimNet<'_>, filters: &FilterContext<'_>, from: AsIndex, origin: u32) -> bool {
-    filters.stub_defense
-        && filters.authorized_origin.is_some_and(|auth| {
-            (net.is_stub(from) && auth != from)
-                || (net.is_stub(AsIndex::new(origin)) && auth.raw() != origin)
-        })
 }
 
 /// The replay loop: the race's export/delivery waves, with out-of-cone

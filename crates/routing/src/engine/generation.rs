@@ -1027,23 +1027,7 @@ pub(crate) fn deliver<S: RibState>(
         Some(Decision::Withdrawn)
     } else if filters.rejects_origin(r, AsIndex::new(msg.origin)) {
         Some(Decision::RejectedOrigin)
-    } else if filters.stub_defense
-        && rel != Relationship::Sibling
-        && filters.authorized_origin.is_some_and(|auth| {
-            // A stub only ever originates, and its providers and peers
-            // know its prefixes; if it is not this prefix's authorized
-            // origin, any announcement it sends — and any route *claiming*
-            // it as origin — is bogus by definition. The origin match is
-            // what keeps a stub's hijack from being laundered through a
-            // transit sibling: the route crosses the internal sibling link
-            // unfiltered but is dropped on every edge leaving the
-            // organization. Together these match the paper's optimistic
-            // case, where "attacks now originate only from the transit
-            // ASes".
-            (net.is_stub(from) && auth != from)
-                || (net.is_stub(AsIndex::new(msg.origin)) && auth.raw() != msg.origin)
-        })
-    {
+    } else if filters.rejects_stub(net, rel, from, AsIndex::new(msg.origin)) {
         Some(Decision::RejectedStub)
     } else if path_contains(state, msg.node, r.raw()) {
         Some(Decision::RejectedLoop)

@@ -236,24 +236,6 @@ fn path_contains(arena: &[PathNode], mut node: u32, asn: u32) -> bool {
     false
 }
 
-/// Mirrors `generation::deliver`'s defensive-stub predicate: on non-sibling
-/// edges, unauthorized stub senders and routes claiming an unauthorized
-/// stub origin are both dropped.
-#[inline]
-fn stub_rejects(
-    net: &SimNet<'_>,
-    filters: &FilterContext<'_>,
-    rel_at_receiver: Relationship,
-    sender: AsIndex,
-    origin: AsIndex,
-) -> bool {
-    filters.stub_defense
-        && rel_at_receiver != Relationship::Sibling
-        && filters.authorized_origin.is_some_and(|auth| {
-            (net.is_stub(sender) && auth != sender) || (net.is_stub(origin) && auth != origin)
-        })
-}
-
 /// Computes the stable race outcome of `announcements` under `policy`,
 /// or `None` if the tier-1 fixed point did not settle within `max_rounds`
 /// rounds (multistable corner — fall back to the generation engine).
@@ -609,7 +591,7 @@ fn relax_from<const FILTERED: bool>(
             if lo == end {
                 return;
             }
-            if FILTERED && stub_rejects(net, filters, rel_at_receiver, xi, origin) {
+            if FILTERED && filters.rejects_stub(net, rel_at_receiver, xi, origin) {
                 return; // sender- and origin-based: constant over the segment
             }
             let c = rcv_class.as_u8() as usize;
@@ -787,7 +769,7 @@ fn relax_leaves<const FILTERED: bool>(
         if lo == end {
             return;
         }
-        if FILTERED && stub_rejects(net, filters, rel, xi, origin) {
+        if FILTERED && filters.rejects_stub(net, rel, xi, origin) {
             return;
         }
         let kbase = standard_key(rcv_class, rcv_len, u32::MAX);

@@ -13,7 +13,9 @@
 //!   (customer or peer) that is not the prefix's authorized origin. With
 //!   this on, only transit ASes can attack — the paper's optimistic case.
 
-use bgpsim_topology::{AsIndex, Topology};
+use bgpsim_topology::{AsIndex, Relationship, Topology};
+
+use crate::net::SimNet;
 
 /// A compact bit set over dense AS indices.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -67,11 +69,6 @@ impl AsSet {
     /// Number of members.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Capacity (the topology's AS count).
-    pub fn universe_len(&self) -> usize {
-        self.len
     }
 
     /// Iterates members in index order.
@@ -150,6 +147,33 @@ impl<'a> FilterContext<'a> {
             (Some(auth), Some(v)) => origin != auth && v.contains(receiver),
             _ => false,
         }
+    }
+
+    /// Whether the defensive stub filter drops a route claiming `origin`
+    /// that `sender` — `rel_at_receiver` to the AS hearing it — sent.
+    ///
+    /// A stub only ever originates, and its providers and peers know its
+    /// prefixes; if it is not this prefix's authorized origin, any
+    /// announcement it sends — and any route *claiming* it as origin — is
+    /// bogus by definition. The origin match is what keeps a stub's hijack
+    /// from being laundered through a transit sibling: the route crosses
+    /// the internal sibling link unfiltered but is dropped on every edge
+    /// leaving the organization. Together these match the paper's
+    /// optimistic case, where "attacks now originate only from the transit
+    /// ASes".
+    #[inline]
+    pub(crate) fn rejects_stub(
+        &self,
+        net: &SimNet<'_>,
+        rel_at_receiver: Relationship,
+        sender: AsIndex,
+        origin: AsIndex,
+    ) -> bool {
+        self.stub_defense
+            && rel_at_receiver != Relationship::Sibling
+            && self.authorized_origin.is_some_and(|auth| {
+                (net.is_stub(sender) && auth != sender) || (net.is_stub(origin) && auth != origin)
+            })
     }
 }
 

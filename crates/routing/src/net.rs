@@ -6,7 +6,7 @@
 //! sender) and a tier-1 membership mask. [`SimNet`] computes both once so
 //! thousands of simulations can share them.
 
-use bgpsim_topology::{AsIndex, Relationship, Topology};
+use bgpsim_topology::{AsIndex, Topology};
 
 /// Marker ORed into the low (receiver) half of a packed adjacency entry
 /// whose receiver is a race leaf (an AS with neither customers nor
@@ -292,13 +292,6 @@ impl<'t> SimNet<'t> {
     #[inline]
     pub fn is_leaf(&self, ix: AsIndex) -> bool {
         self.leaf[ix.usize()]
-    }
-
-    /// Relationship of the *sender* as seen by the receiver, for the
-    /// receiver-side slot `e`.
-    #[inline]
-    pub fn rel_at(&self, receiver: AsIndex, e: u32) -> Relationship {
-        self.slot_entry(receiver, e).rel
     }
 }
 

@@ -582,11 +582,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The shared shutdown flag.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
     /// Requests shutdown and joins the server thread.
     ///
     /// # Errors

@@ -175,16 +175,16 @@ fn attack_matches_direct_simulator_and_warm_cache_is_faster() {
     let topo = lab.topology();
     let t = topo.index_of(bgpsim_topology::AsId::new(target)).unwrap();
     // Singles whose route does not replay bypass the cache and run on the
-    // route's engine like any other attack: the race solver for undefended
-    // exact-prefix and forged-origin hijacks, the generation engine for a
-    // sub-prefix one.
+    // route's engine like any other attack: the race solver, for
+    // undefended exact-prefix and forged-origin hijacks and for a
+    // sub-prefix one alike.
     let a = topo
         .index_of(bgpsim_topology::AsId::new(aggressive))
         .unwrap();
     for (kind, attack, engine) in [
         ("origin", Attack::origin(a, t), "race"),
         ("forged_origin", Attack::forged_origin(a, t), "race"),
-        ("sub_prefix", Attack::sub_prefix(a, t), "generation"),
+        ("sub_prefix", Attack::sub_prefix(a, t), "race"),
     ] {
         let (status, open) = json(
             &mut client,

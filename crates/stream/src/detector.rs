@@ -221,11 +221,6 @@ impl<'a, 't> StreamDetector<'a, 't> {
         &self.defense
     }
 
-    /// Number of hijacks currently active.
-    pub fn active_hijacks(&self) -> usize {
-        self.active.len()
-    }
-
     /// Processes one event: updates deployment/attack state, re-scores
     /// every active hijack, and appends this event's samples to `store`.
     pub fn apply(&mut self, event: &StreamEvent, store: &mut StreamStore) {
@@ -280,19 +275,7 @@ impl<'a, 't> StreamDetector<'a, 't> {
                     let triggered = self
                         .probe_sets
                         .iter()
-                        .map(|set| {
-                            // Same vantage-point rule as the batch
-                            // detection experiment: a probe at the
-                            // attacker or target is not a detection.
-                            set.probes()
-                                .iter()
-                                .filter(|&&p| {
-                                    p != attack.attacker
-                                        && p != attack.target
-                                        && outcome.is_polluted(p)
-                                })
-                                .count() as u64
-                        })
+                        .map(|set| set.triggered_by(&outcome) as u64)
                         .collect();
                     let score = Score {
                         pollution: outcome.pollution_count() as u64,

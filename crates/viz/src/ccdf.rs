@@ -23,8 +23,6 @@ pub struct CurveSeries {
 pub struct CcdfChart {
     title: String,
     subtitle: String,
-    x_label: String,
-    y_label: String,
     series: Vec<CurveSeries>,
 }
 
@@ -34,8 +32,6 @@ impl CcdfChart {
         CcdfChart {
             title: title.into(),
             subtitle: String::new(),
-            x_label: "minimum polluted ASes".into(),
-            y_label: "attackers achieving at least x".into(),
             series: Vec::new(),
         }
     }
@@ -47,14 +43,6 @@ impl CcdfChart {
         self
     }
 
-    /// Overrides the axis captions.
-    #[must_use]
-    pub fn axis_labels(mut self, x: impl Into<String>, y: impl Into<String>) -> CcdfChart {
-        self.x_label = x.into();
-        self.y_label = y.into();
-        self
-    }
-
     /// Adds a curve. Colors are assigned by insertion order from the fixed
     /// categorical palette (never cycled; a ninth series folds to gray).
     pub fn add_series(&mut self, label: impl Into<String>, points: Vec<(u32, usize)>) {
@@ -62,11 +50,6 @@ impl CcdfChart {
             label: label.into(),
             points,
         });
-    }
-
-    /// Number of series added so far.
-    pub fn num_series(&self) -> usize {
-        self.series.len()
     }
 
     /// Renders the chart to an SVG string.
@@ -144,7 +127,7 @@ impl CcdfChart {
         doc.text(
             left + pw / 2.0,
             h - 14.0,
-            &self.x_label,
+            "minimum polluted ASes",
             12.0,
             TEXT_SECONDARY,
             Anchor::Middle,
@@ -152,7 +135,7 @@ impl CcdfChart {
         doc.text_styled(
             20.0,
             top + ph / 2.0,
-            &self.y_label,
+            "attackers achieving at least x",
             12.0,
             TEXT_SECONDARY,
             Anchor::Middle,

@@ -59,8 +59,11 @@ RUN OPTIONS:
                       figs 2–4 take ~10 min each on one core in under
                       50 MB of RAM (see the README scale-tier table)
     --engine NAME     routing engine: auto | generation | delta | race [auto]
-                      generation and race force every attack onto one
-                      engine; delta routes like auto but never abandons a
+                      auto never picks generation (the reference engine:
+                      it only catches a race that does not settle);
+                      generation and race force every attack, on every
+                      topology an experiment builds, onto one engine;
+                      delta routes like auto but never abandons a
                       baseline replay for the race solver
     --seed N          override the master seed
     --stride N        override the attacker stride
