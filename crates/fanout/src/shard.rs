@@ -8,9 +8,9 @@
 //! are mutually independent (the contract
 //! [`Simulator::sweep_chunk_monitored`] documents), re-interleaving the
 //! per-shard rows positionally reproduces the single-node result bit for
-//! bit. The `merge_matches_single_node` proptest in this crate pins that
-//! equivalence across random topologies, shard counts, and both routing
-//! policies.
+//! bit. The partition arm of the root package's `differential` test pins
+//! that equivalence across random topologies, both sweep routes (race
+//! and baseline replay), and both routing policies.
 //!
 //! [`ExperimentConfig::attacker_stride`]: bgpsim_core::ExperimentConfig
 //! [`Simulator::sweep_chunk_monitored`]: bgpsim_hijack::Simulator::sweep_chunk_monitored

@@ -24,9 +24,8 @@
 //! racing from scratch, so the replay carries a cone budget: past it the
 //! executor abandons the replay and finishes the attack on the race
 //! solver, inside the same route. Outcomes are bit-identical on every
-//! route (the routing
-//! crate's `race_equivalence` and `delta_equivalence` suites pin this
-//! under both the paper policy and strict Gao-Rexford). The benchmark
+//! route (the root package's `differential` test pins this under both
+//! the paper policy and strict Gao-Rexford). The benchmark
 //! harness (`benchmark/`) measures the regimes: `campaign_paper` is the
 //! race route, `campaign_defended` the delta route. [`EngineChoice`]
 //! overrides the adaptive route for debugging and ablation.
@@ -54,8 +53,8 @@ use crate::vulnerability::SweepResult;
 /// preconditions hold per attack; `Generation` and `Race` force every
 /// attack onto one engine for debugging and ablation, at whatever cost,
 /// and `Delta` routes like `Auto` but never gives a replay up. All
-/// engines produce bit-identical polluted sets (the routing crate's
-/// equivalence suites pin this); only `generations` bookkeeping differs.
+/// engines produce bit-identical polluted sets (the root package's
+/// `differential` test pins this); only `generations` bookkeeping differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineChoice {
     /// Adaptive: race solver (generation fallback) when undefended or

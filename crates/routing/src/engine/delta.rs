@@ -33,7 +33,7 @@
 //! reconstructed by replaying its recorded message history, after which it
 //! runs live through the *same* [`deliver`]/[`export_from`] mechanics as a
 //! full run. By induction, every AS ends in exactly the state the full
-//! race would give it. The `delta_equivalence` property suite pins the
+//! race would give it. The root package's `differential` test pins the
 //! bit-level agreement (choices and polluted sets) across origin,
 //! sub-prefix and forged-origin injections under all filter contexts.
 //!
@@ -1460,8 +1460,8 @@ mod tests {
     /// A budget the cone outgrows abandons the replay — `None`, and no
     /// `on_converged` — one it fits completes over the workspace the
     /// abandoned runs left behind, and a truncated baseline is replayed to
-    /// the end regardless. (`delta_equivalence` pins that a completed
-    /// budgeted replay is the unbudgeted one bit for bit.)
+    /// the end regardless. (The root package's `differential` test pins
+    /// that a completed budgeted replay is the unbudgeted one bit for bit.)
     #[test]
     fn budgeted_replay_abandons_only_over_budget() {
         #[derive(Default)]

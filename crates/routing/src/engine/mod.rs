@@ -5,8 +5,8 @@
 //!
 //! * [`generation`] — the paper's step-wise message-passing simulator, with
 //!   full observability (per-generation message events) and support for the
-//!   tier-1 shortest-path rule. It is the oracle every equivalence suite
-//!   compares against.
+//!   tier-1 shortest-path rule. It is the oracle the root package's
+//!   `differential` test compares every other engine against.
 //! * [`delta`] re-converges a frozen, already-converged state after
 //!   injecting additional announcements, running only the perturbed
 //!   frontier through the *same* message-passing mechanics (shared via the

@@ -28,12 +28,14 @@
 //! nothing before anyone else does). Where the stable solution is unique —
 //! the delta engine's analysis shows multistability under this policy
 //! requires routes laundered through sibling links — every fixed point is
-//! *the* race outcome; the `race_equivalence` proptests pin bit-identical
-//! [`Propagation`] choices against the generation engine under both
-//! policies. Multistable corners can oscillate instead of converging, so
-//! the iteration carries a bounded round cap and reports non-convergence
-//! by returning `None`; callers (see `bgpsim_hijack::Simulator`) then fall
-//! back to the generation engine, which is always correct.
+//! *the* race outcome; the root package's `differential` test pins
+//! bit-identical [`Propagation`] choices against the generation engine
+//! under both policies. A tier-1 whose sibling buys transit is the
+//! multistable corner where a fixed point can be the wrong stable state,
+//! so the solver declines that shape outright; other corners can
+//! oscillate instead of converging, so the iteration carries a bounded
+//! round cap. Both report `None`; callers (see `bgpsim_hijack::Simulator`)
+//! then fall back to the generation engine, which is always correct.
 //!
 //! Unlike a plain label-setting pass, this one needs per-ASN loop checks:
 //! frozen tier-1 routes carry paths from the previous round (whose ASNs are
@@ -237,15 +239,26 @@ fn path_contains(arena: &[PathNode], mut node: u32, asn: u32) -> bool {
 }
 
 /// Computes the stable race outcome of `announcements` under `policy`,
-/// or `None` if the tier-1 fixed point did not settle within `max_rounds`
-/// rounds (multistable corner — fall back to the generation engine).
+/// or `None` — fall back to the generation engine — when the answer may
+/// not be the one the synchronous race reaches:
+///
+/// * the policy has the tier-1 shortest-path override and some tier-1
+///   has a sibling that buys transit
+///   (`SimNet::tier1_sibling_buys_transit`): a customer-class route
+///   laundered through that sibling gives the tier-1 fixed point two
+///   stable states, and which one the race reaches depends on timing;
+/// * the tier-1 fixed point did not settle within `max_rounds` rounds;
+/// * a pass met a path longer than the bucket queue orders (`STRIDE`).
+///
+/// Strict Gao-Rexford has no tier-1 variables, so it always converges,
+/// in one round.
 ///
 /// Selections, tie-breaks and filter semantics match
 /// [`crate::propagate_announcements`] bit for bit wherever the solver
-/// converges (the `race_equivalence` suite pins this under both policies,
-/// forged origins included); only the [`ConvergenceStats`] differ — no
-/// messages flow, so `accepted` reports routed ASes and `generations`
-/// reports fixed-point rounds.
+/// converges (the root package's `differential` test pins this under both
+/// policies, forged origins included); only the [`ConvergenceStats`]
+/// differ — no messages flow, so `accepted` reports routed ASes and
+/// `generations` reports fixed-point rounds.
 ///
 /// # Panics
 ///
@@ -266,6 +279,9 @@ pub fn solve_race(
             a.announcer.usize() < n && a.claimed_origin.usize() < n,
             "announcement references an AS out of range"
         );
+    }
+    if policy.tier1_shortest_path && net.tier1_sibling_buys_transit() {
+        return None;
     }
     ws.begin(net);
 

@@ -32,6 +32,9 @@ pub struct SimNet<'t> {
     tier1_list: Vec<AsIndex>,
     /// Sibling-group id per AS.
     group: Vec<u32>,
+    /// Whether some tier-1 has a same-organization AS (other than itself)
+    /// that buys transit (see [`SimNet::tier1_sibling_buys_transit`]).
+    tier1_sibling_buys_transit: bool,
     /// Stub mask (no customers), used by defensive stub filtering.
     stub: Vec<bool>,
     /// Leaf mask: no customers, no siblings, not a tier-1 (see
@@ -117,7 +120,15 @@ impl<'t> SimNet<'t> {
         for &t in &tier1_list {
             tier1[t.usize()] = true;
         }
-        let group = topo.indices().map(|ix| topo.sibling_group(ix)).collect();
+        let group: Vec<u32> = topo.indices().map(|ix| topo.sibling_group(ix)).collect();
+        // Per sibling group, how many members have a provider.
+        let mut buyers = vec![0u32; topo.num_sibling_groups()];
+        for ix in topo.indices() {
+            buyers[group[ix.usize()] as usize] += u32::from(topo.num_providers(ix) > 0);
+        }
+        let tier1_sibling_buys_transit = tier1_list
+            .iter()
+            .any(|&t| buyers[group[t.usize()] as usize] > u32::from(topo.num_providers(t) > 0));
         let stub = topo.indices().map(|ix| topo.is_stub(ix)).collect();
         let mut race_adj = Vec::with_capacity(total);
         let mut race_cuts = Vec::with_capacity(n);
@@ -174,6 +185,7 @@ impl<'t> SimNet<'t> {
             tier1,
             tier1_list,
             group,
+            tier1_sibling_buys_transit,
             stub,
             leaf,
             race_adj,
@@ -277,6 +289,16 @@ impl<'t> SimNet<'t> {
     #[inline]
     pub fn group(&self, ix: AsIndex) -> u32 {
         self.group[ix.usize()]
+    }
+
+    /// Whether some tier-1 shares its sibling group with another AS that
+    /// has a provider. A tier-1 can then learn a customer-class route
+    /// laundered through that sibling from the transit it buys, and the
+    /// paper policy's tier-1 fixed point has more than one stable state
+    /// (see [`crate::solve_race`]).
+    #[inline]
+    pub(crate) fn tier1_sibling_buys_transit(&self) -> bool {
+        self.tier1_sibling_buys_transit
     }
 
     /// Whether `ix` is a stub.

@@ -278,8 +278,8 @@ impl Observer for TelemetrySink<'_> {
 
 /// The engine-invariant part of an attack response: identical bytes no
 /// matter which engine or cache state produced the outcome (polluted sets
-/// are pinned bit-identical across engines by the routing crate's
-/// equivalence suites). `generations`/`truncated`-style engine
+/// are pinned bit-identical across engines by the root package's
+/// `differential` test). `generations`/`truncated`-style engine
 /// bookkeeping deliberately stays out.
 fn outcome_json(topo: &Topology, outcome: &AttackOutcome) -> Json {
     Json::obj([

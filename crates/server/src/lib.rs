@@ -521,7 +521,8 @@ impl<F: Fn(usize) + Sync> SweepObserver for JobShardObserver<'_, F> {
 
 /// Runs a sweep job's (single, whole-pool) chunk through the fan-out
 /// coordinator. The merged rows are bit-identical to what the local path
-/// would produce — `crates/fanout` pins that equivalence.
+/// would produce — the `differential` test's partition arm pins that
+/// equivalence.
 fn run_fanout_chunk(
     coordinator: &Coordinator,
     job: &Job,

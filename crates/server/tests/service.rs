@@ -242,7 +242,7 @@ fn attack_matches_direct_simulator_and_warm_cache_is_faster() {
 }
 
 #[test]
-fn concurrent_identical_sweeps_build_one_baseline_and_match_direct() {
+fn repeated_identical_sweeps_build_one_baseline_and_match_direct() {
     let server = tiny_server();
     let mut client = connect(&server);
     let (_, healthz) = json(&mut client, "GET", "/v1/healthz", "");
@@ -251,14 +251,16 @@ fn concurrent_identical_sweeps_build_one_baseline_and_match_direct() {
         "{{\"target\":{target},\"defense\":{{\"stub_defense\":true}},\"attackers\":\"transit\"}}"
     );
 
-    // Submit two identical sweeps back-to-back before either runs.
+    // The second sweep is submitted once the first is done, so it finds
+    // the baseline cached rather than in flight (single-flight coalescing
+    // is `cache::tests::concurrent_lookups_single_flight`'s business).
     let (status, first) = json(&mut client, "POST", "/v1/sweeps", &body);
     assert_eq!(status, 202, "submit failed: {first:?}");
+    let first_id = at(&first, "id").as_str().unwrap().to_string();
+    wait_done(&mut client, &first_id);
     let (status, second) = json(&mut client, "POST", "/v1/sweeps", &body);
     assert_eq!(status, 202, "submit failed: {second:?}");
-    let first_id = at(&first, "id").as_str().unwrap().to_string();
     let second_id = at(&second, "id").as_str().unwrap().to_string();
-    wait_done(&mut client, &first_id);
     wait_done(&mut client, &second_id);
 
     // Exactly one baseline build; the second sweep reused it.

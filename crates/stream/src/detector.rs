@@ -28,9 +28,9 @@
 //!   from-scratch generation-engine run. Slow and trivially correct.
 //!
 //! The two modes are bit-identical on every series and every detection
-//! (the `stream_equivalence` proptest pins this), which is what makes the
-//! incremental path trustworthy — the same discipline the routing crate's
-//! `delta_equivalence` suite applies to the engine itself.
+//! (the root package's `differential` test pins this, next to the engine
+//! arms it applies the same discipline to), which is what makes the
+//! incremental path trustworthy.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -266,8 +266,8 @@ impl<'a, 't> StreamDetector<'a, 't> {
             // The batch oracle recomputes unconditionally; the incremental
             // path replays only when this event could have changed the
             // answer (propagation is deterministic, so a still-valid memo
-            // is the same value a replay would produce — the equivalence
-            // proptest pins exactly this).
+            // is the same value a replay would produce — the differential
+            // test's stream arm pins exactly this).
             let score = match self.scores.get(&target) {
                 Some(score) if self.mode == DetectorMode::Incremental => score.clone(),
                 _ => {

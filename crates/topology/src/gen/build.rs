@@ -764,5 +764,13 @@ mod tests {
         let net = generate(&p, 31);
         assert!(net.topology.num_s2s_links() >= 5);
         assert!(net.topology.num_sibling_groups() < net.topology.num_ases());
+        // Groups are drawn from stubs only, so no declared tier-1 shares an
+        // organization with another AS — the race solver's multistable
+        // tier-1-with-a-transit-buying-sibling shape never occurs on a lab.
+        let t = &net.topology;
+        for tier1 in t.tier1s() {
+            let orgs = t.indices().filter(|&ix| t.same_organization(ix, tier1));
+            assert_eq!(orgs.count(), 1, "tier-1 {tier1} has a sibling");
+        }
     }
 }
