@@ -111,5 +111,10 @@ mod tests {
         assert_eq!(d.num_validators(), 0);
         let ctx = d.context_for(AsIndex::new(0));
         assert!(!ctx.rejects_origin(AsIndex::new(1), AsIndex::new(2)));
+        // So the race solver runs its unfiltered pass for it.
+        assert!(ctx.is_inert());
+        assert!(!Defense::stub_defense_only()
+            .context_for(AsIndex::new(0))
+            .is_inert());
     }
 }

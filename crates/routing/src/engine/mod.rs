@@ -26,4 +26,4 @@ pub use delta::{
     DEFAULT_CONE_BUDGET_DIVISOR,
 };
 pub use generation::{propagate, propagate_announcements, Announcement, Workspace};
-pub use race::{solve_race, solve_race_observed, RaceWorkspace, DEFAULT_MAX_ROUNDS};
+pub use race::{solve_race, solve_race_observed, RaceResult, RaceWorkspace, DEFAULT_MAX_ROUNDS};

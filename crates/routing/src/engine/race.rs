@@ -48,12 +48,19 @@
 //! pass is unconditioned, and the solver converges in one round — the loop
 //! checks then never fire, since every path ASN is already settled when its
 //! export arrives.
+//!
+//! Passes decide only the ASes whose routes can matter to another AS.
+//! A *leaf* ([`SimNet::is_leaf`]: no customers, no siblings, not a tier-1)
+//! re-exports nothing it learns, so passes walk a core adjacency with
+//! every edge into a leaf dropped, and a leaf that does not announce is
+//! never labeled at all. Its selection is *pulled* when the result is read
+//! ([`RaceResult`]): the best of its peers' and providers' final routes.
 
 use bgpsim_topology::{AsIndex, Relationship};
 
 use crate::engine::generation::{Announcement, PathNode, NONE};
 use crate::filter::FilterContext;
-use crate::net::{SimNet, RACE_LEAF_BIT};
+use crate::net::{SimNet, LEAF_IN_PEER};
 use crate::observer::Observer;
 use crate::policy::{standard_key, tier1_key, PolicyConfig, PrefClass};
 use crate::route::{Choice, ConvergenceStats, Propagation};
@@ -75,11 +82,11 @@ pub const DEFAULT_MAX_ROUNDS: u32 = 16;
 /// caller fall back to the generation engine, which is always correct.
 const STRIDE: usize = 64;
 
-/// Per-AS pass state, one 24-byte record so a relax visit touches a
-/// single cache line: the comparison key up front (every way a candidate
-/// can be rejected — receiver settled, receiver a pre-settled tier-1,
-/// offer no better — is served by one load), the label payload behind
-/// it.
+/// Per-AS pass state, one 32-byte record (a `u64` and five `u32`s,
+/// padded) so a relax visit touches a single cache line: the comparison
+/// key up front (every way a candidate can be rejected — receiver
+/// settled, receiver a pre-settled tier-1, offer no better — is served by
+/// one load), the label payload behind it.
 ///
 /// * Settling sets [`SETTLED_BIT`] in `key`: every live offer loses the
 ///   comparison (real keys keep the bit clear), and the class / len / slot
@@ -88,6 +95,9 @@ const STRIDE: usize = 64;
 /// * Pre-settled tier-1s instead hold the all-ones sentinel: offers lose
 ///   the same comparison, and the relax loop recognizes the sentinel to
 ///   divert the offer into the tier-1 candidacy tally (see `relax_from`).
+///   Once the fixed point lands, a routed one's stamp is rewritten to its
+///   frozen export and an unrouted one's unlabeled, so the read-out
+///   treats every decided AS alike.
 #[derive(Debug, Clone, Copy, Default)]
 struct Stamp {
     /// [`standard_key`] of the current label, [`SETTLED_BIT`] included
@@ -111,6 +121,8 @@ struct Stamp {
     /// seeds), recorded so materialization needs no slot lookup.
     from: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Stamp>() == 32);
 
 /// ORed into a key when its AS can no longer be relabeled: at settle
 /// time, and from birth for origin seeds (an origin never abandons its
@@ -181,10 +193,9 @@ pub struct RaceWorkspace {
     /// itself — `derive_tier1` only materializes winners. A zero key means
     /// no offer.
     t1_best: Vec<(u64, u32, u32)>,
-    /// Non-leaf ASes settled by the current pass's bucket drain, in settle
-    /// order; `finalize_leaves` replays their exports into leaf receivers
-    /// once, after the fixed point lands.
-    settled: Vec<u32>,
+    /// The current run's announcers: the only leaves a pass labels, so the
+    /// read-out reads them from their stamps instead of pulling them.
+    announcers: Vec<u32>,
 }
 
 impl RaceWorkspace {
@@ -193,7 +204,7 @@ impl RaceWorkspace {
         RaceWorkspace::default()
     }
 
-    fn begin(&mut self, net: &SimNet<'_>) {
+    fn begin(&mut self, net: &SimNet<'_>, announcements: &[Announcement]) {
         let n = net.num_ases();
         if self.stamp.len() < n {
             self.stamp.resize(n, Stamp::default());
@@ -212,6 +223,9 @@ impl RaceWorkspace {
         if self.buckets.is_empty() {
             self.buckets.resize_with(4 * STRIDE, Vec::new);
         }
+        self.announcers.clear();
+        self.announcers
+            .extend(announcements.iter().map(|a| a.announcer.raw()));
     }
 
     /// Starts a pass: bumps the label/settled epoch and clears the arena.
@@ -222,7 +236,6 @@ impl RaceWorkspace {
             self.epoch = 1;
         }
         self.arena.clear();
-        self.settled.clear();
     }
 }
 
@@ -253,25 +266,27 @@ fn path_contains(arena: &[PathNode], mut node: u32, asn: u32) -> bool {
 /// Strict Gao-Rexford has no tier-1 variables, so it always converges,
 /// in one round.
 ///
-/// Selections, tie-breaks and filter semantics match
-/// [`crate::propagate_announcements`] bit for bit wherever the solver
-/// converges (the root package's `differential` test pins this under both
-/// policies, forged origins included); only the [`ConvergenceStats`]
-/// differ — no messages flow, so `accepted` reports routed ASes and
+/// The outcome is a [`RaceResult`] borrowing `ws`; leaves that do not
+/// announce are selected when it is read. Selections, tie-breaks and
+/// filter semantics match [`crate::propagate_announcements`] bit for bit
+/// wherever the solver converges (the root package's `differential` test
+/// pins this under both policies, forged origins included); only the
+/// [`ConvergenceStats`] differ — no messages flow, so `accepted` reports
+/// the ASes the passes routed (every routed AS but the pulled leaves) and
 /// `generations` reports fixed-point rounds.
 ///
 /// # Panics
 ///
 /// Panics if `announcements` is empty, contains duplicate announcers, or
 /// references ASes out of range for `net`.
-pub fn solve_race(
-    net: &SimNet<'_>,
+pub fn solve_race<'r, 't>(
+    net: &'r SimNet<'t>,
     announcements: &[Announcement],
-    filters: &FilterContext<'_>,
+    filters: &FilterContext<'r>,
     policy: &PolicyConfig,
     max_rounds: u32,
-    ws: &mut RaceWorkspace,
-) -> Option<Propagation> {
+    ws: &'r mut RaceWorkspace,
+) -> Option<RaceResult<'r, 't>> {
     assert!(!announcements.is_empty(), "at least one origin required");
     let n = net.num_ases();
     for a in announcements {
@@ -283,7 +298,7 @@ pub fn solve_race(
     if policy.tier1_shortest_path && net.tier1_sibling_buys_transit() {
         return None;
     }
-    ws.begin(net);
+    ws.begin(net, announcements);
 
     // The variable set: tier-1s whose selection the fixed point iterates
     // on. Announcers are excluded — an origin's own route always wins, so
@@ -306,107 +321,86 @@ pub fn solve_race(
     // the per-edge predicates are pure overhead there.
     let filtered = !filters.is_inert();
     let mut rounds = 0u32;
-    loop {
+    let settled = loop {
         if rounds >= max_rounds {
             return None;
         }
         rounds += 1;
-        if filtered {
-            run_pass::<true>(net, announcements, filters, ws);
+        let settled = if filtered {
+            run_pass::<true>(net, announcements, filters, ws)
         } else {
-            run_pass::<false>(net, announcements, filters, ws);
-        }
+            run_pass::<false>(net, announcements, filters, ws)
+        };
         if ws.overflow {
             return None;
         }
         derive_tier1(ws);
         if ws.next == ws.frozen {
-            break;
+            break settled;
         }
         std::mem::swap(&mut ws.frozen, &mut ws.next);
-    }
+    };
 
-    if filtered {
-        finalize_leaves::<true>(net, announcements, filters, ws);
-    } else {
-        finalize_leaves::<false>(net, announcements, filters, ws);
+    // Converged. The variable tier-1s still hold the pass sentinel: a
+    // routed one takes its confirmed export (the final pass injected its
+    // origin and path), an unrouted one is unlabeled.
+    let RaceWorkspace {
+        stamp,
+        t1_nodes,
+        frozen,
+        ..
+    } = &mut *ws;
+    let mut routed_tier1s = 0u64;
+    for (&t, f) in t1_nodes.iter().zip(frozen.iter()) {
+        let st = &mut stamp[t as usize];
+        match f {
+            Some(f) => {
+                st.key = standard_key(PrefClass::from_u8(f.class), f.len, f.slot) | SETTLED_BIT;
+                st.from = net.slot_entry(AsIndex::new(t), f.slot).index.raw();
+                routed_tier1s += 1;
+            }
+            None => st.labeled = 0,
+        }
     }
-
-    // Converged: materialize choices from the final pass labels, with the
-    // tier-1 variables taken from their (confirmed) frozen selections.
-    let epoch = ws.epoch;
-    let mut accepted = 0u64;
-    let choices: Vec<Option<Choice>> = (0..n)
-        .map(|i| {
-            // The sender behind a receiver-side slot is that slot's
-            // neighbor — the low half of the packed adjacency entry.
-            let sender_at = |slot: u32| {
-                AsIndex::new(net.race_adj()[slot as usize] as u32 & !RACE_LEAF_BIT as u32)
-            };
-            let choice = if ws.t1_index[i] != NONE {
-                ws.frozen[ws.t1_index[i] as usize].as_ref().map(|f| Choice {
-                    origin: AsIndex::new(f.origin),
-                    learned_from: Some(sender_at(f.slot)),
-                    len: f.len,
-                    class: PrefClass::from_u8(f.class),
-                })
-            } else if ws.stamp[i].labeled == epoch {
-                // The pass fully drained, so the key carries
-                // [`SETTLED_BIT`]; the decoders ignore it.
-                let st = ws.stamp[i];
-                Some(Choice {
-                    origin: AsIndex::new(st.origin),
-                    learned_from: if st.from == NONE {
-                        None
-                    } else {
-                        Some(AsIndex::new(st.from))
-                    },
-                    len: key_len(st.key),
-                    class: PrefClass::from_u8(key_class(st.key)),
-                })
-            } else {
-                None
-            };
-            accepted += u64::from(choice.is_some());
-            choice
-        })
-        .collect();
-    Some(Propagation::new(
-        choices,
-        ConvergenceStats {
-            accepted,
+    Some(RaceResult {
+        net,
+        filters: *filters,
+        stats: ConvergenceStats {
+            accepted: announcements.len() as u64 + settled + routed_tier1s,
             generations: rounds,
             ..ConvergenceStats::default()
         },
-    ))
+        ws,
+    })
 }
 
 /// [`solve_race`] reporting the final counters through
 /// [`Observer::on_converged`] when it succeeds (telemetry must not count a
 /// run that the caller is about to redo in the generation engine).
-pub fn solve_race_observed<O: Observer>(
-    net: &SimNet<'_>,
+pub fn solve_race_observed<'r, 't, O: Observer>(
+    net: &'r SimNet<'t>,
     announcements: &[Announcement],
-    filters: &FilterContext<'_>,
+    filters: &FilterContext<'r>,
     policy: &PolicyConfig,
     max_rounds: u32,
-    ws: &mut RaceWorkspace,
+    ws: &'r mut RaceWorkspace,
     obs: &mut O,
-) -> Option<Propagation> {
-    let p = solve_race(net, announcements, filters, policy, max_rounds, ws)?;
-    obs.on_converged(&p.stats());
-    Some(p)
+) -> Option<RaceResult<'r, 't>> {
+    let raced = solve_race(net, announcements, filters, policy, max_rounds, ws)?;
+    obs.on_converged(&raced.stats());
+    Some(raced)
 }
 
 /// One conditioned label-setting pass: origins seed, frozen tier-1
 /// selections inject, then the bucket queue settles everyone else in
-/// strictly degrading `(class, len)` order.
+/// strictly degrading `(class, len)` order. Returns how many ASes the
+/// drain settled.
 fn run_pass<const FILTERED: bool>(
     net: &SimNet<'_>,
     announcements: &[Announcement],
     filters: &FilterContext<'_>,
     ws: &mut RaceWorkspace,
-) {
+) -> u64 {
     ws.begin_pass();
     let RaceWorkspace {
         epoch,
@@ -418,7 +412,6 @@ fn run_pass<const FILTERED: bool>(
         t1_nodes,
         frozen,
         t1_best,
-        settled,
         ..
     } = ws;
     let epoch = *epoch;
@@ -428,9 +421,9 @@ fn run_pass<const FILTERED: bool>(
 
     // Pre-settle every variable tier-1 with the sentinel before anything
     // exports: offers into them lose the key comparison and are diverted
-    // into the candidacy tally instead (materialization reads tier-1 state
-    // from `frozen`, never from here). Field updates only — `dirty` marks
-    // must survive across this loop.
+    // into the candidacy tally instead (`solve_race` rewrites these stamps
+    // from `frozen` once the fixed point lands). Field updates only —
+    // `dirty` marks must survive across this loop.
     for &t in t1_nodes.iter() {
         stamp[t as usize].key = u64::MAX;
         stamp[t as usize].labeled = epoch;
@@ -519,6 +512,7 @@ fn run_pass<const FILTERED: bool>(
     // strictly worse bucket (receiver class never exceeds sender class,
     // length grows), so every bucket's candidates are final when its turn
     // comes and the processed bucket can be cleared in place.
+    let mut settled = 0;
     for c in (0..4usize).rev() {
         let mut l = 0i64;
         while l <= hi[c] {
@@ -534,7 +528,7 @@ fn run_pass<const FILTERED: bool>(
                     continue; // the improved label pops elsewhere
                 }
                 stamp[x as usize].key = key | SETTLED_BIT;
-                settled.push(x);
+                settled += 1;
                 relax_from::<FILTERED>(
                     net, filters, epoch, stamp, arena, buckets, overflow, t1_index, t1_best,
                     &mut hi, key, x,
@@ -545,6 +539,7 @@ fn run_pass<const FILTERED: bool>(
             l += 1;
         }
     }
+    settled
 }
 
 /// Exports `x`'s current label to every eligible neighbor, improving their
@@ -556,6 +551,10 @@ fn run_pass<const FILTERED: bool>(
 ///   receiver's class, so the export rule becomes a choice of segments —
 ///   everyone for customer/origin-class routes, the customer and sibling
 ///   segments otherwise — with no per-edge relationship test.
+/// - The segments come from the core adjacency ([`SimNet::core_adj`]),
+///   which holds no edge into a leaf: a leaf re-exports nothing it
+///   learns, so its label cannot influence a pass, and [`RaceResult`]
+///   pulls it once at read-out instead.
 /// - The key comparison runs before the filter and loop predicates; all
 ///   are pure, so only the evaluation order changes, and most candidates
 ///   die on the one-load comparison.
@@ -585,9 +584,8 @@ fn relax_from<const FILTERED: bool>(
     let origin = AsIndex::new(lab.origin);
     // The exported path appends `x`; created lazily, once per settle.
     let mut out_node = NONE;
-    let range = net.slots_of(xi);
-    let cuts = net.race_cuts(x as usize);
-    let adj = net.race_adj();
+    let segments = net.core_segments(x as usize);
+    let adj = net.core_adj();
     let rcv_len = key_len(xkey) + 1;
     if rcv_len as usize >= STRIDE {
         // Beyond the bucket queue's length capacity; abandon the solve
@@ -611,24 +609,13 @@ fn relax_from<const FILTERED: bool>(
                 return; // sender- and origin-based: constant over the segment
             }
             let c = rcv_class.as_u8() as usize;
-            // Peer-/provider-class routes export only to customers and
-            // siblings, so a leaf receiver ([`SimNet::race_leaf`]) of such
-            // a route re-exports nothing and influences nothing inside a
-            // pass; such receivers are skipped here and labeled once from
-            // their senders' final routes after the fixed point lands.
-            // Leaves appear only in these two segments: providers have a
-            // customer and sibling-segment receivers have a sibling.
-            let queue_free = c <= PrefClass::Peer.as_u8() as usize;
             // [`standard_key`] with the slot field zeroed (`!u32::MAX`);
             // each edge ORs its inverted tie slot back in.
             let kbase = standard_key(rcv_class, rcv_len, u32::MAX);
             let bucket_idx = c * STRIDE + rcv_len as usize;
             let mut pushed = false;
             for &packed in &adj[lo as usize..end as usize] {
-                if queue_free && packed & RACE_LEAF_BIT != 0 {
-                    continue; // labeled after convergence (`finalize_leaves`)
-                }
-                let r = (packed as u32 & !RACE_LEAF_BIT as u32) as usize;
+                let r = packed as u32 as usize;
                 let st = stamp[r];
                 let rcv_slot = (packed >> 32) as u32;
                 let key = kbase | u64::from(!rcv_slot);
@@ -695,133 +682,23 @@ fn relax_from<const FILTERED: bool>(
     // customer's; peers see a peer's; siblings inherit the sender's class.
     // Valley-free export reaches peers and providers only for
     // customer/origin-class routes ([`may_export`]).
+    let [customers, peers, providers, siblings, end] = segments;
     relax_segment(
-        range.start,
-        cuts[0],
+        customers,
+        peers,
         PrefClass::Provider,
         Relationship::Provider,
     );
     if matches!(export_class, PrefClass::Customer | PrefClass::Origin) {
-        relax_segment(cuts[0], cuts[1], PrefClass::Peer, Relationship::Peer);
+        relax_segment(peers, providers, PrefClass::Peer, Relationship::Peer);
         relax_segment(
-            cuts[1],
-            cuts[2],
+            providers,
+            siblings,
             PrefClass::Customer,
             Relationship::Customer,
         );
     }
-    relax_segment(cuts[2], range.end, export_class, Relationship::Sibling);
-}
-
-/// Labels every leaf by replaying the final pass's exports into leaf
-/// receivers, once, after the fixed point lands. Passes skip leaf
-/// receivers (see `relax_from`): a leaf's label influences nothing inside
-/// a pass — it exports nothing and is never a variable tier-1 — so
-/// recomputing it every pass is wasted work. The senders are exactly the
-/// ASes that exported during the final pass (origin seeds, routed frozen
-/// tier-1s, and the drained settle list, whose stamps all still hold
-/// their final routes), and selection, tie-break, filter and loop
-/// semantics mirror the offers `relax_from` suppressed.
-fn finalize_leaves<const FILTERED: bool>(
-    net: &SimNet<'_>,
-    announcements: &[Announcement],
-    filters: &FilterContext<'_>,
-    ws: &mut RaceWorkspace,
-) {
-    let RaceWorkspace {
-        epoch,
-        stamp,
-        arena,
-        t1_nodes,
-        frozen,
-        settled,
-        ..
-    } = ws;
-    let epoch = *epoch;
-    for a in announcements {
-        let o = a.announcer.raw();
-        let xkey = stamp[o as usize].key & !SETTLED_BIT;
-        relax_leaves::<FILTERED>(net, filters, epoch, stamp, arena, xkey, o);
-    }
-    for (k, &t) in t1_nodes.iter().enumerate() {
-        let Some(f) = &frozen[k] else { continue };
-        let xkey = standard_key(PrefClass::from_u8(f.class), f.len, f.slot);
-        relax_leaves::<FILTERED>(net, filters, epoch, stamp, arena, xkey, t);
-    }
-    for &x in settled.iter() {
-        let xkey = stamp[x as usize].key & !SETTLED_BIT;
-        relax_leaves::<FILTERED>(net, filters, epoch, stamp, arena, xkey, x);
-    }
-}
-
-/// `relax_from`, reduced to the offers it suppressed: exports `x`'s final
-/// route to the leaf receivers among its customers and peers (the only
-/// segments where leaves occur — a provider has a customer, and
-/// sibling-segment receivers have siblings). The sweep walks
-/// [`SimNet::leaf_adj`], so only leaf receivers are ever visited.
-/// Max-key selection needs no settle order, so there is no queue:
-/// labels improve in place.
-fn relax_leaves<const FILTERED: bool>(
-    net: &SimNet<'_>,
-    filters: &FilterContext<'_>,
-    epoch: u32,
-    stamp: &mut [Stamp],
-    arena: &[PathNode],
-    xkey: u64,
-    x: u32,
-) {
-    let cuts = net.leaf_cuts(x as usize);
-    if cuts[0] == cuts[2] {
-        return; // no leaf neighbors at all
-    }
-    let xi = AsIndex::new(x);
-    let lab = stamp[x as usize];
-    let export_class = PrefClass::from_u8(key_class(xkey));
-    let origin = AsIndex::new(lab.origin);
-    let adj = net.leaf_adj();
-    let rcv_len = key_len(xkey) + 1;
-
-    let mut relax_segment = |lo: u32, end: u32, rcv_class: PrefClass, rel: Relationship| {
-        if lo == end {
-            return;
-        }
-        if FILTERED && filters.rejects_stub(net, rel, xi, origin) {
-            return;
-        }
-        let kbase = standard_key(rcv_class, rcv_len, u32::MAX);
-        for &packed in &adj[lo as usize..end as usize] {
-            let r = (packed as u32 & !RACE_LEAF_BIT as u32) as usize;
-            let st = stamp[r];
-            let key = kbase | u64::from(!((packed >> 32) as u32));
-            // Announcer leaves sit settled and reject every offer here.
-            if st.labeled == epoch && key <= st.key {
-                continue;
-            }
-            if FILTERED && filters.rejects_origin(AsIndex::new(r as u32), origin) {
-                continue;
-            }
-            if st.dirty == epoch && path_contains(arena, lab.node, r as u32) {
-                continue;
-            }
-            stamp[r] = Stamp {
-                key,
-                labeled: epoch,
-                dirty: st.dirty,
-                origin: lab.origin,
-                node: NONE, // a leaf's path is never read
-                from: x,
-            };
-        }
-    };
-    relax_segment(
-        cuts[0],
-        cuts[1],
-        PrefClass::Provider,
-        Relationship::Provider,
-    );
-    if matches!(export_class, PrefClass::Customer | PrefClass::Origin) {
-        relax_segment(cuts[1], cuts[2], PrefClass::Peer, Relationship::Peer);
-    }
+    relax_segment(siblings, end, export_class, Relationship::Sibling);
 }
 
 /// Materializes every variable tier-1's next selection from the
@@ -862,6 +739,148 @@ fn derive_tier1(ws: &mut RaceWorkspace) {
     }
 }
 
+/// The converged outcome of one [`solve_race`], borrowing its workspace
+/// (zero materialization cost).
+///
+/// The passes decide every AS except the leaves ([`SimNet::is_leaf`])
+/// that do not announce; the read-out pulls each of those from the final
+/// routes of its peers and providers as it is asked for, so a sweep that
+/// only counts pollution never builds a per-AS map.
+/// [`RaceResult::choice`] is O(1) for a decided AS and O(log leaves +
+/// degree) for a pulled one; [`RaceResult::captured_by`] walks every AS
+/// once, in index order; [`RaceResult::to_propagation`] materializes a
+/// full [`Propagation`] when an owned result is needed.
+#[derive(Debug)]
+pub struct RaceResult<'r, 't> {
+    net: &'r SimNet<'t>,
+    ws: &'r RaceWorkspace,
+    filters: FilterContext<'r>,
+    stats: ConvergenceStats,
+}
+
+impl RaceResult<'_, '_> {
+    /// The selection of `ix`, or `None` if no route reached it.
+    pub fn choice(&self, ix: AsIndex) -> Option<Choice> {
+        let i = ix.raw();
+        if self.net.is_leaf(ix) && !self.ws.announcers.contains(&i) {
+            self.pull(i, self.net.leaf_row(i))
+        } else {
+            self.decided(i)
+        }
+    }
+
+    /// ASes whose selected route originates at `origin`, excluding
+    /// `origin` itself, in index order: the polluted ASes when `origin` is
+    /// an attacker (see [`Propagation::captured_by`]).
+    pub fn captured_by(&self, origin: AsIndex) -> impl Iterator<Item = AsIndex> + '_ {
+        self.selections()
+            .enumerate()
+            .filter(move |(i, c)| {
+                *i != origin.usize() && matches!(c, Some(ch) if ch.origin == origin)
+            })
+            .map(|(i, _)| AsIndex::new(i as u32))
+    }
+
+    /// Convergence counters: fixed-point rounds as `generations`, and the
+    /// ASes the passes routed as `accepted` (see [`solve_race`]).
+    pub fn stats(&self) -> ConvergenceStats {
+        self.stats
+    }
+
+    /// Materializes the full per-AS selection map (O(n)).
+    pub fn to_propagation(&self) -> Propagation {
+        Propagation::new(self.selections().collect(), self.stats)
+    }
+
+    /// Every AS's selection in index order, stepping through the
+    /// leaf-major in-edge table alongside.
+    fn selections(&self) -> impl Iterator<Item = Option<Choice>> + '_ {
+        let mut leaves = self.net.leaf_rows().peekable();
+        (0..self.net.num_ases() as u32).map(move |i| match leaves.next_if(|&(leaf, _)| leaf == i) {
+            Some((leaf, row)) if !self.ws.announcers.contains(&leaf) => self.pull(leaf, row),
+            _ => self.decided(i),
+        })
+    }
+
+    /// The selection the passes left in `i`'s stamp. The final pass
+    /// drained fully, so a labeled key carries [`SETTLED_BIT`]; the
+    /// decoders ignore it.
+    fn decided(&self, i: u32) -> Option<Choice> {
+        let st = self.ws.stamp[i as usize];
+        (st.labeled == self.ws.epoch).then(|| Choice {
+            origin: AsIndex::new(st.origin),
+            learned_from: (st.from != NONE).then(|| AsIndex::new(st.from)),
+            len: key_len(st.key),
+            class: PrefClass::from_u8(key_class(st.key)),
+        })
+    }
+
+    fn pull(&self, leaf: u32, row: &[u64]) -> Option<Choice> {
+        if self.filters.is_inert() {
+            pull::<false>(self.net, self.ws, &self.filters, leaf, row)
+        } else {
+            pull::<true>(self.net, self.ws, &self.filters, leaf, row)
+        }
+    }
+}
+
+/// The selection of a leaf that does not announce, pulled from its
+/// in-edges `row` ([`SimNet::leaf_rows`]): the best offer under
+/// [`standard_key`] among its peers' and providers' final routes, exactly
+/// as a pass would have offered them (`relax_from`) — a peer hears only
+/// customer- and origin-class routes, the leaf's own slot breaks ties,
+/// and the stub and origin filters apply.
+///
+/// The loop check needs no arena walk. A leaf that does not announce
+/// exports nothing, so it can sit on an offered path only as a forged
+/// route's claimed origin, the path's tail, which the route's `origin`
+/// holds: the dirty-path check reduces to comparing the two.
+fn pull<const FILTERED: bool>(
+    net: &SimNet<'_>,
+    ws: &RaceWorkspace,
+    filters: &FilterContext<'_>,
+    leaf: u32,
+    row: &[u64],
+) -> Option<Choice> {
+    // Real keys are nonzero (the length field is inverted), so 0 is "no
+    // offer yet".
+    let (mut best, mut from) = (0u64, NONE);
+    for &packed in row {
+        let sender = packed as u32 & !(LEAF_IN_PEER as u32);
+        let st = ws.stamp[sender as usize];
+        if st.labeled != ws.epoch {
+            continue; // no route to offer
+        }
+        let peer = packed & LEAF_IN_PEER != 0;
+        if peer && key_class(st.key) < PrefClass::Customer.as_u8() {
+            continue; // valley-free: peers hear customer and origin routes
+        }
+        let (rcv_class, rel) = if peer {
+            (PrefClass::Peer, Relationship::Peer)
+        } else {
+            (PrefClass::Provider, Relationship::Provider)
+        };
+        let key = standard_key(rcv_class, key_len(st.key) + 1, (packed >> 32) as u32);
+        if key <= best || st.origin == leaf {
+            continue;
+        }
+        let origin = AsIndex::new(st.origin);
+        if FILTERED
+            && (filters.rejects_stub(net, rel, AsIndex::new(sender), origin)
+                || filters.rejects_origin(AsIndex::new(leaf), origin))
+        {
+            continue;
+        }
+        (best, from) = (key, sender);
+    }
+    (from != NONE).then(|| Choice {
+        origin: AsIndex::new(ws.stamp[from as usize].origin),
+        learned_from: Some(AsIndex::new(from)),
+        len: key_len(best),
+        class: PrefClass::from_u8(key_class(best)),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -899,16 +918,26 @@ mod tests {
             &mut Workspace::new(),
             &mut NullObserver,
         );
+        let mut rws = RaceWorkspace::new();
         let got = solve_race(
             &net,
             announcements,
             &ctx,
             &policy,
             DEFAULT_MAX_ROUNDS,
-            &mut RaceWorkspace::new(),
+            &mut rws,
         )
         .expect("fixed point must converge on this topology");
-        assert_eq!(got.choices(), expected.choices());
+        assert_eq!(got.to_propagation().choices(), expected.choices());
+        // The random-access and counting read-outs agree with the map.
+        for x in topo.indices() {
+            assert_eq!(got.choice(x), expected.choice(x), "AS {x}");
+        }
+        for a in announcements {
+            assert!(got
+                .captured_by(a.announcer)
+                .eq(expected.captured_by(a.announcer)));
+        }
     }
 
     #[test]
@@ -951,13 +980,14 @@ mod tests {
     fn zero_round_cap_reports_non_convergence() {
         let t = topo();
         let net = SimNet::new(&t);
+        let mut rws = RaceWorkspace::new();
         let result = solve_race(
             &net,
             &[Announcement::honest(ix(&t, 9))],
             &FilterContext::none(),
             &PolicyConfig::paper(),
             0,
-            &mut RaceWorkspace::new(),
+            &mut rws,
         );
         assert!(result.is_none(), "a zero cap must force the fallback path");
     }
@@ -971,13 +1001,14 @@ mod tests {
             Announcement::honest(ix(&t, 8)),
         ];
         let policy = PolicyConfig::strict_gao_rexford();
+        let mut rws = RaceWorkspace::new();
         let p = solve_race(
             &net,
             &announcements,
             &FilterContext::none(),
             &policy,
             DEFAULT_MAX_ROUNDS,
-            &mut RaceWorkspace::new(),
+            &mut rws,
         )
         .expect("no tier-1 variables: one pass settles everything");
         assert_eq!(p.stats().generations, 1, "one fixed-point round");
@@ -989,7 +1020,7 @@ mod tests {
             &mut Workspace::new(),
             &mut NullObserver,
         );
-        assert_eq!(p.choices(), expected.choices());
+        assert_eq!(p.to_propagation().choices(), expected.choices());
     }
 
     #[test]
@@ -1011,7 +1042,8 @@ mod tests {
             DEFAULT_MAX_ROUNDS,
             &mut ws,
         )
-        .expect("converges");
+        .expect("converges")
+        .to_propagation();
         // Interleave a different solve, then repeat the first.
         let other = [
             Announcement::honest(ix(&t, 7)),
@@ -1026,7 +1058,8 @@ mod tests {
             DEFAULT_MAX_ROUNDS,
             &mut ws,
         )
-        .expect("converges");
+        .expect("converges")
+        .to_propagation();
         assert_eq!(first.choices(), again.choices());
         assert_eq!(first.stats(), again.stats());
     }
@@ -1052,7 +1085,8 @@ mod tests {
             DEFAULT_MAX_ROUNDS,
             &mut ws,
         )
-        .expect("converges");
+        .expect("converges")
+        .to_propagation();
         ws.epoch = u32::MAX - 1;
         let wrapped = solve_race(
             &net,
@@ -1062,7 +1096,8 @@ mod tests {
             DEFAULT_MAX_ROUNDS,
             &mut ws,
         )
-        .expect("converges");
+        .expect("converges")
+        .to_propagation();
         assert!(ws.epoch < u32::MAX - 1, "the pass counter wrapped");
         assert!(ws
             .stamp

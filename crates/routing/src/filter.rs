@@ -130,13 +130,15 @@ impl<'a> FilterContext<'a> {
         }
     }
 
-    /// Whether this context can never reject a route — no validators, no
-    /// stub defense, nothing authorized. Hot loops use this to skip the
-    /// per-edge filter predicates wholesale (the undefended sweeps of the
-    /// paper's figures all run inert contexts).
+    /// Whether this context can never reject a route: no validators and no
+    /// stub defense. An authorized origin alone rejects nothing, so the
+    /// context every undefended attack runs under (the target authorized,
+    /// nothing deployed) is inert. Hot loops use this to skip the per-edge
+    /// filter predicates wholesale (the undefended sweeps of the paper's
+    /// figures).
     #[inline]
     pub fn is_inert(&self) -> bool {
-        self.authorized_origin.is_none() && self.validators.is_none() && !self.stub_defense
+        self.validators.is_none() && !self.stub_defense
     }
 
     /// Whether `receiver` rejects a route with the given `origin` under
@@ -224,6 +226,30 @@ mod tests {
         assert!(!ctx.rejects_origin(AsIndex::new(1), AsIndex::new(1)));
         // Baseline rejects nothing.
         assert!(!FilterContext::none().rejects_origin(AsIndex::new(0), AsIndex::new(1)));
+    }
+
+    /// The undefended context a simulator builds for a target
+    /// (`Defense::none().context_for(t)`: the target authorized, nothing
+    /// deployed) is inert; a context with validators or stub filtering is
+    /// not.
+    #[test]
+    fn undefended_contexts_are_inert() {
+        let t = topo();
+        let target = AsIndex::new(2);
+        let undefended = FilterContext {
+            authorized_origin: Some(target),
+            validators: None,
+            stub_defense: false,
+        };
+        assert!(FilterContext::none().is_inert());
+        assert!(undefended.is_inert());
+        let v = AsSet::from_members(&t, [AsIndex::new(0)]);
+        assert!(!FilterContext::origin_validation(target, &v).is_inert());
+        let stub = FilterContext {
+            stub_defense: true,
+            ..undefended
+        };
+        assert!(!stub.is_inert());
     }
 
     #[test]

@@ -58,7 +58,9 @@ pub use engine::delta::{
     DEFAULT_CONE_BUDGET_DIVISOR,
 };
 pub use engine::generation::{propagate, propagate_announcements, Announcement, Workspace};
-pub use engine::race::{solve_race, solve_race_observed, RaceWorkspace, DEFAULT_MAX_ROUNDS};
+pub use engine::race::{
+    solve_race, solve_race_observed, RaceResult, RaceWorkspace, DEFAULT_MAX_ROUNDS,
+};
 pub use filter::{AsSet, FilterContext};
 pub use net::SimNet;
 pub use observer::{

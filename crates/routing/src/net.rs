@@ -4,16 +4,17 @@
 //! and need two extra lookups on the hot path: the *reverse slot* of every
 //! directed edge (where the receiver stores its Adj-RIB-In entry for the
 //! sender) and a tier-1 membership mask. [`SimNet`] computes both once so
-//! thousands of simulations can share them.
+//! thousands of simulations can share them, together with the race
+//! solver's two tables: a core adjacency its passes walk, with every edge
+//! into a leaf dropped, and a leaf-major in-edge table its read-out pulls
+//! leaf selections from.
 
-use bgpsim_topology::{AsIndex, Topology};
+use bgpsim_topology::{AsIndex, Relationship, Topology};
 
-/// Marker ORed into the low (receiver) half of a packed adjacency entry
-/// whose receiver is a race leaf (an AS with neither customers nor
-/// siblings that is not a tier-1), letting the race solver's relax loop
-/// skip leaves on the adjacency word alone. Dense AS indices stay far
-/// below 2^31, so the bit is free.
-pub(crate) const RACE_LEAF_BIT: u64 = 1 << 31;
+/// Flag ORed into the low (sender) half of a leaf in-edge
+/// ([`SimNet::leaf_rows`]) when the sender is the leaf's peer rather than
+/// its provider. Dense AS indices stay far below 2^31, so the bit is free.
+pub(crate) const LEAF_IN_PEER: u64 = 1 << 31;
 
 /// A topology plus the derived tables the engines need. Build once, share
 /// across simulations (it is `Sync`; parallel sweeps borrow it).
@@ -40,24 +41,24 @@ pub struct SimNet<'t> {
     /// Leaf mask: no customers, no siblings, not a tier-1 (see
     /// [`SimNet::is_leaf`]).
     leaf: Vec<bool>,
-    /// Per-slot packed edge for the race solver's relax loop: the
-    /// receiver's dense index in the low 32 bits (leaf marker in
-    /// [`RACE_LEAF_BIT`]), the mirror slot ([`SimNet::reverse_slot`]) in
-    /// the high 32. One sequential 8-byte load per edge instead of
-    /// parallel walks of two arrays.
-    race_adj: Vec<u64>,
-    /// Per-AS relationship-class boundaries as *absolute* slot positions
-    /// (end of customers, of peers, of providers) — the slot-space mirror
-    /// of [`Topology::class_bounds`].
-    race_cuts: Vec<[u32; 3]>,
-    /// Leaf-only adjacency for the race solver's post-convergence leaf
-    /// sweep: per AS, its leaf customers then its leaf peers, packed like
-    /// [`SimNet::race_adj`] (receiver index | mirror slot << 32, leaf
-    /// marker in [`RACE_LEAF_BIT`] — always set here).
-    leaf_adj: Vec<u64>,
-    /// Per-AS bounds into `leaf_adj` (length `n + 1` interleaved with the
-    /// customer/peer split): `[start, end of leaf customers, end]`.
-    leaf_cuts: Vec<[u32; 3]>,
+    /// The race solver's pass adjacency: per AS, every neighbor that is not
+    /// a leaf, in neighbor-list order, packed as the receiver's dense index
+    /// in the low 32 bits and the mirror slot ([`SimNet::reverse_slot`])
+    /// in the high 32. One sequential 8-byte load per edge, and no edge
+    /// into a leaf: passes never offer a route to one.
+    core_adj: Vec<u64>,
+    /// Per AS, where its four relationship-class segments (customers,
+    /// peers, providers, siblings) start in `core_adj`; one sentinel entry
+    /// past the last AS ends the last sibling segment (length `n + 1`).
+    core_cuts: Vec<[u32; 4]>,
+    /// Leaf-major in-edge table: per leaf in ascending index order, one
+    /// entry per peer and provider, packed as the sender's dense index in
+    /// the low 31 bits, [`LEAF_IN_PEER`] for a peer, and the leaf's own
+    /// slot for that neighbor (its tie-break slot) in the high 32.
+    leaf_in: Vec<u64>,
+    /// Per leaf, ascending: its index and where its entries in `leaf_in`
+    /// end (they start where the previous leaf's end).
+    leaf_rows: Vec<(u32, u32)>,
     /// Owner of each global slot — the O(1) inverse of [`SimNet::slots_of`].
     /// The delta engine's packed baseline log stores only the receiver-side
     /// slot per message and derives sender/receiver through this table, so
@@ -114,7 +115,10 @@ impl<'t> SimNet<'t> {
             }
         }
         let mut tier1 = vec![false; n];
-        assert!(n < (1 << 31), "AS index space exceeds the leaf-marker bit");
+        assert!(
+            n < (1 << 31),
+            "AS index space exceeds the leaf in-edge peer flag"
+        );
         let mut tier1_list = topo.tier1s();
         tier1_list.sort_unstable();
         for &t in &tier1_list {
@@ -130,54 +134,56 @@ impl<'t> SimNet<'t> {
             .iter()
             .any(|&t| buyers[group[t.usize()] as usize] > u32::from(topo.num_providers(t) > 0));
         let stub = topo.indices().map(|ix| topo.is_stub(ix)).collect();
-        let mut race_adj = Vec::with_capacity(total);
-        let mut race_cuts = Vec::with_capacity(n);
-        let mut slot_owner = Vec::with_capacity(total);
         // Leaf = no customers, no siblings, not a tier-1: exports
-        // peer-/provider-learned routes to nobody. Brands adjacency entries
-        // and builds the leaf-only sweep tables for the race solver; the
-        // delta engine reads the mask itself.
-        let mut leaf = Vec::with_capacity(n);
+        // peer-/provider-learned routes to nobody. Tier-1s are excluded
+        // even at matching degree shape: the race solver treats them as
+        // fixed-point variables (candidacy tallies, sentinel stamps).
+        let leaf: Vec<bool> = topo
+            .indices()
+            .map(|ix| {
+                let b = topo.class_bounds(ix);
+                b[0] == 0 && b[2] == topo.degree(ix) && !tier1[ix.usize()]
+            })
+            .collect();
+        let leaves = topo.indices().filter(|ix| leaf[ix.usize()]);
+        let leaf_edges: usize = leaves.clone().map(|ix| topo.degree(ix)).sum();
+        let mut slot_owner = Vec::with_capacity(total);
+        let mut core_adj = Vec::with_capacity(total - leaf_edges);
+        let mut core_cuts = Vec::with_capacity(n + 1);
+        let mut leaf_in = Vec::with_capacity(leaf_edges);
+        let mut leaf_rows = Vec::with_capacity(leaves.count());
         for ix in topo.indices() {
             let base = offsets[ix.usize()];
-            for (j, nb) in topo.neighbors(ix).iter().enumerate() {
-                let slot = base + j as u32;
-                let mirror = reverse_slot[slot as usize];
-                race_adj.push(u64::from(nb.index.raw()) | (u64::from(mirror) << 32));
-                slot_owner.push(ix.raw());
-            }
+            let nbrs = topo.neighbors(ix);
+            slot_owner.extend(std::iter::repeat_n(ix.raw(), nbrs.len()));
             let b = topo.class_bounds(ix);
-            race_cuts.push([base + b[0] as u32, base + b[1] as u32, base + b[2] as u32]);
-            // Tier-1s are excluded even at matching degree shape: the race
-            // solver treats them as fixed-point variables (candidacy
-            // tallies, sentinel stamps), never as skippable sinks.
-            leaf.push(b[0] == 0 && b[2] == topo.degree(ix) && !tier1[ix.usize()]);
-        }
-        // Brand leaf receivers directly in the adjacency word so the race
-        // solver's hot loop skips them without a second lookup.
-        for packed in &mut race_adj {
-            if leaf[*packed as u32 as usize] {
-                *packed |= RACE_LEAF_BIT;
-            }
-        }
-        let mut leaf_adj = Vec::new();
-        let mut leaf_cuts = Vec::with_capacity(n);
-        for ix in topo.indices() {
-            let base = offsets[ix.usize()] as usize;
-            let b = topo.class_bounds(ix);
-            let start = leaf_adj.len() as u32;
-            for local in [0..b[0], b[0]..b[1]] {
-                for j in local {
-                    let packed = race_adj[base + j];
-                    if packed & RACE_LEAF_BIT != 0 {
-                        leaf_adj.push(packed);
-                    }
+            let mut cuts = [0u32; 4];
+            for (k, segment) in [0..b[0], b[0]..b[1], b[1]..b[2], b[2]..nbrs.len()]
+                .into_iter()
+                .enumerate()
+            {
+                cuts[k] = checked_u32(core_adj.len(), "core adjacency entries");
+                for j in segment.filter(|&j| !leaf[nbrs[j].index.usize()]) {
+                    let mirror = reverse_slot[base as usize + j];
+                    core_adj.push(u64::from(nbrs[j].index.raw()) | (u64::from(mirror) << 32));
                 }
             }
-            let nbrs = topo.neighbors(ix);
-            let mid = start + (0..b[0]).filter(|&j| leaf[nbrs[j].index.usize()]).count() as u32;
-            leaf_cuts.push([start, mid, leaf_adj.len() as u32]);
+            core_cuts.push(cuts);
+            if leaf[ix.usize()] {
+                // A leaf's neighbors are its peers, then its providers.
+                for (j, nb) in nbrs.iter().enumerate() {
+                    let peer = if nb.rel == Relationship::Peer {
+                        LEAF_IN_PEER
+                    } else {
+                        0
+                    };
+                    let own_slot = base + j as u32;
+                    leaf_in.push(u64::from(nb.index.raw()) | peer | (u64::from(own_slot) << 32));
+                }
+                leaf_rows.push((ix.raw(), checked_u32(leaf_in.len(), "leaf in-edges")));
+            }
         }
+        core_cuts.push([checked_u32(core_adj.len(), "core adjacency entries"); 4]);
         SimNet {
             topo,
             reverse_slot,
@@ -188,10 +194,10 @@ impl<'t> SimNet<'t> {
             tier1_sibling_buys_transit,
             stub,
             leaf,
-            race_adj,
-            race_cuts,
-            leaf_adj,
-            leaf_cuts,
+            core_adj,
+            core_cuts,
+            leaf_in,
+            leaf_rows,
             slot_owner,
         }
     }
@@ -229,33 +235,47 @@ impl<'t> SimNet<'t> {
         self.reverse_slot[e as usize]
     }
 
-    /// Packed per-slot edges for the race solver's relax loop, indexed by
-    /// global slot: receiver index in the low 32 bits, mirror slot in the
-    /// high 32.
+    /// The race solver's pass adjacency: every edge into a non-leaf,
+    /// packed as receiver index | mirror slot << 32 (see
+    /// [`SimNet::core_segments`]).
     #[inline]
-    pub(crate) fn race_adj(&self) -> &[u64] {
-        &self.race_adj
+    pub(crate) fn core_adj(&self) -> &[u64] {
+        &self.core_adj
     }
 
-    /// Absolute slot positions of `x`'s relationship-class boundaries
-    /// (end of customers, of peers, of providers); with
-    /// [`SimNet::slots_of`] they delimit the four class segments.
+    /// Boundaries of `x`'s customer, peer, provider and sibling segments
+    /// in [`SimNet::core_adj`]: segment `k` is `cuts[k]..cuts[k + 1]`.
     #[inline]
-    pub(crate) fn race_cuts(&self, x: usize) -> [u32; 3] {
-        self.race_cuts[x]
+    pub(crate) fn core_segments(&self, x: usize) -> [u32; 5] {
+        let [c, p, v, s] = self.core_cuts[x];
+        [c, p, v, s, self.core_cuts[x + 1][0]]
     }
 
-    /// Leaf-only packed adjacency (see `leaf_adj`).
-    #[inline]
-    pub(crate) fn leaf_adj(&self) -> &[u64] {
-        &self.leaf_adj
+    /// Every leaf with its in-edges, in ascending index order. An in-edge
+    /// packs the sender's index, [`LEAF_IN_PEER`] for a peer, and the
+    /// leaf's own slot for the sender << 32.
+    pub(crate) fn leaf_rows(&self) -> impl Iterator<Item = (u32, &[u64])> + '_ {
+        let mut start = 0;
+        self.leaf_rows.iter().map(move |&(leaf, end)| {
+            let row = &self.leaf_in[start as usize..end as usize];
+            start = end;
+            (leaf, row)
+        })
     }
 
-    /// Bounds of `x`'s leaf customers / leaf peers inside
-    /// [`SimNet::leaf_adj`]: `[start, customer end, peer end]`.
-    #[inline]
-    pub(crate) fn leaf_cuts(&self, x: usize) -> [u32; 3] {
-        self.leaf_cuts[x]
+    /// The in-edges of one leaf (see [`SimNet::leaf_rows`]), found by
+    /// binary search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaf` is not a leaf.
+    pub(crate) fn leaf_row(&self, leaf: u32) -> &[u64] {
+        let k = self
+            .leaf_rows
+            .binary_search_by_key(&leaf, |&(ix, _)| ix)
+            .expect("not a leaf");
+        let start = if k == 0 { 0 } else { self.leaf_rows[k - 1].1 };
+        &self.leaf_in[start as usize..self.leaf_rows[k].1 as usize]
     }
 
     /// The AS owning global slot `e` (one table load; hot-path safe — the
@@ -385,5 +405,68 @@ mod tests {
                 assert_eq!(net.owner_of_slot(e), ix);
             }
         }
+    }
+
+    /// Every directed edge lands in exactly one race table: edges into
+    /// non-leaves in the core adjacency, in their class segment with their
+    /// mirror slot; edges into leaves in the leaf's in-edge row, with the
+    /// peer flag and the leaf's own slot.
+    #[test]
+    fn core_adjacency_and_leaf_rows_partition_the_edges() {
+        let topo = topology_from_triples(&[
+            (1, 2, PeerToPeer),
+            (1, 3, ProviderToCustomer),
+            (2, 3, ProviderToCustomer),
+            (3, 4, ProviderToCustomer),
+            (3, 5, ProviderToCustomer),
+            (4, 5, PeerToPeer),
+            (2, 6, ProviderToCustomer),
+            (6, 7, SiblingToSibling),
+        ]);
+        let net = SimNet::new(&topo);
+        let ix = |n| topo.index_of(AsId::new(n)).unwrap();
+        let leaves: Vec<u32> = net.leaf_rows().map(|(leaf, _)| leaf).collect();
+        assert_eq!(
+            leaves,
+            vec![ix(4).raw(), ix(5).raw()],
+            "6 and 7 are siblings"
+        );
+        let mut seen = 0;
+        for x in topo.indices() {
+            let segments = net.core_segments(x.usize());
+            let rels = [
+                Relationship::Customer,
+                Relationship::Peer,
+                Relationship::Provider,
+                Relationship::Sibling,
+            ];
+            for (k, rel) in rels.into_iter().enumerate() {
+                for &packed in &net.core_adj()[segments[k] as usize..segments[k + 1] as usize] {
+                    let (r, mirror) = (AsIndex::new(packed as u32), (packed >> 32) as u32);
+                    assert!(!net.is_leaf(r));
+                    assert_eq!(net.owner_of_slot(mirror), r);
+                    assert_eq!(net.slot_entry(r, mirror).index, x);
+                    assert_eq!(net.slot_entry(r, mirror).rel, rel.reversed());
+                    seen += 1;
+                }
+            }
+        }
+        for (leaf, row) in net.leaf_rows() {
+            let leaf = AsIndex::new(leaf);
+            assert_eq!(row, net.leaf_row(leaf.raw()));
+            assert_eq!(row.len(), topo.degree(leaf));
+            for &packed in row {
+                let own_slot = (packed >> 32) as u32;
+                let nb = net.slot_entry(leaf, own_slot);
+                assert_eq!(nb.index.raw(), packed as u32 & !(LEAF_IN_PEER as u32));
+                assert_eq!(packed & LEAF_IN_PEER != 0, nb.rel == Relationship::Peer);
+                assert!(matches!(
+                    nb.rel,
+                    Relationship::Peer | Relationship::Provider
+                ));
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, net.num_slots());
     }
 }

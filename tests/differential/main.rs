@@ -16,7 +16,8 @@
 //!   and without the target's shared baseline;
 //! * `stream`: the stream detector's incremental mode against its batch
 //!   mode;
-//! * `partition`: contiguous sweep chunks and stride shards, merged,
+//! * `partition`: the whole sweep's rows against the oracle's polluted
+//!   counts, and contiguous sweep chunks and stride shards, merged,
 //!   against the whole sweep.
 //!
 //! A failing case is shrunk to a minimal recipe failing the same arm on
@@ -386,7 +387,22 @@ fn race(
         )?;
         return Ok(false);
     };
-    same_choices(label, "choices", raced.choices(), oracle.choices())?;
+    // All three read-outs: the materialized map, per-AS lookups (a pulled
+    // leaf found by search), and the polluted sets a sweep counts.
+    let materialized = raced.to_propagation();
+    same_choices(label, "choices", materialized.choices(), oracle.choices())?;
+    let looked_up: Vec<Option<Choice>> = (0..net.num_ases() as u32)
+        .map(|i| raced.choice(AsIndex::new(i)))
+        .collect();
+    same_choices(label, "looked-up choices", &looked_up, oracle.choices())?;
+    for a in anns {
+        same(
+            label,
+            &format!("captured by {}", a.announcer),
+            raced.captured_by(a.announcer).collect::<Vec<_>>(),
+            oracle.captured_by(a.announcer).collect(),
+        )?;
+    }
     if !policy.tier1_shortest_path {
         let rounds = (raced.stats().generations, oracle.stats().truncated);
         same(
@@ -400,8 +416,8 @@ fn race(
     same(
         label,
         "repeated solve",
-        again.as_ref().map(Propagation::choices),
-        Some(raced.choices()),
+        again.map(|r| r.to_propagation().choices().to_vec()),
+        Some(materialized.choices().to_vec()),
     )?;
     Ok(true)
 }
@@ -600,12 +616,31 @@ fn stream(r: &Recipe, topo: &Topology) -> Verdict {
     Ok(())
 }
 
-/// Any order-preserving partition of a sweep's pool re-interleaves to the
-/// whole sweep: contiguous chunks replaying the caller's baseline, and
-/// stride shards merged by their plan.
+/// A sweep counts what the oracle counts, and any order-preserving
+/// partition of its pool re-interleaves to the whole sweep: contiguous
+/// chunks replaying the caller's baseline, and stride shards merged by
+/// their plan.
 fn partition(sim: &Simulator<'_>, target: AsIndex, defense: &Defense, label: &str) -> Verdict {
     let pool: Vec<AsIndex> = sim.topology().indices().filter(|&a| a != target).collect();
     let whole = sim.sweep_attackers(target, &pool, defense);
+    let ctx = defense.context_for(target);
+    let mut ws = Workspace::new();
+    let oracle: Vec<u32> = pool
+        .iter()
+        .map(|&attacker| {
+            let anns = [Announcement::honest(target), Announcement::honest(attacker)];
+            let p = propagate_announcements(
+                sim.net(),
+                &anns,
+                &ctx,
+                sim.policy(),
+                &mut ws,
+                &mut NullObserver,
+            );
+            p.captured_count(attacker) as u32
+        })
+        .collect();
+    same(label, "rows against the oracle", &whole, &oracle)?;
     let none = SweepMonitor::none();
     let baseline = (sim.route(AttackKind::OriginHijack, defense) == Dispatch::Delta)
         .then(|| sim.baseline_for(target, defense, &none));

@@ -226,6 +226,36 @@ fn truncated_oscillation() {
     );
 }
 
+/// The race solver's leaf pull, corner by corner. Tier-1 0 serves transit
+/// ASes 1, 2 and 3; four leaves hang below them. Leaf 4 is multi-homed to
+/// 1 and 2, which both hear the target (leaf 5, also below 1 and 2) at
+/// one hop, and peers with the attacker (leaf 7, below 2). Undefended, 4
+/// takes the attacker's peer route; under ROV (4 validates) and under
+/// ROV + stub filtering (7 is an unauthorized stub) that route is gone and
+/// the two equal-length provider routes tie, broken by 4's slot order.
+/// Leaf 6, below 0 and 3 and peering with 7, is the claimed origin of the
+/// forged-bystander hijack: it must loop-reject the forged route its peer
+/// offers and take a provider route (one from the tier-1). Leaf 8 peers
+/// with 3, whose route is provider-class and must not reach it. Target
+/// and attacker are leaves that announce, so they are read from their
+/// seeds, never pulled.
+#[test]
+fn leaf_pull_corners() {
+    assert_eq!(
+        holds(&Recipe {
+            n: 4,
+            p2c: vec![(0, 1), (0, 2), (0, 3)],
+            p2p: vec![],
+            s2s: vec![],
+            leaves: vec![(1, 2, 7), (1, 2, 5), (0, 3, 7), (2, 2, 4), (1, 1, 3)],
+            target: 5, attacker: 7, claim: 6,
+            validators: vec![4], revalidators: vec![],
+            max_generations: 1, events: 8, tape_seed: 0, probe_seed: 0,
+        }),
+        (24, 24)
+    );
+}
+
 /// Hand-built stream ground truth: a hijack that is invisible under ROV at
 /// the attacker's provider, then becomes visible the moment that validator
 /// flips off — detection latency exactly 2 events.

@@ -481,7 +481,8 @@ fn race_rows_match_generation_on_the_standard_lab() {
             DEFAULT_MAX_ROUNDS,
             &mut RaceWorkspace::new(),
         )
-        .expect("a non-convergent race would have fallen back to the generation engine");
+        .expect("a non-convergent race would have fallen back to the generation engine")
+        .to_propagation();
         let g = propagate_announcements(
             race.net(),
             &announcements,
