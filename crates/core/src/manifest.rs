@@ -151,8 +151,8 @@ impl Json {
     /// honored (`\" \\ \/ \b \f \n \r \t` and `\uXXXX` including
     /// surrogate pairs), duplicate object keys are kept in order (this
     /// type models objects as ordered pairs), and nesting is capped at
-    /// [`MAX_PARSE_DEPTH`] so a hostile request body cannot overflow the
-    /// stack.
+    /// 128 levels (`MAX_PARSE_DEPTH`) so a hostile request body cannot
+    /// overflow the stack.
     ///
     /// Round-trip contract: `parse(render(j)) == j` whenever every number
     /// in `j` is finite. Non-finite numbers render as `null` (see

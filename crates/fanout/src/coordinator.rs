@@ -3,9 +3,10 @@
 //! A [`Coordinator`] owns a registered fleet of `bgpsim-server` workers
 //! (each vetted at registration by a [`Handshake`] against its
 //! `/v1/healthz`) and evaluates sweep requests by stride-sharding the
-//! attacker pool ([`ShardPlan`]), dealing shards to workers over the
-//! public HTTP API, and re-interleaving the per-shard rows into a
-//! result byte-identical to a single-node sweep.
+//! attacker pool ([`ShardPlan`]), dealing each shard to a worker as a
+//! `POST /v1/sweeps` job (whatever its size), polling it to completion,
+//! and re-interleaving the per-shard rows into a result byte-identical
+//! to a single-node sweep.
 //!
 //! Robustness model, in order of escalation:
 //!
@@ -38,17 +39,11 @@ use bgpsim_hijack::{wall_bucket, WALL_HIST_BUCKETS};
 use crate::client::Client;
 use crate::shard::ShardPlan;
 
-/// Shards at or below this size go out as one synchronous
-/// `POST /v1/attacks:batch` envelope; larger shards become async
-/// `/v1/sweeps` jobs polled to completion. Matches the server's own
-/// fair-share chunk size so a "small" shard is one scheduler quantum.
-const BATCH_DISPATCH_MAX: usize = 64;
-
 /// Consecutive failures after which a worker is declared dead.
 const DEAD_AFTER: u32 = 3;
 
 /// Read timeout on shard-dispatch connections. Individual requests are
-/// short (submits, polls, batches); the long wait for a sweep happens
+/// short (submits, polls, results); the long wait for a sweep happens
 /// across many polls, each bounded by this.
 const DISPATCH_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
@@ -259,7 +254,7 @@ impl Worker {
 pub struct WorkerStats {
     /// Worker address (`host:port`).
     pub addr: String,
-    /// False once the worker hit [`DEAD_AFTER`] consecutive failures.
+    /// False once the worker failed three dispatches in a row.
     pub alive: bool,
     /// Shards dealt to this worker (including retries).
     pub shards_dispatched: u64,
@@ -563,7 +558,7 @@ impl Coordinator {
     }
 
     /// Sends shard `shard` — itself a [`SweepRequest`], over the shard's
-    /// members of the pool — in whichever form suits its size.
+    /// members of the pool — as a sweep job keyed `<key_base>-shard<k>`.
     fn dispatch_shard(
         &self,
         client_slot: &mut Option<Client>,
@@ -584,17 +579,14 @@ impl Coordinator {
             );
         }
         let client = client_slot.as_mut().expect("client just ensured");
-        if req.pool_asns.len() <= BATCH_DISPATCH_MAX {
-            dispatch_batch(client, &req)
-        } else {
-            let key = format!("{}-shard{shard}", ctx.key_base);
-            self.dispatch_sweep(client, ctx, &key, &req)
-        }
+        let key = format!("{}-shard{shard}", ctx.key_base);
+        self.dispatch_sweep(client, ctx, &key, &req)
     }
 
-    /// Large shard: async sweep job with an idempotency key (stable
-    /// across retries, so a resend after a timed-out submit dedupes
-    /// server-side instead of double-scheduling), polled to completion.
+    /// One shard as an async `POST /v1/sweeps` job with an idempotency
+    /// key (stable across retries, so a resend after a timed-out submit
+    /// dedupes server-side instead of double-scheduling), polled to
+    /// completion; its counts are read strictly.
     fn dispatch_sweep(
         &self,
         client: &mut Client,
@@ -671,57 +663,6 @@ impl Coordinator {
         let field = format!("{what}: a result.counts entry");
         counts.iter().map(|value| count(value, &field)).collect()
     }
-}
-
-/// Small shard: one synchronous batch request, counts read straight out
-/// of `results[i].result.pollution_count`.
-fn dispatch_batch(client: &mut Client, req: &SweepRequest) -> Result<Vec<u32>, ShardError> {
-    let attacks = req.pool_asns.iter().map(|&attacker| {
-        Json::obj([
-            ("attacker", Json::from(attacker)),
-            ("target", Json::from(req.target_asn)),
-        ])
-    });
-    let body = Json::obj([
-        (
-            "defense",
-            defense_to_json(&req.validator_asns, req.stub_defense),
-        ),
-        ("attacks", Json::Arr(attacks.collect())),
-    ]);
-    let response = exchange(
-        client.request("POST", "/v1/attacks:batch", &body.render_compact()),
-        "attacks:batch",
-        &[200],
-    )?;
-    let entries = response
-        .get("results")
-        .and_then(Json::as_array)
-        .ok_or_else(|| {
-            ShardError::Failed("attacks:batch response lacks \"results\"".to_string())
-        })?;
-    if entries.len() != req.pool_asns.len() {
-        return Err(ShardError::Failed(format!(
-            "attacks:batch answered {} of {} attacks",
-            entries.len(),
-            req.pool_asns.len()
-        )));
-    }
-    entries
-        .iter()
-        .map(|entry| {
-            if let Some(message) = entry.get("error").and_then(Json::as_str) {
-                return Err(ShardError::Failed(format!("batch item failed: {message}")));
-            }
-            let value = entry
-                .get("result")
-                .and_then(|result| result.get("pollution_count"))
-                .ok_or_else(|| {
-                    ShardError::Failed("batch item lacks result.pollution_count".to_string())
-                })?;
-            count(value, "batch item: result.pollution_count")
-        })
-        .collect()
 }
 
 /// A pollution count a worker sent, read strictly: anything but an
@@ -916,46 +857,8 @@ mod tests {
     /// A worker's numbers are read strictly: a count that is negative,
     /// fractional, out of range or not a number fails the shard (to be
     /// re-queued like any failed dispatch) with a message naming the
-    /// field. The parent coerced them: -3 merged as 0, 1e12 as u32::MAX,
-    /// 2.7 as 2.
-    #[test]
-    fn a_lying_batch_worker_fails_the_shard() {
-        let honest = "{\"result\":{\"pollution_count\":4}}";
-        let (addr, stub) = serve_script(vec![format!(
-            "{{\"results\":[{honest},{{\"result\":{{\"pollution_count\":5}}}}]}}"
-        )]);
-        let mut client = Client::connect(&addr).unwrap();
-        assert_eq!(
-            dispatch_batch(&mut client, &two_attackers()).unwrap(),
-            vec![4, 5]
-        );
-        let seen = stub.join().unwrap();
-        assert!(seen.starts_with("POST /v1/attacks:batch "), "{seen}");
-        assert!(
-            seen.ends_with(
-                "{\"defense\":{\"validators\":[7],\"stub_defense\":true},\"attacks\":[\
-                 {\"attacker\":2,\"target\":1},{\"attacker\":3,\"target\":1}]}"
-            ),
-            "{seen}"
-        );
-        for lie in ["-3", "1e12", "2.7", "\"7\"", "null", "4294967296"] {
-            let body =
-                format!("{{\"results\":[{honest},{{\"result\":{{\"pollution_count\":{lie}}}}}]}}");
-            let (addr, stub) = serve_script(vec![body]);
-            let mut client = Client::connect(&addr).unwrap();
-            match dispatch_batch(&mut client, &two_attackers()) {
-                Err(ShardError::Failed(message)) => {
-                    assert!(
-                        message.contains("result.pollution_count"),
-                        "{lie}: {message}"
-                    );
-                }
-                other => panic!("{lie} must fail the shard, got {other:?}"),
-            }
-            stub.join().unwrap();
-        }
-    }
-
+    /// field. Coerced, they would merge as nearby numbers: -3 as 0, 1e12
+    /// as u32::MAX, 2.7 as 2.
     #[test]
     fn a_lying_sweep_worker_fails_the_shard() {
         let coordinator = coordinator_for(Vec::new());
@@ -992,7 +895,14 @@ mod tests {
             ),
             "{seen}"
         );
-        for lie in ["[4,-3]", "[4,1e12]", "[4,2.7]", "[4,\"7\"]"] {
+        for lie in [
+            "[4,-3]",
+            "[4,1e12]",
+            "[4,2.7]",
+            "[4,\"7\"]",
+            "[4,null]",
+            "[4,4294967296]",
+        ] {
             let (addr, stub) = script(lie);
             let mut client = Client::connect(&addr).unwrap();
             match coordinator.dispatch_sweep(&mut client, &ctx, "fo0-0-shard0", &req) {

@@ -14,8 +14,8 @@
 //! - [`client`] — the std-only HTTP/1.1 keep-alive client (promoted
 //!   from `examples/loadgen.rs`) every coordinator connection uses.
 //! - [`coordinator`] — worker registration with a compatibility
-//!   [`Handshake`], shard dispatch over `/v1/attacks:batch` and
-//!   `/v1/sweeps`, bounded retries, and the merge. The wire documents a
+//!   [`Handshake`], shard dispatch as idempotency-keyed `/v1/sweeps`
+//!   jobs, bounded retries, and the merge. The wire documents a
 //!   sweep travels as ([`SweepRequest::to_json`], the `defense` object's
 //!   writer and reader) live beside it.
 //!

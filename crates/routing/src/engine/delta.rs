@@ -8,7 +8,7 @@
 //! single delivered message:
 //!
 //! 1. [`Baseline::build`] runs the honest propagation **once**, freezing
-//!    both the converged per-AS state ([`RibSnapshot`]) and the complete
+//!    both the converged per-AS state (`RibSnapshot`) and the complete
 //!    per-generation message schedule (the race log).
 //! 2. [`propagate_delta`] re-runs the race with the attacker's
 //!    announcement added, but simulates live only the *contamination
@@ -31,7 +31,7 @@
 //! content-and-path against the log, so equal re-exports do not recruit.
 //! On recruitment the AS's exact race state at generation `g` is
 //! reconstructed by replaying its recorded message history, after which it
-//! runs live through the *same* [`deliver`]/[`export_from`] mechanics as a
+//! runs live through the *same* `deliver`/`export_from` mechanics as a
 //! full run. By induction, every AS ends in exactly the state the full
 //! race would give it. The root package's `differential` test pins the
 //! bit-level agreement (choices and polluted sets) across origin,
@@ -106,10 +106,6 @@
 //! is shared read-only across rayon workers, each worker holding its own
 //! [`DeltaWorkspace`] (epoch-stamped like [`Workspace`], so back-to-back
 //! attackers on one worker reuse the overlay arrays without clearing).
-//!
-//! [`deliver`]: generation::deliver
-//! [`export_from`]: generation::export_from
-//! [`RibSnapshot`]: generation::RibSnapshot
 
 use bgpsim_topology::AsIndex;
 

@@ -46,9 +46,9 @@
 //! # One engine, two backing stores
 //!
 //! The wave loop, delivery and re-selection logic are written once, generic
-//! over [`RibState`] — an abstract view of the engine's mutable tables.
+//! over `RibState` — an abstract view of the engine's mutable tables.
 //! [`Workspace`] backs a from-scratch propagation; `engine::delta` layers a
-//! copy-on-write overlay over a frozen [`RibSnapshot`] to re-converge
+//! copy-on-write overlay over a frozen `RibSnapshot` to re-converge
 //! incrementally from a previously converged state. Because both run the
 //! *same* mechanics, their converged results are identical by construction
 //! wherever the stable solution is unique (and property tests enforce the

@@ -118,9 +118,8 @@ impl PolicyConfig {
         PolicyConfig::default()
     }
 
-    /// Strict Gao-Rexford preference at every AS (tier-1 rule off). This is
-    /// the mode in which [`crate::engine::StableSolver`] provably computes
-    /// the same routes as the message-passing engine.
+    /// Strict Gao-Rexford preference at every AS (tier-1 rule off): the
+    /// textbook policy, which every engine's tests run beside the paper's.
     pub fn strict_gao_rexford() -> PolicyConfig {
         PolicyConfig {
             tier1_shortest_path: false,

@@ -21,13 +21,14 @@ use bgpsim_core::stream::{StreamConfig, StreamPlan, StreamStore};
 use bgpsim_fanout::{defense_from_json, defense_to_json, SweepRequest};
 use bgpsim_hijack::{
     Attack, AttackKind, AttackOutcome, Defense, Dispatch, SweepMonitor, SweepTelemetry,
+    VulnerabilityCurve,
 };
 use bgpsim_routing::{ConvergenceStats, Observer};
 use bgpsim_topology::{AsId, AsIndex, Topology};
 use rayon::prelude::*;
 
 use crate::http::{Request, Response};
-use crate::jobs::{Job, JobSpec, JobState, StreamSpec, SweepSpec, ETA_UNKNOWN};
+use crate::jobs::{Job, JobSpec, JobState, StreamSpec, SubmitError, SweepSpec, ETA_UNKNOWN};
 use crate::metrics::{render_prometheus, Endpoint};
 use crate::{CachedBaseline, ServerState};
 
@@ -45,12 +46,12 @@ const MAX_IDEMPOTENCY_KEY_LEN: usize = 256;
 /// Largest accepted `POST /v1/attacks:batch` batch. Big enough for a
 /// whole transit-pool what-if in one request, small enough that a single
 /// request cannot pin the rayon pool for minutes.
-pub const MAX_BATCH_ATTACKS: usize = 4096;
+pub(crate) const MAX_BATCH_ATTACKS: usize = 4096;
 
 /// Largest accepted `POST /v1/stream` event count. One event is one
 /// detector pass; 100k events at quick scale is under a minute of
 /// executor time, so a single stream cannot monopolize the job ring.
-pub const MAX_STREAM_EVENTS: usize = 100_000;
+pub(crate) const MAX_STREAM_EVENTS: usize = 100_000;
 
 /// Largest integer JSON can carry without silent precision loss
 /// (IEEE-754 doubles are exact up to 2^53).
@@ -566,7 +567,7 @@ fn handle_sweep_submit(state: &ServerState<'_>, request: &Request) -> Result<Res
     let response = Json::obj([
         ("id", Json::str(id.clone())),
         ("state", Json::str(job.with_state(JobState::name))),
-        ("total", Json::Num(job.total.load(Ordering::Relaxed) as f64)),
+        ("total", Json::Num(job.total() as f64)),
         ("poll", Json::str(format!("/v1/jobs/{id}"))),
         ("results", Json::str(format!("/v1/results/{id}"))),
     ]);
@@ -585,9 +586,12 @@ fn submit(
     spec: JobSpec,
 ) -> Result<(Arc<Job>, bool), ApiError> {
     let key = idempotency_key(request, body)?;
-    state.jobs.submit_keyed(spec, key).map_err(|message| {
-        let status = if message.contains("full") { 429 } else { 503 };
-        ApiError::new(status, message)
+    state.jobs.submit(spec, key).map_err(|e| {
+        let status = match e {
+            SubmitError::QueueFull => 429,
+            SubmitError::ShuttingDown => 503,
+        };
+        ApiError::new(status, e.message())
     })
 }
 
@@ -646,15 +650,21 @@ fn parse_job_id(wire: &str) -> Result<u64, ApiError> {
         })
 }
 
+/// A job's `GET /v1/jobs/:id` document. Its state, terminal flag and
+/// error come from one lock acquisition, so they always agree; progress
+/// and ETA are the lock-free atomics executors tick.
 fn job_json(job: &Job) -> Json {
+    let (state, terminal, error) = job.with_state(|state| {
+        let error = match state {
+            JobState::Failed(message) => Some(message.clone()),
+            _ => None,
+        };
+        (state.name(), state.is_terminal(), error)
+    });
     let eta = job.eta_ms.load(Ordering::Relaxed);
-    let terminal = job.with_state(JobState::is_terminal);
     let mut pairs = vec![
         ("id".to_string(), Json::str(job.wire_id())),
-        (
-            "state".to_string(),
-            Json::str(job.with_state(JobState::name)),
-        ),
+        ("state".to_string(), Json::str(state)),
     ];
     match &job.spec {
         JobSpec::Sweep(spec) => {
@@ -668,10 +678,7 @@ fn job_json(job: &Job) -> Json {
         }
     }
     pairs.extend([
-        (
-            "total".to_string(),
-            Json::Num(job.total.load(Ordering::Relaxed) as f64),
-        ),
+        ("total".to_string(), Json::Num(job.total() as f64)),
         (
             "completed".to_string(),
             Json::Num(job.completed.load(Ordering::Relaxed) as f64),
@@ -710,11 +717,9 @@ fn job_json(job: &Job) -> Json {
             ]),
         ));
     }
-    job.with_state(|state| {
-        if let JobState::Failed(message) = state {
-            pairs.push(("error".to_string(), Json::str(message.clone())));
-        }
-    });
+    if let Some(message) = error {
+        pairs.push(("error".to_string(), Json::str(message)));
+    }
     Json::Obj(pairs)
 }
 
@@ -776,20 +781,7 @@ fn handle_results(state: &ServerState<'_>, wire_id: &str) -> Result<Response, Ap
             let spec = job.spec.as_sweep().expect("non-stream jobs are sweeps");
             let request = &spec.request;
             let counts = &output.counts;
-            let attacks = counts.len();
-            let failed = counts.iter().filter(|&&c| c == 0).count();
-            let max = counts.iter().copied().max().unwrap_or(0);
-            let successful: Vec<u32> = counts.iter().copied().filter(|&c| c > 0).collect();
-            let mean_successful = if successful.is_empty() {
-                0.0
-            } else {
-                successful.iter().map(|&c| f64::from(c)).sum::<f64>() / successful.len() as f64
-            };
-            let mean = if attacks == 0 {
-                0.0
-            } else {
-                counts.iter().map(|&c| f64::from(c)).sum::<f64>() / attacks as f64
-            };
+            let curve = VulnerabilityCurve::from_counts(counts.clone());
             let response = Json::obj([
                 ("id", Json::str(job.wire_id())),
                 ("target", Json::from(request.target_asn)),
@@ -806,11 +798,14 @@ fn handle_results(state: &ServerState<'_>, wire_id: &str) -> Result<Response, Ap
                         (
                             "stats",
                             Json::obj([
-                                ("attacks", Json::Num(attacks as f64)),
-                                ("failed_attacks", Json::Num(failed as f64)),
-                                ("max_pollution", Json::Num(f64::from(max))),
-                                ("mean_successful_pollution", Json::Num(mean_successful)),
-                                ("mean_pollution", Json::Num(mean)),
+                                ("attacks", Json::Num(curve.num_attacks() as f64)),
+                                ("failed_attacks", Json::Num(curve.failed_attacks() as f64)),
+                                ("max_pollution", Json::Num(f64::from(curve.max_pollution()))),
+                                (
+                                    "mean_successful_pollution",
+                                    Json::Num(curve.mean_successful_pollution()),
+                                ),
+                                ("mean_pollution", Json::Num(curve.mean_pollution())),
                             ]),
                         ),
                     ]),
@@ -941,10 +936,7 @@ fn handle_stream_submit(state: &ServerState<'_>, request: &Request) -> Result<Re
             Json::str(job.with_state(JobState::name)),
         ),
         ("kind".to_string(), Json::str("stream")),
-        (
-            "total".to_string(),
-            Json::Num(job.total.load(Ordering::Relaxed) as f64),
-        ),
+        ("total".to_string(), Json::Num(job.total() as f64)),
     ];
     // A duplicate idempotency key can answer with a job submitted under
     // a different kind; only a real stream spec carries stream fields.

@@ -36,16 +36,16 @@ use crate::jobs::lock_recover;
 /// builds one baseline, not one per deployment. The topology is fixed for
 /// a server's lifetime, so it is not part of the key either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BaselineKey {
+pub(crate) struct BaselineKey {
     /// Raw index of the target AS.
-    pub target: u32,
+    pub(crate) target: u32,
     /// [`bgpsim_hijack::Defense::has_stub_defense`] of the deployment.
-    pub stub_defense: bool,
+    pub(crate) stub_defense: bool,
 }
 
 /// How a [`BaselineCache::get_or_build`] call was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
+pub(crate) enum CacheOutcome {
     /// The baseline was already resident.
     Hit,
     /// This call built the baseline.
@@ -57,7 +57,7 @@ pub enum CacheOutcome {
 
 impl CacheOutcome {
     /// Wire name used in response `meta` blocks.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             CacheOutcome::Hit => "hit",
             CacheOutcome::Miss => "miss",
@@ -68,20 +68,20 @@ impl CacheOutcome {
 
 /// Plain-integer counter snapshot for `/v1/metrics`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
+pub(crate) struct CacheStats {
     /// Lookups satisfied by a resident baseline.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Lookups that built the baseline.
-    pub misses: u64,
+    pub(crate) misses: u64,
     /// Lookups that waited on another thread's in-flight build.
-    pub coalesced: u64,
+    pub(crate) coalesced: u64,
     /// Ready entries evicted to stay within capacity (entry count or byte
     /// budget).
-    pub evictions: u64,
+    pub(crate) evictions: u64,
     /// Entries currently resident (including in-flight builds).
-    pub entries: usize,
+    pub(crate) entries: usize,
     /// Summed [`Baseline::heap_bytes`] of resident ready baselines.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 enum Slot {
@@ -107,7 +107,7 @@ struct CacheInner {
 }
 
 /// Bounded single-flight LRU of built baselines. See the module docs.
-pub struct BaselineCache {
+pub(crate) struct BaselineCache {
     capacity: usize,
     /// Optional bound on summed resident [`Baseline::heap_bytes`]. At
     /// paper scale a single baseline is tens of megabytes, so an
@@ -157,7 +157,7 @@ impl Drop for BuildGuard<'_> {
 impl BaselineCache {
     /// Creates a cache holding at most `capacity` ready baselines
     /// (minimum 1), with no byte budget.
-    pub fn new(capacity: usize) -> BaselineCache {
+    pub(crate) fn new(capacity: usize) -> BaselineCache {
         BaselineCache {
             capacity: capacity.max(1),
             byte_budget: None,
@@ -176,7 +176,7 @@ impl BaselineCache {
 
     /// Additionally bounds the summed heap bytes of resident baselines
     /// (`None` disables the byte budget).
-    pub fn with_byte_budget(mut self, budget: Option<u64>) -> BaselineCache {
+    pub(crate) fn with_byte_budget(mut self, budget: Option<u64>) -> BaselineCache {
         self.byte_budget = budget;
         self
     }
@@ -184,7 +184,7 @@ impl BaselineCache {
     /// Returns the baseline for `key`, building it with `build` exactly
     /// once across all concurrent callers. `build` runs without the cache
     /// lock held, so resident entries stay readable during a build.
-    pub fn get_or_build(
+    pub(crate) fn get_or_build(
         &self,
         key: BaselineKey,
         build: impl FnOnce() -> Baseline,
@@ -309,7 +309,7 @@ impl BaselineCache {
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         let (entries, bytes) = {
             let inner = lock_recover(&self.inner);
             (inner.entries.len(), inner.bytes)

@@ -16,29 +16,29 @@ use std::time::Duration;
 
 /// Maximum bytes of request line + headers before the connection is
 /// rejected with 431. Generous: real requests are a few hundred bytes.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// One parsed request.
 #[derive(Debug)]
-pub struct Request {
+pub(crate) struct Request {
     /// Upper-case method token as sent (`GET`, `POST`, `DELETE`, …).
-    pub method: String,
+    pub(crate) method: String,
     /// Path component only — the query string (if any) is split off into
     /// [`Request::query`].
-    pub path: String,
+    pub(crate) path: String,
     /// Raw query string without the leading `?` (empty when absent).
-    pub query: String,
+    pub(crate) query: String,
     /// Header name/value pairs, names lower-cased, values trimmed.
-    pub headers: Vec<(String, String)>,
+    pub(crate) headers: Vec<(String, String)>,
     /// Request body (empty unless `Content-Length` said otherwise).
-    pub body: Vec<u8>,
+    pub(crate) body: Vec<u8>,
     /// Whether the request line said `HTTP/1.0`.
     http10: bool,
 }
 
 impl Request {
     /// First value of a header, by lower-case name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(n, _)| n == name)
@@ -55,7 +55,7 @@ impl Request {
     /// proxy-normalized `close, te` must still close.
     /// `close` wins over `keep-alive` regardless of token order, so the
     /// whole list is scanned before `keep-alive` is honored.
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         let tokens = self
             .headers
             .iter()
@@ -77,7 +77,7 @@ impl Request {
 
 /// Why [`HttpConn::read_request`] produced no request.
 #[derive(Debug)]
-pub enum ReadOutcome {
+pub(crate) enum ReadOutcome {
     /// A full request was framed.
     Request(Request),
     /// The peer closed (or idled past the read timeout) between requests
@@ -96,14 +96,14 @@ pub enum ReadOutcome {
 /// A buffered connection: bytes read past the end of one request are kept
 /// for the next (pipelined or keep-alive) request.
 #[derive(Debug)]
-pub struct HttpConn {
+pub(crate) struct HttpConn {
     stream: TcpStream,
     buf: Vec<u8>,
 }
 
 impl HttpConn {
     /// Wraps an accepted stream, arming the idle read timeout.
-    pub fn new(stream: TcpStream, read_timeout: Duration) -> HttpConn {
+    pub(crate) fn new(stream: TcpStream, read_timeout: Duration) -> HttpConn {
         // A dead timeout would mean blocking forever on an idle client;
         // errors here leave the OS default, which read() surfaces later.
         let _ = stream.set_read_timeout(Some(read_timeout));
@@ -116,7 +116,7 @@ impl HttpConn {
 
     /// Reads one request, enforcing `MAX_HEAD_BYTES` on the head and
     /// `max_body_bytes` on the body.
-    pub fn read_request(&mut self, max_body_bytes: usize) -> ReadOutcome {
+    pub(crate) fn read_request(&mut self, max_body_bytes: usize) -> ReadOutcome {
         // Pull bytes until the blank line that ends the head.
         let head_end = loop {
             if let Some(end) = find_head_end(&self.buf) {
@@ -214,7 +214,11 @@ impl HttpConn {
     }
 
     /// Writes one response; `close` adds `Connection: close`.
-    pub fn write_response(&mut self, response: &Response, close: bool) -> std::io::Result<()> {
+    pub(crate) fn write_response(
+        &mut self,
+        response: &Response,
+        close: bool,
+    ) -> std::io::Result<()> {
         write_response_to(&mut self.stream, response, close)
     }
 }
@@ -336,18 +340,18 @@ fn parse_head(head: &str) -> Result<Request, String> {
 
 /// One response: status plus a body already rendered to bytes.
 #[derive(Debug)]
-pub struct Response {
+pub(crate) struct Response {
     /// HTTP status code.
-    pub status: u16,
+    pub(crate) status: u16,
     /// Media type of the body.
-    pub content_type: &'static str,
+    pub(crate) content_type: &'static str,
     /// Response body.
-    pub body: String,
+    pub(crate) body: String,
 }
 
 impl Response {
     /// A JSON response.
-    pub fn json(status: u16, body: String) -> Response {
+    pub(crate) fn json(status: u16, body: String) -> Response {
         Response {
             status,
             content_type: "application/json",
@@ -356,7 +360,7 @@ impl Response {
     }
 
     /// A plain-text response (Prometheus exposition uses this).
-    pub fn text(status: u16, body: String) -> Response {
+    pub(crate) fn text(status: u16, body: String) -> Response {
         Response {
             status,
             content_type: "text/plain; version=0.0.4",
@@ -366,7 +370,7 @@ impl Response {
 }
 
 /// The reason phrase for every status this server emits.
-pub fn status_text(status: u16) -> &'static str {
+pub(crate) fn status_text(status: u16) -> &'static str {
     match status {
         200 => "OK",
         202 => "Accepted",
@@ -387,7 +391,7 @@ pub fn status_text(status: u16) -> &'static str {
 
 /// Serializes `response` onto any writer (the accept loop uses this to
 /// emit 503 on streams that never reach a worker).
-pub fn write_response_to<W: Write>(
+pub(crate) fn write_response_to<W: Write>(
     writer: &mut W,
     response: &Response,
     close: bool,

@@ -8,7 +8,9 @@
 //! paper-scale sweep shares the executor pool with a three-attacker
 //! quickie instead of starving it. Each chunk still runs on the rayon
 //! pool internally — fairness is scheduled *between* jobs, parallelism
-//! happens *inside* chunks.
+//! happens *inside* chunks. Every chunk comes back through
+//! [`JobRegistry::finish`], with its rows, its stream summary or its
+//! failure ([`ChunkResult`]).
 //!
 //! `POST /v1/stream` enqueues a *stream* job ([`JobSpec::Stream`])
 //! through the same registry: one schedulable unit (the whole event
@@ -19,15 +21,20 @@
 //! one executor slot and every other job keeps rotating through the
 //! rest.
 //!
-//! Progress lands in relaxed atomics that `GET /v1/jobs/:id` reads
-//! lock-free; `DELETE` flips the job's cancellation flag, which the sweep
-//! engine polls per attack ([`bgpsim_hijack::SweepMonitor`]).
+//! Each job has one lock, over what the scheduler decides about it
+//! ([`Sched`]: state, dealt cursor, chunks in flight, assembled output,
+//! persisted flag). What executors tick and `GET /v1/jobs/:id` reads
+//! lock-free — the cancel flag, progress, ETA, shard counters — are
+//! relaxed atomics; `DELETE` flips the cancel flag (under the lock),
+//! which the sweep engine polls per attack
+//! ([`bgpsim_hijack::SweepMonitor`]). Locks nest registry → job, never
+//! the other way.
 //!
 //! Every lock acquisition recovers from poisoning
 //! (`unwrap_or_else(PoisonError::into_inner)`): a panicking executor must
-//! never take `/v1/jobs` down with it. The executor reports panics
-//! through [`JobRegistry::fail_chunk`], which marks the in-flight job
-//! `failed` and keeps scheduling everyone else.
+//! never take `/v1/jobs` down with it. The executor reports panics as a
+//! [`ChunkResult::Failed`] chunk, which marks the job `failed` and keeps
+//! scheduling everyone else.
 //!
 //! When the registry is built with a state directory, terminal jobs
 //! (done, cancelled, failed) are serialized through
@@ -38,6 +45,9 @@
 //! Retention is bounded: once more than [`JobRegistry::MAX_RETAINED`]
 //! jobs exist, the oldest *finished* jobs are forgotten (their ids then
 //! answer 404). Queued and running jobs are never evicted.
+//!
+//! The `model` test module holds the registry to a sequential reference
+//! model over seeded random op sequences.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -62,21 +72,21 @@ pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Everything the executor needs to run one sweep, resolved and
 /// validated at submission time so a queued job cannot fail on bad input.
 #[derive(Debug, Clone)]
-pub struct SweepSpec {
+pub(crate) struct SweepSpec {
     /// Attacked target.
-    pub target: AsIndex,
+    pub(crate) target: AsIndex,
     /// Attacker pool, already strided and with the target filtered out.
-    pub pool: Vec<AsIndex>,
+    pub(crate) pool: Vec<AsIndex>,
     /// Resolved defense deployment.
-    pub defense: Defense,
+    pub(crate) defense: Defense,
     /// The same sweep in wire terms — target ASN, the pool's ASNs
     /// index-aligned with `pool`, sorted and deduplicated validator ASNs,
     /// the stub-defense flag: what job and result documents echo, and
     /// what a fan-out coordinator deals to its fleet as is.
-    pub request: SweepRequest,
+    pub(crate) request: SweepRequest,
     /// Wire name of the attacker pool (`"all"`, `"transit"`,
     /// `"explicit"`), echoed in documents.
-    pub pool_kind: &'static str,
+    pub(crate) pool_kind: &'static str,
 }
 
 /// Everything the executor needs to run one update stream, resolved at
@@ -84,23 +94,23 @@ pub struct SweepSpec {
 /// queries read it *while* the executor appends — that live view is the
 /// point of a stream job.
 #[derive(Debug)]
-pub struct StreamSpec {
+pub(crate) struct StreamSpec {
     /// Generator parameters (echoed in documents; the plan below is
-    /// already materialized from them).
-    pub config: StreamConfig,
+    /// already materialized from them, `config.events` events long).
+    pub(crate) config: StreamConfig,
     /// The materialized event tape.
-    pub plan: StreamPlan,
+    pub(crate) plan: StreamPlan,
     /// Tracked targets' ASNs, index-aligned with `plan.targets`.
-    pub target_asns: Vec<u32>,
+    pub(crate) target_asns: Vec<u32>,
     /// Ground-truth hijack injections in the plan.
-    pub injected: usize,
+    pub(crate) injected: usize,
     /// The live time-series store `GET /v1/stream/:id/range` reads.
-    pub store: Arc<Mutex<StreamStore>>,
+    pub(crate) store: Arc<Mutex<StreamStore>>,
 }
 
 /// What a [`Job`] runs: a §IV pollution sweep or a live update stream.
 #[derive(Debug)]
-pub enum JobSpec {
+pub(crate) enum JobSpec {
     /// Attacker-pool sweep, chunked across executors.
     Sweep(SweepSpec),
     /// Update stream, one chunk covering the whole event tape.
@@ -118,17 +128,8 @@ impl JobSpec {
         }
     }
 
-    /// Progress denominator surfaced as the job's `total`: attacks for
-    /// sweeps, events for streams.
-    fn progress_total(&self) -> usize {
-        match self {
-            JobSpec::Sweep(spec) => spec.pool.len(),
-            JobSpec::Stream(spec) => spec.plan.events.len(),
-        }
-    }
-
     /// The sweep spec, when this is a sweep job.
-    pub fn as_sweep(&self) -> Option<&SweepSpec> {
+    pub(crate) fn as_sweep(&self) -> Option<&SweepSpec> {
         match self {
             JobSpec::Sweep(spec) => Some(spec),
             JobSpec::Stream(_) => None,
@@ -136,7 +137,7 @@ impl JobSpec {
     }
 
     /// The stream spec, when this is a stream job.
-    pub fn as_stream(&self) -> Option<&StreamSpec> {
+    pub(crate) fn as_stream(&self) -> Option<&StreamSpec> {
         match self {
             JobSpec::Sweep(_) => None,
             JobSpec::Stream(spec) => Some(spec),
@@ -146,23 +147,23 @@ impl JobSpec {
 
 /// A finished job's payload.
 #[derive(Debug, Clone)]
-pub struct JobOutput {
+pub(crate) struct JobOutput {
     /// One pollution count per pool attacker, in pool order (empty for
     /// stream jobs).
-    pub counts: Vec<u32>,
+    pub(crate) counts: Vec<u32>,
     /// How the baseline cache served this sweep (`"bypass"` when the
     /// sweep did not use it; the coldest outcome across chunks otherwise).
-    pub cache: &'static str,
+    pub(crate) cache: &'static str,
     /// Wall time from first chunk dispatched to last chunk finished.
-    pub wall_ms: u64,
+    pub(crate) wall_ms: u64,
     /// Stream summary, for stream jobs only: over the events processed,
     /// fewer than the plan's when cancelled mid-tape.
-    pub stream: Option<StreamSummary>,
+    pub(crate) stream: Option<StreamSummary>,
 }
 
 /// Lifecycle of a job.
 #[derive(Debug)]
-pub enum JobState {
+pub(crate) enum JobState {
     /// Waiting for its first chunk to be dispatched.
     Queued,
     /// At least one chunk dispatched; sweeping.
@@ -177,7 +178,7 @@ pub enum JobState {
 
 impl JobState {
     /// Wire name of the state.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Running => "running",
@@ -188,7 +189,7 @@ impl JobState {
     }
 
     /// Whether the job can no longer change state.
-    pub fn is_terminal(&self) -> bool {
+    pub(crate) fn is_terminal(&self) -> bool {
         matches!(
             self,
             JobState::Done(_) | JobState::Cancelled | JobState::Failed(_)
@@ -197,18 +198,7 @@ impl JobState {
 }
 
 /// Sentinel for "ETA unknown" in [`Job::eta_ms`].
-pub const ETA_UNKNOWN: u64 = u64::MAX;
-
-/// Chunk-assembled sweep rows, plus the coldest cache outcome seen and
-/// the first failure (if any). Stream jobs leave `counts` empty and
-/// deposit their summary in `stream`.
-#[derive(Debug)]
-struct Partial {
-    counts: Vec<u32>,
-    cache: &'static str,
-    failure: Option<String>,
-    stream: Option<StreamSummary>,
-}
+pub(crate) const ETA_UNKNOWN: u64 = u64::MAX;
 
 /// Every name a job's `meta.cache` can carry, with its rank. Ranks order
 /// outcomes coldest-last so a job reports the most expensive thing that
@@ -218,7 +208,7 @@ struct Partial {
 /// the `"bypass"` default (a fanout job runs as one whole-pool chunk, so it
 /// never competes with real cache outcomes).
 ///
-/// [`JobRegistry::finish_chunk`] admits a name only through [`cache_rank`]
+/// [`JobRegistry::finish`] admits a name only through [`cache_rank`]
 /// and restore resolves the persisted string through [`cache_name`], so a
 /// name a job can finish with is by construction one restore accepts.
 const CACHE_NAMES: [(&str, u8); 5] = [
@@ -242,116 +232,138 @@ fn cache_rank(name: &str) -> u8 {
     cache_name(name).map_or(0, |(_, rank)| rank)
 }
 
+/// What the scheduler decides about one job: everything behind the job's
+/// one lock.
+#[derive(Debug)]
+struct Sched {
+    state: JobState,
+    /// First work unit not yet dealt to an executor.
+    dealt: usize,
+    /// Chunks dealt out but not yet returned.
+    in_flight: usize,
+    /// When the first chunk was dealt.
+    started: Option<Instant>,
+    /// Sweep rows assembled so far, in pool order (empty for streams).
+    counts: Vec<u32>,
+    /// The coldest cache outcome any chunk reported.
+    cache: &'static str,
+    /// A stream chunk's summary.
+    stream: Option<StreamSummary>,
+    /// The first failure any chunk reported.
+    failure: Option<String>,
+    /// Whether the terminal record has been written to the state
+    /// directory (it is written once).
+    persisted: bool,
+}
+
+impl Sched {
+    fn new(spec: &JobSpec) -> Sched {
+        Sched {
+            state: JobState::Queued,
+            dealt: 0,
+            in_flight: 0,
+            started: None,
+            counts: match spec {
+                JobSpec::Sweep(sweep) => vec![0; sweep.pool.len()],
+                JobSpec::Stream(_) => Vec::new(),
+            },
+            cache: "bypass",
+            stream: None,
+            failure: None,
+            persisted: false,
+        }
+    }
+
+    /// Moves to `next` unless already terminal (a cancelled job stays
+    /// cancelled even if the executor later reports completion).
+    fn transition(&mut self, next: JobState) {
+        if !self.state.is_terminal() {
+            self.state = next;
+        }
+    }
+}
+
 /// One submitted job.
 #[derive(Debug)]
-pub struct Job {
+pub(crate) struct Job {
     /// Monotonic id; `job-<id>` on the wire.
-    pub id: u64,
+    pub(crate) id: u64,
     /// The work to run.
-    pub spec: JobSpec,
-    state: Mutex<JobState>,
-    /// Set by `DELETE /v1/jobs/:id`; polled per attack by the engine.
-    pub cancel: AtomicBool,
-    /// Attacks finished so far (progress callback).
-    pub completed: AtomicUsize,
-    /// Total attacks in the sweep.
-    pub total: AtomicUsize,
-    /// Wall time so far, milliseconds.
-    pub elapsed_ms: AtomicU64,
-    /// Estimated remaining time, milliseconds ([`ETA_UNKNOWN`] until the
-    /// first attack completes).
-    pub eta_ms: AtomicU64,
+    pub(crate) spec: JobSpec,
     /// True for jobs reloaded from the state directory at boot; they are
     /// terminal forever and never scheduled.
-    pub restored: bool,
-    /// First pool index not yet dealt to an executor. Mutated only under
-    /// the registry lock.
-    next_attacker: AtomicUsize,
-    /// Chunks dealt out but not yet reported back. Mutated only under the
-    /// registry lock.
-    chunks_in_flight: AtomicUsize,
-    /// When the first chunk was dispatched.
-    started: Mutex<Option<Instant>>,
-    partial: Mutex<Partial>,
-    /// Guards the one-shot terminal-state write to the state directory.
-    persisted: AtomicBool,
+    pub(crate) restored: bool,
+    sched: Mutex<Sched>,
+    /// Set by `DELETE /v1/jobs/:id`, a failed chunk or shutdown, always
+    /// under the job's lock; polled per attack by the engine.
+    pub(crate) cancel: AtomicBool,
+    /// Work units finished so far (progress callback): attacks for
+    /// sweeps, events for streams.
+    pub(crate) completed: AtomicUsize,
+    /// Wall time so far, milliseconds.
+    pub(crate) elapsed_ms: AtomicU64,
+    /// Estimated remaining time, milliseconds ([`ETA_UNKNOWN`] until the
+    /// first attack completes).
+    pub(crate) eta_ms: AtomicU64,
     /// Fan-out shard progress, all zero unless the sweep executor dealt
     /// this job to remote workers: shards planned, completed and re-queued
     /// after a failure. Surfaced as the `shards` object on
     /// `GET /v1/jobs/:id`.
-    pub shards_total: AtomicU64,
+    pub(crate) shards_total: AtomicU64,
     /// Shards completed (see [`Job::shards_total`]).
-    pub shards_done: AtomicU64,
+    pub(crate) shards_done: AtomicU64,
     /// Shards re-queued after a failed dispatch.
-    pub shards_retried: AtomicU64,
+    pub(crate) shards_retried: AtomicU64,
 }
 
 impl Job {
     fn new(id: u64, spec: JobSpec) -> Job {
-        let counts = match &spec {
-            JobSpec::Sweep(sweep) => vec![0; sweep.pool.len()],
-            JobSpec::Stream(_) => Vec::new(),
-        };
-        let total = spec.progress_total();
         Job {
             id,
-            partial: Mutex::new(Partial {
-                counts,
-                cache: "bypass",
-                failure: None,
-                stream: None,
-            }),
+            sched: Mutex::new(Sched::new(&spec)),
             spec,
-            state: Mutex::new(JobState::Queued),
+            restored: false,
             cancel: AtomicBool::new(false),
             completed: AtomicUsize::new(0),
-            total: AtomicUsize::new(total),
             elapsed_ms: AtomicU64::new(0),
             eta_ms: AtomicU64::new(ETA_UNKNOWN),
-            restored: false,
-            next_attacker: AtomicUsize::new(0),
-            chunks_in_flight: AtomicUsize::new(0),
-            started: Mutex::new(None),
-            persisted: AtomicBool::new(false),
             shards_total: AtomicU64::new(0),
             shards_done: AtomicU64::new(0),
             shards_retried: AtomicU64::new(0),
         }
     }
 
+    fn sched(&self) -> MutexGuard<'_, Sched> {
+        lock_recover(&self.sched)
+    }
+
     /// Wire id (`job-<n>`).
-    pub fn wire_id(&self) -> String {
+    pub(crate) fn wire_id(&self) -> String {
         format!("job-{}", self.id)
     }
 
-    /// Runs `f` against the current state.
-    pub fn with_state<R>(&self, f: impl FnOnce(&JobState) -> R) -> R {
-        f(&lock_recover(&self.state))
-    }
-
-    /// Transitions to `next` unless already terminal (a cancelled job
-    /// stays cancelled even if the executor later reports completion).
-    pub fn transition(&self, next: JobState) {
-        let mut state = lock_recover(&self.state);
-        if !state.is_terminal() {
-            *state = next;
+    /// The progress denominator: attacks for sweeps, events for streams.
+    pub(crate) fn total(&self) -> usize {
+        match &self.spec {
+            JobSpec::Sweep(spec) => spec.request.pool_asns.len(),
+            JobSpec::Stream(spec) => spec.config.events,
         }
     }
 
-    /// When the first chunk of this job was dispatched (`None` while
-    /// queued).
-    pub fn started_at(&self) -> Option<Instant> {
-        *lock_recover(&self.started)
+    /// Runs `f` against the current state (one lock acquisition, so one
+    /// consistent snapshot).
+    pub(crate) fn with_state<R>(&self, f: impl FnOnce(&JobState) -> R) -> R {
+        f(&self.sched().state)
     }
 
     /// The job's progress tick: `tick(n)` records `n` more finished work
     /// units and refreshes `elapsed_ms` and `eta_ms` (elapsed × remaining /
     /// done). Job-level, not chunk-level — several chunks of one job may
-    /// tick concurrently from different executors. The start instant and
-    /// the total are read once here, so a tick takes no lock.
-    pub fn progress_ticker(&self) -> impl Fn(usize) + '_ {
-        let started_at = self.started_at();
-        let total = self.total.load(Ordering::Relaxed);
+    /// tick concurrently from different executors. The start instant is
+    /// read once here, so a tick takes no lock.
+    pub(crate) fn progress_ticker(&self) -> impl Fn(usize) + '_ {
+        let started_at = self.sched().started;
+        let total = self.total();
         move |n| {
             let done = self.completed.fetch_add(n, Ordering::Relaxed) + n;
             if let Some(started) = started_at {
@@ -370,23 +382,61 @@ impl Job {
 
 /// One unit of executor work: pool attackers `[start, end)` of a sweep
 /// job, or the entire event tape of a stream job (`start..end` is `0..1`).
+/// Handed back, by value, to [`JobRegistry::finish`].
 #[derive(Debug)]
-pub struct Chunk {
+pub(crate) struct Chunk {
     /// The job this chunk belongs to.
-    pub job: Arc<Job>,
+    pub(crate) job: Arc<Job>,
     /// First work-unit index of the chunk (inclusive).
-    pub start: usize,
+    pub(crate) start: usize,
     /// Last work-unit index of the chunk (exclusive).
-    pub end: usize,
+    pub(crate) end: usize,
 }
 
 impl Chunk {
     /// The chunk's slice of a sweep job's attacker pool (empty for a
     /// stream chunk — its work is the whole event tape).
-    pub fn attackers(&self) -> &[AsIndex] {
+    pub(crate) fn attackers(&self) -> &[AsIndex] {
         match &self.job.spec {
             JobSpec::Sweep(spec) => &spec.pool[self.start..self.end],
             JobSpec::Stream(_) => &[],
+        }
+    }
+}
+
+/// How a chunk comes back to [`JobRegistry::finish`].
+#[derive(Debug)]
+pub(crate) enum ChunkResult {
+    /// A sweep chunk's rows, one per attacker of the chunk in pool order,
+    /// and how the baseline cache served it.
+    Sweep {
+        /// Pollution counts.
+        rows: Vec<u32>,
+        /// A [`CACHE_NAMES`] name.
+        cache: &'static str,
+    },
+    /// A stream chunk's summary, over the events it processed.
+    Stream(StreamSummary),
+    /// The chunk died (executor panic), with the message the job fails
+    /// with.
+    Failed(String),
+}
+
+/// Why [`JobRegistry::submit`] refused a job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SubmitError {
+    /// As many unfinished jobs as the admission bound allows.
+    QueueFull,
+    /// The registry is closed: the server is draining.
+    ShuttingDown,
+}
+
+impl SubmitError {
+    /// The error message a client sees.
+    pub(crate) fn message(self) -> &'static str {
+        match self {
+            SubmitError::QueueFull => "job queue is full",
+            SubmitError::ShuttingDown => "server is shutting down",
         }
     }
 }
@@ -396,7 +446,7 @@ struct RegistryInner {
     jobs: VecDeque<Arc<Job>>,
     /// Round-robin ring of jobs with undealt chunks. A job appears at
     /// most once; it is pushed to the back after each chunk is dealt and
-    /// drops out once fully dealt (or terminal).
+    /// drops out once fully dealt, cancelled or terminal.
     ring: VecDeque<Arc<Job>>,
     /// Client idempotency keys → job id, oldest first, bounded by
     /// [`JobRegistry::MAX_IDEMPOTENCY_KEYS`]. A resubmission under a
@@ -409,28 +459,19 @@ struct RegistryInner {
 
 /// Counters for `/v1/metrics`: scheduler and persistence activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedulerStats {
+pub(crate) struct SchedulerStats {
     /// Chunks finished (successfully or not) by the executor pool.
-    pub chunks_executed: u64,
+    pub(crate) chunks_executed: u64,
     /// Terminal job records written to the state directory.
-    pub jobs_persisted: u64,
+    pub(crate) jobs_persisted: u64,
     /// Terminal jobs reloaded from the state directory at boot.
-    pub jobs_restored: u64,
+    pub(crate) jobs_restored: u64,
     /// Unreadable state files moved to quarantine at boot.
-    pub files_quarantined: u64,
-}
-
-/// What [`JobRegistry::with_state_dir`] found on disk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RestoreReport {
-    /// Terminal jobs reloaded into the registry.
-    pub restored: usize,
-    /// Unreadable files moved to `<state-dir>/quarantine/`.
-    pub quarantined: usize,
+    pub(crate) files_quarantined: u64,
 }
 
 /// Owns every job, the fair-share chunk ring, and the state directory.
-pub struct JobRegistry {
+pub(crate) struct JobRegistry {
     inner: Mutex<RegistryInner>,
     /// Signals executors: ring non-empty or registry closed.
     pending: Condvar,
@@ -445,17 +486,17 @@ pub struct JobRegistry {
 
 /// Per-state job counts for `/v1/healthz` and `/v1/metrics`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JobCounts {
+pub(crate) struct JobCounts {
     /// Jobs waiting for their first chunk.
-    pub queued: usize,
+    pub(crate) queued: usize,
     /// Jobs currently sweeping.
-    pub running: usize,
+    pub(crate) running: usize,
     /// Jobs finished with results.
-    pub done: usize,
+    pub(crate) done: usize,
     /// Jobs cancelled.
-    pub cancelled: usize,
+    pub(crate) cancelled: usize,
     /// Jobs failed.
-    pub failed: usize,
+    pub(crate) failed: usize,
 }
 
 impl std::fmt::Debug for JobRegistry {
@@ -468,48 +509,34 @@ impl std::fmt::Debug for JobRegistry {
 
 impl JobRegistry {
     /// Finished jobs retained before the oldest are forgotten.
-    pub const MAX_RETAINED: usize = 256;
+    pub(crate) const MAX_RETAINED: usize = 256;
 
     /// Idempotency keys retained (FIFO) before the oldest are forgotten.
-    pub const MAX_IDEMPOTENCY_KEYS: usize = 1024;
+    pub(crate) const MAX_IDEMPOTENCY_KEYS: usize = 1024;
 
     /// Attackers per scheduling chunk: small enough that a short job
     /// never waits behind more than one chunk of a long one, large enough
     /// that per-chunk overhead (cache lookup, dispatch) stays negligible
     /// against the rayon fan-out inside the chunk.
-    pub const CHUNK_ATTACKERS: usize = 64;
+    pub(crate) const CHUNK_ATTACKERS: usize = 64;
 
-    /// A registry accepting at most `max_queued` unstarted jobs, with no
-    /// persistence.
-    pub fn new(max_queued: usize) -> JobRegistry {
-        JobRegistry::with_state_dir(max_queued, None).0
-    }
-
-    /// A registry that persists terminal jobs to `state_dir` (when given)
-    /// and reloads the ones already there, quarantining unreadable files
-    /// instead of failing the boot.
-    pub fn with_state_dir(
-        max_queued: usize,
-        state_dir: Option<PathBuf>,
-    ) -> (JobRegistry, RestoreReport) {
-        let mut report = RestoreReport::default();
-        let mut jobs = VecDeque::new();
-        let mut next_id = 1;
-        if let Some(dir) = &state_dir {
-            let (restored, quarantined) = restore_jobs(dir);
-            report.restored = restored.len();
-            report.quarantined = quarantined;
-            for job in restored {
-                next_id = next_id.max(job.id + 1);
-                jobs.push_back(job);
-            }
-        }
-        let registry = JobRegistry {
+    /// A registry admitting at most `max_queued` unfinished jobs that
+    /// persists terminal jobs to `state_dir` (when given) and reloads the
+    /// ones already there, quarantining unreadable files instead of
+    /// failing the boot ([`SchedulerStats`] counts both).
+    pub(crate) fn new(max_queued: usize, state_dir: Option<PathBuf>) -> JobRegistry {
+        let (restored, quarantined) = match &state_dir {
+            Some(dir) => restore_jobs(dir),
+            None => (Vec::new(), 0),
+        };
+        JobRegistry {
+            jobs_restored: restored.len() as u64,
             inner: Mutex::new(RegistryInner {
-                jobs,
+                // Ids keep growing past the restored ones (sorted by id).
+                next_id: restored.last().map_or(1, |job| job.id + 1),
+                jobs: restored.into(),
                 ring: VecDeque::new(),
                 idempotency: VecDeque::new(),
-                next_id,
                 closed: false,
             }),
             pending: Condvar::new(),
@@ -518,22 +545,20 @@ impl JobRegistry {
             state_dir,
             chunks_executed: AtomicU64::new(0),
             jobs_persisted: AtomicU64::new(0),
-            jobs_restored: report.restored as u64,
-            files_quarantined: report.quarantined as u64,
-        };
-        (registry, report)
+            files_quarantined: quarantined as u64,
+        }
     }
 
     /// Overrides the scheduling chunk size (tests use 1 to force
     /// fine-grained interleaving).
     #[must_use]
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> JobRegistry {
+    pub(crate) fn with_chunk_size(mut self, chunk_size: usize) -> JobRegistry {
         self.chunk_size = chunk_size.max(1);
         self
     }
 
     /// Scheduler/persistence counter snapshot.
-    pub fn scheduler_stats(&self) -> SchedulerStats {
+    pub(crate) fn scheduler_stats(&self) -> SchedulerStats {
         SchedulerStats {
             chunks_executed: self.chunks_executed.load(Ordering::Relaxed),
             jobs_persisted: self.jobs_persisted.load(Ordering::Relaxed),
@@ -542,9 +567,13 @@ impl JobRegistry {
         }
     }
 
-    /// Enqueues a job (sweep or stream), returning the job handle, or an
-    /// error message when the queue is full (HTTP 429) or the server is
-    /// draining (HTTP 503).
+    /// Enqueues a job (sweep or stream) under an optional client
+    /// idempotency key. Returns `(job, fresh)`: a resubmission under a
+    /// retained key returns the original job with `fresh == false` and
+    /// schedules nothing — a coordinator retrying a timed-out submit
+    /// cannot double-schedule its shard. Keys are retained FIFO up to
+    /// [`JobRegistry::MAX_IDEMPOTENCY_KEYS`]; a key whose job has since
+    /// been forgotten is treated as fresh.
     ///
     /// The admission bound counts every *unfinished* job (queued or
     /// running), not just queued ones: under fair-share scheduling a
@@ -552,25 +581,14 @@ impl JobRegistry {
     /// bound would admit an unbounded backlog of jobs all nominally
     /// "running". Restored jobs are terminal by construction and never
     /// count.
-    pub fn submit(&self, spec: JobSpec) -> Result<Arc<Job>, &'static str> {
-        self.submit_keyed(spec, None).map(|(job, _)| job)
-    }
-
-    /// [`JobRegistry::submit`] with an optional client idempotency key.
-    /// Returns `(job, fresh)`: a resubmission under a retained key
-    /// returns the original job with `fresh == false` and schedules
-    /// nothing — a coordinator retrying a timed-out submit cannot
-    /// double-schedule its shard. Keys are retained FIFO up to
-    /// [`JobRegistry::MAX_IDEMPOTENCY_KEYS`]; a key whose job has since
-    /// been forgotten is treated as fresh.
-    pub fn submit_keyed(
+    pub(crate) fn submit(
         &self,
         spec: JobSpec,
         key: Option<String>,
-    ) -> Result<(Arc<Job>, bool), &'static str> {
+    ) -> Result<(Arc<Job>, bool), SubmitError> {
         let mut inner = lock_recover(&self.inner);
         if inner.closed {
-            return Err("server is shutting down");
+            return Err(SubmitError::ShuttingDown);
         }
         if let Some(key) = &key {
             if let Some(id) = inner
@@ -589,10 +607,10 @@ impl JobRegistry {
         let active = inner
             .jobs
             .iter()
-            .filter(|j| j.with_state(|s| !s.is_terminal()))
+            .filter(|j| !j.with_state(JobState::is_terminal))
             .count();
         if active >= self.max_queued {
-            return Err("job queue is full");
+            return Err(SubmitError::QueueFull);
         }
         let id = inner.next_id;
         inner.next_id += 1;
@@ -622,12 +640,12 @@ impl JobRegistry {
     }
 
     /// Every retained job, oldest first (callers cap what they render).
-    pub fn snapshot(&self) -> Vec<Arc<Job>> {
+    pub(crate) fn snapshot(&self) -> Vec<Arc<Job>> {
         lock_recover(&self.inner).jobs.iter().cloned().collect()
     }
 
     /// Looks up a retained job by numeric id.
-    pub fn get(&self, id: u64) -> Option<Arc<Job>> {
+    pub(crate) fn get(&self, id: u64) -> Option<Arc<Job>> {
         lock_recover(&self.inner)
             .jobs
             .iter()
@@ -640,34 +658,30 @@ impl JobRegistry {
     /// job with undealt attackers: after a chunk is taken from the front
     /// job, that job goes to the back of the ring, so N concurrent jobs
     /// each receive ~every Nth chunk regardless of pool size.
-    pub fn next_chunk(&self) -> Option<Chunk> {
+    pub(crate) fn next_chunk(&self) -> Option<Chunk> {
         let mut inner = lock_recover(&self.inner);
         loop {
             while let Some(job) = inner.ring.pop_front() {
-                if job.with_state(JobState::is_terminal) {
-                    continue;
-                }
-                if job.cancel.load(Ordering::Relaxed) {
-                    // Reap a cancelled job with nothing in flight; one
-                    // with chunks still out finalizes when they drain.
-                    if job.chunks_in_flight.load(Ordering::Relaxed) == 0 {
-                        job.transition(JobState::Cancelled);
-                        self.persist_terminal(&job);
-                    }
-                    continue;
-                }
                 let total = job.spec.work_units();
-                let start = job.next_attacker.load(Ordering::Relaxed);
-                if start >= total {
-                    continue; // fully dealt; finish_chunk finalizes
+                let mut sched = job.sched();
+                // A cancelled job leaves the ring for good: with nothing
+                // in flight it is already terminal, otherwise its last
+                // chunk back finalizes it.
+                if sched.state.is_terminal()
+                    || job.cancel.load(Ordering::Relaxed)
+                    || sched.dealt >= total
+                {
+                    continue;
                 }
+                let start = sched.dealt;
                 let end = (start + self.chunk_size).min(total);
-                job.next_attacker.store(end, Ordering::Relaxed);
-                job.chunks_in_flight.fetch_add(1, Ordering::Relaxed);
+                sched.dealt = end;
+                sched.in_flight += 1;
                 if start == 0 {
-                    job.transition(JobState::Running);
-                    *lock_recover(&job.started) = Some(Instant::now());
+                    sched.state = JobState::Running;
+                    sched.started = Some(Instant::now());
                 }
+                drop(sched);
                 if end < total {
                     inner.ring.push_back(Arc::clone(&job));
                     // Cascade: there is more work than this executor is
@@ -686,86 +700,57 @@ impl JobRegistry {
         }
     }
 
-    /// Reports a chunk's rows back. When this was the job's last
-    /// outstanding chunk, assembles the output and finalizes the job.
-    pub fn finish_chunk(&self, chunk: &Chunk, rows: &[u32], cache: &'static str) {
-        debug_assert_eq!(rows.len(), chunk.end - chunk.start);
-        {
-            let mut partial = lock_recover(&chunk.job.partial);
-            let n = rows.len().min(chunk.end - chunk.start);
-            partial.counts[chunk.start..chunk.start + n].copy_from_slice(&rows[..n]);
-            if cache_rank(cache) > cache_rank(partial.cache) {
-                partial.cache = cache;
-            }
-        }
-        self.chunk_done(&chunk.job, None);
-    }
-
-    /// Reports a stream chunk's summary back and finalizes the job (a
-    /// stream job has exactly one chunk). A cancelled stream still lands
-    /// here with its partial summary — `chunk_done` keeps the terminal
-    /// state `cancelled`, which discards it, matching sweep semantics.
-    pub fn finish_stream_chunk(&self, chunk: &Chunk, summary: StreamSummary) {
-        {
-            let mut partial = lock_recover(&chunk.job.partial);
-            partial.stream = Some(summary);
-        }
-        self.chunk_done(&chunk.job, None);
-    }
-
-    /// Reports a chunk that died (executor panic). The job stops being
-    /// scheduled and finalizes as `failed` once in-flight chunks drain;
-    /// every other job keeps running.
-    pub fn fail_chunk(&self, chunk: &Chunk, message: impl Into<String>) {
-        self.chunk_done(&chunk.job, Some(message.into()));
-    }
-
-    fn chunk_done(&self, job: &Arc<Job>, failure: Option<String>) {
+    /// Hands a dealt chunk back: its rows land at their pool positions,
+    /// a stream summary is kept, and a failure stops the job being dealt
+    /// (and tells its other in-flight chunks to bail). When this was the
+    /// job's last chunk out and nothing is left to deal, the job
+    /// finalizes — `failed` with the first failure, else `cancelled` if
+    /// cancelled (a cancelled job's rows and summary are not results),
+    /// else `done` with the assembled output — and is persisted. Every
+    /// other job keeps running.
+    pub(crate) fn finish(&self, chunk: Chunk, result: ChunkResult) {
         self.chunks_executed.fetch_add(1, Ordering::Relaxed);
-        let mut terminal: Option<JobState> = None;
-        {
-            let _inner = lock_recover(&self.inner);
-            if let Some(message) = failure {
-                let mut partial = lock_recover(&job.partial);
-                partial.failure.get_or_insert(message);
-                drop(partial);
-                // Stop dealing the rest of the pool and hasten in-flight
-                // chunks to bail (the sweep engine polls the flag).
-                job.next_attacker
-                    .store(job.spec.work_units(), Ordering::Relaxed);
+        let job = &chunk.job;
+        let mut sched = job.sched();
+        match result {
+            ChunkResult::Sweep { rows, cache } => {
+                debug_assert_eq!(rows.len(), chunk.end - chunk.start);
+                let n = rows.len().min(chunk.end - chunk.start);
+                sched.counts[chunk.start..chunk.start + n].copy_from_slice(&rows[..n]);
+                if cache_rank(cache) > cache_rank(sched.cache) {
+                    sched.cache = cache;
+                }
+            }
+            ChunkResult::Stream(summary) => sched.stream = Some(summary),
+            ChunkResult::Failed(message) => {
+                sched.failure.get_or_insert(message);
+                sched.dealt = job.spec.work_units();
                 job.cancel.store(true, Ordering::Relaxed);
             }
-            let in_flight = job.chunks_in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
-            let fully_dealt = job.next_attacker.load(Ordering::Relaxed) >= job.spec.work_units();
-            // A cancelled job never becomes fully dealt (the scheduler
-            // stops dealing it), so the cancel flag alone must finalize it
-            // once its in-flight chunks drain — otherwise it is stuck
-            // `running` forever and leaks an admission slot.
-            if in_flight == 0 && (fully_dealt || job.cancel.load(Ordering::Relaxed)) {
-                let mut partial = lock_recover(&job.partial);
-                terminal = Some(if let Some(message) = partial.failure.take() {
-                    JobState::Failed(message)
-                } else if job.cancel.load(Ordering::Relaxed) {
-                    // A cancelled sweep returns zero rows for skipped
-                    // attackers — not real results, so they are discarded.
-                    JobState::Cancelled
-                } else {
-                    let wall = job
-                        .started_at()
-                        .map_or(0, |t| t.elapsed().as_millis() as u64);
-                    JobState::Done(JobOutput {
-                        counts: std::mem::take(&mut partial.counts),
-                        cache: partial.cache,
-                        wall_ms: wall,
-                        stream: partial.stream.take(),
-                    })
-                });
-            }
         }
-        if let Some(next) = terminal {
-            job.transition(next);
-            self.persist_terminal(job);
+        sched.in_flight -= 1;
+        // A cancelled job is never fully dealt (the scheduler stops
+        // dealing it), so the cancel flag alone must finalize it once its
+        // in-flight chunks drain — otherwise it is stuck `running` forever
+        // and holds an admission slot.
+        let cancelled = job.cancel.load(Ordering::Relaxed);
+        if sched.in_flight > 0 || (sched.dealt < job.spec.work_units() && !cancelled) {
+            return;
         }
+        let next = if let Some(message) = sched.failure.take() {
+            JobState::Failed(message)
+        } else if cancelled {
+            JobState::Cancelled
+        } else {
+            JobState::Done(JobOutput {
+                counts: std::mem::take(&mut sched.counts),
+                cache: sched.cache,
+                wall_ms: sched.started.map_or(0, |t| t.elapsed().as_millis() as u64),
+                stream: sched.stream.take(),
+            })
+        };
+        sched.transition(next);
+        self.persist(job, sched);
     }
 
     /// Requests cancellation of a job. Jobs with no chunk in flight
@@ -773,51 +758,44 @@ impl JobRegistry {
     /// immediately; a running chunk notices the flag per attack and the
     /// job finalizes when its chunks drain. Returns the job, or `None` if
     /// the id is unknown.
-    pub fn cancel(&self, id: u64) -> Option<Arc<Job>> {
-        let job = {
-            let inner = lock_recover(&self.inner);
-            let job = inner.jobs.iter().find(|j| j.id == id).cloned()?;
-            job.cancel.store(true, Ordering::Relaxed);
-            if job.chunks_in_flight.load(Ordering::Relaxed) == 0 {
-                // Between chunks (or never started): nothing will report
-                // back, so finalize here; the ring skips terminal jobs.
-                job.transition(JobState::Cancelled);
-            }
-            job
-        };
-        self.persist_terminal(&job);
+    pub(crate) fn cancel(&self, id: u64) -> Option<Arc<Job>> {
+        let job = self.get(id)?;
+        let mut sched = job.sched();
+        job.cancel.store(true, Ordering::Relaxed);
+        if sched.in_flight == 0 {
+            // Between chunks (or never started): nothing will report
+            // back, so finalize here; the ring drops cancelled jobs.
+            sched.transition(JobState::Cancelled);
+        }
+        self.persist(&job, sched);
         Some(job)
     }
 
-    /// Closes the registry: refuses new submissions, cancels every
-    /// not-yet-terminal job, and wakes the executors so they can exit.
-    pub fn close(&self) {
-        let mut to_persist = Vec::new();
-        {
+    /// Closes the registry: refuses new submissions, fails queued jobs,
+    /// cancels running ones, and wakes the executors so they can exit.
+    pub(crate) fn close(&self) {
+        let jobs = {
             let mut inner = lock_recover(&self.inner);
             inner.closed = true;
-            for job in &inner.jobs {
-                job.cancel.store(true, Ordering::Relaxed);
-                let queued = job.with_state(|s| matches!(s, JobState::Queued));
-                if queued {
-                    job.transition(JobState::Failed("server shut down".to_string()));
-                    to_persist.push(Arc::clone(job));
-                } else if job.chunks_in_flight.load(Ordering::Relaxed) == 0 {
-                    // Running but between chunks: nothing will report back.
-                    job.transition(JobState::Cancelled);
-                    to_persist.push(Arc::clone(job));
-                }
-            }
             inner.ring.clear();
-        }
+            inner.jobs.iter().cloned().collect::<Vec<_>>()
+        };
         self.pending.notify_all();
-        for job in to_persist {
-            self.persist_terminal(&job);
+        for job in jobs {
+            let mut sched = job.sched();
+            job.cancel.store(true, Ordering::Relaxed);
+            if matches!(sched.state, JobState::Queued) {
+                sched.state = JobState::Failed("server shut down".to_string());
+            } else if sched.in_flight == 0 {
+                // Running but between chunks: nothing will report back.
+                sched.transition(JobState::Cancelled);
+            }
+            self.persist(&job, sched);
         }
     }
 
     /// Per-state counts over retained jobs.
-    pub fn counts(&self) -> JobCounts {
+    pub(crate) fn counts(&self) -> JobCounts {
         let inner = lock_recover(&self.inner);
         let mut counts = JobCounts::default();
         for job in &inner.jobs {
@@ -835,22 +813,22 @@ impl JobRegistry {
     // -----------------------------------------------------------------
     // Persistence
 
-    /// Writes a terminal job's record to the state directory, once.
-    /// Failures are swallowed: persistence is best-effort durability, not
-    /// a correctness dependency of the running server.
-    fn persist_terminal(&self, job: &Arc<Job>) {
+    /// Writes a terminal job's record to the state directory, once: the
+    /// record is rendered under the job's lock (`sched`, consumed) and
+    /// written after it is released. Failures are swallowed: persistence
+    /// is best-effort durability, not a correctness dependency of the
+    /// running server.
+    fn persist(&self, job: &Job, mut sched: MutexGuard<'_, Sched>) {
         let Some(dir) = &self.state_dir else { return };
-        if !job.with_state(JobState::is_terminal) {
+        if !sched.state.is_terminal() || sched.persisted {
             return;
         }
-        if job.persisted.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        let doc = job_to_doc(job);
+        sched.persisted = true;
+        let mut text = job_to_doc(job, &sched.state).render_compact();
+        drop(sched);
+        text.push('\n');
         let path = dir.join(format!("job-{}.json", job.id));
         let tmp = dir.join(format!("job-{}.json.tmp", job.id));
-        let mut text = doc.render_compact();
-        text.push('\n');
         // Write-then-rename so a crash mid-write leaves a quarantinable
         // .tmp, never a torn job-<id>.json.
         if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, &path).is_ok() {
@@ -859,19 +837,16 @@ impl JobRegistry {
     }
 }
 
-/// Serializes a terminal job to its on-disk record. Sweep records keep
-/// the pre-stream field layout (no `kind`, the defense flat beside the
-/// pool) so documents written by older builds restore unchanged — the
-/// golden records under `tests/fixtures/` pin both directions; stream
-/// records carry `"kind":"stream"`.
-fn job_to_doc(job: &Job) -> Json {
+/// Serializes a terminal job in `state` to its on-disk record. Sweep
+/// records keep the pre-stream field layout (no `kind`, the defense flat
+/// beside the pool) so documents written by older builds restore
+/// unchanged — the golden records under `tests/fixtures/` pin both
+/// directions; stream records carry `"kind":"stream"`.
+fn job_to_doc(job: &Job, state: &JobState) -> Json {
     let mut pairs = vec![
         ("schema_version".to_string(), Json::from(SCHEMA_VERSION)),
         ("id".to_string(), Json::from(job.id)),
-        (
-            "state".to_string(),
-            Json::str(job.with_state(JobState::name)),
-        ),
+        ("state".to_string(), Json::str(state.name())),
     ];
     match &job.spec {
         JobSpec::Sweep(spec) => {
@@ -896,10 +871,7 @@ fn job_to_doc(job: &Job) -> Json {
         ]),
     }
     pairs.extend([
-        (
-            "total".to_string(),
-            Json::from(job.total.load(Ordering::Relaxed)),
-        ),
+        ("total".to_string(), Json::from(job.total())),
         (
             "completed".to_string(),
             Json::from(job.completed.load(Ordering::Relaxed)),
@@ -909,7 +881,7 @@ fn job_to_doc(job: &Job) -> Json {
             Json::from(job.elapsed_ms.load(Ordering::Relaxed)),
         ),
     ]);
-    job.with_state(|state| match state {
+    match state {
         JobState::Done(output) => {
             let mut out = vec![
                 ("counts".to_string(), Json::u32s(&output.counts)),
@@ -925,7 +897,7 @@ fn job_to_doc(job: &Job) -> Json {
             pairs.push(("error".to_string(), Json::str(message.clone())));
         }
         _ => {}
-    });
+    }
     Json::Obj(pairs)
 }
 
@@ -987,6 +959,12 @@ fn job_from_doc(doc: &Json) -> Option<Arc<Job>> {
             "explicit" => "explicit",
             _ => return None,
         };
+        let pool_asns = doc.get("attackers")?.as_u32_array()?;
+        // A sweep's total is its pool width; a record that disagrees
+        // with itself is corrupt.
+        if pool_asns.len() != total {
+            return None;
+        }
         JobSpec::Sweep(SweepSpec {
             // Runtime fields are placeholders: restored jobs are terminal
             // and never scheduled, so only the echoed wire terms (ASNs,
@@ -996,7 +974,7 @@ fn job_from_doc(doc: &Json) -> Option<Arc<Job>> {
             defense: Defense::none(),
             request: SweepRequest {
                 target_asn: doc.get("target")?.as_u32()?,
-                pool_asns: doc.get("attackers")?.as_u32_array()?,
+                pool_asns,
                 validator_asns: doc.get("validators")?.as_u32_array()?,
                 stub_defense: doc.get("stub_defense").and_then(Json::as_bool) == Some(true),
             },
@@ -1024,14 +1002,16 @@ fn job_from_doc(doc: &Json) -> Option<Arc<Job>> {
         _ => return None,
     };
     Some(Arc::new(Job {
-        state: Mutex::new(state),
+        // Fully dealt, and already on disk: never scheduled or rewritten.
+        sched: Mutex::new(Sched {
+            state,
+            dealt: spec.work_units(),
+            persisted: true,
+            ..Sched::new(&spec)
+        }),
         completed: AtomicUsize::new(completed),
-        total: AtomicUsize::new(total),
         elapsed_ms: AtomicU64::new(elapsed_ms),
         restored: true,
-        // Fully dealt, and already on disk: never scheduled or rewritten.
-        next_attacker: AtomicUsize::new(spec.work_units()),
-        persisted: AtomicBool::new(true),
         ..Job::new(id, spec)
     }))
 }
@@ -1085,8 +1065,26 @@ fn quarantine(dir: &Path, path: &Path) {
 }
 
 #[cfg(test)]
+mod model;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    fn open(max_queued: usize) -> JobRegistry {
+        JobRegistry::new(max_queued, None)
+    }
+
+    fn submit(registry: &JobRegistry, spec: JobSpec) -> Result<Arc<Job>, SubmitError> {
+        registry.submit(spec, None).map(|(job, _)| job)
+    }
+
+    fn rows(rows: &[u32], cache: &'static str) -> ChunkResult {
+        ChunkResult::Sweep {
+            rows: rows.to_vec(),
+            cache,
+        }
+    }
 
     fn spec() -> JobSpec {
         spec_with_pool(2)
@@ -1144,15 +1142,15 @@ mod tests {
 
     #[test]
     fn submit_chunk_finish() {
-        let registry = JobRegistry::new(4);
-        let job = registry.submit(spec()).unwrap();
+        let registry = open(4);
+        let job = submit(&registry, spec()).unwrap();
         assert_eq!(job.wire_id(), "job-1");
         assert_eq!(registry.counts().queued, 1);
         let chunk = registry.next_chunk().unwrap();
         assert_eq!(chunk.job.id, job.id);
         assert_eq!((chunk.start, chunk.end), (0, 2));
         assert_eq!(registry.counts().running, 1);
-        registry.finish_chunk(&chunk, &[1, 2], "bypass");
+        registry.finish(chunk, rows(&[1, 2], "bypass"));
         assert_eq!(registry.counts().done, 1);
         let done = registry.get(1).unwrap();
         done.with_state(|s| match s {
@@ -1165,15 +1163,15 @@ mod tests {
 
     #[test]
     fn chunks_round_robin_across_jobs() {
-        let registry = JobRegistry::new(4).with_chunk_size(1);
-        let a = registry.submit(spec_with_pool(2)).unwrap();
-        let b = registry.submit(spec_with_pool(2)).unwrap();
+        let registry = open(4).with_chunk_size(1);
+        let a = submit(&registry, spec_with_pool(2)).unwrap();
+        let b = submit(&registry, spec_with_pool(2)).unwrap();
         // Fair share: A, B, A, B — not A, A, B, B.
         let order: Vec<(u64, usize)> = (0..4)
             .map(|_| {
                 let chunk = registry.next_chunk().unwrap();
                 let key = (chunk.job.id, chunk.start);
-                registry.finish_chunk(&chunk, &[0], "bypass");
+                registry.finish(chunk, rows(&[0], "bypass"));
                 key
             })
             .collect();
@@ -1183,17 +1181,17 @@ mod tests {
 
     #[test]
     fn interleaved_chunks_assemble_in_pool_order() {
-        let registry = JobRegistry::new(4).with_chunk_size(2);
-        registry.submit(spec_with_pool(5)).unwrap();
+        let registry = open(4).with_chunk_size(2);
+        submit(&registry, spec_with_pool(5)).unwrap();
         let c1 = registry.next_chunk().unwrap();
         let c2 = registry.next_chunk().unwrap();
         let c3 = registry.next_chunk().unwrap();
         assert_eq!((c1.start, c2.start, c3.start), (0, 2, 4));
         // Finish out of order; assembly is positional.
-        registry.finish_chunk(&c3, &[50], "hit");
-        registry.finish_chunk(&c1, &[10, 20], "miss");
+        registry.finish(c3, rows(&[50], "hit"));
+        registry.finish(c1, rows(&[10, 20], "miss"));
         assert_eq!(registry.counts().running, 1, "still one chunk out");
-        registry.finish_chunk(&c2, &[30, 40], "hit");
+        registry.finish(c2, rows(&[30, 40], "hit"));
         registry.get(1).unwrap().with_state(|s| match s {
             JobState::Done(output) => {
                 assert_eq!(output.counts, vec![10, 20, 30, 40, 50]);
@@ -1206,27 +1204,33 @@ mod tests {
 
     #[test]
     fn queue_bound_enforced() {
-        let registry = JobRegistry::new(2);
-        let a = registry.submit(spec()).unwrap();
-        registry.submit(spec()).unwrap();
-        assert_eq!(registry.submit(spec()).unwrap_err(), "job queue is full");
+        let registry = open(2);
+        let a = submit(&registry, spec()).unwrap();
+        submit(&registry, spec()).unwrap();
+        assert_eq!(
+            submit(&registry, spec()).unwrap_err(),
+            SubmitError::QueueFull
+        );
         // Dealing a chunk moves the job to `running`; it still occupies
         // its admission slot — only finishing frees one.
         let chunk = registry.next_chunk().unwrap();
         assert_eq!(chunk.job.id, a.id);
-        assert_eq!(registry.submit(spec()).unwrap_err(), "job queue is full");
+        assert_eq!(
+            submit(&registry, spec()).unwrap_err(),
+            SubmitError::QueueFull
+        );
         // The default chunk width covers spec()'s whole 2-attacker pool,
         // so this one completion makes the job terminal and frees a slot.
-        registry.finish_chunk(&chunk, &[1, 1], "bypass");
+        registry.finish(chunk, rows(&[1, 1], "bypass"));
         assert!(a.with_state(JobState::is_terminal));
-        registry.submit(spec()).unwrap();
+        submit(&registry, spec()).unwrap();
     }
 
     #[test]
     fn cancel_queued_job_skips_execution() {
-        let registry = JobRegistry::new(4);
-        let a = registry.submit(spec()).unwrap();
-        let b = registry.submit(spec()).unwrap();
+        let registry = open(4);
+        let a = submit(&registry, spec()).unwrap();
+        let b = submit(&registry, spec()).unwrap();
         let cancelled = registry.cancel(a.id).unwrap();
         assert_eq!(cancelled.with_state(JobState::name), "cancelled");
         // The scheduler's next deal skips the cancelled job entirely.
@@ -1240,8 +1244,8 @@ mod tests {
         // in-flight chunk off the ring without finalizing it, and the
         // job's pool is never fully dealt — it used to stay `running`
         // forever, permanently occupying an admission slot.
-        let registry = JobRegistry::new(2).with_chunk_size(1);
-        let doomed = registry.submit(spec_with_pool(3)).unwrap();
+        let registry = open(2).with_chunk_size(1);
+        let doomed = submit(&registry, spec_with_pool(3)).unwrap();
         let in_flight = registry.next_chunk().unwrap();
         registry.cancel(doomed.id).unwrap();
         assert_eq!(
@@ -1251,24 +1255,24 @@ mod tests {
         );
         // The scheduler pops the cancelled job off the ring (and must not
         // deal it); a second job gives it something else to return.
-        let other = registry.submit(spec()).unwrap();
+        let other = submit(&registry, spec()).unwrap();
         let chunk = registry.next_chunk().unwrap();
         assert_eq!(chunk.job.id, other.id);
         // The in-flight chunk drains — the job must finalize even though
         // its pool was never fully dealt.
-        registry.finish_chunk(&in_flight, &[0], "bypass");
+        registry.finish(in_flight, rows(&[0], "bypass"));
         assert_eq!(doomed.with_state(JobState::name), "cancelled");
         // And its admission slot is free again.
-        registry.finish_chunk(&chunk, &[0], "bypass");
-        registry.submit(spec()).unwrap();
+        registry.finish(chunk, rows(&[0], "bypass"));
+        submit(&registry, spec()).unwrap();
     }
 
     #[test]
     fn cancelled_jobs_stay_cancelled() {
-        let registry = JobRegistry::new(4);
-        let job = registry.submit(spec()).unwrap();
+        let registry = open(4);
+        let job = submit(&registry, spec()).unwrap();
         registry.cancel(job.id).unwrap();
-        job.transition(JobState::Done(JobOutput {
+        job.sched().transition(JobState::Done(JobOutput {
             counts: Vec::new(),
             cache: "bypass",
             wall_ms: 0,
@@ -1279,8 +1283,8 @@ mod tests {
 
     #[test]
     fn stream_job_is_one_chunk_with_event_progress() {
-        let registry = JobRegistry::new(4);
-        let job = registry.submit(stream_spec(50)).unwrap();
+        let registry = open(4);
+        let job = submit(&registry, stream_spec(50)).unwrap();
         assert!(job.spec.as_stream().is_some());
         // The whole tape is a single schedulable unit...
         let chunk = registry.next_chunk().unwrap();
@@ -1288,20 +1292,20 @@ mod tests {
         assert!(chunk.attackers().is_empty());
         assert_eq!(registry.counts().running, 1);
         // ...and nothing else of this job is ever dealt.
-        let other = registry.submit(spec()).unwrap();
+        let other = submit(&registry, spec()).unwrap();
         let next = registry.next_chunk().unwrap();
         assert_eq!(next.job.id, other.id);
         // Per-event progress ticks the job atomics, not chunk accounting.
         chunk.job.completed.store(37, Ordering::Relaxed);
-        registry.finish_stream_chunk(
-            &chunk,
-            StreamSummary {
+        registry.finish(
+            chunk,
+            ChunkResult::Stream(StreamSummary {
                 events: 50,
                 injected: 3,
                 detected: 2,
                 mean_latency: Some(1.5),
                 max_latency: Some(3),
-            },
+            }),
         );
         job.with_state(|s| match s {
             JobState::Done(output) => {
@@ -1315,21 +1319,21 @@ mod tests {
 
     #[test]
     fn cancelled_stream_job_discards_its_summary() {
-        let registry = JobRegistry::new(4);
-        let job = registry.submit(stream_spec(50)).unwrap();
+        let registry = open(4);
+        let job = submit(&registry, stream_spec(50)).unwrap();
         let chunk = registry.next_chunk().unwrap();
         registry.cancel(job.id).unwrap();
         // The executor notices the flag mid-tape and reports what it had;
         // cancellation wins, matching sweep semantics.
-        registry.finish_stream_chunk(
-            &chunk,
-            StreamSummary {
+        registry.finish(
+            chunk,
+            ChunkResult::Stream(StreamSummary {
                 events: 12,
                 injected: 1,
                 detected: 0,
                 mean_latency: None,
                 max_latency: None,
-            },
+            }),
         );
         assert_eq!(job.with_state(JobState::name), "cancelled");
     }
@@ -1338,16 +1342,16 @@ mod tests {
     fn stream_jobs_persist_summary_only_and_restore_terminal() {
         let dir = scratch_dir("stream");
         {
-            let (registry, _) = JobRegistry::with_state_dir(4, Some(dir.clone()));
-            let job = registry.submit(stream_spec(50)).unwrap();
+            let registry = JobRegistry::new(4, Some(dir.clone()));
+            let job = submit(&registry, stream_spec(50)).unwrap();
             {
                 let mut store = lock_recover(&job.spec.as_stream().unwrap().store);
                 store.push("pollution", 0, 9.0);
             }
             let chunk = registry.next_chunk().unwrap();
-            registry.finish_stream_chunk(
-                &chunk,
-                StreamSummary {
+            registry.finish(
+                chunk,
+                ChunkResult::Stream(StreamSummary {
                     events: 50,
                     injected: 3,
                     detected: 0,
@@ -1355,11 +1359,12 @@ mod tests {
                     // nulls, not resurrect them as zeros.
                     mean_latency: None,
                     max_latency: None,
-                },
+                }),
             );
         }
-        let (registry, report) = JobRegistry::with_state_dir(4, Some(dir.clone()));
-        assert_eq!(report.restored, 1);
+        let registry = JobRegistry::new(4, Some(dir.clone()));
+        let report = registry.scheduler_stats();
+        assert_eq!(report.jobs_restored, 1);
         let job = registry.get(1).expect("restored stream job answers");
         assert!(job.restored);
         let spec = job.spec.as_stream().expect("restored as a stream job");
@@ -1380,17 +1385,17 @@ mod tests {
 
     #[test]
     fn failed_chunk_fails_job_but_not_registry() {
-        let registry = JobRegistry::new(4).with_chunk_size(1);
-        let doomed = registry.submit(spec_with_pool(3)).unwrap();
+        let registry = open(4).with_chunk_size(1);
+        let doomed = submit(&registry, spec_with_pool(3)).unwrap();
         let chunk = registry.next_chunk().unwrap();
-        registry.fail_chunk(&chunk, "executor panicked");
+        registry.finish(chunk, ChunkResult::Failed("executor panicked".to_string()));
         assert_eq!(doomed.with_state(JobState::name), "failed");
         doomed.with_state(|s| match s {
             JobState::Failed(message) => assert!(message.contains("panicked")),
             other => panic!("expected failed, got {}", other.name()),
         });
         // The remaining pool is never dealt, and new jobs still run.
-        let healthy = registry.submit(spec()).unwrap();
+        let healthy = submit(&registry, spec()).unwrap();
         let chunk = registry.next_chunk().unwrap();
         assert_eq!(chunk.job.id, healthy.id);
     }
@@ -1399,8 +1404,8 @@ mod tests {
     fn poisoned_job_state_recovers() {
         // Regression: a panic while holding the state lock used to poison
         // it, turning every later `/v1/jobs` request into a panic.
-        let registry = JobRegistry::new(4);
-        let job = registry.submit(spec()).unwrap();
+        let registry = open(4);
+        let job = submit(&registry, spec()).unwrap();
         let poisoned = Arc::clone(&job);
         let _ = std::thread::spawn(move || {
             poisoned.with_state(|_| panic!("induced executor panic"));
@@ -1409,20 +1414,20 @@ mod tests {
         // Every state-touching path still answers.
         assert_eq!(job.with_state(JobState::name), "queued");
         assert_eq!(registry.counts().queued, 1);
-        let after = registry.submit(spec()).unwrap();
+        let after = submit(&registry, spec()).unwrap();
         assert_eq!(after.id, job.id + 1);
         let chunk = registry.next_chunk().unwrap();
-        registry.finish_chunk(&chunk, &[1, 2], "bypass");
+        registry.finish(chunk, rows(&[1, 2], "bypass"));
     }
 
     #[test]
     fn close_drains_and_fails_queued() {
-        let registry = JobRegistry::new(4);
-        let job = registry.submit(spec()).unwrap();
+        let registry = open(4);
+        let job = submit(&registry, spec()).unwrap();
         registry.close();
         assert!(registry.next_chunk().is_none());
         assert_eq!(job.with_state(JobState::name), "failed");
-        assert!(registry.submit(spec()).is_err());
+        assert!(submit(&registry, spec()).is_err());
     }
 
     #[test]
@@ -1433,17 +1438,19 @@ mod tests {
             let dir = scratch_dir("restart");
             let counts;
             {
-                let (registry, report) = JobRegistry::with_state_dir(4, Some(dir.clone()));
-                assert_eq!(report, RestoreReport::default());
-                registry.submit(spec()).unwrap();
+                let registry = JobRegistry::new(4, Some(dir.clone()));
+                let report = registry.scheduler_stats();
+                assert_eq!(report, SchedulerStats::default());
+                submit(&registry, spec()).unwrap();
                 let chunk = registry.next_chunk().unwrap();
-                registry.finish_chunk(&chunk, &[7, 9], cache);
+                registry.finish(chunk, rows(&[7, 9], cache));
                 counts = vec![7, 9];
                 assert_eq!(registry.scheduler_stats().jobs_persisted, 1);
             }
-            let (registry, report) = JobRegistry::with_state_dir(4, Some(dir.clone()));
-            assert_eq!(report.restored, 1, "{cache}");
-            assert_eq!(report.quarantined, 0, "{cache}");
+            let registry = JobRegistry::new(4, Some(dir.clone()));
+            let report = registry.scheduler_stats();
+            assert_eq!(report.jobs_restored, 1, "{cache}");
+            assert_eq!(report.files_quarantined, 0, "{cache}");
             let job = registry.get(1).expect("restored job answers by id");
             assert!(job.restored);
             job.with_state(|s| match s {
@@ -1454,7 +1461,7 @@ mod tests {
                 other => panic!("expected done, got {}", other.name()),
             });
             // Ids keep growing past the restored ones.
-            let fresh = registry.submit(spec()).unwrap();
+            let fresh = submit(&registry, spec()).unwrap();
             assert_eq!(fresh.id, 2);
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -1465,15 +1472,26 @@ mod tests {
         let dir = scratch_dir("quarantine");
         std::fs::write(dir.join("job-3.json"), "{not json at all").unwrap();
         std::fs::write(dir.join("job-4.json"), "{\"id\":4,\"state\":\"running\"}").unwrap();
-        let (registry, report) = JobRegistry::with_state_dir(4, Some(dir.clone()));
-        assert_eq!(report.restored, 0);
-        assert_eq!(report.quarantined, 2);
+        // A sweep's total is its pool width: a record claiming 5 of a
+        // 4-attacker pool disagrees with itself.
+        std::fs::write(
+            dir.join("job-5.json"),
+            "{\"schema_version\":1,\"id\":5,\"state\":\"cancelled\",\"target\":4211,\
+             \"pool\":\"explicit\",\"attackers\":[17,3,998,41],\"validators\":[],\
+             \"stub_defense\":false,\"total\":5,\"completed\":0,\"elapsed_ms\":0}\n",
+        )
+        .unwrap();
+        let registry = JobRegistry::new(4, Some(dir.clone()));
+        let report = registry.scheduler_stats();
+        assert_eq!(report.jobs_restored, 0);
+        assert_eq!(report.files_quarantined, 3);
         assert!(registry.get(3).is_none());
         assert!(dir.join("quarantine/job-3.json").exists());
         assert!(dir.join("quarantine/job-4.json").exists());
+        assert!(dir.join("quarantine/job-5.json").exists());
         assert!(!dir.join("job-3.json").exists());
         // The registry still works — corrupt files cost nothing but a move.
-        registry.submit(spec()).unwrap();
+        submit(&registry, spec()).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1481,15 +1499,16 @@ mod tests {
     fn cancelled_and_failed_jobs_persist_too() {
         let dir = scratch_dir("terminal");
         {
-            let (registry, _) = JobRegistry::with_state_dir(4, Some(dir.clone()));
-            let a = registry.submit(spec()).unwrap();
+            let registry = JobRegistry::new(4, Some(dir.clone()));
+            let a = submit(&registry, spec()).unwrap();
             registry.cancel(a.id).unwrap();
-            registry.submit(spec()).unwrap();
+            submit(&registry, spec()).unwrap();
             let chunk = registry.next_chunk().unwrap();
-            registry.fail_chunk(&chunk, "induced");
+            registry.finish(chunk, ChunkResult::Failed("induced".to_string()));
         }
-        let (registry, report) = JobRegistry::with_state_dir(4, Some(dir.clone()));
-        assert_eq!(report.restored, 2);
+        let registry = JobRegistry::new(4, Some(dir.clone()));
+        let report = registry.scheduler_stats();
+        assert_eq!(report.jobs_restored, 2);
         assert_eq!(
             registry.get(1).unwrap().with_state(JobState::name),
             "cancelled"
@@ -1523,7 +1542,9 @@ mod tests {
                 job_from_doc(&doc).unwrap_or_else(|| panic!("{} quarantined", path.display()));
             assert!(job.restored && job.with_state(JobState::is_terminal));
             assert_eq!(
-                job_to_doc(&job).render_compact() + "\n",
+                job.with_state(|state| job_to_doc(&job, state))
+                    .render_compact()
+                    + "\n",
                 text,
                 "{}",
                 path.display()

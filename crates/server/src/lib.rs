@@ -5,7 +5,7 @@
 //! the same lab into a *long-running* service: the topology is generated
 //! once at startup, and operators then ask incremental questions over a
 //! small HTTP/1.1 JSON API — "what if AS X hijacked AS Y under this
-//! deployment?" ([`POST /v1/attacks`]), "re-run the §IV sweep against
+//! deployment?" (`POST /v1/attacks`), "re-run the §IV sweep against
 //! this defense" (`POST /v1/sweeps`, asynchronous with progress and
 //! cancellation), "watch a live update stream and detect hijacks as they
 //! land" (`POST /v1/stream`, with mid-run time-series range queries on
@@ -31,27 +31,30 @@
 //! ```
 //!
 //! Everything is `std`: the no-new-dependencies policy means no tokio, no
-//! hyper, no serde — framing is hand-rolled ([`crate::http`]) and JSON is
+//! hyper, no serde — framing is hand-rolled (the `http` module) and JSON is
 //! the manifest crate's bidirectional [`bgpsim_core::manifest::Json`].
 //! Threads are scoped so workers can borrow the `Simulator` (which
 //! borrows the topology) without `Arc` gymnastics; the scope guarantees
 //! the lab outlives every worker.
 //!
-//! The load-bearing middle layer is the [`cache::BaselineCache`]: repeat
+//! The load-bearing middle layer is the baseline cache (`cache.rs`): repeat
 //! queries against a warm (target, stub-defense setting) baseline — under
 //! any validator deployment — skip the honest convergence entirely and
 //! replay in microseconds. See `DESIGN.md` §13.
 //!
-//! [`POST /v1/attacks`]: crate::api
+//! The crate's API is what its callers use and nothing more: [`serve`]
+//! (the CLI), [`spawn`] with its [`ServerHandle`] (tests, harness) and
+//! [`ServerConfig`]. Everything else is private, so the compiler's
+//! dead-code lint sees the whole job layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod api;
-pub mod cache;
-pub mod http;
-pub mod jobs;
-pub mod metrics;
+mod api;
+mod cache;
+mod http;
+mod jobs;
+mod metrics;
 
 use std::collections::HashMap;
 use std::io;
@@ -77,7 +80,7 @@ use rayon::prelude::*;
 
 use cache::{BaselineCache, BaselineKey, CacheOutcome};
 use http::{HttpConn, ReadOutcome, Response};
-use jobs::{Chunk, Job, JobRegistry, JobSpec, StreamSpec};
+use jobs::{Chunk, ChunkResult, Job, JobRegistry, JobSpec, StreamSpec, SweepSpec};
 use metrics::ServerMetrics;
 
 /// How long the accept loop sleeps between polls when no connection is
@@ -239,8 +242,7 @@ pub fn serve(
     // once the lab can actually answer.
     let lab = Lab::new(config.experiment.clone());
     let fanout = connect_fanout(config, &lab);
-    let (jobs, _restore) =
-        JobRegistry::with_state_dir(config.max_queued_jobs, config.state_dir.clone());
+    let jobs = JobRegistry::new(config.max_queued_jobs, config.state_dir.clone());
     // Fan-out mode deals *shards*, not local rayon chunks: hand each sweep
     // job to the coordinator as one whole-pool chunk so the shard plan
     // covers the entire pool (usize::MAX >> 1 avoids the chunk-ring's
@@ -406,35 +408,23 @@ fn handle_connection(state: &ServerState<'_>, stream: std::net::TcpStream) {
 /// these, so several jobs progress simultaneously; the registry's
 /// round-robin deal keeps any one job from monopolizing them.
 ///
-/// Each chunk runs under `catch_unwind`: a panicking sweep marks *that
-/// job* failed ([`JobRegistry::fail_chunk`]) and the executor keeps
-/// serving everyone else — combined with the registry's poison-recovering
-/// locks, one bad job cannot take the job layer down.
+/// Each chunk runs under `catch_unwind`: a panicking sweep comes back as
+/// a [`ChunkResult::Failed`] chunk that marks *that job* failed, and the
+/// executor keeps serving everyone else — combined with the registry's
+/// poison-recovering locks, one bad job cannot take the job layer down.
 fn sweep_executor(state: &ServerState<'_>) {
     while let Some(chunk) = state.jobs.next_chunk() {
-        match catch_unwind(AssertUnwindSafe(|| run_chunk(state, &chunk))) {
-            Ok(ChunkResult::Sweep { rows, cache }) => {
-                state.jobs.finish_chunk(&chunk, &rows, cache);
-            }
-            Ok(ChunkResult::Stream(summary)) => state.jobs.finish_stream_chunk(&chunk, summary),
-            Err(panic) => {
+        let result =
+            catch_unwind(AssertUnwindSafe(|| run_chunk(state, &chunk))).unwrap_or_else(|panic| {
                 let detail = panic
                     .downcast_ref::<&str>()
                     .map(|s| (*s).to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "unknown panic".to_string());
-                state
-                    .jobs
-                    .fail_chunk(&chunk, format!("job executor panicked: {detail}"));
-            }
-        }
+                ChunkResult::Failed(format!("job executor panicked: {detail}"))
+            });
+        state.jobs.finish(chunk, result);
     }
-}
-
-/// What one chunk of executor work produced.
-enum ChunkResult {
-    Sweep { rows: Vec<u32>, cache: &'static str },
-    Stream(StreamSummary),
 }
 
 /// Runs one chunk: a slice of a sweep's attacker pool, or a stream job's
@@ -456,7 +446,7 @@ fn run_chunk(state: &ServerState<'_>, chunk: &Chunk) -> ChunkResult {
 fn run_sweep_chunk(
     state: &ServerState<'_>,
     job: &Job,
-    spec: &jobs::SweepSpec,
+    spec: &SweepSpec,
     chunk: &Chunk,
 ) -> (Vec<u32>, &'static str) {
     if let Some(coordinator) = &state.fanout {
@@ -526,7 +516,7 @@ impl<F: Fn(usize) + Sync> SweepObserver for JobShardObserver<'_, F> {
 fn run_fanout_chunk(
     coordinator: &Coordinator,
     job: &Job,
-    spec: &jobs::SweepSpec,
+    spec: &SweepSpec,
 ) -> Result<Vec<u32>, FanoutError> {
     let observer = JobShardObserver {
         job,
@@ -537,7 +527,8 @@ fn run_fanout_chunk(
 
 /// Runs a stream job's whole event tape through the incremental detector,
 /// ticking the job's progress atomics and the stream counter bank per
-/// event. The store lock is held only for each event's appends, so
+/// event; the baselines the detector builds count on the server's
+/// telemetry like any other. The store lock is held only for each event's appends, so
 /// `GET /v1/stream/:id/range` reads a consistent mid-stream snapshot
 /// between events. Cancellation is polled per event; a cancelled run
 /// still reports the summary of the prefix it processed (the registry
@@ -545,7 +536,8 @@ fn run_fanout_chunk(
 fn run_stream_chunk(state: &ServerState<'_>, job: &Job, spec: &StreamSpec) -> StreamSummary {
     let sets = state.lab.probe_cohort();
     let mut detector =
-        StreamDetector::new(&state.sim, &sets, &spec.plan, DetectorMode::Incremental);
+        StreamDetector::new(&state.sim, &sets, &spec.plan, DetectorMode::Incremental)
+            .with_baseline_telemetry(&state.telemetry);
     let tick = job.progress_ticker();
     let mut processed = 0;
     for event in &spec.plan.events {

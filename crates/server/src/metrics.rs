@@ -25,7 +25,7 @@ use crate::jobs::{JobCounts, SchedulerStats};
 
 /// The routable endpoints, for per-endpoint labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Endpoint {
+pub(crate) enum Endpoint {
     /// `POST /v1/attacks`.
     Attacks,
     /// `POST /v1/attacks:batch`.
@@ -50,7 +50,7 @@ pub enum Endpoint {
 
 impl Endpoint {
     /// Every endpoint, exposition order.
-    pub const ALL: [Endpoint; 10] = [
+    pub(crate) const ALL: [Endpoint; 10] = [
         Endpoint::Attacks,
         Endpoint::AttacksBatch,
         Endpoint::Sweeps,
@@ -64,7 +64,7 @@ impl Endpoint {
     ];
 
     /// Prometheus label value.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Endpoint::Attacks => "attacks",
             Endpoint::AttacksBatch => "attacks_batch",
@@ -108,7 +108,7 @@ struct EndpointStats {
 
 /// HTTP-layer counter bank, shared read-mostly across worker threads.
 #[derive(Debug)]
-pub struct ServerMetrics {
+pub(crate) struct ServerMetrics {
     endpoints: [EndpointStats; 10],
     connections: AtomicU64,
     rejected_connections: AtomicU64,
@@ -129,7 +129,7 @@ pub struct ServerMetrics {
 
 impl ServerMetrics {
     /// A zeroed bank; `started` anchors the uptime gauge.
-    pub fn new() -> ServerMetrics {
+    pub(crate) fn new() -> ServerMetrics {
         ServerMetrics {
             endpoints: Default::default(),
             connections: AtomicU64::new(0),
@@ -146,51 +146,51 @@ impl ServerMetrics {
     }
 
     /// Counts one stream event processed by the executor.
-    pub fn stream_event(&self) {
+    pub(crate) fn stream_event(&self) {
         self.stream_events.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a finished (or cancelled) stream run's detection outcome.
-    pub fn stream_finished(&self, injected: u64, detected: u64) {
+    pub(crate) fn stream_finished(&self, injected: u64, detected: u64) {
         self.stream_runs.fetch_add(1, Ordering::Relaxed);
         self.stream_injected.fetch_add(injected, Ordering::Relaxed);
         self.stream_detected.fetch_add(detected, Ordering::Relaxed);
     }
 
     /// Counts one accepted connection.
-    pub fn connection_accepted(&self) {
+    pub(crate) fn connection_accepted(&self) {
         self.connections.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one connection turned away with 503 (queue full).
-    pub fn connection_rejected(&self) {
+    pub(crate) fn connection_rejected(&self) {
         self.rejected_connections.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one unframable request (parse error, oversized head/body).
-    pub fn malformed_request(&self) {
+    pub(crate) fn malformed_request(&self) {
         self.malformed_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adjusts the accepted-but-unclaimed connection gauge.
-    pub fn queue_changed(&self, delta: i64) {
+    pub(crate) fn queue_changed(&self, delta: i64) {
         self.queue_depth.fetch_add(delta, Ordering::Relaxed);
     }
 
     /// Current queue depth, clamped at zero: a decrement racing ahead of
     /// its increment reads as empty, never as ~2^64 pending connections.
-    pub fn queue_depth(&self) -> u64 {
+    pub(crate) fn queue_depth(&self) -> u64 {
         self.queue_depth.load(Ordering::Relaxed).max(0) as u64
     }
 
     /// Marks a request entering a handler; the guard decrements on drop.
-    pub fn begin_request(&self) -> InFlightGuard<'_> {
+    pub(crate) fn begin_request(&self) -> InFlightGuard<'_> {
         self.in_flight.fetch_add(1, Ordering::Relaxed);
         InFlightGuard { metrics: self }
     }
 
     /// Records one handled request.
-    pub fn observe(&self, endpoint: Endpoint, status: u16, wall: Duration) {
+    pub(crate) fn observe(&self, endpoint: Endpoint, status: u16, wall: Duration) {
         let stats = &self.endpoints[endpoint.index()];
         stats.requests.fetch_add(1, Ordering::Relaxed);
         let class = match status {
@@ -205,7 +205,7 @@ impl ServerMetrics {
     }
 
     /// Seconds since the bank was created (server start).
-    pub fn uptime(&self) -> Duration {
+    pub(crate) fn uptime(&self) -> Duration {
         self.started.elapsed()
     }
 }
@@ -218,7 +218,7 @@ impl Default for ServerMetrics {
 
 /// Decrements the in-flight gauge when a handler exits (however it
 /// exits).
-pub struct InFlightGuard<'a> {
+pub(crate) struct InFlightGuard<'a> {
     metrics: &'a ServerMetrics,
 }
 
@@ -280,7 +280,7 @@ fn histogram(
 
 /// Renders the full Prometheus text exposition: HTTP counters, baseline
 /// cache, job states, and the shared simulation telemetry.
-pub fn render_prometheus(
+pub(crate) fn render_prometheus(
     metrics: &ServerMetrics,
     cache: &CacheStats,
     jobs: &JobCounts,
@@ -583,7 +583,7 @@ pub fn render_prometheus(
 
 /// Renders the coordinator's fan-out section, appended to the main
 /// exposition when the server was booted with `--fanout-workers`.
-pub fn render_fanout(stats: &FanoutStats) -> String {
+pub(crate) fn render_fanout(stats: &FanoutStats) -> String {
     let mut out = String::with_capacity(2 * 1024);
     header(
         &mut out,

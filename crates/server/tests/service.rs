@@ -807,6 +807,12 @@ fn stream_round_trip_ranges_and_summary() {
         metric(&mut client, "bgpsim_stream_hijacks_detected_total"),
         detected
     );
+    // The detector's baselines count like anyone else's: stub filtering
+    // is on by default, so the route replays, one baseline per tracked
+    // target at most.
+    let built = metric(&mut client, "bgpsim_sim_baselines_built_total");
+    assert!((1..=2).contains(&built), "{built} baselines for 2 targets");
+    assert!(metric(&mut client, "bgpsim_sim_baseline_bytes_total") > 0);
 
     // /range on a sweep job is a category error, not a 404.
     let target = {

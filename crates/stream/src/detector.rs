@@ -35,7 +35,9 @@
 use std::collections::{BTreeMap, HashMap};
 
 use bgpsim_detection::ProbeSet;
-use bgpsim_hijack::{Attack, AttackOutcome, Defense, Dispatch, Scratch, Simulator, SweepMonitor};
+use bgpsim_hijack::{
+    Attack, AttackOutcome, Defense, Dispatch, Scratch, Simulator, SweepMonitor, SweepTelemetry,
+};
 use bgpsim_routing::{Baseline, NullObserver};
 use bgpsim_topology::AsIndex;
 
@@ -168,6 +170,9 @@ pub struct StreamDetector<'a, 't> {
     active: BTreeMap<AsIndex, usize>,
     hijacks: Vec<HijackRecord>,
     scratch: Scratch,
+    /// Where the baselines this detector builds are counted, if anywhere
+    /// ([`StreamDetector::with_baseline_telemetry`]).
+    telemetry: Option<&'a SweepTelemetry>,
 }
 
 impl<'a, 't> StreamDetector<'a, 't> {
@@ -196,9 +201,19 @@ impl<'a, 't> StreamDetector<'a, 't> {
             active: BTreeMap::new(),
             hijacks: Vec::new(),
             scratch: Scratch::default(),
+            telemetry: None,
         };
         detector.rebuild_defense();
         detector
+    }
+
+    /// Counts every baseline this detector builds — and its heap
+    /// footprint — on `telemetry`, as a sweep's builds are counted. Only
+    /// the builds: per-event evaluations stay off the sweep counters.
+    #[must_use]
+    pub fn with_baseline_telemetry(mut self, telemetry: &'a SweepTelemetry) -> Self {
+        self.telemetry = Some(telemetry);
+        self
     }
 
     fn rebuild_defense(&mut self) {
@@ -314,10 +329,13 @@ impl<'a, 't> StreamDetector<'a, 't> {
             // The oracle: one full from-scratch generation-engine run.
             DetectorMode::Batch => self.sim.run(attack, &self.defense),
             DetectorMode::Incremental => {
-                let monitor = SweepMonitor::none();
                 let replays = self.sim.route(attack.kind, &self.defense) == Dispatch::Delta;
                 let baseline = replays.then(|| {
                     &*self.baselines.entry(attack.target).or_insert_with(|| {
+                        let monitor = SweepMonitor {
+                            telemetry: self.telemetry,
+                            ..SweepMonitor::none()
+                        };
                         self.sim
                             .baseline_for(attack.target, &self.defense, &monitor)
                     })
@@ -327,7 +345,7 @@ impl<'a, 't> StreamDetector<'a, 't> {
                     &self.defense,
                     baseline,
                     &mut self.scratch,
-                    &monitor,
+                    &SweepMonitor::none(),
                     &mut NullObserver,
                 );
                 outcome

@@ -27,8 +27,10 @@ pub struct StreamEvent {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// Benign churn: one AS toggles route-origin validation on or off.
-    /// Changes the defense every tracked target converges under, so every
-    /// cached baseline goes stale.
+    /// Changes the defense every active hijack is scored under, so every
+    /// memoized score goes stale. Cached baselines do not: origin
+    /// validation never rejects a target's honest announcement, so its
+    /// honest convergence is the same under every validator set.
     DefenseFlip {
         /// The AS whose validator membership flips.
         who: AsIndex,

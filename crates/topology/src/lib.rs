@@ -13,7 +13,7 @@
 //! * [`metrics`] — the paper's vulnerability predictors: *depth* (provider
 //!   hops to the tier-1/tier-2 core), *reach* (customer cones) and plain
 //!   hop distances.
-//! * [`classify`] / [`select`] — tier labels and deterministic selectors
+//! * [`classify`](mod@classify) / [`select`] — tier labels and deterministic selectors
 //!   for "a depth-5 stub", "the 62 ASes with degree ≥ 500", etc.
 //! * [`AddressSpace`], [`region`] — per-AS address-space weights and
 //!   regional labels used by the §IV pollution metrics and §VII regional

@@ -154,7 +154,7 @@ const FANOUT_USAGE: &str = "\
 bgpsim fanout — shard the fig2 sweep across a fleet of bgpsim-server workers
 
 Partitions each target's attacker pool into deterministic stride shards,
-deals them to the workers over /v1/attacks:batch and /v1/sweeps, and
+deals each to a worker as an idempotency-keyed /v1/sweeps job, and
 merges the per-shard rows positionally. The merged figure is
 byte-identical to a single-node `bgpsim run fig2` at the same scale and
 seed — CI pins that, including with a worker killed mid-sweep (failed

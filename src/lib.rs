@@ -4,10 +4,8 @@
 //!
 //! This facade re-exports the workspace: see [`bgpsim_core`] for the
 //! experiment harness and the substrate crates
-//! ([`topology`](bgpsim_core::topology), [`routing`](bgpsim_core::routing),
-//! [`hijack`](bgpsim_core::hijack), [`defense`](bgpsim_core::defense),
-//! [`detection`](bgpsim_core::detection), [`stream`](bgpsim_core::stream),
-//! [`advisor`](bgpsim_core::advisor), [`viz`](bgpsim_core::viz)).
+//! ([`topology`], [`routing`], [`hijack`], [`defense`], [`detection`],
+//! [`stream`], [`advisor`], [`viz`]).
 //!
 //! ```
 //! use bgpsim::{experiments, ExperimentConfig, Lab};
