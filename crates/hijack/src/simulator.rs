@@ -381,9 +381,22 @@ impl<'t> Simulator<'t> {
         run_instrumented(monitor, &progress, (skipped, route), || {
             let (solved, dispatch) =
                 self.solve(attack, defense, route, baseline, scratch, monitor, obs);
-            let outcome = match solved {
-                Solved::Network(p) => network_outcome(attack, &p),
-                Solved::Race(raced) => network_outcome(attack, &raced.to_propagation()),
+            let (polluted, stats) = match solved {
+                Solved::Network(p) => (polluted_set(&p, attack), p.stats()),
+                Solved::Race(raced) => {
+                    let polluted = match attack.kind {
+                        // Forged paths claim the target's origin, so
+                        // pollution is a property of the learned-from
+                        // chain (the memoized walk needs the full
+                        // selection map).
+                        AttackKind::ForgedOriginHijack => {
+                            polluted_set(&raced.to_propagation(), attack)
+                        }
+                        // Already in index order.
+                        _ => raced.captured_by(attack.attacker).collect(),
+                    };
+                    (polluted, raced.stats())
+                }
                 Solved::Cone(delta) => {
                     let polluted = match attack.kind {
                         AttackKind::OriginHijack => {
@@ -393,19 +406,17 @@ impl<'t> Simulator<'t> {
                             polluted.sort_unstable();
                             polluted
                         }
-                        // Forged paths claim the target's origin, so
-                        // pollution is a property of the learned-from
-                        // chain (the memoized walk needs the full
-                        // selection map).
+                        // The chain walk again, as for a raced forgery.
                         _ => polluted_set(&delta.to_propagation(), attack),
                     };
-                    AttackOutcome {
-                        attack,
-                        polluted,
-                        generations: delta.stats().generations,
-                        truncated: delta.stats().truncated,
-                    }
+                    (polluted, delta.stats())
                 }
+            };
+            let outcome = AttackOutcome {
+                attack,
+                polluted,
+                generations: stats.generations,
+                truncated: stats.truncated,
             };
             (outcome, dispatch)
         })

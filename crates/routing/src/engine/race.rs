@@ -7,20 +7,35 @@
 //! monotonicity that pass relies on — a tier-1 AS may prefer a short
 //! *provider-class* route over a longer customer route, so `(class, len)`
 //! priorities no longer settle in decreasing order everywhere. The break is
-//! confined to the handful of tier-1 nodes, though, which suggests a
-//! fixed-point decomposition:
+//! confined to the handful of tier-1 nodes, though. With every tier-1
+//! selection held constant, each remaining relaxation strictly degrades
+//! `(class asc-by-pref, len)` — receiver class never exceeds sender class
+//! (valley-free export plus sibling class inheritance) and length always
+//! grows — so a bucket queue over `(class, len)` settles each AS exactly
+//! once, with the standard slot tie-break. One such pass is split around a
+//! fixed point over the tier-1 selections:
 //!
-//! 1. **Freeze** every tier-1 AS's current selection (initially: none).
-//! 2. **One conditioned label-setting pass** over all other ASes. With
-//!    tier-1 selections held constant, every remaining relaxation strictly
-//!    degrades `(class asc-by-pref, len)` — receiver class never exceeds
-//!    sender class (valley-free export plus sibling class inheritance) and
-//!    length always grows — so a bucket queue over `(class, len)` settles
-//!    each AS exactly once, with the standard slot tie-break.
-//! 3. **Re-derive** every tier-1 selection length-first ([`tier1_key`])
-//!    from its neighbors' routes in the pass (Jacobi style: all tier-1s
-//!    re-select simultaneously from the same pass).
-//! 4. Repeat from 2 until the tier-1 selections stop changing.
+//! 1. **The upper drain.** Seed the origins and drain the origin- and
+//!    customer-class buckets. Every variable tier-1 is pre-settled, and an
+//!    offer to one lands in its candidacy tally instead.
+//! 2. **Clique rounds.** Freeze every tier-1's selection (initially:
+//!    none). Each round starts from a saved copy of the upper drain's
+//!    tally, adds the offers each routed tier-1's frozen customer-class
+//!    route makes to its tier-1 peers, and re-derives every tier-1
+//!    selection length-first ([`tier1_key`]) from the tally (Jacobi style:
+//!    all tier-1s re-select from the same tally). Rounds repeat until the
+//!    selections stop changing.
+//! 3. **The lower drain.** Inject the fixed point's frozen routes and
+//!    drain the peer- and provider-class buckets.
+//!
+//! The split is exact when no tier-1 has a provider or a sibling
+//! (`SimNet::tier1s_stand_alone`). A tier-1 then hears only customer-
+//! and origin-class exports, and a frozen tier-1 route lands only in the
+//! peer and provider classes or in a tier-1 peer's tally, while nothing a
+//! peer- or provider-class AS exports reaches a tier-1. So the upper drain
+//! and its tally are the same whatever the tier-1s select, and the three
+//! steps compute the very pass a loop of full conditioned passes would
+//! keep last, for one pass plus O(clique) work per round.
 //!
 //! On a fixed point the combined assignment is self-consistent, i.e. a
 //! stable routing solution, and the empty initialization makes the
@@ -31,27 +46,28 @@
 //! *the* race outcome; the root package's `differential` test pins
 //! bit-identical [`Propagation`] choices against the generation engine
 //! under both policies. A tier-1 whose sibling buys transit is the
-//! multistable corner where a fixed point can be the wrong stable state,
-//! so the solver declines that shape outright; other corners can
-//! oscillate instead of converging, so the iteration carries a bounded
-//! round cap. Both report `None`; callers (see `bgpsim_hijack::Simulator`)
-//! then fall back to the generation engine, which is always correct.
+//! multistable corner where a fixed point can be the wrong stable state;
+//! the solver declines it together with every other topology where a
+//! tier-1 has a provider or a sibling. Other corners can oscillate
+//! instead of converging, so the iteration carries a bounded round cap.
+//! Both report `None`; callers (see `bgpsim_hijack::Simulator`) then fall
+//! back to the generation engine, which is always correct.
 //!
 //! Unlike a plain label-setting pass, this one needs per-ASN loop checks:
-//! frozen tier-1 routes carry paths from the previous round (whose ASNs are
-//! not settled in this pass), and forged-origin seeds carry the victim's
+//! frozen tier-1 routes carry paths from the clique rounds (whose ASNs are
+//! not settled by the drains), and forged-origin seeds carry the victim's
 //! ASN, so "receiver already settled" no longer implies "receiver not on
-//! the path". Paths live in a per-pass arena exactly like the generation
+//! the path". Paths live in a per-solve arena exactly like the generation
 //! engine's.
 //!
-//! Under strict Gao-Rexford the tier-1 variable set is empty, the first
-//! pass is unconditioned, and the solver converges in one round — the loop
-//! checks then never fire, since every path ASN is already settled when its
+//! Under strict Gao-Rexford the tier-1 variable set is empty, the pass is
+//! unconditioned, and the solver converges in one round — the loop checks
+//! then never fire, since every path ASN is already settled when its
 //! export arrives.
 //!
-//! Passes decide only the ASes whose routes can matter to another AS.
+//! The pass decides only the ASes whose routes can matter to another AS.
 //! A *leaf* ([`SimNet::is_leaf`]: no customers, no siblings, not a tier-1)
-//! re-exports nothing it learns, so passes walk a core adjacency with
+//! re-exports nothing it learns, so the drains walk a core adjacency with
 //! every edge into a leaf dropped, and a leaf that does not announce is
 //! never labeled at all. Its selection is *pulled* when the result is read
 //! ([`RaceResult`]): the best of its peers' and providers' final routes.
@@ -148,7 +164,7 @@ fn key_len(key: u64) -> u16 {
 
 /// One tier-1 AS's frozen selection between rounds. The fixed-point test
 /// compares these for equality, so the path is materialized (arena nodes
-/// do not survive a pass).
+/// do not survive a round).
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct FrozenChoice {
     origin: u32,
@@ -161,23 +177,33 @@ struct FrozenChoice {
     path: Vec<u32>,
 }
 
+/// The bucket classes the upper drain settles: origin, then customer.
+const UPPER: [usize; 2] = [3, 2];
+
+/// The bucket classes the lower drain settles: peer, then provider.
+const LOWER: [usize; 2] = [1, 0];
+
 /// Reusable scratch state for [`solve_race`]; create one per thread.
 ///
 /// Epoch-stamped like [`crate::Workspace`]: per-AS arrays are invalidated
-/// by bumping a counter once per *pass* (several passes per solve), so
-/// back-to-back solves never memset the big arrays. Epoch 0 means "never
-/// used"; on wrap the stamps are cleared and the counter restarts at 1.
+/// by bumping a counter once per solve, so back-to-back solves never
+/// memset the big arrays. Epoch 0 means "never used"; on wrap the stamps
+/// are cleared and the counter restarts at 1.
 #[derive(Debug, Default)]
 pub struct RaceWorkspace {
     epoch: u32,
-    /// Per-AS pass state (tier-1s are pre-settled each pass).
+    /// Per-AS pass state (variable tier-1s are pre-settled).
     stamp: Vec<Stamp>,
-    /// Path arena, cleared each pass.
+    /// Path arena, cleared each solve; each clique round truncates it back
+    /// to the upper drain's length.
     arena: Vec<PathNode>,
-    /// Bucket queue: `class * STRIDE + len`, all empty between passes
-    /// (every pushed bucket is drained and cleared by the pass loop).
+    /// Bucket queue: `class * STRIDE + len`. The drains clear every bucket
+    /// they pass; `begin` clears the rest, which a solve that bailed out
+    /// between the drains leaves behind.
     buckets: Vec<Vec<u32>>,
-    /// Set when a pass met a path longer than the bucket queue can order
+    /// Highest populated length bucket per class, -1 when empty.
+    hi: [i64; 4],
+    /// Set when the pass met a path longer than the bucket queue can order
     /// ([`STRIDE`]); the solve returns `None`.
     overflow: bool,
     /// Per-AS index into `frozen`, `NONE` unless the AS is a variable
@@ -188,13 +214,20 @@ pub struct RaceWorkspace {
     t1_nodes: Vec<u32>,
     frozen: Vec<Option<FrozenChoice>>,
     next: Vec<Option<FrozenChoice>>,
-    /// Per variable tier-1: best candidacy offered during the current pass
-    /// as `(tier1_key, origin, arena node)`, tallied by the relax loop
-    /// itself — `derive_tier1` only materializes winners. A zero key means
-    /// no offer.
+    /// Per variable tier-1: best candidacy offered so far as `(tier1_key,
+    /// origin, arena node)`, tallied by the relax loop itself and by the
+    /// clique rounds — `derive_tier1` only materializes winners. A zero
+    /// key means no offer.
     t1_best: Vec<(u64, u32, u32)>,
-    /// The current run's announcers: the only leaves a pass labels, so the
-    /// read-out reads them from their stamps instead of pulling them.
+    /// `t1_best` as the upper drain left it: every clique round starts
+    /// from this copy.
+    t1_upper: Vec<(u64, u32, u32)>,
+    /// Per variable tier-1, the arena node of the path its frozen route
+    /// exports to its peers (itself first), `NONE` when it exports none;
+    /// rebuilt each clique round.
+    t1_out: Vec<u32>,
+    /// The current run's announcers: the only leaves the pass labels, so
+    /// the read-out reads them from their stamps instead of pulling them.
     announcers: Vec<u32>,
 }
 
@@ -204,14 +237,15 @@ impl RaceWorkspace {
         RaceWorkspace::default()
     }
 
+    /// Starts a solve: undoes the previous run's tier-1 registrations,
+    /// bumps the label/settled epoch and clears the arena.
     fn begin(&mut self, net: &SimNet<'_>, announcements: &[Announcement]) {
         let n = net.num_ases();
         if self.stamp.len() < n {
             self.stamp.resize(n, Stamp::default());
             self.t1_index.resize(n, NONE);
         }
-        // Undo the previous run's tier-1 registrations (self-healing even
-        // if that run bailed out early).
+        // Self-healing even if the previous run bailed out early.
         for &t in &self.t1_nodes {
             self.t1_index[t as usize] = NONE;
         }
@@ -219,17 +253,16 @@ impl RaceWorkspace {
         self.frozen.clear();
         self.next.clear();
         self.t1_best.clear();
+        self.t1_out.clear();
         self.overflow = false;
+        self.hi = [-1; 4];
         if self.buckets.is_empty() {
             self.buckets.resize_with(4 * STRIDE, Vec::new);
         }
+        self.buckets.iter_mut().for_each(Vec::clear);
         self.announcers.clear();
         self.announcers
             .extend(announcements.iter().map(|a| a.announcer.raw()));
-    }
-
-    /// Starts a pass: bumps the label/settled epoch and clears the arena.
-    fn begin_pass(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             self.stamp.fill(Stamp::default());
@@ -256,12 +289,13 @@ fn path_contains(arena: &[PathNode], mut node: u32, asn: u32) -> bool {
 /// not be the one the synchronous race reaches:
 ///
 /// * the policy has the tier-1 shortest-path override and some tier-1
-///   has a sibling that buys transit
-///   (`SimNet::tier1_sibling_buys_transit`): a customer-class route
-///   laundered through that sibling gives the tier-1 fixed point two
-///   stable states, and which one the race reaches depends on timing;
+///   has a provider or a sibling (`SimNet::tier1s_stand_alone`): the
+///   one-pass fixed point needs tier-1s that hear only customer- and
+///   origin-class routes, and a customer-class route laundered through a
+///   sibling that buys transit gives the fixed point two stable states,
+///   of which timing picks one;
 /// * the tier-1 fixed point did not settle within `max_rounds` rounds;
-/// * a pass met a path longer than the bucket queue orders (`STRIDE`).
+/// * the pass met a path longer than the bucket queue orders (`STRIDE`).
 ///
 /// Strict Gao-Rexford has no tier-1 variables, so it always converges,
 /// in one round.
@@ -272,7 +306,7 @@ fn path_contains(arena: &[PathNode], mut node: u32, asn: u32) -> bool {
 /// wherever the solver converges (the root package's `differential` test
 /// pins this under both policies, forged origins included); only the
 /// [`ConvergenceStats`] differ — no messages flow, so `accepted` reports
-/// the ASes the passes routed (every routed AS but the pulled leaves) and
+/// the ASes the pass routed (every routed AS but the pulled leaves) and
 /// `generations` reports fixed-point rounds.
 ///
 /// # Panics
@@ -295,7 +329,7 @@ pub fn solve_race<'r, 't>(
             "announcement references an AS out of range"
         );
     }
-    if policy.tier1_shortest_path && net.tier1_sibling_buys_transit() {
+    if policy.tier1_shortest_path && !net.tier1s_stand_alone() {
         return None;
     }
     ws.begin(net, announcements);
@@ -313,36 +347,21 @@ pub fn solve_race<'r, 't>(
             ws.frozen.push(None);
             ws.next.push(None);
             ws.t1_best.push((0, NONE, NONE));
+            ws.t1_out.push(NONE);
         }
     }
 
-    // Monomorphize the pass on whether filters can fire at all: the
+    // Monomorphize the drains on whether filters can fire at all: the
     // undefended sweeps (the fig. 2–4 workload) run inert contexts, and
     // the per-edge predicates are pure overhead there.
-    let filtered = !filters.is_inert();
-    let mut rounds = 0u32;
-    let settled = loop {
-        if rounds >= max_rounds {
-            return None;
-        }
-        rounds += 1;
-        let settled = if filtered {
-            run_pass::<true>(net, announcements, filters, ws)
-        } else {
-            run_pass::<false>(net, announcements, filters, ws)
-        };
-        if ws.overflow {
-            return None;
-        }
-        derive_tier1(ws);
-        if ws.next == ws.frozen {
-            break settled;
-        }
-        std::mem::swap(&mut ws.frozen, &mut ws.next);
-    };
+    let (settled, rounds) = if filters.is_inert() {
+        fixed_point::<false>(net, announcements, filters, max_rounds, ws)
+    } else {
+        fixed_point::<true>(net, announcements, filters, max_rounds, ws)
+    }?;
 
     // Converged. The variable tier-1s still hold the pass sentinel: a
-    // routed one takes its confirmed export (the final pass injected its
+    // routed one takes its confirmed export (the lower drain injected its
     // origin and path), an unrouted one is unlabeled.
     let RaceWorkspace {
         stamp,
@@ -391,33 +410,65 @@ pub fn solve_race_observed<'r, 't, O: Observer>(
     Some(raced)
 }
 
-/// One conditioned label-setting pass: origins seed, frozen tier-1
-/// selections inject, then the bucket queue settles everyone else in
-/// strictly degrading `(class, len)` order. Returns how many ASes the
-/// drain settled.
-fn run_pass<const FILTERED: bool>(
+/// The conditioned pass, split around the tier-1 fixed point: the upper
+/// drain, clique rounds until the tier-1 selections repeat, the lower
+/// drain. Returns how many ASes the drains settled and how many rounds
+/// ran, or `None` past `max_rounds` or on an overflow.
+fn fixed_point<const FILTERED: bool>(
+    net: &SimNet<'_>,
+    announcements: &[Announcement],
+    filters: &FilterContext<'_>,
+    max_rounds: u32,
+    ws: &mut RaceWorkspace,
+) -> Option<(u64, u32)> {
+    seed::<FILTERED>(net, announcements, filters, ws);
+    let mut settled = drain::<FILTERED>(net, filters, ws, UPPER);
+    if ws.overflow {
+        return None;
+    }
+    ws.t1_upper.clone_from(&ws.t1_best);
+    let upper_arena = ws.arena.len();
+    let mut rounds = 0u32;
+    loop {
+        if rounds >= max_rounds {
+            return None;
+        }
+        rounds += 1;
+        ws.arena.truncate(upper_arena);
+        clique_round(net, filters, ws);
+        derive_tier1(ws);
+        if ws.next == ws.frozen {
+            break;
+        }
+        std::mem::swap(&mut ws.frozen, &mut ws.next);
+    }
+    ws.arena.truncate(upper_arena);
+    inject::<FILTERED>(net, filters, ws);
+    settled += drain::<FILTERED>(net, filters, ws, LOWER);
+    (!ws.overflow).then_some((settled, rounds))
+}
+
+/// Opens the pass: pre-settles every variable tier-1, seeds the origins
+/// and exports their routes.
+fn seed<const FILTERED: bool>(
     net: &SimNet<'_>,
     announcements: &[Announcement],
     filters: &FilterContext<'_>,
     ws: &mut RaceWorkspace,
-) -> u64 {
-    ws.begin_pass();
+) {
     let RaceWorkspace {
         epoch,
         stamp,
         arena,
         buckets,
+        hi,
         overflow,
         t1_index,
         t1_nodes,
-        frozen,
         t1_best,
         ..
     } = ws;
     let epoch = *epoch;
-    t1_best.fill((0, NONE, NONE));
-    // Highest populated length bucket per class, -1 when empty.
-    let mut hi = [-1i64; 4];
 
     // Pre-settle every variable tier-1 with the sentinel before anything
     // exports: offers into them lose the key comparison and are diverted
@@ -471,49 +522,38 @@ fn run_pass<const FILTERED: bool>(
             overflow,
             t1_index,
             t1_best,
-            &mut hi,
+            hi,
             xkey,
             a.announcer.raw(),
         );
     }
+}
 
-    // Inject the frozen tier-1 selections: export the routed ones.
-    for (k, &t) in t1_nodes.iter().enumerate() {
-        let Some(f) = &frozen[k] else { continue };
-        let mut node = NONE;
-        for &asn in f.path.iter().rev() {
-            let next = arena.len() as u32;
-            arena.push(PathNode { asn, parent: node });
-            stamp[asn as usize].dirty = epoch;
-            node = next;
-        }
-        stamp[t as usize].origin = f.origin;
-        stamp[t as usize].node = node;
-        // The tier-1's own hop now rides on in-flight paths, so candidacy
-        // loop checks against it must walk the arena.
-        stamp[t as usize].dirty = epoch;
-        relax_from::<FILTERED>(
-            net,
-            filters,
-            epoch,
-            stamp,
-            arena,
-            buckets,
-            overflow,
-            t1_index,
-            t1_best,
-            &mut hi,
-            standard_key(PrefClass::from_u8(f.class), f.len, f.slot),
-            t,
-        );
-    }
-
-    // Drain buckets best-first. Pushes from a settling AS always land in a
-    // strictly worse bucket (receiver class never exceeds sender class,
-    // length grows), so every bucket's candidates are final when its turn
-    // comes and the processed bucket can be cleared in place.
+/// Drains the buckets of `classes` best-first and returns how many ASes
+/// settled. Pushes from a settling AS always land in a strictly worse
+/// bucket (receiver class never exceeds sender class, length grows), so
+/// every bucket's candidates are final when its turn comes and the
+/// processed bucket can be cleared in place.
+fn drain<const FILTERED: bool>(
+    net: &SimNet<'_>,
+    filters: &FilterContext<'_>,
+    ws: &mut RaceWorkspace,
+    classes: [usize; 2],
+) -> u64 {
+    let RaceWorkspace {
+        epoch,
+        stamp,
+        arena,
+        buckets,
+        hi,
+        overflow,
+        t1_index,
+        t1_best,
+        ..
+    } = ws;
+    let epoch = *epoch;
     let mut settled = 0;
-    for c in (0..4usize).rev() {
+    for c in classes {
         let mut l = 0i64;
         while l <= hi[c] {
             let b = c * STRIDE + l as usize;
@@ -530,8 +570,8 @@ fn run_pass<const FILTERED: bool>(
                 stamp[x as usize].key = key | SETTLED_BIT;
                 settled += 1;
                 relax_from::<FILTERED>(
-                    net, filters, epoch, stamp, arena, buckets, overflow, t1_index, t1_best,
-                    &mut hi, key, x,
+                    net, filters, epoch, stamp, arena, buckets, overflow, t1_index, t1_best, hi,
+                    key, x,
                 );
             }
             queue.clear();
@@ -540,6 +580,117 @@ fn run_pass<const FILTERED: bool>(
         }
     }
     settled
+}
+
+/// One clique round: resets the candidacy tally to the upper drain's copy
+/// and adds the offers each routed variable tier-1's frozen route makes to
+/// its variable tier-1 peers — exactly what injecting the frozen routes
+/// into the pass would tally. A peer hears customer-class routes only,
+/// and the stub filter, the origin filter and the loop check apply as in
+/// `relax_from`.
+fn clique_round(net: &SimNet<'_>, filters: &FilterContext<'_>, ws: &mut RaceWorkspace) {
+    let RaceWorkspace {
+        arena,
+        t1_index,
+        t1_nodes,
+        frozen,
+        t1_best,
+        t1_upper,
+        t1_out,
+        ..
+    } = ws;
+    t1_best.copy_from_slice(t1_upper);
+    for ((&t, f), out) in t1_nodes.iter().zip(frozen.iter()).zip(t1_out.iter_mut()) {
+        *out = NONE;
+        let Some(f) = f else { continue };
+        if f.class != PrefClass::Customer.as_u8()
+            || filters.rejects_stub(
+                net,
+                Relationship::Peer,
+                AsIndex::new(t),
+                AsIndex::new(f.origin),
+            )
+        {
+            continue;
+        }
+        let mut node = NONE;
+        for &asn in f.path.iter().rev().chain([&t]) {
+            let next = arena.len() as u32;
+            arena.push(PathNode { asn, parent: node });
+            node = next;
+        }
+        *out = node;
+    }
+    for &[t, p, slot] in net.tier1_peerings() {
+        let (k, kp) = (t1_index[t as usize], t1_index[p as usize]);
+        if k == NONE || kp == NONE || t1_out[k as usize] == NONE {
+            continue;
+        }
+        let Some(f) = &frozen[k as usize] else {
+            continue;
+        };
+        if filters.rejects_origin(AsIndex::new(p), AsIndex::new(f.origin)) || f.path.contains(&p) {
+            continue;
+        }
+        let tkey = tier1_key(PrefClass::Peer, f.len + 1, slot);
+        let best = &mut t1_best[kp as usize];
+        if tkey > best.0 {
+            *best = (tkey, f.origin, t1_out[k as usize]);
+        }
+    }
+}
+
+/// Closes the pass: injects the fixed point's routed tier-1 selections
+/// and exports them. Every ASN on a frozen path is marked dirty, so the
+/// lower drain's loop checks walk the paths it can be on.
+fn inject<const FILTERED: bool>(
+    net: &SimNet<'_>,
+    filters: &FilterContext<'_>,
+    ws: &mut RaceWorkspace,
+) {
+    let RaceWorkspace {
+        epoch,
+        stamp,
+        arena,
+        buckets,
+        hi,
+        overflow,
+        t1_index,
+        t1_nodes,
+        frozen,
+        t1_best,
+        ..
+    } = ws;
+    let epoch = *epoch;
+    for (&t, f) in t1_nodes.iter().zip(frozen.iter()) {
+        let Some(f) = f else { continue };
+        let mut node = NONE;
+        for &asn in f.path.iter().rev() {
+            let next = arena.len() as u32;
+            arena.push(PathNode { asn, parent: node });
+            stamp[asn as usize].dirty = epoch;
+            node = next;
+        }
+        stamp[t as usize].origin = f.origin;
+        stamp[t as usize].node = node;
+        // The tier-1's own hop now rides on in-flight paths, so loop
+        // checks against it must walk the arena.
+        stamp[t as usize].dirty = epoch;
+        relax_from::<FILTERED>(
+            net,
+            filters,
+            epoch,
+            stamp,
+            arena,
+            buckets,
+            overflow,
+            t1_index,
+            t1_best,
+            hi,
+            standard_key(PrefClass::from_u8(f.class), f.len, f.slot),
+            t,
+        );
+    }
 }
 
 /// Exports `x`'s current label to every eligible neighbor, improving their
@@ -702,10 +853,10 @@ fn relax_from<const FILTERED: bool>(
 }
 
 /// Materializes every variable tier-1's next selection from the
-/// candidacy tally the pass built ([`RaceWorkspace::t1_best`]), writing
-/// into `ws.next`. All tier-1s re-select from the same pass (Jacobi
-/// style); the winning offer's arena path is copied out because arena
-/// nodes do not survive a pass.
+/// candidacy tally of the current round ([`RaceWorkspace::t1_best`]),
+/// writing into `ws.next`. All tier-1s re-select from the same tally
+/// (Jacobi style); the winning offer's arena path is copied out because
+/// the next round truncates the arena.
 fn derive_tier1(ws: &mut RaceWorkspace) {
     let RaceWorkspace {
         arena,
@@ -720,7 +871,7 @@ fn derive_tier1(ws: &mut RaceWorkspace) {
             c.path
         });
         if tkey == 0 {
-            continue; // no eligible offer this pass
+            continue; // no eligible offer this round
         }
         let mut path = recycled.unwrap_or_default();
         let mut n = node;
@@ -742,7 +893,7 @@ fn derive_tier1(ws: &mut RaceWorkspace) {
 /// The converged outcome of one [`solve_race`], borrowing its workspace
 /// (zero materialization cost).
 ///
-/// The passes decide every AS except the leaves ([`SimNet::is_leaf`])
+/// The pass decides every AS except the leaves ([`SimNet::is_leaf`])
 /// that do not announce; the read-out pulls each of those from the final
 /// routes of its peers and providers as it is asked for, so a sweep that
 /// only counts pollution never builds a per-AS map.
@@ -782,7 +933,7 @@ impl RaceResult<'_, '_> {
     }
 
     /// Convergence counters: fixed-point rounds as `generations`, and the
-    /// ASes the passes routed as `accepted` (see [`solve_race`]).
+    /// ASes the pass routed as `accepted` (see [`solve_race`]).
     pub fn stats(&self) -> ConvergenceStats {
         self.stats
     }
@@ -802,9 +953,9 @@ impl RaceResult<'_, '_> {
         })
     }
 
-    /// The selection the passes left in `i`'s stamp. The final pass
-    /// drained fully, so a labeled key carries [`SETTLED_BIT`]; the
-    /// decoders ignore it.
+    /// The selection the pass left in `i`'s stamp. Both drains ran to the
+    /// end, so a labeled key carries [`SETTLED_BIT`]; the decoders ignore
+    /// it.
     fn decided(&self, i: u32) -> Option<Choice> {
         let st = self.ws.stamp[i as usize];
         (st.labeled == self.ws.epoch).then(|| Choice {
@@ -1065,7 +1216,9 @@ mod tests {
     }
 
     /// Epoch wrap-around: stamps are cleared at the wrap so stale labels
-    /// from the old cycle can never leak into post-wrap passes.
+    /// from the old cycle can never leak into post-wrap solves. The first
+    /// solve labels at epoch 1, the epoch the wrap restarts at, so a stamp
+    /// the wrap failed to clear would read as current.
     #[test]
     fn epoch_wraparound_clears_stamps() {
         let t = topo();
@@ -1087,7 +1240,9 @@ mod tests {
         )
         .expect("converges")
         .to_propagation();
-        ws.epoch = u32::MAX - 1;
+        assert_eq!(ws.epoch, 1);
+        // One epoch per solve: the next solve's bump crosses the wrap.
+        ws.epoch = u32::MAX;
         let wrapped = solve_race(
             &net,
             &announcements,

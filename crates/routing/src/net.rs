@@ -33,9 +33,12 @@ pub struct SimNet<'t> {
     tier1_list: Vec<AsIndex>,
     /// Sibling-group id per AS.
     group: Vec<u32>,
-    /// Whether some tier-1 has a same-organization AS (other than itself)
-    /// that buys transit (see [`SimNet::tier1_sibling_buys_transit`]).
-    tier1_sibling_buys_transit: bool,
+    /// Whether no tier-1 has a provider or a sibling (see
+    /// [`SimNet::tier1s_stand_alone`]).
+    tier1s_stand_alone: bool,
+    /// Every peering between two tier-1s, once per direction, as
+    /// `[sender, receiver, receiver-side slot]`.
+    tier1_peerings: Vec<[u32; 3]>,
     /// Stub mask (no customers), used by defensive stub filtering.
     stub: Vec<bool>,
     /// Leaf mask: no customers, no siblings, not a tier-1 (see
@@ -125,14 +128,21 @@ impl<'t> SimNet<'t> {
             tier1[t.usize()] = true;
         }
         let group: Vec<u32> = topo.indices().map(|ix| topo.sibling_group(ix)).collect();
-        // Per sibling group, how many members have a provider.
-        let mut buyers = vec![0u32; topo.num_sibling_groups()];
-        for ix in topo.indices() {
-            buyers[group[ix.usize()] as usize] += u32::from(topo.num_providers(ix) > 0);
-        }
-        let tier1_sibling_buys_transit = tier1_list
+        // Neighbor lists run customers, peers, providers, siblings: a
+        // tier-1 stands alone when its peers end its list.
+        let tier1s_stand_alone = tier1_list
             .iter()
-            .any(|&t| buyers[group[t.usize()] as usize] > u32::from(topo.num_providers(t) > 0));
+            .all(|&t| topo.class_bounds(t)[1] == topo.degree(t));
+        let mut tier1_peerings = Vec::new();
+        for &t in &tier1_list {
+            let base = offsets[t.usize()];
+            for (j, nb) in topo.neighbors(t).iter().enumerate() {
+                if nb.rel == Relationship::Peer && tier1[nb.index.usize()] {
+                    let slot = reverse_slot[base as usize + j];
+                    tier1_peerings.push([t.raw(), nb.index.raw(), slot]);
+                }
+            }
+        }
         let stub = topo.indices().map(|ix| topo.is_stub(ix)).collect();
         // Leaf = no customers, no siblings, not a tier-1: exports
         // peer-/provider-learned routes to nobody. Tier-1s are excluded
@@ -191,7 +201,8 @@ impl<'t> SimNet<'t> {
             tier1,
             tier1_list,
             group,
-            tier1_sibling_buys_transit,
+            tier1s_stand_alone,
+            tier1_peerings,
             stub,
             leaf,
             core_adj,
@@ -311,14 +322,25 @@ impl<'t> SimNet<'t> {
         self.group[ix.usize()]
     }
 
-    /// Whether some tier-1 shares its sibling group with another AS that
-    /// has a provider. A tier-1 can then learn a customer-class route
-    /// laundered through that sibling from the transit it buys, and the
-    /// paper policy's tier-1 fixed point has more than one stable state
-    /// (see [`crate::solve_race`]).
+    /// Whether every tier-1 stands alone at the top: no provider, no
+    /// sibling. Then a tier-1 hears only customer- and origin-class
+    /// exports, from its customers and peers, and its own routes reach
+    /// other ASes only as peer- or provider-class routes, or as candidacies
+    /// of its tier-1 peers. The race solver's one-pass fixed point needs
+    /// exactly this, and it also rules out the multistable corner of a
+    /// customer-class route laundered through a tier-1's sibling (see
+    /// [`crate::solve_race`]).
     #[inline]
-    pub(crate) fn tier1_sibling_buys_transit(&self) -> bool {
-        self.tier1_sibling_buys_transit
+    pub(crate) fn tier1s_stand_alone(&self) -> bool {
+        self.tier1s_stand_alone
+    }
+
+    /// Every peering between two tier-1s, once per direction, as
+    /// `[sender, receiver, receiver-side slot]`: the edges the race
+    /// solver's clique rounds offer frozen tier-1 routes over.
+    #[inline]
+    pub(crate) fn tier1_peerings(&self) -> &[[u32; 3]] {
+        &self.tier1_peerings
     }
 
     /// Whether `ix` is a stub.
@@ -390,6 +412,30 @@ mod tests {
             net.is_leaf(ix(2)) && net.is_leaf(ix(3)),
             "peer links keep a leaf a leaf"
         );
+    }
+
+    #[test]
+    fn tier1s_stand_alone_and_their_peerings() {
+        let topo = topology_from_triples(&[
+            (1, 2, PeerToPeer),
+            (1, 3, ProviderToCustomer),
+            (3, 4, PeerToPeer),
+        ]);
+        let net = SimNet::new(&topo);
+        assert!(net.tier1s_stand_alone());
+        // Once per direction, with the receiver's slot for the sender; the
+        // peering 3–4 is not between tier-1s.
+        assert_eq!(net.tier1_peerings().len(), 2);
+        for &[t, p, slot] in net.tier1_peerings() {
+            assert!(net.is_tier1(AsIndex::new(t)) && net.is_tier1(AsIndex::new(p)));
+            assert_eq!(net.owner_of_slot(slot).raw(), p);
+            let nb = net.slot_entry(AsIndex::new(p), slot);
+            assert_eq!((nb.index.raw(), nb.rel), (t, Relationship::Peer));
+        }
+        // A sibling stops a tier-1 standing alone, even one buying no
+        // transit (4 has no provider, so it is no tier-1 itself).
+        let topo = topology_from_triples(&[(1, 2, PeerToPeer), (2, 4, SiblingToSibling)]);
+        assert!(!SimNet::new(&topo).tier1s_stand_alone());
     }
 
     #[test]

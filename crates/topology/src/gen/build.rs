@@ -765,8 +765,8 @@ mod tests {
         assert!(net.topology.num_s2s_links() >= 5);
         assert!(net.topology.num_sibling_groups() < net.topology.num_ases());
         // Groups are drawn from stubs only, so no declared tier-1 shares an
-        // organization with another AS — the race solver's multistable
-        // tier-1-with-a-transit-buying-sibling shape never occurs on a lab.
+        // organization with another AS: the race solver declines a
+        // tier-1 with a sibling under the paper policy, and no lab has one.
         let t = &net.topology;
         for tier1 in t.tier1s() {
             let orgs = t.indices().filter(|&ix| t.same_organization(ix, tier1));

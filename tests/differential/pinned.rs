@@ -5,13 +5,16 @@
 //! latency fixture with known ground truth.
 
 use bgpsim_detection::ProbeSet;
-use bgpsim_hijack::{Attack, Simulator};
-use bgpsim_routing::PolicyConfig;
+use bgpsim_hijack::{Attack, Defense, Dispatch, Simulator, SweepMonitor};
+use bgpsim_routing::{
+    propagate_announcements, solve_race, Announcement, FilterContext, NullObserver, PolicyConfig, RaceWorkspace,
+    SimNet, Workspace, DEFAULT_MAX_ROUNDS,
+};
 use bgpsim_stream::{
     run_stream, triggered_series, DetectorMode, EventKind, StreamEvent, StreamPlan, SERIES_LATENCY,
     SERIES_POLLUTION,
 };
-use bgpsim_topology::{topology_from_triples, AsId, LinkKind};
+use bgpsim_topology::{topology_from_triples, AsId, LinkKind, Topology, TopologyBuilder};
 
 use crate::property;
 use crate::recipe::Recipe;
@@ -198,6 +201,138 @@ fn tier1_sibling_buys_transit() {
         }),
         (18, 9)
     );
+}
+
+/// The race solver's clique rounds, rule by rule. Tier-1s 0, 2 and 3 form
+/// a chain of peerings, 0 – 2 – 3; the attacker is leaf 4 below 0, and
+/// the target 1 is isolated. Under the paper policy the origin hijack
+/// takes three rounds: 0 hears its customer 4 from the upper drain, 2
+/// hears 0's customer-class route through a clique offer in round 2, and
+/// round 3 confirms. 2's route is peer-class, so it must not reach 3;
+/// and where 4 forges 2 as the claimed origin, 0's route must not reach
+/// 2. The recipe fails if the clique offers, their loop check or their
+/// customer-class rule are dropped, or if a round starts from an empty
+/// tally instead of the upper drain's.
+#[test]
+fn clique_rounds() {
+    let r = Recipe {
+        n: 4,
+        p2c: vec![],
+        p2p: vec![(3, 2), (0, 2)],
+        s2s: vec![],
+        leaves: vec![(0, 0, 4)],
+        target: 1, attacker: 4, claim: 2,
+        validators: vec![], revalidators: vec![],
+        max_generations: 1, events: 8, tape_seed: 0, probe_seed: 0,
+    };
+    assert_eq!(holds(&r), (24, 24));
+    let topo = r.build();
+    let net = SimNet::new(&topo);
+    let anns = [
+        Announcement::honest(r.pick(r.target)),
+        Announcement::honest(r.pick(r.attacker)),
+    ];
+    let mut rws = RaceWorkspace::new();
+    let raced = solve_race(&net, &anns, &FilterContext::none(), &PolicyConfig::paper(), DEFAULT_MAX_ROUNDS, &mut rws)
+        .expect("no tier-1 has a provider or a sibling");
+    assert_eq!(raced.stats().generations, 3);
+}
+
+/// Holds the race solver's decline on a topology where some tier-1 has a
+/// provider or a sibling: under the paper policy `solve_race` answers
+/// `None` and `Simulator` falls back to the generation engine, bit for
+/// bit; under strict Gao-Rexford the same topology races, in one round.
+fn declines_under_the_paper_policy(topo: &Topology, target: u32, attacker: u32) {
+    let ix = |n: u32| topo.index_of(AsId::new(n)).unwrap();
+    let (target, attacker) = (ix(target), ix(attacker));
+    let net = SimNet::new(topo);
+    let none = FilterContext::none();
+    for (attack, injection) in [
+        (Attack::origin(attacker, target), Announcement::honest(attacker)),
+        (
+            Attack::forged_origin(attacker, target),
+            Announcement::forged(attacker, target),
+        ),
+    ] {
+        for (policy, races) in [
+            (PolicyConfig::paper(), false),
+            (PolicyConfig::strict_gao_rexford(), true),
+        ] {
+            let what = format!("{attack:?}, tier-1 override {}", policy.tier1_shortest_path);
+            let anns = [Announcement::honest(target), injection];
+            let oracle =
+                propagate_announcements(&net, &anns, &none, &policy, &mut Workspace::new(), &mut NullObserver);
+            let mut rws = RaceWorkspace::new();
+            let raced = solve_race(&net, &anns, &none, &policy, DEFAULT_MAX_ROUNDS, &mut rws);
+            assert_eq!(raced.is_some(), races, "{what}");
+            if let Some(raced) = raced {
+                assert_eq!(raced.stats().generations, 1, "{what}");
+                assert_eq!(raced.to_propagation().choices(), oracle.choices(), "{what}");
+            }
+            let sim = Simulator::new(topo, policy);
+            let (got, dispatch) = sim.evaluate(
+                attack,
+                &Defense::none(),
+                None,
+                &mut sim.scratch(),
+                &SweepMonitor::none(),
+                &mut NullObserver,
+            );
+            let want = sim.run(attack, &Defense::none());
+            let fallback = if races { Dispatch::Race } else { Dispatch::Scratch };
+            assert_eq!(dispatch, fallback, "{what}");
+            assert_eq!(got.polluted, want.polluted, "{what}");
+            if !races {
+                assert_eq!(
+                    (got.generations, got.truncated),
+                    (want.generations, want.truncated),
+                    "{what}"
+                );
+            }
+        }
+    }
+}
+
+/// Tier-1s 0 and 1 peer over their customers 2 and 3; 1 has a sibling,
+/// 4, that buys no transit. No route is laundered through 4, so this is
+/// not the multistable corner, but the one-pass fixed point needs
+/// tier-1s without siblings, and the paper half is declined.
+#[test]
+fn tier1_with_a_stub_sibling() {
+    let r = Recipe {
+        n: 5,
+        p2c: vec![(0, 2), (1, 3)],
+        p2p: vec![(0, 1)],
+        s2s: vec![(1, 4)],
+        leaves: vec![],
+        target: 2, attacker: 3, claim: 3,
+        validators: vec![], revalidators: vec![],
+        max_generations: 1, events: 8, tape_seed: 0, probe_seed: 0,
+    };
+    assert_eq!(holds(&r), (18, 9));
+    declines_under_the_paper_policy(&r.build(), 3, 4);
+}
+
+/// Declared tier-1s 1 and 2 peer; 1 also buys transit from 9. A tier-1
+/// with a provider hears provider-class routes, which the one-pass fixed
+/// point cannot order, so the paper half is declined.
+#[test]
+fn declared_tier1_with_a_provider() {
+    let mut b = TopologyBuilder::new();
+    for (x, y, kind) in [
+        (9, 1, LinkKind::ProviderToCustomer),
+        (9, 7, LinkKind::ProviderToCustomer),
+        (1, 2, LinkKind::PeerToPeer),
+        (1, 5, LinkKind::ProviderToCustomer),
+        (2, 6, LinkKind::ProviderToCustomer),
+    ] {
+        b.add_link(AsId::new(x), AsId::new(y), kind).unwrap();
+    }
+    b.declare_tier1(AsId::new(1));
+    b.declare_tier1(AsId::new(2));
+    let topo = b.build().unwrap();
+    declines_under_the_paper_policy(&topo, 6, 7);
+    declines_under_the_paper_policy(&topo, 7, 5);
 }
 
 /// An oscillation the oracle's round cap cuts off, shrunk from the first
