@@ -1,18 +1,14 @@
 //! Property tests for hijack-simulation invariants on generated Internets.
 
+mod common;
+
 use proptest::prelude::*;
 
 use bgpsim_hijack::{Attack, Defense, Simulator, SweepResult};
 use bgpsim_routing::PolicyConfig;
-use bgpsim_topology::gen::{generate, InternetParams};
 use bgpsim_topology::AsIndex;
 
-fn tiny_internet(seed: u64) -> bgpsim_topology::gen::GeneratedInternet {
-    let mut p = InternetParams::sized(150);
-    p.island = None;
-    p.ladder_count = 1;
-    generate(&p, seed)
-}
+use common::tiny_internet;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]

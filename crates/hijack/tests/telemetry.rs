@@ -2,6 +2,8 @@
 //! topology, progress/cancellation behavior, and the invariant that
 //! turning telemetry on never changes simulation outcomes.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -14,6 +16,8 @@ use bgpsim_hijack::{
 use bgpsim_routing::{NullObserver, PolicyConfig};
 use bgpsim_topology::gen::{generate, InternetParams};
 use bgpsim_topology::{topology_from_triples, AsId, AsIndex, LinkKind::*, Topology};
+
+use common::tiny_internet;
 
 fn ix(topo: &Topology, n: u32) -> AsIndex {
     topo.index_of(AsId::new(n)).unwrap()
@@ -182,13 +186,6 @@ fn cancellation_skips_remaining_attacks() {
     cancel.store(false, Ordering::Relaxed);
     sim.sweep_result_monitored(ix(&t, 3), &attackers, &Defense::none(), &monitor);
     assert_eq!(telemetry.snapshot().attacks, 4);
-}
-
-fn tiny_internet(seed: u64) -> bgpsim_topology::gen::GeneratedInternet {
-    let mut p = InternetParams::sized(150);
-    p.island = None;
-    p.ladder_count = 1;
-    generate(&p, seed)
 }
 
 proptest! {

@@ -5,16 +5,23 @@
 //! directed edge (where the receiver stores its Adj-RIB-In entry for the
 //! sender) and a tier-1 membership mask. [`SimNet`] computes both once so
 //! thousands of simulations can share them, together with the race
-//! solver's two tables: a core adjacency its passes walk, with every edge
-//! into a leaf dropped, and a leaf-major in-edge table its read-out pulls
-//! leaf selections from.
+//! solver's tables: a core adjacency its passes walk, with every edge
+//! into a leaf dropped, and a leaf-major in-edge stream its read-out
+//! pulls leaf selections from, addressed by feeder ids.
 
 use bgpsim_topology::{AsIndex, Relationship, Topology};
 
-/// Flag ORed into the low (sender) half of a leaf in-edge
-/// ([`SimNet::leaf_rows`]) when the sender is the leaf's peer rather than
-/// its provider. Dense AS indices stay far below 2^31, so the bit is free.
-pub(crate) const LEAF_IN_PEER: u64 = 1 << 31;
+/// Flag ORed into a leaf in-edge word ([`SimNet::leaf_in`]) when the
+/// sender is the leaf's peer rather than its provider.
+pub(crate) const LEAF_IN_PEER: u32 = 1 << 31;
+
+/// Flag ORed into the last in-edge word of each leaf's row, so one flat
+/// pass over [`SimNet::leaf_in`] knows where every row ends.
+pub(crate) const LEAF_ROW_END: u32 = 1 << 30;
+
+/// The feeder-id field of a leaf in-edge word: everything below the two
+/// flag bits.
+pub(crate) const FEEDER_MASK: u32 = LEAF_ROW_END - 1;
 
 /// A topology plus the derived tables the engines need. Build once, share
 /// across simulations (it is `Sync`; parallel sweeps borrow it).
@@ -54,12 +61,19 @@ pub struct SimNet<'t> {
     /// peers, providers, siblings) start in `core_adj`; one sentinel entry
     /// past the last AS ends the last sibling segment (length `n + 1`).
     core_cuts: Vec<[u32; 4]>,
-    /// Leaf-major in-edge table: per leaf in ascending index order, one
-    /// entry per peer and provider, packed as the sender's dense index in
-    /// the low 31 bits, [`LEAF_IN_PEER`] for a peer, and the leaf's own
-    /// slot for that neighbor (its tie-break slot) in the high 32.
-    leaf_in: Vec<u64>,
-    /// Per leaf, ascending: its index and where its entries in `leaf_in`
+    /// Feeder id → AS index: every AS with an edge into a leaf gets one.
+    /// All non-leaves come first, in index order (so a dense per-feeder
+    /// table's first `n - leaves` entries cover every non-leaf), then the
+    /// leaves that peer with a leaf, in index order.
+    feeders: Vec<u32>,
+    /// Leaf-major in-edge stream: per leaf in ascending index order, one
+    /// word per peer and provider in neighbor-list order, packed as the
+    /// sender's feeder id, [`LEAF_IN_PEER`] for a peer, and
+    /// [`LEAF_ROW_END`] on the row's last word. A leaf's row is its
+    /// neighbor list, so the word at row position `j` is the edge the leaf
+    /// stores at slot `slots_of(leaf).start + j`.
+    leaf_in: Vec<u32>,
+    /// Per leaf, ascending: its index and where its words in `leaf_in`
     /// end (they start where the previous leaf's end).
     leaf_rows: Vec<(u32, u32)>,
     /// Owner of each global slot — the O(1) inverse of [`SimNet::slots_of`].
@@ -79,6 +93,21 @@ pub struct SimNet<'t> {
 /// Panics with a "scale exceeds u32 index space" message naming `what`.
 pub(crate) fn checked_u32(v: usize, what: &str) -> u32 {
     u32::try_from(v).unwrap_or_else(|_| panic!("scale exceeds u32 index space: {what} = {v}"))
+}
+
+/// Converts a feeder number to the id a leaf in-edge word carries, with a
+/// loud failure instead of a collision with the flag bits when a topology
+/// outgrows the field.
+///
+/// # Panics
+///
+/// Panics with a "scale exceeds the leaf in-edge feeder id space"
+/// message when `k` does not fit below [`LEAF_ROW_END`].
+fn checked_feeder(k: usize) -> u32 {
+    match u32::try_from(k) {
+        Ok(id) if id <= FEEDER_MASK => id,
+        _ => panic!("scale exceeds the leaf in-edge feeder id space (2^30): feeder id = {k}"),
+    }
 }
 
 impl<'t> SimNet<'t> {
@@ -118,10 +147,6 @@ impl<'t> SimNet<'t> {
             }
         }
         let mut tier1 = vec![false; n];
-        assert!(
-            n < (1 << 31),
-            "AS index space exceeds the leaf in-edge peer flag"
-        );
         let mut tier1_list = topo.tier1s();
         tier1_list.sort_unstable();
         for &t in &tier1_list {
@@ -157,6 +182,24 @@ impl<'t> SimNet<'t> {
             .collect();
         let leaves = topo.indices().filter(|ix| leaf[ix.usize()]);
         let leaf_edges: usize = leaves.clone().map(|ix| topo.degree(ix)).sum();
+        // Feeders: the non-leaves, then the leaves that peer with a leaf
+        // (a leaf offers a route to nobody else).
+        let peers_a_leaf = |ix: AsIndex| {
+            let nbrs = topo.neighbors(ix);
+            let b = topo.class_bounds(ix);
+            nbrs[b[0]..b[1]].iter().any(|nb| leaf[nb.index.usize()])
+        };
+        let mut feeders: Vec<u32> = topo
+            .indices()
+            .filter(|ix| !leaf[ix.usize()])
+            .chain(leaves.clone().filter(|&ix| peers_a_leaf(ix)))
+            .map(AsIndex::raw)
+            .collect();
+        feeders.shrink_to_fit();
+        let mut feeder_of = vec![u32::MAX; n];
+        for (k, &x) in feeders.iter().enumerate() {
+            feeder_of[x as usize] = checked_feeder(k);
+        }
         let mut slot_owner = Vec::with_capacity(total);
         let mut core_adj = Vec::with_capacity(total - leaf_edges);
         let mut core_cuts = Vec::with_capacity(n + 1);
@@ -181,14 +224,16 @@ impl<'t> SimNet<'t> {
             core_cuts.push(cuts);
             if leaf[ix.usize()] {
                 // A leaf's neighbors are its peers, then its providers.
-                for (j, nb) in nbrs.iter().enumerate() {
+                for nb in nbrs {
                     let peer = if nb.rel == Relationship::Peer {
                         LEAF_IN_PEER
                     } else {
                         0
                     };
-                    let own_slot = base + j as u32;
-                    leaf_in.push(u64::from(nb.index.raw()) | peer | (u64::from(own_slot) << 32));
+                    leaf_in.push(feeder_of[nb.index.usize()] | peer);
+                }
+                if let Some(last) = leaf_in.last_mut() {
+                    *last |= LEAF_ROW_END;
                 }
                 leaf_rows.push((ix.raw(), checked_u32(leaf_in.len(), "leaf in-edges")));
             }
@@ -207,6 +252,7 @@ impl<'t> SimNet<'t> {
             leaf,
             core_adj,
             core_cuts,
+            feeders,
             leaf_in,
             leaf_rows,
             slot_owner,
@@ -262,10 +308,32 @@ impl<'t> SimNet<'t> {
         [c, p, v, s, self.core_cuts[x + 1][0]]
     }
 
-    /// Every leaf with its in-edges, in ascending index order. An in-edge
-    /// packs the sender's index, [`LEAF_IN_PEER`] for a peer, and the
-    /// leaf's own slot for the sender << 32.
-    pub(crate) fn leaf_rows(&self) -> impl Iterator<Item = (u32, &[u64])> + '_ {
+    /// Feeder id → AS index ([`SimNet::leaf_in`]'s sender ids): every
+    /// non-leaf in index order, then every leaf that peers with a leaf.
+    #[inline]
+    pub(crate) fn feeders(&self) -> &[u32] {
+        &self.feeders
+    }
+
+    /// How many feeders are non-leaves: [`SimNet::feeders`]'s prefix of
+    /// that length is every non-leaf, in index order.
+    #[inline]
+    pub(crate) fn core_feeders(&self) -> usize {
+        self.num_ases() - self.leaf_rows.len()
+    }
+
+    /// Every leaf's in-edge words back to back, in ascending leaf order: a
+    /// word packs the sender's feeder id ([`FEEDER_MASK`]),
+    /// [`LEAF_IN_PEER`] for a peer, and [`LEAF_ROW_END`] on each row's
+    /// last word.
+    #[inline]
+    pub(crate) fn leaf_in(&self) -> &[u32] {
+        &self.leaf_in
+    }
+
+    /// Every leaf with its row of [`SimNet::leaf_in`], in ascending index
+    /// order. Row position `j` is the leaf's neighbor `j`.
+    pub(crate) fn leaf_rows(&self) -> impl Iterator<Item = (u32, &[u32])> + '_ {
         let mut start = 0;
         self.leaf_rows.iter().map(move |&(leaf, end)| {
             let row = &self.leaf_in[start as usize..end as usize];
@@ -274,13 +342,13 @@ impl<'t> SimNet<'t> {
         })
     }
 
-    /// The in-edges of one leaf (see [`SimNet::leaf_rows`]), found by
+    /// The in-edge row of one leaf (see [`SimNet::leaf_rows`]), found by
     /// binary search.
     ///
     /// # Panics
     ///
     /// Panics if `leaf` is not a leaf.
-    pub(crate) fn leaf_row(&self, leaf: u32) -> &[u64] {
+    pub(crate) fn leaf_row(&self, leaf: u32) -> &[u32] {
         let k = self
             .leaf_rows
             .binary_search_by_key(&leaf, |&(ix, _)| ix)
@@ -455,8 +523,10 @@ mod tests {
 
     /// Every directed edge lands in exactly one race table: edges into
     /// non-leaves in the core adjacency, in their class segment with their
-    /// mirror slot; edges into leaves in the leaf's in-edge row, with the
-    /// peer flag and the leaf's own slot.
+    /// mirror slot; edges into leaves in the leaf's in-edge row, whose
+    /// word `j` is the leaf's slot `slots_of(leaf).start + j`, carrying the
+    /// sender's feeder id, the peer flag, and the row-end flag on exactly
+    /// the last word.
     #[test]
     fn core_adjacency_and_leaf_rows_partition_the_edges() {
         let topo = topology_from_triples(&[
@@ -468,15 +538,26 @@ mod tests {
             (4, 5, PeerToPeer),
             (2, 6, ProviderToCustomer),
             (6, 7, SiblingToSibling),
+            (2, 8, ProviderToCustomer),
         ]);
         let net = SimNet::new(&topo);
         let ix = |n| topo.index_of(AsId::new(n)).unwrap();
         let leaves: Vec<u32> = net.leaf_rows().map(|(leaf, _)| leaf).collect();
         assert_eq!(
             leaves,
-            vec![ix(4).raw(), ix(5).raw()],
+            vec![ix(4).raw(), ix(5).raw(), ix(8).raw()],
             "6 and 7 are siblings"
         );
+        // Feeders: every non-leaf in index order, then the leaves that
+        // peer with a leaf (4 and 5, not 8), in index order.
+        let core: Vec<u32> = topo
+            .indices()
+            .filter(|&x| !net.is_leaf(x))
+            .map(AsIndex::raw)
+            .collect();
+        assert_eq!(net.core_feeders(), core.len());
+        assert_eq!(net.feeders()[..core.len()], core[..]);
+        assert_eq!(net.feeders()[core.len()..], [ix(4).raw(), ix(5).raw()]);
         let mut seen = 0;
         for x in topo.indices() {
             let segments = net.core_segments(x.usize());
@@ -497,22 +578,36 @@ mod tests {
                 }
             }
         }
+        let mut words = 0;
         for (leaf, row) in net.leaf_rows() {
             let leaf = AsIndex::new(leaf);
             assert_eq!(row, net.leaf_row(leaf.raw()));
             assert_eq!(row.len(), topo.degree(leaf));
-            for &packed in row {
-                let own_slot = (packed >> 32) as u32;
-                let nb = net.slot_entry(leaf, own_slot);
-                assert_eq!(nb.index.raw(), packed as u32 & !(LEAF_IN_PEER as u32));
-                assert_eq!(packed & LEAF_IN_PEER != 0, nb.rel == Relationship::Peer);
+            for (j, &w) in row.iter().enumerate() {
+                let slot = net.slots_of(leaf).start + j as u32;
+                let nb = net.slot_entry(leaf, slot);
+                assert_eq!(net.feeders()[(w & FEEDER_MASK) as usize], nb.index.raw());
+                assert_eq!(w & LEAF_IN_PEER != 0, nb.rel == Relationship::Peer);
+                assert_eq!(w & LEAF_ROW_END != 0, j + 1 == row.len(), "row end");
                 assert!(matches!(
                     nb.rel,
                     Relationship::Peer | Relationship::Provider
                 ));
                 seen += 1;
             }
+            words += row.len();
         }
+        assert_eq!(net.leaf_in().len(), words, "rows tile the stream");
         assert_eq!(seen, net.num_slots());
+    }
+
+    /// A feeder id must stay clear of the two flag bits.
+    #[test]
+    #[should_panic(
+        expected = "scale exceeds the leaf in-edge feeder id space (2^30): feeder id = 1073741824"
+    )]
+    fn feeder_ids_stay_below_the_flag_bits() {
+        assert_eq!(checked_feeder(FEEDER_MASK as usize), FEEDER_MASK);
+        checked_feeder(LEAF_ROW_END as usize);
     }
 }

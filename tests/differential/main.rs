@@ -228,6 +228,7 @@ fn check(r: &Recipe, only: Option<&str>) -> Verdict<(u32, u32)> {
                         &ctx,
                         &policy,
                         &oracle,
+                        claim,
                         &mut rws,
                         &label("race"),
                     )?);
@@ -369,12 +370,14 @@ fn invariants(topo: &Topology, p: &Propagation, label: &str) -> Verdict {
 }
 
 /// One race solve against the oracle. Returns whether it converged.
+#[allow(clippy::too_many_arguments)]
 fn race(
     net: &SimNet<'_>,
     anns: &[Announcement],
     ctx: &FilterContext<'_>,
     policy: &PolicyConfig,
     oracle: &Propagation,
+    claim: AsIndex,
     rws: &mut RaceWorkspace,
     label: &str,
 ) -> Verdict<bool> {
@@ -387,20 +390,31 @@ fn race(
         )?;
         return Ok(false);
     };
-    // All three read-outs: the materialized map, per-AS lookups (a pulled
-    // leaf found by search), and the polluted sets a sweep counts.
+    // All four read-outs: the materialized map, per-AS lookups (a pulled
+    // leaf found by search), and the polluted sets and counts a sweep
+    // reads.
     let materialized = raced.to_propagation();
     same_choices(label, "choices", materialized.choices(), oracle.choices())?;
     let looked_up: Vec<Option<Choice>> = (0..net.num_ases() as u32)
         .map(|i| raced.choice(AsIndex::new(i)))
         .collect();
     same_choices(label, "looked-up choices", &looked_up, oracle.choices())?;
-    for a in anns {
+    // Every announcer, and the recipe's claim: a claimed origin that need
+    // not announce, so a leaf one must loop-reject the forged routes its
+    // peers and providers offer it.
+    for o in anns.iter().map(|a| a.announcer).chain([claim]) {
+        let want: Vec<AsIndex> = oracle.captured_by(o).collect();
         same(
             label,
-            &format!("captured by {}", a.announcer),
-            raced.captured_by(a.announcer).collect::<Vec<_>>(),
-            oracle.captured_by(a.announcer).collect(),
+            &format!("count captured by {o}"),
+            raced.captured_count(o),
+            want.len(),
+        )?;
+        same(
+            label,
+            &format!("captured by {o}"),
+            raced.captured_by(o).collect(),
+            want,
         )?;
     }
     if !policy.tier1_shortest_path {

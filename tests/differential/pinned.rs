@@ -391,6 +391,91 @@ fn leaf_pull_corners() {
     );
 }
 
+/// The streamed leaf count's corrections, corner by corner (each below
+/// pins one). An announcing leaf attacker: leaf 3, multi-homed to 1 and
+/// 2, whose providers both route to it, so the unconditional stream
+/// counts it as captured by itself; `captured_count` must take it back
+/// out. The target, leaf 4 below 1, loses the tie at 1 to the attacker.
+#[test]
+fn announcing_leaf_attacker() {
+    assert_eq!(
+        holds(&Recipe {
+            n: 3,
+            p2c: vec![(0, 1), (0, 2)],
+            p2p: vec![],
+            s2s: vec![],
+            leaves: vec![(1, 2, 3), (1, 1, 4)],
+            target: 4, attacker: 3, claim: 3,
+            validators: vec![], revalidators: vec![],
+            max_generations: 1, events: 8, tape_seed: 0, probe_seed: 0,
+        }),
+        (18, 18)
+    );
+}
+
+/// A claimed-origin leaf that does not announce: transit AS 1 forges leaf
+/// 3, its only customer, as the origin. Leaf 3 must loop-reject the one
+/// route it hears, so it is captured by nobody, though the unconditional
+/// stream sees its provider's route originate at 3.
+#[test]
+fn claimed_origin_leaf() {
+    assert_eq!(
+        holds(&Recipe {
+            n: 3,
+            p2c: vec![(0, 1), (0, 2)],
+            p2p: vec![],
+            s2s: vec![],
+            leaves: vec![(1, 1, 3), (2, 2, 4)],
+            target: 4, attacker: 1, claim: 3,
+            validators: vec![], revalidators: vec![],
+            max_generations: 1, events: 8, tape_seed: 0, probe_seed: 0,
+        }),
+        (24, 24)
+    );
+}
+
+/// A leaf whose peer is a leaf: AS 1 (below tier-1 0 only) is a leaf,
+/// sits between the non-leaves 0 and 2 in index order, announces, and
+/// peers with leaf 4 below 2, which takes the peer route over its
+/// provider's. Both leaves are feeders, numbered after the non-leaves 0
+/// and 2; the claim forges leaf 4 itself as the origin.
+#[test]
+fn leaf_peers_with_a_leaf() {
+    assert_eq!(
+        holds(&Recipe {
+            n: 4,
+            p2c: vec![(0, 1), (0, 2), (2, 3)],
+            p2p: vec![],
+            s2s: vec![],
+            leaves: vec![(2, 2, 1)],
+            target: 3, attacker: 1, claim: 4,
+            validators: vec![], revalidators: vec![],
+            max_generations: 1, events: 8, tape_seed: 0, probe_seed: 0,
+        }),
+        (24, 24)
+    );
+}
+
+/// Two providers offering equal length: leaf 5, below 1 and 2, hears the
+/// target (leaf 3, below 1) and the attacker (leaf 4, below 2) at two hops
+/// each, and its first slot, provider 1, wins the tie.
+#[test]
+fn equal_length_providers() {
+    assert_eq!(
+        holds(&Recipe {
+            n: 3,
+            p2c: vec![(0, 1), (0, 2)],
+            p2p: vec![],
+            s2s: vec![],
+            leaves: vec![(1, 1, 3), (2, 2, 4), (1, 2, 5)],
+            target: 3, attacker: 4, claim: 4,
+            validators: vec![], revalidators: vec![],
+            max_generations: 1, events: 8, tape_seed: 0, probe_seed: 0,
+        }),
+        (18, 18)
+    );
+}
+
 /// Hand-built stream ground truth: a hijack that is invisible under ROV at
 /// the attacker's provider, then becomes visible the moment that validator
 /// flips off — detection latency exactly 2 events.
