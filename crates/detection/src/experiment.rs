@@ -252,7 +252,7 @@ mod tests {
                     let mut sums = vec![0u64; set.len() + 1];
                     let mut missed = Vec::new();
                     for outcome in &oracle {
-                        let k = set.triggered_by(outcome);
+                        let k = set.triggered_by(&outcome.view());
                         histogram[k] += 1;
                         sums[k] += outcome.pollution_count() as u64;
                         if k == 0 {

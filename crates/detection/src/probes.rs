@@ -6,7 +6,7 @@
 //! tier-1 ASes, the 24 ASes peered with CSU's BGPmon, and the 62 ASes with
 //! degree ≥ 500.
 
-use bgpsim_hijack::AttackOutcome;
+use bgpsim_hijack::OutcomeView;
 use bgpsim_topology::{select, AsIndex, Topology};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -129,9 +129,9 @@ impl ProbeSet {
     /// detection rates whenever a random attack lands on a probe AS.
     pub(crate) fn triggered<'a>(
         &'a self,
-        outcome: &'a AttackOutcome,
+        outcome: &'a OutcomeView<'_>,
     ) -> impl Iterator<Item = AsIndex> + 'a {
-        let attack = outcome.attack;
+        let attack = outcome.attack();
         self.probes
             .iter()
             .copied()
@@ -140,8 +140,10 @@ impl ProbeSet {
 
     /// How many probes see the attack behind `outcome` — the count every
     /// detector in the workspace scores by; a probe at the attacker or at
-    /// the target is never one of them.
-    pub fn triggered_by(&self, outcome: &AttackOutcome) -> usize {
+    /// the target is never one of them. An owned
+    /// [`AttackOutcome`](bgpsim_hijack::AttackOutcome) is read through its
+    /// [`view`](bgpsim_hijack::AttackOutcome::view).
+    pub fn triggered_by(&self, outcome: &OutcomeView<'_>) -> usize {
         self.triggered(outcome).count()
     }
 

@@ -5,6 +5,8 @@ use std::ops::Range;
 use bgpsim_routing::Announcement;
 use bgpsim_topology::{AddressSpace, AsIndex};
 
+use crate::view::OutcomeView;
+
 /// The kind of prefix hijack being simulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AttackKind {
@@ -133,10 +135,10 @@ impl AttackOutcome {
         self.polluted.binary_search(&ix).is_ok()
     }
 
-    /// Number of polluted ASes within `members` (a sorted or unsorted
-    /// region roster) — §VII counts compromised ASes per region.
-    pub fn pollution_within(&self, members: &[AsIndex]) -> usize {
-        members.iter().filter(|&&m| self.is_polluted(m)).count()
+    /// This outcome read as an [`OutcomeView`], for readers written
+    /// against the view ([`crate::Simulator::map_outcomes`]'s).
+    pub fn view(&self) -> OutcomeView<'_> {
+        OutcomeView::listed(self)
     }
 
     /// Fraction of total address space originated by polluted ASes —
@@ -174,10 +176,10 @@ mod tests {
         assert_eq!(outcome.pollution_count(), 1);
         assert!(outcome.is_polluted(AsIndex::new(2)));
         assert!(!outcome.is_polluted(AsIndex::new(1)));
-        assert_eq!(
-            outcome.pollution_within(&[AsIndex::new(1), AsIndex::new(2)]),
-            1
-        );
+        let view = outcome.view();
+        assert_eq!(view.pollution_count(), 1);
+        assert!(view.is_polluted(AsIndex::new(2)) && !view.is_polluted(AsIndex::new(1)));
+        assert_eq!(view.to_outcome().polluted, outcome.polluted);
         let f = outcome.address_space_fraction(&space(&topo));
         assert!((f - 1.0 / 3.0).abs() < 1e-12);
     }

@@ -39,6 +39,7 @@ mod defense;
 mod pool;
 mod simulator;
 mod telemetry;
+mod view;
 mod vulnerability;
 
 pub use aggressiveness::{aggressiveness, rank_by_aggressiveness};
@@ -49,4 +50,5 @@ pub use telemetry::{
     wall_bucket, Dispatch, SweepMonitor, SweepProgress, SweepTelemetry, TelemetrySnapshot,
     WALL_HIST_BUCKETS,
 };
+pub use view::OutcomeView;
 pub use vulnerability::{SweepResult, VulnerabilityCurve};

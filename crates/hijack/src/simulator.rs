@@ -1,9 +1,10 @@
 //! The hijack simulator: one route, one executor.
 //!
 //! Every attack is answered the same way: [`Simulator::route`] picks the
-//! engine, and one private executor runs it. [`Simulator::evaluate`] reads
-//! a full [`AttackOutcome`] off the result; the sweep entry points count
-//! pollution off it directly, one row per attacker, in parallel.
+//! engine, and one private executor runs it. Every result is read through
+//! one [`OutcomeView`]: [`Simulator::evaluate`] hands it to its caller's
+//! reader, and the sweep entry points count pollution off it, one row per
+//! attacker, in parallel.
 //!
 //! Routing is *adaptive*. Against an undefended network an exact-prefix
 //! hijack perturbs nearly every AS (the paper's §IV observation that
@@ -35,8 +36,8 @@ use std::time::Instant;
 
 use bgpsim_routing::{
     propagate_announcements, propagate_delta_budgeted, solve_race_observed, Announcement, Baseline,
-    DeltaResult, DeltaWorkspace, NullObserver, Observer, PolicyConfig, Propagation, RaceResult,
-    RaceWorkspace, SimNet, Workspace, DEFAULT_CONE_BUDGET_DIVISOR, DEFAULT_MAX_ROUNDS,
+    DeltaWorkspace, NullObserver, Observer, PolicyConfig, Propagation, RaceWorkspace, SimNet,
+    Workspace, DEFAULT_CONE_BUDGET_DIVISOR, DEFAULT_MAX_ROUNDS,
 };
 use bgpsim_topology::{AsIndex, Topology};
 use rayon::prelude::*;
@@ -45,6 +46,7 @@ use crate::attack::{Attack, AttackKind, AttackOutcome};
 use crate::defense::Defense;
 use crate::pool::WorkspacePool;
 use crate::telemetry::{run_instrumented, Dispatch, MaybeSink, ProgressState, SweepMonitor};
+use crate::view::{OutcomeView, Solved};
 use crate::vulnerability::SweepResult;
 
 /// Engine selection for [`Simulator::route`].
@@ -129,16 +131,6 @@ pub struct Scratch {
     rws: RaceWorkspace,
 }
 
-/// One engine pass, before pollution is read off it.
-enum Solved<'r, 't> {
-    /// A full per-AS selection map (generation engine).
-    Network(Propagation),
-    /// The race solver's converged workspace, read out on demand.
-    Race(RaceResult<'r, 't>),
-    /// A contamination cone over the shared baseline (delta replay).
-    Cone(DeltaResult<'r, 't>),
-}
-
 /// Simulates origin and sub-prefix hijacks on one topology.
 ///
 /// Owns the precomputed [`SimNet`] so repeated attacks share its tables;
@@ -166,15 +158,16 @@ enum Solved<'r, 't> {
 /// let t = topo.index_of(AsId::new(9)).unwrap();
 /// let a = topo.index_of(AsId::new(8)).unwrap();
 /// let attack = Attack::origin(a, t);
-/// let (outcome, _engine) = sim.evaluate(
+/// let (count, _engine) = sim.evaluate(
 ///     attack,
 ///     &Defense::none(),
 ///     None,
 ///     &mut sim.scratch(),
 ///     &SweepMonitor::none(),
 ///     &mut NullObserver,
+///     |view| view.pollution_count(),
 /// );
-/// assert_eq!(outcome.polluted, sim.run(attack, &Defense::none()).polluted);
+/// assert_eq!(count, sim.run(attack, &Defense::none()).pollution_count());
 /// ```
 #[derive(Debug)]
 pub struct Simulator<'t> {
@@ -336,15 +329,21 @@ impl<'t> Simulator<'t> {
         ws: &mut Workspace,
         obs: &mut O,
     ) -> AttackOutcome {
-        network_outcome(attack, &self.generate(attack, defense, ws, obs))
+        let solved = Solved::Network(self.generate(attack, defense, ws, obs));
+        OutcomeView::of(attack, &solved).to_outcome()
     }
 
-    /// Simulates one attack on the engine [`Simulator::route`] picks,
-    /// returning the outcome and the engine that actually ran:
+    /// Simulates one attack on the engine [`Simulator::route`] picks and
+    /// returns what `read` makes of it, with the engine that actually ran:
     /// [`Dispatch::Scratch`] when the race solver fell back, and — on the
     /// adaptive [`Dispatch::Delta`] route — [`Dispatch::Race`] (or, through
     /// the same fallback, `Scratch`) when the replay's cone outgrew its
     /// budget and the attack was finished from scratch.
+    ///
+    /// `read` gets an [`OutcomeView`] that answers off the engine pass
+    /// itself, so a reader that only counts pollution or tests a few ASes
+    /// never pays for the polluted list; `|view| view.to_outcome()` reads
+    /// the full [`AttackOutcome`].
     ///
     /// `baseline` is read on the [`Dispatch::Delta`] route only: pass the
     /// target's [`Simulator::baseline_for`] there (built once per target
@@ -357,8 +356,9 @@ impl<'t> Simulator<'t> {
     /// route; `generations` bookkeeping depends on the engine (waves,
     /// replay waves, or fixed-point rounds). The monitor is honoured as in
     /// a sweep of one: telemetry counts the dispatch and wall time, and a
-    /// set cancellation flag yields an empty outcome.
-    pub fn evaluate<O: Observer>(
+    /// set cancellation flag hands `read` a view with nothing polluted.
+    #[allow(clippy::too_many_arguments)]
+    pub fn evaluate<O: Observer, T>(
         &self,
         attack: Attack,
         defense: &Defense,
@@ -366,87 +366,48 @@ impl<'t> Simulator<'t> {
         scratch: &mut Scratch,
         monitor: &SweepMonitor<'_>,
         obs: &mut O,
-    ) -> (AttackOutcome, Dispatch) {
+        read: impl Fn(&OutcomeView<'_>) -> T,
+    ) -> (T, Dispatch) {
         let route = match self.route(attack.kind, defense) {
             Dispatch::Delta if baseline.is_none() => Dispatch::Race,
             route => route,
         };
-        let skipped = AttackOutcome {
-            attack,
-            polluted: Vec::new(),
-            generations: 0,
-            truncated: false,
-        };
         let progress = ProgressState::new(*monitor, 1);
-        run_instrumented(monitor, &progress, (skipped, route), || {
+        run_instrumented(monitor, &progress, None, || {
             let (solved, dispatch) =
                 self.solve(attack, defense, route, baseline, scratch, monitor, obs);
-            let (polluted, stats) = match solved {
-                Solved::Network(p) => (polluted_set(&p, attack), p.stats()),
-                Solved::Race(raced) => {
-                    let polluted = match attack.kind {
-                        // Forged paths claim the target's origin, so
-                        // pollution is a property of the learned-from
-                        // chain (the memoized walk needs the full
-                        // selection map).
-                        AttackKind::ForgedOriginHijack => {
-                            polluted_set(&raced.to_propagation(), attack)
-                        }
-                        // Already in index order.
-                        _ => raced.captured_by(attack.attacker).collect(),
-                    };
-                    (polluted, raced.stats())
-                }
-                Solved::Cone(delta) => {
-                    let polluted = match attack.kind {
-                        AttackKind::OriginHijack => {
-                            // Sort to restore the index-order contract.
-                            let mut polluted: Vec<AsIndex> =
-                                cone_captured(&delta, attack.attacker).collect();
-                            polluted.sort_unstable();
-                            polluted
-                        }
-                        // The chain walk again, as for a raced forgery.
-                        _ => polluted_set(&delta.to_propagation(), attack),
-                    };
-                    (polluted, delta.stats())
-                }
-            };
-            let outcome = AttackOutcome {
-                attack,
-                polluted,
-                generations: stats.generations,
-                truncated: stats.truncated,
-            };
-            (outcome, dispatch)
+            Some((read(&OutcomeView::of(attack, &solved)), dispatch))
         })
+        .unwrap_or_else(|| (read(&OutcomeView::skipped(attack)), route))
     }
 
     /// Evaluates unrelated attacks — any kind, any target, so no baseline
     /// is shared and none is replayed — on all rayon workers, one pooled
-    /// [`Scratch`] each, and returns what `read` makes of every outcome,
-    /// in input order. The §VI detection experiment, the probe planner and
-    /// the aggressiveness metric are this loop; each outcome is dropped as
-    /// soon as it is read.
+    /// [`Scratch`] each, and returns what `read` makes of every attack's
+    /// [`OutcomeView`], in input order. The §VI detection experiment, the
+    /// probe planner and the aggressiveness metric are this loop; each
+    /// only counts pollution and tests probes, so no attack's polluted
+    /// set is ever listed.
     pub fn map_outcomes<T, F>(&self, attacks: &[Attack], defense: &Defense, read: F) -> Vec<T>
     where
         T: Send,
-        F: Fn(&AttackOutcome) -> T + Sync,
+        F: Fn(&OutcomeView<'_>) -> T + Sync,
     {
         attacks
             .par_iter()
             .map_init(
                 || self.pool.checkout(),
                 |scratch, &attack| {
-                    let (outcome, _) = self.evaluate(
+                    let (answer, _) = self.evaluate(
                         attack,
                         defense,
                         None,
                         scratch,
                         &SweepMonitor::none(),
                         &mut NullObserver,
+                        &read,
                     );
-                    read(&outcome)
+                    answer
                 },
             )
             .collect()
@@ -580,15 +541,10 @@ impl<'t> Simulator<'t> {
                         let mut obs = MaybeSink::from_monitor(monitor);
                         let (solved, _) = self
                             .solve(attack, defense, route, baseline, scratch, monitor, &mut obs);
-                        let count = match solved {
-                            Solved::Network(p) => count_within(p.captured_by(attacker), mask),
-                            Solved::Race(raced) => match mask {
-                                None => raced.captured_count(attacker),
-                                Some(_) => count_within(raced.captured_by(attacker), mask),
-                            },
-                            Solved::Cone(delta) => {
-                                count_within(cone_captured(&delta, attacker), mask)
-                            }
+                        let view = OutcomeView::of(attack, &solved);
+                        let count = match mask {
+                            None => view.pollution_count(),
+                            Some(mask) => view.count_within(mask),
                         };
                         count as u32
                     })
@@ -698,87 +654,6 @@ impl<'t> Simulator<'t> {
             ws,
             obs,
         )
-    }
-}
-
-/// The outcome read off a full selection map.
-fn network_outcome(attack: Attack, p: &Propagation) -> AttackOutcome {
-    AttackOutcome {
-        attack,
-        polluted: polluted_set(p, attack),
-        generations: p.stats().generations,
-        truncated: p.stats().truncated,
-    }
-}
-
-/// How many of `polluted` lie inside `mask` — all of them without one.
-/// The unmasked case counts the iterator directly rather than through a
-/// filter that always passes. (An unmasked race read-out does not come
-/// here: `RaceResult::captured_count` counts it without listing it.)
-fn count_within(polluted: impl Iterator<Item = AsIndex>, mask: Option<&[bool]>) -> usize {
-    match mask {
-        None => polluted.count(),
-        Some(m) => polluted.filter(|ix| m[ix.usize()]).count(),
-    }
-}
-
-/// The ASes a replayed origin hijack captured, in cone (not index) order.
-/// The baseline routes only to the target, so every AS now routing to the
-/// attacker changed its selection and is in the cone: reading `touched` is
-/// exhaustive.
-fn cone_captured<'d>(
-    delta: &'d DeltaResult<'_, '_>,
-    attacker: AsIndex,
-) -> impl Iterator<Item = AsIndex> + 'd {
-    delta
-        .touched()
-        .filter(move |&ix| ix != attacker && delta.choice(ix).is_some_and(|c| c.origin == attacker))
-}
-
-/// Computes the polluted set for an outcome: for honest hijacks, every AS
-/// whose selected route origin is the attacker; for forged-origin hijacks,
-/// every AS whose selection chain physically terminates at the attacker
-/// (the route *claims* the target as origin — that is the evasion).
-fn polluted_set(p: &Propagation, attack: Attack) -> Vec<AsIndex> {
-    match attack.kind {
-        AttackKind::OriginHijack | AttackKind::SubPrefixHijack => {
-            p.captured_by(attack.attacker).collect()
-        }
-        AttackKind::ForgedOriginHijack => {
-            // Memoized chain walk: does the learned_from chain end at the
-            // attacker?
-            let n = p.choices().len();
-            let mut state = vec![0u8; n]; // 0 unknown, 1 clean, 2 polluted
-            let mut stack: Vec<AsIndex> = Vec::new();
-            let mut polluted = Vec::new();
-            for i in 0..n {
-                let mut cur = AsIndex::new(i as u32);
-                stack.clear();
-                let verdict = loop {
-                    match state[cur.usize()] {
-                        1 => break 1,
-                        2 => break 2,
-                        _ => {}
-                    }
-                    let Some(choice) = p.choice(cur) else { break 1 };
-                    match choice.learned_from {
-                        None => break if cur == attack.attacker { 2 } else { 1 },
-                        Some(from) => {
-                            stack.push(cur);
-                            cur = from;
-                        }
-                    }
-                };
-                state[cur.usize()] = verdict;
-                for &visited in &stack {
-                    state[visited.usize()] = verdict;
-                }
-                if verdict == 2 && state[i] == 2 && i != attack.attacker.usize() {
-                    polluted.push(AsIndex::new(i as u32));
-                }
-            }
-            polluted
-        }
     }
 }
 
@@ -1111,6 +986,7 @@ mod tests {
                                 &mut scratch,
                                 &none,
                                 &mut NullObserver,
+                                |view| view.to_outcome(),
                             );
                             let case = format!("{engine:?} rounds={race_rounds} {attack:?}");
                             assert_eq!(dispatch, ran, "{case}");
@@ -1151,6 +1027,7 @@ mod tests {
             &mut Scratch::default(),
             &SweepMonitor::none().with_telemetry(&telemetry),
             &mut NullObserver,
+            |view| view.to_outcome(),
         );
         assert_eq!(dispatch, Dispatch::Race);
         assert_eq!(outcome.polluted, sim.run(attack, &defense).polluted);
@@ -1180,6 +1057,7 @@ mod tests {
             &mut Scratch::default(),
             &monitor,
             &mut NullObserver,
+            |view| view.to_outcome(),
         );
         assert_eq!(outcome.attack, attack);
         assert!(outcome.polluted.is_empty());

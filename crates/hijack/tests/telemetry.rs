@@ -269,9 +269,11 @@ proptest! {
                 let route = sim.route(attack.kind, &defense);
                 let (plain, dispatch) = sim.evaluate(
                     attack, &defense, Some(&baseline), &mut scratch, &none, &mut NullObserver,
+                    |view| view.to_outcome(),
                 );
                 let (monitored, _) = sim.evaluate(
                     attack, &defense, Some(&baseline), &mut scratch, &monitor, &mut NullObserver,
+                    |view| view.to_outcome(),
                 );
                 evaluated += 1;
                 prop_assert_eq!(&plain.polluted, &oracle.polluted);
@@ -291,6 +293,7 @@ proptest! {
 
                 let (capped, dispatch) = fallback.evaluate(
                     attack, &defense, Some(&baseline), &mut scratch, &none, &mut NullObserver,
+                    |view| view.to_outcome(),
                 );
                 prop_assert_eq!(&capped.polluted, &oracle.polluted);
                 // With no race rounds nothing finishes on the race solver:
@@ -302,6 +305,7 @@ proptest! {
 
                 let (skipped, _) = sim.evaluate(
                     attack, &defense, Some(&baseline), &mut scratch, &cancelled, &mut NullObserver,
+                    |view| view.to_outcome(),
                 );
                 prop_assert!(skipped.polluted.is_empty());
             }
@@ -393,6 +397,7 @@ fn over_budget_replays_are_abandoned_and_match_generation() {
                     &mut scratch,
                     &SweepMonitor::none(),
                     &mut NullObserver,
+                    |view| view.to_outcome(),
                 );
                 assert_eq!(got.polluted, generation.run(attack, &defense).polluted);
                 finished_by_race += u32::from(dispatch == Dispatch::Race);

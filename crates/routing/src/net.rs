@@ -110,8 +110,57 @@ fn checked_feeder(k: usize) -> u32 {
     }
 }
 
+/// Where `rel` sits in a neighbor list's class order (customers, peers,
+/// providers, siblings), spelled out rather than read off
+/// [`Relationship`]'s declaration order.
+fn class_rank(rel: Relationship) -> usize {
+    match rel {
+        Relationship::Customer => 0,
+        Relationship::Peer => 1,
+        Relationship::Provider => 2,
+        Relationship::Sibling => 3,
+    }
+}
+
+/// The mirror slot of every directed edge, in one sequential pass over
+/// the slots.
+///
+/// A neighbor list is sorted by (class, index) and a pair of ASes shares
+/// at most one link, so `x`'s class-`c` segment lists the ASes that see
+/// `x` as `c.reversed()` in ascending index order. Visiting owners in
+/// index order therefore meets the entries of each segment in order, and
+/// one cursor per AS and class, advanced on every visit, is the mirror
+/// slot.
+fn reverse_slots(topo: &Topology, offsets: &[u32], total: usize) -> Vec<u32> {
+    let mut cursor: Vec<[u32; 4]> = topo
+        .indices()
+        .map(|ix| {
+            let base = offsets[ix.usize()];
+            let b = topo.class_bounds(ix).map(|k| base + k as u32);
+            [base, b[0], b[1], b[2]]
+        })
+        .collect();
+    let mut reverse_slot = Vec::with_capacity(total);
+    for ix in topo.indices() {
+        for nb in topo.neighbors(ix) {
+            let next = &mut cursor[nb.index.usize()][class_rank(nb.rel.reversed())];
+            debug_assert_eq!(
+                topo.neighbors(nb.index)[(*next - offsets[nb.index.usize()]) as usize],
+                bgpsim_topology::Neighbor {
+                    index: ix,
+                    rel: nb.rel.reversed()
+                },
+                "adjacency is symmetric"
+            );
+            reverse_slot.push(*next);
+            *next += 1;
+        }
+    }
+    reverse_slot
+}
+
 impl<'t> SimNet<'t> {
-    /// Builds the derived tables. `O(n + m log d)`.
+    /// Builds the derived tables. `O(n + m)`.
     pub fn new(topo: &'t Topology) -> SimNet<'t> {
         let n = topo.num_ases();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -122,30 +171,7 @@ impl<'t> SimNet<'t> {
             offsets.push(checked_u32(running, "directed edge slots"));
         }
         let total = *offsets.last().expect("non-empty") as usize;
-        let mut reverse_slot = vec![u32::MAX; total];
-        for ix in topo.indices() {
-            let base = offsets[ix.usize()];
-            for (j, nb) in topo.neighbors(ix).iter().enumerate() {
-                let slot = base + j as u32;
-                if reverse_slot[slot as usize] != u32::MAX {
-                    continue; // already filled from the mirror side
-                }
-                // Locate `ix` inside the neighbor's list. The neighbor sees
-                // us with the reversed relationship; its list is sorted by
-                // (class, index), so a linear scan of the class segment is
-                // cheap and deterministic.
-                let mirror_rel = nb.rel.reversed();
-                let their_base = offsets[nb.index.usize()];
-                let theirs = topo.neighbors(nb.index);
-                let pos = theirs
-                    .iter()
-                    .position(|o| o.index == ix && o.rel == mirror_rel)
-                    .expect("adjacency is symmetric");
-                let mirror_slot = their_base + pos as u32;
-                reverse_slot[slot as usize] = mirror_slot;
-                reverse_slot[mirror_slot as usize] = slot;
-            }
-        }
+        let reverse_slot = reverse_slots(topo, &offsets, total);
         let mut tier1 = vec![false; n];
         let mut tier1_list = topo.tier1s();
         tier1_list.sort_unstable();
@@ -430,29 +456,58 @@ impl<'t> SimNet<'t> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgpsim_topology::gen::{generate, InternetParams};
     use bgpsim_topology::{topology_from_triples, AsId, LinkKind::*};
 
+    /// The cursor pass against a reference that finds every mirror by
+    /// scanning the neighbor's whole list, on a fixture with all four
+    /// classes (a sibling pair among them, one sibling also a provider's
+    /// peer) and on generated labs.
     #[test]
     fn reverse_slots_are_involutive_and_correct() {
-        let topo = topology_from_triples(&[
+        let fixture = topology_from_triples(&[
             (1, 2, ProviderToCustomer),
             (1, 3, PeerToPeer),
             (2, 3, ProviderToCustomer),
             (3, 4, SiblingToSibling),
+            (1, 4, ProviderToCustomer),
+            (4, 2, PeerToPeer),
+            (5, 1, ProviderToCustomer),
+            (5, 4, SiblingToSibling),
         ]);
-        let net = SimNet::new(&topo);
-        assert_eq!(net.num_slots(), 2 * topo.num_links());
-        for ix in topo.indices() {
-            for e in net.slots_of(ix) {
-                let r = net.reverse_slot(e);
-                assert_eq!(net.reverse_slot(r), e, "mirror is involutive");
-                let nb = net.slot_entry(ix, e);
-                assert_eq!(net.owner_of_slot(r), nb.index);
-                let back = net.slot_entry(nb.index, r);
-                assert_eq!(back.index, ix);
-                assert_eq!(back.rel, nb.rel.reversed());
+        let labs = [2, 7, 13, 29].map(|seed| generate(&InternetParams::tiny(), seed).topology);
+        for topo in std::iter::once(&fixture).chain(&labs) {
+            let net = SimNet::new(topo);
+            assert_eq!(net.num_slots(), 2 * topo.num_links());
+            let mut reference = Vec::with_capacity(net.num_slots());
+            for ix in topo.indices() {
+                for nb in topo.neighbors(ix) {
+                    let pos = topo
+                        .neighbors(nb.index)
+                        .iter()
+                        .position(|o| o.index == ix && o.rel == nb.rel.reversed())
+                        .expect("adjacency is symmetric");
+                    reference.push(net.slots_of(nb.index).start + pos as u32);
+                }
+            }
+            assert_eq!(net.reverse_slot, reference);
+            for ix in topo.indices() {
+                for e in net.slots_of(ix) {
+                    let r = net.reverse_slot(e);
+                    assert_eq!(net.reverse_slot(r), e, "mirror is involutive");
+                    let nb = net.slot_entry(ix, e);
+                    assert_eq!(net.owner_of_slot(r), nb.index);
+                    let back = net.slot_entry(nb.index, r);
+                    assert_eq!(back.index, ix);
+                    assert_eq!(back.rel, nb.rel.reversed());
+                }
             }
         }
+        let rels: Vec<Relationship> = fixture
+            .indices()
+            .flat_map(|ix| fixture.neighbors(ix).iter().map(|nb| nb.rel))
+            .collect();
+        assert!(Relationship::ALL.iter().all(|r| rels.contains(r)));
     }
 
     #[test]

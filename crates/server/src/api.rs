@@ -392,6 +392,7 @@ fn answer_attacks(state: &ServerState<'_>, attacks: &[(Attack, &Defense)]) -> (V
                     scratch,
                     &monitor,
                     &mut TelemetrySink(&state.telemetry),
+                    |outcome| outcome.to_outcome(),
                 );
                 Answer {
                     result: outcome_json(topo, &outcome),

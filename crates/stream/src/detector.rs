@@ -36,7 +36,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use bgpsim_detection::ProbeSet;
 use bgpsim_hijack::{
-    Attack, AttackOutcome, Defense, Dispatch, Scratch, Simulator, SweepMonitor, SweepTelemetry,
+    Attack, Defense, Dispatch, OutcomeView, Scratch, Simulator, SweepMonitor, SweepTelemetry,
 };
 use bgpsim_routing::{Baseline, NullObserver};
 use bgpsim_topology::AsIndex;
@@ -141,6 +141,19 @@ struct Score {
     pollution: u64,
     /// Probes triggered, one count per probe set.
     triggered: Vec<u64>,
+}
+
+impl Score {
+    /// The score `probe_sets` give the attack behind `outcome`.
+    fn of(outcome: &OutcomeView<'_>, probe_sets: &[ProbeSet]) -> Score {
+        Score {
+            pollution: outcome.pollution_count() as u64,
+            triggered: probe_sets
+                .iter()
+                .map(|set| set.triggered_by(outcome) as u64)
+                .collect(),
+        }
+    }
 }
 
 /// The event-at-a-time stream detector. Drive it with
@@ -286,16 +299,7 @@ impl<'a, 't> StreamDetector<'a, 't> {
             let score = match self.scores.get(&target) {
                 Some(score) if self.mode == DetectorMode::Incremental => score.clone(),
                 _ => {
-                    let outcome = self.evaluate(attack);
-                    let triggered = self
-                        .probe_sets
-                        .iter()
-                        .map(|set| set.triggered_by(&outcome) as u64)
-                        .collect();
-                    let score = Score {
-                        pollution: outcome.pollution_count() as u64,
-                        triggered,
-                    };
+                    let score = self.score(attack);
                     if self.mode == DetectorMode::Incremental {
                         self.scores.insert(target, score.clone());
                     }
@@ -324,10 +328,12 @@ impl<'a, 't> StreamDetector<'a, 't> {
         }
     }
 
-    fn evaluate(&mut self, attack: Attack) -> AttackOutcome {
+    fn score(&mut self, attack: Attack) -> Score {
+        let probe_sets = self.probe_sets;
+        let score = move |outcome: &OutcomeView<'_>| Score::of(outcome, probe_sets);
         match self.mode {
             // The oracle: one full from-scratch generation-engine run.
-            DetectorMode::Batch => self.sim.run(attack, &self.defense),
+            DetectorMode::Batch => score(&self.sim.run(attack, &self.defense).view()),
             DetectorMode::Incremental => {
                 let replays = self.sim.route(attack.kind, &self.defense) == Dispatch::Delta;
                 let baseline = replays.then(|| {
@@ -340,15 +346,16 @@ impl<'a, 't> StreamDetector<'a, 't> {
                             .baseline_for(attack.target, &self.defense, &monitor)
                     })
                 });
-                let (outcome, _) = self.sim.evaluate(
+                let (score, _) = self.sim.evaluate(
                     attack,
                     &self.defense,
                     baseline,
                     &mut self.scratch,
                     &SweepMonitor::none(),
                     &mut NullObserver,
+                    score,
                 );
-                outcome
+                score
             }
         }
     }

@@ -13,7 +13,9 @@
 //! * `delta`: baseline replay under cone budgets 0, cone/2 and n, over
 //!   baselines built with other validator sets, on reused workspaces;
 //! * `evaluate`: `Simulator::evaluate` under every `EngineChoice`, with
-//!   and without the target's shared baseline;
+//!   and without the target's shared baseline, and the `OutcomeView` its
+//!   reader gets (there and through `Simulator::map_outcomes`): its count
+//!   and its verdict on every AS;
 //! * `stream`: the stream detector's incremental mode against its batch
 //!   mode;
 //! * `partition`: the whole sweep's rows against the oracle's polluted
@@ -34,7 +36,9 @@ use std::fmt::Debug;
 
 use bgpsim_detection::ProbeSet;
 use bgpsim_fanout::ShardPlan;
-use bgpsim_hijack::{Attack, AttackKind, Defense, Dispatch, EngineChoice, Simulator, SweepMonitor};
+use bgpsim_hijack::{
+    Attack, AttackKind, Defense, Dispatch, EngineChoice, OutcomeView, Simulator, SweepMonitor,
+};
 use bgpsim_routing::{
     propagate_announcements, propagate_delta, propagate_delta_budgeted, solve_race, Announcement,
     AsSet, Baseline, Choice, DeltaWorkspace, FilterContext, NullObserver, PolicyConfig, PrefClass,
@@ -541,7 +545,9 @@ fn polluted(p: &Propagation, attack: Attack) -> Vec<AsIndex> {
 }
 
 /// `Simulator::evaluate` on every engine, with and without the target's
-/// shared baseline, against the oracle's polluted set.
+/// shared baseline, against the oracle's polluted set; and the view its
+/// reader gets, there and through `Simulator::map_outcomes`: its count is
+/// the set's size, and the ASes it calls polluted are the set.
 fn evaluate(
     sims: &[Simulator<'_>],
     attack: Attack,
@@ -550,22 +556,39 @@ fn evaluate(
     label: &str,
 ) -> Verdict {
     let want = (polluted(oracle, attack), oracle.stats().truncated);
+    let verdicts = (want.0.len(), want.0.clone());
+    let everyone: Vec<AsIndex> = (0..oracle.choices().len() as u32)
+        .map(AsIndex::new)
+        .collect();
+    let read = |view: &OutcomeView<'_>| {
+        let members = everyone.iter().copied().filter(|&x| view.is_polluted(x));
+        (view.pollution_count(), members.collect::<Vec<_>>())
+    };
     let none = SweepMonitor::none();
     for sim in sims {
         let shared = (sim.route(attack.kind, defense) == Dispatch::Delta)
             .then(|| sim.baseline_for(attack.target, defense, &none));
         for baseline in [None, shared.as_ref()] {
-            let (got, _) = sim.evaluate(
+            let ((got, seen), _) = sim.evaluate(
                 attack,
                 defense,
                 baseline,
                 &mut sim.scratch(),
                 &none,
                 &mut NullObserver,
+                |view| (view.to_outcome(), read(view)),
             );
             let what = format!("{:?}, shared baseline {}", sim.engine(), baseline.is_some());
             same(label, &what, (got.polluted, got.truncated), want.clone())?;
+            let what = format!("{what}: the view's count and polluted ASes");
+            same(label, &what, seen, verdicts.clone())?;
         }
+        let mapped = sim.map_outcomes(&[attack], defense, read).remove(0);
+        let what = format!(
+            "{:?}, map_outcomes: the view's count and polluted ASes",
+            sim.engine()
+        );
+        same(label, &what, mapped, verdicts.clone())?;
     }
     Ok(())
 }

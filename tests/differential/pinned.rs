@@ -277,6 +277,7 @@ fn declines_under_the_paper_policy(topo: &Topology, target: u32, attacker: u32) 
                 &mut sim.scratch(),
                 &SweepMonitor::none(),
                 &mut NullObserver,
+                |view| view.to_outcome(),
             );
             let want = sim.run(attack, &Defense::none());
             let fallback = if races { Dispatch::Race } else { Dispatch::Scratch };
