@@ -1,6 +1,8 @@
 //! Evaluating deployment strategies against attack sweeps (§V).
 
-use bgpsim_hijack::{AttackKind, Defense, Dispatch, Simulator, SweepMonitor, SweepResult};
+use std::collections::HashMap;
+
+use bgpsim_hijack::{AttackKind, Defense, Simulator, SweepMonitor, SweepResult};
 use bgpsim_topology::metrics::DepthMap;
 use bgpsim_topology::{AsIndex, Topology};
 
@@ -55,10 +57,9 @@ pub fn evaluate_strategies(
 /// [`evaluate_strategies`] with sweep instrumentation (telemetry counters,
 /// per-attack progress, cancellation) forwarded to every strategy's sweep.
 ///
-/// The target's honest baseline is built once, for the first strategy
-/// whose sweep replays one, and shared by the rest: origin validation
-/// rejects only origins other than the authorized one, so the validator
-/// set never shapes the target's honest convergence.
+/// Strategies whose sweeps replay share the target's honest baseline:
+/// each is built once per [`bgpsim_hijack::BaselineKey`], which every
+/// validator deployment with one stub setting shares.
 pub fn evaluate_strategies_monitored(
     sim: &Simulator<'_>,
     target: AsIndex,
@@ -67,7 +68,7 @@ pub fn evaluate_strategies_monitored(
     monitor: &SweepMonitor<'_>,
 ) -> Vec<StrategyOutcome> {
     let pool: Vec<AsIndex> = attackers.iter().copied().filter(|&a| a != target).collect();
-    let mut baseline = None;
+    let mut baselines = HashMap::new();
     strategies
         .iter()
         .map(|strategy| {
@@ -75,13 +76,14 @@ pub fn evaluate_strategies_monitored(
             members.retain(|&ix| ix != target);
             let deployed = members.len();
             let defense = Defense::validators(sim.topology(), members);
-            if baseline.is_none()
-                && sim.route(AttackKind::OriginHijack, &defense) == Dispatch::Delta
-            {
-                baseline = Some(sim.baseline_for(target, &defense, monitor));
-            }
-            let counts =
-                sim.sweep_chunk_monitored(target, &pool, &defense, baseline.as_ref(), monitor);
+            let baseline = sim
+                .baseline_key(AttackKind::OriginHijack, target, &defense)
+                .map(|key| {
+                    &*baselines
+                        .entry(key)
+                        .or_insert_with(|| sim.baseline_for(key, monitor))
+                });
+            let counts = sim.sweep_chunk_monitored(target, &pool, &defense, baseline, monitor);
             StrategyOutcome {
                 strategy: strategy.clone(),
                 deployed,

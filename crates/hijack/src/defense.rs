@@ -66,8 +66,9 @@ impl Defense {
     /// the predicate [`crate::Simulator`]'s adaptive dispatch keys on:
     /// localizing defenses make baseline replay profitable, while against
     /// an undefended network the cone is the whole graph and racing the
-    /// origins directly is cheaper. Servers use the same predicate to
-    /// decide whether a cached baseline is worth building.
+    /// origins directly is cheaper. Whoever holds baselines asks
+    /// [`crate::Simulator::baseline_key`], which weighs this predicate
+    /// with the attack kind and the engine override, not this directly.
     pub fn localizes(&self) -> bool {
         self.num_validators() > 0 || self.stub_defense
     }

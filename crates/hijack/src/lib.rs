@@ -45,7 +45,7 @@ mod vulnerability;
 pub use aggressiveness::{aggressiveness, rank_by_aggressiveness};
 pub use attack::{Attack, AttackKind, AttackOutcome};
 pub use defense::Defense;
-pub use simulator::{EngineChoice, Scratch, Simulator};
+pub use simulator::{BaselineKey, EngineChoice, Simulator};
 pub use telemetry::{
     wall_bucket, Dispatch, SweepMonitor, SweepProgress, SweepTelemetry, TelemetrySnapshot,
     WALL_HIST_BUCKETS,

@@ -13,14 +13,15 @@
 //! of its first.
 //!
 //! The pool never shrinks; its high-water mark is the largest number of
-//! workspaces ever live at once, which rayon caps at the worker count.
+//! workspaces ever live at once: one per thread inside an engine pass.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::Mutex;
 
 /// A lock-guarded stash of reusable workspaces. The mutex is touched once
-/// per checkout/return — per rayon worker per parallel call, never per
-/// attack — so contention is negligible next to the work it brackets.
+/// per checkout/return — per rayon worker per sweep call, per attack in
+/// `Simulator::evaluate` — so contention is negligible next to the engine
+/// pass it brackets.
 #[derive(Debug, Default)]
 pub(crate) struct WorkspacePool<T> {
     stash: Mutex<Vec<T>>,

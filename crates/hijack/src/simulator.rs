@@ -1,7 +1,7 @@
 //! The hijack simulator: one route, one executor.
 //!
-//! Every attack is answered the same way: [`Simulator::route`] picks the
-//! engine, and one private executor runs it. Every result is read through
+//! Every attack is answered the same way: one private route table picks
+//! the engine, and one private executor runs it. Every result is read through
 //! one [`OutcomeView`]: [`Simulator::evaluate`] hands it to its caller's
 //! reader, and the sweep entry points count pollution off it, one row per
 //! attacker, in parallel.
@@ -16,7 +16,8 @@
 //! topology where the fixed point does not settle. When the defense
 //! (origin validation and/or defensive stub filtering) can quench the
 //! attacker's routes, all attacks against one target share the target's
-//! honest convergence: [`Simulator::baseline_for`] builds one [`Baseline`]
+//! honest convergence: [`Simulator::baseline_key`] names it, and
+//! [`Simulator::baseline_for`] builds one [`Baseline`]
 //! (converged state plus recorded message schedule), shared read-only
 //! across rayon workers, and [`propagate_delta_budgeted`] re-converges
 //! only the attacker's contamination cone — the §V regime, where an
@@ -31,13 +32,12 @@
 //! race route, `campaign_defended` the delta route. [`EngineChoice`]
 //! overrides the adaptive route for debugging and ablation.
 
-use std::ops::DerefMut;
 use std::time::Instant;
 
 use bgpsim_routing::{
     propagate_announcements, propagate_delta_budgeted, solve_race_observed, Announcement, Baseline,
-    DeltaWorkspace, NullObserver, Observer, PolicyConfig, Propagation, RaceWorkspace, SimNet,
-    Workspace, DEFAULT_CONE_BUDGET_DIVISOR, DEFAULT_MAX_ROUNDS,
+    DeltaWorkspace, FilterContext, NullObserver, Observer, PolicyConfig, Propagation,
+    RaceWorkspace, SimNet, Workspace, DEFAULT_CONE_BUDGET_DIVISOR, DEFAULT_MAX_ROUNDS,
 };
 use bgpsim_topology::{AsIndex, Topology};
 use rayon::prelude::*;
@@ -49,7 +49,7 @@ use crate::telemetry::{run_instrumented, Dispatch, MaybeSink, ProgressState, Swe
 use crate::view::{OutcomeView, Solved};
 use crate::vulnerability::SweepResult;
 
-/// Engine selection for [`Simulator::route`].
+/// Engine selection for the simulator's adaptive route.
 ///
 /// [`EngineChoice::Auto`] (the default) picks the fastest engine whose
 /// preconditions hold per attack; `Generation` and `Race` force every
@@ -118,14 +118,33 @@ impl std::str::FromStr for EngineChoice {
     }
 }
 
+/// Which shared [`Baseline`] a replayed attack needs — the one place the
+/// rule "validators never change a target's honest convergence" lives.
+/// A baseline depends on the attacked target and on whether providers
+/// filter their stub customers, and on nothing else a [`Defense`] holds:
+/// origin validation rejects only origins other than the authorized one,
+/// and the honest run's one origin *is* the authorized one. So one
+/// baseline per key serves every validator deployment — the paper's §V
+/// progression of deployments against one target, or a stream's
+/// validator churn — and callers that hold baselines (a cache, a
+/// per-stream map, a strategy sweep) key them on this.
+///
+/// Only [`Simulator::baseline_key`] forms one, and only for an attack
+/// that replays; it names a baseline of that simulator's topology and
+/// policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct BaselineKey {
+    target: AsIndex,
+    stub_defense: bool,
+}
+
 /// Per-thread engine scratch space: one workspace per engine, each sized
 /// on first use and reused without clearing (epoch stamps) thereafter —
 /// so a worker on the delta route, whose over-budget replays finish on
 /// the race solver (and, rarely, the generation engine), ends up sizing
-/// all three. Check one out with [`Simulator::scratch`], or own one for
-/// the lifetime of a long-running caller.
+/// all three. Every entry point checks one out of the simulator's pool.
 #[derive(Debug, Default)]
-pub struct Scratch {
+pub(crate) struct Scratch {
     ws: Workspace,
     dws: DeltaWorkspace,
     rws: RaceWorkspace,
@@ -133,9 +152,9 @@ pub struct Scratch {
 
 /// Simulates origin and sub-prefix hijacks on one topology.
 ///
-/// Owns the precomputed [`SimNet`] so repeated attacks share its tables;
-/// the parallel sweep methods distribute attacks across rayon workers with
-/// one pooled [`Scratch`] per thread.
+/// Owns the precomputed [`SimNet`] so repeated attacks share its tables,
+/// and a pool of engine workspaces every entry point checks out of; the
+/// parallel sweep methods distribute attacks across rayon workers.
 ///
 /// Every caller reaches the engines through the routed executor:
 /// [`Simulator::evaluate`] for one attack, the `sweep_*` methods for many
@@ -147,7 +166,7 @@ pub struct Scratch {
 ///
 /// ```
 /// use bgpsim_hijack::{Attack, Defense, Simulator, SweepMonitor};
-/// use bgpsim_routing::{NullObserver, PolicyConfig};
+/// use bgpsim_routing::PolicyConfig;
 /// use bgpsim_topology::{topology_from_triples, AsId, LinkKind::*};
 ///
 /// let topo = topology_from_triples(&[
@@ -162,9 +181,7 @@ pub struct Scratch {
 ///     attack,
 ///     &Defense::none(),
 ///     None,
-///     &mut sim.scratch(),
 ///     &SweepMonitor::none(),
-///     &mut NullObserver,
 ///     |view| view.pollution_count(),
 /// );
 /// assert_eq!(count, sim.run(attack, &Defense::none()).pollution_count());
@@ -234,21 +251,13 @@ impl<'t> Simulator<'t> {
         &self.policy
     }
 
-    /// Checks a [`Scratch`] out of the simulator's pool. It returns to the
-    /// pool on drop with its warmed allocations intact, so per-request and
-    /// per-rayon-worker callers allocate nothing in steady state.
-    pub fn scratch(&self) -> impl DerefMut<Target = Scratch> + '_ {
-        self.pool.checkout()
-    }
-
     /// Which engine answers an attack of `kind` under `defense` — the one
     /// place the engine override, the attack kind and the defense are
     /// weighed against each other.
     ///
     /// [`Dispatch::Delta`] means "replay against the target's shared
-    /// honest baseline ([`Simulator::baseline_for`])", so it is also the
-    /// cacheability predicate serving layers need: build or fetch that
-    /// baseline exactly when the route says so. Replay pays off once a
+    /// honest baseline", which callers outside this crate learn only
+    /// through [`Simulator::baseline_key`]. Replay pays off once a
     /// defense keeps contamination cones local; without any filtering
     /// every AS adopts or at least hears the bogus route, the cone is the
     /// whole network, and replay measured ~3× slower than racing the two
@@ -264,7 +273,7 @@ impl<'t> Simulator<'t> {
     /// baseline is still needed to find out), and [`Simulator::evaluate`]
     /// reports which engine ran. The policy is not consulted: every route is pinned
     /// bit-identical under both the paper policy and strict Gao-Rexford.
-    pub fn route(&self, kind: AttackKind, defense: &Defense) -> Dispatch {
+    pub(crate) fn route(&self, kind: AttackKind, defense: &Defense) -> Dispatch {
         let replayable = kind != AttackKind::SubPrefixHijack;
         match self.engine {
             EngineChoice::Generation => Dispatch::Scratch,
@@ -275,23 +284,39 @@ impl<'t> Simulator<'t> {
         }
     }
 
-    /// Builds `target`'s honest convergence under `defense`: the shared
-    /// state every [`Dispatch::Delta`] attack on `target` replays. Of the
-    /// defense only [`Defense::has_stub_defense`] shapes it — validators
-    /// never reject the authorized origin — so one baseline serves every
-    /// validator deployment with the same stub-defense setting
-    /// ([`Baseline::build`]). The build runs in a pooled workspace and is
-    /// counted (once, with its heap footprint) on the monitor's telemetry.
-    pub fn baseline_for(
+    /// The shared baseline an attack of `kind` on `target` under `defense`
+    /// replays against, or `None` when its route does not replay (no
+    /// localizing defense, a sub-prefix hijack, or an engine override that
+    /// never replays). Fetch or build [`Simulator::baseline_for`] of the
+    /// key exactly when there is one; see [`BaselineKey`] for why the
+    /// validator set is not part of it.
+    pub fn baseline_key(
         &self,
+        kind: AttackKind,
         target: AsIndex,
         defense: &Defense,
-        monitor: &SweepMonitor<'_>,
-    ) -> Baseline {
+    ) -> Option<BaselineKey> {
+        (self.route(kind, defense) == Dispatch::Delta).then(|| BaselineKey {
+            target,
+            stub_defense: defense.has_stub_defense(),
+        })
+    }
+
+    /// Builds the honest convergence `key` names: the key's target
+    /// announcing alone, authorized, with no validators and the key's
+    /// stub-defense setting ([`Baseline::build`]). The build runs in a
+    /// pooled workspace and is counted (once, with its heap footprint) on
+    /// the monitor's telemetry.
+    pub fn baseline_for(&self, key: BaselineKey, monitor: &SweepMonitor<'_>) -> Baseline {
+        let filters = FilterContext {
+            authorized_origin: Some(key.target),
+            validators: None,
+            stub_defense: key.stub_defense,
+        };
         let baseline = Baseline::build(
             &self.net,
-            &[Announcement::honest(target)],
-            &defense.context_for(target),
+            &[Announcement::honest(key.target)],
+            &filters,
             &self.policy,
             &mut self.pool.checkout().ws,
         );
@@ -333,7 +358,7 @@ impl<'t> Simulator<'t> {
         OutcomeView::of(attack, &solved).to_outcome()
     }
 
-    /// Simulates one attack on the engine [`Simulator::route`] picks and
+    /// Simulates one attack on the engine the adaptive route picks and
     /// returns what `read` makes of it, with the engine that actually ran:
     /// [`Dispatch::Scratch`] when the race solver fell back, and — on the
     /// adaptive [`Dispatch::Delta`] route — [`Dispatch::Race`] (or, through
@@ -345,27 +370,26 @@ impl<'t> Simulator<'t> {
     /// never pays for the polluted list; `|view| view.to_outcome()` reads
     /// the full [`AttackOutcome`].
     ///
-    /// `baseline` is read on the [`Dispatch::Delta`] route only: pass the
-    /// target's [`Simulator::baseline_for`] there (built once per target
-    /// and stub-defense setting, or fetched from a cache). `None` means no
-    /// shared baseline, so no replay — building one for a single attack
-    /// costs far more than the replay it enables — and the attack is
-    /// raced from scratch instead.
+    /// `baseline` is read only when the attack has a
+    /// [`Simulator::baseline_key`]: pass that key's baseline there (built
+    /// once, or fetched from a cache). `None` means no shared baseline, so
+    /// no replay — building one for a single attack costs far more than
+    /// the replay it enables — and the attack is raced from scratch
+    /// instead.
     ///
     /// Polluted sets are bit-identical to [`Simulator::run`] on every
     /// route; `generations` bookkeeping depends on the engine (waves,
     /// replay waves, or fixed-point rounds). The monitor is honoured as in
-    /// a sweep of one: telemetry counts the dispatch and wall time, and a
-    /// set cancellation flag hands `read` a view with nothing polluted.
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate<O: Observer, T>(
+    /// a sweep of one: telemetry counts the dispatch, the engine pass and
+    /// the wall time, and a set cancellation flag hands `read` a view with
+    /// nothing polluted. The engine workspaces come from the simulator's
+    /// pool, so a caller in steady state allocates nothing.
+    pub fn evaluate<T>(
         &self,
         attack: Attack,
         defense: &Defense,
         baseline: Option<&Baseline>,
-        scratch: &mut Scratch,
         monitor: &SweepMonitor<'_>,
-        obs: &mut O,
         read: impl Fn(&OutcomeView<'_>) -> T,
     ) -> (T, Dispatch) {
         let route = match self.route(attack.kind, defense) {
@@ -374,20 +398,20 @@ impl<'t> Simulator<'t> {
         };
         let progress = ProgressState::new(*monitor, 1);
         run_instrumented(monitor, &progress, None, || {
+            let mut scratch = self.pool.checkout();
             let (solved, dispatch) =
-                self.solve(attack, defense, route, baseline, scratch, monitor, obs);
+                self.solve(attack, defense, route, baseline, &mut scratch, monitor);
             Some((read(&OutcomeView::of(attack, &solved)), dispatch))
         })
         .unwrap_or_else(|| (read(&OutcomeView::skipped(attack)), route))
     }
 
     /// Evaluates unrelated attacks — any kind, any target, so no baseline
-    /// is shared and none is replayed — on all rayon workers, one pooled
-    /// [`Scratch`] each, and returns what `read` makes of every attack's
-    /// [`OutcomeView`], in input order. The §VI detection experiment, the
-    /// probe planner and the aggressiveness metric are this loop; each
-    /// only counts pollution and tests probes, so no attack's polluted
-    /// set is ever listed.
+    /// is shared and none is replayed — on all rayon workers, and returns
+    /// what `read` makes of every attack's [`OutcomeView`], in input
+    /// order. The §VI detection experiment, the probe planner and the
+    /// aggressiveness metric are this loop; each only counts pollution and
+    /// tests probes, so no attack's polluted set is ever listed.
     pub fn map_outcomes<T, F>(&self, attacks: &[Attack], defense: &Defense, read: F) -> Vec<T>
     where
         T: Send,
@@ -395,21 +419,10 @@ impl<'t> Simulator<'t> {
     {
         attacks
             .par_iter()
-            .map_init(
-                || self.pool.checkout(),
-                |scratch, &attack| {
-                    let (answer, _) = self.evaluate(
-                        attack,
-                        defense,
-                        None,
-                        scratch,
-                        &SweepMonitor::none(),
-                        &mut NullObserver,
-                        &read,
-                    );
-                    answer
-                },
-            )
+            .map(|&attack| {
+                self.evaluate(attack, defense, None, &SweepMonitor::none(), &read)
+                    .0
+            })
             .collect()
     }
 
@@ -469,12 +482,11 @@ impl<'t> Simulator<'t> {
     /// pool: every attacker row is independent — the sweep loop shares
     /// only the read-only baseline.
     ///
-    /// When the sweep routes to [`Dispatch::Delta`] the caller **must**
-    /// pass the target's [`Simulator::baseline_for`] (built once, or
-    /// fetched from a cache); passing `None` would rebuild it on every
-    /// chunk and turn an O(baseline + pool) sweep into O(chunks ×
-    /// baseline). Whoever built the baseline counted it; no build is
-    /// recorded here.
+    /// When the sweep has a [`Simulator::baseline_key`] the caller **must**
+    /// pass that key's baseline (built once, or fetched from a cache);
+    /// passing `None` would rebuild it on every chunk and turn an
+    /// O(baseline + pool) sweep into O(chunks × baseline). Whoever built
+    /// the baseline counted it; no build is recorded here.
     pub fn sweep_chunk_monitored(
         &self,
         target: AsIndex,
@@ -523,8 +535,10 @@ impl<'t> Simulator<'t> {
         let route = self.route(AttackKind::OriginHijack, defense);
         // Built once here, when the caller supplied none, and shared by
         // the whole pool.
-        let built = (route == Dispatch::Delta && baseline.is_none())
-            .then(|| self.baseline_for(target, defense, monitor));
+        let built = self
+            .baseline_key(AttackKind::OriginHijack, target, defense)
+            .filter(|_| baseline.is_none())
+            .map(|key| self.baseline_for(key, monitor));
         let baseline = baseline.or(built.as_ref());
         let progress = ProgressState::new(*monitor, attackers.len());
         attackers
@@ -538,9 +552,8 @@ impl<'t> Simulator<'t> {
                     }
                     run_instrumented(monitor, &progress, 0, || {
                         let attack = Attack::origin(attacker, target);
-                        let mut obs = MaybeSink::from_monitor(monitor);
-                        let (solved, _) = self
-                            .solve(attack, defense, route, baseline, scratch, monitor, &mut obs);
+                        let (solved, _) =
+                            self.solve(attack, defense, route, baseline, scratch, monitor);
                         let view = OutcomeView::of(attack, &solved);
                         let count = match mask {
                             None => view.pollution_count(),
@@ -553,9 +566,9 @@ impl<'t> Simulator<'t> {
             .collect()
     }
 
-    /// The executor: one engine pass for one attack on `route`, counted on
-    /// the monitor's telemetry. Returns the pass and the engine that
-    /// actually ran.
+    /// The executor: one engine pass for one attack on `route`, counted and
+    /// observed on the monitor's telemetry. Returns the pass and the engine
+    /// that actually ran.
     ///
     /// On the adaptive [`Dispatch::Delta`] route the replay runs under a
     /// cone budget (`num_ases /` [`DEFAULT_CONE_BUDGET_DIVISOR`]): one whose
@@ -571,8 +584,7 @@ impl<'t> Simulator<'t> {
     /// the generation engine when the tier-1 fixed point does not settle
     /// within the configured round cap; [`Dispatch::Scratch`] goes
     /// straight to the generation engine.
-    #[allow(clippy::too_many_arguments)]
-    fn solve<'r, O: Observer>(
+    fn solve<'r>(
         &'r self,
         attack: Attack,
         defense: &'r Defense,
@@ -580,8 +592,8 @@ impl<'t> Simulator<'t> {
         baseline: Option<&'r Baseline>,
         scratch: &'r mut Scratch,
         monitor: &SweepMonitor<'_>,
-        obs: &mut O,
     ) -> (Solved<'r, 't>, Dispatch) {
+        let obs = &mut MaybeSink::from_monitor(monitor);
         if route == Dispatch::Delta {
             let baseline = baseline.expect("the delta route always carries a baseline");
             let budget = (self.engine == EngineChoice::Auto)
@@ -747,9 +759,11 @@ mod tests {
         assert!(forged.pollution_count() <= plain.pollution_count());
     }
 
-    /// The whole dispatch rule, one row per (engine, kind, defense). The
-    /// policy column is deliberately inert: strict Gao-Rexford routes
-    /// exactly like the paper policy.
+    /// The whole dispatch rule, one row per (engine, kind, defense), and
+    /// the baseline key that follows from it: one exactly on the replaying
+    /// cells, the same under every validator set with one stub setting,
+    /// another under the other. The policy column is deliberately inert:
+    /// strict Gao-Rexford routes exactly like the paper policy.
     #[test]
     fn route_table() {
         use AttackKind::{
@@ -758,10 +772,14 @@ mod tests {
         use Dispatch::{Delta, Race, Scratch};
         use EngineChoice::{Auto, Generation};
         let t = topo();
+        let target = ix(&t, 9);
         let open = Defense::none();
+        // Two validator sets under each stub setting.
         let localizing = [
             Defense::stub_defense_only(),
+            Defense::validators(&t, vec![ix(&t, 1)]).with_stub_defense(),
             Defense::validators(&t, vec![ix(&t, 1)]),
+            Defense::validators(&t, vec![ix(&t, 2), ix(&t, 5)]),
         ];
         assert!(!open.localizes());
         // (engine, kind, route when undefended, route under a localizing defense)
@@ -782,10 +800,20 @@ mod tests {
         for policy in [PolicyConfig::paper(), PolicyConfig::strict_gao_rexford()] {
             for (engine, kind, undefended, defended) in table {
                 let sim = Simulator::new(&t, policy).with_engine(engine);
-                assert_eq!(sim.route(kind, &open), undefended, "{engine:?} {kind:?}");
+                let key = |defense| sim.baseline_key(kind, target, defense);
+                let case = format!("{engine:?} {kind:?}");
+                assert_eq!(sim.route(kind, &open), undefended, "{case}");
+                assert_eq!(key(&open).is_some(), undefended == Delta, "{case}");
                 for defense in &localizing {
                     assert!(defense.localizes());
-                    assert_eq!(sim.route(kind, defense), defended, "{engine:?} {kind:?}");
+                    assert_eq!(sim.route(kind, defense), defended, "{case}");
+                    assert_eq!(key(defense).is_some(), defended == Delta, "{case}");
+                }
+                let [stub, stub_rov, rov, other_rov] = localizing.each_ref().map(key);
+                assert_eq!(stub, stub_rov, "{case}: validators are not in the key");
+                assert_eq!(rov, other_rov, "{case}: validators are not in the key");
+                if defended == Delta {
+                    assert_ne!(stub, rov, "{case}: the stub setting is");
                 }
             }
         }
@@ -850,7 +878,8 @@ mod tests {
         let defense = Defense::validators(&t, all).with_stub_defense();
         let whole = sim.sweep_attackers(target, &attackers, &defense);
         assert_eq!(replay.sweep_attackers(target, &attackers, &defense), whole);
-        let baseline = replay.baseline_for(target, &defense, &SweepMonitor::none());
+        let key = replay.baseline_key(AttackKind::OriginHijack, target, &defense);
+        let baseline = replay.baseline_for(key.unwrap(), &SweepMonitor::none());
         let telemetry = SweepTelemetry::new();
         let monitor = SweepMonitor::none().with_telemetry(&telemetry);
         for chunk_size in [1, 2, attackers.len()] {
@@ -945,7 +974,6 @@ mod tests {
             attacks.push(Attack::sub_prefix(ix(&t, a), ix(&t, tgt)));
         }
         let none = SweepMonitor::none();
-        let mut scratch = Scratch::default();
         for defense in [
             Defense::none(),
             Defense::validators(&t, vec![ix(&t, 1), ix(&t, 2)]),
@@ -963,8 +991,9 @@ mod tests {
                     for &attack in &attacks {
                         let oracle = sim.run(attack, &defense);
                         let route = sim.route(attack.kind, &defense);
-                        let shared = (route == Dispatch::Delta)
-                            .then(|| sim.baseline_for(attack.target, &defense, &none));
+                        let shared = sim
+                            .baseline_key(attack.kind, attack.target, &defense)
+                            .map(|key| sim.baseline_for(key, &none));
                         for baseline in [None, shared.as_ref()] {
                             // No baseline, no replay. With one, six ASes
                             // leave the adaptive route a cone budget of
@@ -979,15 +1008,10 @@ mod tests {
                                 (true, _) => Dispatch::Race,
                                 (false, _) => route,
                             };
-                            let (got, dispatch) = sim.evaluate(
-                                attack,
-                                &defense,
-                                baseline,
-                                &mut scratch,
-                                &none,
-                                &mut NullObserver,
-                                |view| view.to_outcome(),
-                            );
+                            let (got, dispatch) =
+                                sim.evaluate(attack, &defense, baseline, &none, |view| {
+                                    view.to_outcome()
+                                });
                             let case = format!("{engine:?} rounds={race_rounds} {attack:?}");
                             assert_eq!(dispatch, ran, "{case}");
                             assert_eq!(got.attack, attack, "{case}");
@@ -1024,9 +1048,7 @@ mod tests {
             attack,
             &defense,
             None,
-            &mut Scratch::default(),
             &SweepMonitor::none().with_telemetry(&telemetry),
-            &mut NullObserver,
             |view| view.to_outcome(),
         );
         assert_eq!(dispatch, Dispatch::Race);
@@ -1050,15 +1072,9 @@ mod tests {
             .with_telemetry(&telemetry)
             .with_cancel(&cancel);
         let attack = Attack::origin(ix(&t, 8), ix(&t, 9));
-        let (outcome, dispatch) = sim.evaluate(
-            attack,
-            &Defense::none(),
-            None,
-            &mut Scratch::default(),
-            &monitor,
-            &mut NullObserver,
-            |view| view.to_outcome(),
-        );
+        let (outcome, dispatch) = sim.evaluate(attack, &Defense::none(), None, &monitor, |view| {
+            view.to_outcome()
+        });
         assert_eq!(outcome.attack, attack);
         assert!(outcome.polluted.is_empty());
         assert_eq!(dispatch, Dispatch::Race, "the route, though nothing ran");

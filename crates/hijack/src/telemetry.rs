@@ -22,8 +22,8 @@ use bgpsim_routing::{ConvergenceStats, EngineTelemetry, Observer};
 /// Number of log₂ buckets in the per-attack wall-time histogram.
 pub const WALL_HIST_BUCKETS: usize = 32;
 
-/// Which engine one attack is routed to (see
-/// [`Simulator::route`](crate::Simulator::route)), or ran on. The two can
+/// Which engine one attack is routed to, or ran on (see
+/// [`Simulator::evaluate`](crate::Simulator::evaluate)). The two can
 /// differ downwards only: a [`Dispatch::Race`] route may run as
 /// [`Dispatch::Scratch`] (fixed point did not settle), and an adaptive
 /// [`Dispatch::Delta`] route may run as [`Dispatch::Race`] (replay

@@ -10,10 +10,10 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 
 use bgpsim_hijack::{
-    Attack, AttackKind, Defense, Dispatch, EngineChoice, Scratch, Simulator, SweepMonitor,
-    SweepProgress, SweepTelemetry,
+    Attack, AttackKind, Defense, Dispatch, EngineChoice, Simulator, SweepMonitor, SweepProgress,
+    SweepTelemetry,
 };
-use bgpsim_routing::{NullObserver, PolicyConfig};
+use bgpsim_routing::PolicyConfig;
 use bgpsim_topology::gen::{generate, InternetParams};
 use bgpsim_topology::{topology_from_triples, AsId, AsIndex, LinkKind::*, Topology};
 
@@ -259,22 +259,24 @@ proptest! {
         let monitor = SweepMonitor::none().with_telemetry(&telemetry);
         let cancel = AtomicBool::new(true);
         let cancelled = SweepMonitor::none().with_telemetry(&telemetry).with_cancel(&cancel);
-        let mut scratch = Scratch::default();
         let mut evaluated = 0u64;
         for defense in [Defense::none(), Defense::validators(topo, validators)] {
-            // Every attack shares the target, hence the baseline.
-            let baseline = sim.baseline_for(target, &defense, &none);
+            // Every attack shares the target, hence the baseline, if any.
+            let baseline = sim
+                .baseline_key(AttackKind::OriginHijack, target, &defense)
+                .map(|key| sim.baseline_for(key, &none));
+            let baseline = baseline.as_ref();
             for &attack in &attacks {
                 let oracle = sim.run(attack, &defense);
-                let route = sim.route(attack.kind, &defense);
-                let (plain, dispatch) = sim.evaluate(
-                    attack, &defense, Some(&baseline), &mut scratch, &none, &mut NullObserver,
-                    |view| view.to_outcome(),
-                );
-                let (monitored, _) = sim.evaluate(
-                    attack, &defense, Some(&baseline), &mut scratch, &monitor, &mut NullObserver,
-                    |view| view.to_outcome(),
-                );
+                // The adaptive route replays exactly the keyed attacks.
+                let route = match sim.baseline_key(attack.kind, target, &defense) {
+                    Some(_) => Dispatch::Delta,
+                    None => Dispatch::Race,
+                };
+                let (plain, dispatch) =
+                    sim.evaluate(attack, &defense, baseline, &none, |view| view.to_outcome());
+                let (monitored, _) =
+                    sim.evaluate(attack, &defense, baseline, &monitor, |view| view.to_outcome());
                 evaluated += 1;
                 prop_assert_eq!(&plain.polluted, &oracle.polluted);
                 prop_assert_eq!(plain.truncated, oracle.truncated);
@@ -291,10 +293,8 @@ proptest! {
                 );
                 prop_assert!(dispatch == route || fell_back);
 
-                let (capped, dispatch) = fallback.evaluate(
-                    attack, &defense, Some(&baseline), &mut scratch, &none, &mut NullObserver,
-                    |view| view.to_outcome(),
-                );
+                let (capped, dispatch) =
+                    fallback.evaluate(attack, &defense, baseline, &none, |view| view.to_outcome());
                 prop_assert_eq!(&capped.polluted, &oracle.polluted);
                 // With no race rounds nothing finishes on the race solver:
                 // a replay completes, everything else ends from scratch.
@@ -303,10 +303,8 @@ proptest! {
                         || (route, dispatch) == (Dispatch::Delta, Dispatch::Delta)
                 );
 
-                let (skipped, _) = sim.evaluate(
-                    attack, &defense, Some(&baseline), &mut scratch, &cancelled, &mut NullObserver,
-                    |view| view.to_outcome(),
-                );
+                let (skipped, _) =
+                    sim.evaluate(attack, &defense, baseline, &cancelled, |view| view.to_outcome());
                 prop_assert!(skipped.polluted.is_empty());
             }
         }
@@ -352,10 +350,9 @@ fn over_budget_replays_are_abandoned_and_match_generation() {
         (rows, telemetry.snapshot())
     };
     for defense in [weak.clone(), weak.clone().with_stub_defense()] {
-        assert_eq!(
-            auto.route(AttackKind::OriginHijack, &defense),
-            Dispatch::Delta
-        );
+        let key = auto
+            .baseline_key(AttackKind::OriginHijack, target, &defense)
+            .expect("a localizing defense replays");
         let oracle = generation.sweep_attackers(target, &attackers, &defense);
         let (rows, snap) = counted(&auto, &defense);
         assert_eq!(rows, oracle, "stub defense {}", defense.has_stub_defense());
@@ -382,8 +379,7 @@ fn over_budget_replays_are_abandoned_and_match_generation() {
 
         // Full outcomes, forged origins included: whichever engine
         // finishes, the polluted set is the generation engine's.
-        let baseline = auto.baseline_for(target, &defense, &SweepMonitor::none());
-        let mut scratch = Scratch::default();
+        let baseline = auto.baseline_for(key, &SweepMonitor::none());
         let mut finished_by_race = 0;
         for &attacker in &attackers {
             for attack in [
@@ -394,9 +390,7 @@ fn over_budget_replays_are_abandoned_and_match_generation() {
                     attack,
                     &defense,
                     Some(&baseline),
-                    &mut scratch,
                     &SweepMonitor::none(),
-                    &mut NullObserver,
                     |view| view.to_outcome(),
                 );
                 assert_eq!(got.polluted, generation.run(attack, &defense).polluted);

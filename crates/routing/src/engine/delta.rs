@@ -256,6 +256,10 @@ pub struct Baseline {
     /// `Propagation` duplicate is gone from the resident footprint.
     stats: ConvergenceStats,
     policy: PolicyConfig,
+    /// The authorized origin and stub-defense setting the frozen run
+    /// filtered under, asserted at delta time; `None` for
+    /// [`Baseline::empty`], which froze no decision and serves any context.
+    filtered_under: Option<(Option<AsIndex>, bool)>,
     /// Packed delivery log, grouped by receiver: receiver `x`'s deliveries
     /// are `log[in_off[x]..in_off[x + 1]]` in delivery order (ascending
     /// generation). Grouping the log itself by receiver makes the
@@ -301,8 +305,9 @@ impl Baseline {
     /// A baseline depends on (`net`, `policy`, `announcements`,
     /// `filters.authorized_origin`, `filters.stub_defense`) — the frozen
     /// state and log embed this run's preference keys and stub-filter
-    /// decisions — and delta runs must agree on all of them (`policy` is
-    /// asserted at delta time, the rest is the caller's responsibility).
+    /// decisions — and delta runs must agree on all of them: `policy`, the
+    /// authorized origin and the stub defense are recorded here and
+    /// asserted at delta time, the rest is the caller's responsibility.
     /// It does **not** depend on `filters.validators` as long as every
     /// announcement claims the authorized origin: origin validation
     /// rejects only other origins, so no validator ever drops a message of
@@ -386,6 +391,7 @@ impl Baseline {
             snap: ws.snapshot(net),
             stats: result.stats(),
             policy: *policy,
+            filtered_under: Some((filters.authorized_origin, filters.stub_defense)),
             log,
             last_gen,
             in_off,
@@ -407,6 +413,7 @@ impl Baseline {
             snap: RibSnapshot::empty(net),
             stats: ConvergenceStats::default(),
             policy: *policy,
+            filtered_under: None,
             log: Vec::new(),
             last_gen: 0,
             in_off: vec![0; n + 1],
@@ -836,9 +843,9 @@ fn recruit(
 /// contamination cone against the baseline's recorded schedule. See the
 /// module docs for the bit-identity argument.
 ///
-/// `policy` must be the baseline's (asserted), and `filters` must agree
-/// with the context it was built under on the authorized origin and on
-/// stub defense; the validator set is free to differ (see
+/// `policy` must be the baseline's, and `filters` must agree with the
+/// context it was built under on the authorized origin and on stub
+/// defense (all three asserted); the validator set is free to differ (see
 /// [`Baseline::build`]).
 ///
 /// This is the unbudgeted replay: it always runs to the end, whatever the
@@ -851,8 +858,9 @@ fn recruit(
 ///
 /// Panics if `injections` is empty or contains an announcer that already
 /// originates (among the injections or in the baseline), if any index is
-/// out of range, if `policy` differs from the baseline's, or if the
-/// baseline was built for a differently-sized network.
+/// out of range, if `policy`, `filters.authorized_origin` or
+/// `filters.stub_defense` differs from the baseline's, or if the baseline
+/// was built for a differently-sized network.
 pub fn propagate_delta<'r, 't, O: Observer>(
     net: &'r SimNet<'t>,
     baseline: &'r Baseline,
@@ -909,6 +917,13 @@ pub fn propagate_delta_budgeted<'r, 't, O: Observer>(
         *policy, baseline.policy,
         "delta policy must match the baseline's"
     );
+    if let Some(built) = baseline.filtered_under {
+        assert_eq!(
+            (filters.authorized_origin, filters.stub_defense),
+            built,
+            "delta authorized origin and stub defense must match the baseline's"
+        );
+    }
     assert_eq!(
         (baseline.snap.num_ases(), baseline.snap.num_slots()),
         (net.num_ases(), net.num_slots()),
@@ -1705,6 +1720,70 @@ mod tests {
             &FilterContext::none(),
             &PolicyConfig::strict_gao_rexford(),
             &mut dws,
+            &mut NullObserver,
+        );
+    }
+
+    /// A replay for another target than the baseline's: without the
+    /// check, the frozen honest run of T answers for T′ and the count is
+    /// silently wrong.
+    #[test]
+    #[should_panic(expected = "authorized origin and stub defense")]
+    fn target_mismatch_panics() {
+        let topo = diamond();
+        let net = SimNet::new(&topo);
+        let [t, other, a] = [4, 3, 5].map(|n| topo.index_of(AsId::new(n)).unwrap());
+        let policy = PolicyConfig::paper();
+        let for_target = |ix| FilterContext {
+            authorized_origin: Some(ix),
+            ..FilterContext::none()
+        };
+        let baseline = Baseline::build(
+            &net,
+            &[Announcement::honest(t)],
+            &for_target(t),
+            &policy,
+            &mut Workspace::new(),
+        );
+        let _ = propagate_delta(
+            &net,
+            &baseline,
+            &[Announcement::honest(a)],
+            &for_target(other),
+            &policy,
+            &mut DeltaWorkspace::new(),
+            &mut NullObserver,
+        );
+    }
+
+    /// A stub-off baseline replayed with stub filtering on: its frozen
+    /// schedule carries stub announcements the replay's filters drop.
+    #[test]
+    #[should_panic(expected = "authorized origin and stub defense")]
+    fn stub_defense_mismatch_panics() {
+        let topo = diamond();
+        let net = SimNet::new(&topo);
+        let [t, a] = [4, 5].map(|n| topo.index_of(AsId::new(n)).unwrap());
+        let policy = PolicyConfig::paper();
+        let filters = |stub_defense| FilterContext {
+            authorized_origin: Some(t),
+            validators: None,
+            stub_defense,
+        };
+        let baseline = Baseline::build(
+            &net,
+            &[Announcement::honest(t)],
+            &filters(false),
+            &policy,
+            &mut Workspace::new(),
+        );
+        let _ = propagate_delta(
+            &net,
+            &baseline,
+            &[Announcement::honest(a)],
+            &filters(true),
+            &policy,
+            &mut DeltaWorkspace::new(),
             &mut NullObserver,
         );
     }

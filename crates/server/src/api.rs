@@ -20,10 +20,8 @@ use bgpsim_core::manifest::{stream_summary_json, Json, SCHEMA_VERSION};
 use bgpsim_core::stream::{StreamConfig, StreamPlan, StreamStore};
 use bgpsim_fanout::{defense_from_json, defense_to_json, SweepRequest};
 use bgpsim_hijack::{
-    Attack, AttackKind, AttackOutcome, Defense, Dispatch, SweepMonitor, SweepTelemetry,
-    VulnerabilityCurve,
+    Attack, AttackKind, AttackOutcome, Defense, Dispatch, SweepMonitor, VulnerabilityCurve,
 };
-use bgpsim_routing::{ConvergenceStats, Observer};
 use bgpsim_topology::{AsId, AsIndex, Topology};
 use rayon::prelude::*;
 
@@ -268,15 +266,6 @@ fn asn_array(topo: &Topology, indices: impl IntoIterator<Item = AsIndex>) -> Jso
 // ---------------------------------------------------------------------------
 // POST /v1/attacks
 
-/// Forwards engine convergence counters to the shared telemetry bank.
-struct TelemetrySink<'a>(&'a SweepTelemetry);
-
-impl Observer for TelemetrySink<'_> {
-    fn on_converged(&mut self, stats: &ConvergenceStats) {
-        self.0.record_run(stats);
-    }
-}
-
 /// The engine-invariant part of an attack response: identical bytes no
 /// matter which engine or cache state produced the outcome (polluted sets
 /// are pinned bit-identical across engines by the root package's
@@ -363,11 +352,11 @@ impl Answer {
 /// `/v1/attacks:batch` both get their answers. The attacks that replay
 /// fetch their baselines first, one lookup per distinct baseline
 /// ([`ServerState::baselines`]; the second value returned is how many),
-/// then every attack runs across the rayon pool with pooled per-worker
-/// scratch space on the engine [`Simulator::route`] picks — notably the
-/// closed-form race solver for undefended exact-prefix attacks.
+/// then every attack runs across the rayon pool through
+/// [`Simulator::evaluate`] — notably on the closed-form race solver for
+/// undefended exact-prefix attacks.
 ///
-/// [`Simulator::route`]: bgpsim_hijack::Simulator::route
+/// [`Simulator::evaluate`]: bgpsim_hijack::Simulator::evaluate
 fn answer_attacks(state: &ServerState<'_>, attacks: &[(Attack, &Defense)]) -> (Vec<Answer>, usize) {
     let topo = state.sim.topology();
     let monitor = SweepMonitor::none().with_telemetry(&state.telemetry);
@@ -382,27 +371,22 @@ fn answer_attacks(state: &ServerState<'_>, attacks: &[(Attack, &Defense)]) -> (V
         .collect();
     let answers = work
         .par_iter()
-        .map_init(
-            || state.sim.scratch(),
-            |scratch, (attack, defense, cached)| {
-                let (outcome, dispatch) = state.sim.evaluate(
-                    *attack,
-                    defense,
-                    cached.as_ref().map(|(baseline, _)| &**baseline),
-                    scratch,
-                    &monitor,
-                    &mut TelemetrySink(&state.telemetry),
-                    |outcome| outcome.to_outcome(),
-                );
-                Answer {
-                    result: outcome_json(topo, &outcome),
-                    engine: engine_name(dispatch),
-                    cache: cached
-                        .as_ref()
-                        .map_or("bypass", |(_, outcome)| outcome.name()),
-                }
-            },
-        )
+        .map(|(attack, defense, cached)| {
+            let (outcome, dispatch) = state.sim.evaluate(
+                *attack,
+                defense,
+                cached.as_ref().map(|(baseline, _)| &**baseline),
+                &monitor,
+                |outcome| outcome.to_outcome(),
+            );
+            Answer {
+                result: outcome_json(topo, &outcome),
+                engine: engine_name(dispatch),
+                cache: cached
+                    .as_ref()
+                    .map_or("bypass", |(_, outcome)| outcome.name()),
+            }
+        })
         .collect();
     (answers, lookups)
 }

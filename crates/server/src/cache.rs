@@ -2,10 +2,9 @@
 //!
 //! Building a [`Baseline`] (the target's honest convergence plus its
 //! recorded message schedule) dominates the cost of the first query
-//! against any (target, stub-defense setting) pair; replaying an attacker
-//! against a built baseline costs microseconds. A long-running service
-//! therefore keeps baselines in a bounded cache shared by every worker
-//! thread.
+//! against any [`BaselineKey`]; replaying an attacker against a built
+//! baseline costs microseconds. A long-running service therefore keeps
+//! baselines in a bounded cache shared by every worker thread.
 //!
 //! Two properties matter under concurrency:
 //!
@@ -23,25 +22,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
+use bgpsim_hijack::BaselineKey;
 use bgpsim_routing::Baseline;
 
 use crate::jobs::lock_recover;
-
-/// Cache key: exactly what a baseline depends on
-/// ([`bgpsim_hijack::Simulator::baseline_for`]) — the attacked target and
-/// whether providers filter their stub customers. Validators are not in
-/// it: they never reject the authorized origin, so the target's honest
-/// convergence is the same under every validator deployment, and asking
-/// about one target under a progression of deployments (the paper's §V)
-/// builds one baseline, not one per deployment. The topology is fixed for
-/// a server's lifetime, so it is not part of the key either.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct BaselineKey {
-    /// Raw index of the target AS.
-    pub(crate) target: u32,
-    /// [`bgpsim_hijack::Defense::has_stub_defense`] of the deployment.
-    pub(crate) stub_defense: bool,
-}
 
 /// How a [`BaselineCache::get_or_build`] call was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -328,7 +312,8 @@ impl BaselineCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgpsim_routing::{Announcement, FilterContext, PolicyConfig, SimNet, Workspace};
+    use bgpsim_hijack::{AttackKind, Defense, Simulator, SweepMonitor};
+    use bgpsim_routing::PolicyConfig;
     use bgpsim_topology::{topology_from_triples, AsIndex, LinkKind::*, Topology};
 
     fn test_topology() -> Topology {
@@ -339,28 +324,29 @@ mod tests {
         ])
     }
 
-    fn build_baseline(topo: &Topology, target: u32) -> Baseline {
-        let net = SimNet::new(topo);
-        let policy = PolicyConfig::paper();
-        let ctx = FilterContext::default();
-        Baseline::build(
-            &net,
-            &[Announcement::honest(AsIndex::new(target))],
-            &ctx,
-            &policy,
-            &mut Workspace::new(),
+    /// The key of an origin hijack on `target` under stub filtering. The
+    /// cache never looks inside a key, so one stub setting serves every
+    /// test.
+    fn key_of(sim: &Simulator<'_>, target: u32) -> BaselineKey {
+        sim.baseline_key(
+            AttackKind::OriginHijack,
+            AsIndex::new(target),
+            &Defense::stub_defense_only(),
         )
+        .expect("stub filtering replays")
+    }
+
+    fn build_baseline(sim: &Simulator<'_>, target: u32) -> Baseline {
+        sim.baseline_for(key_of(sim, target), &SweepMonitor::none())
     }
 
     #[test]
     fn hit_after_miss_shares_the_arc() {
         let topo = test_topology();
+        let sim = Simulator::new(&topo, PolicyConfig::paper());
         let cache = BaselineCache::new(4);
-        let key = BaselineKey {
-            target: 0,
-            stub_defense: true,
-        };
-        let (first, outcome) = cache.get_or_build(key, || build_baseline(&topo, 0));
+        let key = key_of(&sim, 0);
+        let (first, outcome) = cache.get_or_build(key, || build_baseline(&sim, 0));
         assert_eq!(outcome, CacheOutcome::Miss);
         let (second, outcome) = cache.get_or_build(key, || panic!("must not rebuild"));
         assert_eq!(outcome, CacheOutcome::Hit);
@@ -372,67 +358,61 @@ mod tests {
     #[test]
     fn lru_evicts_oldest_ready_entry() {
         let topo = test_topology();
+        let sim = Simulator::new(&topo, PolicyConfig::paper());
         let cache = BaselineCache::new(2);
-        let key = |t| BaselineKey {
-            target: t,
-            stub_defense: false,
-        };
-        cache.get_or_build(key(0), || build_baseline(&topo, 0));
-        cache.get_or_build(key(1), || build_baseline(&topo, 1));
+        let key = |t| key_of(&sim, t);
+        cache.get_or_build(key(0), || build_baseline(&sim, 0));
+        cache.get_or_build(key(1), || build_baseline(&sim, 1));
         // Touch 0 so 1 becomes the LRU victim.
         cache.get_or_build(key(0), || panic!("resident"));
-        cache.get_or_build(key(2), || build_baseline(&topo, 2));
+        cache.get_or_build(key(2), || build_baseline(&sim, 2));
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.entries, 2);
         // 1 was evicted; 0 survived the eviction.
         cache.get_or_build(key(0), || panic!("0 must have survived"));
-        let (_, outcome) = cache.get_or_build(key(1), || build_baseline(&topo, 1));
+        let (_, outcome) = cache.get_or_build(key(1), || build_baseline(&sim, 1));
         assert_eq!(outcome, CacheOutcome::Miss);
     }
 
     #[test]
     fn byte_budget_evicts_lru_but_keeps_newest() {
         let topo = test_topology();
+        let sim = Simulator::new(&topo, PolicyConfig::paper());
         // Entry capacity far above what the byte budget admits: a budget
         // of one baseline's bytes means every insert evicts its
         // predecessor, but never the entry just published.
-        let one = build_baseline(&topo, 0).heap_bytes() as u64;
+        let one = build_baseline(&sim, 0).heap_bytes() as u64;
         assert!(one > 0);
         let cache = BaselineCache::new(16).with_byte_budget(Some(one));
-        let key = |t| BaselineKey {
-            target: t,
-            stub_defense: false,
-        };
-        cache.get_or_build(key(0), || build_baseline(&topo, 0));
+        let key = |t| key_of(&sim, t);
+        cache.get_or_build(key(0), || build_baseline(&sim, 0));
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.evictions), (1, 0));
         assert_eq!(stats.bytes, one);
-        cache.get_or_build(key(1), || build_baseline(&topo, 1));
+        cache.get_or_build(key(1), || build_baseline(&sim, 1));
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1, "over budget must evict the LRU");
         assert_eq!(stats.entries, 1, "the just-published entry survives");
         cache.get_or_build(key(1), || panic!("1 must be resident"));
-        let (_, outcome) = cache.get_or_build(key(0), || build_baseline(&topo, 0));
+        let (_, outcome) = cache.get_or_build(key(0), || build_baseline(&sim, 0));
         assert_eq!(outcome, CacheOutcome::Miss, "0 was evicted");
     }
 
     #[test]
     fn stats_bytes_tracks_residency() {
         let topo = test_topology();
+        let sim = Simulator::new(&topo, PolicyConfig::paper());
         let cache = BaselineCache::new(2);
-        let key = |t| BaselineKey {
-            target: t,
-            stub_defense: false,
-        };
-        let (a, _) = cache.get_or_build(key(0), || build_baseline(&topo, 0));
-        let (b, _) = cache.get_or_build(key(1), || build_baseline(&topo, 1));
+        let key = |t| key_of(&sim, t);
+        let (a, _) = cache.get_or_build(key(0), || build_baseline(&sim, 0));
+        let (b, _) = cache.get_or_build(key(1), || build_baseline(&sim, 1));
         assert_eq!(
             cache.stats().bytes,
             (a.heap_bytes() + b.heap_bytes()) as u64
         );
         // Capacity eviction releases the victim's bytes.
-        let (c, _) = cache.get_or_build(key(2), || build_baseline(&topo, 2));
+        let (c, _) = cache.get_or_build(key(2), || build_baseline(&sim, 2));
         assert_eq!(
             cache.stats().bytes,
             (b.heap_bytes() + c.heap_bytes()) as u64
@@ -442,11 +422,9 @@ mod tests {
     #[test]
     fn concurrent_lookups_single_flight() {
         let topo = test_topology();
+        let sim = Simulator::new(&topo, PolicyConfig::paper());
         let cache = BaselineCache::new(4);
-        let key = BaselineKey {
-            target: 0,
-            stub_defense: false,
-        };
+        let key = key_of(&sim, 0);
         let builds = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for _ in 0..8 {
@@ -456,7 +434,7 @@ mod tests {
                         // Widen the race window so other threads arrive
                         // while the build is in flight.
                         std::thread::sleep(std::time::Duration::from_millis(20));
-                        build_baseline(&topo, 0)
+                        build_baseline(&sim, 0)
                     });
                 });
             }
@@ -470,17 +448,15 @@ mod tests {
     #[test]
     fn panicking_build_releases_waiters() {
         let topo = test_topology();
+        let sim = Simulator::new(&topo, PolicyConfig::paper());
         let cache = BaselineCache::new(4);
-        let key = BaselineKey {
-            target: 0,
-            stub_defense: false,
-        };
+        let key = key_of(&sim, 0);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             cache.get_or_build(key, || panic!("build failed"));
         }));
         assert!(result.is_err());
         // The placeholder is gone; the next caller builds afresh.
-        let (_, outcome) = cache.get_or_build(key, || build_baseline(&topo, 0));
+        let (_, outcome) = cache.get_or_build(key, || build_baseline(&sim, 0));
         assert_eq!(outcome, CacheOutcome::Miss);
     }
 }

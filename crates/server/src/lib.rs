@@ -18,7 +18,7 @@
 //!  accept loop (nonblocking, polls shutdown flag)
 //!      │  bounded sync_channel (503 when full)
 //!      ▼
-//!  HTTP workers (std::thread::scope; keep-alive; pooled Scratch)
+//!  HTTP workers (std::thread::scope; keep-alive)
 //!      │ POST /v1/sweeps        │ POST /v1/attacks, /v1/attacks:batch
 //!      ▼                        ▼
 //!  JobRegistry ══► executor pool ──►  BaselineCache (LRU, single-flight)
@@ -38,9 +38,10 @@
 //! the lab outlives every worker.
 //!
 //! The load-bearing middle layer is the baseline cache (`cache.rs`): repeat
-//! queries against a warm (target, stub-defense setting) baseline — under
-//! any validator deployment — skip the honest convergence entirely and
-//! replay in microseconds. See `DESIGN.md` §13.
+//! queries against a warm baseline — keyed on
+//! [`bgpsim_hijack::BaselineKey`], so shared by every validator
+//! deployment — skip the honest convergence entirely and replay in
+//! microseconds. See `DESIGN.md` §13.
 //!
 //! The crate's API is what its callers use and nothing more: [`serve`]
 //! (the CLI), [`spawn`] with its [`ServerHandle`] (tests, harness) and
@@ -72,13 +73,13 @@ use bgpsim_core::stream::{DetectorMode, StreamDetector, StreamSummary};
 use bgpsim_core::{ExperimentConfig, Lab};
 use bgpsim_fanout::{Coordinator, FanoutConfig, FanoutError, Handshake, SweepObserver};
 use bgpsim_hijack::{
-    AttackKind, Defense, Dispatch, Simulator, SweepMonitor, SweepProgress, SweepTelemetry,
+    AttackKind, BaselineKey, Defense, Simulator, SweepMonitor, SweepProgress, SweepTelemetry,
 };
 use bgpsim_routing::Baseline;
 use bgpsim_topology::AsIndex;
 use rayon::prelude::*;
 
-use cache::{BaselineCache, BaselineKey, CacheOutcome};
+use cache::{BaselineCache, CacheOutcome};
 use http::{HttpConn, ReadOutcome, Response};
 use jobs::{Chunk, ChunkResult, Job, JobRegistry, JobSpec, StreamSpec, SweepSpec};
 use metrics::ServerMetrics;
@@ -170,44 +171,35 @@ pub(crate) type CachedBaseline = (Arc<Baseline>, CacheOutcome);
 
 impl ServerState<'_> {
     /// The baseline each of `asks` — attacks of a kind on a target under a
-    /// defense — replays, fetched through the cache. This is the one place
-    /// the server decides *whether* a request needs a baseline (its route
-    /// is [`Dispatch::Delta`]) and *which*: the key is `(target,
-    /// stub_defense)`, all of a defense that [`Simulator::baseline_for`]
-    /// reads, so every validator deployment shares the entry.
+    /// defense — replays, fetched through the cache under its
+    /// [`Simulator::baseline_key`] (`None`: that attack does not replay).
     ///
     /// Asks with equal keys share one lookup, distinct keys are fetched in
     /// parallel, and the cache's single-flight layer coalesces a build
-    /// another request already started. Returns one slot per ask, in order
-    /// (`None`: that route does not replay), and the number of lookups.
+    /// another request already started. Returns one slot per ask, in order,
+    /// and the number of lookups.
     pub(crate) fn baselines<'d>(
         &self,
         asks: impl IntoIterator<Item = (AttackKind, AsIndex, &'d Defense)>,
         monitor: &SweepMonitor<'_>,
     ) -> (Vec<Option<CachedBaseline>>, usize) {
-        // Distinct keys, each with the first target and defense that named it.
-        let mut groups: Vec<(BaselineKey, AsIndex, &Defense)> = Vec::new();
+        let mut keys: Vec<BaselineKey> = Vec::new();
         let mut group_of: HashMap<BaselineKey, usize> = HashMap::new();
         let slots: Vec<Option<usize>> = asks
             .into_iter()
             .map(|(kind, target, defense)| {
-                (self.sim.route(kind, defense) == Dispatch::Delta).then(|| {
-                    let key = BaselineKey {
-                        target: target.raw(),
-                        stub_defense: defense.has_stub_defense(),
-                    };
-                    *group_of.entry(key).or_insert_with(|| {
-                        groups.push((key, target, defense));
-                        groups.len() - 1
-                    })
-                })
+                let key = self.sim.baseline_key(kind, target, defense)?;
+                Some(*group_of.entry(key).or_insert_with(|| {
+                    keys.push(key);
+                    keys.len() - 1
+                }))
             })
             .collect();
-        let fetched: Vec<CachedBaseline> = groups
+        let fetched: Vec<CachedBaseline> = keys
             .par_iter()
-            .map(|&(key, target, defense)| {
+            .map(|&key| {
                 self.cache
-                    .get_or_build(key, || self.sim.baseline_for(target, defense, monitor))
+                    .get_or_build(key, || self.sim.baseline_for(key, monitor))
             })
             .collect();
         let slots = slots

@@ -9,21 +9,17 @@
 //! active hijack is evaluated:
 //!
 //! * [`DetectorMode::Incremental`] — the live path. One [`Baseline`] of
-//!   the target's honest convergence is cached per tracked target and
-//!   each evaluation replays only the attacker's contamination cone
+//!   a target's honest convergence is cached per [`BaselineKey`] and each
+//!   evaluation replays only the attacker's contamination cone
 //!   ([`Simulator::evaluate`]; a cone that outgrows its budget is raced
-//!   from scratch instead, inside the same call). Origin validation can only
-//!   reject routes whose origin differs from the authorized one, and the
-//!   honest announcement's origin *is* the authorized one — so validator
-//!   churn never changes a target's honest convergence and cached
-//!   baselines survive defense flips (stub filtering, the other input
-//!   that could shape them, is fixed for a stream's lifetime).
+//!   from scratch instead, inside the same call). Validators are not
+//!   part of the key, so cached baselines survive defense flips.
 //!   Propagation is likewise a pure function of (attack, defense), so
 //!   each active hijack's score is memoized and replayed only when an
 //!   event could have changed it — every other event is O(1) for that
-//!   hijack. When [`Simulator::route`] picks no replay (the current
-//!   defense cannot localize cones, so no baseline is worth holding),
-//!   no baseline is built and the routed engine runs from scratch.
+//!   hijack. An attack with no [`Simulator::baseline_key`] (the current
+//!   defense cannot localize cones, so no baseline is worth holding)
+//!   builds none and runs on the routed engine from scratch.
 //! * [`DetectorMode::Batch`] — the oracle. Every evaluation is a full
 //!   from-scratch generation-engine run. Slow and trivially correct.
 //!
@@ -36,9 +32,9 @@ use std::collections::{BTreeMap, HashMap};
 
 use bgpsim_detection::ProbeSet;
 use bgpsim_hijack::{
-    Attack, Defense, Dispatch, OutcomeView, Scratch, Simulator, SweepMonitor, SweepTelemetry,
+    Attack, BaselineKey, Defense, OutcomeView, Simulator, SweepMonitor, SweepTelemetry,
 };
-use bgpsim_routing::{Baseline, NullObserver};
+use bgpsim_routing::Baseline;
 use bgpsim_topology::AsIndex;
 
 use crate::event::{EventKind, StreamEvent, StreamPlan};
@@ -169,11 +165,11 @@ pub struct StreamDetector<'a, 't> {
     validators: Vec<bool>,
     /// Rebuilt from the bitmap whenever a flip lands.
     defense: Defense,
-    /// One honest-convergence baseline per tracked target, built lazily.
-    /// Valid for the whole stream: validators only reject unauthorized
-    /// origins (never the honest one) and stub filtering is fixed, so no
-    /// event can change a target's honest convergence.
-    baselines: HashMap<AsIndex, Baseline>,
+    /// One honest-convergence baseline per key an evaluated attack named,
+    /// built lazily — one per tracked target, as stub filtering is fixed
+    /// for the stream. Valid for the whole stream: no event changes what
+    /// a [`BaselineKey`] names.
+    baselines: HashMap<BaselineKey, Baseline>,
     /// Memoized per-target scores (incremental mode only), invalidated by
     /// any event that touches the score's inputs: defense flips (all),
     /// re-announcements and injections (that target).
@@ -182,7 +178,6 @@ pub struct StreamDetector<'a, 't> {
     /// (BTreeMap so evaluation order is deterministic).
     active: BTreeMap<AsIndex, usize>,
     hijacks: Vec<HijackRecord>,
-    scratch: Scratch,
     /// Where the baselines this detector builds are counted, if anywhere
     /// ([`StreamDetector::with_baseline_telemetry`]).
     telemetry: Option<&'a SweepTelemetry>,
@@ -213,7 +208,6 @@ impl<'a, 't> StreamDetector<'a, 't> {
             scores: HashMap::new(),
             active: BTreeMap::new(),
             hijacks: Vec::new(),
-            scratch: Scratch::default(),
             telemetry: None,
         };
         detector.rebuild_defense();
@@ -257,9 +251,8 @@ impl<'a, 't> StreamDetector<'a, 't> {
                 self.validators[who.usize()] = !self.validators[who.usize()];
                 self.rebuild_defense();
                 // Every attack replay filters through the new validator
-                // set, so all memoized scores are stale. The honest
-                // baselines are not: origin validation never rejects the
-                // authorized origin (see the struct field docs).
+                // set, so all memoized scores are stale. The cached
+                // baselines are not: validators are not in their keys.
                 self.scores.clear();
             }
             EventKind::TargetReannounce { target } => {
@@ -335,24 +328,23 @@ impl<'a, 't> StreamDetector<'a, 't> {
             // The oracle: one full from-scratch generation-engine run.
             DetectorMode::Batch => score(&self.sim.run(attack, &self.defense).view()),
             DetectorMode::Incremental => {
-                let replays = self.sim.route(attack.kind, &self.defense) == Dispatch::Delta;
-                let baseline = replays.then(|| {
-                    &*self.baselines.entry(attack.target).or_insert_with(|| {
+                let key = self
+                    .sim
+                    .baseline_key(attack.kind, attack.target, &self.defense);
+                let baseline = key.map(|key| {
+                    &*self.baselines.entry(key).or_insert_with(|| {
                         let monitor = SweepMonitor {
                             telemetry: self.telemetry,
                             ..SweepMonitor::none()
                         };
-                        self.sim
-                            .baseline_for(attack.target, &self.defense, &monitor)
+                        self.sim.baseline_for(key, &monitor)
                     })
                 });
                 let (score, _) = self.sim.evaluate(
                     attack,
                     &self.defense,
                     baseline,
-                    &mut self.scratch,
                     &SweepMonitor::none(),
-                    &mut NullObserver,
                     score,
                 );
                 score
@@ -479,5 +471,48 @@ mod tests {
         let poll = out.store.series(SERIES_POLLUTION).unwrap();
         assert!(poll.range(0, u64::MAX).iter().all(|&(_, v)| v == 0.0));
         assert!(out.store.series(SERIES_LATENCY).is_none());
+    }
+
+    /// Stub filtering localizes every cone, so every origin hijack
+    /// replays: the detector builds exactly one baseline per injected
+    /// target, at that target's first injection, and no validator flip or
+    /// re-announcement ever builds another.
+    #[test]
+    fn one_baseline_per_injected_target() {
+        let (topo, plan) = plan_on_tiny(11, 300);
+        assert!(plan.stub_defense);
+        let sim = Simulator::new(&topo, PolicyConfig::paper());
+        let sets = vec![ProbeSet::tier1(&topo)];
+        let telemetry = SweepTelemetry::new();
+        let built = || telemetry.snapshot().baselines_built;
+        let mut detector = StreamDetector::new(&sim, &sets, &plan, DetectorMode::Incremental)
+            .with_baseline_telemetry(&telemetry);
+        let mut store = StreamStore::sized_for(plan.events.len());
+        let mut injected = std::collections::HashSet::new();
+        let (mut flips, mut reannounced) = (0, std::collections::HashSet::new());
+        for event in &plan.events {
+            let before = built();
+            detector.apply(event, &mut store);
+            let new_target = match event.kind {
+                EventKind::HijackInject { attack } => injected.insert(attack.target),
+                EventKind::DefenseFlip { .. } => {
+                    flips += u32::from(!injected.is_empty());
+                    false
+                }
+                EventKind::TargetReannounce { target } => {
+                    if injected.contains(&target) {
+                        reannounced.insert(target);
+                    }
+                    false
+                }
+            };
+            assert_eq!(built() - before, u64::from(new_target), "event {event:?}");
+        }
+        // The tape exercises what could rebuild: flips with baselines
+        // cached, and a re-announcement of every injected target.
+        assert!(flips > 0);
+        assert_eq!(injected.len(), plan.targets.len());
+        assert_eq!(reannounced, injected);
+        assert_eq!(built(), injected.len() as u64);
     }
 }

@@ -28,9 +28,8 @@ pub struct StreamEvent {
 pub enum EventKind {
     /// Benign churn: one AS toggles route-origin validation on or off.
     /// Changes the defense every active hijack is scored under, so every
-    /// memoized score goes stale. Cached baselines do not: origin
-    /// validation never rejects a target's honest announcement, so its
-    /// honest convergence is the same under every validator set.
+    /// memoized score goes stale. Cached baselines do not: validators are
+    /// not part of a [`bgpsim_hijack::BaselineKey`].
     DefenseFlip {
         /// The AS whose validator membership flips.
         who: AsIndex,

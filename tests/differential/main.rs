@@ -37,7 +37,7 @@ use std::fmt::Debug;
 use bgpsim_detection::ProbeSet;
 use bgpsim_fanout::ShardPlan;
 use bgpsim_hijack::{
-    Attack, AttackKind, Defense, Dispatch, EngineChoice, OutcomeView, Simulator, SweepMonitor,
+    Attack, AttackKind, Defense, EngineChoice, OutcomeView, Simulator, SweepMonitor,
 };
 use bgpsim_routing::{
     propagate_announcements, propagate_delta, propagate_delta_budgeted, solve_race, Announcement,
@@ -566,18 +566,13 @@ fn evaluate(
     };
     let none = SweepMonitor::none();
     for sim in sims {
-        let shared = (sim.route(attack.kind, defense) == Dispatch::Delta)
-            .then(|| sim.baseline_for(attack.target, defense, &none));
+        let shared = sim
+            .baseline_key(attack.kind, attack.target, defense)
+            .map(|key| sim.baseline_for(key, &none));
         for baseline in [None, shared.as_ref()] {
-            let ((got, seen), _) = sim.evaluate(
-                attack,
-                defense,
-                baseline,
-                &mut sim.scratch(),
-                &none,
-                &mut NullObserver,
-                |view| (view.to_outcome(), read(view)),
-            );
+            let ((got, seen), _) = sim.evaluate(attack, defense, baseline, &none, |view| {
+                (view.to_outcome(), read(view))
+            });
             let what = format!("{:?}, shared baseline {}", sim.engine(), baseline.is_some());
             same(label, &what, (got.polluted, got.truncated), want.clone())?;
             let what = format!("{what}: the view's count and polluted ASes");
@@ -679,8 +674,9 @@ fn partition(sim: &Simulator<'_>, target: AsIndex, defense: &Defense, label: &st
         .collect();
     same(label, "rows against the oracle", &whole, &oracle)?;
     let none = SweepMonitor::none();
-    let baseline = (sim.route(AttackKind::OriginHijack, defense) == Dispatch::Delta)
-        .then(|| sim.baseline_for(target, defense, &none));
+    let baseline = sim
+        .baseline_key(AttackKind::OriginHijack, target, defense)
+        .map(|key| sim.baseline_for(key, &none));
     // Few parts, each ragged on most pool sizes: a sweep of two or more
     // attackers spawns its worker threads, which dominate on these pools.
     let rows: Vec<u32> = pool

@@ -274,9 +274,7 @@ fn declines_under_the_paper_policy(topo: &Topology, target: u32, attacker: u32) 
                 attack,
                 &Defense::none(),
                 None,
-                &mut sim.scratch(),
                 &SweepMonitor::none(),
-                &mut NullObserver,
                 |view| view.to_outcome(),
             );
             let want = sim.run(attack, &Defense::none());
