@@ -3,7 +3,7 @@
 
 use std::path::Path;
 
-use bgpsim_defense::{
+use bgpsim_hijack::defense::{
     evaluate_strategies_monitored, top_potent_attackers, DeploymentStrategy, PotentAttackerRow,
     StrategyOutcome,
 };

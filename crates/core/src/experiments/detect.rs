@@ -2,7 +2,7 @@
 
 use std::path::Path;
 
-use bgpsim_detection::{random_transit_attacks, run_detection_experiment, DetectionReport};
+use bgpsim_hijack::detection::{random_transit_attacks, run_detection_experiment, DetectionReport};
 use bgpsim_hijack::Defense;
 
 use crate::lab::Lab;

@@ -3,7 +3,7 @@
 
 use std::path::Path;
 
-use bgpsim_detection::random_transit_attacks;
+use bgpsim_hijack::detection::random_transit_attacks;
 use bgpsim_hijack::Defense;
 use bgpsim_routing::{NullObserver, Workspace};
 use bgpsim_topology::TopologyStats;

@@ -1,7 +1,7 @@
 //! The experiment laboratory: one generated Internet plus the cast of
 //! representative ASes every figure needs.
 
-use bgpsim_detection::ProbeSet;
+use bgpsim_hijack::detection::ProbeSet;
 use bgpsim_hijack::Simulator;
 use bgpsim_topology::classify::{classify, effective_depth, Classification, ClassifyConfig};
 use bgpsim_topology::gen::{generate, GeneratedInternet};

@@ -13,12 +13,16 @@
 //!   depth/reach metrics.
 //! * [`routing`] — the valley-free BGP propagation engines.
 //! * [`hijack`] — origin/sub-prefix attacks, pollution sweeps, curves.
-//! * [`defense`] — §V incremental filter-deployment strategies.
-//! * [`detection`] — §VI probe configurations and coverage experiments.
+//! * [`defense`] — §V incremental filter-deployment strategies (the
+//!   `hijack::defense` module).
+//! * [`detection`] — §VI probe configurations and coverage experiments
+//!   (the `hijack::detection` module).
 //! * [`stream`] — ARTEMIS-style live update stream with incremental
 //!   per-event detection over cached baselines.
-//! * [`advisor`] — §VII self-interest actions (re-homing, plans).
 //! * [`viz`] — SVG figures.
+//! * [`experiments`] — one runner per table and figure; §VII's
+//!   self-interest actions (re-homing, plans) live in
+//!   [`experiments::selfinterest`].
 //!
 //! # Quick start
 //!
@@ -44,10 +48,8 @@ pub mod report;
 pub use config::ExperimentConfig;
 pub use lab::{Cast, Lab};
 
-pub use bgpsim_advisor as advisor;
-pub use bgpsim_defense as defense;
-pub use bgpsim_detection as detection;
 pub use bgpsim_hijack as hijack;
+pub use bgpsim_hijack::{defense, detection};
 pub use bgpsim_routing as routing;
 pub use bgpsim_stream as stream;
 pub use bgpsim_topology as topology;

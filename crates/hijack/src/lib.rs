@@ -9,6 +9,10 @@
 //!   visualization) and rayon-parallel sweeps over thousands of attackers.
 //! * [`Defense`] — owned filter deployments (route-origin validation,
 //!   provider-side stub filtering) reusable across attacks.
+//! * [`defense`] — §V incremental filter-deployment strategies and their
+//!   residual-pollution sweeps (figs. 5–6).
+//! * [`detection`] — §VI probe configurations and coverage experiments
+//!   (fig. 7), plus greedy probe placement.
 //! * [`VulnerabilityCurve`] / [`SweepResult`] — the figs. 2–6
 //!   complementary-cumulative presentation plus "top potent attackers"
 //!   tables.
@@ -35,7 +39,8 @@
 
 mod aggressiveness;
 mod attack;
-mod defense;
+pub mod defense;
+pub mod detection;
 mod pool;
 mod simulator;
 mod telemetry;

@@ -30,7 +30,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use bgpsim_detection::ProbeSet;
+use bgpsim_hijack::detection::ProbeSet;
 use bgpsim_hijack::{
     Attack, BaselineKey, Defense, OutcomeView, Simulator, SweepMonitor, SweepTelemetry,
 };

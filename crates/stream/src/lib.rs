@@ -20,7 +20,7 @@
 //! # Quick start
 //!
 //! ```
-//! use bgpsim_detection::ProbeSet;
+//! use bgpsim_hijack::detection::ProbeSet;
 //! use bgpsim_hijack::Simulator;
 //! use bgpsim_routing::PolicyConfig;
 //! use bgpsim_stream::{run_stream, DetectorMode, StreamConfig, StreamPlan};

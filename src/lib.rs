@@ -4,8 +4,8 @@
 //!
 //! This facade re-exports the workspace: see [`bgpsim_core`] for the
 //! experiment harness and the substrate crates
-//! ([`topology`], [`routing`], [`hijack`], [`defense`], [`detection`],
-//! [`stream`], [`advisor`], [`viz`]).
+//! ([`topology`], [`routing`], [`hijack`] with its [`defense`] and
+//! [`detection`] modules, [`stream`], [`viz`], [`fanout`]).
 //!
 //! ```
 //! use bgpsim::{experiments, ExperimentConfig, Lab};

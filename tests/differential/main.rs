@@ -34,8 +34,8 @@ mod recipe;
 
 use std::fmt::Debug;
 
-use bgpsim_detection::ProbeSet;
 use bgpsim_fanout::ShardPlan;
+use bgpsim_hijack::detection::ProbeSet;
 use bgpsim_hijack::{
     Attack, AttackKind, Defense, EngineChoice, OutcomeView, Simulator, SweepMonitor,
 };

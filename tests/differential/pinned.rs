@@ -4,7 +4,7 @@
 //! did not draw take their smallest values), plus the stream detector's
 //! latency fixture with known ground truth.
 
-use bgpsim_detection::ProbeSet;
+use bgpsim_hijack::detection::ProbeSet;
 use bgpsim_hijack::{Attack, Defense, Dispatch, Simulator, SweepMonitor};
 use bgpsim_routing::{
     propagate_announcements, solve_race, Announcement, FilterContext, NullObserver, PolicyConfig, RaceWorkspace,
