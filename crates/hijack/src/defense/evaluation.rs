@@ -50,8 +50,11 @@ impl StrategyOutcome {
 /// cancellation) in `monitor` is forwarded to every strategy's sweep.
 ///
 /// Strategies whose sweeps replay share the target's honest baseline:
-/// each is built once per [`crate::BaselineKey`], which every
-/// validator deployment with one stub setting shares.
+/// each is built once per [`crate::BaselineKey`], which every validator
+/// deployment with one stub setting shares. On the adaptive route origin
+/// validation alone is raced, so the progression builds no baseline
+/// there; a forced [`crate::EngineChoice::Delta`] simulator replays it
+/// over one.
 pub fn evaluate_strategies_monitored(
     sim: &Simulator<'_>,
     target: AsIndex,
@@ -161,14 +164,16 @@ mod tests {
 
     /// One honest baseline serves the whole progression, and sharing it
     /// changes no row: each strategy's sweep equals one that built its own
-    /// baseline under its own validators.
+    /// baseline under its own validators. The adaptive route races origin
+    /// validation alone, so the progression replays only on the forced
+    /// `Delta` engine; on the adaptive one it builds no baseline at all.
     #[test]
     fn one_baseline_serves_every_strategy() {
-        use crate::SweepTelemetry;
+        use crate::{EngineChoice, SweepTelemetry};
 
         let net = generate(&InternetParams::tiny(), 11);
         let topo = &net.topology;
-        let sim = Simulator::new(topo, PolicyConfig::paper());
+        let sim = Simulator::new(topo, PolicyConfig::paper()).with_engine(EngineChoice::Delta);
         let target = topo.stub_ases()[0];
         let attackers: Vec<AsIndex> = topo.indices().step_by(3).collect();
         let strategies = DeploymentStrategy::paper_progression(5);
@@ -188,6 +193,15 @@ mod tests {
             );
             assert_eq!(outcome.sweep.attackers(), own.attackers(), "{strategy}");
             assert_eq!(outcome.sweep.counts(), own.counts(), "{strategy}");
+        }
+        let auto = Simulator::new(topo, PolicyConfig::paper());
+        let telemetry = SweepTelemetry::new();
+        let monitor = SweepMonitor::none().with_telemetry(&telemetry);
+        let raced = evaluate_strategies_monitored(&auto, target, &attackers, &strategies, &monitor);
+        let snap = telemetry.snapshot();
+        assert_eq!((snap.baselines_built, snap.delta_dispatches), (0, 0));
+        for (outcome, replayed) in raced.iter().zip(&outcomes) {
+            assert_eq!(outcome.sweep.counts(), replayed.sweep.counts());
         }
     }
 

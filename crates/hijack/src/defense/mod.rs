@@ -104,13 +104,15 @@ impl Defense {
     }
 
     /// Whether this defense can keep an attacker's contamination cone
-    /// local (any origin validation or stub filtering deployed). This is
-    /// the predicate [`crate::Simulator`]'s adaptive dispatch keys on:
-    /// localizing defenses make baseline replay profitable, while against
-    /// an undefended network the cone is the whole graph and racing the
-    /// origins directly is cheaper. Whoever holds baselines asks
-    /// [`crate::Simulator::baseline_key`], which weighs this predicate
-    /// with the attack kind and the engine override, not this directly.
+    /// local (any origin validation or stub filtering deployed): the
+    /// defenses a baseline replay can run under at all, since against an
+    /// undefended network the cone is the whole graph. The forced
+    /// [`crate::EngineChoice::Delta`] route replays exactly these; the
+    /// adaptive route replays only under stub filtering
+    /// ([`Defense::has_stub_defense`]) and races origin validation alone.
+    /// Whoever holds baselines asks [`crate::Simulator::baseline_key`],
+    /// which weighs the defense with the attack kind and the engine
+    /// override, not this directly.
     pub fn localizes(&self) -> bool {
         self.num_validators() > 0 || self.stub_defense
     }

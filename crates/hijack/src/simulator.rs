@@ -13,24 +13,30 @@
 //! race solver ([`bgpsim_routing::solve_race`]) — one tier-1 fixed point
 //! instead of full message-passing convergence — with the from-scratch
 //! generation engine only as the fallback for the rare multistable
-//! topology where the fixed point does not settle. When the defense
-//! (origin validation and/or defensive stub filtering) can quench the
-//! attacker's routes, all attacks against one target share the target's
-//! honest convergence: [`Simulator::baseline_key`] names it, and
+//! topology where the fixed point does not settle. Origin validation
+//! alone is raced too: the race solver applies the validators as masks
+//! on its read-out, and under the partial deployments of the paper's §V
+//! progression most cones fill the transit core, where a replay costs
+//! more than a race. When defensive stub filtering is on, the 85 % of
+//! attackers that are stubs are quenched at their providers, so all
+//! attacks against one target share the target's honest convergence:
+//! [`Simulator::baseline_key`] names it, and
 //! [`Simulator::baseline_for`] builds one [`Baseline`]
 //! (converged state plus recorded message schedule), shared read-only
 //! across rayon workers, and [`propagate_delta_budgeted`] re-converges
-//! only the attacker's contamination cone — the §V regime, where an
-//! attack costs microseconds under a strong deployment. Under a weak one
-//! some cones run to thousands of ASes and a replay would cost more than
-//! racing from scratch, so the replay carries a cone budget: past it the
-//! executor abandons the replay and finishes the attack on the race
-//! solver, inside the same route. Outcomes are bit-identical on every
-//! route (the root package's `differential` test pins this under both
-//! the paper policy and strict Gao-Rexford). The benchmark
-//! harness (`benchmark/`) measures the regimes: `campaign_paper` is the
-//! race route, `campaign_defended` the delta route. [`EngineChoice`]
-//! overrides the adaptive route for debugging and ablation.
+//! only the attacker's contamination cone, microseconds for a quenched
+//! stub. A transit attacker's cone can still run to thousands of ASes,
+//! where a replay would cost more than racing from scratch, so the
+//! replay carries a cone budget: past it the executor abandons the
+//! replay and finishes the attack on the race solver, inside the same
+//! route. Outcomes are bit-identical on every route (the root package's
+//! `differential` test pins this under both the paper policy and strict
+//! Gao-Rexford). The benchmark harness (`benchmark/`) measures the
+//! regimes: `campaign_paper` is the undefended race route,
+//! `campaign_defended` the §V progression (raced), `serve_whatif` and
+//! `stream_detect` the replay route under stub filtering.
+//! [`EngineChoice`] overrides the adaptive route for debugging and
+//! ablation.
 
 use std::time::Instant;
 
@@ -54,24 +60,28 @@ use crate::vulnerability::SweepResult;
 /// [`EngineChoice::Auto`] (the default) picks the fastest engine whose
 /// preconditions hold per attack; `Generation` and `Race` force every
 /// attack onto one engine for debugging and ablation, at whatever cost,
-/// and `Delta` routes like `Auto` but never gives a replay up. All
-/// engines produce bit-identical polluted sets (the root package's
-/// `differential` test pins this); only `generations` bookkeeping differs.
+/// and `Delta` replays under any localizing defense and never gives a
+/// replay up. All engines produce bit-identical polluted sets (the root
+/// package's `differential` test pins this); only `generations`
+/// bookkeeping differs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineChoice {
-    /// Adaptive: race solver (generation fallback) when undefended or
-    /// for a sub-prefix hijack; baseline-replay delta when a localizing
-    /// defense is deployed, given up for the race solver when a cone
-    /// outgrows its budget.
+    /// Adaptive: baseline-replay delta for an exact-prefix or
+    /// forged-origin hijack under stub filtering, given up for the race
+    /// solver when a cone outgrows its budget; the race solver
+    /// (generation fallback) for everything else — undefended, origin
+    /// validation alone, or a sub-prefix hijack.
     #[default]
     Auto,
     /// Always the step-wise generation engine, from scratch.
     Generation,
-    /// Routes like [`EngineChoice::Auto`], but a baseline replay is never
-    /// abandoned, whatever the cone: the unbudgeted reference the
-    /// budgeted replay is tested against. Attacks that `Auto` does not
-    /// replay (no localizing defense, or a sub-prefix hijack) run where
-    /// `Auto` runs them.
+    /// Replays every exact-prefix and forged-origin hijack under a
+    /// localizing defense ([`Defense::localizes`]: origin validation, stub
+    /// filtering or both), and never abandons a replay, whatever the cone:
+    /// the unbudgeted reference the budgeted replay is tested against, and
+    /// the only route that replays origin validation alone. Attacks with no
+    /// localizing defense, and sub-prefix hijacks, are raced as under
+    /// `Auto`.
     Delta,
     /// Always the closed-form race solver, generation engine on
     /// non-convergence.
@@ -124,10 +134,13 @@ impl std::str::FromStr for EngineChoice {
 /// filter their stub customers, and on nothing else a [`Defense`] holds:
 /// origin validation rejects only origins other than the authorized one,
 /// and the honest run's one origin *is* the authorized one. So one
-/// baseline per key serves every validator deployment — the paper's §V
-/// progression of deployments against one target, or a stream's
-/// validator churn — and callers that hold baselines (a cache, a
-/// per-stream map, a strategy sweep) key them on this.
+/// baseline per key serves every validator deployment with one stub
+/// setting — a stream's validator churn under stub filtering, or a
+/// forced-replay ([`EngineChoice::Delta`]) run of the paper's §V
+/// progression — and callers that hold baselines (a cache, a per-stream
+/// map, a strategy sweep) key them on this. The adaptive route races
+/// origin validation alone, so a §V progression on it forms no key and
+/// shares no baseline.
 ///
 /// Only [`Simulator::baseline_key`] forms one, and only for an attack
 /// that replays; it names a baseline of that simulator's topology and
@@ -258,13 +271,17 @@ impl<'t> Simulator<'t> {
     /// [`Dispatch::Delta`] means "replay against the target's shared
     /// honest baseline", which callers outside this crate learn only
     /// through [`Simulator::baseline_key`]. Replay pays off once a
-    /// defense keeps contamination cones local; without any filtering
+    /// defense keeps contamination cones local. Without any filtering
     /// every AS adopts or at least hears the bogus route, the cone is the
     /// whole network, and replay measured ~3× slower than racing the two
-    /// origins closed-form. Sub-prefix hijacks never replay: the bogus
-    /// more-specific prefix has no honest competition to start from, so
-    /// its one origin is raced. [`Dispatch::Scratch`] is a route only
-    /// under [`EngineChoice::Generation`].
+    /// origins closed-form. Under origin validation alone the cones of a
+    /// partial deployment still fill the transit core, so the adaptive
+    /// route races it as well; only stub filtering, which quenches stub
+    /// attackers at their providers, replays. [`EngineChoice::Delta`]
+    /// replays under any localizing defense. Sub-prefix hijacks never
+    /// replay: the bogus more-specific prefix has no honest competition to
+    /// start from, so its one origin is raced. [`Dispatch::Scratch`] is a
+    /// route only under [`EngineChoice::Generation`].
     ///
     /// [`Dispatch::Race`] falls back to the generation engine when the
     /// tier-1 fixed point does not settle, and an adaptive
@@ -277,17 +294,17 @@ impl<'t> Simulator<'t> {
         let replayable = kind != AttackKind::SubPrefixHijack;
         match self.engine {
             EngineChoice::Generation => Dispatch::Scratch,
-            EngineChoice::Auto | EngineChoice::Delta if replayable && defense.localizes() => {
-                Dispatch::Delta
-            }
+            EngineChoice::Auto if replayable && defense.has_stub_defense() => Dispatch::Delta,
+            EngineChoice::Delta if replayable && defense.localizes() => Dispatch::Delta,
             EngineChoice::Auto | EngineChoice::Delta | EngineChoice::Race => Dispatch::Race,
         }
     }
 
     /// The shared baseline an attack of `kind` on `target` under `defense`
-    /// replays against, or `None` when its route does not replay (no
-    /// localizing defense, a sub-prefix hijack, or an engine override that
-    /// never replays). Fetch or build [`Simulator::baseline_for`] of the
+    /// replays against, or `None` when its route does not replay (no stub
+    /// filtering under [`EngineChoice::Auto`], no localizing defense under
+    /// [`EngineChoice::Delta`], a sub-prefix hijack, or an engine override
+    /// that never replays). Fetch or build [`Simulator::baseline_for`] of the
     /// key exactly when there is one; see [`BaselineKey`] for why the
     /// validator set is not part of it.
     pub fn baseline_key(
@@ -762,7 +779,9 @@ mod tests {
     /// The whole dispatch rule, one row per (engine, kind, defense), and
     /// the baseline key that follows from it: one exactly on the replaying
     /// cells, the same under every validator set with one stub setting,
-    /// another under the other. The policy column is deliberately inert:
+    /// another under the other. The adaptive route replays only under stub
+    /// filtering; origin validation alone is raced, and only the forced
+    /// `Delta` engine replays it. The policy column is deliberately inert:
     /// strict Gao-Rexford routes exactly like the paper policy.
     #[test]
     fn route_table() {
@@ -774,45 +793,51 @@ mod tests {
         let t = topo();
         let target = ix(&t, 9);
         let open = Defense::none();
-        // Two validator sets under each stub setting.
-        let localizing = [
+        // Two defenses with stub filtering, two with validators alone.
+        let stub = [
             Defense::stub_defense_only(),
             Defense::validators(&t, vec![ix(&t, 1)]).with_stub_defense(),
+        ];
+        let rov = [
             Defense::validators(&t, vec![ix(&t, 1)]),
             Defense::validators(&t, vec![ix(&t, 2), ix(&t, 5)]),
         ];
         assert!(!open.localizes());
-        // (engine, kind, route when undefended, route under a localizing defense)
+        // (engine, kind, route when undefended, under validators alone,
+        // under stub filtering)
         let table = [
-            (Auto, Origin, Race, Delta),
-            (Auto, Forged, Race, Delta),
-            (Auto, Sub, Race, Race),
-            (Generation, Origin, Scratch, Scratch),
-            (Generation, Forged, Scratch, Scratch),
-            (Generation, Sub, Scratch, Scratch),
-            (EngineChoice::Delta, Origin, Race, Delta),
-            (EngineChoice::Delta, Forged, Race, Delta),
-            (EngineChoice::Delta, Sub, Race, Race),
-            (EngineChoice::Race, Origin, Race, Race),
-            (EngineChoice::Race, Forged, Race, Race),
-            (EngineChoice::Race, Sub, Race, Race),
+            (Auto, Origin, Race, Race, Delta),
+            (Auto, Forged, Race, Race, Delta),
+            (Auto, Sub, Race, Race, Race),
+            (Generation, Origin, Scratch, Scratch, Scratch),
+            (Generation, Forged, Scratch, Scratch, Scratch),
+            (Generation, Sub, Scratch, Scratch, Scratch),
+            (EngineChoice::Delta, Origin, Race, Delta, Delta),
+            (EngineChoice::Delta, Forged, Race, Delta, Delta),
+            (EngineChoice::Delta, Sub, Race, Race, Race),
+            (EngineChoice::Race, Origin, Race, Race, Race),
+            (EngineChoice::Race, Forged, Race, Race, Race),
+            (EngineChoice::Race, Sub, Race, Race, Race),
         ];
         for policy in [PolicyConfig::paper(), PolicyConfig::strict_gao_rexford()] {
-            for (engine, kind, undefended, defended) in table {
+            for (engine, kind, undefended, validated, filtered) in table {
                 let sim = Simulator::new(&t, policy).with_engine(engine);
                 let key = |defense| sim.baseline_key(kind, target, defense);
                 let case = format!("{engine:?} {kind:?}");
                 assert_eq!(sim.route(kind, &open), undefended, "{case}");
                 assert_eq!(key(&open).is_some(), undefended == Delta, "{case}");
-                for defense in &localizing {
-                    assert!(defense.localizes());
-                    assert_eq!(sim.route(kind, defense), defended, "{case}");
-                    assert_eq!(key(defense).is_some(), defended == Delta, "{case}");
+                for (defenses, route) in [(&rov, validated), (&stub, filtered)] {
+                    for defense in defenses {
+                        assert!(defense.localizes());
+                        assert_eq!(sim.route(kind, defense), route, "{case} {defense:?}");
+                        assert_eq!(key(defense).is_some(), route == Delta, "{case}");
+                    }
                 }
-                let [stub, stub_rov, rov, other_rov] = localizing.each_ref().map(key);
+                let [stub, stub_rov] = stub.each_ref().map(key);
+                let [rov, other_rov] = rov.each_ref().map(key);
                 assert_eq!(stub, stub_rov, "{case}: validators are not in the key");
                 assert_eq!(rov, other_rov, "{case}: validators are not in the key");
-                if defended == Delta {
+                if validated == Delta && filtered == Delta {
                     assert_ne!(stub, rov, "{case}: the stub setting is");
                 }
             }
@@ -1034,13 +1059,14 @@ mod tests {
         assert_evaluate_matches_run(PolicyConfig::strict_gao_rexford());
     }
 
-    /// No shared baseline, so no replay: a defended attack handed no
-    /// baseline is raced, not given a throwaway baseline of its own.
+    /// No shared baseline, so no replay: an attack on the replaying route
+    /// handed no baseline is raced, not given a throwaway baseline of its
+    /// own.
     #[test]
     fn evaluate_without_a_baseline_builds_none() {
         let t = topo();
         let sim = Simulator::new(&t, PolicyConfig::paper());
-        let defense = Defense::validators(&t, vec![ix(&t, 1), ix(&t, 2)]);
+        let defense = Defense::validators(&t, vec![ix(&t, 1), ix(&t, 2)]).with_stub_defense();
         let attack = Attack::origin(ix(&t, 8), ix(&t, 9));
         assert_eq!(sim.route(attack.kind, &defense), Dispatch::Delta);
         let telemetry = SweepTelemetry::new();

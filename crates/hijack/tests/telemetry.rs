@@ -315,14 +315,16 @@ proptest! {
     }
 }
 
-/// Budgeted replay (DESIGN.md §10). Under a deployment too weak to keep
-/// cones local, some replays outgrow the `n / 16` cone budget: the
-/// adaptive route abandons them and finishes on the race solver. Rows and
-/// polluted sets must equal the generation engine's for origin and
-/// forged-origin hijacks, with and without stub defense; an abandoned
-/// replay is counted as `replays_abandoned` and under the engine that
-/// finished it, never as a delta dispatch; and a forced
-/// `EngineChoice::Delta` or a truncated baseline never abandons.
+/// Budgeted replay (DESIGN.md §10). Under stub filtering with a
+/// deployment too weak to keep cones local, some replays outgrow the
+/// `n / 16` cone budget: the adaptive route abandons them and finishes on
+/// the race solver. Rows and polluted sets must equal the generation
+/// engine's for origin and forged-origin hijacks; an abandoned replay is
+/// counted as `replays_abandoned` and under the engine that finished it,
+/// never as a delta dispatch; and a forced `EngineChoice::Delta` or a
+/// truncated baseline never abandons. Origin validation alone is raced on
+/// the adaptive route, with no baseline, while the forced replay still
+/// completes there.
 #[test]
 fn over_budget_replays_are_abandoned_and_match_generation() {
     let net = generate(&InternetParams::sized(400), 7);
@@ -339,9 +341,10 @@ fn over_budget_replays_are_abandoned_and_match_generation() {
     attackers.extend(topo.stub_ases().into_iter().step_by(16));
     attackers.retain(|&a| a != target);
     let attacks = attackers.len() as u64;
-    // One validating tier-1: localizing, so the route replays, but far
-    // too weak to contain a well-placed attacker.
+    // One validating tier-1: localizing, so a forced engine replays, but
+    // far too weak to contain a well-placed attacker.
     let weak = Defense::validators(topo, [topo.tier1s()[0]]);
+    let filtered = weak.clone().with_stub_defense();
 
     let counted = |sim: &Simulator<'_>, defense: &Defense| {
         let telemetry = SweepTelemetry::new();
@@ -349,70 +352,101 @@ fn over_budget_replays_are_abandoned_and_match_generation() {
         let rows = sim.sweep_attackers_monitored(target, &attackers, defense, None, &monitor);
         (rows, telemetry.snapshot())
     };
-    for defense in [weak.clone(), weak.clone().with_stub_defense()] {
-        let key = auto
-            .baseline_key(AttackKind::OriginHijack, target, &defense)
-            .expect("a localizing defense replays");
-        let oracle = generation.sweep_attackers(target, &attackers, &defense);
-        let (rows, snap) = counted(&auto, &defense);
-        assert_eq!(rows, oracle, "stub defense {}", defense.has_stub_defense());
-        assert!(snap.replays_abandoned > 0, "no cone outgrew the budget");
-        assert!(snap.delta_dispatches > 0, "no replay completed");
-        assert_eq!(snap.delta_dispatches + snap.replays_abandoned, attacks);
-        assert_eq!(
-            snap.race_dispatches + snap.scratch_dispatches,
-            snap.replays_abandoned,
-            "an abandoned replay is counted by the engine that finished it"
-        );
-        assert_eq!(snap.attacks, attacks);
-        assert!(
-            snap.cone_max as usize <= topo.num_ases() / 16,
-            "cone telemetry describes completed replays only"
-        );
-
-        let (rows, snap) = counted(&forced, &defense);
-        assert_eq!(rows, oracle);
+    for defense in [&weak, &filtered] {
+        let case = format!("stub defense {}", defense.has_stub_defense());
+        let oracle = generation.sweep_attackers(target, &attackers, defense);
+        let (rows, snap) = counted(&forced, defense);
+        assert_eq!(rows, oracle, "{case}");
         assert_eq!(
             (snap.replays_abandoned, snap.delta_dispatches),
-            (0, attacks)
+            (0, attacks),
+            "{case}"
         );
+        assert_eq!(snap.baselines_built, 1, "{case}");
 
-        // Full outcomes, forged origins included: whichever engine
-        // finishes, the polluted set is the generation engine's.
-        let baseline = auto.baseline_for(key, &SweepMonitor::none());
-        let mut finished_by_race = 0;
-        for &attacker in &attackers {
-            for attack in [
-                Attack::origin(attacker, target),
-                Attack::forged_origin(attacker, target),
-            ] {
-                let (got, dispatch) = auto.evaluate(
-                    attack,
-                    &defense,
-                    Some(&baseline),
-                    &SweepMonitor::none(),
-                    |view| view.to_outcome(),
-                );
-                assert_eq!(got.polluted, generation.run(attack, &defense).polluted);
-                finished_by_race += u32::from(dispatch == Dispatch::Race);
-            }
+        let (rows, snap) = counted(&auto, defense);
+        assert_eq!(rows, oracle, "{case}");
+        assert_eq!(snap.attacks, attacks, "{case}");
+        if defense.has_stub_defense() {
+            continue;
         }
-        assert!(finished_by_race > 0);
+        assert_eq!(
+            auto.baseline_key(AttackKind::OriginHijack, target, defense),
+            None
+        );
+        assert_eq!(
+            (
+                snap.baselines_built,
+                snap.delta_dispatches,
+                snap.replays_abandoned
+            ),
+            (0, 0, 0),
+            "origin validation alone is raced"
+        );
+        assert_eq!(snap.race_dispatches + snap.scratch_dispatches, attacks);
     }
 
+    let key = auto
+        .baseline_key(AttackKind::OriginHijack, target, &filtered)
+        .expect("stub filtering replays");
+    let (_, snap) = counted(&auto, &filtered);
+    assert!(snap.replays_abandoned > 0, "no cone outgrew the budget");
+    assert!(snap.delta_dispatches > 0, "no replay completed");
+    assert_eq!(snap.delta_dispatches + snap.replays_abandoned, attacks);
+    assert_eq!(
+        snap.race_dispatches + snap.scratch_dispatches,
+        snap.replays_abandoned,
+        "an abandoned replay is counted by the engine that finished it"
+    );
+    assert!(
+        snap.cone_max as usize <= topo.num_ases() / 16,
+        "cone telemetry describes completed replays only"
+    );
+
+    // Full outcomes, forged origins included: whichever engine
+    // finishes, the polluted set is the generation engine's.
+    let baseline = auto.baseline_for(key, &SweepMonitor::none());
+    let mut finished_by_race = 0;
+    for &attacker in &attackers {
+        for attack in [
+            Attack::origin(attacker, target),
+            Attack::forged_origin(attacker, target),
+        ] {
+            let (got, dispatch) = auto.evaluate(
+                attack,
+                &filtered,
+                Some(&baseline),
+                &SweepMonitor::none(),
+                |view| view.to_outcome(),
+            );
+            assert_eq!(got.polluted, generation.run(attack, &filtered).polluted);
+            finished_by_race += u32::from(dispatch == Dispatch::Race);
+        }
+    }
+    assert!(finished_by_race > 0);
+
     // A baseline cut short by `max_generations` is always replayed to the
-    // end: the race solver does not model truncation.
+    // end: the race solver does not model truncation. So under stub
+    // filtering a truncating policy replays every attack and answers the
+    // truncated run, while origin validation alone is raced and answers
+    // the converged race, as an undefended attack always was.
     let capped = PolicyConfig {
         max_generations: 2,
         ..policy
     };
     let auto = Simulator::new(topo, capped);
-    let generation = Simulator::new(topo, capped).with_engine(EngineChoice::Generation);
-    let (rows, snap) = counted(&auto, &weak);
-    assert_eq!(rows, generation.sweep_attackers(target, &attackers, &weak));
+    let truncated = Simulator::new(topo, capped).with_engine(EngineChoice::Generation);
+    let (rows, snap) = counted(&auto, &filtered);
+    assert_eq!(
+        rows,
+        truncated.sweep_attackers(target, &attackers, &filtered)
+    );
     assert!(snap.engine.truncated_runs > 0);
     assert_eq!(
         (snap.replays_abandoned, snap.delta_dispatches),
         (0, attacks)
     );
+    let (rows, snap) = counted(&auto, &weak);
+    assert_eq!(rows, generation.sweep_attackers(target, &attackers, &weak));
+    assert_eq!((snap.engine.truncated_runs, snap.delta_dispatches), (0, 0));
 }

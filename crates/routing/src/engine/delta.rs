@@ -125,10 +125,15 @@ use crate::route::{Choice, ConvergenceStats, Propagation};
 /// replay is abandoned once its cone passes one sixteenth of the ASes.
 ///
 /// Measured, not derived (EXPERIMENTS.md, "Cone budget sweep"): the total
-/// over a figs. 5–6 progression is flat within 3 % from `n/16` to `n/64`
-/// on both the 10k and the 42.7k lab, and too small is the wrong side to
-/// err on — a tight budget sends mid-size cones, which a replay still
-/// wins, to the race solver.
+/// over a figs. 5–6 progression was flat within 3 % from `n/16` to `n/64`
+/// on both the 10k and the 42.7k lab when a race cost 2.2–2.4 ms on the
+/// 42.7k lab, and too small is the wrong side to err on — a tight budget
+/// sends mid-size cones, which a replay still wins, to the race solver.
+/// Against the cheaper race of today a replay abandoned at this budget
+/// costs about one more race, so the adaptive route replays only under
+/// stub filtering, where most attackers are stubs quenched at their
+/// providers and the budgeted replay beats racing every attack 3.3× on
+/// the 10k lab.
 pub const DEFAULT_CONE_BUDGET_DIVISOR: usize = 16;
 
 /// Generation budget of the packed log words: 13 bits. Schedules that run

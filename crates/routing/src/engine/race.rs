@@ -80,7 +80,7 @@
 use bgpsim_topology::{AsIndex, Relationship};
 
 use crate::engine::generation::{Announcement, PathNode, NONE};
-use crate::filter::FilterContext;
+use crate::filter::{AsSet, FilterContext};
 use crate::net::{SimNet, FEEDER_MASK, LEAF_IN_PEER, LEAF_ROW_END};
 use crate::observer::Observer;
 use crate::policy::{standard_key, tier1_key, PolicyConfig, PrefClass};
@@ -159,6 +159,14 @@ const SETTLED_BIT: u64 = 1 << 63;
 /// read-out's snapshot ([`RaceWorkspace::offer`]) keeps these and carries
 /// the route's origin in the low 32 bits instead of the tie slot.
 const ROUTE_BITS: u64 = 0x0003_FFFF_0000_0000;
+
+/// ORed into a feeder's snapshot offer when the stub filter drops its
+/// route on every edge into a leaf: the feeder is a stub other than the
+/// authorized origin, or the route claims one as its origin
+/// (`FilterContext::rejects_stub` on a non-sibling edge, and a leaf has no
+/// sibling). The streamed count reads the bit as "offers nothing";
+/// [`best_offer`] strips it and applies the filters edge by edge.
+const STUB_DROPPED: u64 = 1 << 63;
 
 /// The class field of a [`standard_key`].
 #[inline]
@@ -246,7 +254,8 @@ pub struct RaceWorkspace {
     special_leaves: Vec<u32>,
     /// The read-out's snapshot, written once per converged solve: per
     /// feeder ([`SimNet::feeders`]), its final route as [`ROUTE_BITS`] of
-    /// its key over its origin, 0 when it has none.
+    /// its key over its origin, [`STUB_DROPPED`] when the stub filter
+    /// drops it on the way to a leaf, 0 when it has none.
     offer: Vec<u64>,
 }
 
@@ -413,15 +422,30 @@ pub fn solve_race<'r, 't>(
         }
     }
     // Every decided route a leaf can hear, read off the stamps once.
-    offer.clear();
-    offer.extend(net.feeders().iter().map(|&x| {
+    let snapshot = |x: u32| {
         let st = stamp[x as usize];
-        if st.labeled == *epoch {
-            (st.key & ROUTE_BITS) | u64::from(st.origin)
-        } else {
-            0
+        (st.labeled == *epoch).then(|| ((st.key & ROUTE_BITS) | u64::from(st.origin), st.origin))
+    };
+    offer.clear();
+    match filters.authorized_origin.filter(|_| filters.stub_defense) {
+        None => offer.extend(
+            net.feeders()
+                .iter()
+                .map(|&x| snapshot(x).map_or(0, |(off, _)| off)),
+        ),
+        Some(auth) => {
+            let bogus = |x: u32| net.is_stub(AsIndex::new(x)) && x != auth.raw();
+            offer.extend(net.feeders().iter().map(|&x| {
+                snapshot(x).map_or(0, |(off, origin)| {
+                    if bogus(x) || bogus(origin) {
+                        off | STUB_DROPPED
+                    } else {
+                        off
+                    }
+                })
+            }));
         }
-    }));
+    }
     Some(RaceResult {
         net,
         filters: *filters,
@@ -986,29 +1010,48 @@ impl RaceResult<'_, '_> {
     /// How many ASes [`RaceResult::captured_by`] lists, counted without
     /// listing them (see [`Propagation::captured_count`]).
     ///
-    /// Without filters this is one branch-free pass: the decided ASes off
-    /// the snapshot's non-leaf prefix, and every leaf off the in-edge
-    /// words, each edge scored `((peer, !(len + 1), !position) << 1) |
-    /// (origin == o)` and each row's maximum deciding its leaf. The pass
-    /// applies neither the announcer rule nor the loop check, so the
-    /// leaves either can touch — the announcers and claimed origins — are
-    /// recounted exactly afterwards.
+    /// One branch-free pass: the decided ASes off the snapshot's non-leaf
+    /// prefix, and every leaf off the in-edge words, each edge scored
+    /// `((peer, !(len + 1), !position) << 1) | (origin == o)` and each
+    /// row's maximum deciding its leaf. The pass applies neither the
+    /// announcer rule nor the loop check, so the leaves either can touch —
+    /// the announcers and claimed origins — are recounted exactly
+    /// afterwards.
+    ///
+    /// Filters become masks on the same pass. The stub filter is an edge
+    /// mask: an edge whose route it drops offers nothing (a flag the solve
+    /// sets on its per-feeder snapshot). Origin validation is a row mask when `origin` is
+    /// not the authorized origin: a validating leaf rejects every route
+    /// `origin` originates, so its row cannot count. A count of the
+    /// authorized origin under validators is the one case no mask
+    /// expresses — there a validating leaf picks among the authorized
+    /// routes alone — and it walks [`RaceResult::captured_by`] instead.
     pub fn captured_count(&self, origin: AsIndex) -> usize {
-        if !self.filters.is_inert() {
-            return self.captured_by(origin).count();
-        }
+        let validators = match (self.filters.authorized_origin, self.filters.validators) {
+            (Some(auth), Some(v)) if auth != origin => Some(v),
+            (Some(_), Some(_)) => return self.captured_by(origin).count(),
+            _ => None,
+        };
         let o = origin.raw();
-        let mut streamed = 0;
-        stream_leaves(self.net.leaf_in(), &self.ws.offer, o, |end, hit| {
-            streamed += end & hit;
-        });
+        let offer = &self.ws.offer;
+        let streamed = match validators {
+            None => {
+                let mut streamed = 0;
+                stream_leaves(self.net.leaf_in(), offer, o, |end, hit| {
+                    streamed += end & hit
+                });
+                streamed
+            }
+            Some(v) => stream_unvalidated(self.net, offer, o, v),
+        };
         let mut count = self.captured_core(o).count() + streamed as usize;
         for &leaf in &self.ws.special_leaves {
             let row = self.net.leaf_row(leaf);
             let exact = leaf != o && self.leaf_captured(leaf, row, o);
             let mut guess = 0;
-            stream_leaves(row, &self.ws.offer, o, |end, hit| guess |= end & hit);
-            count = count + usize::from(exact) - guess as usize;
+            stream_leaves(row, offer, o, |end, hit| guess |= end & hit);
+            let masked = validators.is_some_and(|v| v.contains(AsIndex::new(leaf)));
+            count = count + usize::from(exact) - usize::from(guess == 1 && !masked);
         }
         count
     }
@@ -1137,7 +1180,7 @@ fn best_offer<const FILTERED: bool>(
     let mut best = 0u64;
     for (j, &w) in row.iter().enumerate() {
         let feeder = (w & FEEDER_MASK) as usize;
-        let off = ws.offer[feeder];
+        let off = ws.offer[feeder] & !STUB_DROPPED;
         let no_loop = 0u64.wrapping_sub(u64::from(off as u32 != leaf));
         let score = edge_score(w, off, j as u32, o) & no_loop;
         if FILTERED && score > best {
@@ -1179,16 +1222,44 @@ fn stream_leaves(words: &[u32], offer: &[u64], o: u32, mut row_end: impl FnMut(u
     }
 }
 
+/// [`stream_leaves`] over all of [`SimNet::leaf_in`], counting the rows
+/// whose leaf would select a route originated by `o` and is not one of
+/// `validators`. A validator rejects every origin but the authorized one,
+/// so when `o` is not the authorized origin a validating leaf's row never
+/// counts. Rows are matched to leaves by a cursor into
+/// [`SimNet::leaf_row_ends`]: a leaf with no peer or provider has an empty
+/// row, which ends where the previous one does and contributes no word,
+/// so the cursor skips it.
+fn stream_unvalidated(net: &SimNet<'_>, offer: &[u64], o: u32, validators: &AsSet) -> u64 {
+    let rows = net.leaf_row_ends();
+    // The row the next word belongs to: the first that ends past it.
+    let mut k = rows.partition_point(|&(_, end)| end == 0);
+    let (mut consumed, mut streamed) = (0u32, 0u64);
+    stream_leaves(net.leaf_in(), offer, o, |end, hit| {
+        let open = u64::from(!validators.contains(AsIndex::new(rows[k].0)));
+        streamed += end & hit & open;
+        consumed += 1;
+        k += end as usize;
+        while rows.get(k).is_some_and(|&(_, row_end)| row_end == consumed) {
+            k += 1;
+        }
+    });
+    streamed
+}
+
 /// The score of one leaf in-edge word `w` at row `position` carrying the
 /// snapshot offer `off`: `((peer, !(len + 1), !position) << 1) | (origin
 /// == o)`, so the row maximum is the leaf's selection under
 /// [`standard_key`] (class, then length, then the lowest slot) with its
-/// verdict in the low bit. An edge that offers nothing — no route, or a
-/// peer's route that is not customer- or origin-class — scores 0.
+/// verdict in the low bit. An edge that offers nothing — no route, a
+/// route the stub filter drops ([`STUB_DROPPED`]), or a peer's route that
+/// is not customer- or origin-class — scores 0.
 #[inline]
 fn edge_score(w: u32, off: u64, position: u32, o: u32) -> u64 {
     let peer = u64::from(w & LEAF_IN_PEER != 0);
-    let usable = (off != 0) & ((peer == 0) | (key_class(off) >= PrefClass::Customer.as_u8()));
+    // Positive: a route, and not one the stub filter drops.
+    let routed = (off as i64) > 0;
+    let usable = routed & ((peer == 0) | (key_class(off) >= PrefClass::Customer.as_u8()));
     // `!(len + 1)`: the offer holds `!len`, and lengths stay far below
     // the field's top.
     let len = u64::from(((off >> 32) as u16).wrapping_sub(1));
@@ -1442,5 +1513,170 @@ mod tests {
             DEFAULT_MAX_ROUNDS,
             &mut RaceWorkspace::new(),
         );
+    }
+
+    /// Solves one race under `ctx` and checks the streamed count against
+    /// the exact walk and the generation engine for every origin in it:
+    /// each announcer and each claimed origin. Returns whether the solve
+    /// converged.
+    fn assert_counts_match_walk(
+        net: &SimNet<'_>,
+        anns: &[Announcement],
+        ctx: &FilterContext<'_>,
+        rws: &mut RaceWorkspace,
+        case: &str,
+    ) -> bool {
+        let policy = PolicyConfig::paper();
+        let oracle = propagate_announcements(
+            net,
+            anns,
+            ctx,
+            &policy,
+            &mut Workspace::new(),
+            &mut NullObserver,
+        );
+        let Some(raced) = solve_race(net, anns, ctx, &policy, DEFAULT_MAX_ROUNDS, rws) else {
+            return false;
+        };
+        for o in anns.iter().flat_map(|a| [a.announcer, a.claimed_origin]) {
+            let walked = raced.captured_by(o).count();
+            assert_eq!(
+                raced.captured_count(o),
+                walked,
+                "{case}: count captured by {o}"
+            );
+            assert_eq!(walked, oracle.captured_count(o), "{case}: walk of {o}");
+        }
+        true
+    }
+
+    /// The filtered count is the unfiltered stream with masks: the stub
+    /// filter drops edges, a validating leaf's row cannot count an origin
+    /// other than the authorized one, and a count of the authorized origin
+    /// under validators walks. It must equal the exact walk for the
+    /// target, the attacker and the claimed origin, under validators, stub
+    /// filtering and both, for origin, forged and forged-bystander races —
+    /// including targets that are stubs feeding a leaf, whose routes the
+    /// stub filter exempts.
+    #[test]
+    fn filtered_counts_match_the_walk_for_every_origin() {
+        use bgpsim_topology::gen::{generate, InternetParams};
+
+        let (mut solved, mut exempt_feeders) = (0, 0);
+        let mut rws = RaceWorkspace::new();
+        for seed in [1, 2, 3] {
+            let internet = generate(&InternetParams::tiny(), seed);
+            let topo = &internet.topology;
+            let net = SimNet::new(topo);
+            let validators = AsSet::from_members(topo, topo.indices().step_by(3));
+            let (transit, stubs) = (topo.transit_ases(), topo.stub_ases());
+            let feeding_stubs: Vec<AsIndex> = net
+                .feeders()
+                .iter()
+                .map(|&x| AsIndex::new(x))
+                .filter(|&x| net.is_stub(x))
+                .collect();
+            exempt_feeders += feeding_stubs.len();
+            let targets = stubs
+                .iter()
+                .step_by(53)
+                .chain(feeding_stubs.iter().take(4))
+                .copied();
+            for target in targets {
+                let attackers = transit.iter().step_by(13).chain(stubs.iter().step_by(83));
+                for (k, &attacker) in attackers.enumerate().filter(|&(_, &a)| a != target) {
+                    let claim = stubs[(k * 7 + 3) % stubs.len()];
+                    let mut injections = vec![
+                        ("origin", Announcement::honest(attacker)),
+                        ("forged", Announcement::forged(attacker, target)),
+                    ];
+                    if claim != attacker && claim != target {
+                        injections
+                            .push(("forged-bystander", Announcement::forged(attacker, claim)));
+                    }
+                    let contexts = [
+                        ("validators", Some(&validators), false),
+                        ("stub", None, true),
+                        ("both", Some(&validators), true),
+                    ];
+                    for (dname, validators, stub_defense) in contexts {
+                        let ctx = FilterContext {
+                            authorized_origin: Some(target),
+                            validators,
+                            stub_defense,
+                        };
+                        for &(kind, injection) in &injections {
+                            let anns = [Announcement::honest(target), injection];
+                            let case = format!("seed {seed} {kind}/{dname} {target} vs {attacker}");
+                            solved += u32::from(assert_counts_match_walk(
+                                &net, &anns, &ctx, &mut rws, &case,
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        assert!(exempt_feeders > 0, "no stub feeds a leaf");
+        assert!(solved > 1_000, "only {solved} races converged");
+    }
+
+    /// A leaf with no peer or provider has an empty row: it ends where the
+    /// previous row does and contributes no word to the flat stream, so
+    /// the row mask must not shift the leaves after it onto the wrong
+    /// validator bits. Leaf 11, after the isolated 10, validates and hears
+    /// only the attacker's route through 2; leaf 12 hears the target's
+    /// route through 1, and leaf 13, which does not validate, is polluted
+    /// through 2. Shifted by one row, 11 would count and 13 would not.
+    #[test]
+    fn an_empty_row_keeps_the_row_mask_aligned() {
+        use bgpsim_topology::TopologyBuilder;
+
+        let mut b = TopologyBuilder::new();
+        let id = AsId::new;
+        for asn in [1, 2, 3, 4, 10, 11, 12, 13] {
+            b.add_as(id(asn));
+        }
+        b.declare_tier1(id(1));
+        b.declare_tier1(id(2));
+        b.add_link(id(1), id(2), PeerToPeer).unwrap();
+        for (provider, customer) in [(1, 3), (2, 4), (2, 11), (1, 12), (2, 13)] {
+            b.add_link(id(provider), id(customer), ProviderToCustomer)
+                .unwrap();
+        }
+        let t = b.build().unwrap();
+        let net = SimNet::new(&t);
+        assert!(net.is_leaf(ix(&t, 10)) && net.is_leaf(ix(&t, 11)));
+        let (target, attacker) = (ix(&t, 3), ix(&t, 4));
+        let validators = AsSet::from_members(&t, [ix(&t, 11)]);
+        let mut rws = RaceWorkspace::new();
+        for stub_defense in [false, true] {
+            let ctx = FilterContext {
+                authorized_origin: Some(target),
+                validators: Some(&validators),
+                stub_defense,
+            };
+            for injection in [
+                Announcement::honest(attacker),
+                Announcement::forged(attacker, target),
+            ] {
+                let anns = [Announcement::honest(target), injection];
+                let case = format!("stub defense {stub_defense} {injection:?}");
+                assert!(assert_counts_match_walk(&net, &anns, &ctx, &mut rws, &case));
+            }
+        }
+        let ctx = FilterContext::origin_validation(target, &validators);
+        let anns = [Announcement::honest(target), Announcement::honest(attacker)];
+        let raced = solve_race(
+            &net,
+            &anns,
+            &ctx,
+            &PolicyConfig::paper(),
+            DEFAULT_MAX_ROUNDS,
+            &mut rws,
+        )
+        .unwrap();
+        // AS2 and leaf 13; validating 11 stays unrouted.
+        assert_eq!(raced.captured_count(attacker), 2);
+        assert_eq!(raced.choice(ix(&t, 11)), None);
     }
 }

@@ -368,6 +368,14 @@ impl<'t> SimNet<'t> {
         })
     }
 
+    /// Every leaf, with the end of its row of [`SimNet::leaf_in`], in
+    /// ascending index order: a row starts where the previous one ends, so
+    /// a leaf with no peer or provider has an empty row.
+    #[inline]
+    pub(crate) fn leaf_row_ends(&self) -> &[(u32, u32)] {
+        &self.leaf_rows
+    }
+
     /// The in-edge row of one leaf (see [`SimNet::leaf_rows`]), found by
     /// binary search.
     ///

@@ -17,9 +17,10 @@
 //!   Propagation is likewise a pure function of (attack, defense), so
 //!   each active hijack's score is memoized and replayed only when an
 //!   event could have changed it — every other event is O(1) for that
-//!   hijack. An attack with no [`Simulator::baseline_key`] (the current
-//!   defense cannot localize cones, so no baseline is worth holding)
-//!   builds none and runs on the routed engine from scratch.
+//!   hijack. An attack with no [`Simulator::baseline_key`] (no stub
+//!   filtering under the current defense: undefended and origin
+//!   validation alone are raced, so no baseline is worth holding) builds
+//!   none and runs on the routed engine from scratch.
 //! * [`DetectorMode::Batch`] — the oracle. Every evaluation is a full
 //!   from-scratch generation-engine run. Slow and trivially correct.
 //!

@@ -10,8 +10,8 @@
 //!   ground-truth-labeled hijack injections.
 //! * [`StreamDetector`] — the incremental detector: one cached
 //!   [`bgpsim_routing::Baseline`] per tracked target, delta-cone replay
-//!   per event, falling back to engine-per-attack dispatch when no
-//!   defense localizes. [`DetectorMode::Batch`] is the from-scratch
+//!   per event, falling back to engine-per-attack dispatch when the
+//!   defense has no stub filtering. [`DetectorMode::Batch`] is the from-scratch
 //!   oracle it is pinned bit-identical to.
 //! * [`StreamStore`] — a chunked ring per metric (pollution, per-set
 //!   triggered counts, detection latency) with range queries and

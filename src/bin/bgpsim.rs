@@ -59,12 +59,15 @@ RUN OPTIONS:
                       figs 2–4 take ~10 min each on one core in under
                       50 MB of RAM (see the README scale-tier table)
     --engine NAME     routing engine: auto | generation | delta | race [auto]
-                      auto never picks generation (the reference engine:
-                      it only catches a race that does not settle);
-                      generation and race force every attack, on every
-                      topology an experiment builds, onto one engine;
-                      delta routes like auto but never abandons a
-                      baseline replay for the race solver
+                      auto races every attack (generation, the reference
+                      engine, only catches a race that does not settle)
+                      except under stub filtering, where it replays the
+                      target's baseline and races a replay whose cone
+                      outgrows its budget; generation and race force
+                      every attack, on every topology an experiment
+                      builds, onto one engine; delta replays under any
+                      origin validation or stub filtering and never
+                      abandons a replay for the race solver
     --seed N          override the master seed
     --stride N        override the attacker stride
     --jobs N          worker threads (0 = all cores) [0]
