@@ -207,9 +207,8 @@ impl Lab {
 
     /// The §VI probe cohort in the paper's case order: every tier-1, a
     /// BGPmon-like 24-peer mix, and every AS above a degree threshold
-    /// that scales like the §V deployment cohorts. Fig. 7, `bgpsim
-    /// stream` and the server's stream jobs watch the internet through
-    /// these same monitors.
+    /// that scales like the §V deployment cohorts. Fig. 7 and `bgpsim
+    /// stream` watch the internet through these same monitors.
     pub fn probe_cohort(&self) -> Vec<ProbeSet> {
         let topo = &self.net.topology;
         let degree_threshold = ((500.0 * self.config.scale().sqrt()).round() as usize).max(4);
@@ -220,8 +219,8 @@ impl Lab {
         ]
     }
 
-    /// Seed of the default update-stream tape, so a bare `POST /v1/stream`
-    /// replays the tape a bare `bgpsim stream` runs.
+    /// Seed of the default update-stream tape a bare `bgpsim stream`
+    /// runs.
     pub fn stream_seed(&self) -> u64 {
         self.config.seed ^ 0x57e4
     }

@@ -681,8 +681,8 @@ pub fn telemetry_json(snapshot: &TelemetrySnapshot) -> Json {
     ])
 }
 
-/// Renders a [`StreamSummary`] as the five-key object that job records,
-/// `GET /v1/results/:id` and `stream_manifest.json` all carry. Latencies
+/// Renders a [`StreamSummary`] as the five-key object that opens
+/// `stream_manifest.json`'s `summary`. Latencies
 /// render as `null` when nothing was detected: "no hijack was ever
 /// detected" must stay distinguishable from "detected instantly".
 #[must_use]
@@ -700,28 +700,6 @@ pub fn stream_summary_json(summary: &StreamSummary) -> Json {
             summary.max_latency.map_or(Json::Null, Json::from),
         ),
     ])
-}
-
-/// Reads back what [`stream_summary_json`] wrote (`--state-dir` restore);
-/// `None` when a key is missing or mistyped. A `null` latency reads as
-/// `None`, never as zero.
-#[must_use]
-pub fn stream_summary_from_json(json: &Json) -> Option<StreamSummary> {
-    let count = |key: &str| usize::try_from(json.get(key)?.as_u64()?).ok();
-    Some(StreamSummary {
-        events: count("events")?,
-        injected: count("injected")?,
-        detected: count("detected")?,
-        mean_latency: match json.get("mean_latency_events")? {
-            Json::Null => None,
-            Json::Num(n) => Some(*n),
-            _ => return None,
-        },
-        max_latency: match json.get("max_latency_events")? {
-            Json::Null => None,
-            value => Some(value.as_u64()?),
-        },
-    })
 }
 
 /// The full record of one `bgpsim` run (see DESIGN.md for the schema).

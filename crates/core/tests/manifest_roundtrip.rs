@@ -5,10 +5,10 @@
 //! pairs) and the documented non-finite-number lossy corner — and the
 //! contracts of what reads a parsed document: the strict accessors
 //! (an integer is integral, non-negative, in range and at most 2^53, or
-//! it is not an integer) and the `StreamSummary` codec (reader ∘ writer
-//! is the identity; no detections round-trip as `null`, never 0).
+//! it is not an integer) and the `StreamSummary` writer (no detections
+//! round-trip as `null`, never 0).
 
-use bgpsim_core::manifest::{stream_summary_from_json, stream_summary_json, Json};
+use bgpsim_core::manifest::{stream_summary_json, Json};
 use bgpsim_core::stream::StreamSummary;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -110,28 +110,6 @@ proptest! {
     }
 
     #[test]
-    fn stream_summary_reader_inverts_its_writer(seed in 0u64..u64::MAX) {
-        let mut rng = TestRng::from_seed(seed);
-        let injected = rng.below(40) as usize;
-        let detected = rng.below(injected as u64 + 1) as usize;
-        let latencies: Vec<u64> = (0..detected).map(|_| rng.below(500)).collect();
-        let summary = StreamSummary {
-            events: injected + rng.below(100_000) as usize,
-            injected,
-            detected,
-            mean_latency: (detected > 0)
-                .then(|| latencies.iter().sum::<u64>() as f64 / detected as f64),
-            max_latency: latencies.iter().max().copied(),
-        };
-        let wire = stream_summary_json(&summary);
-        prop_assert_eq!(stream_summary_from_json(&wire), Some(summary));
-        // Through text too: what a job record on disk goes through.
-        let reparsed = Json::parse(&wire.render_compact())
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(stream_summary_from_json(&reparsed), Some(summary));
-    }
-
-    #[test]
     fn integers_read_back_exactly_or_not_at_all(seed in 0u64..u64::MAX) {
         let mut rng = TestRng::from_seed(seed);
         let n = arb_number(&mut rng);
@@ -158,13 +136,15 @@ fn a_summary_without_detections_round_trips_as_null_not_zero() {
         mean_latency: None,
         max_latency: None,
     };
-    let wire = stream_summary_json(&quiet);
+    let wire = stream_summary_json(&quiet).render_compact();
     assert_eq!(
-        wire.render_compact(),
+        wire,
         "{\"events\":50,\"injected\":2,\"detected\":0,\
          \"mean_latency_events\":null,\"max_latency_events\":null}"
     );
-    assert_eq!(stream_summary_from_json(&wire), Some(quiet));
+    let read = Json::parse(&wire).unwrap();
+    assert_eq!(read.get("mean_latency_events"), Some(&Json::Null));
+    assert_eq!(read.get("max_latency_events"), Some(&Json::Null));
     // "Detected instantly" is a different summary and stays one.
     let instant = StreamSummary {
         detected: 2,
@@ -172,24 +152,14 @@ fn a_summary_without_detections_round_trips_as_null_not_zero() {
         max_latency: Some(0),
         ..quiet
     };
-    let wire = stream_summary_json(&instant);
-    assert!(wire
-        .render_compact()
-        .ends_with("\"mean_latency_events\":0,\"max_latency_events\":0}"));
-    assert_eq!(stream_summary_from_json(&wire), Some(instant));
-    // A missing or mistyped member is a corrupt record, not a default.
-    for corrupt in [
-        "{\"events\":50,\"injected\":2,\"detected\":0,\"mean_latency_events\":null}",
-        "{\"events\":50,\"injected\":2,\"detected\":0,\
-          \"mean_latency_events\":null,\"max_latency_events\":2.5}",
-        "{\"events\":-1,\"injected\":2,\"detected\":0,\
-          \"mean_latency_events\":null,\"max_latency_events\":null}",
-        "{\"events\":50,\"injected\":2,\"detected\":0,\
-          \"mean_latency_events\":\"1\",\"max_latency_events\":null}",
-    ] {
-        let doc = Json::parse(corrupt).unwrap();
-        assert_eq!(stream_summary_from_json(&doc), None, "{corrupt}");
-    }
+    let wire = stream_summary_json(&instant).render_compact();
+    assert!(wire.ends_with("\"mean_latency_events\":0,\"max_latency_events\":0}"));
+    let read = Json::parse(&wire).unwrap();
+    assert_eq!(read.get("mean_latency_events"), Some(&Json::Num(0.0)));
+    assert_eq!(
+        read.get("max_latency_events").and_then(Json::as_u64),
+        Some(0)
+    );
 }
 
 /// The reader strictness table: what each accessor makes of each value.

@@ -13,11 +13,10 @@
 //! cache state only ever show up under `meta`.
 
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-use bgpsim_core::manifest::{stream_summary_json, Json, SCHEMA_VERSION};
-use bgpsim_core::stream::{StreamConfig, StreamPlan, StreamStore};
+use bgpsim_core::manifest::{Json, SCHEMA_VERSION};
 use bgpsim_fanout::{defense_from_json, defense_to_json, SweepRequest};
 use bgpsim_hijack::{
     Attack, AttackKind, AttackOutcome, Defense, Dispatch, SweepMonitor, VulnerabilityCurve,
@@ -26,7 +25,7 @@ use bgpsim_topology::{AsId, AsIndex, Topology};
 use rayon::prelude::*;
 
 use crate::http::{Request, Response};
-use crate::jobs::{Job, JobSpec, JobState, StreamSpec, SubmitError, SweepSpec, ETA_UNKNOWN};
+use crate::jobs::{Job, JobState, SubmitError, SweepSpec, ETA_UNKNOWN};
 use crate::metrics::{render_prometheus, Endpoint};
 use crate::{CachedBaseline, ServerState};
 
@@ -45,11 +44,6 @@ const MAX_IDEMPOTENCY_KEY_LEN: usize = 256;
 /// whole transit-pool what-if in one request, small enough that a single
 /// request cannot pin the rayon pool for minutes.
 pub(crate) const MAX_BATCH_ATTACKS: usize = 4096;
-
-/// Largest accepted `POST /v1/stream` event count. One event is one
-/// detector pass; 100k events at quick scale is under a minute of
-/// executor time, so a single stream cannot monopolize the job ring.
-pub(crate) const MAX_STREAM_EVENTS: usize = 100_000;
 
 /// Largest integer JSON can carry without silent precision loss
 /// (IEEE-754 doubles are exact up to 2^53).
@@ -117,14 +111,6 @@ pub(crate) fn dispatch(state: &ServerState<'_>, request: &Request) -> (Endpoint,
         ["v1", "sweeps"] => (
             Endpoint::Sweeps,
             expect_method(method, "POST").and_then(|()| handle_sweep_submit(state, request)),
-        ),
-        ["v1", "stream"] => (
-            Endpoint::Stream,
-            expect_method(method, "POST").and_then(|()| handle_stream_submit(state, request)),
-        ),
-        ["v1", "stream", id, "range"] => (
-            Endpoint::Stream,
-            expect_method(method, "GET").and_then(|()| handle_stream_range(state, id, request)),
         ),
         ["v1", "jobs"] => (
             Endpoint::Jobs,
@@ -547,7 +533,14 @@ fn handle_sweep_submit(state: &ServerState<'_>, request: &Request) -> Result<Res
         defense: parsed.defense,
         pool_kind,
     };
-    let (job, fresh) = submit(state, request, &body, JobSpec::Sweep(spec))?;
+    let key = idempotency_key(request, &body)?;
+    let (job, fresh) = state.jobs.submit(spec, key).map_err(|e| {
+        let status = match e {
+            SubmitError::QueueFull => 429,
+            SubmitError::ShuttingDown => 503,
+        };
+        ApiError::new(status, e.message())
+    })?;
     let id = job.wire_id();
     let response = Json::obj([
         ("id", Json::str(id.clone())),
@@ -556,28 +549,10 @@ fn handle_sweep_submit(state: &ServerState<'_>, request: &Request) -> Result<Res
         ("poll", Json::str(format!("/v1/jobs/{id}"))),
         ("results", Json::str(format!("/v1/results/{id}"))),
     ]);
-    // 202 schedules; a duplicate idempotency key answers 200 with the
-    // original job, scheduling nothing.
+    // 429 when the queue is full, 503 while draining; 202 schedules, and
+    // a duplicate idempotency key answers 200 with the original job,
+    // scheduling nothing.
     Ok(json_response(if fresh { 202 } else { 200 }, &response))
-}
-
-/// Enqueues `spec` under the request's idempotency key: 429 when the
-/// queue is full, 503 when the server is draining. The flag is false when
-/// a duplicate key answered with the original job.
-fn submit(
-    state: &ServerState<'_>,
-    request: &Request,
-    body: &Json,
-    spec: JobSpec,
-) -> Result<(Arc<Job>, bool), ApiError> {
-    let key = idempotency_key(request, body)?;
-    state.jobs.submit(spec, key).map_err(|e| {
-        let status = match e {
-            SubmitError::QueueFull => 429,
-            SubmitError::ShuttingDown => 503,
-        };
-        ApiError::new(status, e.message())
-    })
 }
 
 /// Client idempotency key for a submission: the `Idempotency-Key`
@@ -650,19 +625,12 @@ fn job_json(job: &Job) -> Json {
     let mut pairs = vec![
         ("id".to_string(), Json::str(job.wire_id())),
         ("state".to_string(), Json::str(state)),
-    ];
-    match &job.spec {
-        JobSpec::Sweep(spec) => {
-            pairs.push(("kind".to_string(), Json::str("sweep")));
-            pairs.push(("target".to_string(), Json::from(spec.request.target_asn)));
-            pairs.push(("pool".to_string(), Json::str(spec.pool_kind)));
-        }
-        JobSpec::Stream(spec) => {
-            pairs.push(("kind".to_string(), Json::str("stream")));
-            pairs.push(("targets".to_string(), Json::u32s(&spec.target_asns)));
-        }
-    }
-    pairs.extend([
+        ("kind".to_string(), Json::str("sweep")),
+        (
+            "target".to_string(),
+            Json::from(job.spec.request.target_asn),
+        ),
+        ("pool".to_string(), Json::str(job.spec.pool_kind)),
         ("total".to_string(), Json::Num(job.total() as f64)),
         (
             "completed".to_string(),
@@ -685,7 +653,7 @@ fn job_json(job: &Job) -> Json {
                 json_u64(eta)
             },
         ),
-    ]);
+    ];
     // Shard progress appears only on jobs the sweep executor dealt to a
     // fan-out fleet; a purely local job never grows the object.
     let shards_total = job.shards_total.load(Ordering::Relaxed);
@@ -742,28 +710,7 @@ fn handle_results(state: &ServerState<'_>, wire_id: &str) -> Result<Response, Ap
     let job = job_named(wire_id, |id| state.jobs.get(id))?;
     job.with_state(|job_state| match job_state {
         JobState::Done(output) => {
-            // A finished stream renders its summary; the per-event tape is
-            // the /range endpoint's job (and is not persisted at all).
-            if let JobSpec::Stream(spec) = &job.spec {
-                let stream = output.stream.as_ref().ok_or_else(|| {
-                    ApiError::new(
-                        500,
-                        format!("stream job {wire_id:?} finished without a summary"),
-                    )
-                })?;
-                let response = Json::obj([
-                    ("id", Json::str(job.wire_id())),
-                    ("kind", Json::str("stream")),
-                    ("targets", Json::u32s(&spec.target_asns)),
-                    ("result", stream_summary_json(stream)),
-                    (
-                        "meta",
-                        Json::obj([("wall_ms", Json::Num(output.wall_ms as f64))]),
-                    ),
-                ]);
-                return Ok(json_response(200, &response));
-            }
-            let spec = job.spec.as_sweep().expect("non-stream jobs are sweeps");
+            let spec = &job.spec;
             let request = &spec.request;
             let counts = &output.counts;
             let curve = VulnerabilityCurve::from_counts(counts.clone());
@@ -813,239 +760,6 @@ fn handle_results(state: &ServerState<'_>, wire_id: &str) -> Result<Response, Ap
             ),
         )),
     })
-}
-
-// ---------------------------------------------------------------------------
-// POST /v1/stream + GET /v1/stream/:id/range
-
-/// The value of `key` in a raw query string (`a=1&b=2`), if present. The
-/// wire carries only identifiers and integers here, so no percent
-/// decoding is needed (or done).
-fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
-    query
-        .split('&')
-        .filter(|pair| !pair.is_empty())
-        .find_map(|pair| {
-            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-            (k == key).then_some(v)
-        })
-}
-
-fn query_u64(query: &str, key: &str) -> Result<Option<u64>, ApiError> {
-    match query_param(query, key) {
-        None | Some("") => Ok(None),
-        Some(raw) => raw.parse::<u64>().map(Some).map_err(|_| {
-            ApiError::new(
-                422,
-                format!("query parameter {key:?} must be a non-negative integer"),
-            )
-        }),
-    }
-}
-
-/// Submits an update-stream job: a seeded interleave of benign churn and
-/// labeled hijacks evaluated incrementally by the stream detector. The
-/// body is optional — `{}` (or no body at all) runs the lab defaults;
-/// `events`, `seed`, and `targets` (a tracked-target *count*, drawn
-/// deterministically from the transit ASes) override them.
-fn handle_stream_submit(state: &ServerState<'_>, request: &Request) -> Result<Response, ApiError> {
-    let body = if request.body.iter().all(u8::is_ascii_whitespace) {
-        Json::obj::<&str, _>([])
-    } else {
-        parse_body(request)?
-    };
-    let topo = state.sim.topology();
-    let transit = topo.transit_ases().len();
-    if transit < 2 {
-        return Err(ApiError::new(
-            422,
-            "topology has fewer than two transit ASes; a stream needs distinct attackers",
-        ));
-    }
-    let defaults = StreamConfig::default();
-    // An integer field of the body: absent or `null` takes the default.
-    let field =
-        |key: &str, default: u64, range: std::ops::RangeInclusive<u64>, what: String| match body
-            .get(key)
-        {
-            None | Some(Json::Null) => Ok(default),
-            Some(value) => value
-                .as_u64()
-                .filter(|n| range.contains(n))
-                .ok_or_else(|| ApiError::new(422, format!("field {key:?} must be {what}"))),
-        };
-    let events = field(
-        "events",
-        defaults.events as u64,
-        1..=MAX_STREAM_EVENTS as u64,
-        format!("an integer in 1..={MAX_STREAM_EVENTS}"),
-    )? as usize;
-    let seed = field(
-        "seed",
-        state.lab.stream_seed(),
-        0..=JSON_SAFE_MAX,
-        "a non-negative integer".to_string(),
-    )?;
-    let num_targets = field(
-        "targets",
-        defaults.num_targets.min(transit) as u64,
-        1..=transit as u64,
-        format!("a tracked-target count in 1..={transit}"),
-    )? as usize;
-    let config = StreamConfig {
-        events,
-        seed,
-        num_targets,
-        ..defaults
-    };
-    let plan = StreamPlan::generate(topo, &config);
-    let target_asns: Vec<u32> = plan
-        .targets
-        .iter()
-        .map(|&ix| topo.id_of(ix).value())
-        .collect();
-    let injected = plan.injected_hijacks();
-    let spec = StreamSpec {
-        config,
-        plan,
-        target_asns,
-        injected,
-        store: Arc::new(Mutex::new(StreamStore::sized_for(events))),
-    };
-    let (job, fresh) = submit(state, request, &body, JobSpec::Stream(spec))?;
-    let id = job.wire_id();
-    let mut pairs = vec![
-        ("id".to_string(), Json::str(id.clone())),
-        (
-            "state".to_string(),
-            Json::str(job.with_state(JobState::name)),
-        ),
-        ("kind".to_string(), Json::str("stream")),
-        ("total".to_string(), Json::Num(job.total() as f64)),
-    ];
-    // A duplicate idempotency key can answer with a job submitted under
-    // a different kind; only a real stream spec carries stream fields.
-    if let Some(spec) = job.spec.as_stream() {
-        pairs.push(("injected".to_string(), Json::Num(spec.injected as f64)));
-        pairs.push(("targets".to_string(), Json::u32s(&spec.target_asns)));
-        pairs.push((
-            "range".to_string(),
-            Json::str(format!("/v1/stream/{id}/range")),
-        ));
-    }
-    pairs.push(("poll".to_string(), Json::str(format!("/v1/jobs/{id}"))));
-    pairs.push((
-        "results".to_string(),
-        Json::str(format!("/v1/results/{id}")),
-    ));
-    Ok(json_response(
-        if fresh { 202 } else { 200 },
-        &Json::Obj(pairs),
-    ))
-}
-
-/// Reads a slice of one stream metric series, live — the executor appends
-/// per event under the store mutex, so a query mid-run sees a consistent
-/// snapshot up to the last applied event. `agg=window` folds the span
-/// into fixed-width min/max/mean windows; empty windows answer `null`
-/// stats, never zeros.
-fn handle_stream_range(
-    state: &ServerState<'_>,
-    wire_id: &str,
-    request: &Request,
-) -> Result<Response, ApiError> {
-    let job = job_named(wire_id, |id| state.jobs.get(id))?;
-    let spec = job.spec.as_stream().ok_or_else(|| {
-        ApiError::new(
-            409,
-            format!("job {wire_id:?} is a sweep; /range applies only to stream jobs"),
-        )
-    })?;
-    // Per-event samples are deliberately not persisted (summary-only
-    // durability), so a job restored from disk has nothing to range over.
-    // 410, not 404: the tape existed and is permanently gone.
-    if job.restored {
-        return Err(ApiError::new(
-            410,
-            format!(
-                "job {wire_id:?} was restored from disk and only its summary survived; \
-                 see /v1/results/{wire_id}"
-            ),
-        ));
-    }
-    let query = request.query.as_str();
-    let series_name = query_param(query, "series").unwrap_or("pollution");
-    let agg = query_param(query, "agg").unwrap_or("none");
-    if agg != "none" && agg != "window" {
-        return Err(ApiError::new(
-            422,
-            format!("unknown agg {agg:?}: use \"none\" or \"window\""),
-        ));
-    }
-    let from_q = query_u64(query, "from")?;
-    let to_q = query_u64(query, "to")?;
-    let window = query_u64(query, "window")?.unwrap_or(64);
-    if window == 0 {
-        return Err(ApiError::new(
-            422,
-            "query parameter \"window\" must be positive",
-        ));
-    }
-    let store = crate::jobs::lock_recover(&spec.store);
-    let Some(series) = store.series(series_name) else {
-        let names: Vec<&str> = store.names();
-        return Err(ApiError::new(
-            404,
-            format!(
-                "no samples in series {series_name:?} yet; series so far: [{}]",
-                names.join(", ")
-            ),
-        ));
-    };
-    // A series exists only once a sample landed, so the bounds are Some.
-    let from = from_q.or_else(|| series.earliest_seq()).unwrap_or(0);
-    let to = to_q.or_else(|| series.latest_seq()).unwrap_or(0);
-    let mut pairs = vec![
-        ("id".to_string(), Json::str(job.wire_id())),
-        (
-            "state".to_string(),
-            Json::str(job.with_state(JobState::name)),
-        ),
-        ("series".to_string(), Json::str(series_name)),
-        (
-            "completed".to_string(),
-            Json::Num(job.completed.load(Ordering::Relaxed) as f64),
-        ),
-        ("from".to_string(), json_u64(from)),
-        ("to".to_string(), json_u64(to)),
-        ("appended".to_string(), json_u64(series.appended())),
-        ("evicted".to_string(), json_u64(series.evicted())),
-    ];
-    if agg == "window" {
-        let windows: Vec<Json> = series
-            .window_agg(from, to, window)
-            .into_iter()
-            .map(|w| {
-                Json::obj([
-                    ("start", json_u64(w.start)),
-                    ("count", Json::Num(w.count as f64)),
-                    ("min", w.min.map_or(Json::Null, Json::Num)),
-                    ("max", w.max.map_or(Json::Null, Json::Num)),
-                    ("mean", w.mean.map_or(Json::Null, Json::Num)),
-                ])
-            })
-            .collect();
-        pairs.push(("window".to_string(), json_u64(window)));
-        pairs.push(("windows".to_string(), Json::Arr(windows)));
-    } else {
-        let samples: Vec<Json> = series
-            .range(from, to)
-            .into_iter()
-            .map(|(seq, value)| Json::Arr(vec![json_u64(seq), Json::Num(value)]))
-            .collect();
-        pairs.push(("samples".to_string(), Json::Arr(samples)));
-    }
-    Ok(json_response(200, &Json::Obj(pairs)))
 }
 
 // ---------------------------------------------------------------------------

@@ -23,11 +23,9 @@ pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 pub(crate) struct Request {
     /// Upper-case method token as sent (`GET`, `POST`, `DELETE`, …).
     pub(crate) method: String,
-    /// Path component only — the query string (if any) is split off into
-    /// [`Request::query`].
+    /// Path component only: no route reads a query string, so any is
+    /// dropped.
     pub(crate) path: String,
-    /// Raw query string without the leading `?` (empty when absent).
-    pub(crate) query: String,
     /// Header name/value pairs, names lower-cased, values trimmed.
     pub(crate) headers: Vec<(String, String)>,
     /// Request body (empty unless `Content-Length` said otherwise).
@@ -314,10 +312,10 @@ fn parse_head(head: &str) -> Result<Request, String> {
         "HTTP/1.0" => true,
         other => return Err(format!("unsupported protocol version {other:?}")),
     };
-    let (path, query) = match uri.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (uri.to_string(), String::new()),
-    };
+    let path = uri
+        .split_once('?')
+        .map_or(uri, |(path, _)| path)
+        .to_string();
     let mut headers = Vec::new();
     for line in lines {
         if line.is_empty() {
@@ -331,7 +329,6 @@ fn parse_head(head: &str) -> Result<Request, String> {
     Ok(Request {
         method,
         path,
-        query,
         headers,
         body: Vec::new(),
         http10,
@@ -430,7 +427,6 @@ mod tests {
         .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/attacks");
-        assert_eq!(req.query, "x=1");
         assert_eq!(req.header("host"), Some("localhost"));
         assert!(!req.wants_close());
     }

@@ -9,17 +9,8 @@
 //! quickie instead of starving it. Each chunk still runs on the rayon
 //! pool internally — fairness is scheduled *between* jobs, parallelism
 //! happens *inside* chunks. Every chunk comes back through
-//! [`JobRegistry::finish`], with its rows, its stream summary or its
-//! failure ([`ChunkResult`]).
-//!
-//! `POST /v1/stream` enqueues a *stream* job ([`JobSpec::Stream`])
-//! through the same registry: one schedulable unit (the whole event
-//! tape — events are strictly ordered, so there is nothing to slice),
-//! progress ticked per event, and a shared [`StreamStore`] that
-//! `GET /v1/stream/:id/range` reads live while the executor is still
-//! appending. Fair share still holds: the stream's single chunk takes
-//! one executor slot and every other job keeps rotating through the
-//! rest.
+//! [`JobRegistry::finish`], with its rows or its failure
+//! ([`ChunkResult`]). A sweep is the only job kind.
 //!
 //! Each job has one lock, over what the scheduler decides about it
 //! ([`Sched`]: state, dealt cursor, chunks in flight, assembled output,
@@ -40,7 +31,10 @@
 //! (done, cancelled, failed) are serialized through
 //! [`bgpsim_core::manifest::Json`] to `job-<id>.json` and reloaded on the
 //! next boot, so `GET /v1/results/:id` survives a restart. Unreadable
-//! state files are quarantined (moved aside), never fatal.
+//! state files are quarantined (moved aside), never fatal; a record of a
+//! job kind this build does not run is one of them. Ids keep growing past
+//! every `job-<id>.json` name seen, restored or quarantined, so no id is
+//! handed out twice.
 //!
 //! Retention is bounded: once more than [`JobRegistry::MAX_RETAINED`]
 //! jobs exist, the oldest *finished* jobs are forgotten (their ids then
@@ -55,8 +49,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use bgpsim_core::manifest::{stream_summary_from_json, stream_summary_json, Json, SCHEMA_VERSION};
-use bgpsim_core::stream::{StreamConfig, StreamPlan, StreamStore, StreamSummary};
+use bgpsim_core::manifest::{Json, SCHEMA_VERSION};
 use bgpsim_fanout::SweepRequest;
 use bgpsim_hijack::Defense;
 use bgpsim_topology::AsIndex;
@@ -89,76 +82,16 @@ pub(crate) struct SweepSpec {
     pub(crate) pool_kind: &'static str,
 }
 
-/// Everything the executor needs to run one update stream, resolved at
-/// submission time. The store is shared (`Arc<Mutex>`) because range
-/// queries read it *while* the executor appends — that live view is the
-/// point of a stream job.
-#[derive(Debug)]
-pub(crate) struct StreamSpec {
-    /// Generator parameters (echoed in documents; the plan below is
-    /// already materialized from them, `config.events` events long).
-    pub(crate) config: StreamConfig,
-    /// The materialized event tape.
-    pub(crate) plan: StreamPlan,
-    /// Tracked targets' ASNs, index-aligned with `plan.targets`.
-    pub(crate) target_asns: Vec<u32>,
-    /// Ground-truth hijack injections in the plan.
-    pub(crate) injected: usize,
-    /// The live time-series store `GET /v1/stream/:id/range` reads.
-    pub(crate) store: Arc<Mutex<StreamStore>>,
-}
-
-/// What a [`Job`] runs: a §IV pollution sweep or a live update stream.
-#[derive(Debug)]
-pub(crate) enum JobSpec {
-    /// Attacker-pool sweep, chunked across executors.
-    Sweep(SweepSpec),
-    /// Update stream, one chunk covering the whole event tape.
-    Stream(StreamSpec),
-}
-
-impl JobSpec {
-    /// Schedulable units: one per pool attacker for sweeps; a single
-    /// all-events unit for streams (events are strictly ordered, so a
-    /// stream cannot be sliced across executors).
-    fn work_units(&self) -> usize {
-        match self {
-            JobSpec::Sweep(spec) => spec.pool.len(),
-            JobSpec::Stream(_) => 1,
-        }
-    }
-
-    /// The sweep spec, when this is a sweep job.
-    pub(crate) fn as_sweep(&self) -> Option<&SweepSpec> {
-        match self {
-            JobSpec::Sweep(spec) => Some(spec),
-            JobSpec::Stream(_) => None,
-        }
-    }
-
-    /// The stream spec, when this is a stream job.
-    pub(crate) fn as_stream(&self) -> Option<&StreamSpec> {
-        match self {
-            JobSpec::Sweep(_) => None,
-            JobSpec::Stream(spec) => Some(spec),
-        }
-    }
-}
-
 /// A finished job's payload.
 #[derive(Debug, Clone)]
 pub(crate) struct JobOutput {
-    /// One pollution count per pool attacker, in pool order (empty for
-    /// stream jobs).
+    /// One pollution count per pool attacker, in pool order.
     pub(crate) counts: Vec<u32>,
     /// How the baseline cache served this sweep (`"bypass"` when the
     /// sweep did not use it; the coldest outcome across chunks otherwise).
     pub(crate) cache: &'static str,
     /// Wall time from first chunk dispatched to last chunk finished.
     pub(crate) wall_ms: u64,
-    /// Stream summary, for stream jobs only: over the events processed,
-    /// fewer than the plan's when cancelled mid-tape.
-    pub(crate) stream: Option<StreamSummary>,
 }
 
 /// Lifecycle of a job.
@@ -243,12 +176,10 @@ struct Sched {
     in_flight: usize,
     /// When the first chunk was dealt.
     started: Option<Instant>,
-    /// Sweep rows assembled so far, in pool order (empty for streams).
+    /// Sweep rows assembled so far, in pool order.
     counts: Vec<u32>,
     /// The coldest cache outcome any chunk reported.
     cache: &'static str,
-    /// A stream chunk's summary.
-    stream: Option<StreamSummary>,
     /// The first failure any chunk reported.
     failure: Option<String>,
     /// Whether the terminal record has been written to the state
@@ -257,18 +188,14 @@ struct Sched {
 }
 
 impl Sched {
-    fn new(spec: &JobSpec) -> Sched {
+    fn new(spec: &SweepSpec) -> Sched {
         Sched {
             state: JobState::Queued,
             dealt: 0,
             in_flight: 0,
             started: None,
-            counts: match spec {
-                JobSpec::Sweep(sweep) => vec![0; sweep.pool.len()],
-                JobSpec::Stream(_) => Vec::new(),
-            },
+            counts: vec![0; spec.pool.len()],
             cache: "bypass",
-            stream: None,
             failure: None,
             persisted: false,
         }
@@ -288,17 +215,13 @@ impl Sched {
 pub(crate) struct Job {
     /// Monotonic id; `job-<id>` on the wire.
     pub(crate) id: u64,
-    /// The work to run.
-    pub(crate) spec: JobSpec,
-    /// True for jobs reloaded from the state directory at boot; they are
-    /// terminal forever and never scheduled.
-    pub(crate) restored: bool,
+    /// The sweep to run.
+    pub(crate) spec: SweepSpec,
     sched: Mutex<Sched>,
     /// Set by `DELETE /v1/jobs/:id`, a failed chunk or shutdown, always
     /// under the job's lock; polled per attack by the engine.
     pub(crate) cancel: AtomicBool,
-    /// Work units finished so far (progress callback): attacks for
-    /// sweeps, events for streams.
+    /// Attacks finished so far (progress callback).
     pub(crate) completed: AtomicUsize,
     /// Wall time so far, milliseconds.
     pub(crate) elapsed_ms: AtomicU64,
@@ -317,12 +240,11 @@ pub(crate) struct Job {
 }
 
 impl Job {
-    fn new(id: u64, spec: JobSpec) -> Job {
+    fn new(id: u64, spec: SweepSpec) -> Job {
         Job {
             id,
             sched: Mutex::new(Sched::new(&spec)),
             spec,
-            restored: false,
             cancel: AtomicBool::new(false),
             completed: AtomicUsize::new(0),
             elapsed_ms: AtomicU64::new(0),
@@ -342,12 +264,9 @@ impl Job {
         format!("job-{}", self.id)
     }
 
-    /// The progress denominator: attacks for sweeps, events for streams.
+    /// The progress denominator: the pool's attacks.
     pub(crate) fn total(&self) -> usize {
-        match &self.spec {
-            JobSpec::Sweep(spec) => spec.request.pool_asns.len(),
-            JobSpec::Stream(spec) => spec.config.events,
-        }
+        self.spec.request.pool_asns.len()
     }
 
     /// Runs `f` against the current state (one lock acquisition, so one
@@ -357,7 +276,7 @@ impl Job {
     }
 
     /// The job's progress tick: `tick(n)` records `n` more finished work
-    /// units and refreshes `elapsed_ms` and `eta_ms` (elapsed × remaining /
+    /// attacks and refreshes `elapsed_ms` and `eta_ms` (elapsed × remaining /
     /// done). Job-level, not chunk-level — several chunks of one job may
     /// tick concurrently from different executors. The start instant is
     /// read once here, so a tick takes no lock.
@@ -381,26 +300,21 @@ impl Job {
 }
 
 /// One unit of executor work: pool attackers `[start, end)` of a sweep
-/// job, or the entire event tape of a stream job (`start..end` is `0..1`).
-/// Handed back, by value, to [`JobRegistry::finish`].
+/// job. Handed back, by value, to [`JobRegistry::finish`].
 #[derive(Debug)]
 pub(crate) struct Chunk {
     /// The job this chunk belongs to.
     pub(crate) job: Arc<Job>,
-    /// First work-unit index of the chunk (inclusive).
+    /// First pool position of the chunk (inclusive).
     pub(crate) start: usize,
-    /// Last work-unit index of the chunk (exclusive).
+    /// Last pool position of the chunk (exclusive).
     pub(crate) end: usize,
 }
 
 impl Chunk {
-    /// The chunk's slice of a sweep job's attacker pool (empty for a
-    /// stream chunk — its work is the whole event tape).
+    /// The chunk's slice of the job's attacker pool.
     pub(crate) fn attackers(&self) -> &[AsIndex] {
-        match &self.job.spec {
-            JobSpec::Sweep(spec) => &spec.pool[self.start..self.end],
-            JobSpec::Stream(_) => &[],
-        }
+        &self.job.spec.pool[self.start..self.end]
     }
 }
 
@@ -415,8 +329,6 @@ pub(crate) enum ChunkResult {
         /// A [`CACHE_NAMES`] name.
         cache: &'static str,
     },
-    /// A stream chunk's summary, over the events it processed.
-    Stream(StreamSummary),
     /// The chunk died (executor panic), with the message the job fails
     /// with.
     Failed(String),
@@ -525,15 +437,18 @@ impl JobRegistry {
     /// ones already there, quarantining unreadable files instead of
     /// failing the boot ([`SchedulerStats`] counts both).
     pub(crate) fn new(max_queued: usize, state_dir: Option<PathBuf>) -> JobRegistry {
-        let (restored, quarantined) = match &state_dir {
+        let Restored {
+            jobs: restored,
+            quarantined,
+            last_id,
+        } = match &state_dir {
             Some(dir) => restore_jobs(dir),
-            None => (Vec::new(), 0),
+            None => Restored::default(),
         };
         JobRegistry {
             jobs_restored: restored.len() as u64,
             inner: Mutex::new(RegistryInner {
-                // Ids keep growing past the restored ones (sorted by id).
-                next_id: restored.last().map_or(1, |job| job.id + 1),
+                next_id: last_id + 1,
                 jobs: restored.into(),
                 ring: VecDeque::new(),
                 idempotency: VecDeque::new(),
@@ -567,7 +482,7 @@ impl JobRegistry {
         }
     }
 
-    /// Enqueues a job (sweep or stream) under an optional client
+    /// Enqueues a sweep job under an optional client
     /// idempotency key. Returns `(job, fresh)`: a resubmission under a
     /// retained key returns the original job with `fresh == false` and
     /// schedules nothing — a coordinator retrying a timed-out submit
@@ -583,7 +498,7 @@ impl JobRegistry {
     /// count.
     pub(crate) fn submit(
         &self,
-        spec: JobSpec,
+        spec: SweepSpec,
         key: Option<String>,
     ) -> Result<(Arc<Job>, bool), SubmitError> {
         let mut inner = lock_recover(&self.inner);
@@ -662,7 +577,7 @@ impl JobRegistry {
         let mut inner = lock_recover(&self.inner);
         loop {
             while let Some(job) = inner.ring.pop_front() {
-                let total = job.spec.work_units();
+                let total = job.spec.pool.len();
                 let mut sched = job.sched();
                 // A cancelled job leaves the ring for good: with nothing
                 // in flight it is already terminal, otherwise its last
@@ -701,11 +616,11 @@ impl JobRegistry {
     }
 
     /// Hands a dealt chunk back: its rows land at their pool positions,
-    /// a stream summary is kept, and a failure stops the job being dealt
+    /// and a failure stops the job being dealt
     /// (and tells its other in-flight chunks to bail). When this was the
     /// job's last chunk out and nothing is left to deal, the job
     /// finalizes — `failed` with the first failure, else `cancelled` if
-    /// cancelled (a cancelled job's rows and summary are not results),
+    /// cancelled (a cancelled job's rows are not results),
     /// else `done` with the assembled output — and is persisted. Every
     /// other job keeps running.
     pub(crate) fn finish(&self, chunk: Chunk, result: ChunkResult) {
@@ -721,10 +636,9 @@ impl JobRegistry {
                     sched.cache = cache;
                 }
             }
-            ChunkResult::Stream(summary) => sched.stream = Some(summary),
             ChunkResult::Failed(message) => {
                 sched.failure.get_or_insert(message);
-                sched.dealt = job.spec.work_units();
+                sched.dealt = job.spec.pool.len();
                 job.cancel.store(true, Ordering::Relaxed);
             }
         }
@@ -734,7 +648,7 @@ impl JobRegistry {
         // in-flight chunks drain — otherwise it is stuck `running` forever
         // and holds an admission slot.
         let cancelled = job.cancel.load(Ordering::Relaxed);
-        if sched.in_flight > 0 || (sched.dealt < job.spec.work_units() && !cancelled) {
+        if sched.in_flight > 0 || (sched.dealt < job.spec.pool.len() && !cancelled) {
             return;
         }
         let next = if let Some(message) = sched.failure.take() {
@@ -746,7 +660,6 @@ impl JobRegistry {
                 counts: std::mem::take(&mut sched.counts),
                 cache: sched.cache,
                 wall_ms: sched.started.map_or(0, |t| t.elapsed().as_millis() as u64),
-                stream: sched.stream.take(),
             })
         };
         sched.transition(next);
@@ -837,40 +750,24 @@ impl JobRegistry {
     }
 }
 
-/// Serializes a terminal job in `state` to its on-disk record. Sweep
-/// records keep the pre-stream field layout (no `kind`, the defense flat
-/// beside the pool) so documents written by older builds restore
-/// unchanged — the golden records under `tests/fixtures/` pin both
-/// directions; stream records carry `"kind":"stream"`.
+/// Serializes a terminal job in `state` to its on-disk record: the
+/// sweep's wire terms flat beside its progress, then the output or error.
+/// The golden records under `tests/fixtures/` pin the layout byte for
+/// byte, so records written by older builds restore unchanged.
 fn job_to_doc(job: &Job, state: &JobState) -> Json {
+    let request = &job.spec.request;
     let mut pairs = vec![
         ("schema_version".to_string(), Json::from(SCHEMA_VERSION)),
         ("id".to_string(), Json::from(job.id)),
         ("state".to_string(), Json::str(state.name())),
-    ];
-    match &job.spec {
-        JobSpec::Sweep(spec) => {
-            let request = &spec.request;
-            pairs.extend([
-                ("target".to_string(), Json::from(request.target_asn)),
-                ("pool".to_string(), Json::str(spec.pool_kind)),
-                ("attackers".to_string(), Json::u32s(&request.pool_asns)),
-                (
-                    "validators".to_string(),
-                    Json::u32s(&request.validator_asns),
-                ),
-                ("stub_defense".to_string(), Json::Bool(request.stub_defense)),
-            ]);
-        }
-        JobSpec::Stream(spec) => pairs.extend([
-            ("kind".to_string(), Json::str("stream")),
-            ("events".to_string(), Json::from(spec.config.events)),
-            ("stream_seed".to_string(), Json::from(spec.config.seed)),
-            ("targets".to_string(), Json::u32s(&spec.target_asns)),
-            ("injected".to_string(), Json::from(spec.injected)),
-        ]),
-    }
-    pairs.extend([
+        ("target".to_string(), Json::from(request.target_asn)),
+        ("pool".to_string(), Json::str(job.spec.pool_kind)),
+        ("attackers".to_string(), Json::u32s(&request.pool_asns)),
+        (
+            "validators".to_string(),
+            Json::u32s(&request.validator_asns),
+        ),
+        ("stub_defense".to_string(), Json::Bool(request.stub_defense)),
         ("total".to_string(), Json::from(job.total())),
         (
             "completed".to_string(),
@@ -880,19 +777,16 @@ fn job_to_doc(job: &Job, state: &JobState) -> Json {
             "elapsed_ms".to_string(),
             Json::from(job.elapsed_ms.load(Ordering::Relaxed)),
         ),
-    ]);
+    ];
     match state {
-        JobState::Done(output) => {
-            let mut out = vec![
-                ("counts".to_string(), Json::u32s(&output.counts)),
-                ("cache".to_string(), Json::str(output.cache)),
-                ("wall_ms".to_string(), Json::from(output.wall_ms)),
-            ];
-            if let Some(stream) = &output.stream {
-                out.push(("stream".to_string(), stream_summary_json(stream)));
-            }
-            pairs.push(("output".to_string(), Json::Obj(out)));
-        }
+        JobState::Done(output) => pairs.push((
+            "output".to_string(),
+            Json::obj([
+                ("counts", Json::u32s(&output.counts)),
+                ("cache", Json::str(output.cache)),
+                ("wall_ms", Json::from(output.wall_ms)),
+            ]),
+        )),
         JobState::Failed(message) => {
             pairs.push(("error".to_string(), Json::str(message.clone())));
         }
@@ -901,95 +795,59 @@ fn job_to_doc(job: &Job, state: &JobState) -> Json {
     Json::Obj(pairs)
 }
 
-/// Parses the `"done"` output object shared by both record kinds.
-/// `expect_counts` is the sweep pool width (`None` for stream records,
-/// whose counts must be empty).
-fn output_from_doc(doc: &Json, expect_counts: Option<usize>) -> Option<JobOutput> {
+/// Parses a `"done"` record's output object, whose counts must be
+/// `pool_width` long.
+fn output_from_doc(doc: &Json, pool_width: usize) -> Option<JobOutput> {
     let output = doc.get("output")?;
     let counts = output.get("counts")?.as_u32_array()?;
-    if counts.len() != expect_counts.unwrap_or(0) {
+    if counts.len() != pool_width {
         return None;
     }
     Some(JobOutput {
         counts,
         cache: cache_name(output.get("cache")?.as_str()?)?.0,
         wall_ms: output.get("wall_ms")?.as_u64()?,
-        stream: match output.get("stream") {
-            None => None,
-            Some(stream) => Some(stream_summary_from_json(stream)?),
-        },
     })
 }
 
 /// Deserializes one state-directory record; `None` means the file is
-/// corrupt (and should be quarantined).
+/// corrupt (and should be quarantined). A record with no sweep terms,
+/// such as a stream job an older build wrote, is one.
 fn job_from_doc(doc: &Json) -> Option<Arc<Job>> {
     let count = |key: &str| doc.get(key).and_then(Json::as_u64);
     let id = count("id")?;
-    let is_stream = doc.get("kind").and_then(Json::as_str) == Some("stream");
     let total = usize::try_from(count("total")?).ok()?;
     let completed = count("completed").unwrap_or(0) as usize;
     let elapsed_ms = count("elapsed_ms").unwrap_or(0);
-    let spec = if is_stream {
-        let target_asns = doc.get("targets")?.as_u32_array()?;
-        JobSpec::Stream(StreamSpec {
-            // Runtime fields are placeholders: restored jobs are terminal
-            // and never scheduled, and per-event samples are not persisted
-            // (range queries on a restored stream answer 410).
-            config: StreamConfig {
-                events: total,
-                seed: count("stream_seed").unwrap_or(0),
-                num_targets: target_asns.len().max(1),
-                ..StreamConfig::default()
-            },
-            plan: StreamPlan {
-                initial_validators: Vec::new(),
-                targets: Vec::new(),
-                stub_defense: false,
-                events: Vec::new(),
-            },
-            target_asns,
-            injected: count("injected").unwrap_or(0) as usize,
-            store: Arc::new(Mutex::new(StreamStore::new(1, 1))),
-        })
-    } else {
-        let pool_kind = match doc.get("pool")?.as_str()? {
-            "all" => "all",
-            "transit" => "transit",
-            "explicit" => "explicit",
-            _ => return None,
-        };
-        let pool_asns = doc.get("attackers")?.as_u32_array()?;
-        // A sweep's total is its pool width; a record that disagrees
-        // with itself is corrupt.
-        if pool_asns.len() != total {
-            return None;
-        }
-        JobSpec::Sweep(SweepSpec {
-            // Runtime fields are placeholders: restored jobs are terminal
-            // and never scheduled, so only the echoed wire terms (ASNs,
-            // pool kind, defense description) matter.
-            target: AsIndex::new(0),
-            pool: Vec::new(),
-            defense: Defense::none(),
-            request: SweepRequest {
-                target_asn: doc.get("target")?.as_u32()?,
-                pool_asns,
-                validator_asns: doc.get("validators")?.as_u32_array()?,
-                stub_defense: doc.get("stub_defense").and_then(Json::as_bool) == Some(true),
-            },
-            pool_kind,
-        })
+    let pool_kind = match doc.get("pool")?.as_str()? {
+        "all" => "all",
+        "transit" => "transit",
+        "explicit" => "explicit",
+        _ => return None,
+    };
+    let pool_asns = doc.get("attackers")?.as_u32_array()?;
+    // A sweep's total is its pool width; a record that disagrees with
+    // itself is corrupt.
+    if pool_asns.len() != total {
+        return None;
+    }
+    let spec = SweepSpec {
+        // Runtime fields are placeholders: restored jobs are terminal and
+        // never scheduled, so only the echoed wire terms (ASNs, pool kind,
+        // defense description) matter.
+        target: AsIndex::new(0),
+        pool: Vec::new(),
+        defense: Defense::none(),
+        request: SweepRequest {
+            target_asn: doc.get("target")?.as_u32()?,
+            pool_asns,
+            validator_asns: doc.get("validators")?.as_u32_array()?,
+            stub_defense: doc.get("stub_defense").and_then(Json::as_bool) == Some(true),
+        },
+        pool_kind,
     };
     let state = match doc.get("state")?.as_str()? {
-        "done" => {
-            let expect_counts = spec.as_sweep().map(|s| s.request.pool_asns.len());
-            let output = output_from_doc(doc, expect_counts)?;
-            if is_stream && output.stream.is_none() {
-                return None;
-            }
-            JobState::Done(output)
-        }
+        "done" => JobState::Done(output_from_doc(doc, total)?),
         "cancelled" => JobState::Cancelled,
         "failed" => JobState::Failed(
             doc.get("error")
@@ -1002,56 +860,89 @@ fn job_from_doc(doc: &Json) -> Option<Arc<Job>> {
         _ => return None,
     };
     Some(Arc::new(Job {
-        // Fully dealt, and already on disk: never scheduled or rewritten.
+        // Never scheduled (its placeholder pool is empty, so there is
+        // nothing to deal) and already on disk: never rewritten.
         sched: Mutex::new(Sched {
             state,
-            dealt: spec.work_units(),
             persisted: true,
             ..Sched::new(&spec)
         }),
         completed: AtomicUsize::new(completed),
         elapsed_ms: AtomicU64::new(elapsed_ms),
-        restored: true,
         ..Job::new(id, spec)
     }))
 }
 
-/// Scans `dir` for `job-*.json` records, quarantining unreadable ones.
-/// Returns the restored jobs (oldest first, newest [`JobRegistry::MAX_RETAINED`]
-/// only) and the number of files quarantined.
-fn restore_jobs(dir: &Path) -> (Vec<Arc<Job>>, usize) {
+/// What [`restore_jobs`] found in a state directory.
+#[derive(Default)]
+struct Restored {
+    /// The restored jobs, oldest first, newest
+    /// [`JobRegistry::MAX_RETAINED`] only.
+    jobs: Vec<Arc<Job>>,
+    /// Files moved to quarantine.
+    quarantined: usize,
+    /// The largest id any `job-<id>.json` name or restored record carries,
+    /// quarantined ones included (0 when there is none): the registry
+    /// numbers new jobs past it, so a quarantined record's id is never
+    /// handed to a different job.
+    last_id: u64,
+}
+
+/// The id a `job-<id>.json` file name carries.
+fn record_id(name: &str) -> Option<u64> {
+    name.strip_prefix("job-")?
+        .strip_suffix(".json")?
+        .parse()
+        .ok()
+}
+
+/// Scans `dir` for `job-*.json` records, quarantining unreadable ones, and
+/// reads the ids already in `dir/quarantine/`.
+fn restore_jobs(dir: &Path) -> Restored {
     let _ = std::fs::create_dir_all(dir);
-    let mut restored: Vec<Arc<Job>> = Vec::new();
-    let mut quarantined = 0;
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return (restored, quarantined);
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
+    let names = |dir: &Path| -> Vec<(String, PathBuf)> {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return Vec::new();
         };
+        entries
+            .flatten()
+            .filter_map(|entry| Some((entry.file_name().into_string().ok()?, entry.path())))
+            .collect()
+    };
+    let mut found = Restored {
+        last_id: names(&dir.join("quarantine"))
+            .iter()
+            .filter_map(|(name, _)| record_id(name))
+            .max()
+            .unwrap_or(0),
+        ..Restored::default()
+    };
+    for (name, path) in names(dir) {
         if !name.starts_with("job-") || !name.ends_with(".json") {
             continue;
         }
+        found.last_id = found.last_id.max(record_id(&name).unwrap_or(0));
         let job = std::fs::read_to_string(&path)
             .ok()
             .and_then(|text| Json::parse(&text).ok())
             .and_then(|doc| job_from_doc(&doc));
         match job {
-            Some(job) => restored.push(job),
+            Some(job) => {
+                found.last_id = found.last_id.max(job.id);
+                found.jobs.push(job);
+            }
             None => {
                 quarantine(dir, &path);
-                quarantined += 1;
+                found.quarantined += 1;
             }
         }
     }
-    restored.sort_by_key(|j| j.id);
-    if restored.len() > JobRegistry::MAX_RETAINED {
-        let drop_n = restored.len() - JobRegistry::MAX_RETAINED;
-        restored.drain(..drop_n);
+    found.jobs.sort_by_key(|j| j.id);
+    if found.jobs.len() > JobRegistry::MAX_RETAINED {
+        let drop_n = found.jobs.len() - JobRegistry::MAX_RETAINED;
+        found.jobs.drain(..drop_n);
     }
-    (restored, quarantined)
+    found
 }
 
 /// Moves an unreadable state file into `<dir>/quarantine/` so the
@@ -1075,7 +966,7 @@ mod tests {
         JobRegistry::new(max_queued, None)
     }
 
-    fn submit(registry: &JobRegistry, spec: JobSpec) -> Result<Arc<Job>, SubmitError> {
+    fn submit(registry: &JobRegistry, spec: SweepSpec) -> Result<Arc<Job>, SubmitError> {
         registry.submit(spec, None).map(|(job, _)| job)
     }
 
@@ -1086,12 +977,12 @@ mod tests {
         }
     }
 
-    fn spec() -> JobSpec {
+    fn spec() -> SweepSpec {
         spec_with_pool(2)
     }
 
-    fn spec_with_pool(n: u32) -> JobSpec {
-        JobSpec::Sweep(SweepSpec {
+    fn spec_with_pool(n: u32) -> SweepSpec {
+        SweepSpec {
             target: AsIndex::new(0),
             pool: (1..=n).map(AsIndex::new).collect(),
             defense: Defense::none(),
@@ -1102,29 +993,7 @@ mod tests {
                 stub_defense: false,
             },
             pool_kind: "explicit",
-        })
-    }
-
-    fn stream_spec(events: usize) -> JobSpec {
-        JobSpec::Stream(StreamSpec {
-            config: StreamConfig {
-                events,
-                seed: 7,
-                num_targets: 2,
-                ..StreamConfig::default()
-            },
-            plan: StreamPlan {
-                initial_validators: Vec::new(),
-                targets: vec![AsIndex::new(3), AsIndex::new(5)],
-                stub_defense: true,
-                // An empty tape is fine here: registry tests never
-                // evaluate events, only schedule the single chunk.
-                events: Vec::new(),
-            },
-            target_asns: vec![4, 6],
-            injected: 3,
-            store: Arc::new(Mutex::new(StreamStore::sized_for(events))),
-        })
+        }
     }
 
     /// A unique per-test scratch directory (std-only; no tempfile crate).
@@ -1276,111 +1145,8 @@ mod tests {
             counts: Vec::new(),
             cache: "bypass",
             wall_ms: 0,
-            stream: None,
         }));
         assert_eq!(job.with_state(JobState::name), "cancelled");
-    }
-
-    #[test]
-    fn stream_job_is_one_chunk_with_event_progress() {
-        let registry = open(4);
-        let job = submit(&registry, stream_spec(50)).unwrap();
-        assert!(job.spec.as_stream().is_some());
-        // The whole tape is a single schedulable unit...
-        let chunk = registry.next_chunk().unwrap();
-        assert_eq!((chunk.start, chunk.end), (0, 1));
-        assert!(chunk.attackers().is_empty());
-        assert_eq!(registry.counts().running, 1);
-        // ...and nothing else of this job is ever dealt.
-        let other = submit(&registry, spec()).unwrap();
-        let next = registry.next_chunk().unwrap();
-        assert_eq!(next.job.id, other.id);
-        // Per-event progress ticks the job atomics, not chunk accounting.
-        chunk.job.completed.store(37, Ordering::Relaxed);
-        registry.finish(
-            chunk,
-            ChunkResult::Stream(StreamSummary {
-                events: 50,
-                injected: 3,
-                detected: 2,
-                mean_latency: Some(1.5),
-                max_latency: Some(3),
-            }),
-        );
-        job.with_state(|s| match s {
-            JobState::Done(output) => {
-                assert!(output.counts.is_empty());
-                let stream = output.stream.as_ref().expect("stream summary");
-                assert_eq!(stream.detected, 2);
-            }
-            other => panic!("expected done, got {}", other.name()),
-        });
-    }
-
-    #[test]
-    fn cancelled_stream_job_discards_its_summary() {
-        let registry = open(4);
-        let job = submit(&registry, stream_spec(50)).unwrap();
-        let chunk = registry.next_chunk().unwrap();
-        registry.cancel(job.id).unwrap();
-        // The executor notices the flag mid-tape and reports what it had;
-        // cancellation wins, matching sweep semantics.
-        registry.finish(
-            chunk,
-            ChunkResult::Stream(StreamSummary {
-                events: 12,
-                injected: 1,
-                detected: 0,
-                mean_latency: None,
-                max_latency: None,
-            }),
-        );
-        assert_eq!(job.with_state(JobState::name), "cancelled");
-    }
-
-    #[test]
-    fn stream_jobs_persist_summary_only_and_restore_terminal() {
-        let dir = scratch_dir("stream");
-        {
-            let registry = JobRegistry::new(4, Some(dir.clone()));
-            let job = submit(&registry, stream_spec(50)).unwrap();
-            {
-                let mut store = lock_recover(&job.spec.as_stream().unwrap().store);
-                store.push("pollution", 0, 9.0);
-            }
-            let chunk = registry.next_chunk().unwrap();
-            registry.finish(
-                chunk,
-                ChunkResult::Stream(StreamSummary {
-                    events: 50,
-                    injected: 3,
-                    detected: 0,
-                    // No detections: the record must round-trip the
-                    // nulls, not resurrect them as zeros.
-                    mean_latency: None,
-                    max_latency: None,
-                }),
-            );
-        }
-        let registry = JobRegistry::new(4, Some(dir.clone()));
-        let report = registry.scheduler_stats();
-        assert_eq!(report.jobs_restored, 1);
-        let job = registry.get(1).expect("restored stream job answers");
-        assert!(job.restored);
-        let spec = job.spec.as_stream().expect("restored as a stream job");
-        assert_eq!(spec.target_asns, vec![4, 6]);
-        // Summary-only persistence: per-event samples are gone.
-        assert_eq!(lock_recover(&spec.store).total_samples(), 0);
-        job.with_state(|s| match s {
-            JobState::Done(output) => {
-                let stream = output.stream.as_ref().expect("stream summary");
-                assert_eq!(stream.injected, 3);
-                assert_eq!(stream.mean_latency, None);
-                assert_eq!(stream.max_latency, None);
-            }
-            other => panic!("expected done, got {}", other.name()),
-        });
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1452,7 +1218,6 @@ mod tests {
             assert_eq!(report.jobs_restored, 1, "{cache}");
             assert_eq!(report.files_quarantined, 0, "{cache}");
             let job = registry.get(1).expect("restored job answers by id");
-            assert!(job.restored);
             job.with_state(|s| match s {
                 JobState::Done(output) => {
                     assert_eq!(output.counts, counts);
@@ -1490,8 +1255,16 @@ mod tests {
         assert!(dir.join("quarantine/job-4.json").exists());
         assert!(dir.join("quarantine/job-5.json").exists());
         assert!(!dir.join("job-3.json").exists());
-        // The registry still works — corrupt files cost nothing but a move.
-        submit(&registry, spec()).unwrap();
+        // The registry still works — corrupt files cost nothing but a move
+        // — and numbers past the quarantined ids: a client polling `job-5`
+        // across the restart must not find a different job there.
+        assert_eq!(submit(&registry, spec()).unwrap().id, 6);
+        // Nor after the next restart, which finds those records only in
+        // quarantine/.
+        drop(registry);
+        let registry = JobRegistry::new(4, Some(dir.clone()));
+        assert_eq!(registry.scheduler_stats().files_quarantined, 0);
+        assert!(submit(&registry, spec()).unwrap().id > 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1519,18 +1292,19 @@ mod tests {
         });
         let _ = std::fs::remove_dir_all(&dir);
     }
-    /// Every terminal shape a record can have — sweeps done over explicit,
+    /// Every terminal shape a sweep record can have — done over explicit,
     /// `"transit"` and `"all"` pools with and without a defense and under
-    /// each cache outcome (`"fanout"` included), streams done with, without
-    /// (`null` latencies) and with instant (zero) detections, cancelled and
-    /// failed jobs of both kinds — as the parent of the PR that introduced
-    /// this test wrote it: each restores, and re-serializes byte for byte.
+    /// each cache outcome (`"fanout"` included), cancelled and failed — as
+    /// the build before this test wrote it: each restores, and
+    /// re-serializes byte for byte. That build also wrote four stream-job
+    /// records (`job-7`, `-8`, `-9`, `-11`); this one runs no stream jobs,
+    /// so those read as corrupt and are quarantined.
     /// (`tests/service.rs` asks a server booted on the same directory for
     /// each record's `/v1/results`.)
     #[test]
     fn golden_records_restore_and_reserialize_byte_for_byte() {
         let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
-        let mut seen = 0;
+        let (mut sweeps, mut streams) = (0, 0);
         for entry in std::fs::read_dir(&dir).expect("fixtures directory") {
             let path = entry.unwrap().path();
             if path.extension().is_none_or(|ext| ext != "json") {
@@ -1538,9 +1312,15 @@ mod tests {
             }
             let text = std::fs::read_to_string(&path).unwrap();
             let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let name = path.file_name().unwrap().to_str().unwrap();
+            if ["job-7.json", "job-8.json", "job-9.json", "job-11.json"].contains(&name) {
+                assert!(job_from_doc(&doc).is_none(), "{name} restored");
+                streams += 1;
+                continue;
+            }
             let job =
                 job_from_doc(&doc).unwrap_or_else(|| panic!("{} quarantined", path.display()));
-            assert!(job.restored && job.with_state(JobState::is_terminal));
+            assert!(job.with_state(JobState::is_terminal));
             assert_eq!(
                 job.with_state(|state| job_to_doc(&job, state))
                     .render_compact()
@@ -1549,11 +1329,11 @@ mod tests {
                 "{}",
                 path.display()
             );
-            seen += 1;
+            sweeps += 1;
         }
         assert_eq!(
-            seen,
-            13,
+            (sweeps, streams),
+            (9, 4),
             "a golden record went missing from {}",
             dir.display()
         );

@@ -6,10 +6,9 @@
 //! records on disk, and per job its state, dealt cursor, chunks in
 //! flight and assembled output. Each sequence drives the model and a
 //! real registry through the same ops — submissions (keyed and not,
-//! sweeps of 1–9 attackers and streams of 1–4 events, under admission
-//! bounds of 1–5 and chunk widths of 1, 2, 3 and 64), deals, chunks
-//! returned with rows, with a stream summary or as a failure,
-//! cancellations (of live, finished and unknown ids), closes and, on
+//! sweeps of 1–9 attackers, under admission bounds of 1–5 and chunk
+//! widths of 1, 2, 3 and 64), deals, chunks returned with rows or as a
+//! failure, cancellations (of live, finished and unknown ids), closes and, on
 //! sequences with a state directory, restarts — and compares everything
 //! the registry shows after every op. One sequence in 64 runs long
 //! enough to push more than [`JobRegistry::MAX_RETAINED`] jobs through.
@@ -17,8 +16,6 @@
 //! A failure prints its seed; `run_sequence(seed)` replays it.
 
 use std::collections::{BTreeMap, VecDeque};
-
-use bgpsim_core::stream::{EventKind, StreamEvent};
 
 use super::*;
 
@@ -107,7 +104,7 @@ fn open(max_queued: usize, chunk: usize, dir: Option<PathBuf>) -> JobRegistry {
 
 fn submit(
     registry: &JobRegistry,
-    spec: JobSpec,
+    spec: SweepSpec,
     key: Option<String>,
 ) -> Result<(Arc<Job>, bool), Refusal> {
     registry.submit(spec, key).map_err(|e| match e {
@@ -119,7 +116,6 @@ fn submit(
 fn finish(registry: &JobRegistry, chunk: Chunk, outcome: Outcome) {
     let result = match outcome {
         Outcome::Rows(rows, cache) => ChunkResult::Sweep { rows, cache },
-        Outcome::Summary(summary) => ChunkResult::Stream(summary),
         Outcome::Failed(message) => ChunkResult::Failed(message),
     };
     registry.finish(chunk, result);
@@ -132,7 +128,7 @@ fn dealable(registry: &JobRegistry) -> bool {
         let sched = job.sched();
         !sched.state.is_terminal()
             && !job.cancel.load(Ordering::Relaxed)
-            && sched.dealt < job.spec.work_units()
+            && sched.dealt < job.spec.pool.len()
     })
 }
 
@@ -143,7 +139,6 @@ fn observe(job: &Job) -> State {
         JobState::Done(output) => State::Done {
             counts: output.counts.clone(),
             cache: output.cache,
-            stream: output.stream,
         },
         JobState::Cancelled => State::Cancelled,
         JobState::Failed(message) => State::Failed(message.clone()),
@@ -157,7 +152,6 @@ fn observe(job: &Job) -> State {
 #[derive(Debug, Clone)]
 enum Outcome {
     Rows(Vec<u32>, &'static str),
-    Summary(StreamSummary),
     Failed(String),
 }
 
@@ -175,7 +169,6 @@ enum State {
     Done {
         counts: Vec<u32>,
         cache: &'static str,
-        stream: Option<StreamSummary>,
     },
     Cancelled,
     Failed(String),
@@ -189,10 +182,8 @@ impl State {
 
 #[derive(Debug, Clone)]
 struct ModelJob {
-    stream: bool,
-    /// Schedulable units: pool width, or 1 for a stream.
+    /// Pool width: schedulable units and progress denominator alike.
     units: usize,
-    total: usize,
     state: State,
     cancel: bool,
     dealt: usize,
@@ -200,10 +191,8 @@ struct ModelJob {
     completed: usize,
     rows: Vec<u32>,
     cache: &'static str,
-    summary: Option<StreamSummary>,
     failure: Option<String>,
     persisted: bool,
-    restored: bool,
 }
 
 /// A dealt chunk: job id and unit range.
@@ -248,7 +237,6 @@ impl Model {
             let skip = disk.len().saturating_sub(JobRegistry::MAX_RETAINED);
             for (&id, record) in disk.iter().skip(skip) {
                 let job = ModelJob {
-                    restored: true,
                     persisted: true,
                     cancel: false,
                     in_flight: 0,
@@ -263,13 +251,7 @@ impl Model {
         model
     }
 
-    fn submit(
-        &mut self,
-        stream: bool,
-        units: usize,
-        total: usize,
-        key: Option<String>,
-    ) -> Result<(u64, bool), Refusal> {
+    fn submit(&mut self, units: usize, key: Option<String>) -> Result<(u64, bool), Refusal> {
         if self.closed {
             return Err(Refusal::Closed);
         }
@@ -294,20 +276,16 @@ impl Model {
         self.jobs.insert(
             id,
             ModelJob {
-                stream,
                 units,
-                total,
                 state: State::Queued,
                 cancel: false,
                 dealt: 0,
                 in_flight: 0,
                 completed: 0,
-                rows: if stream { Vec::new() } else { vec![0; units] },
+                rows: vec![0; units],
                 cache: "bypass",
-                summary: None,
                 failure: None,
                 persisted: false,
-                restored: false,
             },
         );
         self.retained.push_back(id);
@@ -375,7 +353,6 @@ impl Model {
                     job.cache = cache;
                 }
             }
-            Outcome::Summary(summary) => job.summary = Some(summary),
             Outcome::Failed(message) => {
                 job.failure.get_or_insert(message);
                 job.dealt = job.units;
@@ -392,7 +369,6 @@ impl Model {
                 State::Done {
                     counts: std::mem::take(&mut job.rows),
                     cache: job.cache,
-                    stream: job.summary.take(),
                 }
             };
             if !job.state.terminal() {
@@ -493,9 +469,9 @@ impl Drop for SeedGuard {
     }
 }
 
-fn sweep_spec(n: usize) -> JobSpec {
+fn sweep_spec(n: usize) -> SweepSpec {
     let n = n as u32;
-    JobSpec::Sweep(SweepSpec {
+    SweepSpec {
         target: AsIndex::new(0),
         pool: (1..=n).map(AsIndex::new).collect(),
         defense: Defense::none(),
@@ -506,45 +482,6 @@ fn sweep_spec(n: usize) -> JobSpec {
             stub_defense: false,
         },
         pool_kind: "explicit",
-    })
-}
-
-fn stream_spec(events: usize) -> JobSpec {
-    let target = AsIndex::new(3);
-    JobSpec::Stream(StreamSpec {
-        config: StreamConfig {
-            events,
-            seed: 7,
-            num_targets: 1,
-            ..StreamConfig::default()
-        },
-        plan: StreamPlan {
-            initial_validators: Vec::new(),
-            targets: vec![target],
-            stub_defense: false,
-            events: (0..events as u64)
-                .map(|seq| StreamEvent {
-                    seq,
-                    kind: EventKind::TargetReannounce { target },
-                })
-                .collect(),
-        },
-        target_asns: vec![4],
-        injected: 0,
-        store: Arc::new(Mutex::new(StreamStore::sized_for(events))),
-    })
-}
-
-fn summary(rng: &mut Rng, total: usize) -> StreamSummary {
-    let injected = rng.below(3);
-    let detected = rng.below(injected + 1);
-    StreamSummary {
-        events: rng.below(total + 1),
-        injected,
-        detected,
-        // Quarters round-trip exactly through a persisted record.
-        mean_latency: (detected > 0).then(|| rng.below(12) as f64 / 4.0),
-        max_latency: (detected > 0).then(|| rng.below(6) as u64),
     }
 }
 
@@ -569,23 +506,12 @@ fn run_sequence(seed: u64) -> Coverage {
         let roll = rng.below(100);
         match roll {
             0..=29 => {
-                let stream = rng.one_in(4);
-                let (units, total) = if stream {
-                    let events = 1 + rng.below(4);
-                    (1, events)
-                } else {
-                    let n = 1 + rng.below(9);
-                    (n, n)
-                };
-                let spec = if stream {
-                    stream_spec(total)
-                } else {
-                    sweep_spec(units)
-                };
+                let units = 1 + rng.below(9);
                 let key = rng.one_in(3).then(|| format!("k{}", rng.below(6)));
                 let full_before = model.retained.len() >= JobRegistry::MAX_RETAINED;
-                let want = model.submit(stream, units, total, key.clone());
-                let got = submit(&registry, spec, key).map(|(job, fresh)| (job.id, fresh));
+                let want = model.submit(units, key.clone());
+                let got =
+                    submit(&registry, sweep_spec(units), key).map(|(job, fresh)| (job.id, fresh));
                 assert_eq!(got, want, "step {step}: submit");
                 match want {
                     Ok((_, true)) if full_before => seen.evictions += 1,
@@ -608,12 +534,9 @@ fn run_sequence(seed: u64) -> Coverage {
             },
             55..=77 if !held.is_empty() => {
                 let (chunk, dealt) = held.swap_remove(rng.below(held.len()));
-                let job = &model.jobs[&dealt.0];
                 let outcome = if roll >= 75 {
                     seen.failures += 1;
                     Outcome::Failed(format!("chunk {step} panicked"))
-                } else if job.stream {
-                    Outcome::Summary(summary(&mut rng, job.total))
                 } else {
                     let rows = (dealt.1..dealt.2)
                         .map(|_| rng.below(1_000) as u32)
@@ -623,7 +546,6 @@ fn run_sequence(seed: u64) -> Coverage {
                 // Executors tick progress before handing the chunk back.
                 let ticks = match &outcome {
                     Outcome::Rows(rows, _) => rows.len(),
-                    Outcome::Summary(summary) => summary.events,
                     Outcome::Failed(_) => 0,
                 };
                 chunk.job.progress_ticker()(ticks);
@@ -692,20 +614,11 @@ fn check(model: &Model, registry: &JobRegistry, dir: Option<&Path>, step: usize)
             want.completed,
             "step {step}: job {id} completed"
         );
-        assert_eq!(job.total(), want.total, "step {step}: job {id} total");
-        assert_eq!(
-            job.restored, want.restored,
-            "step {step}: job {id} restored"
-        );
+        assert_eq!(job.total(), want.units, "step {step}: job {id} total");
         assert_eq!(
             job.cancel.load(Ordering::Relaxed),
             want.cancel,
             "step {step}: job {id} cancel flag"
-        );
-        assert_eq!(
-            job.spec.as_stream().is_some(),
-            want.stream,
-            "step {step}: job {id} kind"
         );
     }
     assert_eq!(registry.counts(), model.counts(), "step {step}: counts");

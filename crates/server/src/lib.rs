@@ -5,12 +5,12 @@
 //! the same lab into a *long-running* service: the topology is generated
 //! once at startup, and operators then ask incremental questions over a
 //! small HTTP/1.1 JSON API — "what if AS X hijacked AS Y under this
-//! deployment?" (`POST /v1/attacks`), "re-run the §IV sweep against
-//! this defense" (`POST /v1/sweeps`, asynchronous with progress and
-//! cancellation), "watch a live update stream and detect hijacks as they
-//! land" (`POST /v1/stream`, with mid-run time-series range queries on
-//! `GET /v1/stream/:id/range`) — with Prometheus metrics and health
-//! introspection on the side.
+//! deployment?" (`POST /v1/attacks`, or many at once on
+//! `POST /v1/attacks:batch`), "re-run the §IV sweep against this defense"
+//! (`POST /v1/sweeps`, asynchronous with progress and cancellation) —
+//! with Prometheus metrics and health introspection on the side. Every
+//! route has a caller outside the crate (DESIGN.md §15 tabulates them);
+//! live update streams are `bgpsim stream`'s, not the server's.
 //!
 //! # Architecture
 //!
@@ -69,7 +69,6 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use bgpsim_core::manifest::SCHEMA_VERSION;
-use bgpsim_core::stream::{DetectorMode, StreamDetector, StreamSummary};
 use bgpsim_core::{ExperimentConfig, Lab};
 use bgpsim_fanout::{Coordinator, FanoutConfig, FanoutError, Handshake, SweepObserver};
 use bgpsim_hijack::{
@@ -81,7 +80,7 @@ use rayon::prelude::*;
 
 use cache::{BaselineCache, CacheOutcome};
 use http::{HttpConn, ReadOutcome, Response};
-use jobs::{Chunk, ChunkResult, Job, JobRegistry, JobSpec, StreamSpec, SweepSpec};
+use jobs::{Chunk, ChunkResult, Job, JobRegistry};
 use metrics::ServerMetrics;
 
 /// How long the accept loop sleeps between polls when no connection is
@@ -406,28 +405,19 @@ fn handle_connection(state: &ServerState<'_>, stream: std::net::TcpStream) {
 /// poison-recovering locks, one bad job cannot take the job layer down.
 fn sweep_executor(state: &ServerState<'_>) {
     while let Some(chunk) = state.jobs.next_chunk() {
-        let result =
-            catch_unwind(AssertUnwindSafe(|| run_chunk(state, &chunk))).unwrap_or_else(|panic| {
-                let detail = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "unknown panic".to_string());
-                ChunkResult::Failed(format!("job executor panicked: {detail}"))
-            });
-        state.jobs.finish(chunk, result);
-    }
-}
-
-/// Runs one chunk: a slice of a sweep's attacker pool, or a stream job's
-/// whole event tape.
-fn run_chunk(state: &ServerState<'_>, chunk: &Chunk) -> ChunkResult {
-    match &chunk.job.spec {
-        JobSpec::Sweep(spec) => {
-            let (rows, cache) = run_sweep_chunk(state, &chunk.job, spec, chunk);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            let (rows, cache) = run_sweep_chunk(state, &chunk);
             ChunkResult::Sweep { rows, cache }
-        }
-        JobSpec::Stream(spec) => ChunkResult::Stream(run_stream_chunk(state, &chunk.job, spec)),
+        }))
+        .unwrap_or_else(|panic| {
+            let detail = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "unknown panic".to_string());
+            ChunkResult::Failed(format!("job executor panicked: {detail}"))
+        });
+        state.jobs.finish(chunk, result);
     }
 }
 
@@ -435,14 +425,11 @@ fn run_chunk(state: &ServerState<'_>, chunk: &Chunk) -> ChunkResult {
 /// per attack. Sweeps that replay fetch the shared baseline per chunk —
 /// after the first chunk that is always a cache hit, and the job's
 /// reported outcome keeps the coldest chunk's answer.
-fn run_sweep_chunk(
-    state: &ServerState<'_>,
-    job: &Job,
-    spec: &SweepSpec,
-    chunk: &Chunk,
-) -> (Vec<u32>, &'static str) {
+fn run_sweep_chunk(state: &ServerState<'_>, chunk: &Chunk) -> (Vec<u32>, &'static str) {
+    let job = &chunk.job;
+    let spec = &job.spec;
     if let Some(coordinator) = &state.fanout {
-        match run_fanout_chunk(coordinator, job, spec) {
+        match run_fanout_chunk(coordinator, job) {
             Ok(rows) => return (rows, "fanout"),
             // The cancel flag is already set, so the registry discards
             // these rows and finalizes Cancelled; only the length matters.
@@ -505,50 +492,12 @@ impl<F: Fn(usize) + Sync> SweepObserver for JobShardObserver<'_, F> {
 /// coordinator. The merged rows are bit-identical to what the local path
 /// would produce — the `differential` test's partition arm pins that
 /// equivalence.
-fn run_fanout_chunk(
-    coordinator: &Coordinator,
-    job: &Job,
-    spec: &SweepSpec,
-) -> Result<Vec<u32>, FanoutError> {
+fn run_fanout_chunk(coordinator: &Coordinator, job: &Job) -> Result<Vec<u32>, FanoutError> {
     let observer = JobShardObserver {
         job,
         tick: job.progress_ticker(),
     };
-    coordinator.run_sweep(&spec.request, &observer)
-}
-
-/// Runs a stream job's whole event tape through the incremental detector,
-/// ticking the job's progress atomics and the stream counter bank per
-/// event; the baselines the detector builds count on the server's
-/// telemetry like any other. The store lock is held only for each event's appends, so
-/// `GET /v1/stream/:id/range` reads a consistent mid-stream snapshot
-/// between events. Cancellation is polled per event; a cancelled run
-/// still reports the summary of the prefix it processed (the registry
-/// discards it, matching sweep semantics).
-fn run_stream_chunk(state: &ServerState<'_>, job: &Job, spec: &StreamSpec) -> StreamSummary {
-    let sets = state.lab.probe_cohort();
-    let mut detector =
-        StreamDetector::new(&state.sim, &sets, &spec.plan, DetectorMode::Incremental)
-            .with_baseline_telemetry(&state.telemetry);
-    let tick = job.progress_ticker();
-    let mut processed = 0;
-    for event in &spec.plan.events {
-        if job.cancel.load(Ordering::Relaxed) {
-            break;
-        }
-        {
-            let mut store = jobs::lock_recover(&spec.store);
-            detector.apply(event, &mut store);
-        }
-        processed += 1;
-        state.metrics.stream_event();
-        tick(1);
-    }
-    let summary = StreamSummary::of(processed, &detector.finish());
-    state
-        .metrics
-        .stream_finished(summary.injected as u64, summary.detected as u64);
-    summary
+    coordinator.run_sweep(&job.spec.request, &observer)
 }
 
 /// Handle to a server running on a background thread (tests and the

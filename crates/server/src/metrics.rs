@@ -36,8 +36,6 @@ pub(crate) enum Endpoint {
     Jobs,
     /// `GET /v1/results/:id`.
     Results,
-    /// `POST /v1/stream` and `GET /v1/stream/:id/range`.
-    Stream,
     /// `GET /v1/healthz`.
     Healthz,
     /// `GET /v1/metrics`.
@@ -50,13 +48,12 @@ pub(crate) enum Endpoint {
 
 impl Endpoint {
     /// Every endpoint, exposition order.
-    pub(crate) const ALL: [Endpoint; 10] = [
+    pub(crate) const ALL: [Endpoint; 9] = [
         Endpoint::Attacks,
         Endpoint::AttacksBatch,
         Endpoint::Sweeps,
         Endpoint::Jobs,
         Endpoint::Results,
-        Endpoint::Stream,
         Endpoint::Healthz,
         Endpoint::Metrics,
         Endpoint::Shutdown,
@@ -71,7 +68,6 @@ impl Endpoint {
             Endpoint::Sweeps => "sweeps",
             Endpoint::Jobs => "jobs",
             Endpoint::Results => "results",
-            Endpoint::Stream => "stream",
             Endpoint::Healthz => "healthz",
             Endpoint::Metrics => "metrics",
             Endpoint::Shutdown => "shutdown",
@@ -86,11 +82,10 @@ impl Endpoint {
             Endpoint::Sweeps => 2,
             Endpoint::Jobs => 3,
             Endpoint::Results => 4,
-            Endpoint::Stream => 5,
-            Endpoint::Healthz => 6,
-            Endpoint::Metrics => 7,
-            Endpoint::Shutdown => 8,
-            Endpoint::Other => 9,
+            Endpoint::Healthz => 5,
+            Endpoint::Metrics => 6,
+            Endpoint::Shutdown => 7,
+            Endpoint::Other => 8,
         }
     }
 }
@@ -109,7 +104,7 @@ struct EndpointStats {
 /// HTTP-layer counter bank, shared read-mostly across worker threads.
 #[derive(Debug)]
 pub(crate) struct ServerMetrics {
-    endpoints: [EndpointStats; 10],
+    endpoints: [EndpointStats; 9],
     connections: AtomicU64,
     rejected_connections: AtomicU64,
     malformed_requests: AtomicU64,
@@ -118,12 +113,6 @@ pub(crate) struct ServerMetrics {
     // claiming the connection) race, so the raw value can transiently dip
     // below zero. An unsigned gauge would wrap to ~2^64 at that moment.
     queue_depth: AtomicI64,
-    // Stream-job activity: events the executor processed (ticked live,
-    // so /v1/metrics shows mid-stream progress) and per-run outcomes.
-    stream_events: AtomicU64,
-    stream_runs: AtomicU64,
-    stream_injected: AtomicU64,
-    stream_detected: AtomicU64,
     started: Instant,
 }
 
@@ -137,24 +126,8 @@ impl ServerMetrics {
             malformed_requests: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             queue_depth: AtomicI64::new(0),
-            stream_events: AtomicU64::new(0),
-            stream_runs: AtomicU64::new(0),
-            stream_injected: AtomicU64::new(0),
-            stream_detected: AtomicU64::new(0),
             started: Instant::now(),
         }
-    }
-
-    /// Counts one stream event processed by the executor.
-    pub(crate) fn stream_event(&self) {
-        self.stream_events.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a finished (or cancelled) stream run's detection outcome.
-    pub(crate) fn stream_finished(&self, injected: u64, detected: u64) {
-        self.stream_runs.fetch_add(1, Ordering::Relaxed);
-        self.stream_injected.fetch_add(injected, Ordering::Relaxed);
-        self.stream_detected.fetch_add(detected, Ordering::Relaxed);
     }
 
     /// Counts one accepted connection.
@@ -462,32 +435,6 @@ pub(crate) fn render_prometheus(
         single(&mut out, name, "counter", help, value);
     }
 
-    // -- Update streams --------------------------------------------------
-    for (name, help, value) in [
-        (
-            "bgpsim_stream_events_total",
-            "Update-stream events processed by the executor (ticks live mid-stream).",
-            metrics.stream_events.load(Ordering::Relaxed),
-        ),
-        (
-            "bgpsim_stream_runs_total",
-            "Stream jobs executed to completion or cancellation.",
-            metrics.stream_runs.load(Ordering::Relaxed),
-        ),
-        (
-            "bgpsim_stream_hijacks_injected_total",
-            "Ground-truth hijacks injected across stream runs.",
-            metrics.stream_injected.load(Ordering::Relaxed),
-        ),
-        (
-            "bgpsim_stream_hijacks_detected_total",
-            "Injected hijacks some probe eventually saw.",
-            metrics.stream_detected.load(Ordering::Relaxed),
-        ),
-    ] {
-        single(&mut out, name, "counter", help, value);
-    }
-
     // -- Simulation telemetry (shared bank with the CLI) -----------------
     header(
         &mut out,
@@ -716,7 +663,8 @@ mod tests {
     /// The exposition for a fixed snapshot, fan-out section included:
     /// well-formed, and byte for byte what the build before the shared
     /// `histogram` / `line` / `header` renderers wrote for it (the fixture),
-    /// less the hedging series, which went with hedging.
+    /// less the hedging series, which went with hedging, and the four
+    /// `bgpsim_stream_*` families, which went with stream jobs.
     #[test]
     fn exposition_is_wellformed() {
         let metrics = ServerMetrics::new();
@@ -725,8 +673,6 @@ mod tests {
         metrics.observe(Endpoint::Jobs, 200, Duration::from_micros(70));
         metrics.observe(Endpoint::Other, 500, Duration::from_micros(1));
         metrics.connection_accepted();
-        metrics.stream_event();
-        metrics.stream_finished(4, 3);
         let telemetry = SweepTelemetry::new();
         telemetry.record_attack_wall(Duration::from_micros(5));
         telemetry.record_attack_wall(Duration::from_micros(300));
@@ -811,6 +757,10 @@ mod tests {
                 "(planned, done, retried).",
             )
             .replace("bgpsim_fanout_shards_total{outcome=\"hedged\"} 0\n", "");
+        let parent: String = parent
+            .split_inclusive('\n')
+            .filter(|line| !line.contains("bgpsim_stream_"))
+            .collect();
         assert_eq!(text, parent);
     }
 }

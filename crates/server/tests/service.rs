@@ -401,6 +401,13 @@ fn error_paths() {
 
     let (status, _) = text(&mut client, "GET", "/v1/nope", "");
     assert_eq!(status, 404);
+    // Update streams are `bgpsim stream`'s: the server routes neither
+    // stream path.
+    for (method, path) in [("POST", "/v1/stream"), ("GET", "/v1/stream/job-1/range")] {
+        let (status, body) = text(&mut client, method, path, "{}");
+        assert_eq!(status, 404, "{method} {path}");
+        assert!(body.contains("no route for"), "{method} {path}: {body}");
+    }
     let (status, _) = text(&mut client, "GET", "/v1/attacks", "");
     assert_eq!(status, 405);
     let (status, _) = text(&mut client, "POST", "/v1/attacks", "{not json");
@@ -709,168 +716,6 @@ fn corrupt_state_files_quarantine_instead_of_failing_boot() {
 }
 
 #[test]
-fn stream_round_trip_ranges_and_summary() {
-    let server = tiny_server();
-    let mut client = connect(&server);
-    let (status, submitted) = json(
-        &mut client,
-        "POST",
-        "/v1/stream",
-        "{\"events\":400,\"targets\":2}",
-    );
-    assert_eq!(status, 202, "stream submit failed: {submitted:?}");
-    assert_eq!(at(&submitted, "kind").as_str().unwrap(), "stream");
-    assert_eq!(at(&submitted, "total").as_u64(), Some(400));
-    let injected = at(&submitted, "injected").as_u64().unwrap();
-    assert!(injected > 0, "seeded tape should inject hijacks");
-    assert_eq!(at(&submitted, "targets").as_u32_array().unwrap().len(), 2);
-    let id = at(&submitted, "id").as_str().unwrap().to_string();
-    assert_eq!(
-        at(&submitted, "range").as_str().unwrap(),
-        format!("/v1/stream/{id}/range")
-    );
-    let job = wait_done(&mut client, &id);
-    assert_eq!(at(&job, "kind").as_str().unwrap(), "stream");
-    assert_eq!(at(&job, "completed").as_u64(), Some(400));
-
-    // Raw range over the whole tape: pollution samples one per event, in
-    // seq order, with no ring eviction at this size.
-    let (status, range) = json(&mut client, "GET", &format!("/v1/stream/{id}/range"), "");
-    assert_eq!(status, 200, "range failed: {range:?}");
-    assert_eq!(at(&range, "series").as_str().unwrap(), "pollution");
-    assert_eq!(at(&range, "appended").as_u64(), Some(400));
-    assert_eq!(at(&range, "evicted").as_u64(), Some(0));
-    let samples = match at(&range, "samples") {
-        Json::Arr(items) => items,
-        other => panic!("expected samples array, got {other:?}"),
-    };
-    assert_eq!(samples.len(), 400);
-    let seqs: Vec<u64> = samples
-        .iter()
-        .map(|s| match s {
-            Json::Arr(pair) => pair[0].as_u64().unwrap(),
-            other => panic!("expected [seq, value] pair, got {other:?}"),
-        })
-        .collect();
-    assert!(seqs.windows(2).all(|w| w[0] < w[1]), "seqs out of order");
-
-    // Windowed aggregation: 8 full 50-event windows, each with stats.
-    let (status, agg) = json(
-        &mut client,
-        "GET",
-        &format!("/v1/stream/{id}/range?agg=window&window=50&from=0&to=399"),
-        "",
-    );
-    assert_eq!(status, 200);
-    let windows = match at(&agg, "windows") {
-        Json::Arr(items) => items,
-        other => panic!("expected windows array, got {other:?}"),
-    };
-    assert_eq!(windows.len(), 8);
-    for w in windows {
-        assert_eq!(at(w, "count").as_u64(), Some(50));
-        assert!(!matches!(at(w, "mean"), Json::Null));
-    }
-
-    // A series no event ever touched answers 404, not empty data.
-    let (status, _) = text(
-        &mut client,
-        "GET",
-        &format!("/v1/stream/{id}/range?series=no-such-series"),
-        "",
-    );
-    assert_eq!(status, 404);
-
-    // The summary matches the submit-time ground truth.
-    let (status, results) = json(&mut client, "GET", &format!("/v1/results/{id}"), "");
-    assert_eq!(status, 200, "results failed: {results:?}");
-    assert_eq!(at(&results, "kind").as_str().unwrap(), "stream");
-    let result = at(&results, "result");
-    assert_eq!(at(result, "events").as_u64(), Some(400));
-    assert_eq!(at(result, "injected").as_u64().unwrap(), injected);
-    let detected = at(result, "detected").as_u64().unwrap();
-    assert!(detected <= injected);
-    if detected > 0 {
-        assert!(matches!(at(result, "mean_latency_events"), Json::Num(mean) if *mean >= 0.0));
-    } else {
-        assert_eq!(at(result, "mean_latency_events"), &Json::Null);
-    }
-
-    // Per-stream counters landed on /v1/metrics.
-    assert_eq!(metric(&mut client, "bgpsim_stream_events_total"), 400);
-    assert_eq!(metric(&mut client, "bgpsim_stream_runs_total"), 1);
-    assert_eq!(
-        metric(&mut client, "bgpsim_stream_hijacks_injected_total"),
-        injected
-    );
-    assert_eq!(
-        metric(&mut client, "bgpsim_stream_hijacks_detected_total"),
-        detected
-    );
-    // The detector's baselines count like anyone else's: stub filtering
-    // is on by default, so the route replays, one baseline per tracked
-    // target at most.
-    let built = metric(&mut client, "bgpsim_sim_baselines_built_total");
-    assert!((1..=2).contains(&built), "{built} baselines for 2 targets");
-    assert!(metric(&mut client, "bgpsim_sim_baseline_bytes_total") > 0);
-
-    // /range on a sweep job is a category error, not a 404.
-    let target = {
-        let (_, healthz) = json(&mut client, "GET", "/v1/healthz", "");
-        cast(&healthz, "vulnerable_stub")
-    };
-    let (status, sweep) = json(
-        &mut client,
-        "POST",
-        "/v1/sweeps",
-        &format!("{{\"target\":{target}}}"),
-    );
-    assert_eq!(status, 202);
-    let sweep_id = at(&sweep, "id").as_str().unwrap().to_string();
-    let (status, _) = text(
-        &mut client,
-        "GET",
-        &format!("/v1/stream/{sweep_id}/range"),
-        "",
-    );
-    assert_eq!(status, 409);
-    drop(client);
-    server.stop().expect("clean shutdown");
-}
-
-#[test]
-fn restored_streams_keep_their_summary_but_not_their_tape() {
-    let state_dir = scratch_dir("stream-restart");
-    let mut config = ServerConfig::new(tiny_experiment(), "custom");
-    config.addr = "127.0.0.1:0".to_string();
-    config.state_dir = Some(state_dir.clone());
-    let server = spawn(config.clone()).expect("server boots");
-    let mut client = connect(&server);
-    let (status, submitted) = json(&mut client, "POST", "/v1/stream", "{\"events\":150}");
-    assert_eq!(status, 202, "stream submit failed: {submitted:?}");
-    let id = at(&submitted, "id").as_str().unwrap().to_string();
-    wait_done(&mut client, &id);
-    let (status, before) = text(&mut client, "GET", &format!("/v1/results/{id}"), "");
-    assert_eq!(status, 200);
-    drop(client);
-    server.stop().expect("clean shutdown");
-
-    let server = spawn(config).expect("restarted server boots");
-    let mut client = connect(&server);
-    // The summary survives byte-identical...
-    let (status, after) = text(&mut client, "GET", &format!("/v1/results/{id}"), "");
-    assert_eq!(status, 200, "stream summary lost across restart: {after}");
-    assert_eq!(before, after, "stream summary changed across restart");
-    // ...but per-event samples are summary-only by design: permanently
-    // gone, which is 410, not 404.
-    let (status, _) = text(&mut client, "GET", &format!("/v1/stream/{id}/range"), "");
-    assert_eq!(status, 410);
-    drop(client);
-    server.stop().expect("clean shutdown");
-    let _ = std::fs::remove_dir_all(&state_dir);
-}
-
-#[test]
 fn http_shutdown_drains_the_server() {
     let server = tiny_server();
     let addr = server.addr();
@@ -946,17 +791,6 @@ fn idempotent_submissions_replay_the_original_job() {
         at(&h2, "id").as_str().unwrap()
     );
 
-    // /v1/stream honours the same contract.
-    let stream_body = "{\"events\":50,\"targets\":1,\"idempotency_key\":\"tape-a\"}";
-    let (status, s1) = json(&mut client, "POST", "/v1/stream", stream_body);
-    assert_eq!(status, 202, "keyed stream submit: {s1:?}");
-    let (status, s2) = json(&mut client, "POST", "/v1/stream", stream_body);
-    assert_eq!(status, 200, "duplicate stream submit: {s2:?}");
-    assert_eq!(
-        at(&s1, "id").as_str().unwrap(),
-        at(&s2, "id").as_str().unwrap()
-    );
-
     // Malformed keys are rejected up front, not silently unkeyed.
     let (status, err) = json(
         &mut client,
@@ -977,7 +811,6 @@ fn idempotent_submissions_replay_the_original_job() {
         at(&first, "id").as_str().unwrap().to_string(),
         at(&second, "id").as_str().unwrap().to_string(),
         at(&h1, "id").as_str().unwrap().to_string(),
-        at(&s1, "id").as_str().unwrap().to_string(),
     ] {
         wait_done(&mut client, &id);
     }
@@ -1151,11 +984,15 @@ fn one_target_under_many_deployments_builds_one_baseline_per_stub_setting() {
 }
 
 /// The golden records under `tests/fixtures/` (one per terminal shape,
-/// written by the parent of the PR that added them; the registry's unit
-/// tests pin that each re-serializes byte for byte): a server booted on
-/// them answers `GET /v1/results/:id` exactly as that parent did.
+/// written by the build before they were added; the registry's unit
+/// tests pin that each sweep record re-serializes byte for byte): a
+/// server booted on them answers `GET /v1/results/:id` for each sweep
+/// exactly as that build did. The four stream-job records that build
+/// also wrote (`job-7`, `-8`, `-9`, `-11`) are records this build cannot
+/// read: quarantined, and their ids answer 404 and are never reused.
 #[test]
 fn golden_records_answer_results_as_the_build_that_wrote_them() {
+    const STREAMS: [u64; 4] = [7, 8, 9, 11];
     let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
     let state_dir = scratch_dir("golden");
     for id in 1..=13 {
@@ -1167,17 +1004,32 @@ fn golden_records_answer_results_as_the_build_that_wrote_them() {
     config.state_dir = Some(state_dir.clone());
     let server = spawn(config).expect("server boots on the golden records");
     let mut client = connect(&server);
-    assert_eq!(metric(&mut client, "bgpsim_jobs_restored_total"), 13);
+    assert_eq!(metric(&mut client, "bgpsim_jobs_restored_total"), 9);
     assert_eq!(
         metric(&mut client, "bgpsim_state_files_quarantined_total"),
-        0
+        4
     );
     for id in 1..=13 {
+        let (status, body) = text(&mut client, "GET", &format!("/v1/results/job-{id}"), "");
+        if STREAMS.contains(&id) {
+            assert_eq!(status, 404, "job-{id}: {body}");
+            assert!(state_dir.join(format!("quarantine/job-{id}.json")).exists());
+            continue;
+        }
         let expected = std::fs::read_to_string(fixtures.join(format!("job-{id}.results")))
             .expect("recorded response");
-        let (status, body) = text(&mut client, "GET", &format!("/v1/results/job-{id}"), "");
         assert_eq!(format!("{status}\n{body}"), expected, "job-{id}");
     }
+    let (_, healthz) = json(&mut client, "GET", "/v1/healthz", "");
+    let target = cast(&healthz, "vulnerable_stub");
+    let (status, next) = json(
+        &mut client,
+        "POST",
+        "/v1/sweeps",
+        &format!("{{\"target\":{target}}}"),
+    );
+    assert_eq!(status, 202, "{next:?}");
+    assert_eq!(at(&next, "id").as_str(), Some("job-14"));
     drop(client);
     server.stop().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&state_dir);

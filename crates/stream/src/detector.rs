@@ -32,9 +32,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use bgpsim_hijack::detection::ProbeSet;
-use bgpsim_hijack::{
-    Attack, BaselineKey, Defense, OutcomeView, Simulator, SweepMonitor, SweepTelemetry,
-};
+use bgpsim_hijack::{Attack, BaselineKey, Defense, OutcomeView, Simulator, SweepMonitor};
 use bgpsim_routing::Baseline;
 use bgpsim_topology::AsIndex;
 
@@ -154,8 +152,8 @@ impl Score {
 }
 
 /// The event-at-a-time stream detector. Drive it with
-/// [`StreamDetector::apply`] (the server does, so range queries can read
-/// the store mid-stream) or run a whole plan with [`run_stream`].
+/// [`StreamDetector::apply`] (the harness's `stream_detect` does, timing
+/// each event) or run a whole plan with [`run_stream`].
 #[derive(Debug)]
 pub struct StreamDetector<'a, 't> {
     sim: &'a Simulator<'t>,
@@ -179,9 +177,6 @@ pub struct StreamDetector<'a, 't> {
     /// (BTreeMap so evaluation order is deterministic).
     active: BTreeMap<AsIndex, usize>,
     hijacks: Vec<HijackRecord>,
-    /// Where the baselines this detector builds are counted, if anywhere
-    /// ([`StreamDetector::with_baseline_telemetry`]).
-    telemetry: Option<&'a SweepTelemetry>,
 }
 
 impl<'a, 't> StreamDetector<'a, 't> {
@@ -209,19 +204,9 @@ impl<'a, 't> StreamDetector<'a, 't> {
             scores: HashMap::new(),
             active: BTreeMap::new(),
             hijacks: Vec::new(),
-            telemetry: None,
         };
         detector.rebuild_defense();
         detector
-    }
-
-    /// Counts every baseline this detector builds — and its heap
-    /// footprint — on `telemetry`, as a sweep's builds are counted. Only
-    /// the builds: per-event evaluations stay off the sweep counters.
-    #[must_use]
-    pub fn with_baseline_telemetry(mut self, telemetry: &'a SweepTelemetry) -> Self {
-        self.telemetry = Some(telemetry);
-        self
     }
 
     fn rebuild_defense(&mut self) {
@@ -333,13 +318,10 @@ impl<'a, 't> StreamDetector<'a, 't> {
                     .sim
                     .baseline_key(attack.kind, attack.target, &self.defense);
                 let baseline = key.map(|key| {
-                    &*self.baselines.entry(key).or_insert_with(|| {
-                        let monitor = SweepMonitor {
-                            telemetry: self.telemetry,
-                            ..SweepMonitor::none()
-                        };
-                        self.sim.baseline_for(key, &monitor)
-                    })
+                    &*self
+                        .baselines
+                        .entry(key)
+                        .or_insert_with(|| self.sim.baseline_for(key, &SweepMonitor::none()))
                 });
                 let (score, _) = self.sim.evaluate(
                     attack,
@@ -477,22 +459,20 @@ mod tests {
     /// Stub filtering localizes every cone, so every origin hijack
     /// replays: the detector builds exactly one baseline per injected
     /// target, at that target's first injection, and no validator flip or
-    /// re-announcement ever builds another.
+    /// re-announcement ever builds another. The baseline map is never
+    /// evicted, so its size counts the builds.
     #[test]
     fn one_baseline_per_injected_target() {
         let (topo, plan) = plan_on_tiny(11, 300);
         assert!(plan.stub_defense);
         let sim = Simulator::new(&topo, PolicyConfig::paper());
         let sets = vec![ProbeSet::tier1(&topo)];
-        let telemetry = SweepTelemetry::new();
-        let built = || telemetry.snapshot().baselines_built;
-        let mut detector = StreamDetector::new(&sim, &sets, &plan, DetectorMode::Incremental)
-            .with_baseline_telemetry(&telemetry);
+        let mut detector = StreamDetector::new(&sim, &sets, &plan, DetectorMode::Incremental);
         let mut store = StreamStore::sized_for(plan.events.len());
         let mut injected = std::collections::HashSet::new();
         let (mut flips, mut reannounced) = (0, std::collections::HashSet::new());
         for event in &plan.events {
-            let before = built();
+            let before = detector.baselines.len();
             detector.apply(event, &mut store);
             let new_target = match event.kind {
                 EventKind::HijackInject { attack } => injected.insert(attack.target),
@@ -507,13 +487,17 @@ mod tests {
                     false
                 }
             };
-            assert_eq!(built() - before, u64::from(new_target), "event {event:?}");
+            assert_eq!(
+                detector.baselines.len() - before,
+                usize::from(new_target),
+                "event {event:?}"
+            );
         }
         // The tape exercises what could rebuild: flips with baselines
         // cached, and a re-announcement of every injected target.
         assert!(flips > 0);
         assert_eq!(injected.len(), plan.targets.len());
         assert_eq!(reannounced, injected);
-        assert_eq!(built(), injected.len() as u64);
+        assert_eq!(detector.baselines.len(), injected.len());
     }
 }

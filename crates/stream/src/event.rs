@@ -4,7 +4,8 @@
 //! deployment flips, target re-announcements) and injected hijacks with
 //! ground-truth labels. The generator is a pure function of the topology
 //! and a [`StreamConfig`] — same seed, same stream — so every run (CLI,
-//! server job, proptest oracle) replays the identical event sequence.
+//! benchmark harness, `differential` test) replays the identical event
+//! sequence.
 
 use bgpsim_hijack::Attack;
 use bgpsim_topology::{AsIndex, Topology};
@@ -75,7 +76,7 @@ pub struct StreamConfig {
 }
 
 impl Default for StreamConfig {
-    /// The CLI/server default: a mostly-benign feed (one injection per
+    /// The CLI default: a mostly-benign feed (one injection per
     /// ~14 events) over four targets under partial ROV plus stub
     /// filtering — the localizing regime where baseline replay shines.
     fn default() -> StreamConfig {

@@ -140,18 +140,16 @@ ENDPOINTS:
                           honors an Idempotency-Key header (or body
                           \"idempotency_key\"): duplicates answer 200
                           with the original job id
-    POST   /v1/stream     submit an update stream  {\"events\":N,\"seed\":N,\"targets\":N}
-                          (same idempotency contract as /v1/sweeps)
-    GET    /v1/stream/:id/range  live series slice  ?series=&from=&to=&agg=window&window=N
     GET    /v1/jobs       list retained jobs (newest first, capped at 100)
     GET    /v1/jobs/:id   job progress             DELETE cancels
-    GET    /v1/results/:id  finished sweep rows / stream summary
+    GET    /v1/results/:id  finished sweep rows and curve stats
     GET    /v1/healthz    liveness + lab facts (scale, cast ASNs)
     GET    /v1/metrics    Prometheus text exposition
     POST   /v1/shutdown   graceful drain and exit
 
-There is no signal handling (std-only build): stop the server with
-POST /v1/shutdown. See DESIGN.md §13 and the README quickstart.";
+Live update streams are `bgpsim stream`'s, not the server's. There is no
+signal handling (std-only build): stop the server with POST /v1/shutdown.
+See DESIGN.md §13 and the README quickstart.";
 
 const FANOUT_USAGE: &str = "\
 bgpsim fanout — shard the fig2 sweep across a fleet of bgpsim-server workers

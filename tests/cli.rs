@@ -1,9 +1,16 @@
-//! The `bgpsim` binary's command line, at parse level only — nothing here
-//! generates a topology. Pins the exit-code contract (0 help, 2 usage
-//! error) and the message each usage error carries, for all four
-//! subcommands of the one table-driven parser.
+//! The `bgpsim` binary's command line. Pins the exit-code contract (0
+//! help, 2 usage error) and the message each usage error carries, for all
+//! four subcommands of the one table-driven parser, at parse level; and
+//! holds `bgpsim serve --help`'s endpoint table to the router and the
+//! docs, against one tiny server.
 
+use std::path::Path;
 use std::process::Command;
+
+use bgpsim_core::ExperimentConfig;
+use bgpsim_fanout::Client;
+use bgpsim_server::{spawn, ServerConfig};
+use bgpsim_topology::gen::InternetParams;
 
 /// Runs `bgpsim ARGS…`; returns (exit code, stdout, stderr).
 fn bgpsim(args: &[&str]) -> (i32, String, String) {
@@ -140,5 +147,85 @@ fn usage_errors_exit_two_with_their_message_and_the_usage_text() {
             "{args:?}: {stderr}"
         );
         assert!(stderr.contains(usage), "{args:?}: {stderr}");
+    }
+}
+
+/// Every endpoint `bgpsim serve --help` lists is routed, and every `/v1/…`
+/// path README.md and DESIGN.md name is one of them — read with a
+/// `job-<n>` segment as `:id` and without its query string, and allowed
+/// to stop short of a trailing `:id` (`/v1/results` names the family). A
+/// doc that still names a route the server dropped fails here.
+#[test]
+fn documented_endpoints_are_the_routed_ones() {
+    let (code, help, stderr) = bgpsim(&["serve", "--help"]);
+    assert_eq!(code, 0, "{stderr}");
+    let endpoints: Vec<(&str, &str)> = help
+        .lines()
+        .skip_while(|line| *line != "ENDPOINTS:")
+        .skip(1)
+        .take_while(|line| !line.is_empty())
+        .filter_map(|line| {
+            let mut words = line.split_whitespace();
+            let (method, path) = (words.next()?, words.next()?);
+            (method.bytes().all(|b| b.is_ascii_uppercase()) && path.starts_with("/v1/"))
+                .then_some((method, path))
+        })
+        .collect();
+    assert!(
+        endpoints.len() >= 9 && endpoints.contains(&("POST", "/v1/shutdown")),
+        "ENDPOINTS table: {endpoints:?}"
+    );
+
+    let mut config = ServerConfig::new(
+        ExperimentConfig {
+            params: InternetParams::tiny(),
+            ..ExperimentConfig::quick()
+        },
+        "custom",
+    );
+    config.addr = "127.0.0.1:0".to_string();
+    let server = spawn(config).expect("server boots");
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    for &(method, path) in &endpoints {
+        if (method, path) == ("POST", "/v1/shutdown") {
+            continue;
+        }
+        let path = path.replace(":id", "job-999999");
+        let (status, body) = client
+            .request(method, &path, "")
+            .unwrap_or_else(|e| panic!("{method} {path}: {e}"));
+        assert!(
+            status != 405 && !body.contains("no route for"),
+            "{method} {path} is listed but not routed: {status} {body}"
+        );
+    }
+    drop(client);
+    server.stop().expect("clean shutdown");
+
+    let listed: Vec<&str> = endpoints.iter().map(|&(_, path)| path).collect();
+    for doc in ["README.md", "DESIGN.md"] {
+        let text = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(doc))
+            .unwrap_or_else(|e| panic!("{doc}: {e}"));
+        for (start, _) in text.match_indices("/v1/") {
+            let named: String = text[start..]
+                .chars()
+                .take_while(|&c| c.is_ascii_alphanumeric() || "/:_-".contains(c))
+                .collect();
+            let named = named.trim_end_matches([':', '/']);
+            let path: Vec<&str> = named
+                .split('/')
+                .map(|segment| match segment.strip_prefix("job-") {
+                    Some(_) => ":id",
+                    None => segment,
+                })
+                .collect();
+            let path = path.join("/");
+            assert!(
+                listed
+                    .iter()
+                    .any(|&route| route == path || route.starts_with(&format!("{path}/"))),
+                "{doc} names {named:?}, which `bgpsim serve --help` does not list"
+            );
+        }
     }
 }
